@@ -20,8 +20,12 @@
 #                   coordinator mid-query, restart it with --recover,
 #                   and check the resumed query replays its checkpointed
 #                   waves and lands bit-identical rows
+#   make perf-smoke - the repo's benchmark (perf/run.py, BENCHMARK.json) at
+#                   tiny sizes: all five workloads, every metric printed,
+#                   every answer checked against sqlite (~10 s)
 #   make ci       - the full local equivalent of the CI gate:
 #                   lint + verify + smoke + serve-smoke + serve-recovery
+#                   + perf-smoke
 #   make bench    - hot-path microbenches (pytest-benchmark table)
 #   make hotpath  - append this revision's hot-path numbers to
 #                   BENCH_hotpaths.json (run with --label before first on
@@ -30,7 +34,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: verify smoke lint serve-smoke serve-recovery ci bench hotpath
+.PHONY: verify smoke lint serve-smoke serve-recovery perf-smoke ci bench hotpath
 
 verify:
 	$(PYTEST) -x -q
@@ -53,7 +57,10 @@ serve-smoke:
 serve-recovery:
 	$(PYTEST) -q tests/serve/test_recovery_subprocess.py
 
-ci: lint verify smoke serve-smoke serve-recovery
+perf-smoke:
+	python3 perf/run.py --smoke
+
+ci: lint verify smoke serve-smoke serve-recovery perf-smoke
 
 bench:
 	$(PYTEST) -q benchmarks/test_perf_hotpaths.py

@@ -10,8 +10,12 @@ joining samples.
 
 :class:`SampledJoinEstimator` progressively joins per-relation samples
 for any connected set of conditions, with a work cap; when the cap is
-exceeded it falls back to the histogram-product estimate.  Results are
-cached per condition set within an estimator, and the raw sample-join
+exceeded it falls back to the histogram-product estimate.  The join is
+one NumPy kernel over the samples' column arrays: partial results are
+index vectors, each step is a broadcast comparison mask, and the counts
+are exactly those of a tuple-at-a-time nested loop (which survives as
+the reference oracle in ``tests/relational/test_sampling.py``).  Results
+are cached per condition set within an estimator, and the raw sample-join
 observations are shared *across* estimators, planners, and queries via
 the process-wide :class:`~repro.relational.stats_cache.PlanningCache`
 (keyed by relation content, so the sharing is exact, never heuristic).
@@ -21,15 +25,55 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.relational.predicates import JoinCondition
+import numpy as np
+
+from repro.relational.predicates import AttrRef, JoinCondition
 from repro.relational.query import JoinQuery
-from repro.relational.relation import Relation
 from repro.relational.statistics import SelectivityEstimator, StatisticsCatalog
 from repro.relational.stats_cache import (
+    INT_SAFE,
+    ColumnarSample,
     PlanningCache,
     get_planning_cache,
     relation_fingerprint,
 )
+
+#: One step's comparison mask is built in blocks of at most this many
+#: (combination, sample row) cells, so a step near the work cap costs
+#: ~1 MiB of mask at a time instead of one ``work_cap``-cell matrix.
+_BLOCK_CELLS = 1 << 20
+
+#: Integers up to this magnitude convert to float64 without rounding.
+_FLOAT_EXACT = 1 << 53
+
+
+def _operand(sample: ColumnarSample, ref: AttrRef) -> np.ndarray:
+    """``ref.attr + ref.offset`` per sample row, added as Python adds."""
+    column, offset = sample.column(ref.attr), ref.offset
+    if not offset:
+        return column
+    if column.dtype != object and not (
+        type(offset) is float or (type(offset) is int and abs(offset) <= INT_SAFE)
+    ):
+        column = column.astype(object)  # int64 + offset could wrap
+    return column + offset
+
+
+def _comparable(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The two columns in dtypes whose NumPy comparison equals Python's.
+
+    Equal dtypes compare natively.  int64 against float64 is cast to
+    float64 only when every integer survives the cast unrounded (Python
+    compares int with float exactly); everything else is compared as
+    Python objects.
+    """
+    if left.dtype == right.dtype:
+        return left, right
+    if left.dtype != object and right.dtype != object:
+        ints = left if left.dtype == np.int64 else right
+        if not ints.size or max(-int(ints.min()), int(ints.max())) <= _FLOAT_EXACT:
+            return left.astype(np.float64), right.astype(np.float64)
+    return left.astype(object), right.astype(object)
 
 
 class SampledJoinEstimator:
@@ -53,17 +97,17 @@ class SampledJoinEstimator:
         self._relation_names = {
             alias: relation.name for alias, relation in query.relations.items()
         }
-        self._samples: Dict[str, Relation] = {}
+        self._samples: Dict[str, ColumnarSample] = {}
         self._cache: Dict[FrozenSet[int], float] = {}
         self._alias_fingerprints: Dict[str, tuple] = {}
         self._condition_signatures: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
 
-    def sample_of(self, alias: str) -> Relation:
+    def sample_of(self, alias: str) -> ColumnarSample:
         if alias not in self._samples:
             relation = self.query.relations[alias]
-            self._samples[alias] = self.planning_cache.sample(
+            self._samples[alias] = self.planning_cache.columnar_sample(
                 relation, alias, self.sample_rows
             )
         return self._samples[alias]
@@ -168,27 +212,31 @@ class SampledJoinEstimator:
         aliases = self._connected_order(conditions)
         if aliases is None:
             return None
-        schemas = {a: self.query.relations[a].schema for a in aliases}
         samples = {a: self.sample_of(a) for a in aliases}
 
+        # Partial results are one index vector per bound alias (equal
+        # lengths; position i of every vector is one combination).
         work = 0
-        work_cap = self.work_cap
-        bound: List[str] = [aliases[0]]
-        partial: List[Dict[str, tuple]] = [
-            {aliases[0]: row} for row in samples[aliases[0]].rows
-        ]
+        partial = {aliases[0]: np.arange(len(samples[aliases[0]]))}
+        matches = len(samples[aliases[0]])
         for alias in aliases[1:]:
-            bound.append(alias)
+            if not matches:
+                break
+            sample = samples[alias]
+            # The cap is arithmetic: the scalar loop this replaces charged
+            # one unit per probed (combination, row) pair and gave up the
+            # moment the running total passed the cap.
+            work += matches * len(sample)
+            if work > self.work_cap:
+                return None
             ready = [
                 c
                 for c in conditions
-                if alias in c.aliases and set(c.aliases) <= set(bound)
+                if alias in c.aliases and set(c.aliases) <= {alias, *partial}
             ]
-            # Compile the step's predicates once: attribute indices are
-            # resolved here instead of per probed combination, and each
-            # check is oriented so the already-bound side is its left
-            # operand (letting the bound value hoist out of the row loop).
-            new_schema = schemas[alias]
+            # Compile the step's predicates once, each oriented so the
+            # already-bound side is its left operand: (bound values per
+            # combination, comparison, new values per sample row).
             checks: List[tuple] = []
             for condition in ready:
                 for predicate in condition.predicates:
@@ -198,48 +246,30 @@ class SampledJoinEstimator:
                     else:
                         new_ref, bound_ref = predicate.right, predicate.left
                         op = predicate.op
-                    checks.append(
-                        (
-                            bound_ref.alias,
-                            schemas[bound_ref.alias].index_of(bound_ref.attr),
-                            bound_ref.offset,
-                            op.as_function,
-                            new_schema.index_of(new_ref.attr),
-                            new_ref.offset,
-                        )
+                    bound_values, new_values = _comparable(
+                        _operand(samples[bound_ref.alias], bound_ref),
+                        _operand(sample, new_ref),
                     )
-            rows = samples[alias].rows
-            grown: List[Dict[str, tuple]] = []
-            for combo in partial:
-                bound_side = [
-                    (
-                        combo[bound_alias][bound_idx] + bound_off
-                        if bound_off
-                        else combo[bound_alias][bound_idx],
-                        compare,
-                        new_idx,
-                        new_off,
-                    )
-                    for bound_alias, bound_idx, bound_off, compare, new_idx, new_off in checks
-                ]
-                for row in rows:
-                    work += 1
-                    if work > work_cap:
-                        return None
-                    for bound_value, compare, new_idx, new_off in bound_side:
-                        new_value = row[new_idx]
-                        if new_off:
-                            new_value = new_value + new_off
-                        if not compare(bound_value, new_value):
-                            break
-                    else:
-                        candidate = dict(combo)
-                        candidate[alias] = row
-                        grown.append(candidate)
-            partial = grown
-            if not partial:
-                break
-        matches = len(partial)
+                    bound_values = bound_values[partial[bound_ref.alias]]
+                    checks.append((bound_values, op.as_function, new_values))
+            last = alias == aliases[-1]
+            block = max(1, _BLOCK_CELLS // max(1, len(sample)))
+            pairs: List[np.ndarray] = []
+            combinations, matches = matches, 0
+            for start in range(0, combinations, block):
+                stop = min(start + block, combinations)
+                mask = np.ones((stop - start, len(sample)), dtype=bool)
+                for bound_values, compare, new_values in checks:
+                    mask &= compare(bound_values[start:stop, None], new_values[None, :])
+                if last:  # only the count is needed: never materialise the pairs
+                    matches += int(np.count_nonzero(mask))
+                else:
+                    pairs.append(np.argwhere(mask) + (start, 0))
+            if not last:
+                rows, new = np.concatenate(pairs).T
+                partial = {a: index[rows] for a, index in partial.items()}
+                partial[alias] = new
+                matches = len(rows)
         denominator = 1
         for alias in aliases:
             denominator *= max(1, len(samples[alias]))

@@ -13,7 +13,10 @@ sampling work over and over.
 
 * per-relation **samples** keyed by ``(relation fingerprint, alias,
   sample_rows)`` — the RNG stream is derived from ``(relation name,
-  alias)``, so the key pins everything the sample depends on;
+  alias)``, so the key pins everything the sample depends on.  The
+  memory tier holds each sample as a :class:`ColumnarSample`: the rows
+  plus one NumPy array per attribute the sample-join kernel has asked
+  for, built once and dropped with the sample;
 * **relation statistics** (:class:`RelationStats`) keyed by
   ``(relation fingerprint, sample_size, buckets)``;
 * **join-sample observations** — the ``(matches, denominator)`` counts of
@@ -63,6 +66,8 @@ import hashlib
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.relational.relation import Relation
 from repro.relational.statistics import RelationStats, compute_relation_stats
 from repro.storage import PLANNING_TABLES, KeyedDiskStore, LRUTable, stable_key_repr
@@ -77,6 +82,44 @@ Fingerprint = Tuple[str, int, str]
 JoinObservation = Optional[Tuple[int, int]]
 
 _FINGERPRINT_ATTR = "_planning_cache_fingerprint"
+
+#: Integer columns (and integer predicate offsets) up to this magnitude
+#: are held as int64: the sum of two such values cannot wrap.
+INT_SAFE = (1 << 62) - 1
+
+
+class ColumnarSample:
+    """A per-alias sample with lazily built per-attribute column arrays.
+
+    A column whose values are all ``int`` (within :data:`INT_SAFE`) is an
+    int64 array, one whose values are all ``float`` a float64 array;
+    anything else — str, ``None``, bool, mixed int/float, huge ints — is
+    an ``object`` array, so comparing it stays a Python comparison and
+    never a silent float64 cast.
+    """
+
+    def __init__(self, relation: Relation) -> None:
+        self.relation = relation
+        self._columns: Dict[str, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.relation)
+
+    def column(self, attr: str) -> np.ndarray:
+        column = self._columns.get(attr)
+        if column is None:
+            values = self.relation.column(attr)
+            kinds = set(map(type, values))
+            if kinds == {int} and max(map(abs, values)) <= INT_SAFE:
+                column = np.array(values, dtype=np.int64)
+            elif kinds == {float}:
+                column = np.array(values, dtype=np.float64)
+            else:
+                column = np.empty(len(values), dtype=object)
+                for position, value in enumerate(values):
+                    column[position] = value
+            self._columns[attr] = column
+        return column
 
 
 def relation_fingerprint(relation: Relation) -> Fingerprint:
@@ -156,22 +199,29 @@ class PlanningCache:
 
     def sample(self, relation: Relation, alias: str, sample_rows: int) -> Relation:
         """The estimator's deterministic per-alias sample of ``relation``."""
+        return self.columnar_sample(relation, alias, sample_rows).relation
+
+    def columnar_sample(
+        self, relation: Relation, alias: str, sample_rows: int
+    ) -> ColumnarSample:
+        """The same sample with its column arrays cached beside it (the
+        disk tier stores the rows only; arrays are rebuilt on demand)."""
         key = (relation_fingerprint(relation), alias, sample_rows)
         hit, value = self._samples.lookup(key)
         if hit:
             return value  # type: ignore[return-value]
+        sample = None
         if self.disk is not None:
-            hit, value = self.disk.load("samples", key)
-            if hit:
-                self._samples.store(key, value)
-                return value  # type: ignore[return-value]
-        sample = relation.sample(
-            sample_rows, make_rng("join-sample", relation.name, alias)
-        )
-        self._samples.store(key, sample)
-        if self.disk is not None:
-            self.disk.store("samples", key, sample)
-        return sample
+            _, sample = self.disk.load("samples", key)
+        if sample is None:
+            sample = relation.sample(
+                sample_rows, make_rng("join-sample", relation.name, alias)
+            )
+            if self.disk is not None:
+                self.disk.store("samples", key, sample)
+        columnar = ColumnarSample(sample)  # type: ignore[arg-type]
+        self._samples.store(key, columnar)
+        return columnar
 
     # -- relation statistics --------------------------------------------
 

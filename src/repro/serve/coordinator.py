@@ -40,6 +40,16 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
   the wire's frame cap (or ``REPRO_RESULT_MAX_BYTES``) is *not* sent;
   the client gets a structured ``result-too-large`` error steering it
   to paginated fetch, and the session stays DONE and servable.
+* **Bounded memory** — finished sessions are kept for status/result
+  lookups only within a fixed retention window (the newest
+  :data:`RETAINED_SESSIONS` terminal sessions, their result rows summing
+  to at most :data:`RETAINED_RESULT_ROWS`); beyond it the oldest are
+  evicted, fully-delivered ones first, and a later lookup gets the
+  ``unknown query id`` error with ``details["expired"]``.  A session
+  that is not terminal is never evicted.  Generated relation sets are an
+  LRU of :data:`RELATION_SETS_CACHED`.  So the daemon's memory tracks
+  concurrency, not the number of queries it has served — across
+  ``--recover`` restarts too.
 * **Session isolation** — every query runs on its own thread with its
   own :class:`~repro.mapreduce.runtime.SimulatedCluster` (own HDFS
   namespace), its own knob scope
@@ -68,10 +78,10 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
 
 from __future__ import annotations
 
-import itertools
 import os
 import socket
 import threading
+from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.errors import (
@@ -113,6 +123,7 @@ from repro.serve.session import (
     QuerySession,
 )
 from repro.storage import (
+    LRUTable,
     SessionJournal,
     blob_tier,
     externalize_value,
@@ -137,6 +148,15 @@ ALLOWED_KNOBS = frozenset(
 )
 
 WORKLOADS = ("mobile", "tpch")
+
+#: Retention window for finished sessions: how many terminal sessions
+#: stay addressable, and how many result rows they may hold between
+#: them.  The newest terminal session is kept whatever its size.
+RETAINED_SESSIONS = 32
+RETAINED_RESULT_ROWS = 500_000
+
+#: Generated ``(workload, volume, seed)`` relation sets kept for reuse.
+RELATION_SETS_CACHED = 8
 
 
 class QueryService:
@@ -191,9 +211,17 @@ class QueryService:
         self.host, self.port = self._listener.getsockname()[:2]
 
         self._sessions: Dict[str, QuerySession] = {}
+        #: Retained terminal sessions, oldest first: query id -> result
+        #: rows held.  With ``_sessions``, ``_next_id`` and the eviction
+        #: count, guarded by ``_cond``.
+        self._terminal_rows: "OrderedDict[str, int]" = OrderedDict()
+        self._retained_rows = 0
+        self._evicted = 0
         self._cond = threading.Condition()
         self._closing = False
-        self._ids = itertools.count(1)
+        #: Query ids are ``q1, q2, ...``; an id below this that is not in
+        #: ``_sessions`` was evicted, which needs no record of its own.
+        self._next_id = 1
         #: Planning shares process-global caches (statistics LRU, disk
         #: store); serializing it keeps those structures single-writer
         #: and gives executing queries the cores.
@@ -209,7 +237,7 @@ class QueryService:
             "timed_out": 0,
         }
         self._stats_lock = threading.Lock()
-        self._relations_cache: Dict[Tuple[str, int, int], dict] = {}
+        self._relations_cache = LRUTable(RELATION_SETS_CACHED)
         self._relations_lock = threading.Lock()
         self.journal: Optional[SessionJournal] = None
         if journal_path is not None:
@@ -296,8 +324,19 @@ class QueryService:
                 max_id = max(max_id, int(qid.lstrip("q")))
             except ValueError:
                 pass
-        self._ids = itertools.count(max_id + 1)
+        self._next_id = max_id + 1
+        # The retention window applies to replay as well: terminal
+        # sessions older than the newest RETAINED_SESSIONS are counted
+        # but never re-materialised (no result resolved from the journal
+        # or the blob tier).
+        expired = set([qid for qid in terminals if qid in specs][:-RETAINED_SESSIONS])
+        restored: Dict[str, QuerySession] = {}
         for qid in order:
+            if qid in expired:
+                done = terminals[qid].get("state") == DONE
+                self.recovered["done" if done else "other_terminal"] += 1
+                self._evicted += 1
+                continue
             spec = specs[qid]
             try:
                 priority = int(spec.get("priority", PRIORITY_DEFAULT))
@@ -338,7 +377,7 @@ class QueryService:
                     error=terminal.get("error"),
                     result=result,
                 )
-                self._sessions[qid] = session
+                self._sessions[qid] = restored[qid] = session
                 key = "done" if state == DONE else "other_terminal"
                 self.recovered[key] += 1
                 continue
@@ -352,6 +391,9 @@ class QueryService:
                 else "requeued"
             )
             self.recovered[key] += 1
+        for qid in terminals:  # journal order: oldest terminal first
+            if qid in restored:
+                self._retain_terminal_locked(restored[qid])
         self.recovered["records"] = len(records)
         self.recovered["torn"] = bool(torn)
 
@@ -493,7 +535,7 @@ class QueryService:
                     self.stats["rejected"] += 1
                 raise
             session = QuerySession(
-                query_id=f"q{next(self._ids)}",
+                query_id=f"q{self._next_id}",
                 sql=sql,
                 workload=workload,
                 volume=int(spec.get("volume", 0) or 0),
@@ -504,6 +546,7 @@ class QueryService:
                 client_id=client_id,
                 priority=priority,
             )
+            self._next_id += 1
             self._sessions[session.query_id] = session
             # Durable before visible: once the client holds this query
             # id, a crash-and-recover coordinator still knows the query
@@ -590,6 +633,7 @@ class QueryService:
         # path (which already holds it) and session threads alike.
         with self._cond:
             self._sched.note_terminal(session)
+            self._retain_terminal_locked(session)
         if self.journal is None:
             return
         # Every terminal path funnels through here, so this is the one
@@ -614,6 +658,26 @@ class QueryService:
             }
         )
 
+    def _retain_terminal_locked(self, session: QuerySession) -> None:
+        """Enter a terminal session into the retention window and evict
+        what no longer fits: fully-delivered sessions first, then the
+        oldest; never the newest, never a live one.  Caller holds
+        ``self._cond`` (or is recovery, before any other thread exists)."""
+        rows = len((session.result or {}).get("rows") or ())
+        self._terminal_rows[session.query_id] = rows
+        self._retained_rows += rows
+        while len(self._terminal_rows) > 1 and (
+            len(self._terminal_rows) > RETAINED_SESSIONS
+            or self._retained_rows > RETAINED_RESULT_ROWS
+        ):
+            older = list(self._terminal_rows)[:-1]
+            victim = next(
+                (qid for qid in older if self._sessions[qid].delivered), older[0]
+            )
+            self._retained_rows -= self._terminal_rows.pop(victim)
+            del self._sessions[victim]
+            self._evicted += 1
+
     # -- session execution ----------------------------------------------
 
     def _relations(self, workload: str, volume: int, seed: int) -> dict:
@@ -621,11 +685,11 @@ class QueryService:
 
         key = (workload, volume, seed)
         with self._relations_lock:
-            relations = self._relations_cache.get(key)
-            if relations is None:
+            hit, relations = self._relations_cache.lookup(key)
+            if not hit:
                 relations = workload_relations(workload, volume, seed)
-                self._relations_cache[key] = relations
-        return relations
+                self._relations_cache.store(key, relations)
+        return relations  # type: ignore[return-value]
 
     def _session_overrides(self, session: QuerySession) -> Dict[str, str]:
         overrides = dict(session.knobs)
@@ -709,13 +773,22 @@ class QueryService:
     # -- endpoints -------------------------------------------------------
 
     def _session_or_error(self, query_id: object) -> QuerySession:
-        session = self._sessions.get(query_id) if isinstance(query_id, str) else None
-        if session is None:
-            raise ServiceError(
-                f"unknown query id {query_id!r}",
-                details={"known": sorted(self._sessions)[-8:]},
+        with self._cond:
+            session = (
+                self._sessions.get(query_id) if isinstance(query_id, str) else None
             )
-        return session
+            if session is not None:
+                return session
+            details: Dict[str, object] = {"known": sorted(self._sessions)[-8:]}
+            number = query_id[1:] if isinstance(query_id, str) else ""
+            if (
+                number.isdecimal()
+                and query_id == f"q{int(number)}"
+                and 0 < int(number) < self._next_id
+            ):
+                # Issued once, gone now: evicted from the retention window.
+                details["expired"] = True
+        raise ServiceError(f"unknown query id {query_id!r}", details=details)
 
     def status(self, query_id: str) -> dict:
         return self._session_or_error(query_id).snapshot()
@@ -758,6 +831,7 @@ class QueryService:
         session.done.wait(max(0.0, min(float(timeout_s), 300.0)))
         payload = session.snapshot()
         if session.state != DONE:
+            session.delivered = payload["terminal"]
             return payload
         result = session.result or {}
         max_bytes = min(
@@ -778,6 +852,7 @@ class QueryService:
                     },
                 )
             payload["result"] = result
+            session.delivered = True
             return payload
         rows = result.get("rows") or []
         total_rows = len(rows)
@@ -808,6 +883,8 @@ class QueryService:
         page["total_rows"] = total_rows
         page["next_offset"] = next_offset
         payload["result"] = page
+        if next_offset is None:
+            session.delivered = True
         return payload
 
     def service_stats(self) -> dict:
@@ -817,6 +894,8 @@ class QueryService:
             queued = len(self._sched)
             running = self._sched.total_running
             scheduler = self._sched.stats()
+            retained = len(self._terminal_rows)
+            evicted = self._evicted
         with self._stats_lock:
             counters = dict(self.stats)
         distributed = [
@@ -854,6 +933,8 @@ class QueryService:
                 "running": running,
                 "max_concurrent": self.max_concurrent,
                 "max_queue": self.max_queue,
+                "sessions_retained": retained,
+                "sessions_evicted": evicted,
                 "scheduler": scheduler,
                 "clients": scheduler["clients"],
                 "fleet": list(self.fleet.addrs),

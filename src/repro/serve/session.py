@@ -97,6 +97,10 @@ class QuerySession:
         self.state = QUEUED
         self.error: Optional[dict] = None  # wire-shaped taxonomy dict
         self.result: Optional[dict] = None
+        #: Set by the coordinator once a client has been handed the
+        #: terminal payload (the last page, for a paged DONE result):
+        #: delivered sessions are the first the retention window evicts.
+        self.delivered = False
         self.done = threading.Event()
         self.submitted_at = time.monotonic()
         self.state_times: Dict[str, float] = {QUEUED: 0.0}
