@@ -1,11 +1,12 @@
 # Convenience targets for the reproduction repo.
 #
 #   make verify   - tier-1 test suite (ROADMAP.md's gate)
-#   make smoke    - REPRO_QUICK=1 answer-agreement + batch-vs-scalar smoke:
+#   make smoke    - REPRO_QUICK=1 answer-agreement + batch-vs-oracle smoke:
 #                   all four planners must produce identical answers, and
-#                   the batched map AND reduce paths must match the scalar
-#                   ones bit for bit, on a trimmed volume grid (fast
-#                   enough for CI)
+#                   every join job's batched map AND reduce phase must
+#                   match the scalar oracle (tests/joins/scalar_oracle.py)
+#                   bit for bit, on a trimmed volume grid (fast enough
+#                   for CI)
 #   make lint     - ruff check (config in pyproject.toml); skipped with a
 #                   notice when ruff is not installed locally — CI always
 #                   installs and enforces it

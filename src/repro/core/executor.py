@@ -41,12 +41,12 @@ from repro.core.plan import (
 )
 from repro.errors import ExecutionError
 from repro.joins.jobs import (
-    _merge_spec,
     make_broadcast_join_job,
     make_equi_join_job,
     make_equichain_join_job,
     make_hypercube_join_job,
 )
+from repro.joins.progressive import merge_picker
 from repro.joins.records import (
     Composite,
     composites_to_relation,
@@ -862,7 +862,7 @@ def _hash_merge(
 
     Partial results have uniform alias covers (every composite of one
     terminal output covers the same alias set), which admits the same
-    position-compiled technique as the batched reducers: shared-id keys
+    position-compiled technique as the reduce-side kernel: shared-id keys
     and the merged entry picks become tuple indexing resolved once per
     merge instead of per-composite dict builds.  Inputs with ragged
     covers (or a ``shared_aliases`` narrower than the true intersection)
@@ -884,7 +884,7 @@ def _hash_merge(
         right_key = tuple(right_pos[alias] for alias in shared)
         # Shared aliases keep the left entry, like merge_composites;
         # partners agree on their shared ids by key construction.
-        spec = _merge_spec(left_cover, right_cover)
+        pick = merge_picker(left_cover, right_cover)
         index: Dict[Tuple[int, ...], List[Composite]] = {}
         for composite in right:
             key = tuple(composite[p][1] for p in right_key)
@@ -895,11 +895,7 @@ def _hash_merge(
             if not partners:
                 continue
             for partner in partners:
-                merged.append(
-                    tuple(
-                        composite[p] if s == 0 else partner[p] for s, p in spec
-                    )
-                )
+                merged.append(pick(composite + partner))
         return merged
 
     index = {}

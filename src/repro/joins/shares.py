@@ -22,13 +22,9 @@ import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
-from repro.joins.jobs import _check, _composite_width_fn
-from repro.joins.records import (
-    Composite,
-    composite_width,
-    merge_composites,
-    rows_by_alias,
-)
+from repro.joins.jobs import _file_aliases
+from repro.joins.progressive import ProgressiveJoin, bucket_reducer
+from repro.joins.records import Composite, composite_width, rows_by_alias
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapReduceJobSpec, TaskContext
 from repro.relational.predicates import JoinCondition
@@ -143,6 +139,8 @@ def make_shares_join_job(
     """Multi-way equi-join in one MapReduce job via attribute shares.
 
     ``input_files`` are composite files, one per alias (tag = alias).
+    Routing is per record (the scalar ``mapper``); the reduce side is the
+    shared progressive join of :mod:`repro.joins.progressive`.
     """
     classes = attribute_classes(conditions)
     if not classes:
@@ -150,6 +148,12 @@ def make_shares_join_job(
     aliases = [f.tag for f in input_files]
     if len(set(aliases)) != len(aliases):
         raise ExecutionError(f"job {name!r}: inputs must carry distinct tags")
+    for file in input_files:
+        if _file_aliases(file) not in ((), (file.tag,)):
+            raise ExecutionError(
+                f"job {name!r}: input {file.name!r} must hold singleton "
+                f"composites of alias {file.tag!r}"
+            )
     sizes = {f.tag: float(f.size_bytes) for f in input_files}
     share_vector = list(
         shares if shares is not None else optimize_shares(sizes, classes, total_reducers)
@@ -160,7 +164,6 @@ def make_shares_join_job(
     for share in share_vector:
         num_reducers *= share
 
-    all_aliases = sorted(schemas_by_alias)
     output_width = composite_width(schemas_by_alias, aliases)
 
     def grid_to_reducer(coordinates: Sequence[int]) -> int:
@@ -193,50 +196,29 @@ def make_shares_join_job(
                 coordinates[dim] = value
             yield grid_to_reducer(coordinates), (tag, composite)  # type: ignore[arg-type]
 
-    alias_order = aliases
-
-    def reducer(key: object, values: List[object], ctx: TaskContext):
-        per_alias: Dict[str, List[Composite]] = {alias: [] for alias in alias_order}
-        for tag, composite in values:
-            per_alias[tag].append(composite)
-        partial: List[Composite] = [()]
-        bound: List[str] = []
-        for alias in alias_order:
-            candidates = per_alias[alias]
-            if not candidates:
-                return
-            bound.append(alias)
-            ready = [
-                c for c in conditions if set(c.aliases) <= set(bound)
-            ]
-            grown: List[Composite] = []
-            for accumulated in partial:
-                for composite in candidates:
-                    ctx.charge_comparisons(1)
-                    merged = merge_composites(accumulated, composite)
-                    if merged is None:
-                        continue
-                    if _check(ready, merged, schemas_by_alias):
-                        grown.append(merged)
-            partial = grown
-            if not partial:
-                return
-        for merged in partial:
-            yield merged
-
-    composite_bytes = _composite_width_fn(schemas_by_alias)
-
-    def value_width(value: object) -> int:
-        tag, composite = value  # type: ignore[misc]
-        return 4 + len(tag) + composite_bytes(composite)
+    # tag header (length-prefixed alias) + the singleton composite.
+    width_of_tag = {
+        alias: 4 + len(alias) + 16 + schemas_by_alias[alias].row_width
+        for alias in aliases
+    }
 
     return MapReduceJobSpec(
         name=name,
         inputs=list(input_files),
         mapper=mapper,
-        reducer=reducer,
         num_reducers=num_reducers,
         output_record_width=output_width,
-        pair_width_fn=value_width,
+        pair_width_fn=lambda value: width_of_tag[value[0]],
+        batch_reducer=bucket_reducer(
+            ProgressiveJoin(
+                name,
+                [(alias,) for alias in aliases],
+                conditions,
+                schemas_by_alias,
+                scan_first=True,
+            ),
+            {alias: slot for slot, alias in enumerate(aliases)},
+            list(width_of_tag.values()),
+        ),
         output_name=output_name or f"{name}.out",
     )

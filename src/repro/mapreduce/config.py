@@ -7,9 +7,9 @@ Hadoop parameter set of Table 1.
 
 This module also owns :class:`ExecutionSettings` — the single typed home
 of every environment knob that shapes *how* the repository itself runs
-(which execution backend, how many workers, the NumPy size gates, the
-disk-persistent planning cache), as opposed to the simulated hardware the
-dataclasses above describe.  The README documents the full knob table.
+(which execution backend, how many workers, the disk-persistent planning
+cache), as opposed to the simulated hardware the dataclasses above
+describe.  The README documents the full knob table.
 """
 
 from __future__ import annotations
@@ -148,14 +148,6 @@ WORKER_CONNECT_TIMEOUT_ENV = "REPRO_WORKER_CONNECT_TIMEOUT_S"
 #: services want the loud failure; the library default stays the quiet
 #: degradation that can never break a result.
 STRICT_FLEET_ENV = "REPRO_STRICT_FLEET"
-#: Legacy knob from PR 2: chunk fan-out + thread count for the batched
-#: map phase.  Still honoured: setting it (>1) without a backend choice
-#: selects the thread backend with that many workers.
-MAP_SHARDS_ENV = "REPRO_MAP_SHARDS"
-#: Candidate-count gate above which sorted/hash probes go through NumPy.
-NP_MIN_PROBE_ENV = "REPRO_NP_MIN_PROBE"
-#: Pair-count gate above which condition checks go through NumPy.
-NP_MIN_PAIRS_ENV = "REPRO_NP_MIN_PAIRS"
 #: "1" spills the PlanningCache to disk (samples/stats/join observations
 #: persist across processes); "0" keeps it in-memory only.  The CLI turns
 #: this on by default so repeated runs start warm.
@@ -323,12 +315,6 @@ class ExecutionSettings:
     task_retries: int = 2
     #: TCP connect + hello handshake budget per worker, seconds.
     worker_connect_timeout_s: float = 1.0
-    #: Chunk fan-out for the batched map phase (legacy ``REPRO_MAP_SHARDS``).
-    map_shards: int = 1
-    #: NumPy probe gate (``_NP_MIN_PROBE`` before consolidation).
-    np_min_probe: int = 128
-    #: NumPy pair-mask gate (``_NP_MIN_PAIRS`` before consolidation).
-    np_min_pairs: int = 256
     #: Whether the PlanningCache persists to disk across processes.
     plan_disk_cache: bool = False
     #: Root of the on-disk cache (``~/.cache/repro`` by default).
@@ -400,18 +386,11 @@ class ExecutionSettings:
         if overrides:
             env = {**os.environ, **{k: str(v) for k, v in overrides.items()}}
         backend = env.get(EXEC_BACKEND_ENV, "").strip().lower()
-        map_shards = _env_int(MAP_SHARDS_ENV, 1, env, minimum=1)
         workers_addrs = parse_workers_addrs(env.get(WORKERS_ADDRS_ENV, ""))
         if backend not in EXEC_BACKENDS:
-            # Unset/invalid: configured worker daemons imply distributed,
-            # else legacy REPRO_MAP_SHARDS>1 implies threads (PR 2
-            # semantics); otherwise everything stays serial.
-            if workers_addrs:
-                backend = "distributed"
-            elif map_shards > 1:
-                backend = "thread"
-            else:
-                backend = "serial"
+            # Unset/invalid: configured worker daemons imply distributed;
+            # otherwise everything stays serial.
+            backend = "distributed" if workers_addrs else "serial"
         return cls(
             backend=backend,
             workers=_env_int(EXEC_WORKERS_ENV, 0, env),
@@ -421,9 +400,6 @@ class ExecutionSettings:
             worker_connect_timeout_s=_env_float(
                 WORKER_CONNECT_TIMEOUT_ENV, 1.0, env, minimum=0.05
             ),
-            map_shards=map_shards,
-            np_min_probe=_env_int(NP_MIN_PROBE_ENV, 128, env),
-            np_min_pairs=_env_int(NP_MIN_PAIRS_ENV, 256, env),
             plan_disk_cache=env.get(PLAN_DISK_CACHE_ENV, "0") == "1",
             cache_dir=env.get(CACHE_DIR_ENV) or None,
             strict_fleet=env.get(STRICT_FLEET_ENV, "0") == "1",
@@ -461,13 +437,11 @@ class ExecutionSettings:
     @property
     def effective_workers(self) -> int:
         """Actual pool size: daemon count (distributed), explicit count,
-        legacy shards, or cpu count."""
+        or cpu count."""
         if self.backend == "distributed":
             return max(1, len(self.workers_addrs))
         if self.workers > 0:
             return self.workers
-        if self.map_shards > 1:
-            return self.map_shards
         return os.cpu_count() or 1
 
     @property
@@ -480,12 +454,9 @@ class ExecutionSettings:
 
     @property
     def chunk_fanout(self) -> int:
-        """Per-file chunk count for the batched map phase: the legacy
-        shard knob when serial (or not parallel), else >= workers so
-        every worker has something to do."""
-        if not self.parallel:
-            return max(1, self.map_shards)
-        return max(self.effective_workers, self.map_shards)
+        """Per-file chunk count for the batched map phase: one chunk per
+        worker, so every worker has something to do."""
+        return self.effective_workers if self.parallel else 1
 
     def resolved_cache_dir(self) -> Path:
         if self.cache_dir:

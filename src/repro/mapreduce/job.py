@@ -69,8 +69,8 @@ class MapBatch:
 
 #: batch_mapper(source_tag, records, base_index) -> MapBatch; ``records``
 #: is a contiguous slice of the input file starting at ``base_index``.
-#: Must emit exactly what the scalar mapper would for the same records,
-#: in the same order — the runtime's equivalence tests hold it to that.
+#: Must emit exactly what a per-record mapper would for the same records,
+#: in the same order — the equivalence tests hold it to that.
 BatchMapper = Callable[[str, Sequence[object], int], MapBatch]
 
 
@@ -99,8 +99,8 @@ class ReduceBatch:
 #: bucket insertion order and its value group is the flat slice
 #: ``values[group_offsets[i]:group_offsets[i + 1]]`` (key-major layout —
 #: ``len(group_offsets) == len(keys) + 1``).  Must produce exactly what
-#: the scalar reducer would for the same bucket; the batch-vs-scalar
-#: equivalence suite holds it to that.
+#: a per-key-group reducer would for the same bucket; the equivalence
+#: suite holds it to that.
 BatchReducer = Callable[[Sequence[object], Sequence[object], Sequence[int]], ReduceBatch]
 
 
@@ -141,13 +141,20 @@ def estimate_width(value: object) -> int:
 
 @dataclass
 class MapReduceJobSpec:
-    """Everything needed to run one MapReduce job on the simulator."""
+    """Everything needed to run one MapReduce job on the simulator.
+
+    Each phase needs one callable and may carry both forms: the runtime
+    runs ``batch_mapper`` / ``batch_reducer`` when present and the
+    per-record ``mapper`` / per-key-group ``reducer`` otherwise.  The join
+    builders provide only batch forms; the calibration shuffle probe, the
+    shares mapper and user-written jobs use the scalar ones.
+    """
 
     name: str
     inputs: List[DistributedFile]
-    mapper: Mapper
-    reducer: Reducer
     num_reducers: int
+    mapper: Optional[Mapper] = None
+    reducer: Optional[Reducer] = None
     partitioner: Partitioner = default_partitioner
     #: Width of one output record in bytes; join outputs pass the real
     #: concatenated row width here.
@@ -161,17 +168,15 @@ class MapReduceJobSpec:
     #: generic estimate.  Join jobs use this to account for schema-declared
     #: row widths (which may be far larger than the in-memory tuples).
     pair_width_fn: Optional[Callable[[object], int]] = None
-    #: Optional vectorized mapper: maps a whole record chunk in one call,
-    #: returning pre-bucketed arrays (:class:`MapBatch`).  When present the
-    #: runtime prefers it over the per-record ``mapper``; both must agree
-    #: exactly (same buckets, same counters) — ``mapper`` remains the
-    #: executable specification.
+    #: Vectorized mapper: maps a whole record chunk in one call, returning
+    #: pre-bucketed arrays (:class:`MapBatch`).  Preferred over ``mapper``
+    #: when both are set; they must then agree exactly (same buckets, same
+    #: counters).
     batch_mapper: Optional[BatchMapper] = None
-    #: Optional vectorized reducer: consumes a whole reduce task's bucket
-    #: at once, key-major (flat value array + group offsets), returning
-    #: outputs and counters (:class:`ReduceBatch`).  When present the
-    #: runtime prefers it over the per-key-group ``reducer``; both must
-    #: agree exactly — ``reducer`` remains the executable specification.
+    #: Vectorized reducer: consumes a whole reduce task's bucket at once,
+    #: key-major (flat value array + group offsets), returning outputs and
+    #: counters (:class:`ReduceBatch`).  Preferred over ``reducer`` when
+    #: both are set; they must then agree exactly.
     batch_reducer: Optional[BatchReducer] = None
     output_name: str = ""
 
@@ -182,6 +187,14 @@ class MapReduceJobSpec:
             )
         if not self.inputs:
             raise ExecutionError(f"job {self.name!r}: needs at least one input file")
+        if self.mapper is None and self.batch_mapper is None:
+            raise ExecutionError(
+                f"job {self.name!r}: needs a mapper or a batch_mapper"
+            )
+        if self.reducer is None and self.batch_reducer is None:
+            raise ExecutionError(
+                f"job {self.name!r}: needs a reducer or a batch_reducer"
+            )
         if not self.output_name:
             self.output_name = f"{self.name}.out"
 

@@ -26,25 +26,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ExecutionError
 from repro.mapreduce.backend import get_backend
 from repro.mapreduce.cancel import check_cancelled
-from repro.mapreduce.config import (
-    MAP_SHARDS_ENV,  # noqa: F401  (re-exported; PR 2's public location)
-    ClusterConfig,
-    execution_settings,
-)
+from repro.mapreduce.config import ClusterConfig, execution_settings
 from repro.mapreduce.counters import JobMetrics
 from repro.mapreduce.hdfs import DistributedFile, SimulatedHDFS
 from repro.mapreduce.job import JobResult, MapReduceJobSpec, TaskContext, estimate_width
 from repro.utils import ceil_div, make_rng
-
-
-def map_shard_count() -> int:
-    """Chunk fan-out for the batched map phase (>= 1).
-
-    Kept for backward compatibility with PR 2; the knob now lives in
-    :class:`repro.mapreduce.config.ExecutionSettings` together with the
-    backend selection (``REPRO_EXEC_BACKEND`` / ``REPRO_EXEC_WORKERS``).
-    """
-    return execution_settings().map_shards
 
 
 class SimulatedCluster:
@@ -180,7 +166,7 @@ class SimulatedCluster:
         order, metrics, and answers — are identical to the scalar loop.
         Chunks are independent, which is what lets them shard across the
         selected execution backend (``REPRO_EXEC_BACKEND`` /
-        ``REPRO_MAP_SHARDS``) without changing any output — including
+        ``REPRO_EXEC_WORKERS``) without changing any output — including
         over TCP to remote worker daemons (``REPRO_WORKERS_ADDRS``),
         whose chunk batches come back pickle-round-tripped but are
         merged by the very same in-order loop.
@@ -319,50 +305,10 @@ class SimulatedCluster:
         width_fn = spec.pair_width_fn
         backend = get_backend()
 
-        if backend.name == "serial":
-            # Inline loop for the serial default: identical arithmetic to
-            # the task path below, without paying a per-bucket closure
-            # call and result repack on the single-core hot path (a
-            # measured ~8% of the warm fig-10 e2e microbench).  Any
-            # change here MUST be mirrored in reduce_bucket below —
-            # tests/mapreduce/test_exec_backends.py enforces the
-            # bit-identity of the two paths across the full query grid.
-            output_records: List[object] = []
-            reducer_costs: List[float] = []
-            for bucket in buckets:
-                check_cancelled()  # same grain as the scalar reduce loop
-                keys = list(bucket)
-                offsets: List[int] = [0]
-                flat: List[object] = []
-                for values in bucket.values():
-                    flat.extend(values)
-                    offsets.append(len(flat))
-                batch = batch_reducer(keys, flat, offsets)
-                input_values = len(flat)
-                if batch.input_bytes is not None:
-                    input_bytes = batch.input_bytes
-                elif fixed_width:
-                    input_bytes = fixed_width * input_values
-                elif width_fn is not None:
-                    input_bytes = 12 * input_values + sum(width_fn(v) for v in flat)
-                else:
-                    input_bytes = sum(12 + estimate_width(v) for v in flat)
-                output_records.extend(batch.outputs)
-                metrics.reducer_input_bytes.append(input_bytes)
-                metrics.reduce_comparisons += batch.comparisons
-                reducer_costs.append(
-                    self._reduce_task_cost(
-                        spec,
-                        input_bytes,
-                        input_values,
-                        batch.comparisons,
-                        len(batch.outputs),
-                    )
-                )
-            return output_records, reducer_costs
-
         def reduce_bucket(index: int) -> Tuple[List[object], int, int, float]:
-            check_cancelled()  # active on the session thread (fallbacks)
+            # Same grain as the scalar reduce loop; active on the session
+            # thread (serial, local fallbacks), a no-op on pool threads.
+            check_cancelled()
             bucket = buckets[index]
             keys = list(bucket)
             offsets: List[int] = [0]
@@ -385,7 +331,12 @@ class SimulatedCluster:
             )
             return batch.outputs, input_bytes, batch.comparisons, cost
 
-        results = backend.run_tasks(reduce_bucket, len(buckets))
+        if backend.name == "serial":
+            # The serial default loops directly: same function, without a
+            # backend dispatch on the single-core hot path.
+            results = map(reduce_bucket, range(len(buckets)))
+        else:
+            results = backend.run_tasks(reduce_bucket, len(buckets))
 
         output_records: List[object] = []
         reducer_costs: List[float] = []

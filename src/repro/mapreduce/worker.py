@@ -460,7 +460,6 @@ def spawn_daemon(extra_args: Tuple[str, ...] = ()):
         "REPRO_EXEC_BACKEND",
         "REPRO_EXEC_WORKERS",
         "REPRO_WORKERS_ADDRS",
-        "REPRO_MAP_SHARDS",
         "REPRO_PLAN_DISK_CACHE",
     ):
         env.pop(name, None)

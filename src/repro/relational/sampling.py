@@ -27,11 +27,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.relational.predicates import AttrRef, JoinCondition
+from repro.relational.columns import add_offset, comparable
+from repro.relational.predicates import JoinCondition
 from repro.relational.query import JoinQuery
 from repro.relational.statistics import SelectivityEstimator, StatisticsCatalog
 from repro.relational.stats_cache import (
-    INT_SAFE,
     ColumnarSample,
     PlanningCache,
     get_planning_cache,
@@ -42,38 +42,6 @@ from repro.relational.stats_cache import (
 #: (combination, sample row) cells, so a step near the work cap costs
 #: ~1 MiB of mask at a time instead of one ``work_cap``-cell matrix.
 _BLOCK_CELLS = 1 << 20
-
-#: Integers up to this magnitude convert to float64 without rounding.
-_FLOAT_EXACT = 1 << 53
-
-
-def _operand(sample: ColumnarSample, ref: AttrRef) -> np.ndarray:
-    """``ref.attr + ref.offset`` per sample row, added as Python adds."""
-    column, offset = sample.column(ref.attr), ref.offset
-    if not offset:
-        return column
-    if column.dtype != object and not (
-        type(offset) is float or (type(offset) is int and abs(offset) <= INT_SAFE)
-    ):
-        column = column.astype(object)  # int64 + offset could wrap
-    return column + offset
-
-
-def _comparable(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The two columns in dtypes whose NumPy comparison equals Python's.
-
-    Equal dtypes compare natively.  int64 against float64 is cast to
-    float64 only when every integer survives the cast unrounded (Python
-    compares int with float exactly); everything else is compared as
-    Python objects.
-    """
-    if left.dtype == right.dtype:
-        return left, right
-    if left.dtype != object and right.dtype != object:
-        ints = left if left.dtype == np.int64 else right
-        if not ints.size or max(-int(ints.min()), int(ints.max())) <= _FLOAT_EXACT:
-            return left.astype(np.float64), right.astype(np.float64)
-    return left.astype(object), right.astype(object)
 
 
 class SampledJoinEstimator:
@@ -246,9 +214,12 @@ class SampledJoinEstimator:
                     else:
                         new_ref, bound_ref = predicate.right, predicate.left
                         op = predicate.op
-                    bound_values, new_values = _comparable(
-                        _operand(samples[bound_ref.alias], bound_ref),
-                        _operand(sample, new_ref),
+                    bound_values, new_values = comparable(
+                        add_offset(
+                            samples[bound_ref.alias].column(bound_ref.attr),
+                            bound_ref.offset,
+                        ),
+                        add_offset(sample.column(new_ref.attr), new_ref.offset),
                     )
                     bound_values = bound_values[partial[bound_ref.alias]]
                     checks.append((bound_values, op.as_function, new_values))

@@ -68,6 +68,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.relational.columns import typed_column
 from repro.relational.relation import Relation
 from repro.relational.statistics import RelationStats, compute_relation_stats
 from repro.storage import PLANNING_TABLES, KeyedDiskStore, LRUTable, stable_key_repr
@@ -83,19 +84,13 @@ JoinObservation = Optional[Tuple[int, int]]
 
 _FINGERPRINT_ATTR = "_planning_cache_fingerprint"
 
-#: Integer columns (and integer predicate offsets) up to this magnitude
-#: are held as int64: the sum of two such values cannot wrap.
-INT_SAFE = (1 << 62) - 1
-
 
 class ColumnarSample:
     """A per-alias sample with lazily built per-attribute column arrays.
 
-    A column whose values are all ``int`` (within :data:`INT_SAFE`) is an
-    int64 array, one whose values are all ``float`` a float64 array;
-    anything else — str, ``None``, bool, mixed int/float, huge ints — is
-    an ``object`` array, so comparing it stays a Python comparison and
-    never a silent float64 cast.
+    Columns are typed by :func:`repro.relational.columns.typed_column`:
+    int64, float64, or ``object`` for anything whose NumPy comparison
+    could differ from Python's.
     """
 
     def __init__(self, relation: Relation) -> None:
@@ -108,16 +103,7 @@ class ColumnarSample:
     def column(self, attr: str) -> np.ndarray:
         column = self._columns.get(attr)
         if column is None:
-            values = self.relation.column(attr)
-            kinds = set(map(type, values))
-            if kinds == {int} and max(map(abs, values)) <= INT_SAFE:
-                column = np.array(values, dtype=np.int64)
-            elif kinds == {float}:
-                column = np.array(values, dtype=np.float64)
-            else:
-                column = np.empty(len(values), dtype=object)
-                for position, value in enumerate(values):
-                    column[position] = value
+            column = typed_column(self.relation.column(attr))
             self._columns[attr] = column
         return column
 

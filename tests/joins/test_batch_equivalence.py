@@ -1,34 +1,29 @@
-"""Batch-vs-scalar equivalence across the whole query matrix.
+"""Batch-vs-oracle equivalence across the whole query matrix.
 
-Every join job builder ships a per-record ``mapper`` and a per-key-group
-``reducer`` (the executable specifications) plus vectorized
-``batch_mapper``/``batch_reducer`` counterparts.  These tests run every
-map AND reduce phase of every planner's plan through *both* paths and
-require bit-identical buckets (including key insertion order), outputs,
+Every join job builder ships only batch callables: a routing
+``batch_mapper`` and a ``batch_reducer`` over the one progressive-join
+kernel (``repro.joins.progressive``).  ``scalar_oracle.py`` rebuilds each
+job record-at-a-time from the same builder arguments; these tests run
+every map AND reduce phase of every planner's plan both ways and require
+bit-identical buckets (including key insertion order), outputs,
 counters, per-task costs, and shuffle bytes — on the paper's mobile
 queries and the TPC-H extensions — plus identical final answers across
 all four planners.  Synthetic large joins push the group sizes over the
-NumPy probe/pair-mask thresholds the benchmark grid stays under.
+NumPy range-probe/pair-mask gates the benchmark grid stays under.
 """
 
 import dataclasses
 
 import pytest
 
+import repro.core.executor as executor_mod
 from repro.baselines import HivePlanner, PigPlanner, YSmartPlanner
 from repro.core.executor import PlanExecutor
 from repro.core.partitioner import HypercubePartitioner
 from repro.core.planner import ThetaJoinPlanner
-from repro.joins.jobs import (
-    make_broadcast_join_job,
-    make_equi_join_job,
-    make_equichain_join_job,
-    make_hypercube_join_job,
-    make_keyspread_partitioner,
-)
+from repro.joins.jobs import make_keyspread_partitioner
 from repro.joins.records import relation_to_composite_file
-from repro.mapreduce.config import PAPER_CLUSTER_KP64
-from repro.mapreduce.counters import JobMetrics
+from repro.mapreduce.config import PAPER_CLUSTER_KP64, execution_settings
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.predicates import JoinCondition
 from repro.relational.relation import Relation
@@ -37,85 +32,72 @@ from repro.utils import make_rng
 from repro.workloads.mobile import mobile_benchmark_query
 from repro.workloads.tpch import tpch_benchmark_query
 
+from scalar_oracle import (
+    ORACLE_BUILDERS,
+    assert_job_matches_oracle,
+    build_with_oracle,
+)
+
 METHOD_PLANNERS = (ThetaJoinPlanner, YSmartPlanner, HivePlanner, PigPlanner)
 
 
-class BothPathsCluster(SimulatedCluster):
-    """A cluster that runs every batched map and reduce phase through the
-    scalar path as well and asserts exact agreement."""
+@pytest.fixture
+def oracle_paired_builders(monkeypatch):
+    """Make the executor build the scalar oracle next to every join job
+    (same arguments) and hang it on the spec as ``spec.oracle``."""
+    for builder, oracle_builder in ORACLE_BUILDERS.items():
+        real = getattr(executor_mod, builder)
+
+        def build(*args, _real=real, _oracle=oracle_builder, **kwargs):
+            spec = _real(*args, **kwargs)
+            assert spec.batch_mapper is not None, spec.name
+            assert spec.batch_reducer is not None, spec.name
+            spec.oracle = _oracle(*args, **kwargs)
+            return spec
+
+        monkeypatch.setattr(executor_mod, builder, build)
+
+
+class OracleCheckedCluster(SimulatedCluster):
+    """A cluster that runs every join job through its scalar oracle as
+    well and asserts exact agreement."""
 
     def __init__(self, config):
         super().__init__(config)
-        self.map_phases_checked = 0
-        self.reduce_phases_checked = 0
+        self.jobs_checked = 0
 
-    def _run_map_phase(self, spec, metrics):
-        result = super()._run_map_phase(spec, metrics)
-        if spec.batch_mapper is None:
-            return result
-        scalar_metrics = JobMetrics(job_name=spec.name)
-        scalar_buckets, _ = super()._run_map_phase(
-            dataclasses.replace(spec, batch_mapper=None), scalar_metrics
+    def run_job(self, spec, map_units=None, reduce_units=None):
+        # The executor sets the replication after building the spec.
+        oracle = dataclasses.replace(
+            spec.oracle, output_replication=spec.output_replication
         )
-        batched_buckets, _ = result
-        assert batched_buckets == scalar_buckets, spec.name
-        for batched, scalar in zip(batched_buckets, scalar_buckets):
-            assert list(batched) == list(scalar), (
-                f"{spec.name}: key insertion order differs"
-            )
-        assert metrics.map_output_records == scalar_metrics.map_output_records
-        assert metrics.map_output_bytes == scalar_metrics.map_output_bytes
-        assert metrics.shuffle_bytes == scalar_metrics.shuffle_bytes
-        self.map_phases_checked += 1
-        return result
-
-    def _run_reduce_phase(self, spec, buckets, metrics):
-        result = super()._run_reduce_phase(spec, buckets, metrics)
-        if spec.batch_reducer is None:
-            return result
-        scalar_metrics = JobMetrics(job_name=spec.name)
-        scalar_outputs, scalar_costs = super()._run_reduce_phase(
-            dataclasses.replace(spec, batch_reducer=None), buckets, scalar_metrics
-        )
-        batched_outputs, batched_costs = result
-        assert batched_outputs == scalar_outputs, (
-            f"{spec.name}: reduce outputs differ"
-        )
-        assert batched_costs == scalar_costs, f"{spec.name}: reduce costs differ"
-        assert (
-            metrics.reducer_input_bytes[-spec.num_reducers :]
-            == scalar_metrics.reducer_input_bytes
-        ), f"{spec.name}: reducer input bytes differ"
-        assert metrics.reduce_comparisons == scalar_metrics.reduce_comparisons, (
-            f"{spec.name}: comparison counts differ"
-        )
-        self.reduce_phases_checked += 1
-        return result
+        assert_job_matches_oracle(self, spec, oracle)
+        self.jobs_checked += 1
+        return super().run_job(spec, map_units, reduce_units)
 
 
 def run_matrix(query):
     answers = set()
-    map_checked = 0
-    reduce_checked = 0
     for planner_cls in METHOD_PLANNERS:
         plan = planner_cls(PAPER_CLUSTER_KP64).plan(query)
-        cluster = BothPathsCluster(PAPER_CLUSTER_KP64)
+        cluster = OracleCheckedCluster(PAPER_CLUSTER_KP64)
         outcome = PlanExecutor(cluster).execute(plan, query)
         answers.add(tuple(sorted(map(tuple, outcome.result.rows))))
-        map_checked += cluster.map_phases_checked
-        reduce_checked += cluster.reduce_phases_checked
+        # A parallel backend runs ready-wave jobs in pool workers, whose
+        # oracle checks still raise but whose counter stays in the worker.
+        if not execution_settings().parallel:
+            assert cluster.jobs_checked == len(plan.jobs), f"{query.name}: job unchecked"
+        assert cluster.jobs_checked > 0
     assert len(answers) == 1, f"{query.name}: planners disagree"
-    assert map_checked > 0, f"{query.name}: no batched map phase exercised"
-    assert reduce_checked > 0, f"{query.name}: no batched reduce phase exercised"
 
 
 @pytest.mark.parametrize("query_id", [1, 2, 3, 4])
-def test_mobile_batch_equivalence(query_id):
+def test_mobile_batch_equivalence(query_id, oracle_paired_builders):
     run_matrix(mobile_benchmark_query(query_id, 20))
 
 
 @pytest.mark.parametrize("query_id", [3, 5, 7])
-def test_tpch_batch_equivalence(query_id):
+def test_tpch_batch_equivalence(query_id, oracle_paired_builders):
     run_matrix(tpch_benchmark_query(query_id, 200))
 
 
@@ -131,27 +113,15 @@ def big_rel(name: str, rows: int, hi: int, groups: int, seed: int = 0) -> Relati
     )
 
 
-def assert_both_reduce_paths_agree(spec):
-    """Run one job's reduce phase through both paths on the same buckets."""
-    cluster = SimulatedCluster(PAPER_CLUSTER_KP64)
-    metrics = JobMetrics(job_name=spec.name)
-    buckets, _ = cluster._run_map_phase(spec, metrics)
-    assert spec.batch_reducer is not None
-    batched_metrics = JobMetrics(job_name=spec.name)
-    batched = cluster._run_reduce_phase(spec, buckets, batched_metrics)
-    scalar_metrics = JobMetrics(job_name=spec.name)
-    scalar = cluster._run_reduce_phase(
-        dataclasses.replace(spec, batch_reducer=None), buckets, scalar_metrics
+def assert_matches_oracle(builder, *args, **kwargs):
+    spec, oracle = build_with_oracle(builder, *args, **kwargs)
+    assert_job_matches_oracle(
+        SimulatedCluster(PAPER_CLUSTER_KP64), spec, oracle, require_output=True
     )
-    assert batched[0] == scalar[0]
-    assert batched[1] == scalar[1]
-    assert batched_metrics.reducer_input_bytes == scalar_metrics.reducer_input_bytes
-    assert batched_metrics.reduce_comparisons == scalar_metrics.reduce_comparisons
-    assert batched[0], f"{spec.name}: degenerate test, no outputs"
 
 
 class TestLargeGroupNumpyPaths:
-    """Group sizes above ``_NP_MIN_PROBE``/``_NP_MIN_PAIRS`` so the NumPy
+    """Group sizes above ``NP_MIN_PROBE``/``NP_MIN_PAIRS`` so the NumPy
     sorted-probe and pair-mask fast paths run (and must stay exact)."""
 
     def test_hypercube_range_probe(self):
@@ -159,7 +129,8 @@ class TestLargeGroupNumpyPaths:
         conditions = [JoinCondition.parse(1, "a.v < b.v")]
         files = [relation_to_composite_file(rels[a], a) for a in ("a", "b")]
         partitioner = HypercubePartitioner([300, 300], 2)
-        spec = make_hypercube_join_job(
+        assert_matches_oracle(
+            "make_hypercube_join_job",
             "np-range",
             files,
             [("a",), ("b",)],
@@ -167,14 +138,14 @@ class TestLargeGroupNumpyPaths:
             conditions,
             {a: r.schema for a, r in rels.items()},
         )
-        assert_both_reduce_paths_agree(spec)
 
     def test_hypercube_hash_probe(self):
         rels = {"a": big_rel("A", 300, 50, 3), "b": big_rel("B", 300, 50, 3, 1)}
         conditions = [JoinCondition.parse(1, "a.g = b.g", "a.v < b.v")]
         files = [relation_to_composite_file(rels[a], a) for a in ("a", "b")]
         partitioner = HypercubePartitioner([300, 300], 2)
-        spec = make_hypercube_join_job(
+        assert_matches_oracle(
+            "make_hypercube_join_job",
             "np-hash",
             files,
             [("a",), ("b",)],
@@ -182,12 +153,12 @@ class TestLargeGroupNumpyPaths:
             conditions,
             {a: r.schema for a, r in rels.items()},
         )
-        assert_both_reduce_paths_agree(spec)
 
     def test_equi_pair_mask(self):
         rels = {"a": big_rel("A", 150, 40, 1), "b": big_rel("B", 150, 40, 1, 1)}
         conditions = [JoinCondition.parse(1, "a.g = b.g", "a.v != b.v")]
-        spec = make_equi_join_job(
+        assert_matches_oracle(
+            "make_equi_join_job",
             "np-equi",
             relation_to_composite_file(rels["a"], "a"),
             relation_to_composite_file(rels["b"], "b"),
@@ -195,12 +166,12 @@ class TestLargeGroupNumpyPaths:
             {a: r.schema for a, r in rels.items()},
             num_reducers=2,
         )
-        assert_both_reduce_paths_agree(spec)
 
     def test_broadcast_pair_mask(self):
         rels = {"a": big_rel("A", 300, 2000, 4), "b": big_rel("B", 80, 2000, 4, 1)}
         conditions = [JoinCondition.parse(1, "a.v < b.v")]
-        spec = make_broadcast_join_job(
+        assert_matches_oracle(
+            "make_broadcast_join_job",
             "np-bcast",
             relation_to_composite_file(rels["a"], "a"),
             relation_to_composite_file(rels["b"], "b"),
@@ -208,7 +179,6 @@ class TestLargeGroupNumpyPaths:
             {a: r.schema for a, r in rels.items()},
             num_reducers=2,
         )
-        assert_both_reduce_paths_agree(spec)
 
     def test_equichain_pair_mask(self):
         rels = {"a": big_rel("A", 200, 500, 1), "b": big_rel("B", 200, 500, 1, 1)}
@@ -216,7 +186,8 @@ class TestLargeGroupNumpyPaths:
             JoinCondition.parse(1, "a.g = b.g"),
             JoinCondition.parse(2, "a.v < b.v"),
         ]
-        spec = make_equichain_join_job(
+        assert_matches_oracle(
+            "make_equichain_join_job",
             "np-chain",
             [
                 relation_to_composite_file(rels["a"], "a"),
@@ -226,7 +197,6 @@ class TestLargeGroupNumpyPaths:
             {a: r.schema for a, r in rels.items()},
             num_reducers=2,
         )
-        assert_both_reduce_paths_agree(spec)
 
 
 class TestKeyspreadPartitioner:

@@ -1,8 +1,9 @@
 """Tests for the Afrati-Ullman share-based multi-way equi-join."""
 
 import pytest
+from scalar_oracle import assert_job_matches_oracle, shares_reduce_side
 
-from repro.errors import PlanningError
+from repro.errors import ExecutionError, PlanningError
 from repro.joins.records import relation_to_composite_file
 from repro.joins.reference import join_result_signature, reference_join
 from repro.joins.shares import (
@@ -84,6 +85,36 @@ class TestOptimizeShares:
 
 
 class TestSharesJoin:
+    @pytest.mark.parametrize("budget", [1, 4, 16])
+    def test_reduce_side_matches_scalar_oracle(self, budget):
+        """Outputs and their order, comparisons, input bytes and task
+        costs of the shared kernel equal the per-key-group reference."""
+        query = chain_equi_query()
+        files = [
+            relation_to_composite_file(query.relations[a], a)
+            for a in sorted(query.relations)
+        ]
+        schemas = {a: query.relations[a].schema for a in query.relations}
+        spec = make_shares_join_job(
+            "shares", files, query.conditions, schemas, total_reducers=budget
+        )
+        oracle = shares_reduce_side(spec, files, query.conditions, schemas)
+        assert_job_matches_oracle(SimulatedCluster(), spec, oracle, require_output=True)
+
+    def test_rejects_non_singleton_inputs(self):
+        query = chain_equi_query(6)
+        files = [
+            relation_to_composite_file(query.relations[a], a)
+            for a in sorted(query.relations)
+        ]
+        files[0].tag = "z"
+        with pytest.raises(ExecutionError, match="singleton"):
+            make_shares_join_job(
+                "bad", files, query.conditions,
+                {a: query.relations[a].schema for a in query.relations},
+                total_reducers=4,
+            )
+
     @pytest.mark.parametrize("budget", [1, 4, 16])
     def test_matches_reference(self, budget):
         query = chain_equi_query()

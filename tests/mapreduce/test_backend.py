@@ -35,22 +35,16 @@ class TestSettings:
             "REPRO_WORKER_HEARTBEAT_S",
             "REPRO_TASK_RETRIES",
             "REPRO_WORKER_CONNECT_TIMEOUT_S",
-            "REPRO_MAP_SHARDS",
-            "REPRO_NP_MIN_PROBE",
-            "REPRO_NP_MIN_PAIRS",
             "REPRO_PLAN_DISK_CACHE",
             "REPRO_CACHE_DIR",
         ):
             monkeypatch.delenv(name, raising=False)
         settings = execution_settings()
         assert settings.backend == "serial"
-        assert settings.map_shards == 1
         assert settings.workers_addrs == ()
         assert settings.worker_heartbeat_s == 2.0
         assert settings.task_retries == 2
         assert settings.worker_connect_timeout_s == 1.0
-        assert settings.np_min_probe == 128
-        assert settings.np_min_pairs == 256
         assert not settings.plan_disk_cache
         assert not settings.parallel
 
@@ -62,45 +56,13 @@ class TestSettings:
         assert settings.effective_workers == 3
         assert settings.parallel
 
-    def test_legacy_map_shards_selects_threads(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS_ADDRS", raising=False)
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "4")
-        settings = execution_settings()
-        assert settings.backend == "thread"
-        assert settings.effective_workers == 4
-        assert settings.chunk_fanout == 4
-
     def test_garbage_values_fall_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "quantum")
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "lots")
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "-3")
         monkeypatch.delenv("REPRO_WORKERS_ADDRS", raising=False)
         settings = execution_settings()
         assert settings.backend == "serial"
         assert settings.workers == 0
-        assert settings.map_shards == 1
-
-    def test_np_gates_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NP_MIN_PROBE", "9")
-        monkeypatch.setenv("REPRO_NP_MIN_PAIRS", "17")
-        settings = execution_settings()
-        assert (settings.np_min_probe, settings.np_min_pairs) == (9, 17)
-
-    def test_refresh_np_gates_updates_jobs_module(self, monkeypatch):
-        from repro.joins import jobs
-
-        monkeypatch.setenv("REPRO_NP_MIN_PROBE", "11")
-        monkeypatch.setenv("REPRO_NP_MIN_PAIRS", "13")
-        jobs.refresh_np_gates()
-        try:
-            assert (jobs._NP_MIN_PROBE, jobs._NP_MIN_PAIRS) == (11, 13)
-        finally:
-            monkeypatch.delenv("REPRO_NP_MIN_PROBE")
-            monkeypatch.delenv("REPRO_NP_MIN_PAIRS")
-            jobs.refresh_np_gates()
-        assert (jobs._NP_MIN_PROBE, jobs._NP_MIN_PAIRS) == (128, 256)
 
 
 class TestDistributedSettings:
@@ -181,9 +143,9 @@ class TestDistributedSettings:
         assert settings.workers_addrs == ("127.0.0.1:7601",)
 
     def test_legacy_map_shards_conflict_resolves_to_distributed(self, monkeypatch):
-        """REPRO_MAP_SHARDS>1 (PR 2) used to imply the thread backend;
-        configured worker daemons outrank it, and the shard count then
-        only shapes the chunk fan-out."""
+        """REPRO_MAP_SHARDS (PR 2) is gone: a stale value left in the
+        environment neither selects a backend nor shapes the fan-out —
+        configured worker daemons do both."""
         monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
         monkeypatch.setenv("REPRO_MAP_SHARDS", "4")
         monkeypatch.setenv(
@@ -192,8 +154,10 @@ class TestDistributedSettings:
         settings = execution_settings()
         assert settings.backend == "distributed"
         assert settings.effective_workers == 2
-        assert settings.map_shards == 4
-        assert settings.chunk_fanout == 4  # max(workers, legacy shards)
+        assert settings.chunk_fanout == 2
+        monkeypatch.delenv("REPRO_WORKERS_ADDRS")
+        assert execution_settings().backend == "serial"
+        assert execution_settings().chunk_fanout == 1
 
     def test_heartbeat_and_retry_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_S", "0.5")
@@ -314,7 +278,6 @@ class TestOrdering:
 class TestSelectionAndNesting:
     def test_serial_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_MAP_SHARDS", raising=False)
         monkeypatch.delenv("REPRO_WORKERS_ADDRS", raising=False)
         assert get_backend().name == "serial"
 

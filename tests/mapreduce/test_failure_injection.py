@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.hdfs import DistributedFile
-from repro.mapreduce.job import MapReduceJobSpec, TaskContext
+from repro.mapreduce.job import MapBatch, MapReduceJobSpec, ReduceBatch, TaskContext
 from repro.mapreduce.runtime import SimulatedCluster
 
 
@@ -52,6 +52,29 @@ class TestSpecValidation:
     def test_no_inputs_rejected(self):
         with pytest.raises(ExecutionError):
             identity_spec(small_file(), inputs=[])
+
+    def test_missing_map_side_rejected(self):
+        with pytest.raises(ExecutionError, match="mapper or a batch_mapper"):
+            identity_spec(small_file(), mapper=None)
+
+    def test_missing_reduce_side_rejected(self):
+        with pytest.raises(ExecutionError, match="reducer or a batch_reducer"):
+            identity_spec(small_file(), reducer=None)
+
+    def test_batch_only_spec_accepted(self):
+        """Either form of each phase is enough (the join builders ship
+        only the batch forms)."""
+        spec = identity_spec(
+            small_file(),
+            mapper=None,
+            reducer=None,
+            batch_mapper=lambda tag, records, base: MapBatch(
+                [{0: list(records)}, {}, {}, {}], len(records), 16 * len(records)
+            ),
+            batch_reducer=lambda keys, values, offsets: ReduceBatch(list(values), 0),
+        )
+        result = SimulatedCluster().run_job(spec)
+        assert result.output.records == small_file().records
 
     def test_negative_comparison_charge_rejected(self):
         ctx = TaskContext()

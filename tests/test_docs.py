@@ -69,6 +69,22 @@ class TestReadmeReferences:
         for package in packages:
             assert f"{package}/" in text, f"README architecture misses {package}/"
 
+    def test_every_repro_knob_is_documented(self):
+        """The ``REPRO_*`` names ``src/`` defines (quoted literals: the
+        ``*_ENV`` constants of ``mapreduce/config.py`` and any module
+        that names a variable itself) are exactly the rows of README's
+        knob table — a new knob cannot arrive undocumented, a deleted one
+        cannot linger.  ``REPRO_QUICK`` is benchmarks-only."""
+        defined = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            defined.update(
+                re.findall(r"""["'](REPRO_[A-Z0-9_]+)["']""", path.read_text("utf-8"))
+            )
+        documented = set(
+            re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", read("README.md"), re.MULTILINE)
+        )
+        assert documented - {"REPRO_QUICK"} == defined
+
 
 class TestExperimentsReferences:
     def test_result_files_come_from_real_benchmarks(self):
