@@ -24,6 +24,12 @@
 #   make perf-smoke - the repo's benchmark (perf/run.py, BENCHMARK.json) at
 #                   tiny sizes: all five workloads, every metric printed,
 #                   every answer checked against sqlite (~10 s)
+#   make perf-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10] - the before/after
+#                   procedure of a PR that claims a gain: clone BASE into a
+#                   temp dir and run the benchmark's contract command on it
+#                   and on this tree in alternating order, fresh seed per
+#                   pair; prints per-metric median, quartiles and wins
+#                   (benchmarks/perf_pair.py)
 #   make ci       - the full local equivalent of the CI gate:
 #                   lint + verify + smoke + serve-smoke + serve-recovery
 #                   + perf-smoke
@@ -35,7 +41,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: verify smoke lint serve-smoke serve-recovery perf-smoke ci bench hotpath
+.PHONY: verify smoke lint serve-smoke serve-recovery perf-smoke perf-pair ci bench hotpath
 
 verify:
 	$(PYTEST) -x -q
@@ -60,6 +66,11 @@ serve-recovery:
 
 perf-smoke:
 	python3 perf/run.py --smoke
+
+PAIRS ?= 10
+
+perf-pair:
+	python3 benchmarks/perf_pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ci: lint verify smoke serve-smoke serve-recovery perf-smoke
 

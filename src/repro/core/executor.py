@@ -20,7 +20,8 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.group_cost import merge_duration_s
 from repro.core.partitioner import (
@@ -50,8 +51,8 @@ from repro.joins.progressive import merge_picker
 from repro.joins.records import (
     Composite,
     composites_to_relation,
-    global_id_of,
-    merge_composites,
+    entry_alias,
+    entry_global_id,
     relation_to_composite_file,
 )
 from repro.mapreduce.backend import get_backend
@@ -199,8 +200,8 @@ class PlanExecutor:
             )
         job_ends = self._run_jobs(plan, query, schemas, base_files, job_outputs, report)
 
-        final_composites, merge_end, merge_total = self._merge_terminals(
-            plan, query, schemas, job_outputs, job_ends
+        final_composites, final_cover, merge_end, merge_total = self._merge_terminals(
+            plan, job_outputs, job_ends
         )
         report.merge_time_s = merge_total
         report.makespan_s = max(max(job_ends.values(), default=0.0), merge_end)
@@ -211,6 +212,7 @@ class PlanExecutor:
             schemas,
             name=f"{query.name}-result",
             projection=query.projection,
+            cover=final_cover,
         )
         return ExecutionOutcome(
             result=result, report=report, composites=final_composites
@@ -761,13 +763,6 @@ class PlanExecutor:
         spec.output_replication = job.output_replication
         return spec
 
-    @staticmethod
-    def _aliases_of_file(file: DistributedFile) -> Tuple[str, ...]:
-        if not file.records:
-            return ()
-        first: Composite = file.records[0]  # type: ignore[assignment]
-        return tuple(entry[0] for entry in first)
-
     # ------------------------------------------------------------------
     # merge phase (Section 4.2)
     # ------------------------------------------------------------------
@@ -775,24 +770,30 @@ class PlanExecutor:
     def _merge_terminals(
         self,
         plan: ExecutionPlan,
-        query: JoinQuery,
-        schemas,
         job_outputs: Mapping[str, DistributedFile],
         job_ends: Mapping[str, float],
-    ) -> Tuple[List[Composite], float, float]:
+    ) -> Tuple[List[Composite], Tuple[str, ...], float, float]:
+        """Merge the terminal outputs pairwise, smallest pair first.
+
+        Returns the final composites, their alias cover, the simulated
+        time they are ready and the total merge time.
+        """
         terminals = plan.terminal_jobs()
         #: Live partial results keyed by insertion sequence number.  List
         #: positions in the old quadratic scan preserved insertion order,
         #: so (size, seq_i, seq_j) ordering reproduces its pair choices.
-        pool: Dict[int, Tuple[FrozenSet[str], List[Composite], float]] = {}
+        #: Covers are the static ones of ``_alias_cover``, never re-read
+        #: from the records.
+        pool: Dict[int, Tuple[Tuple[str, ...], List[Composite], float]] = {}
         for sequence, job in enumerate(terminals):
             output = job_outputs[job.job_id]
             composites: List[Composite] = list(output.records)  # type: ignore[arg-type]
-            aliases = frozenset(self._alias_cover[job.job_id])
-            pool[sequence] = (aliases, composites, job_ends[job.job_id])
+            pool[sequence] = (
+                self._alias_cover[job.job_id], composites, job_ends[job.job_id]
+            )
 
         if not pool:
-            return [], 0.0, 0.0
+            return [], (), 0.0, 0.0
 
         # Candidate heap memoizes pair sizes: each mergeable pair is priced
         # once when both sides exist, instead of re-scanning all pairs per
@@ -800,10 +801,10 @@ class PlanExecutor:
         candidates: List[Tuple[int, int, int]] = []
         entries = list(pool.items())
         for a in range(len(entries)):
-            seq_i, (aliases_i, rows_i, _) = entries[a]
+            seq_i, (cover_i, rows_i, _) = entries[a]
             for b in range(a + 1, len(entries)):
-                seq_j, (aliases_j, rows_j, _) = entries[b]
-                if aliases_i & aliases_j:
+                seq_j, (cover_j, rows_j, _) = entries[b]
+                if not set(cover_i).isdisjoint(cover_j):
                     heapq.heappush(
                         candidates, (len(rows_i) + len(rows_j), seq_i, seq_j)
                     )
@@ -823,19 +824,17 @@ class PlanExecutor:
                     "terminal results share no relation; cannot merge"
                 )
             seq_i, seq_j = pair
-            left_aliases, left_rows, left_ready = pool.pop(seq_i)
-            right_aliases, right_rows, right_ready = pool.pop(seq_j)
-            merged_rows = _hash_merge(
-                left_rows, right_rows, left_aliases & right_aliases
-            )
+            left_cover, left_rows, left_ready = pool.pop(seq_i)
+            right_cover, right_rows, right_ready = pool.pop(seq_j)
+            merged_rows = _hash_merge(left_rows, right_rows, left_cover, right_cover)
             duration = merge_duration_s(
                 len(left_rows), len(right_rows), len(merged_rows), disk
             )
             merge_total += duration
             ready = max(left_ready, right_ready) + duration
-            merged_aliases = left_aliases | right_aliases
-            for seq_other, (aliases_other, rows_other, _) in pool.items():
-                if merged_aliases & aliases_other:
+            merged_cover = tuple(sorted(set(left_cover) | set(right_cover)))
+            for seq_other, (cover_other, rows_other, _) in pool.items():
+                if not set(merged_cover).isdisjoint(cover_other):
                     heapq.heappush(
                         candidates,
                         (
@@ -844,69 +843,71 @@ class PlanExecutor:
                             next_sequence,
                         ),
                     )
-            pool[next_sequence] = (merged_aliases, merged_rows, ready)
+            pool[next_sequence] = (merged_cover, merged_rows, ready)
             next_sequence += 1
 
-        _aliases, composites, ready = next(iter(pool.values()))
+        cover, composites, ready = next(iter(pool.values()))
         if len(terminals) == 1:
             ready = job_ends[terminals[0].job_id]
-        return composites, ready, merge_total
+        return composites, cover, ready, merge_total
+
+
+def _shared_ids(
+    composites: Sequence[Composite], cover: Sequence[str], shared: Sequence[str]
+):
+    """The shared-alias global ids of each composite, in order: a bare id
+    when one alias is shared (the Section 4.2 common case), else a tuple.
+
+    Reading the ids is also where the static ``cover`` is held against
+    the records: position-compiled merging never looks at an alias tag
+    again, so a composite of another width, or with another alias in any
+    slot, must fail here rather than come out as a wrong row.
+    """
+
+    def entries_at(position: int):
+        return map(itemgetter(position), composites)
+
+    if set(map(len, composites)) != {len(cover)} or any(
+        set(map(entry_alias, entries_at(position))) != {alias}
+        for position, alias in enumerate(cover)
+    ):
+        raise ExecutionError(
+            f"merge input does not uniformly cover aliases {list(cover)}"
+        )
+    ids = [map(entry_global_id, entries_at(cover.index(alias))) for alias in shared]
+    return ids[0] if len(ids) == 1 else zip(*ids)
 
 
 def _hash_merge(
     left: List[Composite],
     right: List[Composite],
-    shared_aliases: FrozenSet[str],
+    left_cover: Sequence[str],
+    right_cover: Sequence[str],
 ) -> List[Composite]:
     """Id-based hash join of two partial results on their shared relations.
 
-    Partial results have uniform alias covers (every composite of one
-    terminal output covers the same alias set), which admits the same
-    position-compiled technique as the reduce-side kernel: shared-id keys
-    and the merged entry picks become tuple indexing resolved once per
-    merge instead of per-composite dict builds.  Inputs with ragged
-    covers (or a ``shared_aliases`` narrower than the true intersection)
-    take the generic ``merge_composites`` path.
+    Every composite of one partial result covers the same statically known
+    alias set, which admits the same position-compiled technique as the
+    reduce-side kernel: shared-id keys and the merged entry picks are
+    tuple indexing resolved once per merge.  Output order is left order,
+    partners of one left composite in right arrival order; shared aliases
+    keep the left entry (partners agree on the shared ids by key
+    construction).  The nested-loop form is ``_reference_hash_merge`` in
+    ``tests/joins/tail_oracle.py``.
     """
     if not left or not right:
         return []
-    shared = sorted(shared_aliases)
-    left_cover = tuple(entry[0] for entry in left[0])
-    right_cover = tuple(entry[0] for entry in right[0])
-    if (
-        set(left_cover) & set(right_cover) == shared_aliases
-        and all(tuple(e[0] for e in c) == left_cover for c in left)
-        and all(tuple(e[0] for e in c) == right_cover for c in right)
-    ):
-        left_pos = {alias: i for i, alias in enumerate(left_cover)}
-        right_pos = {alias: i for i, alias in enumerate(right_cover)}
-        left_key = tuple(left_pos[alias] for alias in shared)
-        right_key = tuple(right_pos[alias] for alias in shared)
-        # Shared aliases keep the left entry, like merge_composites;
-        # partners agree on their shared ids by key construction.
-        pick = merge_picker(left_cover, right_cover)
-        index: Dict[Tuple[int, ...], List[Composite]] = {}
-        for composite in right:
-            key = tuple(composite[p][1] for p in right_key)
-            index.setdefault(key, []).append(composite)
-        merged: List[Composite] = []
-        for composite in left:
-            partners = index.get(tuple(composite[p][1] for p in left_key))
-            if not partners:
-                continue
-            for partner in partners:
-                merged.append(pick(composite + partner))
-        return merged
-
-    index = {}
-    for composite in right:
-        key = tuple(global_id_of(composite, alias) for alias in shared)
+    shared = sorted(set(left_cover) & set(right_cover))
+    if not shared:
+        raise ExecutionError("partial results share no relation; cannot merge")
+    pick = merge_picker(left_cover, right_cover)
+    index: Dict[object, List[Composite]] = {}
+    for key, composite in zip(_shared_ids(right, right_cover, shared), right):
         index.setdefault(key, []).append(composite)
-    merged = []
-    for composite in left:
-        key = tuple(global_id_of(composite, alias) for alias in shared)
-        for partner in index.get(key, ()):
-            combined = merge_composites(composite, partner)
-            if combined is not None:
-                merged.append(combined)
-    return merged
+    partners_of = map(index.get, _shared_ids(left, left_cover, shared))
+    return [
+        pick(composite + partner)
+        for composite, partners in zip(left, partners_of)
+        if partners
+        for partner in partners
+    ]

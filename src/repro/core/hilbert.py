@@ -20,19 +20,17 @@ Two layers:
   ``point -> index`` arrays per ``(bits, dims)`` (grids are capped at
   2^14 cells by the partitioner, so tables are small), and
   :func:`decode_many` / :func:`encode_many` batch-convert through the
-  tables, with NumPy-vectorized transforms behind a pure-Python fallback.
+  tables, with NumPy-vectorized transforms for grids whose curve index
+  fits an int64 and the scalar functions beyond that.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import PartitionError
+import numpy as _np
 
-try:  # optional vectorization; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
+from repro.errors import PartitionError
 
 #: Largest grid whose codec tables are cached (matches the partitioner's
 #: MAX_GRID_CELLS; bigger grids fall back to direct computation).
@@ -299,7 +297,7 @@ def _decode_block(count: int, bits: int, dims: int) -> List[Sequence[int]]:
 
 
 def _decode_batch(indices, bits: int, dims: int) -> List[Sequence[int]]:
-    if _np is not None and bits * dims <= 62:
+    if bits * dims <= 62:  # the curve index fits an int64
         # tolist() materializes plain Python ints: downstream consumers
         # (shuffle keys, stable_hash) must never see numpy scalars.
         return _decode_many_numpy(indices, bits, dims).tolist()
@@ -310,7 +308,7 @@ def _encode_batch(points, bits: int, dims: int) -> List[int]:
     if not points:
         # np.asarray([]) is 1-D; the transpose transform needs (n, dims).
         return []
-    if _np is not None and bits * dims <= 62:
+    if bits * dims <= 62:  # the curve index fits an int64
         return [int(i) for i in _encode_many_numpy(points, bits, dims)]
     return [point_to_index(p, bits, dims) for p in points]
 

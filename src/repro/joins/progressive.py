@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import bisect
 from itertools import repeat
-from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.joins.records import Composite
+from repro.joins.records import Composite, tuple_getter
 from repro.mapreduce.job import BatchReducer, ReduceBatch
 from repro.relational.columns import add_offset, comparable, typed_column
 from repro.relational.predicates import JoinCondition, ThetaOp
@@ -101,10 +100,7 @@ def merge_picker(bound_cover: Sequence[str], new_cover: Sequence[str]) -> Callab
     ``merge_composites`` (callers must know the shared ids agree)."""
     position = {alias: len(bound_cover) + i for i, alias in enumerate(new_cover)}
     position.update({alias: i for i, alias in enumerate(bound_cover)})
-    picks = [position[alias] for alias in sorted(position)]
-    if len(picks) == 1:  # itemgetter would return the bare entry
-        return lambda joined: (joined[picks[0]],)
-    return itemgetter(*picks)
+    return tuple_getter([position[alias] for alias in sorted(position)])
 
 
 def _pair_checks(

@@ -12,17 +12,22 @@ merge by comparing ids only.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import functools
+from operator import add, itemgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.mapreduce.hdfs import DistributedFile
 from repro.relational.relation import Relation, Row
-from repro.relational.schema import Schema
+from repro.relational.schema import Field, Schema
 
 #: One constituent of a composite: (alias, global id within its relation, row).
 Entry = Tuple[str, int, Row]
 #: A composite record: alias-sorted tuple of entries.
 Composite = Tuple[Entry, ...]
+
+#: C-level readers of one entry's fields, for ``map`` chains over composites.
+entry_alias, entry_global_id, entry_row = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 def singleton(alias: str, global_id: int, row: Row) -> Composite:
@@ -97,49 +102,75 @@ def relation_to_composite_file(
     )
 
 
+def tuple_getter(positions: Sequence[int]) -> Callable:
+    """``itemgetter(*positions)`` that returns a tuple even for one position."""
+    if len(positions) == 1:  # itemgetter would return the bare item
+        (position,) = positions
+        return lambda items: (items[position],)
+    return itemgetter(*positions)
+
+
 def composites_to_relation(
     composites: Sequence[Composite],
     schemas_by_alias: Mapping[str, Schema],
     name: str,
     projection: Optional[Sequence[Tuple[str, str]]] = None,
+    cover: Optional[Sequence[str]] = None,
 ) -> Relation:
     """Unpack composites into a flat output relation.
 
     Without a projection the output is the concatenation of all alias rows
     in alias order, with fields named ``alias_field``.
+
+    Every composite covers the same alias-sorted ``cover`` (default: all of
+    ``schemas_by_alias``), so each output field resolves once to a column of
+    the concatenated rows of the aliases the output reads.  The rows are
+    then built in one C-level pass (row concatenation, one ``itemgetter``
+    permutation unless it is the identity) and adopted without a per-row
+    arity check: base rows were validated when their relation was built,
+    so the arity holds by construction.  The per-row form of this function
+    is ``_reference_composites_to_relation`` in ``tests/joins/tail_oracle.py``.
     """
+    cover = tuple(sorted(schemas_by_alias) if cover is None else cover)
     if projection:
-        from repro.relational.schema import Field
-
-        fields = []
-        for alias, attr in projection:
-            source = schemas_by_alias[alias].field(attr)
-            fields.append(Field(f"{alias}_{attr}", source.kind, source.width))
-        schema = Schema(fields)
-        out = Relation(name, schema)
-        for composite in composites:
-            rows = rows_by_alias(composite)
-            out.append(
-                tuple(
-                    rows[alias][schemas_by_alias[alias].index_of(attr)]
-                    for alias, attr in projection
-                )
-            )
-        return out
-
-    from repro.relational.schema import Field
-
-    aliases = sorted(schemas_by_alias)
+        outputs = list(projection)
+    else:
+        outputs = [
+            (alias, field.name)
+            for alias in sorted(schemas_by_alias)
+            for field in schemas_by_alias[alias].fields
+        ]
     fields = []
-    for alias in aliases:
-        for f in schemas_by_alias[alias].fields:
-            fields.append(Field(f"{alias}_{f.name}", f.kind, f.width))
+    for alias, attr in outputs:
+        source = schemas_by_alias[alias].field(attr)
+        fields.append(Field(f"{alias}_{attr}", source.kind, source.width))
     schema = Schema(fields)
-    out = Relation(name, schema)
-    for composite in composites:
-        rows = rows_by_alias(composite)
-        flat: List[object] = []
-        for alias in aliases:
-            flat.extend(rows[alias])
-        out.append(tuple(flat))
-    return out
+
+    used = {alias for alias, _attr in outputs}
+    missing = used - set(cover)
+    if missing:
+        raise ExecutionError(
+            f"result {name!r} reads aliases {sorted(missing)} that its "
+            f"composites (cover {list(cover)}) do not carry"
+        )
+    if composites and aliases_of(composites[0]) != cover:
+        raise ExecutionError(
+            f"result {name!r}: composites cover {list(aliases_of(composites[0]))}, "
+            f"expected {list(cover)}"
+        )
+    offset: Dict[str, int] = {}
+    row_columns = []
+    width = 0
+    for position, alias in enumerate(cover):
+        if alias in used:
+            offset[alias] = width
+            width += len(schemas_by_alias[alias])
+            row_columns.append(map(entry_row, map(itemgetter(position), composites)))
+    picks = [
+        offset[alias] + schemas_by_alias[alias].index_of(attr)
+        for alias, attr in outputs
+    ]
+    rows = functools.reduce(lambda joined, column: map(add, joined, column), row_columns)
+    if picks != list(range(width)):
+        rows = map(tuple_getter(picks), rows)
+    return Relation.adopt(name, schema, list(rows))

@@ -27,15 +27,33 @@ class Relation:
             raise SchemaError("relation name must be non-empty")
         self.name = name
         self.schema = schema
-        self._rows: List[Row] = [self._check_row(r) for r in rows]
+        self._rows: List[Row] = self._checked(rows)
 
-    def _check_row(self, row: Sequence[object]) -> Row:
-        if len(row) != len(self.schema):
-            raise SchemaError(
-                f"row arity {len(row)} does not match schema arity "
-                f"{len(self.schema)} for relation {self.name!r}"
-            )
-        return tuple(row)
+    def _checked(self, rows: Iterable[Sequence[object]]) -> List[Row]:
+        """``rows`` as a list of tuples, all of the schema's arity."""
+        checked = list(map(tuple, rows))
+        bad = set(map(len, checked)) - {len(self.schema)}
+        if bad:
+            raise self._arity_error(min(bad))
+        return checked
+
+    def _arity_error(self, arity: int) -> SchemaError:
+        return SchemaError(
+            f"row arity {arity} does not match schema arity "
+            f"{len(self.schema)} for relation {self.name!r}"
+        )
+
+    @classmethod
+    def adopt(cls, name: str, schema: Schema, rows: List[Row]) -> "Relation":
+        """A relation over ``rows`` as they are: no copy, no arity check.
+
+        For callers that built ``rows`` against ``schema`` themselves (the
+        operators below, the executor's result projection); the list is
+        shared with the caller, not copied.
+        """
+        relation = cls(name, schema)
+        relation._rows = rows
+        return relation
 
     # -- basic container protocol ------------------------------------------
 
@@ -67,11 +85,13 @@ class Relation:
     # -- construction helpers ----------------------------------------------
 
     def append(self, row: Sequence[object]) -> None:
-        self._rows.append(self._check_row(row))
+        if len(row) != len(self.schema):
+            raise self._arity_error(len(row))
+        self._rows.append(tuple(row))
 
     def extend(self, rows: Iterable[Sequence[object]]) -> None:
-        for row in rows:
-            self.append(row)
+        """Append ``rows``; all are validated before any is added."""
+        self._rows.extend(self._checked(rows))
 
     @classmethod
     def from_rows(cls, name: str, schema: Schema, rows: Iterable[Row]) -> "Relation":
@@ -79,9 +99,7 @@ class Relation:
 
     def renamed(self, new_name: str) -> "Relation":
         """Same rows and schema under a different relation name (cheap: shares rows)."""
-        clone = Relation(new_name, self.schema)
-        clone._rows = self._rows
-        return clone
+        return Relation.adopt(new_name, self.schema, self._rows)
 
     # -- column access --------------------------------------------------
 
@@ -96,21 +114,27 @@ class Relation:
     # -- relational operators (eager, for small/test scale) ----------------
 
     def select(self, predicate: Callable[[Row], bool], name: Optional[str] = None) -> "Relation":
-        out = Relation(name or f"{self.name}_sel", self.schema)
-        out._rows = [r for r in self._rows if predicate(r)]
-        return out
+        return Relation.adopt(
+            name or f"{self.name}_sel",
+            self.schema,
+            [r for r in self._rows if predicate(r)],
+        )
 
     def project(self, names: Sequence[str], name: Optional[str] = None) -> "Relation":
         indices = [self.schema.index_of(n) for n in names]
-        out = Relation(name or f"{self.name}_proj", self.schema.project(names))
-        out._rows = [tuple(row[i] for i in indices) for row in self._rows]
-        return out
+        return Relation.adopt(
+            name or f"{self.name}_proj",
+            self.schema.project(names),
+            [tuple(row[i] for i in indices) for row in self._rows],
+        )
 
     def sorted_by(self, field_name: str, reverse: bool = False) -> "Relation":
         idx = self.schema.index_of(field_name)
-        out = Relation(self.name, self.schema)
-        out._rows = sorted(self._rows, key=lambda r: r[idx], reverse=reverse)
-        return out
+        return Relation.adopt(
+            self.name,
+            self.schema,
+            sorted(self._rows, key=lambda r: r[idx], reverse=reverse),
+        )
 
     def distinct(self) -> "Relation":
         out = Relation(self.name, self.schema)
@@ -124,11 +148,11 @@ class Relation:
     def sample(self, k: int, rng: Optional[random.Random] = None) -> "Relation":
         """Uniform sample without replacement of at most ``k`` rows."""
         rng = rng or make_rng("relation-sample", self.name, k)
-        out = Relation(f"{self.name}_sample", self.schema)
-        out._rows = reservoir_sample(self._rows, min(k, len(self._rows)), rng)
-        return out
+        return Relation.adopt(
+            f"{self.name}_sample",
+            self.schema,
+            reservoir_sample(self._rows, min(k, len(self._rows)), rng),
+        )
 
     def head(self, k: int) -> "Relation":
-        out = Relation(self.name, self.schema)
-        out._rows = self._rows[:k]
-        return out
+        return Relation.adopt(self.name, self.schema, self._rows[:k])

@@ -753,7 +753,7 @@ class QueryService:
             session.complete(
                 {
                     "columns": list(outcome.result.schema.names),
-                    "rows": [tuple(row) for row in outcome.result.rows],
+                    "rows": outcome.result.rows,
                     "output_records": report.output_records,
                     "makespan_s": report.makespan_s,
                     "merge_time_s": report.merge_time_s,

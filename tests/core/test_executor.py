@@ -141,11 +141,11 @@ class TestHashMerge:
         bc = [
             merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,))),
         ]
-        merged = _hash_merge(ab, bc, frozenset({"b"}))
+        merged = _hash_merge(ab, bc, ("a", "b"), ("b", "c"))
         assert len(merged) == 2
         assert all(len(c) == 3 for c in merged)
 
     def test_no_shared_match(self):
         ab = [merge_composites(singleton("a", 0, (0,)), singleton("b", 2, (2,)))]
         bc = [merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,)))]
-        assert _hash_merge(ab, bc, frozenset({"b"})) == []
+        assert _hash_merge(ab, bc, ("a", "b"), ("b", "c")) == []

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import hilbert
 from repro.core.hilbert import (
     MAX_TABLE_CELLS,
     curve_length,
@@ -138,13 +137,11 @@ class TestBatchProperties:
 
 
 class TestNumpyFallback:
-    def test_pure_python_fallback_matches(self, monkeypatch):
-        """With NumPy disabled the batch APIs fall back to scalar loops."""
-        monkeypatch.setattr(hilbert, "_np", None)
-        bits, dims = 3, 3
+    def test_pure_python_fallback_matches(self):
+        """Curve indices past int64 (bits * dims > 62) take the scalar loops."""
+        bits, dims = 21, 3
         n = curve_length(bits, dims)
-        reference = [index_to_point(i, bits, dims) for i in range(n)]
-        assert [
-            tuple(p) for p in hilbert._decode_batch(range(n), bits, dims)
-        ] == reference
-        assert hilbert._encode_batch(reference, bits, dims) == list(range(n))
+        sample = [0, 1, 2**62, 2**62 + 12345, n - 1]
+        reference = [index_to_point(i, bits, dims) for i in sample]
+        assert decode_many(sample, bits, dims) == reference
+        assert encode_many(reference, bits, dims) == sample

@@ -1,0 +1,236 @@
+"""The compiled result tail against its per-row references.
+
+``composites_to_relation`` (one C-level projection pass over a static
+alias cover) and the executor's ``_hash_merge`` (position-compiled
+id-merge) must agree with ``tail_oracle.py`` in content *and order*:
+property tests over random covers, projections and duplicate-key merges,
+then whole executions of every planner's plan with the references
+monkeypatched into the executor.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.executor as executor_mod
+from repro.cli import PLANNERS
+from repro.core.executor import PlanExecutor, _hash_merge
+from repro.errors import ExecutionError
+from repro.joins.records import composites_to_relation
+from repro.mapreduce.config import PAPER_CLUSTER_KP64
+from repro.mapreduce.runtime import SimulatedCluster
+from repro.relational.schema import Schema
+from repro.utils import GB
+from repro.workloads.mobile import generate_mobile_calls, make_mobile_query
+from repro.workloads.synthetic import chain_query
+
+from tail_oracle import _reference_composites_to_relation, _reference_hash_merge
+
+ALIASES = ("a", "b", "c", "d", "e")
+
+
+def composites_over(draw, cover, schemas, max_size=12, max_id=3):
+    """Composites over ``cover``; a row is a function of (alias, global id),
+    ids are drawn from a small range so keys repeat."""
+    ids = st.tuples(*[st.integers(0, max_id)] * len(cover))
+    return [
+        tuple(
+            (alias, gid, tuple(gid * 10 + column for column in range(len(schemas[alias]))))
+            for alias, gid in zip(cover, chosen)
+        )
+        for chosen in draw(st.lists(ids, max_size=max_size))
+    ]
+
+
+@st.composite
+def projection_cases(draw):
+    aliases = ALIASES[: draw(st.integers(1, 4))]
+    schemas = {
+        alias: Schema.of(*[f"f{i}:int" for i in range(draw(st.integers(1, 3)))])
+        for alias in aliases
+    }
+    cover = tuple(
+        sorted(draw(st.sets(st.sampled_from(aliases), min_size=1)))
+    )
+    columns = [(alias, name) for alias in aliases for name in schemas[alias].names]
+    projection = draw(
+        st.one_of(
+            st.none(),
+            # unique picks in drawn order: subsets, reorderings, interleaved
+            # aliases and single columns all come out of this
+            st.lists(st.sampled_from(columns), min_size=1, unique=True),
+        )
+    )
+    return schemas, cover, composites_over(draw, cover, schemas), projection
+
+
+class TestProjectorMatchesReference:
+    @given(projection_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_covers_and_projections(self, case):
+        schemas, cover, composites, projection = case
+        read = {alias for alias, _ in projection} if projection else set(schemas)
+        if not read <= set(cover):
+            with pytest.raises(ExecutionError):
+                composites_to_relation(composites, schemas, "out", projection, cover)
+            return
+        compiled = composites_to_relation(composites, schemas, "out", projection, cover)
+        reference = _reference_composites_to_relation(
+            composites, schemas, "out", projection
+        )
+        assert compiled.rows == reference.rows
+        assert compiled.schema == reference.schema
+        assert compiled.schema.names == reference.schema.names
+        assert compiled.name == reference.name
+        assert all(type(row) is tuple for row in compiled.rows)
+
+    def test_empty_input_keeps_the_schema(self):
+        schemas = {"a": Schema.of("x:int", "y:str"), "b": Schema.of("z:float")}
+        out = composites_to_relation([], schemas, "out", [("b", "z"), ("a", "x")])
+        assert out.rows == []
+        assert out.schema.names == ("b_z", "a_x")
+
+    def test_cover_defaults_to_every_schema_alias(self):
+        schemas = {"a": Schema.of("x:int"), "b": Schema.of("y:int")}
+        composites = [(("a", 0, (1,)), ("b", 4, (2,)))]
+        assert composites_to_relation(composites, schemas, "out").rows == [(1, 2)]
+
+    def test_composites_of_another_cover_are_rejected(self):
+        schemas = {"a": Schema.of("x:int"), "b": Schema.of("y:int")}
+        with pytest.raises(ExecutionError, match="cover"):
+            composites_to_relation([(("a", 0, (1,)),)], schemas, "out", [("a", "x")])
+
+
+@st.composite
+def merge_cases(draw):
+    pool = list(draw(st.permutations(ALIASES)))
+    shared = [pool.pop() for _ in range(draw(st.integers(1, 2)))]
+    left_only = [pool.pop() for _ in range(draw(st.integers(0, 1)))]
+    right_only = [pool.pop() for _ in range(draw(st.integers(0, 1)))]
+    left_cover = tuple(sorted(shared + left_only))
+    right_cover = tuple(sorted(shared + right_only))
+    schemas = {alias: Schema.of("v:int") for alias in ALIASES}
+    left = composites_over(draw, left_cover, schemas)
+    right = composites_over(draw, right_cover, schemas)
+    return left, right, left_cover, right_cover
+
+
+class TestMergeMatchesReference:
+    @given(merge_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_covers_with_duplicate_keys(self, case):
+        left, right, left_cover, right_cover = case
+        assert _hash_merge(left, right, left_cover, right_cover) == (
+            _reference_hash_merge(left, right)
+        )
+
+    def test_m_by_n_duplicates_keep_left_then_right_arrival_order(self):
+        left = [(("a", i, (i,)), ("b", 7, (7,))) for i in (2, 0, 1)]
+        right = [(("b", 7, (7,)), ("c", j, (j,))) for j in (5, 3, 4)]
+        merged = _hash_merge(left, right, ("a", "b"), ("b", "c"))
+        assert [(c[0][1], c[2][1]) for c in merged] == [
+            (i, j) for i in (2, 0, 1) for j in (5, 3, 4)
+        ]
+        assert merged == _reference_hash_merge(left, right)
+
+    def test_two_shared_aliases_must_both_agree(self):
+        left = [(("a", 0, (0,)), ("b", 1, (1,)), ("c", 2, (2,)))]
+        right = [
+            (("b", 1, (1,)), ("c", 9, (9,)), ("d", 3, (3,))),
+            (("b", 1, (1,)), ("c", 2, (2,)), ("d", 4, (4,))),
+        ]
+        merged = _hash_merge(left, right, ("a", "b", "c"), ("b", "c", "d"))
+        assert merged == _reference_hash_merge(left, right)
+        assert [c[3][1] for c in merged] == [4]
+
+    @pytest.mark.parametrize("empty", ["left", "right"])
+    def test_empty_side(self, empty):
+        side = [(("a", 0, (0,)), ("b", 1, (1,)))]
+        left, right = ([], side) if empty == "left" else (side, [])
+        assert _hash_merge(left, right, ("a", "b"), ("a", "b")) == []
+
+    def test_no_partners(self):
+        left = [(("a", 0, (0,)), ("b", 1, (1,)))]
+        right = [(("b", 2, (2,)), ("c", 0, (0,)))]
+        assert _hash_merge(left, right, ("a", "b"), ("b", "c")) == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (("b", 1, (1,)),),  # ragged: an entry short
+            (("a", 0, (0,)), ("b", 1, (1,)), ("c", 0, (0,))),  # an entry long
+            (("b", 1, (1,)), ("c", 0, (0,))),  # right width, another cover
+            (("a", 0, (0,)), ("x", 1, (1,))),  # shared slot holds another alias
+            (("x", 0, (0,)), ("b", 1, (1,))),  # private slot holds another alias
+        ],
+    )
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_mismatched_cover_is_an_error_not_a_row(self, bad, side):
+        good = [(("a", 0, (0,)), ("b", 1, (1,)))]
+        other = [(("b", 1, (1,)), ("c", 5, (5,)))]
+        with pytest.raises(ExecutionError, match="cover"):
+            if side == "left":
+                _hash_merge(good + [bad], other, ("a", "b"), ("b", "c"))
+            else:
+                _hash_merge(other, good + [bad], ("b", "c"), ("a", "b"))
+
+    def test_disjoint_covers_are_rejected(self):
+        with pytest.raises(ExecutionError, match="share no relation"):
+            _hash_merge([(("a", 0, (0,)),)], [(("b", 0, (0,)),)], ("a",), ("b",))
+
+
+def tail_queries():
+    calls = generate_mobile_calls(
+        300, num_stations=25, num_users=100, bytes_per_row=(20 * GB) // 300, seed=3
+    )
+    queries = [make_mobile_query(number, calls) for number in (1, 2, 3, 4)]
+    return queries + [chain_query(3, rows=60, selectivity=0.05, seed=3)]
+
+
+def observable(outcome):
+    report = outcome.report
+    return (
+        outcome.result.rows,
+        outcome.result.schema,
+        tuple(outcome.composites),
+        report.merge_time_s,
+        report.makespan_s,
+        report.output_records,
+    )
+
+
+@pytest.mark.parametrize("checkpoint", ["0", "1"])
+def test_executions_do_not_depend_on_the_compiled_tail(
+    checkpoint, monkeypatch, tmp_path
+):
+    """Every planner's plan of every query lands the same rows, composites
+    (content and order) and simulated times with the compiled tail as with
+    the per-row references in its place; with checkpointing on, the second
+    compiled pass runs over restored wave outputs."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_CHECKPOINT", checkpoint)
+    planned = [
+        (query, PLANNERS[method](PAPER_CLUSTER_KP64).plan(query))
+        for query in tail_queries()
+        for method in sorted(PLANNERS)
+    ]
+
+    def execute_all():
+        outcomes = [
+            PlanExecutor(SimulatedCluster(PAPER_CLUSTER_KP64)).execute(plan, query)
+            for query, plan in planned
+        ]
+        return outcomes, [observable(outcome) for outcome in outcomes]
+
+    _, cold = execute_all()
+    outcomes, warm = execute_all()
+    restored = sum(outcome.report.checkpoint_hits for outcome in outcomes)
+    assert (restored > 0) == (checkpoint == "1")
+    assert any(outcome.report.merge_time_s > 0 for outcome in outcomes)
+    monkeypatch.setattr(
+        executor_mod, "composites_to_relation", _reference_composites_to_relation
+    )
+    monkeypatch.setattr(executor_mod, "_hash_merge", _reference_hash_merge)
+    _, reference = execute_all()
+    assert cold == reference
+    assert warm == reference

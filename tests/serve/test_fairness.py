@@ -254,6 +254,20 @@ class TestPagination:
             offset = page["next_offset"]
         assert pages == full["rows"]
 
+    def test_in_process_pages_equal_the_shared_unpaged_rows(self, done_query):
+        """The session keeps the executor's row tuples as they are (no
+        re-tupled copy): paged and unpaged fetches read the same list."""
+        service, cli, qid, full = done_query
+        unpaged = service.result(qid, timeout_s=5.0)["result"]["rows"]
+        assert all(type(row) is tuple for row in unpaged)
+        paged, offset = [], 0
+        while offset is not None:
+            page = service.result(qid, timeout_s=5.0, offset=offset, limit=4)
+            paged.extend(page["result"]["rows"])
+            offset = page["result"]["next_offset"]
+        assert paged == unpaged == full["rows"]
+        assert service.result(qid, timeout_s=5.0)["result"]["rows"] is unpaged
+
     def test_iter_rows_streams_the_reference_rows(self, done_query):
         service, cli, qid, full = done_query
         assert list(cli.iter_rows(qid, page_size=3)) == full["rows"]
