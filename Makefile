@@ -33,22 +33,20 @@
 #   make ci       - the full local equivalent of the CI gate:
 #                   lint + verify + smoke + serve-smoke + serve-recovery
 #                   + perf-smoke
-#   make bench    - hot-path microbenches (pytest-benchmark table)
-#   make hotpath  - append this revision's hot-path numbers to
-#                   BENCH_hotpaths.json (run with --label before first on
-#                   the pre-PR checkout when starting a perf PR)
+#   make loc      - the size numbers a simplicity PR quotes: lines of
+#                   src/**/*.py and distinct quoted REPRO_* knob names
 
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: verify smoke lint serve-smoke serve-recovery perf-smoke perf-pair ci bench hotpath
+.PHONY: verify smoke lint serve-smoke serve-recovery perf-smoke perf-pair ci loc
 
 verify:
 	$(PYTEST) -x -q
 
 smoke:
 	REPRO_QUICK=1 $(PYTEST) -q \
-		benchmarks/test_perf_hotpaths.py::test_smoke_all_methods_agree \
+		tests/test_integration.py::TestBenchmarkQuerySmoke \
 		tests/joins/test_batch_equivalence.py
 
 lint:
@@ -74,8 +72,6 @@ perf-pair:
 
 ci: lint verify smoke serve-smoke serve-recovery perf-smoke
 
-bench:
-	$(PYTEST) -q benchmarks/test_perf_hotpaths.py
-
-hotpath:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/run_hotpath_bench.py --label after
+loc:
+	@find src -name '*.py' | xargs wc -l | tail -1
+	@echo "$$(grep -rhoE "[\"']REPRO_[A-Z0-9_]+[\"']" src | sort -u | wc -l) REPRO_* knobs"

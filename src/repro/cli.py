@@ -297,7 +297,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     journal_path = args.journal
     if journal_path is None:
-        journal_dir = os.environ.get(JOURNAL_DIR_ENV, "").strip()
+        journal_dir = (execution_settings().journal_dir or "").strip()
         if journal_dir:
             journal_path = str(Path(journal_dir) / "serve.journal")
     if args.recover and journal_path is None:
@@ -635,21 +635,18 @@ def make_parser() -> argparse.ArgumentParser:
         "checkpointed wave)",
     )
     serve_cmd.add_argument(
-        "--client-max-running", type=int, default=None, metavar="N",
-        help="per-client concurrency-slot quota (0 = none; default "
-        "$REPRO_CLIENT_MAX_RUNNING)",
+        "--client-max-running", type=int, default=0, metavar="N",
+        help="per-client concurrency-slot quota (0 = none)",
     )
     serve_cmd.add_argument(
-        "--client-max-queued", type=int, default=None, metavar="N",
+        "--client-max-queued", type=int, default=0, metavar="N",
         help="per-client queue-seat quota; over it submits are shed with "
-        "a structured quota-exceeded error (0 = none; default "
-        "$REPRO_CLIENT_MAX_QUEUED)",
+        "a structured quota-exceeded error (0 = none)",
     )
     serve_cmd.add_argument(
-        "--aging-s", type=float, default=None, metavar="SECONDS",
+        "--aging-s", type=float, default=30.0, metavar="SECONDS",
         help="anti-starvation aging: a queued query gains one priority "
-        "level per this many seconds waited (0 = off; default "
-        "$REPRO_SCHED_AGING_S)",
+        "level per this many seconds waited (0 = off)",
     )
     serve_cmd.set_defaults(func=cmd_serve)
 

@@ -28,8 +28,7 @@ The endpoint verbs mirror the service protocol: :meth:`Client.execute`
 enqueues and returns a query id, :meth:`Client.status` /
 :meth:`Client.cancel` / :meth:`Client.result` operate on it, and
 :meth:`Client.wait` / :meth:`Client.run` are the blocking conveniences
-built on top.  The historical name ``repro.serve.ServiceClient`` is a
-deprecated alias of this class.
+built on top.
 """
 
 from __future__ import annotations
@@ -67,22 +66,12 @@ class Client:
     # -- connection ------------------------------------------------------
 
     def connect(self) -> "Client":
-        sock = wire.connect(self.addr, timeout=self.timeout_s)
-        sock.settimeout(self.timeout_s)
-        wire.send_frame(sock, ("hello", wire.peer_info()))
-        reply = wire.recv_frame(sock)
-        if not (isinstance(reply, tuple) and reply and reply[0] == "hello-ack"):
-            sock.close()
-            raise ServiceError(f"bad handshake reply: {reply!r}")
-        self._sock = sock
+        self._sock, _info = wire.dial(self.addr, self.timeout_s)
         return self
 
     def close(self) -> None:
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
+            wire.close_socket(self._sock)
             self._sock = None
 
     def __enter__(self) -> "Client":
@@ -288,8 +277,8 @@ def connect(
 
     The returned client is a context manager; ``with repro.connect(addr)
     as client:`` closes the connection on exit.  Connection failures
-    raise immediately (:class:`ConnectionError` / ``OSError`` from the
-    dial, :class:`~repro.errors.ServiceError` on a bad handshake) rather
+    raise immediately (``OSError`` from the dial, its subclass
+    :class:`~repro.mapreduce.wire.WireError` on a bad handshake) rather
     than on the first call.
     """
     return Client(

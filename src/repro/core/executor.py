@@ -71,6 +71,12 @@ from repro.storage import (
     checkpoint_tier,
     stable_key_repr,
 )
+from repro.utils import MB
+
+#: Per-job checkpoint payload cap, bytes: a larger output is counted
+#: (``skipped_oversize``) and not persisted — the recompute is cheaper
+#: than the disk churn.
+CHECKPOINT_MAX_BYTES = 64 * MB
 
 #: Base relations lifted to composite files, shared across executions by
 #: relation *content* — the four-planner comparisons re-execute the same
@@ -130,16 +136,16 @@ def reset_checkpoint_counters() -> None:
 
 @dataclass
 class _CheckpointContext:
-    """The two stores behind wave checkpointing, plus the payload cap."""
+    """The two stores behind wave checkpointing."""
 
     index: object  # KeyedDiskStore: checkpoint key -> {"digest", "bytes"}
     blobs: object  # DiskBlobStore: digest -> pickled (records, width, metrics)
-    max_bytes: int
 
 
-#: Sentinel in a wave's spec list marking a job restored from checkpoint
-#: (the parallel dispatch must skip it without disturbing fold order).
-_RESTORED = object()
+#: What :meth:`PlanExecutor._prepare` found for one job of a wave: an
+#: empty input (the join is empty, nothing runs), a checkpointed output
+#: to restore, or a materialized spec to run.
+_EMPTY, _RESTORED, _RUN = "empty", "restored", "run"
 
 
 class PlanExecutor:
@@ -194,9 +200,7 @@ class PlanExecutor:
         # *other* run's noise draw; checkpointing stays off under noise.
         if settings.checkpoint and self.cluster.config.noise_sigma == 0.0:
             self._ckpt = _CheckpointContext(
-                index=checkpoint_tier(settings),
-                blobs=blob_tier(settings),
-                max_bytes=settings.checkpoint_max_bytes,
+                index=checkpoint_tier(settings), blobs=blob_tier(settings)
             )
         job_ends = self._run_jobs(plan, query, schemas, base_files, job_outputs, report)
 
@@ -404,95 +408,120 @@ class PlanExecutor:
 
         Jobs of a wave share no dependencies (they were startable at the
         same simulated instant), so their *computation* can run
-        concurrently on the execution backend.  Specs are materialized
+        concurrently on the execution backend.  Every job is prepared
         parent-side in wave order (partitioner/composite caches stay
         warm and single-threaded); only the pure ``run_job`` calls are
         dispatched — to threads, forked workers, or remote worker
         daemons alike (the distributed coordinator falls back to the
-        in-line loop when no daemon answers).  Results are folded back
-        strictly in wave order, so ``report.job_metrics``, HDFS
-        contents, and every downstream decision are identical to the
-        serial loop.
+        in-line loop when no daemon answers), or run in line when the
+        wave has one job or the backend is serial.  Results are folded
+        back strictly in wave order, so ``report.job_metrics``, HDFS
+        contents, and every downstream decision are identical whatever
+        ran the jobs.
         """
-        backend = get_backend()
-        if len(jobs) <= 1 or backend.name == "serial":
-            return [
-                self._run_single_job(
-                    job, query, schemas, base_files, job_outputs, report
-                )
-                for job in jobs
-            ]
-
-        specs: List[Optional[object]] = []
-        restored_waves: Dict[str, Tuple[DistributedFile, JobMetrics, str]] = {}
-        keys: Dict[str, str] = {}
-        for job in jobs:
-            resolved = [
-                base_files[ref.name] if ref.kind == "base" else job_outputs[ref.name]
-                for ref in job.inputs
-            ]
-            if any(f.num_records == 0 for f in resolved):
-                specs.append(None)  # empty-input short circuit, handled below
-                continue
-            if self._ckpt is not None:
-                key = self._checkpoint_key(job, query)
-                keys[job.job_id] = key
-                restored = self._checkpoint_restore(job, query, key)
-                if restored is not None:
-                    restored_waves[job.job_id] = restored
-                    specs.append(_RESTORED)  # folds below, never dispatches
-                    continue
-            specs.append(
-                self._materialize(job, query, schemas, base_files, job_outputs)
-            )
-
+        prepared = [
+            self._prepare(job, query, schemas, base_files, job_outputs)
+            for job in jobs
+        ]
         cluster = self.cluster
-        parallel = [
-            (job, spec)
-            for job, spec in zip(jobs, specs)
-            if spec is not None and spec is not _RESTORED
+        runnable = [
+            (job, spec) for job, (kind, spec) in zip(jobs, prepared) if kind == _RUN
         ]
 
         def run_one(index: int):
-            job, spec = parallel[index]
+            job, spec = runnable[index]
             return cluster.run_job(spec, map_units=job.units, reduce_units=job.units)
 
-        results = iter(backend.run_tasks(run_one, len(parallel)))
+        backend = get_backend()
+        if len(jobs) <= 1 or backend.name == "serial":
+            results = [run_one(index) for index in range(len(runnable))]
+        else:
+            results = backend.run_tasks(run_one, len(runnable))
+        ran = iter(results)
+        return [
+            self._fold(
+                job, query, kind, next(ran) if kind == _RUN else found,
+                job_outputs, report,
+            )
+            for job, (kind, found) in zip(jobs, prepared)
+        ]
 
-        durations: List[float] = []
-        for job, spec in zip(jobs, specs):
-            if spec is None:
-                durations.append(
-                    self._run_single_job(
-                        job, query, schemas, base_files, job_outputs, report
-                    )
-                )
-                continue
-            if spec is _RESTORED:
-                durations.append(
-                    self._fold_restored(
-                        job, restored_waves[job.job_id], job_outputs, report
-                    )
-                )
-                continue
-            result = next(results)
-            # The job ran against a forked (process backend) or shipped
-            # (distributed backend) copy of the cluster; publish its
-            # output in the parent's namespace.
-            self.cluster.hdfs.put(result.output)
-            result.metrics.total_time_s += job.extra_startup_s
-            result.metrics.startup_time_s += job.extra_startup_s
-            report.job_metrics.append(result.metrics)
-            job_outputs[job.job_id] = result.output
-            durations.append(result.metrics.total_time_s)
+    def _prepare(
+        self,
+        job: PlannedJob,
+        query: JoinQuery,
+        schemas,
+        base_files: Mapping[str, DistributedFile],
+        job_outputs: Mapping[str, DistributedFile],
+    ) -> Tuple[str, object]:
+        """Everything of one job that precedes running it: ``(_EMPTY,
+        None)``, ``(_RESTORED, (file, metrics, digest))`` or ``(_RUN,
+        spec)``."""
+        resolved = [
+            base_files[ref.name] if ref.kind == "base" else job_outputs[ref.name]
+            for ref in job.inputs
+        ]
+        if any(f.num_records == 0 for f in resolved):
+            # An empty input (e.g. an upstream join with no matches)
+            # makes the whole join empty.
+            if self._ckpt is not None:
+                # Not worth persisting (start-up charge only), but the key
+                # must exist: downstream jobs chain through it.
+                self._checkpoint_key(job, query)
+            return _EMPTY, None
+        if self._ckpt is not None:
+            restored = self._checkpoint_restore(
+                job, query, self._checkpoint_key(job, query)
+            )
+            if restored is not None:
+                return _RESTORED, restored
+        return _RUN, self._materialize(job, query, schemas, base_files, job_outputs)
+
+    def _fold(
+        self,
+        job: PlannedJob,
+        query: JoinQuery,
+        kind: str,
+        found,
+        job_outputs: Dict[str, DistributedFile],
+        report: ExecutionReport,
+    ) -> float:
+        """Publish one job's outcome — the empty output, the restored
+        checkpoint, or the :class:`JobResult` of its run — into HDFS,
+        ``job_outputs`` and the report; returns the job's duration."""
+        name = f"{query.name}:{job.job_id}"
+        digest: Optional[str] = None
+        if kind == _EMPTY:
+            # Emit an empty output and charge start-up only.
+            file = DistributedFile(
+                name=f"{name}.out", records=[], record_width=64, tag=f"{name}.out"
+            )
+            metrics = JobMetrics(job_name=name)
+            metrics.total_time_s = (
+                self.cluster.config.job_startup_s + job.extra_startup_s
+            )
+        elif kind == _RESTORED:
+            file, metrics, digest = found
+            report.checkpoint_hits += 1
+        else:
+            file, metrics = found.output, found.metrics
+            metrics.total_time_s += job.extra_startup_s
+            metrics.startup_time_s += job.extra_startup_s
             if self._ckpt is not None:
                 digest = self._checkpoint_persist(
-                    job, query, keys[job.job_id], result
+                    job, query, self._checkpoint_key(job, query), found
                 )
                 if digest is not None:
                     report.checkpoint_stores += 1
-                    self._notify_wave(job.job_id, digest, False)
-        return durations
+        # The job may have run against a forked (process backend) or
+        # shipped (distributed backend) copy of the cluster; publish its
+        # output in the parent's namespace.
+        self.cluster.hdfs.put(file)
+        job_outputs[job.job_id] = file
+        report.job_metrics.append(metrics)
+        if digest is not None and self.on_wave is not None:
+            self.on_wave(job.job_id, digest, kind == _RESTORED)
+        return metrics.total_time_s
 
     # -- wave checkpointing ---------------------------------------------
 
@@ -586,7 +615,7 @@ class PlanExecutor:
             )
         except Exception:  # unpicklable record type: persistence is optional
             return None
-        if len(payload) > ctx.max_bytes:
+        if len(payload) > CHECKPOINT_MAX_BYTES:
             _ckpt_account("skipped_oversize")
             return None
         digest = blob_digest(payload)
@@ -596,80 +625,6 @@ class PlanExecutor:
         _ckpt_account("stores")
         _ckpt_account("store_bytes", len(payload))
         return digest
-
-    def _fold_restored(
-        self,
-        job: PlannedJob,
-        restored: Tuple[DistributedFile, JobMetrics, str],
-        job_outputs: Dict[str, DistributedFile],
-        report: ExecutionReport,
-    ) -> float:
-        file, metrics, digest = restored
-        self.cluster.hdfs.put(file)
-        job_outputs[job.job_id] = file
-        report.job_metrics.append(metrics)
-        report.checkpoint_hits += 1
-        self._notify_wave(job.job_id, digest, True)
-        return metrics.total_time_s
-
-    def _notify_wave(self, job_id: str, digest: str, restored: bool) -> None:
-        if self.on_wave is not None:
-            self.on_wave(job_id, digest, restored)
-
-    def _run_single_job(
-        self,
-        job: PlannedJob,
-        query: JoinQuery,
-        schemas,
-        base_files: Mapping[str, DistributedFile],
-        job_outputs: Dict[str, DistributedFile],
-        report: ExecutionReport,
-    ) -> float:
-        # An empty input (e.g. an upstream join with no matches) makes the
-        # whole join empty; emit an empty output and charge start-up only.
-        resolved = [
-            base_files[ref.name] if ref.kind == "base" else job_outputs[ref.name]
-            for ref in job.inputs
-        ]
-        if any(f.num_records == 0 for f in resolved):
-            if self._ckpt is not None:
-                # Not worth persisting (start-up charge only), but the key
-                # must exist: downstream jobs chain through it.
-                self._checkpoint_key(job, query)
-            empty = DistributedFile(
-                name=f"{query.name}:{job.job_id}.out", records=[], record_width=64,
-                tag=f"{query.name}:{job.job_id}.out",
-            )
-            self.cluster.hdfs.put(empty)
-            job_outputs[job.job_id] = empty
-            metrics = JobMetrics(job_name=f"{query.name}:{job.job_id}")
-            metrics.total_time_s = (
-                self.cluster.config.job_startup_s + job.extra_startup_s
-            )
-            report.job_metrics.append(metrics)
-            return metrics.total_time_s
-
-        key: Optional[str] = None
-        if self._ckpt is not None:
-            key = self._checkpoint_key(job, query)
-            restored = self._checkpoint_restore(job, query, key)
-            if restored is not None:
-                return self._fold_restored(job, restored, job_outputs, report)
-
-        spec = self._materialize(job, query, schemas, base_files, job_outputs)
-        result = self.cluster.run_job(
-            spec, map_units=job.units, reduce_units=job.units
-        )
-        result.metrics.total_time_s += job.extra_startup_s
-        result.metrics.startup_time_s += job.extra_startup_s
-        report.job_metrics.append(result.metrics)
-        job_outputs[job.job_id] = result.output
-        if key is not None:
-            digest = self._checkpoint_persist(job, query, key, result)
-            if digest is not None:
-                report.checkpoint_stores += 1
-                self._notify_wave(job.job_id, digest, False)
-        return result.metrics.total_time_s
 
     def _materialize(
         self,

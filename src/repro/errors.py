@@ -74,7 +74,7 @@ class AdmissionRejected(ServiceError):
 
 class QuotaExceeded(AdmissionRejected):
     """Per-client fair-share quota hit: this *client* already holds its
-    allowed share of queue seats (``REPRO_CLIENT_MAX_QUEUED``) or
+    allowed share of queue seats (``repro serve --client-max-queued``) or
     concurrency slots.  A subclass of :class:`AdmissionRejected` so
     pre-quota clients that catch the broad shed error keep working; the
     distinct code tells a multi-tenant client it should back off while
@@ -85,7 +85,7 @@ class QuotaExceeded(AdmissionRejected):
 
 class ResultTooLarge(ServiceError):
     """A result payload would exceed the service's per-frame byte budget
-    (``REPRO_RESULT_MAX_BYTES``, never above the wire's hard frame cap).
+    (``coordinator.RESULT_MAX_BYTES``, never above the wire's hard frame cap).
     The query is DONE and its result is intact server-side — re-fetch it
     in pages with ``offset``/``limit`` (:meth:`repro.client.Client.iter_rows`)
     instead of one monolithic frame.  ``details`` carries ``total_rows``

@@ -56,6 +56,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.mapreduce import wire
 from repro.mapreduce.config import ExecutionSettings, execution_settings
 
 #: Task callable: index -> result.  Results must not depend on *when* or
@@ -241,6 +242,27 @@ class ProcessBackend:
             fallback.close()
 
 
+# -- resilience policy of the distributed backend --------------------------
+
+#: Straggler hedging: an idle dispatcher speculatively re-dispatches an
+#: in-flight task once its elapsed time exceeds ``HEDGE_FACTOR`` x the
+#: ``HEDGE_QUANTILE``-th completed-task duration of the same batch, with
+#: at least ``HEDGE_MIN_SAMPLES`` completions seen (the batch calibrates
+#: itself) and at most ``HEDGE_MAX_PER_TASK`` speculative copies per task
+#: index (0 turns hedging off).
+HEDGE_QUANTILE = 0.95
+HEDGE_FACTOR = 3.0
+HEDGE_MIN_SAMPLES = 3
+HEDGE_MAX_PER_TASK = 1
+
+#: Circuit breaker: ``BREAKER_THRESHOLD`` consecutive batches a worker
+#: ends dead open its breaker for ``BREAKER_COOLDOWN_BATCHES`` batches,
+#: doubling per consecutive trip (the daemon is quarantined instead of
+#: endlessly re-dialed).
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_BATCHES = 8
+
+
 class _WorkerLost(Exception):
     """Internal: a worker daemon vanished mid-conversation (retryable)."""
 
@@ -283,13 +305,9 @@ class _WorkerHandle:
 
     def connect(self) -> bool:
         """Dial both connections + hello handshake; False on any failure."""
-        from repro.mapreduce import wire
-
         try:
-            self._task_sock = wire.connect(self.addr, self.connect_timeout_s)
-            wire.send_frame(self._task_sock, ("hello", wire.peer_info()))
-            kind, info = wire.recv_frame(self._task_sock)
-            if kind != "hello-ack" or not wire.compatible(info):
+            self._task_sock, info = wire.dial(self.addr, self.connect_timeout_s)
+            if not wire.compatible(info):
                 self.mark_dead()
                 return False
             self._task_sock.settimeout(None)
@@ -300,7 +318,7 @@ class _WorkerHandle:
                 name=f"repro-heartbeat-{self.addr}",
             ).start()
             return True
-        except (OSError, ValueError, ConnectionError):
+        except OSError:
             self.mark_dead()
             return False
 
@@ -308,16 +326,8 @@ class _WorkerHandle:
         """Flag the worker lost and shut both sockets (wakes blocked I/O)."""
         self.dead.set()
         for sock in (self._task_sock, self._heartbeat_sock):
-            if sock is None:
-                continue
-            try:
-                sock.shutdown(2)  # SHUT_RDWR
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            if sock is not None:
+                wire.close_socket(sock)
         self._task_sock = None
         self._heartbeat_sock = None
 
@@ -328,8 +338,6 @@ class _WorkerHandle:
     # -- heartbeat ------------------------------------------------------
 
     def _heartbeat_loop(self) -> None:
-        from repro.mapreduce import wire
-
         sock = self._heartbeat_sock
         if sock is None:  # pragma: no cover - lost before the thread ran
             return
@@ -350,8 +358,6 @@ class _WorkerHandle:
     # -- conversation (single dispatcher thread per handle) -------------
 
     def _roundtrip(self, message: Tuple) -> Tuple:
-        from repro.mapreduce import wire
-
         with self._io_lock:
             sock = self._task_sock
             if sock is None or self.dead.is_set():
@@ -371,17 +377,14 @@ class _WorkerHandle:
         self,
         token: int,
         slim: bytes,
-        blobs: Optional[Dict[str, bytes]] = None,
-        account: Optional[Callable[[str, int], None]] = None,
+        blobs: Dict[str, bytes],
+        account: Callable[[str, int], None],
     ) -> None:
         """Register-by-digest: probe the worker's blob store, ship only
         the missing payloads, then register the slim closure against the
         digest list.  A ``register-missing`` reply (a payload evicted or
         found corrupt between the probe and the register) re-puts those
         bytes and retries once — the delete-and-refetch path."""
-        blobs = blobs or {}
-        if account is None:
-            account = lambda _name, _delta: None  # noqa: E731
         digests = list(blobs)
         if digests:
             reply = self._roundtrip(("blob-has", digests))
@@ -461,9 +464,11 @@ class DistributedBackend:
     Degradation is always to correctness: no reachable workers, an
     unshippable closure, or a missing cloudpickle simply run the batch
     in-line (with a one-time note), never fail it — unless strict-fleet
-    mode (``REPRO_STRICT_FLEET=1``, read per batch so ``repro serve``
-    can scope it per query) turns those degradations into structured
-    :class:`~repro.errors.FleetExhausted` failures.
+    mode (``REPRO_STRICT_FLEET=1``) turns those degradations into
+    structured :class:`~repro.errors.FleetExhausted` failures.  Strict
+    mode and the retry budget (``REPRO_TASK_RETRIES``) are read per
+    batch on the calling thread, so ``repro serve`` can scope them per
+    query over the one backend instance every session shares.
 
     Cancellation: ``run_tasks`` captures the calling thread's
     :class:`~repro.mapreduce.cancel.CancellationToken` (if any).  A fired
@@ -486,12 +491,10 @@ class DistributedBackend:
         self,
         addrs: Tuple[str, ...],
         heartbeat_s: float = 2.0,
-        task_retries: int = 2,
         connect_timeout_s: float = 1.0,
     ) -> None:
         self.addrs = tuple(addrs)
         self.heartbeat_s = heartbeat_s
-        self.task_retries = max(0, task_retries)
         self.connect_timeout_s = connect_timeout_s
         self._handles: Dict[str, _WorkerHandle] = {}
         #: addr -> (next batch number allowed to redial, consecutive
@@ -595,19 +598,19 @@ class DistributedBackend:
 
     # -- circuit breaker -------------------------------------------------
 
-    def _record_worker_loss(self, addr: str, threshold: int, cooldown: int) -> None:
+    def _record_worker_loss(self, addr: str) -> None:
         """One batch ended with ``addr`` dead; trip its breaker at
-        ``threshold`` consecutive losses for an exponentially growing
-        number of batches."""
+        :data:`BREAKER_THRESHOLD` consecutive losses for an exponentially
+        growing number of batches."""
         with self._lock:
             state = self._breaker.setdefault(
                 addr, {"failures": 0, "trips": 0, "open_until": 0}
             )
             state["failures"] += 1
-            tripped = state["failures"] >= threshold
+            tripped = state["failures"] >= BREAKER_THRESHOLD
             if tripped:
-                state["open_until"] = self._batches + cooldown * 2 ** min(
-                    state["trips"], 6
+                state["open_until"] = self._batches + (
+                    BREAKER_COOLDOWN_BATCHES * 2 ** min(state["trips"], 6)
                 )
                 state["trips"] += 1
                 state["failures"] = 0
@@ -682,7 +685,6 @@ class DistributedBackend:
         if count <= 1:
             return [fn(index) for index in range(count)]
         from repro.errors import FleetExhausted
-        from repro.mapreduce import wire
         from repro.mapreduce.cancel import current_token
 
         # All are read on the *calling* thread, so a serve session's
@@ -706,21 +708,14 @@ class DistributedBackend:
         if not wire.closure_transport_available():
             return degraded("cloudpickle unavailable")
         try:
-            if settings.blob_ship:
-                # Register-by-digest: heavy captures split into content-
-                # addressed payloads workers cache across batches and
-                # queries; only the slim executable part always ships.
-                slim, blobs = wire.split_task_fn(
-                    fn,
-                    min_items=settings.blob_min_items,
-                    min_bytes=settings.blob_min_bytes,
-                )
-            else:
-                slim, blobs = wire.dumps_task_fn(fn), {}
+            # Register-by-digest: heavy captures split into content-
+            # addressed payloads workers cache across batches and
+            # queries; only the slim executable part always ships.
+            slim, blobs = wire.split_task_fn(fn)
         except Exception as exc:  # unshippable capture: run locally
             return degraded(f"task closure not serializable: {exc}")
         return self._dispatch(
-            fn, slim, blobs, count, handles, token, strict, settings
+            fn, slim, blobs, count, handles, token, strict, settings.task_retries
         )
 
     def _dispatch(
@@ -730,9 +725,9 @@ class DistributedBackend:
         blobs: Dict[str, bytes],
         count: int,
         handles: List[_WorkerHandle],
-        cancel_token=None,
-        strict: bool = False,
-        settings: Optional[ExecutionSettings] = None,
+        cancel_token,
+        strict: bool,
+        task_retries: int,
     ) -> List[object]:
         from repro.errors import FleetExhausted
 
@@ -756,12 +751,7 @@ class DistributedBackend:
         # cannot change outputs, only latency.  A hedge does not burn
         # the index's retry budget (``attempts``): it is extra capacity
         # spent, not a failure observed.
-        hedge_on = (
-            settings is not None
-            and settings.hedge
-            and settings.hedge_max_per_task > 0
-            and len(handles) > 1
-        )
+        hedge_on = HEDGE_MAX_PER_TASK > 0 and len(handles) > 1
         durations: List[float] = []  # completed-task wall times, this batch
         dispatched_at: Dict[int, float] = {}  # index -> primary dispatch time
         inflight_of: Dict[int, int] = {}  # index -> copies on the wire
@@ -774,20 +764,17 @@ class DistributedBackend:
             """The most-overdue hedgeable index, or None.  ``cond`` held.
 
             "Overdue" is quantile-based per the batch's own completed
-            tasks: elapsed > ``hedge_factor`` x the ``hedge_quantile``-th
-            completed duration, with at least ``hedge_min_samples``
-            completions before any hedge fires (no model, no tuning —
-            the batch calibrates itself)."""
-            if len(durations) < max(1, settings.hedge_min_samples):
+            tasks (the ``HEDGE_*`` policy at the top of this module)."""
+            if len(durations) < max(1, HEDGE_MIN_SAMPLES):
                 return None
             ordered = sorted(durations)
-            rank = min(len(ordered) - 1, int(settings.hedge_quantile * len(ordered)))
+            rank = min(len(ordered) - 1, int(HEDGE_QUANTILE * len(ordered)))
             now = time.monotonic()
-            best, best_elapsed = None, ordered[rank] * settings.hedge_factor
+            best, best_elapsed = None, ordered[rank] * HEDGE_FACTOR
             for index, started in dispatched_at.items():
                 if index in results or inflight_of.get(index, 0) <= 0:
                     continue
-                if hedge_count.get(index, 0) >= settings.hedge_max_per_task:
+                if hedge_count.get(index, 0) >= HEDGE_MAX_PER_TASK:
                     continue
                 elapsed = now - started
                 if elapsed > best_elapsed:
@@ -869,7 +856,7 @@ class DistributedBackend:
                             not fired()
                             and index not in results
                             and inflight_of.get(index, 0) <= 0
-                            and attempts[index] <= self.task_retries
+                            and attempts[index] <= task_retries
                         ):
                             pending.append(index)
                         cond.notify_all()
@@ -928,18 +915,13 @@ class DistributedBackend:
         # closed deliberately — not the worker's fault); every survivor
         # counts a clean batch.  Recorded after the join so a single
         # batch scores each worker exactly once.
-        if settings is not None and settings.breaker_threshold > 0:
-            for handle in handles:
-                if handle.draining.is_set():
-                    continue
-                if handle.dead.is_set():
-                    self._record_worker_loss(
-                        handle.addr,
-                        settings.breaker_threshold,
-                        settings.breaker_cooldown_batches,
-                    )
-                else:
-                    self._record_worker_ok(handle.addr)
+        for handle in handles:
+            if handle.draining.is_set():
+                continue
+            if handle.dead.is_set():
+                self._record_worker_loss(handle.addr)
+            else:
+                self._record_worker_ok(handle.addr)
 
         if failure[0] is not None:
             raise failure[0]
@@ -976,7 +958,7 @@ class DistributedBackend:
 # -- backend selection ---------------------------------------------------
 
 _SERIAL = SerialBackend()
-_BACKENDS: Dict[Tuple, object] = {}
+_BACKENDS: Dict[object, object] = {}
 #: Guards the backend registry: ``get_backend`` may race against
 #: ``close_backends`` (atexit, test teardown) or against itself from
 #: concurrent ``repro serve`` session threads.
@@ -997,18 +979,15 @@ def get_backend(settings: Optional[ExecutionSettings] = None):
         settings = execution_settings()
     if not settings.parallel:
         return _SERIAL
-    key: Tuple = (settings.backend, settings.effective_workers)
     if settings.backend == "distributed":
-        # Keyed by timing knobs only — NOT by the address list.  A fleet
-        # change (scaling under a live ``repro serve``) must *reconfigure*
-        # the one live backend (drain removed workers, dial added ones)
-        # rather than abandon its handles and dial a cold twin.
-        key = (
-            "distributed",
-            settings.worker_heartbeat_s,
-            settings.task_retries,
-            settings.worker_connect_timeout_s,
-        )
+        # One live coordinator per process, whatever the caller's knobs
+        # or address list: a fleet change (scaling under a live ``repro
+        # serve``) *reconfigures* it (drain removed workers, dial added
+        # ones) rather than abandon its handles and dial a cold twin,
+        # and the heartbeat/connect timings are fixed when it is built.
+        key: object = "distributed"
+    else:
+        key = (settings.backend, settings.effective_workers)
     with _BACKENDS_LOCK:
         backend = _BACKENDS.get(key)
         if backend is None:
@@ -1016,7 +995,6 @@ def get_backend(settings: Optional[ExecutionSettings] = None):
                 backend = DistributedBackend(
                     settings.workers_addrs,
                     heartbeat_s=settings.worker_heartbeat_s,
-                    task_retries=settings.task_retries,
                     connect_timeout_s=settings.worker_connect_timeout_s,
                 )
             elif settings.backend == "thread":
@@ -1028,6 +1006,13 @@ def get_backend(settings: Optional[ExecutionSettings] = None):
         if tuple(backend.addrs) != tuple(settings.workers_addrs):
             backend.reconfigure(settings.workers_addrs)
     return backend
+
+
+def live_distributed_backend() -> Optional[DistributedBackend]:
+    """The process's one distributed backend, if it was ever built
+    (``repro serve`` reads its counters and re-points its fleet)."""
+    with _BACKENDS_LOCK:
+        return _BACKENDS.get("distributed")  # type: ignore[return-value]
 
 
 def close_backends() -> None:

@@ -14,6 +14,7 @@ describe.  The README documents the full knob table.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import threading
@@ -135,12 +136,15 @@ EXEC_WORKERS_ENV = "REPRO_EXEC_WORKERS"
 WORKERS_ADDRS_ENV = "REPRO_WORKERS_ADDRS"
 #: Seconds between liveness pings to each worker daemon; a worker that
 #: misses one heartbeat window is declared lost and its in-flight task
-#: is retried elsewhere.
+#: is retried elsewhere.  A property of the process: read once, when the
+#: one distributed backend is built (``close_backends()`` re-reads it).
 WORKER_HEARTBEAT_ENV = "REPRO_WORKER_HEARTBEAT_S"
 #: How many times one task may be re-queued after worker losses before
-#: the coordinator stops trying workers and runs it locally.
+#: the coordinator stops trying workers and runs it locally.  Read per
+#: batch on the calling thread, so a ``repro serve`` query may scope it.
 TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
-#: Seconds allowed for the TCP connect + hello handshake per worker.
+#: Seconds allowed for the TCP connect + hello handshake per worker;
+#: like the heartbeat, fixed when the distributed backend is built.
 WORKER_CONNECT_TIMEOUT_ENV = "REPRO_WORKER_CONNECT_TIMEOUT_S"
 #: "1" makes the distributed backend *fail* (a structured
 #: ``fleet-exhausted`` error) instead of silently degrading to serial /
@@ -154,104 +158,32 @@ STRICT_FLEET_ENV = "REPRO_STRICT_FLEET"
 PLAN_DISK_CACHE_ENV = "REPRO_PLAN_DISK_CACHE"
 #: Root directory of the on-disk planning cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: "0" disables register-by-digest closure splitting on the distributed
-#: backend: every batch ships its whole closure again (PR 5 behaviour).
-#: On by default — workers cache content-addressed payload blobs, so a
-#: warm re-run of the same query ships only the slim executable part.
-BLOB_SHIP_ENV = "REPRO_BLOB_SHIP"
-#: Containers (list/tuple/dict) below this element count are never
-#: externalized into blobs — small captures ship inline.
-BLOB_MIN_ITEMS_ENV = "REPRO_BLOB_MIN_ITEMS"
-#: Pickled payloads below this byte count ship inline even when the item
-#: gate passed (a digest round-trip costs more than it saves).
-BLOB_MIN_BYTES_ENV = "REPRO_BLOB_MIN_BYTES"
-#: Size budget of a worker's on-disk blob tier; LRU-evicted above it.
-BLOB_MAX_BYTES_ENV = "REPRO_BLOB_MAX_BYTES"
-#: Age budget of blob entries, seconds; untouched entries expire.
-BLOB_MAX_AGE_ENV = "REPRO_BLOB_MAX_AGE_S"
-#: Entry cap of a worker's in-memory decoded-blob cache.
-BLOB_MEM_ENTRIES_ENV = "REPRO_BLOB_MEM_ENTRIES"
 #: "1" persists each completed ready-wave job's output by sha256 digest
 #: into the blob tier (wave checkpointing): a retried phase, re-planned
 #: query, or restarted run restores the completed waves instead of
 #: recomputing them.  Off by default in the library; ``repro serve``
 #: recovery relies on it being set for the daemon.
 CHECKPOINT_ENV = "REPRO_CHECKPOINT"
-#: Per-wave checkpoint payload cap, bytes; larger outputs are not
-#: persisted (the recompute is cheaper than the disk churn).
-CHECKPOINT_MAX_BYTES_ENV = "REPRO_CHECKPOINT_MAX_BYTES"
 #: Directory of the coordinator's session journal.  ``repro serve``
 #: journals to ``<dir>/serve.journal`` when set (the ``--journal`` flag
 #: overrides with an explicit file path).
 JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
-#: "0" skips the fsync after each journal append (faster, but a crash
-#: may lose the tail records; replay still tolerates the torn tail).
-JOURNAL_FSYNC_ENV = "REPRO_JOURNAL_FSYNC"
-#: "0" disables straggler hedging on the distributed backend.  On by
-#: default: an idle dispatcher speculatively re-dispatches an in-flight
-#: task that has run far past the completed-duration quantile (duplicate
-#: completions are safe — folding is exactly-once, first answer wins).
-HEDGE_ENV = "REPRO_HEDGE"
-#: Quantile of completed-task durations used as the straggler baseline.
-HEDGE_QUANTILE_ENV = "REPRO_HEDGE_QUANTILE"
-#: A task is hedge-eligible once its elapsed time exceeds
-#: ``quantile * factor``.
-HEDGE_FACTOR_ENV = "REPRO_HEDGE_FACTOR"
-#: Completed-task samples required before any hedge may launch.
-HEDGE_MIN_SAMPLES_ENV = "REPRO_HEDGE_MIN_SAMPLES"
-#: Speculative copies allowed per task index per batch.
-HEDGE_MAX_PER_TASK_ENV = "REPRO_HEDGE_MAX_PER_TASK"
-#: Consecutive mid-batch losses before a worker's circuit breaker opens
-#: (the daemon is quarantined instead of endlessly re-dialed).
-BREAKER_THRESHOLD_ENV = "REPRO_BREAKER_THRESHOLD"
-#: Base quarantine length, batches; doubles per consecutive trip.
-BREAKER_COOLDOWN_ENV = "REPRO_BREAKER_COOLDOWN_BATCHES"
 #: Seconds slept between executor ready waves (0 = none).  A chaos/test
 #: knob: it widens the window in which a coordinator can be killed
 #: mid-query with a known number of waves checkpointed.
 WAVE_DELAY_ENV = "REPRO_WAVE_DELAY_S"
-#: Anti-starvation aging rate of the serve scheduler: a queued query
-#: gains one effective priority level per this many seconds waited, so a
-#: low-priority session under a high-priority flood is delayed a bounded
-#: (priority-gap x aging) time, never forever.  0 disables aging (pure
-#: priority order).
-SCHED_AGING_ENV = "REPRO_SCHED_AGING_S"
-#: Per-client concurrency quota of the serve scheduler: at most this
-#: many of one client's queries run at once (0 = no per-client cap; the
-#: global ``--max-concurrent`` still binds).
-CLIENT_MAX_RUNNING_ENV = "REPRO_CLIENT_MAX_RUNNING"
-#: Per-client queue-depth quota: further submits from a client already
-#: holding this many queue seats are shed with a structured
-#: ``quota-exceeded`` error (0 = no per-client cap).
-CLIENT_MAX_QUEUED_ENV = "REPRO_CLIENT_MAX_QUEUED"
-#: Byte budget of one ``result`` reply frame from ``repro serve``.  A
-#: DONE result whose encoded payload would exceed it is refused with a
-#: structured ``result-too-large`` error steering the client to
-#: paginated fetch (``offset``/``limit``) instead of killing the
-#: connection with an unframeable reply.
-RESULT_MAX_BYTES_ENV = "REPRO_RESULT_MAX_BYTES"
-#: Inline cap on journaled DONE-result payloads.  Larger results are
-#: spilled to the content-addressed blob tier and the journal records
-#: only their digest, so the journal stays lifecycle-sized instead of
-#: growing with answer volume; recovery reads either form.
-JOURNAL_RESULT_MAX_ENV = "REPRO_JOURNAL_RESULT_MAX_BYTES"
 
 #: Valid values for ``REPRO_EXEC_BACKEND``.
 EXEC_BACKENDS = ("serial", "thread", "process", "distributed")
 
 
-def _env_int(name: str, default: int, env: Mapping[str, str], minimum: int = 0) -> int:
+def _env_number(name: str, default, env: Mapping[str, str], minimum=0):
+    """``env[name]`` as a number of ``default``'s type, floored at
+    ``minimum``; a malformed value reads as the default (env-side parsing
+    is lenient: a shell typo must never crash planning)."""
+    cast = type(default)
     try:
-        return max(minimum, int(env.get(name, str(default))))
-    except ValueError:
-        return default
-
-
-def _env_float(
-    name: str, default: float, env: Mapping[str, str], minimum: float = 0.0
-) -> float:
-    try:
-        return max(minimum, float(env.get(name, str(default))))
+        return max(cast(minimum), cast(env.get(name, default)))
     except ValueError:
         return default
 
@@ -322,58 +254,13 @@ class ExecutionSettings:
     #: Fail with ``fleet-exhausted`` instead of degrading to serial/local
     #: when the distributed fleet cannot run the tasks.
     strict_fleet: bool = False
-    #: Register-by-digest closure splitting on the distributed backend.
-    blob_ship: bool = True
-    #: Container element-count gate for blob externalization (the byte
-    #: gate below is the real protection; this just skips trial-pickling
-    #: trivially small captures).
-    blob_min_items: int = 4
-    #: Pickled payload byte gate for blob externalization.
-    blob_min_bytes: int = 4096
-    #: Worker blob tier size budget (bytes; LRU eviction above it).
-    blob_max_bytes: int = 1 << 30
-    #: Worker blob tier age budget (seconds; 0 disables expiry).
-    blob_max_age_s: float = 7 * 86400.0
-    #: Worker in-memory decoded-blob cache entry cap.
-    blob_mem_entries: int = 64
     #: Wave checkpointing: persist completed ready-wave job outputs by
     #: digest so retries/restarts resume instead of recomputing.
     checkpoint: bool = False
-    #: Per-wave checkpoint payload cap (bytes); oversize waves skip.
-    checkpoint_max_bytes: int = 64 * MB
     #: Session-journal directory (``repro serve``); None = no journal.
     journal_dir: Optional[str] = None
-    #: fsync after every journal append (off trades the crash-safe tail
-    #: for speed; replay tolerates the torn tail either way).
-    journal_fsync: bool = True
-    #: Straggler hedging on the distributed backend.
-    hedge: bool = True
-    #: Completed-duration quantile used as the straggler baseline.
-    hedge_quantile: float = 0.95
-    #: Hedge once elapsed > quantile * factor.
-    hedge_factor: float = 3.0
-    #: Completed samples required before hedging arms.
-    hedge_min_samples: int = 3
-    #: Speculative copies allowed per task index per batch.
-    hedge_max_per_task: int = 1
-    #: Consecutive mid-batch worker losses before the breaker opens.
-    breaker_threshold: int = 3
-    #: Base quarantine, batches; doubles per consecutive trip.
-    breaker_cooldown_batches: int = 8
     #: Sleep between executor ready waves, seconds (chaos/test knob).
     wave_delay_s: float = 0.0
-    #: Serve scheduler: seconds of queue wait worth one priority level
-    #: (anti-starvation aging; 0 = pure priority order).
-    sched_aging_s: float = 30.0
-    #: Serve scheduler: per-client running-query quota (0 = uncapped).
-    client_max_running: int = 0
-    #: Serve scheduler: per-client queued-query quota (0 = uncapped).
-    client_max_queued: int = 0
-    #: Serve result endpoint: max encoded bytes of one result frame.
-    result_max_bytes: int = 1 << 30
-    #: Serve journal: max inline bytes of a journaled DONE result;
-    #: larger results spill to the blob tier by digest.
-    journal_result_max_bytes: int = 1 << 20
 
     @classmethod
     def from_env(
@@ -393,45 +280,19 @@ class ExecutionSettings:
             backend = "distributed" if workers_addrs else "serial"
         return cls(
             backend=backend,
-            workers=_env_int(EXEC_WORKERS_ENV, 0, env),
+            workers=_env_number(EXEC_WORKERS_ENV, 0, env),
             workers_addrs=workers_addrs,
-            worker_heartbeat_s=_env_float(WORKER_HEARTBEAT_ENV, 2.0, env, minimum=0.05),
-            task_retries=_env_int(TASK_RETRIES_ENV, 2, env),
-            worker_connect_timeout_s=_env_float(
+            worker_heartbeat_s=_env_number(WORKER_HEARTBEAT_ENV, 2.0, env, minimum=0.05),
+            task_retries=_env_number(TASK_RETRIES_ENV, 2, env),
+            worker_connect_timeout_s=_env_number(
                 WORKER_CONNECT_TIMEOUT_ENV, 1.0, env, minimum=0.05
             ),
             plan_disk_cache=env.get(PLAN_DISK_CACHE_ENV, "0") == "1",
             cache_dir=env.get(CACHE_DIR_ENV) or None,
             strict_fleet=env.get(STRICT_FLEET_ENV, "0") == "1",
-            blob_ship=env.get(BLOB_SHIP_ENV, "1") != "0",
-            blob_min_items=_env_int(BLOB_MIN_ITEMS_ENV, 4, env, minimum=1),
-            blob_min_bytes=_env_int(BLOB_MIN_BYTES_ENV, 4096, env),
-            blob_max_bytes=_env_int(BLOB_MAX_BYTES_ENV, 1 << 30, env),
-            blob_max_age_s=_env_float(BLOB_MAX_AGE_ENV, 7 * 86400.0, env),
-            blob_mem_entries=_env_int(BLOB_MEM_ENTRIES_ENV, 64, env, minimum=1),
             checkpoint=env.get(CHECKPOINT_ENV, "0") == "1",
-            checkpoint_max_bytes=_env_int(CHECKPOINT_MAX_BYTES_ENV, 64 * MB, env),
             journal_dir=env.get(JOURNAL_DIR_ENV) or None,
-            journal_fsync=env.get(JOURNAL_FSYNC_ENV, "1") != "0",
-            hedge=env.get(HEDGE_ENV, "1") != "0",
-            hedge_quantile=min(
-                1.0, _env_float(HEDGE_QUANTILE_ENV, 0.95, env, minimum=0.0)
-            ),
-            hedge_factor=_env_float(HEDGE_FACTOR_ENV, 3.0, env, minimum=1.0),
-            hedge_min_samples=_env_int(HEDGE_MIN_SAMPLES_ENV, 3, env, minimum=1),
-            hedge_max_per_task=_env_int(HEDGE_MAX_PER_TASK_ENV, 1, env),
-            breaker_threshold=_env_int(BREAKER_THRESHOLD_ENV, 3, env, minimum=1),
-            breaker_cooldown_batches=_env_int(
-                BREAKER_COOLDOWN_ENV, 8, env, minimum=1
-            ),
-            wave_delay_s=_env_float(WAVE_DELAY_ENV, 0.0, env),
-            sched_aging_s=_env_float(SCHED_AGING_ENV, 30.0, env),
-            client_max_running=_env_int(CLIENT_MAX_RUNNING_ENV, 0, env),
-            client_max_queued=_env_int(CLIENT_MAX_QUEUED_ENV, 0, env),
-            result_max_bytes=_env_int(RESULT_MAX_BYTES_ENV, 1 << 30, env, minimum=1),
-            journal_result_max_bytes=_env_int(
-                JOURNAL_RESULT_MAX_ENV, 1 << 20, env
-            ),
+            wave_delay_s=_env_number(WAVE_DELAY_ENV, 0.0, env),
         )
 
     @property
@@ -459,20 +320,19 @@ class ExecutionSettings:
         return self.effective_workers if self.parallel else 1
 
     def resolved_cache_dir(self) -> Path:
-        if self.cache_dir:
-            return Path(self.cache_dir).expanduser()
-        return Path("~/.cache/repro").expanduser()
+        return Path(self.cache_dir or "~/.cache/repro").expanduser()
 
 
 #: Thread-local ``REPRO_*`` override scope: ``repro serve`` runs each
 #: query session on its own thread with the session's knob overrides
 #: installed here, so concurrent queries can each see a different
-#: backend / retry budget / heartbeat without fighting over the (process
-#: global) ``os.environ``.
+#: backend / retry budget without fighting over the (process global)
+#: ``os.environ``.
 _SCOPE_TLS = threading.local()
 
 
-class settings_scope:
+@contextlib.contextmanager
+def settings_scope(overrides: Optional[Mapping[str, str]]):
     """``with settings_scope({"REPRO_TASK_RETRIES": "0"}):`` — shadow the
     environment for :func:`execution_settings` reads *on this thread*.
 
@@ -481,28 +341,15 @@ class settings_scope:
     inherit the scope (by design — a session's knobs must not leak into
     another session's tasks that happen to share a pool).
     """
-
-    def __init__(self, overrides: Optional[Mapping[str, str]]) -> None:
-        self._overrides = dict(overrides or {})
-        self._outer: Optional[dict] = None
-
-    def __enter__(self) -> dict:
-        self._outer = getattr(_SCOPE_TLS, "overrides", None)
-        merged = dict(self._outer or {})
-        merged.update(self._overrides)
-        _SCOPE_TLS.overrides = merged
-        return merged
-
-    def __exit__(self, *exc_info) -> None:
-        _SCOPE_TLS.overrides = self._outer
-
-
-def current_settings_overrides() -> Optional[Mapping[str, str]]:
-    """The calling thread's active knob overrides, if any."""
-    return getattr(_SCOPE_TLS, "overrides", None)
+    outer = getattr(_SCOPE_TLS, "overrides", None)
+    _SCOPE_TLS.overrides = {**(outer or {}), **(overrides or {})}
+    try:
+        yield _SCOPE_TLS.overrides
+    finally:
+        _SCOPE_TLS.overrides = outer
 
 
 def execution_settings() -> ExecutionSettings:
     """The current environment's :class:`ExecutionSettings` (fresh read),
     folded with the calling thread's :class:`settings_scope` overrides."""
-    return ExecutionSettings.from_env(current_settings_overrides())
+    return ExecutionSettings.from_env(getattr(_SCOPE_TLS, "overrides", None))

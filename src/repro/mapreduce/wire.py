@@ -2,7 +2,13 @@
 
 The coordinator (:class:`repro.mapreduce.backend.DistributedBackend`)
 and the worker daemons (:mod:`repro.mapreduce.worker`) speak a tiny
-message protocol over TCP:
+message protocol over TCP; the ``repro serve`` coordinator
+(:mod:`repro.serve.coordinator`) speaks the same framing to its clients.
+Both daemons are one :class:`FrameServer` (listener, accept loop,
+connection registry, the per-connection recv → handle → send loop, the
+``hello``/``ping``/``shutdown`` verbs) with their own verbs on top, and
+every client side opens its connection with :func:`dial` (connect +
+``hello`` handshake):
 
 * **Framing** — every message is one length-prefixed pickle frame: an
   8-byte big-endian length header followed by that many payload bytes.
@@ -29,9 +35,6 @@ message protocol over TCP:
                                    re-puts them and retries once);
                                    ``("register-error", t, message)``
                                    when the closure cannot be rebuilt.
-                                   The PR 5 three-tuple ``("register", t,
-                                   blob)`` is still accepted (an unsplit
-                                   cloudpickle blob, no digests).
   ``("blob-has", ds)``             which of digests ``ds`` the worker's
                                    blob store lacks.  Reply
                                    ``("blob-have", missing)``.
@@ -53,6 +56,10 @@ message protocol over TCP:
   ``("shutdown",)``                daemon exits (tests/operators).
   ==============================  =========================================
 
+  A frame that is not a non-empty tuple, names an unknown kind, or has
+  the wrong arity is answered ``("error", ...)`` and the connection
+  keeps serving; only an unframeable byte stream drops it.
+
   Registrations are **per connection**: tokens are generated by the
   coordinator and live in a bounded LRU owned by the connection handler,
   so two coordinators sharing one daemon can never collide, and a
@@ -72,10 +79,11 @@ message protocol over TCP:
   reports closure transport unavailable and degrades to the serial
   in-line loop, which is always correct.
 
-* **Closure splitting** — :func:`split_task_fn` separates a closure into
-  a *slim* executable part and content-fingerprinted *payload blobs*
-  (captured record lists, shuffle buckets,
-  :class:`~repro.mapreduce.hdfs.DistributedFile` inputs), replaced in
+* **Closure splitting** — the one way a closure reaches a worker:
+  :func:`split_task_fn` separates it into a *slim* executable part and
+  content-fingerprinted *payload blobs* (captured record lists, shuffle
+  buckets, :class:`~repro.mapreduce.hdfs.DistributedFile` inputs),
+  replaced in
   the slim pickle stream by ``persistent_id`` references
   ``("repro-blob", sha256)``.  When the remaining executable body is
   itself heavy (compiled join closures drag their job spec and engine
@@ -98,7 +106,8 @@ import pickle
 import socket
 import struct
 import sys
-from typing import Callable, Dict, Optional, Tuple
+import threading
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.storage import blob_digest
 
@@ -109,8 +118,9 @@ except ImportError:  # pragma: no cover - container without cloudpickle
 
 #: Bump when the message shapes change; mismatching peers refuse to talk
 #: during the hello handshake instead of failing mid-job.  2 = PR 8's
-#: blob verbs + split registration.
-WIRE_FORMAT = 2
+#: blob verbs + split registration; 3 = the unsplit three-tuple
+#: ``register`` is gone.
+WIRE_FORMAT = 3
 
 #: 8-byte big-endian frame length header.
 _HEADER = struct.Struct(">Q")
@@ -255,7 +265,7 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# closure shipping
+# closure shipping (register-by-digest)
 # ----------------------------------------------------------------------
 
 
@@ -264,25 +274,16 @@ def closure_transport_available() -> bool:
     return cloudpickle is not None
 
 
-def dumps_task_fn(fn) -> bytes:
-    """Serialize a task callable by value for remote execution."""
-    if cloudpickle is None:  # pragma: no cover - container without cloudpickle
-        raise WireError("cloudpickle unavailable; cannot ship closures")
-    return cloudpickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def loads_task_fn(blob: bytes):
-    """Worker side: rebuild a shipped callable (plain pickle suffices —
-    cloudpickle payloads self-describe their reconstruction)."""
-    return pickle.loads(blob)
-
-
-# ----------------------------------------------------------------------
-# closure splitting (register-by-digest)
-# ----------------------------------------------------------------------
-
 #: The persistent-id tag marking an externalized payload in a slim blob.
 BLOB_TAG = "repro-blob"
+
+#: Externalization gates of :func:`split_task_fn`.  Containers
+#: (list/tuple/dict) below ``BLOB_MIN_ITEMS`` elements are never
+#: trial-pickled; a candidate (or the slim body) whose pickle is below
+#: ``BLOB_MIN_BYTES`` ships inline — a digest round-trip on a tiny
+#: capture costs more than it saves.
+BLOB_MIN_ITEMS = 4
+BLOB_MIN_BYTES = 4096
 
 
 class BlobMissing(KeyError):
@@ -293,9 +294,7 @@ class BlobMissing(KeyError):
         self.digest = digest
 
 
-def split_task_fn(
-    fn, min_items: int = 4, min_bytes: int = 4096
-) -> Tuple[bytes, Dict[str, bytes]]:
+def split_task_fn(fn) -> Tuple[bytes, Dict[str, bytes]]:
     """Split a task closure into ``(slim, {digest: payload})``.
 
     The executable *body* is the cloudpickle of ``fn`` with every *heavy
@@ -304,17 +303,17 @@ def split_task_fn(
     replaced by a ``(BLOB_TAG, digest)`` persistent reference; each
     replaced object is pickled standalone (plain pickle) as a payload
     blob addressed by the sha256 of its bytes.  A body that still
-    reaches ``min_bytes`` after that (compiled join closures capture
+    reaches :data:`BLOB_MIN_BYTES` after that (compiled join closures capture
     their job spec, cost model, and engine — executable weight no data
     gate can touch) becomes one more content-addressed payload, and the
     returned slim part is a stub: a pickle stream of a single persistent
     reference to the body blob.  Warm re-registration then ships only
     the stub plus a digest list.
 
-    Externalization gates: containers need at least ``min_items``
-    elements, and every candidate's pickled payload must reach
-    ``min_bytes`` (otherwise it ships inline — a digest round-trip on a
-    tiny capture costs more than it saves).  Anything plain pickle
+    Externalization gates: containers need at least
+    :data:`BLOB_MIN_ITEMS` elements, and every candidate's pickled
+    payload must reach :data:`BLOB_MIN_BYTES` (otherwise it ships
+    inline).  Anything plain pickle
     rejects (a list of compiled closures, say) stays in the body, where
     cloudpickle handles it as before.  Repeated references to the same
     object collapse to one digest, so object identity among externalized
@@ -346,10 +345,10 @@ def split_task_fn(
             if not obj.records:
                 return None
         elif isinstance(obj, (list, tuple, dict)):
-            if len(obj) < min_items:
+            if len(obj) < BLOB_MIN_ITEMS:
                 return None
         elif numpy is not None and isinstance(obj, numpy.ndarray):
-            if obj.nbytes < min_bytes:
+            if obj.nbytes < BLOB_MIN_BYTES:
                 return None
         else:
             return None
@@ -361,7 +360,7 @@ def split_task_fn(
             payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             payload = None  # closure-bearing capture: ship inline
-        if payload is None or len(payload) < min_bytes:
+        if payload is None or len(payload) < BLOB_MIN_BYTES:
             memo[key] = None
             return None
         digest = blob_digest(payload)
@@ -379,7 +378,7 @@ def split_task_fn(
     buffer = io.BytesIO()
     _SplittingPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(fn)
     body = buffer.getvalue()
-    if len(body) >= min_bytes:
+    if len(body) >= BLOB_MIN_BYTES:
         digest = blob_digest(body)
         payloads[digest] = body
         return _stub_for(digest), payloads
@@ -463,14 +462,262 @@ def parse_addr(entry: str) -> Optional[Tuple[str, int]]:
     return host, port
 
 
+def _set_nodelay(sock: socket.socket) -> None:
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:  # pragma: no cover - exotic socket stack
+        pass
+
+
+def close_socket(sock: socket.socket) -> None:
+    """Shut down and close ``sock`` (wakes any thread blocked on it)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 def connect(addr: str, timeout: float) -> socket.socket:
     """TCP-connect to a ``"host:port"`` string with ``TCP_NODELAY`` set."""
     parsed = parse_addr(addr)
     if parsed is None:
         raise WireError(f"malformed worker address {addr!r}")
     sock = socket.create_connection(parsed, timeout=timeout)
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError:  # pragma: no cover - exotic socket stack
-        pass
+    _set_nodelay(sock)
     return sock
+
+
+def dial(addr: str, timeout: float) -> Tuple[socket.socket, object]:
+    """:func:`connect` plus the ``hello`` handshake every conversation
+    opens with; returns ``(sock, info)`` — the peer's ``hello-ack`` info,
+    which callers that ship work hold against :func:`compatible`.
+
+    The socket keeps ``timeout``.  Raises ``OSError`` when the dial
+    fails and :class:`WireError` when the peer answers anything but a
+    ``hello-ack`` (the socket is closed either way).
+    """
+    sock = connect(addr, timeout)
+    try:
+        send_frame(sock, ("hello", peer_info()))
+        reply = recv_frame(sock)
+        if not (isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "hello-ack"):
+            raise WireError(f"bad handshake reply: {reply!r}")
+    except BaseException:
+        sock.close()
+        raise
+    return sock, reply[1]
+
+
+# ----------------------------------------------------------------------
+# the frame server (the transport of both daemons)
+# ----------------------------------------------------------------------
+
+
+class FrameServer:
+    """One TCP daemon speaking the frame protocol.
+
+    Owns everything ``repro worker serve`` and ``repro serve`` have in
+    common: the listener, the accept loop, the registry of live
+    connections, ``start``/``stop``, and one handler thread per
+    connection running recv → handle → send.  The base answers the verbs
+    every daemon shares (``hello``, ``ping``, ``shutdown``) and every
+    malformed frame; a subclass implements :meth:`handle` for its own
+    verbs and overrides a hook only where it really differs.
+    """
+
+    #: Banner and thread-name prefix (``repro-worker`` / ``repro-serve``).
+    name = "repro"
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind((host, port))
+        self._listener.listen(32)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._connections: List[socket.socket] = []
+        self._conn_lock = threading.Lock()
+        self._stopped = False
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def address(self) -> str:
+        return f"{self.host}:{self.port}"
+
+    # -- hooks -----------------------------------------------------------
+
+    def handle(self, message: Tuple, state: object) -> Optional[Tuple]:
+        """Reply to one well-framed message of this daemon's own verbs
+        (``None`` closes the connection).  ``ValueError`` / ``IndexError``
+        / ``TypeError`` — a wrong arity or field type — are answered as
+        malformed; a :class:`WireError` drops the connection."""
+        raise NotImplementedError
+
+    def connection_state(self) -> object:
+        """Fresh per-connection state handed to every :meth:`handle`
+        call of one connection; it dies with the connection."""
+        return None
+
+    def before_handle(self) -> None:
+        """Runs after each received frame, before anything is answered."""
+
+    def error_reply(self, text: str) -> Tuple:
+        """The reply to a frame this daemon cannot act on."""
+        return ("error", text)
+
+    def oversized_reply(self, exc: WireError) -> Optional[Tuple]:
+        """What to send instead of a reply :func:`send_frame` refused
+        (before any byte left, so the connection is intact); ``None``
+        drops the connection."""
+        return None
+
+    # -- lifecycle -------------------------------------------------------
+
+    def serve_forever(self) -> None:
+        """Accept loop; returns when :meth:`stop` closes the listener."""
+        while True:
+            try:
+                conn, _peer = self._listener.accept()
+            except OSError:  # listener closed: shut down
+                return
+            _set_nodelay(conn)
+            with self._conn_lock:
+                if self._stopped:
+                    conn.close()
+                    return
+                self._connections.append(conn)
+            threading.Thread(
+                target=self._serve_connection,
+                args=(conn,),
+                daemon=True,
+                name=f"{self.name}-conn",
+            ).start()
+
+    def start(self):
+        """Serve on a daemon thread (in-process tests); returns self."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, daemon=True, name=f"{self.name}-accept"
+        )
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Close the listener and every live connection (idempotent)."""
+        with self._conn_lock:
+            self._stopped = True
+            connections, self._connections = self._connections, []
+        close_socket(self._listener)
+        for conn in connections:
+            close_socket(conn)
+
+    def run(self, notes: Sequence[str] = ()) -> int:
+        """CLI entry: serve until interrupted.
+
+        Prints ``<name> listening on HOST:PORT`` (flushed) first, so a
+        spawner using ``--port 0`` can read the assigned port back
+        (:func:`spawn_listening`), then ``notes``, one per line.
+        """
+        print(f"{self.name} listening on {self.address}", flush=True)
+        for note in notes:
+            print(note, flush=True)
+        try:
+            self.serve_forever()
+        except KeyboardInterrupt:  # pragma: no cover - operator ctrl-C
+            pass
+        finally:
+            self.stop()
+        return 0
+
+    # -- connection handling ---------------------------------------------
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        state = self.connection_state()
+        try:
+            while True:
+                try:
+                    message = recv_frame(conn)
+                except WireError:
+                    return  # peer went away; its state dies with us
+                try:
+                    reply = self._reply_to(message, state)
+                except WireError:
+                    return  # the handler gave the connection up itself
+                if reply is None:
+                    return
+                try:
+                    try:
+                        send_frame(conn, reply)
+                    except WireError as exc:  # refused before a byte left
+                        reply = self.oversized_reply(exc)
+                        if reply is None:
+                            return
+                        send_frame(conn, reply)
+                except OSError:
+                    return
+        finally:
+            with self._conn_lock:
+                if conn in self._connections:
+                    self._connections.remove(conn)
+            close_socket(conn)
+
+    def _reply_to(self, message: object, state: object) -> Optional[Tuple]:
+        self.before_handle()
+        if not isinstance(message, tuple) or not message:
+            return self.error_reply("malformed message")
+        kind = message[0]
+        if kind == "hello":
+            return ("hello-ack", peer_info())
+        if kind == "ping":
+            return ("pong", message[1] if len(message) > 1 else 0)
+        if kind == "shutdown":
+            # Off this thread (stop() closes this very connection); the
+            # closed listener also unblocks the accept loop, so the
+            # daemon ends.
+            threading.Thread(target=self.stop, daemon=True).start()
+            return None
+        try:
+            return self.handle(message, state)
+        except (ValueError, IndexError, TypeError):
+            # Wrong arity / wrong field types: answer like any other
+            # malformed message instead of killing the handler thread.
+            return self.error_reply("malformed message")
+
+
+def spawn_listening(
+    command: Sequence[str],
+    env_extra: Optional[Mapping[str, str]] = None,
+    env_scrub: Sequence[str] = (),
+):
+    """Spawn ``python -m repro.cli <command>`` (a daemon started with
+    ``--port 0``) and return ``(proc, addr)``, the address read back
+    from the ``listening on`` banner of :meth:`FrameServer.run`.
+
+    The child gets this checkout on ``PYTHONPATH`` and the parent's
+    environment minus ``env_scrub`` plus ``env_extra``.
+    """
+    import os
+    import subprocess
+    from pathlib import Path
+
+    env = os.environ.copy()
+    src_dir = Path(__file__).resolve().parents[2]
+    env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+    for name in env_scrub:
+        env.pop(name, None)
+    env.update(env_extra or {})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *command],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+    )
+    banner = proc.stdout.readline()
+    if "listening on" not in banner:
+        proc.kill()
+        proc.wait()
+        raise RuntimeError(f"repro {command[0]} daemon failed to start: {banner!r}")
+    return proc, banner.rsplit(" ", 1)[-1].strip()

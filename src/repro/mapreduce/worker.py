@@ -1,12 +1,13 @@
 """The distributed backend's worker daemon.
 
 ``repro worker serve --host 127.0.0.1 --port 7601`` runs one of these:
-a long-lived TCP server that accepts coordinator connections and speaks
-the :mod:`repro.mapreduce.wire` protocol.  Each connection gets its own
-handler thread and its own registration namespace (register / task /
-unregister), so several coordinators can share one daemon and a dropped
-connection frees everything it registered — the remote counterpart of
-the fork registry's copy-on-write lifetime.
+a long-lived :class:`~repro.mapreduce.wire.FrameServer` that accepts
+coordinator connections and speaks the :mod:`repro.mapreduce.wire`
+protocol.  Each connection gets its own handler thread and its own
+registration namespace (register / task / unregister), so several
+coordinators can share one daemon and a dropped connection frees
+everything it registered — the remote counterpart of the fork
+registry's copy-on-write lifetime.
 
 Inside a task the worker behaves exactly like a forked pool worker:
 ``repro.mapreduce.backend`` is flagged so nested ``get_backend()`` calls
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import socket
 import threading
 import time
 from collections import OrderedDict
@@ -55,6 +55,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
+from repro.mapreduce.config import (
+    EXEC_BACKEND_ENV,
+    EXEC_WORKERS_ENV,
+    PLAN_DISK_CACHE_ENV,
+    WORKERS_ADDRS_ENV,
+    execution_settings,
+)
+from repro.storage import LRUTable, blob_digest, blob_tier
 
 FAULT_MODES = ("kill", "stall", "drop", "slow")
 
@@ -66,6 +74,10 @@ FAULT_MODES = ("kill", "stall", "drop", "slow")
 #: ever reaps leaked entries.
 REGISTRY_MAX_ENTRIES = 64
 
+#: Entry cap of the daemon's in-memory decoded-payload cache (LRU above
+#: the disk blob tier).
+BLOB_MEM_ENTRIES = 64
+
 
 # -- the blob tier (shared by every connection of this daemon) ----------
 
@@ -76,20 +88,17 @@ _BLOB_OBJECTS = None
 
 
 def _blob_store():
-    """This daemon's disk blob tier, built lazily from the environment
-    (``REPRO_CACHE_DIR`` / ``REPRO_BLOB_*``) and rebuilt if the cache
-    directory changes (tests repoint it between servers)."""
+    """This daemon's disk blob tier, built lazily under the environment's
+    cache directory and rebuilt if that changes (tests repoint it
+    between servers)."""
     global _BLOB_STORE, _BLOB_STORE_ROOT, _BLOB_OBJECTS
-    from repro.mapreduce.config import execution_settings
-    from repro.storage import LRUTable, blob_tier
-
     settings = execution_settings()
     root = settings.resolved_cache_dir() / "blobs"
     with _BLOB_LOCK:
         if _BLOB_STORE is None or _BLOB_STORE_ROOT != root:
             _BLOB_STORE = blob_tier(settings)
             _BLOB_STORE_ROOT = root
-            _BLOB_OBJECTS = LRUTable(settings.blob_mem_entries)
+            _BLOB_OBJECTS = LRUTable(BLOB_MEM_ENTRIES)
         return _BLOB_STORE
 
 
@@ -177,8 +186,10 @@ class FaultSpec:
             raise ValueError("delay_s must be >= 0")
 
 
-class WorkerServer:
-    """One worker daemon: accept loop + per-connection handler threads."""
+class WorkerServer(wire.FrameServer):
+    """One worker daemon: the frame server plus the task verbs."""
+
+    name = "repro-worker"
 
     def __init__(
         self,
@@ -186,142 +197,34 @@ class WorkerServer:
         port: int = 0,
         fault: Optional[FaultSpec] = None,
     ) -> None:
+        super().__init__(host, port)
         self.fault = fault
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.host, self.port = self._listener.getsockname()[:2]
         self._lock = threading.Lock()
-        self._connections: List[socket.socket] = []
         self._tasks_started = 0
         self._stalled = threading.Event()
-        self._closing = False
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
+    def connection_state(self) -> "OrderedDict[int, object]":
+        """The connection's token registry (bounded LRU)."""
+        return OrderedDict()
 
-    # -- lifecycle -------------------------------------------------------
+    def before_handle(self) -> None:
+        if self._stalled.is_set():
+            # A "frozen host": never answer anything again.
+            threading.Event().wait()
 
-    def serve_forever(self) -> None:
-        """Accept loop; returns when :meth:`stop` closes the listener."""
-        while True:
-            try:
-                conn, _peer = self._listener.accept()
-            except OSError:  # listener closed: shut down
-                return
-            try:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - exotic socket stack
-                pass
-            with self._lock:
-                if self._closing:
-                    conn.close()
-                    return
-                self._connections.append(conn)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                daemon=True,
-                name="repro-worker-conn",
-            ).start()
-
-    def start(self) -> "WorkerServer":
-        """Serve on a daemon thread (in-process tests); returns self."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, daemon=True, name="repro-worker-accept"
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Close the listener and every live connection."""
-        with self._lock:
-            self._closing = True
-            connections = list(self._connections)
-            self._connections.clear()
-        self._close_socket(self._listener)
-        for conn in connections:
-            self._close_socket(conn)
-
-    @staticmethod
-    def _close_socket(sock: socket.socket) -> None:
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-    # -- connection handling ---------------------------------------------
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        registry: "OrderedDict[int, object]" = OrderedDict()
-        try:
-            while True:
-                try:
-                    message = wire.recv_frame(conn)
-                except wire.WireError:
-                    return  # peer went away; registrations die with us
-                if self._stalled.is_set():
-                    # A "frozen host": never answer anything again.
-                    threading.Event().wait()
-                try:
-                    reply = self._handle(message, registry)
-                except wire.WireError:
-                    return  # drop-mode fault: sockets are already gone
-                if reply is None:
-                    return  # shutdown requested
-                try:
-                    wire.send_frame(conn, reply)
-                except OSError:
-                    return
-        finally:
-            with self._lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-            self._close_socket(conn)
-
-    def _handle(
-        self, message: object, registry: "OrderedDict[int, object]"
-    ) -> Optional[Tuple]:
-        if not isinstance(message, tuple) or not message:
-            return ("error", "malformed message")
-        try:
-            return self._handle_message(message, registry)
-        except (ValueError, IndexError, TypeError):
-            # Wrong arity / wrong field types: answer like any other
-            # malformed message instead of killing the handler thread.
-            return ("error", "malformed message")
-
-    def _handle_message(
+    def handle(
         self, message: Tuple, registry: "OrderedDict[int, object]"
     ) -> Optional[Tuple]:
         kind = message[0]
-        if kind == "ping":
-            return ("pong", message[1] if len(message) > 1 else 0)
-        if kind == "hello":
-            return ("hello-ack", wire.peer_info())
         if kind == "register":
-            if len(message) == 3:  # PR 5 shape: one unsplit closure blob
-                _kind, token, slim = message
-                digests: Tuple[str, ...] = ()
-            else:
-                _kind, token, slim, digests = message
+            _kind, token, slim, digests = message
             try:
-                if digests:
-                    missing, objects = _load_blob_objects(digests)
-                    if missing:
-                        # Evicted or corrupt since the coordinator's
-                        # blob-has: ask for exactly those bytes again.
-                        return ("register-missing", token, missing)
-                    fn = wire.join_task_fn(slim, objects.__getitem__)
-                else:
-                    fn = wire.loads_task_fn(slim)
+                missing, objects = _load_blob_objects(digests)
+                if missing:
+                    # Evicted or corrupt since the coordinator's
+                    # blob-has: ask for exactly those bytes again.
+                    return ("register-missing", token, missing)
+                fn = wire.join_task_fn(slim, objects.__getitem__)
             except Exception as exc:
                 return ("register-error", token, f"{type(exc).__name__}: {exc}")
             registry[token] = fn
@@ -346,8 +249,6 @@ class WorkerServer:
             # Unwritable disk is survivable if the payload at least
             # decodes into the memory tier; a digest mismatch is not.
             try:
-                from repro.storage import blob_digest
-
                 if blob_digest(payload) != digest:
                     raise ValueError("payload does not match its digest")
                 _cache_blob_object(
@@ -389,12 +290,7 @@ class WorkerServer:
             if spec is None:
                 return ("fault-armed", None, 0)
             return ("fault-armed", spec.mode, spec.after_tasks)
-        if kind == "shutdown":
-            # Close the listener too: the accept loop (CLI main thread or
-            # the in-process serve thread) unblocks and the daemon ends.
-            threading.Thread(target=self.stop, daemon=True).start()
-            return None
-        return ("error", f"unknown message kind {kind!r}")
+        return self.error_reply(f"unknown message kind {kind!r}")
 
     # -- fault injection --------------------------------------------------
 
@@ -429,8 +325,6 @@ def _portable_exception(exc: BaseException) -> object:
     exception (the overwhelmingly common case) propagates with its real
     type — the same observable behaviour as the serial loop.
     """
-    import pickle
-
     try:
         pickle.loads(pickle.dumps(exc))
         return exc
@@ -441,50 +335,20 @@ def _portable_exception(exc: BaseException) -> object:
 def spawn_daemon(extra_args: Tuple[str, ...] = ()):
     """Spawn one ``repro worker serve`` subprocess on an OS-assigned port.
 
-    Returns ``(proc, addr)`` with the address read back from the daemon's
-    ``listening on`` banner.  The child gets this checkout on
-    ``PYTHONPATH`` and a scrubbed execution environment (no inherited
-    backend/addrs vars: remote tasks must never recursively dispatch).
-    Shared by the conformance/fault test harness and the hot-path
-    benchmarks — the banner format and scrubbing rules live here, next
-    to the daemon they describe.
+    Returns ``(proc, addr)`` (:func:`repro.mapreduce.wire.spawn_listening`).
+    The child gets a scrubbed execution environment — no inherited
+    backend/addrs vars: remote tasks must never recursively dispatch.
+    Shared by the conformance/fault test harness and the benchmark.
     """
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    env = os.environ.copy()
-    src_dir = Path(__file__).resolve().parents[2]
-    env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
-    for name in (
-        "REPRO_EXEC_BACKEND",
-        "REPRO_EXEC_WORKERS",
-        "REPRO_WORKERS_ADDRS",
-        "REPRO_PLAN_DISK_CACHE",
-    ):
-        env.pop(name, None)
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "worker",
-            "serve",
-            "--port",
-            "0",
-            *extra_args,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        env=env,
+    return wire.spawn_listening(
+        ("worker", "serve", "--port", "0", *extra_args),
+        env_scrub=(
+            EXEC_BACKEND_ENV,
+            EXEC_WORKERS_ENV,
+            WORKERS_ADDRS_ENV,
+            PLAN_DISK_CACHE_ENV,
+        ),
     )
-    banner = proc.stdout.readline()
-    if "listening on" not in banner:
-        proc.kill()
-        proc.wait()
-        raise RuntimeError(f"worker daemon failed to start: {banner!r}")
-    return proc, banner.rsplit(" ", 1)[-1].strip()
 
 
 def stop_daemons(procs) -> None:
@@ -507,24 +371,11 @@ def serve(
     port: int,
     fault: Optional[FaultSpec] = None,
 ) -> int:
-    """CLI entry: run one worker daemon until interrupted.
-
-    Prints ``repro-worker listening on HOST:PORT`` (flushed) before
-    serving, so spawners using ``--port 0`` can read the assigned port.
-    """
+    """CLI entry: run one worker daemon until interrupted."""
     from repro.mapreduce import backend as backend_mod
 
     # Remote tasks must not fan out onto another pool: flag the process
     # so nested get_backend() calls degrade to serial, exactly like a
     # forked pool worker.
     backend_mod._IN_WORKER = True
-
-    server = WorkerServer(host=host, port=port, fault=fault)
-    print(f"repro-worker listening on {server.address}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - operator ctrl-C
-        pass
-    finally:
-        server.stop()
-    return 0
+    return WorkerServer(host=host, port=port, fault=fault).run()

@@ -13,7 +13,6 @@ tested, not asserted.
 """
 
 from repro.serve.chaos import ChaosEvent, ChaosHarness, arm_fault
-from repro.serve.client import ServiceClient  # deprecated: use repro.connect
 from repro.serve.coordinator import QueryService, spawn_service
 from repro.serve.fleet import FleetManager, probe_worker
 from repro.serve.scheduler import (
@@ -52,7 +51,6 @@ __all__ = [
     "QueryService",
     "QuerySession",
     "RUNNING",
-    "ServiceClient",
     "TERMINAL_STATES",
     "TIMED_OUT",
     "arm_fault",

@@ -52,20 +52,16 @@ def arm_fault(
     """
     try:
         sock = wire.connect(addr, timeout=timeout_s)
-    except (OSError, wire.WireError):
+    except OSError:
         return False
     try:
-        sock.settimeout(timeout_s)
         wire.send_frame(sock, ("fault", mode, after_tasks, delay_s))
         reply = wire.recv_frame(sock)
         return isinstance(reply, tuple) and bool(reply) and reply[0] == "fault-armed"
-    except (OSError, wire.WireError):
+    except OSError:
         return False
     finally:
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
+        wire.close_socket(sock)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The ``repro serve`` coordinator daemon.
 
-One long-lived TCP server (same frame protocol as the worker daemons:
-:mod:`repro.mapreduce.wire`) accepting queries from many clients:
+One long-lived :class:`~repro.mapreduce.wire.FrameServer` (the transport
+and frame protocol of the worker daemons: :mod:`repro.mapreduce.wire`)
+accepting queries from many clients:
 
   ==========================================  ===============================
   ``("hello", info)``                          handshake; replies
@@ -37,7 +38,7 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
   append happen under one ``_cond`` scope, so concurrent submits can
   never overshoot either bound.
 * **Bounded replies** — a DONE result whose pickled payload would blow
-  the wire's frame cap (or ``REPRO_RESULT_MAX_BYTES``) is *not* sent;
+  the wire's frame cap (or :data:`RESULT_MAX_BYTES`) is *not* sent;
   the client gets a structured ``result-too-large`` error steering it
   to paginated fetch, and the session stays DONE and servable.
 * **Bounded memory** — finished sessions are kept for status/result
@@ -79,7 +80,6 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
 from __future__ import annotations
 
 import os
-import socket
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -91,15 +91,14 @@ from repro.errors import (
     error_to_wire,
 )
 from repro.mapreduce import wire
+from repro.mapreduce.backend import live_distributed_backend
 from repro.mapreduce.cancel import cancel_scope, check_cancelled
 from repro.mapreduce.config import (
     EXEC_BACKEND_ENV,
+    EXEC_BACKENDS,
     EXEC_WORKERS_ENV,
     STRICT_FLEET_ENV,
     TASK_RETRIES_ENV,
-    BLOB_SHIP_ENV,
-    WORKER_CONNECT_TIMEOUT_ENV,
-    WORKER_HEARTBEAT_ENV,
     ClusterConfig,
     execution_settings,
     settings_scope,
@@ -129,21 +128,25 @@ from repro.storage import (
     resolve_value,
 )
 
-#: Knobs a query may override for its own session.  The fleet address
-#: list is deliberately absent: the fleet is service-owned state (the
-#: ``fleet`` endpoint changes it for everyone); a per-query private
-#: fleet would break the single-live-backend reconfiguration model.
-ALLOWED_KNOBS = frozenset(
-    {
-        EXEC_BACKEND_ENV,
-        EXEC_WORKERS_ENV,
-        TASK_RETRIES_ENV,
-        WORKER_HEARTBEAT_ENV,
-        WORKER_CONNECT_TIMEOUT_ENV,
-            STRICT_FLEET_ENV,
-        BLOB_SHIP_ENV,
-    }
-)
+#: Knobs a query may override for its own session, each with the check
+#: its value must pass at submit (values arrive as strings or ints).  The
+#: fleet address list and the heartbeat/connect timings are deliberately
+#: absent: they are state of the one live distributed backend every
+#: session shares (the ``fleet`` endpoint changes the fleet for everyone).
+ALLOWED_KNOBS = {
+    EXEC_BACKEND_ENV: lambda text: text.strip().lower() in EXEC_BACKENDS,
+    EXEC_WORKERS_ENV: lambda text: 0 <= int(text) <= (os.cpu_count() or 1),
+    TASK_RETRIES_ENV: lambda text: int(text) >= 0,
+    STRICT_FLEET_ENV: lambda text: text in ("0", "1"),
+}
+
+
+def _knob_value_ok(name: str, value: object) -> bool:
+    try:
+        return ALLOWED_KNOBS[name](str(value))
+    except ValueError:
+        return False
+
 
 WORKLOADS = ("mobile", "tpch")
 
@@ -156,9 +159,23 @@ RETAINED_RESULT_ROWS = 500_000
 #: Generated ``(workload, volume, seed)`` relation sets kept for reuse.
 RELATION_SETS_CACHED = 8
 
+#: Byte budget of one ``result`` reply frame (never above the wire's
+#: frame cap).  A DONE result whose encoded payload would exceed it is
+#: refused with a structured ``result-too-large`` error steering the
+#: client to paginated fetch instead of an unframeable reply.
+RESULT_MAX_BYTES = 1 << 30
 
-class QueryService:
+#: Inline cap on journaled DONE-result payloads.  Larger results spill
+#: to the content-addressed blob tier and the journal records only their
+#: digest, so the journal stays lifecycle-sized instead of growing with
+#: answer volume; recovery reads either form.
+JOURNAL_RESULT_MAX_BYTES = 1 << 20
+
+
+class QueryService(wire.FrameServer):
     """The coordinator: admission queue, session threads, fleet, stats."""
+
+    name = "repro-serve"
 
     def __init__(
         self,
@@ -170,9 +187,9 @@ class QueryService:
         config: Optional[ClusterConfig] = None,
         journal_path: Optional[str] = None,
         recover: bool = False,
-        client_max_running: Optional[int] = None,
-        client_max_queued: Optional[int] = None,
-        aging_s: Optional[float] = None,
+        client_max_running: int = 0,
+        client_max_queued: int = 0,
+        aging_s: float = 30.0,
     ) -> None:
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
@@ -185,28 +202,14 @@ class QueryService:
         self.default_deadline_s = default_deadline_s
         self._config = config or ClusterConfig()
         self.fleet = FleetManager()
-        settings = execution_settings()
         self._sched = FairScheduler(
             max_queue=max_queue,
             max_concurrent=max_concurrent,
-            client_max_running=(
-                settings.client_max_running
-                if client_max_running is None
-                else client_max_running
-            ),
-            client_max_queued=(
-                settings.client_max_queued
-                if client_max_queued is None
-                else client_max_queued
-            ),
-            aging_s=settings.sched_aging_s if aging_s is None else aging_s,
+            client_max_running=client_max_running,
+            client_max_queued=client_max_queued,
+            aging_s=aging_s,
         )
-
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self.host, self.port = self._listener.getsockname()[:2]
+        super().__init__(host, port)
 
         self._sessions: Dict[str, QuerySession] = {}
         #: Retained terminal sessions, oldest first: query id -> result
@@ -216,6 +219,9 @@ class QueryService:
         self._retained_rows = 0
         self._evicted = 0
         self._cond = threading.Condition()
+        #: Admission closed.  Set under ``_cond`` (not the transport's
+        #: own stop flag) so a racing submit either lands before the
+        #: shutdown drain or is refused.
         self._closing = False
         #: Query ids are ``q1, q2, ...``; an id below this that is not in
         #: ``_sessions`` was evicted, which needs no record of its own.
@@ -224,8 +230,6 @@ class QueryService:
         #: store); serializing it keeps those structures single-writer
         #: and gives executing queries the cores.
         self._planning_lock = threading.Lock()
-        self._connections: list = []
-        self._conn_lock = threading.Lock()
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "rejected": 0,
@@ -239,9 +243,7 @@ class QueryService:
         self._relations_lock = threading.Lock()
         self.journal: Optional[SessionJournal] = None
         if journal_path is not None:
-            self.journal = SessionJournal(
-                journal_path, fsync=execution_settings().journal_fsync
-            )
+            self.journal = SessionJournal(journal_path)  # fsync per record
         self._journal_blobs = None
         self.recovered: Dict[str, object] = {
             "records": 0,
@@ -260,11 +262,6 @@ class QueryService:
             target=self._admission_loop, daemon=True, name="repro-serve-admit"
         )
         self._admitter.start()
-        self._accept_thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
 
     @property
     def _running(self) -> int:
@@ -397,37 +394,6 @@ class QueryService:
 
     # -- lifecycle -------------------------------------------------------
 
-    def serve_forever(self) -> None:
-        """Accept loop; returns when :meth:`stop` closes the listener."""
-        while True:
-            try:
-                conn, _peer = self._listener.accept()
-            except OSError:
-                return
-            try:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - exotic socket stack
-                pass
-            with self._conn_lock:
-                if self._closing:
-                    conn.close()
-                    return
-                self._connections.append(conn)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                daemon=True,
-                name="repro-serve-conn",
-            ).start()
-
-    def start(self) -> "QueryService":
-        """Serve on a daemon thread (in-process tests); returns self."""
-        self._accept_thread = threading.Thread(
-            target=self.serve_forever, daemon=True, name="repro-serve-accept"
-        )
-        self._accept_thread.start()
-        return self
-
     def stop(self) -> None:
         """Close the listener, cancel live sessions, wake everything."""
         with self._cond:
@@ -440,23 +406,7 @@ class QueryService:
         for session in list(self._sessions.values()):
             if session.state not in TERMINAL_STATES:
                 session.token.cancel("service shutting down")
-        with self._conn_lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        self._close_socket(self._listener)
-        for conn in connections:
-            self._close_socket(conn)
-
-    @staticmethod
-    def _close_socket(sock: socket.socket) -> None:
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+        super().stop()
 
     # -- admission -------------------------------------------------------
 
@@ -488,11 +438,20 @@ class QueryService:
         knobs = spec.get("knobs") or {}
         if not isinstance(knobs, dict):
             raise AdmissionRejected("'knobs' must be a dict")
-        bad = sorted(set(knobs) - ALLOWED_KNOBS)
+        bad = sorted(set(knobs) - set(ALLOWED_KNOBS))
         if bad:
             raise AdmissionRejected(
                 f"knob(s) not overridable per query: {', '.join(bad)}",
                 details={"rejected": bad, "allowed": sorted(ALLOWED_KNOBS)},
+            )
+        # A typo must not silently run serial, nor an absurd worker count
+        # key one more pool into the daemon for its lifetime.
+        bad = sorted(name for name in knobs if not _knob_value_ok(name, knobs[name]))
+        if bad:
+            raise AdmissionRejected(
+                "invalid value for knob(s): "
+                + ", ".join(f"{name}={knobs[name]!r}" for name in bad),
+                details={"rejected": bad},
             )
         deadline_s = spec.get("deadline_s", self.default_deadline_s)
         if deadline_s is not None:
@@ -642,9 +601,7 @@ class QueryService:
         result = session.result if session.state == DONE else None
         if result is not None:
             result, _spilled = externalize_value(
-                result,
-                execution_settings().journal_result_max_bytes,
-                self._journal_blob_store(),
+                result, JOURNAL_RESULT_MAX_BYTES, self._journal_blob_store()
             )
         self._journal_append(
             {
@@ -832,9 +789,7 @@ class QueryService:
             session.delivered = payload["terminal"]
             return payload
         result = session.result or {}
-        max_bytes = min(
-            execution_settings().result_max_bytes, wire.MAX_FRAME_BYTES
-        )
+        max_bytes = min(RESULT_MAX_BYTES, wire.MAX_FRAME_BYTES)
         if offset is None and limit is None:
             if session.result_bytes > max_bytes:
                 rows = result.get("rows") or []
@@ -886,8 +841,6 @@ class QueryService:
         return payload
 
     def service_stats(self) -> dict:
-        from repro.mapreduce.backend import _BACKENDS, DistributedBackend
-
         with self._cond:
             queued = len(self._sched)
             running = self._sched.total_running
@@ -896,33 +849,29 @@ class QueryService:
             evicted = self._evicted
         with self._stats_lock:
             counters = dict(self.stats)
-        distributed = [
-            backend
-            for backend in _BACKENDS.values()
-            if isinstance(backend, DistributedBackend)
-        ]
-        in_flight = sum(backend.tasks_in_flight for backend in distributed)
+        backend = live_distributed_backend()
+        shipped = dict(backend.counters) if backend is not None else {}
         data_plane = {
-            "bytes_shipped": 0,
-            "blob_puts": 0,
-            "blob_hits": 0,
-            "blob_bytes_reused": 0,
-            "registrations": 0,
+            name: shipped.get(name, 0)
+            for name in (
+                "bytes_shipped",
+                "blob_puts",
+                "blob_hits",
+                "blob_bytes_reused",
+                "registrations",
+            )
         }
-        for backend in distributed:
-            for name in data_plane:
-                data_plane[name] += backend.counters.get(name, 0)
         resilience = {
-            "hedges_launched": 0,
-            "hedge_wins": 0,
-            "breaker_trips": 0,
-            "breaker_skips": 0,
+            name: shipped.get(name, 0)
+            for name in (
+                "hedges_launched",
+                "hedge_wins",
+                "breaker_trips",
+                "breaker_skips",
+            )
         }
-        breakers: Dict[str, dict] = {}
-        for backend in distributed:
-            for name in resilience:
-                resilience[name] += backend.counters.get(name, 0)
-            breakers.update(backend.breaker_state())
+        in_flight = backend.tasks_in_flight if backend is not None else 0
+        breakers = backend.breaker_state() if backend is not None else {}
         from repro.core.executor import checkpoint_counters
 
         counters.update(
@@ -947,60 +896,27 @@ class QueryService:
         )
         return counters
 
-    # -- connection handling ---------------------------------------------
+    # -- connection handling (FrameServer hooks) ---------------------------
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            while True:
-                try:
-                    message = wire.recv_frame(conn)
-                except wire.WireError:
-                    return
-                reply = self._handle(message)
-                if reply is None:
-                    return
-                try:
-                    wire.send_frame(conn, reply)
-                except wire.WireError as exc:
-                    # Oversized reply refused sender-side before any
-                    # bytes left: the connection is intact, so answer
-                    # with a structured error instead of vanishing.
-                    # (Defense in depth — the result endpoint's byte
-                    # budget should catch this first.)
-                    try:
-                        wire.send_frame(
-                            conn,
-                            (
-                                "error",
-                                error_to_wire(
-                                    ResultTooLarge(
-                                        f"reply exceeds the wire frame cap: {exc}",
-                                        details={
-                                            "hint": "retry with offset/limit"
-                                        },
-                                    )
-                                ),
-                            ),
-                        )
-                    except (OSError, wire.WireError):
-                        return
-                except OSError:
-                    return
-        finally:
-            with self._conn_lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-            self._close_socket(conn)
+    def error_reply(self, text: str) -> Tuple:
+        return ("error", error_to_wire(ServiceError(text)))
 
-    def _handle(self, message: object) -> Optional[Tuple]:
-        if not isinstance(message, tuple) or not message:
-            return ("error", error_to_wire(ServiceError("malformed message")))
+    def oversized_reply(self, exc: wire.WireError) -> Tuple:
+        # Defense in depth — the result endpoint's byte budget should
+        # catch an oversized result first.
+        return (
+            "error",
+            error_to_wire(
+                ResultTooLarge(
+                    f"reply exceeds the wire frame cap: {exc}",
+                    details={"hint": "retry with offset/limit"},
+                )
+            ),
+        )
+
+    def handle(self, message: Tuple, state: object) -> Tuple:
         kind = message[0]
         try:
-            if kind == "hello":
-                return ("hello-ack", wire.peer_info())
-            if kind == "ping":
-                return ("pong", message[1] if len(message) > 1 else 0)
             if kind == "submit":
                 session = self.submit(message[1])
                 return ("submitted", session.query_id)
@@ -1023,22 +939,11 @@ class QueryService:
                 return ("fleet", delta)
             if kind == "stats":
                 return ("stats", self.service_stats())
-            if kind == "shutdown":
-                threading.Thread(target=self.stop, daemon=True).start()
-                return None
-            return (
-                "error",
-                error_to_wire(ServiceError(f"unknown message kind {kind!r}")),
-            )
+            return self.error_reply(f"unknown message kind {kind!r}")
         except AdmissionRejected as exc:
             return ("rejected", error_to_wire(exc))
         except ServiceError as exc:
             return ("error", error_to_wire(exc))
-        except (ValueError, IndexError, TypeError) as exc:
-            return (
-                "error",
-                error_to_wire(ServiceError(f"malformed request: {exc}")),
-            )
 
 
 # ----------------------------------------------------------------------
@@ -1049,38 +954,21 @@ class QueryService:
 def serve(
     host: str,
     port: int,
-    max_concurrent: int = 4,
-    max_queue: int = 16,
-    default_deadline_s: Optional[float] = None,
     journal_path: Optional[str] = None,
     recover: bool = False,
-    client_max_running: Optional[int] = None,
-    client_max_queued: Optional[int] = None,
-    aging_s: Optional[float] = None,
+    **service_options,
 ) -> int:
-    """CLI entry: run one coordinator daemon until interrupted.
-
-    Prints ``repro-serve listening on HOST:PORT`` (flushed) before
-    serving, so spawners using ``--port 0`` can read the assigned port.
-    """
+    """CLI entry: run one coordinator daemon — a :class:`QueryService`
+    built with ``service_options`` — until interrupted."""
     service = QueryService(
-        host=host,
-        port=port,
-        max_concurrent=max_concurrent,
-        max_queue=max_queue,
-        default_deadline_s=default_deadline_s,
-        journal_path=journal_path,
-        recover=recover,
-        client_max_running=client_max_running,
-        client_max_queued=client_max_queued,
-        aging_s=aging_s,
+        host, port, journal_path=journal_path, recover=recover, **service_options
     )
-    print(f"repro-serve listening on {service.address}", flush=True)
+    notes = []
     if service.fleet.addrs:
-        print(f"repro-serve fleet: {','.join(service.fleet.addrs)}", flush=True)
+        notes.append(f"repro-serve fleet: {','.join(service.fleet.addrs)}")
     if journal_path is not None:
         recovered = service.recovered
-        print(
+        notes.append(
             f"repro-serve journal: {journal_path}"
             + (
                 f" (recovered {recovered['records']} records: "
@@ -1090,53 +978,18 @@ def serve(
                 + ")"
                 if recover
                 else ""
-            ),
-            flush=True,
+            )
         )
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - operator ctrl-C
-        pass
-    finally:
-        service.stop()
-    return 0
+    return service.run(notes)
 
 
 def spawn_service(extra_args: Tuple[str, ...] = (), env_extra: Optional[dict] = None):
     """Spawn one ``repro serve`` subprocess on an OS-assigned port.
 
-    Returns ``(proc, addr)`` with the address read from the banner —
-    the serve-side mirror of
-    :func:`repro.mapreduce.worker.spawn_daemon`.  The child inherits
-    this checkout on ``PYTHONPATH``; pass the fleet via
-    ``--workers-addrs`` in ``extra_args`` or ``env_extra``.
+    Returns ``(proc, addr)`` (:func:`repro.mapreduce.wire.spawn_listening`)
+    — the serve-side mirror of :func:`repro.mapreduce.worker.spawn_daemon`.
+    Pass the fleet as ``REPRO_WORKERS_ADDRS`` in ``env_extra``.
     """
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    env = os.environ.copy()
-    src_dir = Path(__file__).resolve().parents[2]
-    env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_extra or {})
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--port",
-            "0",
-            *extra_args,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        env=env,
+    return wire.spawn_listening(
+        ("serve", "--port", "0", *extra_args), env_extra=env_extra
     )
-    banner = proc.stdout.readline()
-    if "listening on" not in banner:
-        proc.kill()
-        proc.wait()
-        raise RuntimeError(f"query service failed to start: {banner!r}")
-    return proc, banner.rsplit(" ", 1)[-1].strip()

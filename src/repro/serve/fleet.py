@@ -9,7 +9,7 @@ Two jobs live here:
 * :class:`FleetManager` — the single writer of the process's worker
   address set.  ``set_addrs`` re-points ``REPRO_WORKERS_ADDRS`` (the
   source of truth every session's next batch reads) *and* reconfigures
-  any live :class:`~repro.mapreduce.backend.DistributedBackend` in
+  the live :class:`~repro.mapreduce.backend.DistributedBackend` in
   place: removed workers drain (their in-flight task finishes, then
   the handle closes), added workers become dial-eligible with fresh
   backoff.  Running queries keep their results bit-identical — a
@@ -24,6 +24,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
+from repro.mapreduce.backend import live_distributed_backend
 from repro.mapreduce.config import WORKERS_ADDRS_ENV, parse_workers_addrs
 
 
@@ -45,18 +46,11 @@ def probe_worker(addr: str, timeout_s: float = 1.0) -> dict:
     }
     started = time.perf_counter()
     try:
-        sock = wire.connect(addr, timeout=timeout_s)
-    except (OSError, wire.WireError) as exc:
+        sock, info = wire.dial(addr, timeout_s)
+    except OSError as exc:  # unreachable, or no hello-ack (a WireError)
         report["error"] = f"connect failed: {exc}"
         return report
     try:
-        sock.settimeout(timeout_s)
-        wire.send_frame(sock, ("hello", wire.peer_info()))
-        reply = wire.recv_frame(sock)
-        if not (isinstance(reply, tuple) and reply and reply[0] == "hello-ack"):
-            report["error"] = f"bad handshake reply: {reply!r}"
-            return report
-        info = reply[1]
         report["info"] = info
         report["compatible"] = wire.compatible(info)
         # Heartbeat round-trip: the same ping the coordinator's liveness
@@ -72,14 +66,11 @@ def probe_worker(addr: str, timeout_s: float = 1.0) -> dict:
         if not report["compatible"]:
             report["error"] = "version/format mismatch (worker refused for work)"
         return report
-    except (OSError, wire.WireError) as exc:
+    except OSError as exc:
         report["error"] = f"probe failed: {exc}"
         return report
     finally:
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
+        wire.close_socket(sock)
 
 
 class FleetManager:
@@ -101,7 +92,7 @@ class FleetManager:
 
         Updates the environment (which running sessions re-read at
         their next batch — per-session knob scopes may not override the
-        fleet, so every session converges) and reconfigures any live
+        fleet, so every session converges) and reconfigures the live
         distributed backend immediately.  Returns the added/removed/
         kept address sets.
         """
@@ -111,20 +102,10 @@ class FleetManager:
             os.environ[WORKERS_ADDRS_ENV] = ",".join(addrs)
         else:
             os.environ.pop(WORKERS_ADDRS_ENV, None)
-        return self._reconfigure_live_backends(addrs)
-
-    def _reconfigure_live_backends(self, addrs: Tuple[str, ...]) -> Dict[str, List[str]]:
-        from repro.mapreduce.backend import _BACKENDS, DistributedBackend
-
-        delta: Dict[str, List[str]] = {
-            "added": [],
-            "removed": [],
-            "kept": list(addrs),
-        }
-        for backend in list(_BACKENDS.values()):
-            if isinstance(backend, DistributedBackend):
-                delta = backend.reconfigure(addrs)
-        return delta
+        backend = live_distributed_backend()
+        if backend is None:
+            return {"added": [], "removed": [], "kept": list(addrs)}
+        return backend.reconfigure(addrs)
 
     def probe_all(self, timeout_s: float = 1.0) -> List[dict]:
         """Probe every fleet member (see :func:`probe_worker`)."""

@@ -77,13 +77,9 @@ def planning_tier(settings=None) -> KeyedDiskStore:
 
 
 def blob_tier(settings=None) -> DiskBlobStore:
-    """The blob store at the environment's cache location and budgets."""
-    settings = _settings(settings)
-    return DiskBlobStore(
-        settings.resolved_cache_dir() / "blobs",
-        max_bytes=settings.blob_max_bytes,
-        max_age_s=settings.blob_max_age_s,
-    )
+    """The blob store at the environment's cache location (default
+    budgets: :data:`repro.storage.blob.BLOB_MAX_BYTES` / ``_AGE_S``)."""
+    return DiskBlobStore(_settings(settings).resolved_cache_dir() / "blobs")
 
 
 def checkpoint_tier(settings=None) -> KeyedDiskStore:

@@ -39,6 +39,11 @@ _EVICT_EVERY = 32
 
 _SUFFIX = ".blob"
 
+#: Default budgets of a blob tier: total bytes kept (LRU eviction above
+#: it) and seconds an untouched entry survives (0 disables expiry).
+BLOB_MAX_BYTES = 1 << 30
+BLOB_MAX_AGE_S = 7 * 86400.0
+
 
 class DiskBlobStore:
     """Content-addressed blobs under ``<root>/<digest[:2]>/<digest>.blob``."""
@@ -46,8 +51,8 @@ class DiskBlobStore:
     def __init__(
         self,
         root: Path,
-        max_bytes: int = 1 << 30,
-        max_age_s: float = 7 * 86400.0,
+        max_bytes: int = BLOB_MAX_BYTES,
+        max_age_s: float = BLOB_MAX_AGE_S,
     ) -> None:
         self.root = Path(root)
         self.max_bytes = max(0, int(max_bytes))

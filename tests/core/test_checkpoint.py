@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.core import executor as executor_mod
 from repro.core.executor import (
     PlanExecutor,
     checkpoint_counters,
@@ -133,7 +134,7 @@ class TestSafety:
         assert again.report.checkpoint_stores == again.report.num_jobs
 
     def test_oversize_outputs_are_skipped(self, triangle_query, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_MAX_BYTES", "64")
+        monkeypatch.setattr(executor_mod, "CHECKPOINT_MAX_BYTES", 64)
         reference = digest(run(triangle_query))
         counters = checkpoint_counters()
         assert counters["stores"] == 0

@@ -173,16 +173,6 @@ def serial_digest(query_id: str, planner_name: str):
     return run_with_backend("serial", query_id, planner_name)
 
 
-def _distributed_instances():
-    from repro.mapreduce.backend import _BACKENDS
-
-    return [
-        backend
-        for backend in _BACKENDS.values()
-        if getattr(backend, "name", "") == "distributed"
-    ]
-
-
 def assert_backend_matches_serial(backend: str, query_id: str,
                                   workers_addrs=(), **extra_env):
     """One grid row: every planner's digest under ``backend`` must be
@@ -201,24 +191,19 @@ def assert_backend_matches_serial(backend: str, query_id: str,
 
 
 def assert_distributed_really_dispatched(workers_addrs=None):
-    """Guard against a vacuously-green distributed leg: at least one
-    distributed backend instance must exist and none may have degraded
-    to serial (no reachable workers / unshippable closure).
+    """Guard against a vacuously-green distributed leg: the process's
+    distributed backend must exist and may not have degraded to serial
+    (no reachable workers / unshippable closure).
 
-    Pass ``workers_addrs`` to scope the check to the pool a test module
-    spawned itself — the whole suite may be running under a global
-    ``REPRO_EXEC_BACKEND=distributed`` (the CI leg), where unrelated
-    tests legitimately create degraded instances (e.g. unreachable-pool
-    drills)."""
-    instances = _distributed_instances()
+    Pass ``workers_addrs`` to also require that it is still pointed at
+    the pool the test module spawned itself."""
+    from repro.mapreduce.backend import live_distributed_backend
+
+    backend = live_distributed_backend()
+    assert backend is not None, "no distributed backend was ever created"
     if workers_addrs is not None:
-        instances = [
-            backend
-            for backend in instances
-            if set(backend.addrs) == set(workers_addrs)
-        ]
-    assert instances, "no distributed backend instance was ever created"
-    assert not any(b._noted_degraded for b in instances), (
+        assert set(backend.addrs) == set(workers_addrs)
+    assert not backend._noted_degraded, (
         "distributed backend degraded to serial during the run"
     )
 

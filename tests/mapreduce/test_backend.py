@@ -17,7 +17,11 @@ from repro.mapreduce.backend import (
     close_backends,
     get_backend,
 )
-from repro.mapreduce.config import ExecutionSettings, execution_settings
+from repro.mapreduce.config import (
+    ExecutionSettings,
+    execution_settings,
+    settings_scope,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -142,23 +146,6 @@ class TestDistributedSettings:
         # The addrs still parse (a later distributed run can use them).
         assert settings.workers_addrs == ("127.0.0.1:7601",)
 
-    def test_legacy_map_shards_conflict_resolves_to_distributed(self, monkeypatch):
-        """REPRO_MAP_SHARDS (PR 2) is gone: a stale value left in the
-        environment neither selects a backend nor shapes the fan-out —
-        configured worker daemons do both."""
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "4")
-        monkeypatch.setenv(
-            "REPRO_WORKERS_ADDRS", "127.0.0.1:7601,127.0.0.1:7602"
-        )
-        settings = execution_settings()
-        assert settings.backend == "distributed"
-        assert settings.effective_workers == 2
-        assert settings.chunk_fanout == 2
-        monkeypatch.delenv("REPRO_WORKERS_ADDRS")
-        assert execution_settings().backend == "serial"
-        assert execution_settings().chunk_fanout == 1
-
     def test_heartbeat_and_retry_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_S", "0.5")
         monkeypatch.setenv("REPRO_TASK_RETRIES", "7")
@@ -197,13 +184,27 @@ class TestDistributedSettings:
         assert second is first  # same coordinator, re-pointed in place
         assert second.addrs == ("127.0.0.1:7602",)
 
-    def test_timing_knobs_still_key_distinct_instances(self, monkeypatch):
+    def test_no_knob_keys_a_second_distributed_instance(self, monkeypatch):
+        """Five scopes, five retry budgets and heartbeats: still the one
+        live backend, with the timings it was built with (they change
+        only across ``close_backends()``)."""
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "distributed")
         monkeypatch.setenv("REPRO_WORKERS_ADDRS", "127.0.0.1:7601")
         first = get_backend()
+        for step in range(1, 6):
+            with settings_scope(
+                {
+                    "REPRO_TASK_RETRIES": str(step),
+                    "REPRO_WORKER_HEARTBEAT_S": str(0.3 + step),
+                }
+            ):
+                assert get_backend() is first
+        assert list(backend_mod._BACKENDS) == ["distributed"]
+        assert backend_mod.live_distributed_backend() is first
+        assert first.heartbeat_s == 2.0
+        close_backends()
         monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_S", "0.31")
-        second = get_backend()
-        assert second is not first  # different liveness window, new pool
+        assert get_backend().heartbeat_s == 0.31
 
 
 class TestOrdering:

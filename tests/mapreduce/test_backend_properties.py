@@ -28,6 +28,7 @@ from repro.mapreduce.backend import (  # noqa: E402
     SerialBackend,
     ThreadBackend,
 )
+from repro.mapreduce.config import settings_scope  # noqa: E402
 from repro.mapreduce.wire import closure_transport_available  # noqa: E402
 from repro.mapreduce.worker import FaultSpec, WorkerServer  # noqa: E402
 
@@ -123,7 +124,6 @@ def test_distributed_orders_and_folds_once_under_worker_loss(
     backend = DistributedBackend(
         (flaky.address, healthy.address),
         heartbeat_s=0.1,
-        task_retries=retries,
         connect_timeout_s=2.0,
     )
     executed = []
@@ -136,7 +136,9 @@ def test_distributed_orders_and_folds_once_under_worker_loss(
         return ("result", index, index * 13 + 1)
 
     try:
-        results = backend.run_tasks(fn, count)
+        # The retry budget is read per batch, on the calling thread.
+        with settings_scope({"REPRO_TASK_RETRIES": str(retries)}):
+            results = backend.run_tasks(fn, count)
     finally:
         backend.close()
         flaky.stop()

@@ -59,8 +59,10 @@ def heavy_fn():
 
 class TestSplitJoin:
     def test_split_moves_heavy_captures_out_of_the_slim_pickle(self):
+        import cloudpickle
+
         fn = heavy_fn()
-        full = wire.dumps_task_fn(fn)
+        full = cloudpickle.dumps(fn)
         slim, blobs = wire.split_task_fn(fn)
         assert blobs, "the captured table must externalize"
         assert len(slim) < len(full) / 4
@@ -241,13 +243,15 @@ class TestSplitRegister:
         finally:
             sock.close()
 
-    def test_legacy_three_tuple_register_still_accepted(self, server):
+    def test_three_tuple_register_is_refused(self, server):
+        """The PR 5 unsplit shape left with wire format 3: it is a
+        malformed message now, and the connection keeps serving."""
         sock = dial(server)
         try:
-            wire.send_frame(sock, ("register", 7, wire.dumps_task_fn(lambda i: i)))
-            assert wire.recv_frame(sock) == ("registered", 7)
-            wire.send_frame(sock, ("task", 7, 5))
-            assert wire.recv_frame(sock) == ("result", 5, 5)
+            wire.send_frame(sock, ("register", 7, b"one unsplit closure blob"))
+            assert wire.recv_frame(sock) == ("error", "malformed message")
+            wire.send_frame(sock, ("ping", 1))
+            assert wire.recv_frame(sock) == ("pong", 1)
         finally:
             sock.close()
 
@@ -258,9 +262,9 @@ class TestBoundedRegistry:
         oldest idle token falls off, recently used tokens survive."""
         sock = dial(server)
         try:
-            blob = wire.dumps_task_fn(lambda i: i)
+            slim, _blobs = wire.split_task_fn(lambda i: i)
             for token in range(REGISTRY_MAX_ENTRIES + 2):
-                wire.send_frame(sock, ("register", token, blob))
+                wire.send_frame(sock, ("register", token, slim, []))
                 assert wire.recv_frame(sock) == ("registered", token)
                 if token == REGISTRY_MAX_ENTRIES - 1:
                     # Touch token 0 so it is NOT the LRU victim.

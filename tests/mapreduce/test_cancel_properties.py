@@ -30,6 +30,7 @@ from repro.mapreduce.cancel import (  # noqa: E402
     check_cancelled,
     current_token,
 )
+from repro.mapreduce.config import settings_scope  # noqa: E402
 from repro.mapreduce.wire import closure_transport_available  # noqa: E402
 from repro.mapreduce.worker import FaultSpec, WorkerServer  # noqa: E402
 
@@ -143,7 +144,6 @@ def test_random_cancel_points_leave_no_inflight_and_survivors_usable(
     backend = DistributedBackend(
         tuple(w.address for w in workers),
         heartbeat_s=0.1,
-        task_retries=2,
         connect_timeout_s=2.0,
     )
     try:
@@ -181,7 +181,6 @@ def test_cancel_racing_worker_loss_still_leaves_zero_inflight(
     backend = DistributedBackend(
         (flaky.address, healthy.address),
         heartbeat_s=0.1,
-        task_retries=1,
         connect_timeout_s=2.0,
     )
     try:
@@ -203,7 +202,7 @@ def test_expired_deadline_abandons_instead_of_retrying():
     batch raises ``DeadlineExceeded`` instead of falling back locally."""
     worker = WorkerServer().start()
     backend = DistributedBackend(
-        (worker.address,), heartbeat_s=0.1, task_retries=5, connect_timeout_s=2.0
+        (worker.address,), heartbeat_s=0.1, connect_timeout_s=2.0
     )
 
     def slow(index):
@@ -213,7 +212,7 @@ def test_expired_deadline_abandons_instead_of_retrying():
     token = CancellationToken(deadline_s=0.08, label="expiring")
     try:
         started = time.monotonic()
-        with cancel_scope(token):
+        with cancel_scope(token), settings_scope({"REPRO_TASK_RETRIES": "5"}):
             with pytest.raises(DeadlineExceeded):
                 backend.run_tasks(slow, 40)
         elapsed = time.monotonic() - started

@@ -37,7 +37,7 @@ def _shutdown_pools():
 
 
 def make_backend(addrs, **overrides):
-    kwargs = dict(heartbeat_s=FAST_HEARTBEAT, task_retries=2, connect_timeout_s=2.0)
+    kwargs = dict(heartbeat_s=FAST_HEARTBEAT, connect_timeout_s=2.0)
     kwargs.update(overrides)
     return DistributedBackend(tuple(addrs), **kwargs)
 

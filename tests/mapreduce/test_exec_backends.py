@@ -4,20 +4,18 @@ All grid/digest/driver logic lives in :mod:`conformance` (shared with the
 fault-injection suite); this file is just the parameterization: every
 planner × every grid query × every parallel backend must reproduce the
 serial digest bit for bit.  The distributed leg runs against two real
-``repro worker serve`` daemons spawned for the module — once with the
-content-addressed blob plane on (the default) and once with
-``REPRO_BLOB_SHIP=0`` forcing whole-closure shipping, since the split
-must never change *what* runs — and a final guard asserts the leg
-actually dispatched remotely (a pool that silently degraded to serial
-would make the whole leg vacuous).  The warm-vs-cold test is the PR 8
-acceptance criterion: re-running an identical query against a warm
-worker blob store must ship at least 10x fewer payload bytes.
+``repro worker serve`` daemons spawned for the module, and a final guard
+asserts the leg actually dispatched remotely (a pool that silently
+degraded to serial would make the whole leg vacuous).  The warm-vs-cold
+test is the PR 8 acceptance criterion: re-running an identical query
+against a warm worker blob store must ship at least 10x fewer payload
+bytes.
 """
 
 import pytest
 
 import conformance
-from repro.mapreduce.backend import _BACKENDS, close_backends
+from repro.mapreduce.backend import close_backends, live_distributed_backend
 from repro.mapreduce.wire import closure_transport_available
 
 PARALLEL_BACKENDS = ("thread", "process", "distributed")
@@ -52,21 +50,6 @@ def test_backend_equivalence(request, backend, query_id):
     )
 
 
-@pytest.mark.parametrize("query_id", conformance.QUERY_IDS)
-def test_distributed_equivalence_with_blob_shipping_off(
-    distributed_workers, query_id
-):
-    """The same grid with the data plane disabled: splitting closures
-    into content-addressed payloads is a transport optimisation, so
-    digests must be bit-identical whether or not it is on."""
-    conformance.assert_backend_matches_serial(
-        "distributed",
-        query_id,
-        workers_addrs=distributed_workers,
-        REPRO_BLOB_SHIP="0",
-    )
-
-
 def test_distributed_leg_really_dispatched(distributed_workers):
     """Must run after the grid (file order): the distributed runs above
     may not have degraded to serial behind the assertions' backs."""
@@ -82,10 +65,6 @@ def test_warm_rerun_ships_10x_fewer_payload_bytes(tmp_path):
     query_id, planner = "mobile-2", "ours"
     expected = conformance.serial_digest(query_id, planner)
     cache_dir = tmp_path / "blob-cache"
-    # A non-default heartbeat keys a *dedicated* backend instance, so the
-    # byte counters below cannot be polluted by (or pollute) the module
-    # pool's shared backend.
-    heartbeat = "1.75"
     with conformance.execution_env(REPRO_CACHE_DIR=str(cache_dir)):
         with conformance.worker_pool(2) as addrs:
 
@@ -95,16 +74,15 @@ def test_warm_rerun_ships_10x_fewer_payload_bytes(tmp_path):
                     query_id,
                     planner,
                     addrs,
-                    REPRO_WORKER_HEARTBEAT_S=heartbeat,
                     REPRO_CACHE_DIR=str(cache_dir),
                 )
 
+            # The process has one distributed backend: clear whatever the
+            # grid above shipped through it before the measured cold run.
+            if live_distributed_backend() is not None:
+                live_distributed_backend().reset_counters()
             assert run_once() == expected
-            backend = next(
-                b
-                for b in _BACKENDS.values()
-                if getattr(b, "heartbeat_s", None) == float(heartbeat)
-            )
+            backend = live_distributed_backend()
             cold = backend.counters["bytes_shipped"]
             assert backend.counters["blob_puts"] > 0
             backend.reset_counters()

@@ -13,7 +13,7 @@ consecutive batch losses, exponentially growing cooldown, trust decay on
 clean batches, and the dial-skip in ``_live_handles``.
 """
 
-import dataclasses
+import contextlib
 import threading
 import time
 
@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 import conformance
+from repro.mapreduce import backend as backend_mod
 from repro.mapreduce.backend import (
     DistributedBackend,
     _WorkerLost,
     close_backends,
 )
-from repro.mapreduce.config import execution_settings
 from repro.mapreduce.wire import closure_transport_available
 
 
@@ -36,18 +36,24 @@ def _clean_pools():
     close_backends()
 
 
-def hedge_settings(**overrides):
-    base = dict(
-        hedge=True,
-        hedge_quantile=0.5,
-        hedge_factor=2.0,
-        hedge_min_samples=2,
-        hedge_max_per_task=1,
-        breaker_threshold=3,
-        breaker_cooldown_batches=4,
+@contextlib.contextmanager
+def policy(**overrides):
+    """Patch the backend's hedge/breaker policy constants for a block
+    (a context manager, not the ``monkeypatch`` fixture, so hypothesis
+    examples can each enter it)."""
+    values = dict(
+        HEDGE_QUANTILE=0.5,
+        HEDGE_FACTOR=2.0,
+        HEDGE_MIN_SAMPLES=2,
+        HEDGE_MAX_PER_TASK=1,
+        BREAKER_THRESHOLD=3,
+        BREAKER_COOLDOWN_BATCHES=4,
     )
-    base.update(overrides)
-    return dataclasses.replace(execution_settings(), **base)
+    values.update(overrides)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in values.items():
+            patch.setattr(backend_mod, name, value)
+        yield
 
 
 class FakeHandle:
@@ -79,13 +85,12 @@ class FakeHandle:
         self.dead.set()
 
 
-def dispatch(backend, handles, count, settings):
+def dispatch(backend, handles, count, **overrides):
     def local(index):
         return (index, "local")
 
-    return backend._dispatch(
-        local, b"", {}, count, handles, None, False, settings
-    )
+    with policy(**overrides):
+        return backend._dispatch(local, b"", {}, count, handles, None, False, 2)
 
 
 class TestHedging:
@@ -98,7 +103,7 @@ class TestHedging:
         # folds the hedge copy long before a's primary completes.
         a = FakeHandle("a", delays={index: 0.8 for index in range(count)})
         b = FakeHandle("b")
-        out = dispatch(backend, [a, b], count, hedge_settings())
+        out = dispatch(backend, [a, b], count)
         assert [value[0] for value in out] == list(range(count))
         assert backend.counters["hedges_launched"] >= 1
         assert backend.counters["hedge_wins"] >= 1
@@ -117,9 +122,7 @@ class TestHedging:
             FakeHandle("b"),
             FakeHandle("c"),
         ]
-        out = dispatch(
-            backend, handles, count, hedge_settings(hedge_max_per_task=1)
-        )
+        out = dispatch(backend, handles, count, HEDGE_MAX_PER_TASK=1)
         assert [value[0] for value in out] == list(range(count))
         assert backend.counters["hedges_launched"] == 1
 
@@ -127,7 +130,7 @@ class TestHedging:
         backend = DistributedBackend(())
         a = FakeHandle("a", delays={2: 0.4})
         b = FakeHandle("b")
-        out = dispatch(backend, [a, b], 6, hedge_settings(hedge=False))
+        out = dispatch(backend, [a, b], 6, HEDGE_MAX_PER_TASK=0)
         assert [value[0] for value in out] == list(range(6))
         assert backend.counters["hedges_launched"] == 0
 
@@ -152,9 +155,7 @@ class TestHedging:
             lose_at=lost | ({straggler} if lose_straggler_primary else set()),
         )
         b = FakeHandle("b")  # healthy survivor: retries + hedges land here
-        out = dispatch(
-            backend, [a, b], count, hedge_settings(hedge_min_samples=1)
-        )
+        out = dispatch(backend, [a, b], count, HEDGE_MIN_SAMPLES=1)
         assert len(out) == count
         assert [value[0] for value in out] == list(range(count))
         # Exactly-once folding: every value is a real completion, no
@@ -166,23 +167,25 @@ class TestHedging:
 class TestBreaker:
     def test_trips_at_threshold_with_exponential_cooldown(self):
         backend = DistributedBackend(("x:1",))
-        for _ in range(3):
-            backend._record_worker_loss("x:1", threshold=3, cooldown=4)
-        state = backend.breaker_state()["x:1"]
-        assert state["trips"] == 1
-        assert state["failures"] == 0  # streak resets on trip
-        assert state["open_until"] == backend._batches + 4
-        assert backend.counters["breaker_trips"] == 1
-        for _ in range(3):
-            backend._record_worker_loss("x:1", threshold=3, cooldown=4)
+        with policy():
+            for _ in range(3):
+                backend._record_worker_loss("x:1")
+            state = backend.breaker_state()["x:1"]
+            assert state["trips"] == 1
+            assert state["failures"] == 0  # streak resets on trip
+            assert state["open_until"] == backend._batches + 4
+            assert backend.counters["breaker_trips"] == 1
+            for _ in range(3):
+                backend._record_worker_loss("x:1")
         assert backend.breaker_state()["x:1"]["open_until"] == (
             backend._batches + 8  # cooldown doubles with each trip
         )
 
     def test_clean_batches_decay_trust_debt(self):
         backend = DistributedBackend(("x:1",))
-        for _ in range(6):
-            backend._record_worker_loss("x:1", threshold=3, cooldown=4)
+        with policy():
+            for _ in range(6):
+                backend._record_worker_loss("x:1")
         assert backend.breaker_state()["x:1"]["trips"] == 2
         backend._record_worker_ok("x:1")
         assert backend.breaker_state()["x:1"]["trips"] == 1
@@ -207,9 +210,7 @@ class TestBreaker:
         backend = DistributedBackend(())
         lossy = FakeHandle("lossy", lose_at={0, 1, 2, 3, 4, 5, 6, 7})
         healthy = FakeHandle("ok")
-        out = dispatch(
-            backend, [lossy, healthy], 8, hedge_settings(breaker_threshold=1)
-        )
+        out = dispatch(backend, [lossy, healthy], 8, BREAKER_THRESHOLD=1)
         assert [value[0] for value in out] == list(range(8))
         assert backend.breaker_state()["lossy"]["trips"] == 1
         assert "ok" not in backend.breaker_state() or (
@@ -234,12 +235,8 @@ class TestLiveFleet:
             ),
         ) as addrs:
             with conformance.execution_env(
-                REPRO_CACHE_DIR=str(tmp_path / "cache"),
-                REPRO_HEDGE="1",
-                REPRO_HEDGE_QUANTILE="0.5",
-                REPRO_HEDGE_FACTOR="2.0",
-                REPRO_HEDGE_MIN_SAMPLES="3",
-            ):
+                REPRO_CACHE_DIR=str(tmp_path / "cache")
+            ), policy(HEDGE_MIN_SAMPLES=3):
                 backend = DistributedBackend(tuple(addrs))
                 try:
 

@@ -111,7 +111,7 @@ class TestHandshake:
         try:
             wire.send_frame(sock, ("task",))
             assert wire.recv_frame(sock) == ("error", "malformed message")
-            wire.send_frame(sock, ("register", 1))  # missing the blob
+            wire.send_frame(sock, ("register", 1))  # missing the closure
             assert wire.recv_frame(sock) == ("error", "malformed message")
             # The connection survived and still answers.
             wire.send_frame(sock, ("ping", 9))
@@ -133,7 +133,9 @@ class TestHandshake:
 )
 class TestRegistryAndTasks:
     def register(self, sock, token, fn):
-        wire.send_frame(sock, ("register", token, wire.dumps_task_fn(fn)))
+        slim, blobs = wire.split_task_fn(fn)
+        assert not blobs  # small closures ship whole in the slim part
+        wire.send_frame(sock, ("register", token, slim, []))
         assert wire.recv_frame(sock) == ("registered", token)
 
     def test_ships_unpicklable_closures(self, server):
@@ -202,7 +204,7 @@ class TestRegistryAndTasks:
     def test_unshippable_registration_reports_register_error(self, server):
         sock = dial(server)
         try:
-            wire.send_frame(sock, ("register", 1, b"not a pickle"))
+            wire.send_frame(sock, ("register", 1, b"not a pickle", []))
             kind, token, message = wire.recv_frame(sock)
             assert (kind, token) == ("register-error", 1)
             assert message
@@ -238,10 +240,9 @@ class TestLifecycle:
         results = []
         try:
             if wire.closure_transport_available():
+                slim, _blobs = wire.split_task_fn(lambda i: i)
                 for token, sock in enumerate(socks, start=1):
-                    wire.send_frame(
-                        sock, ("register", token, wire.dumps_task_fn(lambda i: i))
-                    )
+                    wire.send_frame(sock, ("register", token, slim, []))
                     assert wire.recv_frame(sock)[0] == "registered"
                 for attempt in range(4):
                     for token, sock in enumerate(socks, start=1):

@@ -23,6 +23,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.mapreduce import wire
+from repro.serve import coordinator as coordinator_mod
 from repro.serve.coordinator import QueryService
 from repro.serve.session import ADMITTED, DONE, QUEUED
 
@@ -302,7 +303,7 @@ class TestOversizedResult:
         back as a structured ``result-too-large`` error (connection and
         DONE session both intact), and the same rows must then stream
         out page by page, bit-identical to the reference."""
-        monkeypatch.setenv("REPRO_RESULT_MAX_BYTES", "512")
+        monkeypatch.setattr(coordinator_mod, "RESULT_MAX_BYTES", 512)
         service = QueryService(max_concurrent=2, max_queue=8).start()
         try:
             with repro.connect(service.address) as cli:
@@ -320,7 +321,7 @@ class TestOversizedResult:
             service.stop()
 
     def test_oversize_page_is_rejected_not_sent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_MAX_BYTES", "512")
+        monkeypatch.setattr(coordinator_mod, "RESULT_MAX_BYTES", 512)
         service = QueryService(max_concurrent=2, max_queue=8).start()
         try:
             with repro.connect(service.address) as cli:

@@ -11,10 +11,14 @@ import socket
 
 import pytest
 
+import repro
 from repro.cli import main
+from repro.mapreduce import backend as backend_mod
+from repro.mapreduce import wire
 from repro.mapreduce.backend import close_backends, get_backend
 from repro.mapreduce.config import WORKERS_ADDRS_ENV
 from repro.mapreduce.worker import WorkerServer
+from repro.serve.coordinator import QueryService
 from repro.serve.fleet import FleetManager, probe_worker
 
 
@@ -104,6 +108,47 @@ class TestFleetManager:
         reports = FleetManager().probe_all(timeout_s=0.5)
         assert [r["addr"] for r in reports] == [worker.address, dead]
         assert [r["alive"] for r in reports] == [True, False]
+
+
+@pytest.mark.skipif(
+    not wire.closure_transport_available(), reason="cloudpickle unavailable"
+)
+class TestOneBackendPerService:
+    def test_distinct_session_knobs_share_one_distributed_backend(
+        self, monkeypatch, worker
+    ):
+        """Tenant isolation comes from many sessions sharing one engine:
+        N queries with N distinct knob values dispatch through the same
+        live ``DistributedBackend`` instead of leaving N behind."""
+        sql = (
+            "SELECT t2.id FROM table t1, table t2 "
+            "WHERE t1.d = t2.d AND t1.bt <= t2.bt"
+        )
+        monkeypatch.setenv(WORKERS_ADDRS_ENV, worker.address)
+        service = QueryService(max_concurrent=2, max_queue=8).start()
+        try:
+            with repro.connect(service.address, timeout_s=30.0) as client:
+                answers = [
+                    client.run(
+                        sql,
+                        knobs={
+                            "REPRO_EXEC_BACKEND": "distributed",
+                            "REPRO_TASK_RETRIES": str(retries),
+                        },
+                    )["rows"]
+                    for retries in range(4)
+                ]
+                registrations = client.stats()["data_plane"]["registrations"]
+        finally:
+            service.stop()
+        assert answers[0] and all(rows == answers[0] for rows in answers)
+        distributed = [
+            backend
+            for backend in backend_mod._BACKENDS.values()
+            if isinstance(backend, backend_mod.DistributedBackend)
+        ]
+        assert len(distributed) == 1
+        assert distributed[0].counters["registrations"] == registrations > 0
 
 
 class TestWorkerCli:

@@ -18,6 +18,7 @@ from repro.core.executor import PlanExecutor
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.sql import parse_join_query
+from repro.serve import coordinator as coordinator_mod
 from repro.serve.coordinator import QueryService
 from repro.serve.session import DONE, QUEUED, RUNNING, QuerySession
 from repro.storage import SessionJournal, read_records
@@ -299,7 +300,7 @@ class TestJournalResultSpill:
         tier by digest; the journal stays event-sized and recovery reads
         the spilled result back bit-identically."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_JOURNAL_RESULT_MAX_BYTES", "256")
+        monkeypatch.setattr(coordinator_mod, "JOURNAL_RESULT_MAX_BYTES", 256)
         journal_path = str(tmp_path / "serve.journal")
         first = QueryService(journal_path=journal_path).start()
         try:
@@ -335,7 +336,7 @@ class TestJournalResultSpill:
         re-admits the session and deterministic re-execution rebuilds
         the identical rows."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_JOURNAL_RESULT_MAX_BYTES", "256")
+        monkeypatch.setattr(coordinator_mod, "JOURNAL_RESULT_MAX_BYTES", 256)
         journal_path = str(tmp_path / "serve.journal")
         first = QueryService(journal_path=journal_path).start()
         try:

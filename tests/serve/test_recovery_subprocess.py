@@ -59,7 +59,6 @@ def test_sigkill_recover_resumes_from_checkpoint_frontier(tmp_path):
         "REPRO_EXEC_BACKEND": "serial",
         "REPRO_CHECKPOINT": "1",
         "REPRO_CACHE_DIR": str(tmp_path / "cache"),
-        "REPRO_JOURNAL_FSYNC": "1",
         # Widen the inter-wave window so the kill reliably lands after
         # two checkpointed waves, before the cascade finishes.
         "REPRO_WAVE_DELAY_S": "1.5",

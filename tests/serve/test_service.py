@@ -163,6 +163,41 @@ class TestAdmission:
                 MOBILE_SQL, knobs={"REPRO_WORKERS_ADDRS": "127.0.0.1:9"}
             )
         assert excinfo.value.details["rejected"] == ["REPRO_WORKERS_ADDRS"]
+        # So are the timings of the one backend every session shares.
+        with pytest.raises(AdmissionRejected) as excinfo:
+            client.submit(MOBILE_SQL, knobs={"REPRO_WORKER_HEARTBEAT_S": "0.5"})
+        assert excinfo.value.details["rejected"] == ["REPRO_WORKER_HEARTBEAT_S"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_EXEC_BACKEND", "threads"),  # a typo must not run serial
+            ("REPRO_EXEC_WORKERS", "4096"),  # nor key a 4096-thread pool
+            ("REPRO_EXEC_WORKERS", "-1"),
+            ("REPRO_EXEC_WORKERS", "many"),
+            ("REPRO_TASK_RETRIES", "-1"),
+            ("REPRO_TASK_RETRIES", "1.5"),
+            ("REPRO_STRICT_FLEET", "yes"),
+        ],
+    )
+    def test_invalid_knob_value_rejected(self, service, client, name, value):
+        knobs = {"REPRO_EXEC_BACKEND": "thread", name: value}
+        with pytest.raises(AdmissionRejected) as excinfo:
+            client.submit(MOBILE_SQL, knobs=knobs)
+        assert excinfo.value.code == "admission-rejected"
+        assert excinfo.value.details["rejected"] == [name]
+        assert service.stats["submitted"] == 0
+
+    def test_valid_knob_values_admitted(self, client):
+        knobs = {
+            "REPRO_EXEC_BACKEND": "Serial",  # parsed as the env side does
+            "REPRO_EXEC_WORKERS": 0,
+            "REPRO_TASK_RETRIES": "0",
+            "REPRO_STRICT_FLEET": "1",
+        }
+        assert client.run(MOBILE_SQL, knobs=knobs)["rows"] == expected_rows(
+            MOBILE_SQL
+        )
 
     def test_bad_deadline_rejected(self, client):
         with pytest.raises(AdmissionRejected):

@@ -69,21 +69,33 @@ class TestReadmeReferences:
         for package in packages:
             assert f"{package}/" in text, f"README architecture misses {package}/"
 
-    def test_every_repro_knob_is_documented(self):
-        """The ``REPRO_*`` names ``src/`` defines (quoted literals: the
+    @staticmethod
+    def defined_knobs() -> set:
+        """The ``REPRO_*`` names ``src/`` defines: quoted literals — the
         ``*_ENV`` constants of ``mapreduce/config.py`` and any module
-        that names a variable itself) are exactly the rows of README's
-        knob table — a new knob cannot arrive undocumented, a deleted one
-        cannot linger.  ``REPRO_QUICK`` is benchmarks-only."""
+        that names a variable itself."""
         defined = set()
         for path in (ROOT / "src").rglob("*.py"):
             defined.update(
                 re.findall(r"""["'](REPRO_[A-Z0-9_]+)["']""", path.read_text("utf-8"))
             )
+        return defined
+
+    def test_every_repro_knob_is_documented(self):
+        """The knobs ``src/`` defines are exactly the rows of README's
+        knob table — a new knob cannot arrive undocumented, a deleted one
+        cannot linger.  ``REPRO_QUICK`` is benchmarks-only."""
         documented = set(
             re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", read("README.md"), re.MULTILINE)
         )
-        assert documented - {"REPRO_QUICK"} == defined
+        assert documented - {"REPRO_QUICK"} == self.defined_knobs()
+
+    def test_knob_budget(self):
+        """Every knob doubles the configurations tests and benchmarks
+        must cover, so the count is a budget: a value only tests vary is
+        a module constant beside the code it governs, not a knob.
+        Raising the number is a one-line, reviewed edit."""
+        assert len(self.defined_knobs()) <= 12
 
 
 class TestExperimentsReferences:

@@ -13,13 +13,14 @@ from repro.baselines import HivePlanner, PigPlanner, YSmartPlanner
 from repro.core.executor import PlanExecutor
 from repro.core.planner import ThetaJoinPlanner
 from repro.joins.reference import join_result_signature, reference_join
-from repro.mapreduce.config import ClusterConfig
+from repro.mapreduce.config import PAPER_CLUSTER_KP64, ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.predicates import JoinCondition
 from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.utils import make_rng
+from repro.workloads.mobile import mobile_benchmark_query
 
 OPERATORS = ["<", "<=", "=", ">=", ">", "!="]
 
@@ -123,6 +124,25 @@ class TestSelfJoinIntegration:
             plan = planner_cls(config).plan(query)
             outcome = PlanExecutor(SimulatedCluster(config)).execute(plan, query)
             assert join_result_signature(outcome.composites) == reference
+
+
+class TestBenchmarkQuerySmoke:
+    def test_smoke_all_methods_agree(self):
+        """The answer-agreement smoke of ``make smoke``: on the paper's
+        mobile Q2 (20 GB label) all four planners produce the identical
+        result set."""
+        query = mobile_benchmark_query(2, 20)
+        results = {}
+        for planner_cls in ALL_PLANNERS:
+            plan = planner_cls(PAPER_CLUSTER_KP64).plan(query)
+            outcome = PlanExecutor(SimulatedCluster(PAPER_CLUSTER_KP64)).execute(
+                plan, query
+            )
+            results[planner_cls.__name__] = sorted(map(tuple, outcome.result.rows))
+        ours = results[ThetaJoinPlanner.__name__]
+        assert ours, "smoke query returned no rows"
+        for method, rows in results.items():
+            assert rows == ours, f"{method} disagrees with ours"
 
 
 class TestDeterminism:
