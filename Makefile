@@ -7,9 +7,10 @@
 #                   match the scalar oracle (tests/joins/scalar_oracle.py)
 #                   bit for bit, on a trimmed volume grid (fast enough
 #                   for CI)
-#   make lint     - ruff check (config in pyproject.toml); skipped with a
-#                   notice when ruff is not installed locally — CI always
-#                   installs and enforces it
+#   make lint     - ruff check (config in pyproject.toml); where ruff is
+#                   not installed, tools/lint.py — a stdlib AST check for
+#                   unused imports and unused locals, the two ruff rules
+#                   dead code shows up as
 #   make serve-smoke - boot a real `repro serve` daemon + 2 worker daemons
 #                   and drive 3 concurrent queries over the wire: one
 #                   checked against a serial reference, one cancelled,
@@ -31,15 +32,27 @@
 #                   pair; prints per-metric median, quartiles and wins
 #                   (benchmarks/perf_pair.py)
 #   make ci       - the full local equivalent of the CI gate:
-#                   lint + verify + smoke + serve-smoke + serve-recovery
-#                   + perf-smoke
+#                   lint + verify + smoke + results-clean + serve-smoke
+#                   + serve-recovery + perf-smoke; results-clean is `git
+#                   diff --exit-code benchmarks/results`: the paper
+#                   artefacts tier-1 rewrites must come out byte-identical
 #   make loc      - the size numbers a simplicity PR quotes: lines of
 #                   src/**/*.py and distinct quoted REPRO_* knob names
+#   make census   - dead-code census (tools/census.py, stdlib only, ~15
+#                   min): tier-1 + perf-smoke + the examples under a
+#                   sys.settrace hook that every spawned daemon, pool
+#                   worker and CLI subprocess installs too; prints executed
+#                   / total statements of src/, every never-called function
+#                   and every definition nothing else in src/ mentions;
+#                   fails on a never-called function outside its allowlist.
+#                   One caveat: pytest-benchmark removes tracers inside
+#                   benchmark(...), so the census passes --benchmark-disable
+#                   and benchmarks/ bodies count through their one plain call
 
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: verify smoke lint serve-smoke serve-recovery perf-smoke perf-pair ci loc
+.PHONY: verify smoke lint results-clean serve-smoke serve-recovery perf-smoke perf-pair ci loc census
 
 verify:
 	$(PYTEST) -x -q
@@ -53,8 +66,11 @@ lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check .; \
 	else \
-		echo "ruff not installed; skipping lint (CI installs and enforces it)"; \
+		python3 tools/lint.py; \
 	fi
+
+results-clean:
+	git diff --exit-code benchmarks/results
 
 serve-smoke:
 	$(PYTEST) -q tests/serve/test_smoke_subprocess.py
@@ -70,8 +86,11 @@ PAIRS ?= 10
 perf-pair:
 	python3 benchmarks/perf_pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
-ci: lint verify smoke serve-smoke serve-recovery perf-smoke
+ci: lint verify smoke results-clean serve-smoke serve-recovery perf-smoke
 
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
 	@echo "$$(grep -rhoE "[\"']REPRO_[A-Z0-9_]+[\"']" src | sort -u | wc -l) REPRO_* knobs"
+
+census:
+	python3 tools/census.py

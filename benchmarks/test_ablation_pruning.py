@@ -2,7 +2,10 @@
 
 Lemmas 1 and 2 keep G'JP tractable.  This ablation builds the join-path
 graph for progressively denser join graphs with and without pruning and
-reports candidate counts and construction work (paths priced).
+reports candidate counts and construction work (paths priced) — the
+deterministic columns of ``results/ablation_pruning.*``.  The wall-clock
+speed-up is asserted on the densest graph but not written to the artefact,
+which has to be byte-stable from run to run.
 """
 
 import time
@@ -37,7 +40,7 @@ def run():
     table = Table(
         "Ablation — G'JP construction with/without Lemma 1+2 pruning",
         ["vertices", "edges", "pruned_candidates", "full_candidates",
-         "pruned_work", "full_work", "speed_ratio"],
+         "pruned_work", "full_work"],
     )
     outcomes = {}
     for n in (4, 5, 6):
@@ -47,12 +50,13 @@ def run():
         t1 = time.perf_counter()
         full = build_join_path_graph(graph, evaluator, apply_pruning=False)
         t2 = time.perf_counter()
-        pruned_s, full_s = t1 - t0, t2 - t1
-        outcomes[n] = (len(pruned), len(full), pruned.enumerated, full.enumerated)
+        speed_ratio = (t2 - t1) / max(t1 - t0, 1e-9)
+        outcomes[n] = (
+            len(pruned), len(full), pruned.enumerated, full.enumerated, speed_ratio
+        )
         table.add(
             n, graph.num_edges, len(pruned), len(full),
             pruned.enumerated, full.enumerated,
-            f"{full_s / max(pruned_s, 1e-9):.1f}x",
         )
         assert pruned.is_sufficient() and full.is_sufficient()
     table.emit("ablation_pruning.txt")
@@ -61,9 +65,12 @@ def run():
 
 def test_pruning_ablation(benchmark):
     outcomes = once(benchmark, run)
-    for n, (kept, full, priced_pruned, priced_full) in outcomes.items():
+    for n, (kept, full, priced_pruned, priced_full, _speed) in outcomes.items():
         assert kept <= full
         assert priced_pruned <= priced_full
+    # 6x less work priced on the densest graph (~9x measured): pruning
+    # must at least not cost more time than it saves.
+    assert outcomes[6][4] > 1.0
     # Pruning must bite harder as the graph densifies.
     small_ratio = outcomes[4][1] / max(outcomes[4][0], 1)
     large_ratio = outcomes[6][1] / max(outcomes[6][0], 1)

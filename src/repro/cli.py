@@ -35,11 +35,10 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.baselines import HivePlanner, PigPlanner, YSmartPlanner
+from repro.baselines import PLANNERS
 from repro.core.executor import PlanExecutor
-from repro.core.planner import ThetaJoinPlanner
 from repro.mapreduce.config import (
     CACHE_DIR_ENV,
     EXEC_BACKEND_ENV,
@@ -54,13 +53,6 @@ from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.query import JoinQuery
 from repro.relational.stats_cache import reset_default_planning_cache
 from repro.utils import format_bytes
-
-PLANNERS: Dict[str, Callable] = {
-    "ours": ThetaJoinPlanner,
-    "ysmart": YSmartPlanner,
-    "hive": HivePlanner,
-    "pig": PigPlanner,
-}
 
 
 def build_query(workload: str, query_id: int, volume: int, seed: int) -> JoinQuery:
@@ -133,23 +125,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def workload_relations(workload: str, volume: int, seed: int):
-    """Base relations addressable from the SQL front end, by name.
-
-    Moved to :func:`repro.workloads.workload_relations` (the serve query
-    service needs it without importing the CLI); kept here as a shim for
-    existing callers.
-    """
-    from repro.workloads import workload_relations as _relations
-
-    try:
-        return _relations(workload, volume, seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-
-
 def cmd_sql(args: argparse.Namespace) -> int:
     from repro.relational.sql import parse_join_query
+    from repro.workloads import workload_relations
 
     relations = workload_relations(args.workload, args.volume, args.seed)
     query = parse_join_query(args.sql, relations, name="adhoc")

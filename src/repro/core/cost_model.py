@@ -23,7 +23,7 @@ Fig. 8 validation compares this model against "measured" noisy runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import PlanningError
@@ -71,15 +71,6 @@ class CostModelParameters:
             merge_factor=float(config.hadoop.io_sort_factor),
         )
 
-    def scaled(self, factor: float) -> "CostModelParameters":
-        """Uniformly mis-scale all rates (used in model-robustness tests)."""
-        return replace(
-            self,
-            read_s_per_byte=self.read_s_per_byte * factor,
-            write_s_per_byte=self.write_s_per_byte * factor,
-            network_s_per_byte=self.network_s_per_byte * factor,
-        )
-
 
 @dataclass(frozen=True)
 class JobProfile:
@@ -111,18 +102,6 @@ class JobProfile:
     output_max_reducer_bytes: float = 0.0
     #: Number of map tasks; derived from blocks when zero.
     num_map_tasks: int = 0
-
-    def with_reducers(self, num_reducers: int) -> "JobProfile":
-        """Same job, different RN(MRJ); reducer-load fields rescale."""
-        if num_reducers < 1:
-            raise PlanningError("num_reducers must be >= 1")
-        ratio = self.num_reducers / num_reducers
-        return replace(
-            self,
-            num_reducers=num_reducers,
-            max_reducer_input_bytes=self.max_reducer_input_bytes * ratio,
-            comparisons_max_reducer=self.comparisons_max_reducer * ratio,
-        )
 
 
 @dataclass(frozen=True)
@@ -238,19 +217,6 @@ class MRJCostModel:
         self, profile: JobProfile, map_units: int, reduce_units: Optional[int] = None
     ) -> float:
         return self.estimate(profile, map_units, reduce_units).total_s
-
-    def time_profile(self, profile: JobProfile, unit_options, reduce_cap=None):
-        """Time as a function of allotted units — the malleable-task view.
-
-        Returns ``{units: seconds}`` for each candidate allotment, used by
-        the scheduler to trade units for speed.
-        """
-        result = {}
-        for units in unit_options:
-            reducers = min(profile.num_reducers, units) if reduce_cap else profile.num_reducers
-            adjusted = profile.with_reducers(max(1, reducers)) if reduce_cap else profile
-            result[units] = self.estimate_seconds(adjusted, units, units)
-        return result
 
     # ------------------------------------------------------------------
 

@@ -64,7 +64,6 @@ class CandidateJobCosting:
         cost_model: MRJCostModel,
         total_units: int,
         lam: float = LAMBDA_DEFAULT,
-        estimator_cls: type = SelectivityEstimator,
         planning_cache: Optional[PlanningCache] = None,
     ) -> None:
         if total_units < 1:
@@ -75,10 +74,8 @@ class CandidateJobCosting:
         self.cost_model = cost_model
         self.total_units = total_units
         self.lam = lam
-        #: Histogram-based per-predicate estimator; swap in
-        #: :class:`repro.relational.histogram.ClosedFormSelectivityEstimator`
-        #: for exact bucket-pair integration of range predicates.
-        self.estimator = estimator_cls(catalog)
+        #: Histogram-based per-predicate estimator.
+        self.estimator = SelectivityEstimator(catalog)
         #: Joint (correlation-aware) cardinalities from sample joins — the
         #: paper's upload-time sampling statistics, shared across planners
         #: through the process-wide :class:`PlanningCache` by default.

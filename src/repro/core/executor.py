@@ -14,16 +14,18 @@ flat output :class:`Relation`.
 
 from __future__ import annotations
 
-import hashlib
+import bisect
 import heapq
-import pickle
-import threading
 import time
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.group_cost import merge_duration_s
+from repro.core.checkpoint import (  # noqa: F401  (counters: perf/ reads them here)
+    CheckpointStore,
+    checkpoint_counters,
+    reset_checkpoint_counters,
+)
+from repro.core.merge import merge_terminals
 from repro.core.partitioner import (
     HypercubePartitioner,
     RandomPartitioner,
@@ -47,12 +49,9 @@ from repro.joins.jobs import (
     make_equichain_join_job,
     make_hypercube_join_job,
 )
-from repro.joins.progressive import merge_picker
 from repro.joins.records import (
     Composite,
     composites_to_relation,
-    entry_alias,
-    entry_global_id,
     relation_to_composite_file,
 )
 from repro.mapreduce.backend import get_backend
@@ -64,19 +63,7 @@ from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.relational.stats_cache import relation_fingerprint
-from repro.storage import (
-    LRUTable,
-    blob_digest,
-    blob_tier,
-    checkpoint_tier,
-    stable_key_repr,
-)
-from repro.utils import MB
-
-#: Per-job checkpoint payload cap, bytes: a larger output is counted
-#: (``skipped_oversize``) and not persisted — the recompute is cheaper
-#: than the disk churn.
-CHECKPOINT_MAX_BYTES = 64 * MB
+from repro.storage import LRUTable
 
 #: Base relations lifted to composite files, shared across executions by
 #: relation *content* — the four-planner comparisons re-execute the same
@@ -105,43 +92,6 @@ class ExecutionOutcome:
     composites: List[Composite]
 
 
-# -- wave checkpoint accounting (process-wide, for `repro serve stats`) --
-
-_CHECKPOINT_LOCK = threading.Lock()
-_CHECKPOINT_COUNTERS = {
-    "hits": 0,
-    "stores": 0,
-    "store_bytes": 0,
-    "bytes_restored": 0,
-    "skipped_oversize": 0,
-}
-
-
-def _ckpt_account(name: str, delta: int = 1) -> None:
-    with _CHECKPOINT_LOCK:
-        _CHECKPOINT_COUNTERS[name] += delta
-
-
-def checkpoint_counters() -> Dict[str, int]:
-    """Process-wide wave-checkpoint counters (snapshot)."""
-    with _CHECKPOINT_LOCK:
-        return dict(_CHECKPOINT_COUNTERS)
-
-
-def reset_checkpoint_counters() -> None:
-    with _CHECKPOINT_LOCK:
-        for name in _CHECKPOINT_COUNTERS:
-            _CHECKPOINT_COUNTERS[name] = 0
-
-
-@dataclass
-class _CheckpointContext:
-    """The two stores behind wave checkpointing."""
-
-    index: object  # KeyedDiskStore: checkpoint key -> {"digest", "bytes"}
-    blobs: object  # DiskBlobStore: digest -> pickled (records, width, metrics)
-
-
 #: What :meth:`PlanExecutor._prepare` found for one job of a wave: an
 #: empty input (the join is empty, nothing runs), a checkpointed output
 #: to restore, or a materialized spec to run.
@@ -160,7 +110,7 @@ class PlanExecutor:
 
     #: Per-execute state, defaulted at class level so helper methods can
     #: run standalone (tests) without an :meth:`execute` call first.
-    _ckpt: Optional[_CheckpointContext] = None
+    _ckpt: Optional[CheckpointStore] = None
     _wave_delay_s: float = 0.0
 
     def __init__(
@@ -170,7 +120,6 @@ class PlanExecutor:
     ) -> None:
         self.cluster = cluster
         self.on_wave = on_wave
-        self._ckpt_keys: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
 
@@ -194,18 +143,18 @@ class PlanExecutor:
         self._alias_cover = self._compute_alias_cover(plan)
         settings = execution_settings()
         self._wave_delay_s = settings.wave_delay_s
-        self._ckpt_keys: Dict[str, str] = {}
-        self._ckpt: Optional[_CheckpointContext] = None
         # Simulated-time noise would make a restored wave replay the
         # *other* run's noise draw; checkpointing stays off under noise.
-        if settings.checkpoint and self.cluster.config.noise_sigma == 0.0:
-            self._ckpt = _CheckpointContext(
-                index=checkpoint_tier(settings), blobs=blob_tier(settings)
-            )
+        checkpointing = settings.checkpoint and self.cluster.config.noise_sigma == 0.0
+        self._ckpt = CheckpointStore(settings) if checkpointing else None
         job_ends = self._run_jobs(plan, query, schemas, base_files, job_outputs, report)
 
-        final_composites, final_cover, merge_end, merge_total = self._merge_terminals(
-            plan, job_outputs, job_ends
+        final_composites, final_cover, merge_end, merge_total = merge_terminals(
+            plan,
+            job_outputs,
+            job_ends,
+            self._alias_cover,
+            self.cluster.config.disk_read_bytes_s,
         )
         report.merge_time_s = merge_total
         report.makespan_s = max(max(job_ends.values(), default=0.0), merge_end)
@@ -286,8 +235,6 @@ class PlanExecutor:
         so start decisions match the previous full-sweep implementation)
         instead of being re-scanned and ``list.remove``d on every event.
         """
-        import bisect
-
         done: Dict[str, float] = {}
         running: List[Tuple[float, str, int]] = []  # (end, job_id, units)
         available = plan.total_units
@@ -470,8 +417,8 @@ class PlanExecutor:
                 self._checkpoint_key(job, query)
             return _EMPTY, None
         if self._ckpt is not None:
-            restored = self._checkpoint_restore(
-                job, query, self._checkpoint_key(job, query)
+            restored = self._ckpt.restore(
+                self._checkpoint_key(job, query), f"{query.name}:{job.job_id}"
             )
             if restored is not None:
                 return _RESTORED, restored
@@ -508,9 +455,7 @@ class PlanExecutor:
             metrics.total_time_s += job.extra_startup_s
             metrics.startup_time_s += job.extra_startup_s
             if self._ckpt is not None:
-                digest = self._checkpoint_persist(
-                    job, query, self._checkpoint_key(job, query), found
-                )
+                digest = self._ckpt.persist(self._checkpoint_key(job, query), found)
                 if digest is not None:
                     report.checkpoint_stores += 1
         # The job may have run against a forked (process backend) or
@@ -523,108 +468,13 @@ class PlanExecutor:
             self.on_wave(job.job_id, digest, kind == _RESTORED)
         return metrics.total_time_s
 
-    # -- wave checkpointing ---------------------------------------------
-
     def _checkpoint_key(self, job: PlannedJob, query: JoinQuery) -> str:
-        """Content key of this job's output: Merkle over everything that
-        determines it (and its metrics) — the job's shape, its condition
-        semantics, the cluster's rates, and the identity of every input
-        (base relations by content fingerprint, upstream jobs by *their*
-        checkpoint key, which chains the whole DAG).  Two queries with
-        different names but identical content share keys; name-dependent
-        fields are rewritten on restore."""
-        cached = self._ckpt_keys.get(job.job_id)
-        if cached is not None:
-            return cached
-        inputs = []
-        for ref in job.inputs:
-            if ref.kind == "base":
-                inputs.append(
-                    ("base",) + relation_fingerprint(query.relations[ref.name])
-                )
-            else:
-                inputs.append(("job", self._ckpt_keys[ref.name]))
-        parts = (
-            "wave-ckpt-v1",
-            job.strategy,
-            int(job.units),
-            int(job.num_reducers),
-            int(job.partition_bits),
-            int(job.output_replication),
-            float(job.extra_startup_s),
-            tuple(repr(query.condition(cid)) for cid in job.condition_ids),
-            tuple(self._input_aliases(ref) for ref in job.inputs),
-            tuple(inputs),
-            repr(self.cluster.config),
+        return self._ckpt.key(
+            job,
+            query,
+            [self._input_aliases(ref) for ref in job.inputs],
+            self.cluster.config,
         )
-        key = hashlib.sha256(stable_key_repr(parts).encode("utf-8")).hexdigest()
-        self._ckpt_keys[job.job_id] = key
-        return key
-
-    def _checkpoint_restore(
-        self, job: PlannedJob, query: JoinQuery, key: str
-    ) -> Optional[Tuple[DistributedFile, JobMetrics, str]]:
-        """Load a checkpointed wave output; None on any miss/corruption.
-
-        Verify-on-read end to end: the keyed index rejects version/format
-        skew, the blob store re-hashes the payload (deleting a corrupt
-        file), and an undecodable payload discards the entry — a
-        checkpoint can cost a recompute, never a wrong answer.
-        """
-        ctx = self._ckpt
-        hit, entry = ctx.index.load("waves", key)
-        if not hit or not isinstance(entry, dict) or "digest" not in entry:
-            return None
-        digest = entry["digest"]
-        payload = ctx.blobs.get(digest)
-        if payload is None:
-            return None
-        try:
-            records, record_width, metrics = pickle.loads(payload)
-        except Exception:
-            ctx.blobs.discard(digest)
-            return None
-        # The stored output/metrics carry the *writing* query's name;
-        # rebuild the name-dependent fields for this run so a restored
-        # execution is bit-identical to a fresh one.
-        name = f"{query.name}:{job.job_id}"
-        metrics.job_name = name
-        file = DistributedFile(
-            name=f"{name}.out",
-            records=records,
-            record_width=record_width,
-            tag=f"{name}.out",
-        )
-        _ckpt_account("hits")
-        _ckpt_account("bytes_restored", len(payload))
-        return file, metrics, digest
-
-    def _checkpoint_persist(
-        self, job: PlannedJob, query: JoinQuery, key: str, result
-    ) -> Optional[str]:
-        """Persist one completed job's output; returns its blob digest."""
-        ctx = self._ckpt
-        try:
-            payload = pickle.dumps(
-                (
-                    list(result.output.records),
-                    result.output.record_width,
-                    result.metrics,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:  # unpicklable record type: persistence is optional
-            return None
-        if len(payload) > CHECKPOINT_MAX_BYTES:
-            _ckpt_account("skipped_oversize")
-            return None
-        digest = blob_digest(payload)
-        if not ctx.blobs.put(digest, payload):
-            return None
-        ctx.index.store("waves", key, {"digest": digest, "bytes": len(payload)})
-        _ckpt_account("stores")
-        _ckpt_account("store_bytes", len(payload))
-        return digest
 
     def _materialize(
         self,
@@ -717,152 +567,3 @@ class PlanExecutor:
             raise ExecutionError(f"unknown strategy {job.strategy!r}")
         spec.output_replication = job.output_replication
         return spec
-
-    # ------------------------------------------------------------------
-    # merge phase (Section 4.2)
-    # ------------------------------------------------------------------
-
-    def _merge_terminals(
-        self,
-        plan: ExecutionPlan,
-        job_outputs: Mapping[str, DistributedFile],
-        job_ends: Mapping[str, float],
-    ) -> Tuple[List[Composite], Tuple[str, ...], float, float]:
-        """Merge the terminal outputs pairwise, smallest pair first.
-
-        Returns the final composites, their alias cover, the simulated
-        time they are ready and the total merge time.
-        """
-        terminals = plan.terminal_jobs()
-        #: Live partial results keyed by insertion sequence number.  List
-        #: positions in the old quadratic scan preserved insertion order,
-        #: so (size, seq_i, seq_j) ordering reproduces its pair choices.
-        #: Covers are the static ones of ``_alias_cover``, never re-read
-        #: from the records.
-        pool: Dict[int, Tuple[Tuple[str, ...], List[Composite], float]] = {}
-        for sequence, job in enumerate(terminals):
-            output = job_outputs[job.job_id]
-            composites: List[Composite] = list(output.records)  # type: ignore[arg-type]
-            pool[sequence] = (
-                self._alias_cover[job.job_id], composites, job_ends[job.job_id]
-            )
-
-        if not pool:
-            return [], (), 0.0, 0.0
-
-        # Candidate heap memoizes pair sizes: each mergeable pair is priced
-        # once when both sides exist, instead of re-scanning all pairs per
-        # merge (the old O(n^2 * merges) best-pair search).
-        candidates: List[Tuple[int, int, int]] = []
-        entries = list(pool.items())
-        for a in range(len(entries)):
-            seq_i, (cover_i, rows_i, _) = entries[a]
-            for b in range(a + 1, len(entries)):
-                seq_j, (cover_j, rows_j, _) = entries[b]
-                if not set(cover_i).isdisjoint(cover_j):
-                    heapq.heappush(
-                        candidates, (len(rows_i) + len(rows_j), seq_i, seq_j)
-                    )
-
-        disk = self.cluster.config.disk_read_bytes_s
-        merge_total = 0.0
-        next_sequence = len(terminals)
-        while len(pool) > 1:
-            pair: Optional[Tuple[int, int]] = None
-            while candidates:
-                _size, seq_i, seq_j = heapq.heappop(candidates)
-                if seq_i in pool and seq_j in pool:
-                    pair = (seq_i, seq_j)
-                    break
-            if pair is None:
-                raise ExecutionError(
-                    "terminal results share no relation; cannot merge"
-                )
-            seq_i, seq_j = pair
-            left_cover, left_rows, left_ready = pool.pop(seq_i)
-            right_cover, right_rows, right_ready = pool.pop(seq_j)
-            merged_rows = _hash_merge(left_rows, right_rows, left_cover, right_cover)
-            duration = merge_duration_s(
-                len(left_rows), len(right_rows), len(merged_rows), disk
-            )
-            merge_total += duration
-            ready = max(left_ready, right_ready) + duration
-            merged_cover = tuple(sorted(set(left_cover) | set(right_cover)))
-            for seq_other, (cover_other, rows_other, _) in pool.items():
-                if not set(merged_cover).isdisjoint(cover_other):
-                    heapq.heappush(
-                        candidates,
-                        (
-                            len(merged_rows) + len(rows_other),
-                            seq_other,
-                            next_sequence,
-                        ),
-                    )
-            pool[next_sequence] = (merged_cover, merged_rows, ready)
-            next_sequence += 1
-
-        cover, composites, ready = next(iter(pool.values()))
-        if len(terminals) == 1:
-            ready = job_ends[terminals[0].job_id]
-        return composites, cover, ready, merge_total
-
-
-def _shared_ids(
-    composites: Sequence[Composite], cover: Sequence[str], shared: Sequence[str]
-):
-    """The shared-alias global ids of each composite, in order: a bare id
-    when one alias is shared (the Section 4.2 common case), else a tuple.
-
-    Reading the ids is also where the static ``cover`` is held against
-    the records: position-compiled merging never looks at an alias tag
-    again, so a composite of another width, or with another alias in any
-    slot, must fail here rather than come out as a wrong row.
-    """
-
-    def entries_at(position: int):
-        return map(itemgetter(position), composites)
-
-    if set(map(len, composites)) != {len(cover)} or any(
-        set(map(entry_alias, entries_at(position))) != {alias}
-        for position, alias in enumerate(cover)
-    ):
-        raise ExecutionError(
-            f"merge input does not uniformly cover aliases {list(cover)}"
-        )
-    ids = [map(entry_global_id, entries_at(cover.index(alias))) for alias in shared]
-    return ids[0] if len(ids) == 1 else zip(*ids)
-
-
-def _hash_merge(
-    left: List[Composite],
-    right: List[Composite],
-    left_cover: Sequence[str],
-    right_cover: Sequence[str],
-) -> List[Composite]:
-    """Id-based hash join of two partial results on their shared relations.
-
-    Every composite of one partial result covers the same statically known
-    alias set, which admits the same position-compiled technique as the
-    reduce-side kernel: shared-id keys and the merged entry picks are
-    tuple indexing resolved once per merge.  Output order is left order,
-    partners of one left composite in right arrival order; shared aliases
-    keep the left entry (partners agree on the shared ids by key
-    construction).  The nested-loop form is ``_reference_hash_merge`` in
-    ``tests/joins/tail_oracle.py``.
-    """
-    if not left or not right:
-        return []
-    shared = sorted(set(left_cover) & set(right_cover))
-    if not shared:
-        raise ExecutionError("partial results share no relation; cannot merge")
-    pick = merge_picker(left_cover, right_cover)
-    index: Dict[object, List[Composite]] = {}
-    for key, composite in zip(_shared_ids(right, right_cover, shared), right):
-        index.setdefault(key, []).append(composite)
-    partners_of = map(index.get, _shared_ids(left, left_cover, shared))
-    return [
-        pick(composite + partner)
-        for composite, partners in zip(left, partners_of)
-        if partners
-        for partner in partners
-    ]

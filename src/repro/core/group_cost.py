@@ -61,10 +61,6 @@ class MergePlan:
     final_id: str
     completion_s: float
 
-    @property
-    def total_merge_s(self) -> float:
-        return sum(step.duration_s for step in self.steps)
-
 
 def merge_duration_s(
     left_rows: float, right_rows: float, out_rows: float, disk_bytes_s: float

@@ -226,43 +226,3 @@ def equichain_profile(
         output_bytes=output_bytes,
         output_max_reducer_bytes=output_max,
     )
-
-
-def broadcast_profile(
-    name: str,
-    big: Tuple[int, int],
-    small: Tuple[int, int],
-    num_reducers: int,
-    output_rows: float,
-    output_width: int,
-) -> JobProfile:
-    """Profile of the Hive/Pig-style broadcast theta-join.
-
-    The small side is copied to every reducer — the quadratic-ish network
-    term the hypercube partition avoids.
-    """
-    (b_rows, b_width), (s_rows, s_width) = big, small
-    input_bytes = b_rows * b_width + s_rows * s_width
-    map_output_records = b_rows + s_rows * num_reducers
-    map_output_bytes = (
-        b_rows * (b_width + PAIR_OVERHEAD_BYTES)
-        + s_rows * num_reducers * (s_width + PAIR_OVERHEAD_BYTES)
-    )
-    max_reducer_input = (
-        b_rows / num_reducers * (b_width + PAIR_OVERHEAD_BYTES)
-        + s_rows * (s_width + PAIR_OVERHEAD_BYTES)
-    )
-    comparisons_max = (b_rows / num_reducers) * s_rows
-
-    return JobProfile(
-        name=name,
-        input_bytes=float(input_bytes),
-        input_records=float(b_rows + s_rows),
-        map_output_bytes=float(map_output_bytes),
-        map_output_records=float(map_output_records),
-        num_reducers=num_reducers,
-        max_reducer_input_bytes=max_reducer_input,
-        reducer_input_sigma=max_reducer_input * 0.02,
-        comparisons_max_reducer=comparisons_max,
-        output_bytes=output_rows * output_width,
-    )

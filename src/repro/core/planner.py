@@ -35,7 +35,7 @@ from repro.joins.records import composite_width
 from repro.mapreduce.config import ClusterConfig
 from repro.relational.predicates import JoinCondition
 from repro.relational.query import JoinQuery
-from repro.relational.statistics import SelectivityEstimator, StatisticsCatalog
+from repro.relational.statistics import StatisticsCatalog
 from repro.relational.stats_cache import PlanningCache, get_planning_cache
 
 
@@ -72,7 +72,6 @@ class ThetaJoinPlanner:
         lam: float = LAMBDA_DEFAULT,
         max_hops: Optional[int] = None,
         enable_pipelined: bool = True,
-        estimator_cls: type = SelectivityEstimator,
         planning_cache: Optional[PlanningCache] = None,
     ) -> None:
         self.config = config
@@ -80,7 +79,6 @@ class ThetaJoinPlanner:
         self.lam = lam
         self.max_hops = max_hops
         self.enable_pipelined = enable_pipelined
-        self.estimator_cls = estimator_cls
         #: Cross-query statistics cache (samples, stats, join-sample
         #: counts); the process-wide default is shared by every planner
         #: instance, so repeated planning of identical data is ~free.
@@ -99,7 +97,6 @@ class ThetaJoinPlanner:
             self.cost_model,
             total_units=self.config.total_units,
             lam=self.lam,
-            estimator_cls=self.estimator_cls,
             planning_cache=self.planning_cache,
         )
         gjp = build_join_path_graph(graph, costing, max_hops=self.max_hops)

@@ -43,10 +43,6 @@ class MalleableJob:
                     f"job {self.job_id!r}: invalid profile point ({units}, {seconds})"
                 )
 
-    @property
-    def unit_options(self) -> List[int]:
-        return sorted(self.time_by_units)
-
     def time_at(self, units: int) -> float:
         """Time with ``units`` allotted: the best profile point not exceeding it."""
         usable = [u for u in self.time_by_units if u <= units]
@@ -157,10 +153,8 @@ class MalleableScheduler:
             if candidate is not None:
                 if best is None or candidate.makespan_s < best.makespan_s:
                     best = candidate
-        if best is None:
-            # No tau admits canonical allotments within budget; fall back to
-            # sequential execution with full budget each.
-            best = self._sequential(jobs)
+        # The largest tau admits every job's narrowest allotment.
+        assert best is not None
         return best
 
     # ------------------------------------------------------------------
@@ -186,7 +180,6 @@ class MalleableScheduler:
         running: List[Tuple[float, int]] = []
         available = self.total_units
         now = 0.0
-        index = 0
         waiting = list(pending)
         while waiting:
             progressed = False
@@ -226,17 +219,4 @@ class MalleableScheduler:
                     while running and running[0][0] <= now:
                         _, more = heapq.heappop(running)
                         available += more
-        return Schedule(jobs=placed, total_units=self.total_units)
-
-    def _sequential(self, jobs: Sequence[MalleableJob]) -> Schedule:
-        placed: List[ScheduledJob] = []
-        now = 0.0
-        for job in jobs:
-            options = [u for u in job.unit_options if u <= self.total_units]
-            units = max(options)
-            duration = job.time_at(units)
-            placed.append(
-                ScheduledJob(job_id=job.job_id, units=units, start_s=now, duration_s=duration)
-            )
-            now += duration
         return Schedule(jobs=placed, total_units=self.total_units)

@@ -45,10 +45,6 @@ def entry_for(composite: Composite, alias: str) -> Entry:
     raise ExecutionError(f"composite has no entry for alias {alias!r}")
 
 
-def row_of(composite: Composite, alias: str) -> Row:
-    return entry_for(composite, alias)[2]
-
-
 def global_id_of(composite: Composite, alias: str) -> int:
     return entry_for(composite, alias)[1]
 

@@ -52,12 +52,12 @@ from __future__ import annotations
 import atexit
 import sys
 import threading
-import time
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
 from repro.mapreduce.config import ExecutionSettings, execution_settings
+from repro.mapreduce.dispatch import BatchState, CircuitBreaker
+from repro.mapreduce.worker_handle import RemoteTaskError, WorkerHandle, WorkerLost
 
 #: Task callable: index -> result.  Results must not depend on *when* or
 #: *where* the call runs — the backends only promise index order.
@@ -242,208 +242,6 @@ class ProcessBackend:
             fallback.close()
 
 
-# -- resilience policy of the distributed backend --------------------------
-
-#: Straggler hedging: an idle dispatcher speculatively re-dispatches an
-#: in-flight task once its elapsed time exceeds ``HEDGE_FACTOR`` x the
-#: ``HEDGE_QUANTILE``-th completed-task duration of the same batch, with
-#: at least ``HEDGE_MIN_SAMPLES`` completions seen (the batch calibrates
-#: itself) and at most ``HEDGE_MAX_PER_TASK`` speculative copies per task
-#: index (0 turns hedging off).
-HEDGE_QUANTILE = 0.95
-HEDGE_FACTOR = 3.0
-HEDGE_MIN_SAMPLES = 3
-HEDGE_MAX_PER_TASK = 1
-
-#: Circuit breaker: ``BREAKER_THRESHOLD`` consecutive batches a worker
-#: ends dead open its breaker for ``BREAKER_COOLDOWN_BATCHES`` batches,
-#: doubling per consecutive trip (the daemon is quarantined instead of
-#: endlessly re-dialed).
-BREAKER_THRESHOLD = 3
-BREAKER_COOLDOWN_BATCHES = 8
-
-
-class _WorkerLost(Exception):
-    """Internal: a worker daemon vanished mid-conversation (retryable)."""
-
-
-class _RemoteTaskError(Exception):
-    """Internal: the task itself raised on the worker (NOT retryable)."""
-
-    def __init__(self, original: BaseException) -> None:
-        super().__init__(str(original))
-        self.original = original
-
-
-class _WorkerHandle:
-    """Coordinator-side state for one worker daemon.
-
-    Two TCP connections per worker: a *task* connection carrying the
-    register/task/unregister conversation, and a *heartbeat* connection
-    on which a daemon thread pings every ``heartbeat_s`` seconds.  A
-    missed heartbeat (or any socket error) marks the worker dead and
-    shuts both sockets down, which wakes a dispatcher blocked in
-    ``recv`` — so a frozen host is detected even while a task is
-    nominally "running" on it, without imposing any per-task timeout on
-    legitimately slow tasks.
-    """
-
-    def __init__(self, addr: str, heartbeat_s: float, connect_timeout_s: float):
-        self.addr = addr
-        self.heartbeat_s = heartbeat_s
-        self.connect_timeout_s = connect_timeout_s
-        self.dead = threading.Event()
-        #: Set when the worker was removed from the fleet by a live
-        #: reconfiguration: dispatchers finish the in-flight task, then
-        #: stop pulling and close the handle — a drain, not a kill.
-        self.draining = threading.Event()
-        self._task_sock = None
-        self._heartbeat_sock = None
-        self._io_lock = threading.Lock()
-
-    # -- lifecycle ------------------------------------------------------
-
-    def connect(self) -> bool:
-        """Dial both connections + hello handshake; False on any failure."""
-        try:
-            self._task_sock, info = wire.dial(self.addr, self.connect_timeout_s)
-            if not wire.compatible(info):
-                self.mark_dead()
-                return False
-            self._task_sock.settimeout(None)
-            self._heartbeat_sock = wire.connect(self.addr, self.connect_timeout_s)
-            threading.Thread(
-                target=self._heartbeat_loop,
-                daemon=True,
-                name=f"repro-heartbeat-{self.addr}",
-            ).start()
-            return True
-        except OSError:
-            self.mark_dead()
-            return False
-
-    def mark_dead(self) -> None:
-        """Flag the worker lost and shut both sockets (wakes blocked I/O)."""
-        self.dead.set()
-        for sock in (self._task_sock, self._heartbeat_sock):
-            if sock is not None:
-                wire.close_socket(sock)
-        self._task_sock = None
-        self._heartbeat_sock = None
-
-    @property
-    def alive(self) -> bool:
-        return self._task_sock is not None and not self.dead.is_set()
-
-    # -- heartbeat ------------------------------------------------------
-
-    def _heartbeat_loop(self) -> None:
-        sock = self._heartbeat_sock
-        if sock is None:  # pragma: no cover - lost before the thread ran
-            return
-        sequence = 0
-        sock.settimeout(max(self.heartbeat_s * 2, 0.2))
-        while not self.dead.is_set():
-            sequence += 1
-            try:
-                wire.send_frame(sock, ("ping", sequence))
-                reply = wire.recv_frame(sock)
-                if reply != ("pong", sequence):
-                    raise ConnectionError("bad pong")
-            except (OSError, ConnectionError):
-                self.mark_dead()
-                return
-            self.dead.wait(self.heartbeat_s)
-
-    # -- conversation (single dispatcher thread per handle) -------------
-
-    def _roundtrip(self, message: Tuple) -> Tuple:
-        with self._io_lock:
-            sock = self._task_sock
-            if sock is None or self.dead.is_set():
-                raise _WorkerLost(self.addr)
-            try:
-                wire.send_frame(sock, message)
-                reply = wire.recv_frame(sock)
-            except (OSError, ConnectionError) as exc:
-                self.mark_dead()
-                raise _WorkerLost(self.addr) from exc
-        if not isinstance(reply, tuple) or not reply:
-            self.mark_dead()
-            raise _WorkerLost(self.addr)
-        return reply
-
-    def register(
-        self,
-        token: int,
-        slim: bytes,
-        blobs: Dict[str, bytes],
-        account: Callable[[str, int], None],
-    ) -> None:
-        """Register-by-digest: probe the worker's blob store, ship only
-        the missing payloads, then register the slim closure against the
-        digest list.  A ``register-missing`` reply (a payload evicted or
-        found corrupt between the probe and the register) re-puts those
-        bytes and retries once — the delete-and-refetch path."""
-        digests = list(blobs)
-        if digests:
-            reply = self._roundtrip(("blob-has", digests))
-            if reply[0] != "blob-have":
-                self.mark_dead()
-                raise _WorkerLost(f"{self.addr}: {reply!r}")
-            missing = [digest for digest in reply[1] if digest in blobs]
-            for digest in digests:
-                if digest not in missing:
-                    account("blob_hits", 1)
-                    account("blob_bytes_reused", len(blobs[digest]))
-            self._put_blobs(missing, blobs, account)
-        reply = self._roundtrip(("register", token, slim, digests))
-        account("bytes_shipped", len(slim))
-        account("registrations", 1)
-        if reply[0] == "register-missing":
-            self._put_blobs(
-                [digest for digest in reply[2] if digest in blobs], blobs, account
-            )
-            reply = self._roundtrip(("register", token, slim, digests))
-            account("bytes_shipped", len(slim))
-        if reply[0] != "registered":
-            # The worker could not rebuild the closure (e.g. missing
-            # module); treat it like a lost worker so others / the local
-            # fallback pick the tasks up.
-            self.mark_dead()
-            raise _WorkerLost(f"{self.addr}: {reply!r}")
-
-    def _put_blobs(
-        self,
-        digests: List[str],
-        blobs: Dict[str, bytes],
-        account: Callable[[str, int], None],
-    ) -> None:
-        for digest in digests:
-            reply = self._roundtrip(("blob-put", digest, blobs[digest]))
-            if reply[0] != "blob-stored":
-                self.mark_dead()
-                raise _WorkerLost(f"{self.addr}: {reply!r}")
-            account("blob_puts", 1)
-            account("bytes_shipped", len(blobs[digest]))
-
-    def run_task(self, token: int, index: int) -> object:
-        reply = self._roundtrip(("task", token, index))
-        if len(reply) == 3 and reply[0] == "result" and reply[1] == index:
-            return reply[2]
-        if len(reply) == 3 and reply[0] == "task-error":
-            raise _RemoteTaskError(reply[2])
-        # Wrong kind, wrong arity, wrong index: a corrupt or skewed peer.
-        self.mark_dead()
-        raise _WorkerLost(f"{self.addr}: unexpected reply {reply[:1]!r}")
-
-    def unregister(self, token: int) -> None:
-        try:
-            self._roundtrip(("unregister", token))
-        except _WorkerLost:
-            pass  # best-effort: the connection's registry dies with it
-
-
 class DistributedBackend:
     """Multi-host coordinator: ships tasks to ``repro worker serve``
     daemons over TCP with heartbeat liveness and per-task retry.
@@ -496,7 +294,7 @@ class DistributedBackend:
         self.addrs = tuple(addrs)
         self.heartbeat_s = heartbeat_s
         self.connect_timeout_s = connect_timeout_s
-        self._handles: Dict[str, _WorkerHandle] = {}
+        self._handles: Dict[str, WorkerHandle] = {}
         #: addr -> (next batch number allowed to redial, consecutive
         #: failures); exponential backoff so a down host costs a connect
         #: attempt only occasionally, while a *restarted* daemon on the
@@ -530,14 +328,8 @@ class DistributedBackend:
             "breaker_skips": 0,
         }
         self._counters_lock = threading.Lock()
-        #: Per-worker circuit breaker: addr -> {failures, trips,
-        #: open_until}.  A worker that keeps dying mid-batch trips the
-        #: breaker and is quarantined (no dial, no dispatch) until batch
-        #: number ``open_until``; the cooldown doubles with each trip so
-        #: a flapping daemon costs reconnect churn only occasionally,
-        #: while a recovered one halves its trip count per clean batch
-        #: and soon rejoins at full trust.  Guarded by ``self._lock``.
-        self._breaker: Dict[str, Dict[str, int]] = {}
+        #: Per-worker quarantine, fed once per batch by ``_dispatch``.
+        self.breaker = CircuitBreaker(self._account)
 
     def _account(self, name: str, delta: int) -> None:
         with self._counters_lock:
@@ -573,7 +365,7 @@ class DistributedBackend:
             removed = [addr for addr in old if addr not in addrs]
             added = [addr for addr in addrs if addr not in old]
             self.addrs = addrs
-            drained: List[_WorkerHandle] = []
+            drained: List[WorkerHandle] = []
             for addr in removed:
                 handle = self._handles.pop(addr, None)
                 self._redial.pop(addr, None)
@@ -596,42 +388,7 @@ class DistributedBackend:
             "kept": [addr for addr in addrs if addr in old],
         }
 
-    # -- circuit breaker -------------------------------------------------
-
-    def _record_worker_loss(self, addr: str) -> None:
-        """One batch ended with ``addr`` dead; trip its breaker at
-        :data:`BREAKER_THRESHOLD` consecutive losses for an exponentially
-        growing number of batches."""
-        with self._lock:
-            state = self._breaker.setdefault(
-                addr, {"failures": 0, "trips": 0, "open_until": 0}
-            )
-            state["failures"] += 1
-            tripped = state["failures"] >= BREAKER_THRESHOLD
-            if tripped:
-                state["open_until"] = self._batches + (
-                    BREAKER_COOLDOWN_BATCHES * 2 ** min(state["trips"], 6)
-                )
-                state["trips"] += 1
-                state["failures"] = 0
-        if tripped:
-            self._account("breaker_trips", 1)
-
-    def _record_worker_ok(self, addr: str) -> None:
-        """A clean batch on ``addr``: reset its loss streak, decay trust
-        debt (trips halve, so past flapping is forgiven gradually)."""
-        with self._lock:
-            state = self._breaker.get(addr)
-            if state is not None:
-                state["failures"] = 0
-                state["trips"] //= 2
-
-    def breaker_state(self) -> Dict[str, Dict[str, int]]:
-        """Snapshot of per-worker breaker state (``repro serve stats``)."""
-        with self._lock:
-            return {addr: dict(state) for addr, state in self._breaker.items()}
-
-    def _live_handles(self) -> List[_WorkerHandle]:
+    def _live_handles(self) -> List[WorkerHandle]:
         """Connected handles; dials (and re-dials) the rest with backoff.
 
         A dead handle is discarded and its address becomes eligible for
@@ -646,9 +403,7 @@ class DistributedBackend:
         """
         live = []
         for addr in self.addrs:
-            breaker = self._breaker.get(addr)
-            if breaker is not None and self._batches < breaker.get("open_until", 0):
-                self._account("breaker_skips", 1)
+            if self.breaker.is_open(addr, self._batches):
                 continue
             handle = self._handles.get(addr)
             if handle is not None and handle.alive:
@@ -659,7 +414,7 @@ class DistributedBackend:
             next_allowed, failures = self._redial.get(addr, (0, 0))
             if self._batches < next_allowed:
                 continue
-            handle = _WorkerHandle(addr, self.heartbeat_s, self.connect_timeout_s)
+            handle = WorkerHandle(addr, self.heartbeat_s, self.connect_timeout_s)
             if handle.connect():
                 self._handles[addr] = handle
                 self._redial.pop(addr, None)
@@ -724,7 +479,7 @@ class DistributedBackend:
         slim: bytes,
         blobs: Dict[str, bytes],
         count: int,
-        handles: List[_WorkerHandle],
+        handles: List[WorkerHandle],
         cancel_token,
         strict: bool,
         task_retries: int,
@@ -734,172 +489,16 @@ class DistributedBackend:
         with self._lock:
             self._next_token += 1
             token = self._next_token
-
-        pending = deque(range(count))
-        results: Dict[int, object] = {}
-        attempts = [0] * count
-        failure: List[Optional[BaseException]] = [None]
-        in_flight = [0]
-        cond = threading.Condition()
-
-        # -- straggler hedging (all state guarded by ``cond``) ----------
-        # When the batch's tail is one slow in-flight task and other
-        # dispatchers are idle, an idle worker re-dispatches a *copy* of
-        # the straggling index instead of waiting.  Exactly-once folding
-        # (``results.setdefault``) makes the duplicate completion safe —
-        # first finisher wins, the loser's value is dropped — so hedging
-        # cannot change outputs, only latency.  A hedge does not burn
-        # the index's retry budget (``attempts``): it is extra capacity
-        # spent, not a failure observed.
-        hedge_on = HEDGE_MAX_PER_TASK > 0 and len(handles) > 1
-        durations: List[float] = []  # completed-task wall times, this batch
-        dispatched_at: Dict[int, float] = {}  # index -> primary dispatch time
-        inflight_of: Dict[int, int] = {}  # index -> copies on the wire
-        hedge_count: Dict[int, int] = {}  # index -> hedges launched
-
-        def fired() -> bool:
-            return cancel_token is not None and cancel_token.fired() is not None
-
-        def pick_hedge_locked() -> Optional[int]:
-            """The most-overdue hedgeable index, or None.  ``cond`` held.
-
-            "Overdue" is quantile-based per the batch's own completed
-            tasks (the ``HEDGE_*`` policy at the top of this module)."""
-            if len(durations) < max(1, HEDGE_MIN_SAMPLES):
-                return None
-            ordered = sorted(durations)
-            rank = min(len(ordered) - 1, int(HEDGE_QUANTILE * len(ordered)))
-            now = time.monotonic()
-            best, best_elapsed = None, ordered[rank] * HEDGE_FACTOR
-            for index, started in dispatched_at.items():
-                if index in results or inflight_of.get(index, 0) <= 0:
-                    continue
-                if hedge_count.get(index, 0) >= HEDGE_MAX_PER_TASK:
-                    continue
-                elapsed = now - started
-                if elapsed > best_elapsed:
-                    best, best_elapsed = index, elapsed
-            return best
-
-        def pull_tasks(handle: _WorkerHandle) -> None:
-            while True:
-                with cond:
-                    # An idle dispatcher must not exit while a peer still
-                    # holds an index in flight: if that peer's worker dies
-                    # its index is re-queued, and this survivor is the one
-                    # meant to retry it.  The 50 ms poll also bounds how
-                    # long an expired deadline or a drain goes unnoticed
-                    # while idling — and is where an idle survivor spots
-                    # a straggler worth hedging.
-                    is_hedge = False
-                    while (
-                        failure[0] is None
-                        and not fired()
-                        and not handle.draining.is_set()
-                        and not pending
-                        and in_flight[0] > 0
-                    ):
-                        if hedge_on:
-                            candidate = pick_hedge_locked()
-                            if candidate is not None:
-                                index = candidate
-                                is_hedge = True
-                                break
-                        cond.wait(0.05)
-                    if not is_hedge:
-                        if (
-                            failure[0] is not None
-                            or fired()
-                            or handle.draining.is_set()
-                            or not pending
-                        ):
-                            return
-                        index = pending.popleft()
-                        attempts[index] += 1
-                        dispatched_at[index] = time.monotonic()
-                    else:
-                        hedge_count[index] = hedge_count.get(index, 0) + 1
-                    inflight_of[index] = inflight_of.get(index, 0) + 1
-                    in_flight[0] += 1
-                    self._track_inflight(+1)
-                if is_hedge:
-                    self._account("hedges_launched", 1)
-                try:
-                    value = handle.run_task(token, index)
-                except _RemoteTaskError as exc:
-                    with cond:
-                        failure[0] = exc.original
-                        in_flight[0] -= 1
-                        inflight_of[index] = inflight_of.get(index, 1) - 1
-                        self._track_inflight(-1)
-                        cond.notify_all()
-                    return
-                except BaseException:
-                    # _WorkerLost — or anything unforeseen in the
-                    # conversation: either way this dispatcher is done
-                    # and MUST balance in_flight, or idle peers would
-                    # wait on it forever.
-                    handle.mark_dead()
-                    with cond:
-                        in_flight[0] -= 1
-                        inflight_of[index] = inflight_of.get(index, 1) - 1
-                        self._track_inflight(-1)
-                        # Retry on the survivors while budget remains —
-                        # unless the query is already cancelled or past
-                        # its deadline, in which case the index is
-                        # *abandoned*: re-running work nobody will read
-                        # would spend fleet capacity other queries need.
-                        # A hedged index with another copy still on the
-                        # wire is not re-queued either — the survivor IS
-                        # the retry.
-                        if (
-                            not fired()
-                            and index not in results
-                            and inflight_of.get(index, 0) <= 0
-                            and attempts[index] <= task_retries
-                        ):
-                            pending.append(index)
-                        cond.notify_all()
-                    return
-                with cond:
-                    # Exactly-once folding: the first completion of an
-                    # index wins; a zombie's (or hedge loser's) late
-                    # duplicate is dropped.
-                    first = index not in results
-                    results.setdefault(index, value)
-                    if first:
-                        durations.append(
-                            time.monotonic()
-                            - dispatched_at.get(index, time.monotonic())
-                        )
-                    in_flight[0] -= 1
-                    inflight_of[index] = inflight_of.get(index, 1) - 1
-                    self._track_inflight(-1)
-                    cond.notify_all()
-                if first and is_hedge:
-                    self._account("hedge_wins", 1)
-
-        def dispatcher(handle: _WorkerHandle) -> None:
-            try:
-                handle.register(token, slim, blobs, self._account)
-            except _WorkerLost:
-                return
-            try:
-                pull_tasks(handle)
-            finally:
-                # Free the shipped closure on every exit path — a task
-                # error must not leak the registration (unregister of a
-                # lost worker is a no-op).
-                handle.unregister(token)
-                if handle.draining.is_set():
-                    # Drained by a live reconfiguration: this dispatcher
-                    # owns the close once its last round-trip finished.
-                    handle.mark_dead()
-
+        state = BatchState(
+            count,
+            task_retries,
+            hedging=len(handles) > 1,
+            fired=lambda: cancel_token is not None and cancel_token.fired() is not None,
+        )
         threads = [
             threading.Thread(
-                target=dispatcher,
-                args=(handle,),
+                target=self._serve_batch,
+                args=(handle, state, token, slim, blobs),
                 daemon=True,
                 name=f"repro-dispatch-{handle.addr}",
             )
@@ -910,21 +509,10 @@ class DistributedBackend:
         for thread in threads:
             thread.join()
 
-        # Feed the circuit breaker: every worker that ended this batch
-        # dead counts a loss against its address (drained handles were
-        # closed deliberately — not the worker's fault); every survivor
-        # counts a clean batch.  Recorded after the join so a single
-        # batch scores each worker exactly once.
-        for handle in handles:
-            if handle.draining.is_set():
-                continue
-            if handle.dead.is_set():
-                self._record_worker_loss(handle.addr)
-            else:
-                self._record_worker_ok(handle.addr)
+        self.breaker.score(handles, self._batches)
 
-        if failure[0] is not None:
-            raise failure[0]
+        if state.failure is not None:
+            raise state.failure
         if cancel_token is not None:
             # A fired token raises here (cancelled/deadline taxonomy):
             # unresolved indices stay abandoned — no local fallback for a
@@ -932,19 +520,68 @@ class DistributedBackend:
             cancel_token.check()
         # Anything unresolved (all workers lost, retry budget exhausted)
         # runs locally — each missing index exactly once, in index order.
-        missing = [index for index in range(count) if index not in results]
+        missing = state.missing()
         if missing:
             if strict:
                 raise FleetExhausted(
                     f"{len(missing)} task(s) exhausted the worker fleet",
                     details={"missing_tasks": len(missing)},
                 )
-            self._note_degraded(
-                f"{len(missing)} task(s) fell back to local execution"
-            )
+            self._note_degraded(f"{len(missing)} task(s) fell back to local execution")
             for index in missing:
-                results[index] = fn(index)
-        return [results[index] for index in range(count)]
+                state.results[index] = fn(index)
+        return [state.results[index] for index in range(count)]
+
+    def _serve_batch(
+        self,
+        handle: WorkerHandle,
+        state: BatchState,
+        token: int,
+        slim: bytes,
+        blobs: Dict[str, bytes],
+    ) -> None:
+        """One worker's dispatcher thread: register the closure, move
+        indices between ``state`` and the wire until ``state`` has none
+        left for this worker, unregister."""
+        try:
+            handle.register(token, slim, blobs, self._account)
+        except WorkerLost:
+            return
+        try:
+            while True:
+                taken = state.take(handle.draining.is_set)
+                if taken is None:
+                    return
+                index, is_hedge = taken
+                self._track_inflight(+1)
+                if is_hedge:
+                    self._account("hedges_launched", 1)
+                try:
+                    value = handle.run_task(token, index)
+                except RemoteTaskError as exc:
+                    state.failed(index, exc.original)
+                    return
+                except BaseException:
+                    # WorkerLost — or anything unforeseen in the
+                    # conversation: either way this dispatcher is done and
+                    # MUST hand its index back, or idle peers would wait
+                    # on it forever.
+                    handle.mark_dead()
+                    state.lost(index)
+                    return
+                finally:
+                    self._track_inflight(-1)
+                if state.done(index, value) and is_hedge:
+                    self._account("hedge_wins", 1)
+        finally:
+            # Free the shipped closure on every exit path — a task error
+            # must not leak the registration (unregister of a lost worker
+            # is a no-op).
+            handle.unregister(token)
+            if handle.draining.is_set():
+                # Drained by a live reconfiguration: this dispatcher owns
+                # the close once its last round-trip finished.
+                handle.mark_dead()
 
     def close(self) -> None:
         with self._lock:

@@ -118,15 +118,6 @@ class ExecutionReport:
     def total_shuffle_bytes(self) -> int:
         return sum(m.shuffle_bytes for m in self.job_metrics)
 
-    @property
-    def total_intermediate_bytes(self) -> int:
-        """Bytes written as intermediate results between jobs."""
-        return sum(m.output_bytes for m in self.job_metrics[:-1]) if self.job_metrics else 0
-
-    @property
-    def sum_job_time_s(self) -> float:
-        return sum(m.total_time_s for m in self.job_metrics)
-
     def summary(self) -> Dict[str, float]:
         return {
             "plan": self.plan_name,

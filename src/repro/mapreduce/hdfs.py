@@ -79,9 +79,6 @@ class SimulatedHDFS:
     def delete(self, name: str) -> None:
         self._files.pop(name, None)
 
-    def list_files(self) -> List[str]:
-        return sorted(self._files)
-
     # -- ingesting relations ------------------------------------------------
 
     def store_relation(self, relation: Relation, tag: str = "") -> DistributedFile:

@@ -18,12 +18,14 @@ from repro.utils import stable_hash
 
 
 class TaskContext:
-    """Handed to mapper/reducer callables for cost accounting.
+    """Handed to per-record mappers and per-group reducers for cost
+    accounting (by :func:`lift_mapper` / :func:`lift_reducer`, its only
+    users; batch callables report their counts in the batch they return).
 
-    Reduce-side join implementations call :meth:`charge_comparisons` for
-    every candidate tuple combination they test; the runtime converts the
-    count into simulated CPU time, which is how reducer-workload balance
-    (the paper's core concern) becomes visible in the makespan.
+    A reducer calls :meth:`charge_comparisons` for every candidate tuple
+    combination it tests; the runtime converts the count into simulated CPU
+    time, which is how reducer-workload balance (the paper's core concern)
+    becomes visible in the makespan.
     """
 
     def __init__(self) -> None:
@@ -54,12 +56,10 @@ class MapBatch:
     """Pre-bucketed map output for one chunk of input records.
 
     ``buckets[r]`` holds the chunk's shuffle groups destined for reduce
-    task ``r``, keyed by shuffle key with values in emission order —
-    exactly the structure the scalar map loop builds pair by pair, so the
+    task ``r``, keyed by shuffle key with values in emission order, so the
     runtime merges chunk batches with dict/list extends instead of
     re-routing every pair.  ``pair_count``/``pair_bytes`` carry the
-    chunk's map-output counters (bytes include the 12-byte per-pair
-    header the scalar path charges).
+    chunk's map-output counters (bytes by :meth:`MapReduceJobSpec.pair_bytes`).
     """
 
     buckets: List[Dict[object, List[object]]]
@@ -78,15 +78,13 @@ BatchMapper = Callable[[str, Sequence[object], int], MapBatch]
 class ReduceBatch:
     """Batched reduce output for one whole reduce task (bucket).
 
-    ``outputs`` holds the task's output records in the exact order the
-    scalar reducer would emit them (key groups in bucket insertion order,
-    records in emission order within a group); ``comparisons`` is the
-    total the scalar reducer would charge via
-    :meth:`TaskContext.charge_comparisons` over the same bucket.  When a
-    batch reducer knows its value widths statically it may also fill
-    ``input_bytes`` (the scalar path's per-value width sum, computed
-    arithmetically); leaving it ``None`` makes the runtime derive it the
-    scalar way.
+    ``outputs`` holds the task's output records in the exact order a
+    per-group reducer would emit them (key groups in bucket insertion
+    order, records in emission order within a group); ``comparisons`` is
+    the total it would charge via :meth:`TaskContext.charge_comparisons`
+    over the same bucket.  A batch reducer that knows its value widths
+    statically may fill ``input_bytes`` arithmetically; ``None`` makes the
+    runtime derive it by :meth:`MapReduceJobSpec.pair_bytes`.
     """
 
     outputs: List[object]
@@ -143,11 +141,13 @@ def estimate_width(value: object) -> int:
 class MapReduceJobSpec:
     """Everything needed to run one MapReduce job on the simulator.
 
-    Each phase needs one callable and may carry both forms: the runtime
-    runs ``batch_mapper`` / ``batch_reducer`` when present and the
-    per-record ``mapper`` / per-key-group ``reducer`` otherwise.  The join
-    builders provide only batch forms; the calibration shuffle probe, the
-    shares mapper and user-written jobs use the scalar ones.
+    ``mapper`` / ``reducer`` / ``partitioner`` are the paper's programming
+    model and all a user-written job declares.  The runtime itself runs
+    batches only: :meth:`batched_mapper` / :meth:`batched_reducer` hand it
+    ``batch_mapper`` / ``batch_reducer`` when a job ships them (the join
+    builders do) and the per-record form lifted by :func:`lift_mapper` /
+    :func:`lift_reducer` otherwise (the calibration shuffle probe, the
+    shares mapper, user jobs).
     """
 
     name: str
@@ -198,6 +198,20 @@ class MapReduceJobSpec:
         if not self.output_name:
             self.output_name = f"{self.name}.out"
 
+    def pair_bytes(self, values: Sequence[object]) -> int:
+        """Shuffle bytes of the map-output pairs carrying ``values``: the
+        fixed ``pair_width`` per pair when set, else a 12-byte header plus
+        each value's exact (``pair_width_fn``) or estimated width."""
+        if self.pair_width:
+            return self.pair_width * len(values)
+        return 12 * len(values) + sum(map(self.pair_width_fn or estimate_width, values))
+
+    def batched_mapper(self) -> BatchMapper:
+        return self.batch_mapper or lift_mapper(self)
+
+    def batched_reducer(self) -> BatchReducer:
+        return self.batch_reducer or lift_reducer(self)
+
     @property
     def input_bytes(self) -> int:
         return sum(f.size_bytes for f in self.inputs)
@@ -205,6 +219,53 @@ class MapReduceJobSpec:
     @property
     def input_records(self) -> int:
         return sum(f.num_records for f in self.inputs)
+
+
+def lift_mapper(spec: MapReduceJobSpec) -> BatchMapper:
+    """``spec.mapper`` + ``spec.partitioner`` as a batch mapper: one call
+    per record in chunk order, every pair routed (and the route checked)
+    as it is emitted.  ``ctx.record_index`` is the record's position in
+    its input file, whichever chunk it fell into."""
+    mapper, partition, num_reducers = spec.mapper, spec.partitioner, spec.num_reducers
+    assert mapper is not None
+
+    def batch_mapper(tag: str, records: Sequence[object], base_index: int) -> MapBatch:
+        buckets: List[Dict[object, List[object]]] = [{} for _ in range(num_reducers)]
+        emitted: List[object] = []
+        ctx = TaskContext()
+        for position, record in enumerate(records, base_index):
+            ctx.record_index = position
+            for key, value in mapper(tag, record, ctx):
+                index = partition(key, num_reducers)
+                if not 0 <= index < num_reducers:
+                    raise ExecutionError(
+                        f"job {spec.name!r}: partitioner returned {index} "
+                        f"outside [0, {num_reducers})"
+                    )
+                buckets[index].setdefault(key, []).append(value)
+                emitted.append(value)
+        return MapBatch(buckets, len(emitted), spec.pair_bytes(emitted))
+
+    return batch_mapper
+
+
+def lift_reducer(spec: MapReduceJobSpec) -> BatchReducer:
+    """``spec.reducer`` as a batch reducer: one call per key group in
+    bucket order, one fresh :class:`TaskContext` per reduce task."""
+    reducer = spec.reducer
+    assert reducer is not None
+
+    def batch_reducer(
+        keys: Sequence[object], values: Sequence[object], offsets: Sequence[int]
+    ) -> ReduceBatch:
+        ctx = TaskContext()
+        outputs: List[object] = []
+        for position, key in enumerate(keys):
+            group = values[offsets[position] : offsets[position + 1]]
+            outputs.extend(reducer(key, group, ctx))  # type: ignore[arg-type]
+        return ReduceBatch(outputs, ctx.comparisons)
+
+    return batch_reducer
 
 
 @dataclass

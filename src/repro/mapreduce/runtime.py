@@ -29,7 +29,7 @@ from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.config import ClusterConfig, execution_settings
 from repro.mapreduce.counters import JobMetrics
 from repro.mapreduce.hdfs import DistributedFile, SimulatedHDFS
-from repro.mapreduce.job import JobResult, MapReduceJobSpec, TaskContext, estimate_width
+from repro.mapreduce.job import JobResult, MapReduceJobSpec
 from repro.utils import ceil_div, make_rng
 
 
@@ -78,7 +78,7 @@ class SimulatedCluster:
         # or cancel fires between phases (and between the independent
         # work items inside each phase), never mid-record.
         check_cancelled()
-        buckets, map_ctx = self._run_map_phase(spec, metrics)
+        buckets = self._run_map_phase(spec, metrics)
         check_cancelled()
         output_records, reducer_costs = self._run_reduce_phase(spec, buckets, metrics)
         self._charge_time(spec, metrics, map_units, reduce_units, reducer_costs)
@@ -100,77 +100,26 @@ class SimulatedCluster:
 
     def _run_map_phase(
         self, spec: MapReduceJobSpec, metrics: JobMetrics
-    ) -> Tuple[List[Dict[object, List[object]]], TaskContext]:
-        """Run all mappers, bucket pairs per reducer; fills size counters."""
-        block = self.config.hadoop.fs_block_size
-        metrics.num_map_tasks = sum(f.blocks(block) for f in spec.inputs)
-        if metrics.num_map_tasks == 0:
-            raise ExecutionError(f"job {spec.name!r}: all inputs are empty")
+    ) -> List[Dict[object, List[object]]]:
+        """Run the map tasks, bucket pairs per reducer; fills size counters.
 
-        if spec.batch_mapper is not None:
-            return self._run_map_phase_batched(spec, metrics)
-
-        buckets: List[Dict[object, List[object]]] = [
-            {} for _ in range(spec.num_reducers)
-        ]
-        ctx = TaskContext()
-        pair_bytes = 0
-        pair_count = 0
-        # Hot loop: one iteration per emitted (key, value) pair.  Bind the
-        # per-pair callables/constants once; join jobs precompute their
-        # pair widths per alias set, so width_fn is a constant lookup.
-        mapper = spec.mapper
-        partition = spec.partitioner
-        num_reducers = spec.num_reducers
-        fixed_width = spec.pair_width
-        width_fn = spec.pair_width_fn
-        for file in spec.inputs:
-            check_cancelled()  # per-file: keeps the per-pair loop clean
-            tag = file.tag
-            for position, record in enumerate(file.records):
-                ctx.record_index = position
-                for key, value in mapper(tag, record, ctx):
-                    index = partition(key, num_reducers)
-                    if not 0 <= index < num_reducers:
-                        raise ExecutionError(
-                            f"job {spec.name!r}: partitioner returned {index} "
-                            f"outside [0, {num_reducers})"
-                        )
-                    bucket = buckets[index]
-                    values = bucket.get(key)
-                    if values is None:
-                        bucket[key] = [value]
-                    else:
-                        values.append(value)
-                    pair_count += 1
-                    if fixed_width:
-                        pair_bytes += fixed_width
-                    elif width_fn is not None:
-                        pair_bytes += 12 + width_fn(value)
-                    else:
-                        pair_bytes += 12 + estimate_width(value)
-        metrics.map_output_records = pair_count
-        metrics.map_output_bytes = pair_bytes
-        metrics.shuffle_bytes = pair_bytes
-        return buckets, ctx
-
-    def _run_map_phase_batched(
-        self, spec: MapReduceJobSpec, metrics: JobMetrics
-    ) -> Tuple[List[Dict[object, List[object]]], TaskContext]:
-        """Batched map phase: whole record chunks per call, merged in order.
-
-        Each input file is cut into contiguous chunks; ``batch_mapper``
-        turns a chunk into a pre-bucketed :class:`MapBatch`; batches are
-        merged into the global buckets strictly in chunk order, so key
+        Each input file is cut into contiguous chunks; the job's batch
+        mapper turns a chunk into a pre-bucketed :class:`MapBatch`; batches
+        are merged into the global buckets strictly in chunk order, so key
         insertion order and per-key value order — hence reducer iteration
-        order, metrics, and answers — are identical to the scalar loop.
-        Chunks are independent, which is what lets them shard across the
-        selected execution backend (``REPRO_EXEC_BACKEND`` /
+        order, metrics, and answers — are those of one pass over the
+        records.  Chunks are independent, which is what lets them shard
+        across the selected execution backend (``REPRO_EXEC_BACKEND`` /
         ``REPRO_EXEC_WORKERS``) without changing any output — including
         over TCP to remote worker daemons (``REPRO_WORKERS_ADDRS``),
         whose chunk batches come back pickle-round-tripped but are
         merged by the very same in-order loop.
         """
+        block = self.config.hadoop.fs_block_size
+        metrics.num_map_tasks = sum(f.blocks(block) for f in spec.inputs)
+        if metrics.num_map_tasks == 0:
+            raise ExecutionError(f"job {spec.name!r}: all inputs are empty")
+
         settings = execution_settings()
         fanout = settings.chunk_fanout
         chunks: List[Tuple[str, Sequence[object], int]] = []
@@ -185,8 +134,7 @@ class SimulatedCluster:
             for start in range(0, len(records), per_chunk):
                 chunks.append((file.tag, records[start : start + per_chunk], start))
 
-        batch_mapper = spec.batch_mapper
-        assert batch_mapper is not None
+        batch_mapper = spec.batched_mapper()
 
         def map_chunk(index: int):
             # Per-chunk cancellation checkpoint: active when the serial
@@ -230,7 +178,7 @@ class SimulatedCluster:
         metrics.map_output_records = pair_count
         metrics.map_output_bytes = pair_bytes
         metrics.shuffle_bytes = pair_bytes
-        return buckets, TaskContext()
+        return buckets
 
     def _run_reduce_phase(
         self,
@@ -238,57 +186,13 @@ class SimulatedCluster:
         buckets: List[Dict[object, List[object]]],
         metrics: JobMetrics,
     ) -> Tuple[List[object], List[float]]:
-        """Run reducers; returns output records and per-reducer cost seconds."""
-        if spec.batch_reducer is not None:
-            return self._run_reduce_phase_batched(spec, buckets, metrics)
-
-        output_records: List[object] = []
-        reducer_costs: List[float] = []
-        reducer = spec.reducer
-        fixed_width = spec.pair_width
-        width_fn = spec.pair_width_fn
-        append_output = output_records.append
-        for bucket in buckets:
-            check_cancelled()  # per-bucket: one reduce task is the grain
-            ctx = TaskContext()
-            input_bytes = 0
-            input_values = 0
-            produced = 0
-            for key, values in bucket.items():
-                if fixed_width:
-                    input_bytes += fixed_width * len(values)
-                elif width_fn is not None:
-                    input_bytes += 12 * len(values) + sum(
-                        width_fn(v) for v in values
-                    )
-                else:
-                    input_bytes += sum(12 + estimate_width(v) for v in values)
-                input_values += len(values)
-                for record in reducer(key, values, ctx):
-                    append_output(record)
-                    produced += 1
-            metrics.reducer_input_bytes.append(input_bytes)
-            metrics.reduce_comparisons += ctx.comparisons
-            reducer_costs.append(
-                self._reduce_task_cost(
-                    spec, input_bytes, input_values, ctx.comparisons, produced
-                )
-            )
-        return output_records, reducer_costs
-
-    def _run_reduce_phase_batched(
-        self,
-        spec: MapReduceJobSpec,
-        buckets: List[Dict[object, List[object]]],
-        metrics: JobMetrics,
-    ) -> Tuple[List[object], List[float]]:
-        """Batched reduce phase: whole buckets per call, key-major layout.
+        """Run the reduce tasks; returns output records and per-task cost
+        seconds.
 
         Each bucket's key groups are flattened into one value array plus
-        group offsets and handed to ``batch_reducer`` in a single call;
-        the returned :class:`ReduceBatch` carries the task's outputs (in
-        scalar emission order) and its comparison count, so every counter,
-        cost term, and output record is identical to the scalar loop.
+        group offsets and handed to the job's batch reducer in a single
+        call; the returned :class:`ReduceBatch` carries the task's outputs
+        (key groups in bucket order) and its comparison count.
 
         Reduce tasks are independent by construction (each consumes one
         bucket and shares nothing), so whole buckets are dispatched
@@ -299,15 +203,13 @@ class SimulatedCluster:
         exactly-once folding under worker loss, and degrades to this
         same serial arithmetic when no worker daemons answer).
         """
-        batch_reducer = spec.batch_reducer
-        assert batch_reducer is not None
-        fixed_width = spec.pair_width
-        width_fn = spec.pair_width_fn
+        batch_reducer = spec.batched_reducer()
         backend = get_backend()
 
         def reduce_bucket(index: int) -> Tuple[List[object], int, int, float]:
-            # Same grain as the scalar reduce loop; active on the session
-            # thread (serial, local fallbacks), a no-op on pool threads.
+            # Per-bucket cancellation checkpoint (one reduce task is the
+            # grain): active on the session thread (serial, local
+            # fallbacks), a no-op on pool threads.
             check_cancelled()
             bucket = buckets[index]
             keys = list(bucket)
@@ -317,17 +219,11 @@ class SimulatedCluster:
                 flat.extend(values)
                 offsets.append(len(flat))
             batch = batch_reducer(keys, flat, offsets)
-            input_values = len(flat)
-            if batch.input_bytes is not None:
-                input_bytes = batch.input_bytes
-            elif fixed_width:
-                input_bytes = fixed_width * input_values
-            elif width_fn is not None:
-                input_bytes = 12 * input_values + sum(width_fn(v) for v in flat)
-            else:
-                input_bytes = sum(12 + estimate_width(v) for v in flat)
+            input_bytes = batch.input_bytes
+            if input_bytes is None:
+                input_bytes = spec.pair_bytes(flat)
             cost = self._reduce_task_cost(
-                spec, input_bytes, input_values, batch.comparisons, len(batch.outputs)
+                spec, input_bytes, len(flat), batch.comparisons, len(batch.outputs)
             )
             return batch.outputs, input_bytes, batch.comparisons, cost
 

@@ -1,6 +1,5 @@
 """Relational substrate: schemas, relations, theta predicates, queries, statistics."""
 
-from repro.relational.io import infer_schema, read_relation, write_relation
 from repro.relational.histogram import (
     Bucket,
     ClosedFormSelectivityEstimator,
@@ -50,8 +49,5 @@ __all__ = [
     "ThetaOp",
     "compute_column_stats",
     "compute_relation_stats",
-    "infer_schema",
     "parse_join_query",
-    "read_relation",
-    "write_relation",
 ]

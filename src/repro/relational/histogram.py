@@ -166,9 +166,6 @@ class Histogram:
     def span(self) -> float:
         return self.max_value - self.min_value
 
-    def mean(self) -> float:
-        return sum(b.mass * (b.lo + b.hi) / 2.0 for b in self.buckets)
-
     def fraction_below(self, value: float, inclusive: bool = False) -> float:
         """Mass strictly below ``value`` (or at-or-below when inclusive)."""
         total = 0.0

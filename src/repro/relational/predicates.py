@@ -58,10 +58,6 @@ class ThetaOp(enum.Enum):
     def is_equality(self) -> bool:
         return self is ThetaOp.EQ
 
-    @property
-    def is_inequality(self) -> bool:
-        return self is not ThetaOp.EQ
-
     def swapped(self) -> "ThetaOp":
         """The operator obtained when the two sides are exchanged.
 
@@ -94,17 +90,6 @@ _SWAPPED = {
     ThetaOp.GE: ThetaOp.LE,
     ThetaOp.GT: ThetaOp.LT,
     ThetaOp.NE: ThetaOp.NE,
-}
-
-#: Rough textbook selectivity priors per operator, used only as a fallback
-#: when no sample-based estimate is available.
-DEFAULT_OP_SELECTIVITY = {
-    ThetaOp.EQ: 0.01,
-    ThetaOp.NE: 0.99,
-    ThetaOp.LT: 0.33,
-    ThetaOp.LE: 0.33,
-    ThetaOp.GT: 0.33,
-    ThetaOp.GE: 0.33,
 }
 
 
@@ -236,10 +221,6 @@ class JoinCondition:
             p.op.is_equality and p.left.offset == 0 and p.right.offset == 0
             for p in self.predicates
         )
-
-    @property
-    def operators(self) -> Tuple[ThetaOp, ...]:
-        return tuple(p.op for p in self.predicates)
 
     def other_alias(self, alias: str) -> str:
         if alias == self.left_alias:

@@ -13,7 +13,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import QueryError
 from repro.relational.predicates import JoinCondition
 from repro.relational.relation import Relation
-from repro.relational.schema import Field, Schema
 
 
 class JoinQuery:
@@ -123,10 +122,6 @@ class JoinQuery:
                 return c
         raise QueryError(f"no condition with id {condition_id} in query {self.name!r}")
 
-    def conditions_between(self, alias_a: str, alias_b: str) -> List[JoinCondition]:
-        pair = frozenset((alias_a, alias_b))
-        return [c for c in self.conditions if frozenset(c.aliases) == pair]
-
     def conditions_among(self, aliases: Iterable[str]) -> List[JoinCondition]:
         """All conditions whose both endpoints are inside ``aliases``."""
         alias_set = set(aliases)
@@ -135,9 +130,6 @@ class JoinQuery:
             for c in self.conditions
             if c.left_alias in alias_set and c.right_alias in alias_set
         ]
-
-    def schema_of(self, alias: str) -> Schema:
-        return self.relations[alias].schema
 
     def subquery(self, condition_ids: Sequence[int], name_suffix: str = "sub") -> "JoinQuery":
         """The sub-join induced by a set of condition ids (one MRJ's work)."""
@@ -150,14 +142,6 @@ class JoinQuery:
             {a: self.relations[a] for a in aliases},
             conditions,
         )
-
-    def output_schema(self) -> Schema:
-        """Schema of the full join output (concatenation in alias order)."""
-        fields = []
-        for alias in self.aliases:
-            for f in self.relations[alias].schema.fields:
-                fields.append(Field(f"{alias}_{f.name}", f.kind, f.width))
-        return Schema(fields)
 
     def total_input_bytes(self) -> int:
         """Bytes of all distinct base relations referenced by the query."""

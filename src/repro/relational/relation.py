@@ -93,10 +93,6 @@ class Relation:
         """Append ``rows``; all are validated before any is added."""
         self._rows.extend(self._checked(rows))
 
-    @classmethod
-    def from_rows(cls, name: str, schema: Schema, rows: Iterable[Row]) -> "Relation":
-        return cls(name, schema, rows)
-
     def renamed(self, new_name: str) -> "Relation":
         """Same rows and schema under a different relation name (cheap: shares rows)."""
         return Relation.adopt(new_name, self.schema, self._rows)
@@ -126,14 +122,6 @@ class Relation:
             name or f"{self.name}_proj",
             self.schema.project(names),
             [tuple(row[i] for i in indices) for row in self._rows],
-        )
-
-    def sorted_by(self, field_name: str, reverse: bool = False) -> "Relation":
-        idx = self.schema.index_of(field_name)
-        return Relation.adopt(
-            self.name,
-            self.schema,
-            sorted(self._rows, key=lambda r: r[idx], reverse=reverse),
         )
 
     def distinct(self) -> "Relation":

@@ -126,15 +126,3 @@ class Schema:
     def project(self, names: Sequence[str]) -> "Schema":
         """New schema with only ``names``, in the given order."""
         return Schema([self.field(n) for n in names])
-
-    def concat(self, other: "Schema", prefix_self: str = "", prefix_other: str = "") -> "Schema":
-        """Concatenate two schemas, optionally prefixing names to disambiguate."""
-        fields = [
-            Field(f"{prefix_self}{f.name}" if prefix_self else f.name, f.kind, f.width)
-            for f in self._fields
-        ]
-        fields += [
-            Field(f"{prefix_other}{f.name}" if prefix_other else f.name, f.kind, f.width)
-            for f in other.fields
-        ]
-        return Schema(fields)

@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.relational.predicates import (
-    DEFAULT_OP_SELECTIVITY,
     JoinCondition,
     JoinPredicate,
     ThetaOp,
@@ -54,17 +53,6 @@ class ColumnStats:
         return 0.0
 
     @property
-    def self_join_factor(self) -> float:
-        """Sum of squared value frequencies: P[two random rows are equal]."""
-        if not self.top_frequencies:
-            return 1.0 / max(self.distinct, 1)
-        top_mass = sum(f for _, f in self.top_frequencies)
-        top_square = sum(f * f for _, f in self.top_frequencies)
-        residual_distinct = max(1, self.distinct - len(self.top_frequencies))
-        residual_mass = max(0.0, 1.0 - top_mass)
-        return top_square + residual_mass * residual_mass / residual_distinct
-
-    @property
     def buckets(self) -> int:
         return max(1, len(self.boundaries) - 1)
 
@@ -88,14 +76,6 @@ class ColumnStats:
         lo, hi = bounds[bucket], bounds[bucket + 1]
         inside = 0.0 if hi == lo else (value - lo) / (hi - lo)
         return (bucket + inside) / self.buckets
-
-    def eq_fraction(self, value: float) -> float:
-        """Estimated fraction of values equal to ``value`` (uniform-per-distinct)."""
-        if self.count == 0 or self.distinct == 0:
-            return 0.0
-        if value < self.min_value or value > self.max_value:
-            return 0.0
-        return 1.0 / self.distinct
 
 
 @dataclass
@@ -349,18 +329,3 @@ class SelectivityEstimator:
         for condition in conditions:
             selectivity *= self.condition_selectivity(condition, relation_names)
         return selectivity
-
-    # -- fallback ----------------------------------------------------------
-
-    @staticmethod
-    def prior_selectivity(condition: JoinCondition) -> float:
-        """Operator-prior fallback when no statistics exist."""
-        selectivity = 1.0
-        for predicate in condition.predicates:
-            selectivity *= DEFAULT_OP_SELECTIVITY[predicate.op]
-        return selectivity
-
-
-def _range_overlap(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> float:
-    """Length of the overlap of two closed intervals (0 when disjoint)."""
-    return max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))

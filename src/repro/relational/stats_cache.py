@@ -43,7 +43,7 @@ the benchmark sweeps skip redundant sampling.  Pass a private
 Disk persistence (PR 4)
 -----------------------
 With ``REPRO_PLAN_DISK_CACHE=1`` (the CLI's default) the cache is backed
-by a :class:`DiskCacheStore` under ``~/.cache/repro`` (override with
+by the keyed planning tier under ``~/.cache/repro`` (override with
 ``REPRO_CACHE_DIR``): every computed sample, statistics object, and join
 observation is written through to disk, and in-memory misses consult the
 store before recomputing — so a *new process* planning the same content
@@ -55,15 +55,13 @@ value), and any unreadable or mismatching file is silently deleted and
 rebuilt — a corrupt cache can cost time, never correctness.
 
 The generic machinery (LRU tables, stable key serialization, atomic
-keyed pickle files) lives in :mod:`repro.storage` since PR 8 — this
-module keeps its historical names (``_LRUTable``, ``_stable_key_repr``,
-:class:`DiskCacheStore`) as the planning-specific surface over it.
+keyed pickle files) lives in :mod:`repro.storage`; the disk tier is its
+:func:`~repro.storage.planning_tier` (``samples`` / ``stats`` / ``joins``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -71,8 +69,7 @@ import numpy as np
 from repro.relational.columns import typed_column
 from repro.relational.relation import Relation
 from repro.relational.statistics import RelationStats, compute_relation_stats
-from repro.storage import PLANNING_TABLES, KeyedDiskStore, LRUTable, stable_key_repr
-from repro.storage.keyed import DISK_FORMAT
+from repro.storage import KeyedDiskStore, LRUTable, planning_tier
 from repro.utils import make_rng
 
 #: Relation fingerprint: (name, cardinality, row digest).
@@ -136,48 +133,17 @@ def relation_fingerprint(relation: Relation) -> Fingerprint:
     return fingerprint
 
 
-#: Historical names, now thin views over :mod:`repro.storage` — kept so
-#: existing imports (tests, the executor's composite-file cache before
-#: PR 8) keep working.
-_LRUTable = LRUTable
-_stable_key_repr = stable_key_repr
-_DISK_FORMAT = DISK_FORMAT
-
-#: Every table a planning disk store may hold — the single source of
-#: truth for whole-store sweeps (``clear``, the ``repro cache`` CLI).
-DISK_TABLES = PLANNING_TABLES
-
-
-class DiskCacheStore(KeyedDiskStore):
-    """The planning tier: a :class:`~repro.storage.keyed.KeyedDiskStore`
-    over the ``samples`` / ``stats`` / ``joins`` tables.
-
-    One file per entry, ``<root>/<table>/<sha256(key)>.pkl``, written
-    atomically (temp file + rename) so readers in other processes never
-    see a torn write.  The payload embeds the full key: a load whose
-    stored key differs from the requested one (hash collision, stale
-    format) is a miss and the file is removed.  Any failure to read,
-    unpickle, or validate is swallowed the same way — the store can only
-    ever cost a recompute, never serve bad data.
-    """
-
-    def __init__(self, root: Path, max_entries_per_table: int = 8192) -> None:
-        super().__init__(
-            root, DISK_TABLES, max_entries_per_table=max_entries_per_table
-        )
-
-
 class PlanningCache:
     """Shared per-relation samples, statistics, and join-sample counts."""
 
     def __init__(
         self,
         max_entries: int = 2048,
-        disk: Optional[DiskCacheStore] = None,
+        disk: Optional[KeyedDiskStore] = None,
     ) -> None:
-        self._samples = _LRUTable(max_entries)
-        self._stats = _LRUTable(max_entries)
-        self._joins = _LRUTable(max_entries)
+        self._samples = LRUTable(max_entries)
+        self._stats = LRUTable(max_entries)
+        self._joins = LRUTable(max_entries)
         #: Optional write-through disk tier consulted on in-memory misses.
         self.disk = disk
 
@@ -313,13 +279,11 @@ class PlanningCache:
 _DEFAULT_CACHE: Optional[PlanningCache] = None
 
 
-def _disk_store_from_env() -> Optional[DiskCacheStore]:
+def _disk_store_from_env() -> Optional[KeyedDiskStore]:
     from repro.mapreduce.config import execution_settings
 
     settings = execution_settings()
-    if not settings.plan_disk_cache:
-        return None
-    return DiskCacheStore(settings.resolved_cache_dir() / "planning")
+    return planning_tier(settings) if settings.plan_disk_cache else None
 
 
 def get_planning_cache() -> PlanningCache:

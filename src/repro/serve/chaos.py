@@ -13,8 +13,7 @@ the situation the serve-layer isolation guarantee is about:
 * concurrent queries that never touched the faulty worker must finish
   bit-identical to a serial run.
 
-Events with ``at_s > 0`` are armed from a timer thread; ``at_s == 0``
-events arm synchronously in :meth:`ChaosHarness.start`, so a test that
+Events arm synchronously in :meth:`ChaosHarness.start`, so a test that
 needs the fault in place before submitting queries can rely on it.
 
 The harness also covers the *coordinator* side of the durability story:
@@ -29,10 +28,9 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.mapreduce import wire
 
@@ -72,60 +70,22 @@ class ChaosEvent:
     mode: str
     after_tasks: int = 1
     delay_s: float = 0.0  # slow-mode per-task sleep
-    at_s: float = 0.0  # seconds after ChaosHarness.start()
 
 
 class ChaosHarness:
     """Runs a :class:`ChaosEvent` schedule against live worker daemons."""
 
     def __init__(self, schedule: Sequence[ChaosEvent]) -> None:
-        self.schedule = sorted(schedule, key=lambda event: event.at_s)
+        self.schedule = list(schedule)
         self.armed: List[ChaosEvent] = []
         self.failed: List[ChaosEvent] = []
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
     def start(self) -> "ChaosHarness":
-        """Arm immediate events now; schedule the rest on a timer thread."""
-        pending: List[ChaosEvent] = []
+        """Arm every event, in order; ``failed`` lists the refused ones."""
         for event in self.schedule:
-            if event.at_s <= 0:
-                self._arm(event)
-            else:
-                pending.append(event)
-        if pending:
-            self._thread = threading.Thread(
-                target=self._run, args=(pending,), daemon=True, name="repro-chaos"
-            )
-            self._thread.start()
+            ok = arm_fault(event.addr, event.mode, event.after_tasks, event.delay_s)
+            (self.armed if ok else self.failed).append(event)
         return self
-
-    def _run(self, pending: Sequence[ChaosEvent]) -> None:
-        started = time.monotonic()
-        for event in pending:
-            delay = event.at_s - (time.monotonic() - started)
-            if delay > 0 and self._stop.wait(delay):
-                return
-            self._arm(event)
-
-    def _arm(self, event: ChaosEvent) -> None:
-        ok = arm_fault(
-            event.addr, event.mode, event.after_tasks, event.delay_s
-        )
-        (self.armed if ok else self.failed).append(event)
-
-    def stop(self) -> None:
-        """Stop the timer thread; already-armed faults stay armed."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def wait(self, timeout_s: float = 30.0) -> bool:
-        """Block until every scheduled event was attempted."""
-        if self._thread is None:
-            return True
-        self._thread.join(timeout=timeout_s)
-        return not self._thread.is_alive()
 
 
 # ----------------------------------------------------------------------

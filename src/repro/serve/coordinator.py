@@ -42,9 +42,10 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
   the client gets a structured ``result-too-large`` error steering it
   to paginated fetch, and the session stays DONE and servable.
 * **Bounded memory** — finished sessions are kept for status/result
-  lookups only within a fixed retention window (the newest
-  :data:`RETAINED_SESSIONS` terminal sessions, their result rows summing
-  to at most :data:`RETAINED_RESULT_ROWS`); beyond it the oldest are
+  lookups only within a fixed retention window
+  (:mod:`repro.serve.durability`: the newest ``RETAINED_SESSIONS``
+  terminal sessions, their result rows summing to at most
+  ``RETAINED_RESULT_ROWS``); beyond it the oldest are
   evicted, fully-delivered ones first, and a later lookup gets the
   ``unknown query id`` error with ``details["expired"]``.  A session
   that is not terminal is never evicted.  Generated relation sets are an
@@ -74,14 +75,17 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
   checkpoint tier (the executor restores by content key; the journal's
   wave records exist so tests and operators can *prove* which waves
   were skipped).  A submit is journaled before its session becomes
-  visible, so an acknowledged query id survives any crash after it.
+  visible, and a terminal outcome before its state does, so neither an
+  acknowledged query id nor an acknowledged result is lost to a crash.
+  The journal, its replay and the retention window live in
+  :class:`~repro.serve.durability.SessionLedger`; this module is the
+  protocol handler and the session runner.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.errors import (
@@ -90,6 +94,9 @@ from repro.errors import (
     ServiceError,
     error_to_wire,
 )
+from repro.baselines import PLANNERS
+from repro.core.checkpoint import checkpoint_counters
+from repro.core.executor import PlanExecutor
 from repro.mapreduce import wire
 from repro.mapreduce.backend import live_distributed_backend
 from repro.mapreduce.cancel import cancel_scope, check_cancelled
@@ -103,6 +110,9 @@ from repro.mapreduce.config import (
     execution_settings,
     settings_scope,
 )
+from repro.mapreduce.runtime import SimulatedCluster
+from repro.relational.sql import parse_join_query
+from repro.serve.durability import SessionLedger
 from repro.serve.fleet import FleetManager
 from repro.serve.scheduler import (
     PRIORITY_DEFAULT,
@@ -113,20 +123,14 @@ from repro.serve.scheduler import (
 from repro.serve.session import (
     ADMITTED,
     DONE,
-    FAILED,
     PLANNING,
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
     QuerySession,
 )
-from repro.storage import (
-    LRUTable,
-    SessionJournal,
-    blob_tier,
-    externalize_value,
-    resolve_value,
-)
+from repro.storage import LRUTable
+from repro.workloads import workload_relations
 
 #: Knobs a query may override for its own session, each with the check
 #: its value must pass at submit (values arrive as strings or ints).  The
@@ -150,12 +154,6 @@ def _knob_value_ok(name: str, value: object) -> bool:
 
 WORKLOADS = ("mobile", "tpch")
 
-#: Retention window for finished sessions: how many terminal sessions
-#: stay addressable, and how many result rows they may hold between
-#: them.  The newest terminal session is kept whatever its size.
-RETAINED_SESSIONS = 32
-RETAINED_RESULT_ROWS = 500_000
-
 #: Generated ``(workload, volume, seed)`` relation sets kept for reuse.
 RELATION_SETS_CACHED = 8
 
@@ -164,12 +162,6 @@ RELATION_SETS_CACHED = 8
 #: refused with a structured ``result-too-large`` error steering the
 #: client to paginated fetch instead of an unframeable reply.
 RESULT_MAX_BYTES = 1 << 30
-
-#: Inline cap on journaled DONE-result payloads.  Larger results spill
-#: to the content-addressed blob tier and the journal records only their
-#: digest, so the journal stays lifecycle-sized instead of growing with
-#: answer volume; recovery reads either form.
-JOURNAL_RESULT_MAX_BYTES = 1 << 20
 
 
 class QueryService(wire.FrameServer):
@@ -211,21 +203,14 @@ class QueryService(wire.FrameServer):
         )
         super().__init__(host, port)
 
-        self._sessions: Dict[str, QuerySession] = {}
-        #: Retained terminal sessions, oldest first: query id -> result
-        #: rows held.  With ``_sessions``, ``_next_id`` and the eviction
-        #: count, guarded by ``_cond``.
-        self._terminal_rows: "OrderedDict[str, int]" = OrderedDict()
-        self._retained_rows = 0
-        self._evicted = 0
+        #: Session registry, journal and retention window; its registry
+        #: and window are guarded by ``_cond``.
+        self.ledger = SessionLedger(journal_path)
         self._cond = threading.Condition()
         #: Admission closed.  Set under ``_cond`` (not the transport's
         #: own stop flag) so a racing submit either lands before the
         #: shutdown drain or is refused.
         self._closing = False
-        #: Query ids are ``q1, q2, ...``; an id below this that is not in
-        #: ``_sessions`` was evicted, which needs no record of its own.
-        self._next_id = 1
         #: Planning shares process-global caches (statistics LRU, disk
         #: store); serializing it keeps those structures single-writer
         #: and gives executing queries the cores.
@@ -241,23 +226,14 @@ class QueryService(wire.FrameServer):
         self._stats_lock = threading.Lock()
         self._relations_cache = LRUTable(RELATION_SETS_CACHED)
         self._relations_lock = threading.Lock()
-        self.journal: Optional[SessionJournal] = None
-        if journal_path is not None:
-            self.journal = SessionJournal(journal_path)  # fsync per record
-        self._journal_blobs = None
-        self.recovered: Dict[str, object] = {
-            "records": 0,
-            "torn": False,
-            "done": 0,
-            "other_terminal": 0,
-            "resumed": 0,
-            "requeued": 0,
-            "spill_lost": 0,
-        }
         if recover:
             # Replay must finish before the admitter thread exists:
             # recovery is the only writer of session state until here.
-            self._recover_from_journal()
+            # Quotas govern *new* load; work already admitted in a past
+            # process life is re-seated unconditionally.
+            self.ledger.recover(
+                lambda session: self._sched.enqueue(session, force=True)
+            )
         self._admitter = threading.Thread(
             target=self._admission_loop, daemon=True, name="repro-serve-admit"
         )
@@ -267,130 +243,6 @@ class QueryService(wire.FrameServer):
     def _running(self) -> int:
         """Live slot count, owned by the scheduler since PR 10."""
         return self._sched.total_running
-
-    # -- durability ------------------------------------------------------
-
-    def _journal_append(self, record: dict) -> None:
-        if self.journal is not None:
-            self.journal.append(record)
-
-    def _journal_blob_store(self):
-        """The blob tier oversized journal values spill to (lazy; a
-        journal-less service never touches the cache directory)."""
-        if self._journal_blobs is None:
-            self._journal_blobs = blob_tier()
-        return self._journal_blobs
-
-    def _recover_from_journal(self) -> None:
-        """Fold the journal into live session state (startup only).
-
-        Replay is order-tolerant per query id: the submit record carries
-        the spec, the *last* state record the frontier, and a terminal
-        record (when present) wins outright.  Non-terminal sessions are
-        re-created under their original ids with **fresh** deadline
-        budgets — a query should not be timed out for the coordinator's
-        crash — and queue up for normal admission; their completed waves
-        come back from the checkpoint tier by content key, not from the
-        journal.
-        """
-        records, torn = self.journal.replay()
-        specs: Dict[str, dict] = {}
-        states: Dict[str, str] = {}
-        terminals: Dict[str, dict] = {}
-        order: list = []
-        for record in records:
-            if not isinstance(record, dict):
-                continue
-            qid = record.get("id")
-            if not isinstance(qid, str):
-                continue
-            kind = record.get("kind")
-            if kind == "submit":
-                if qid not in specs:
-                    order.append(qid)
-                specs[qid] = record.get("spec") or {}
-            elif kind == "state":
-                states[qid] = str(record.get("state"))
-            elif kind == "terminal":
-                terminals[qid] = record
-        max_id = 0
-        for qid in order:
-            try:
-                max_id = max(max_id, int(qid.lstrip("q")))
-            except ValueError:
-                pass
-        self._next_id = max_id + 1
-        # The retention window applies to replay as well: terminal
-        # sessions older than the newest RETAINED_SESSIONS are counted
-        # but never re-materialised (no result resolved from the journal
-        # or the blob tier).
-        expired = set([qid for qid in terminals if qid in specs][:-RETAINED_SESSIONS])
-        restored: Dict[str, QuerySession] = {}
-        for qid in order:
-            if qid in expired:
-                done = terminals[qid].get("state") == DONE
-                self.recovered["done" if done else "other_terminal"] += 1
-                self._evicted += 1
-                continue
-            spec = specs[qid]
-            try:
-                priority = int(spec.get("priority", PRIORITY_DEFAULT))
-            except (TypeError, ValueError):
-                priority = PRIORITY_DEFAULT
-            session = QuerySession(
-                query_id=qid,
-                sql=str(spec.get("sql", "")),
-                workload=str(spec.get("workload", "mobile")),
-                volume=int(spec.get("volume", 0) or 0),
-                seed=int(spec.get("seed", 0) or 0),
-                method=str(spec.get("method", "ours")),
-                deadline_s=spec.get("deadline_s"),
-                knobs=spec.get("knobs") or {},
-                client_id=str(spec.get("client_id") or "default"),
-                priority=min(PRIORITY_MAX, max(PRIORITY_MIN, priority)),
-            )
-            terminal = terminals.get(qid)
-            if terminal is not None:
-                state = str(terminal.get("state", FAILED))
-                if state not in TERMINAL_STATES:
-                    state = FAILED
-                result = None
-                if state == DONE:
-                    # The journaled result may be a blob-tier reference
-                    # (spilled at terminal time).  A lost spill is not a
-                    # lost query: fall through to re-admission and let
-                    # deterministic re-execution rebuild the rows.
-                    result, ok = resolve_value(
-                        terminal.get("result"), self._journal_blob_store()
-                    )
-                    if not ok:
-                        self.recovered["spill_lost"] += 1
-                        terminal = None
-            if terminal is not None:
-                session.restore_terminal(
-                    state,
-                    error=terminal.get("error"),
-                    result=result,
-                )
-                self._sessions[qid] = restored[qid] = session
-                key = "done" if state == DONE else "other_terminal"
-                self.recovered[key] += 1
-                continue
-            self._sessions[qid] = session
-            # Quotas govern *new* load; work already admitted in a past
-            # process life is re-seated unconditionally.
-            self._sched.enqueue(session, force=True)
-            key = (
-                "resumed"
-                if states.get(qid) in (ADMITTED, PLANNING, RUNNING)
-                else "requeued"
-            )
-            self.recovered[key] += 1
-        for qid in terminals:  # journal order: oldest terminal first
-            if qid in restored:
-                self._retain_terminal_locked(restored[qid])
-        self.recovered["records"] = len(records)
-        self.recovered["torn"] = bool(torn)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -403,7 +255,7 @@ class QueryService(wire.FrameServer):
         for session in queued:
             session.token.cancel("service shutting down")
             session.finish_from_token()
-        for session in list(self._sessions.values()):
+        for session in list(self.ledger.sessions.values()):
             if session.state not in TERMINAL_STATES:
                 session.token.cancel("service shutting down")
         super().stop()
@@ -428,8 +280,6 @@ class QueryService(wire.FrameServer):
                 details={"allowed": list(WORKLOADS)},
             )
         method = spec.get("method", "ours")
-        from repro.cli import PLANNERS
-
         if method not in PLANNERS:
             raise AdmissionRejected(
                 f"unknown method {method!r}",
@@ -492,7 +342,7 @@ class QueryService(wire.FrameServer):
                     self.stats["rejected"] += 1
                 raise
             session = QuerySession(
-                query_id=f"q{self._next_id}",
+                query_id=self.ledger.issue_id(),
                 sql=sql,
                 workload=workload,
                 volume=int(spec.get("volume", 0) or 0),
@@ -503,28 +353,7 @@ class QueryService(wire.FrameServer):
                 client_id=client_id,
                 priority=priority,
             )
-            self._next_id += 1
-            self._sessions[session.query_id] = session
-            # Durable before visible: once the client holds this query
-            # id, a crash-and-recover coordinator still knows the query
-            # — and re-admits it under its original client and priority.
-            self._journal_append(
-                {
-                    "kind": "submit",
-                    "id": session.query_id,
-                    "spec": {
-                        "sql": session.sql,
-                        "workload": session.workload,
-                        "volume": session.volume,
-                        "seed": session.seed,
-                        "method": session.method,
-                        "deadline_s": session.deadline_s,
-                        "knobs": dict(session.knobs),
-                        "client_id": session.client_id,
-                        "priority": session.priority,
-                    },
-                }
-            )
+            self.ledger.admit(session)
             self._sched.enqueue(session, force=True)
             with self._stats_lock:
                 self.stats["submitted"] += 1
@@ -545,14 +374,11 @@ class QueryService(wire.FrameServer):
             if session.token.fired() is not None:
                 # Died while queued (cancel or deadline): terminal now,
                 # never spends a concurrency slot on planning.
-                session.finish_from_token()
+                session.finish_from_token(self.ledger.seal)
                 self._count_terminal(session)
                 self._release_slot(session)
                 continue
-            session.transition(ADMITTED)
-            self._journal_append(
-                {"kind": "state", "id": session.query_id, "state": ADMITTED}
-            )
+            self._enter(session, ADMITTED)
             threading.Thread(
                 target=self._run_session,
                 args=(session,),
@@ -568,7 +394,7 @@ class QueryService(wire.FrameServer):
         deque per removal, O(n^2) when a deadline wave fires), and each
         is journaled as terminal exactly once, here."""
         for session in self._sched.reap_fired():
-            session.finish_from_token()
+            session.finish_from_token(self.ledger.seal)
             self._count_terminal(session)
 
     def _release_slot(self, session: QuerySession) -> None:
@@ -576,68 +402,24 @@ class QueryService(wire.FrameServer):
             self._sched.release(session)
             self._cond.notify_all()
 
+    def _enter(self, session: QuerySession, state: str) -> None:
+        session.transition(state)
+        self.ledger.append({"kind": "state", "id": session.query_id, "state": state})
+
     def _count_terminal(self, session: QuerySession) -> None:
-        key = {
-            "DONE": "done",
-            "FAILED": "failed",
-            "CANCELLED": "cancelled",
-            "TIMED_OUT": "timed_out",
-        }.get(session.state)
-        if key:
-            with self._stats_lock:
-                self.stats[key] += 1
+        """Book a session that just went terminal (every terminal path
+        funnels through here, after sealing the outcome in the journal)."""
+        with self._stats_lock:
+            self.stats[session.state.lower()] += 1
         # _cond is an RLock underneath, so this is safe from the reap
         # path (which already holds it) and session threads alike.
         with self._cond:
             self._sched.note_terminal(session)
-            self._retain_terminal_locked(session)
-        if self.journal is None:
-            return
-        # Every terminal path funnels through here, so this is the one
-        # place the journal learns a session's outcome (rows for DONE —
-        # that is what lets a recovered coordinator serve cached
-        # results).  Large results spill to the blob tier by digest so
-        # the journal grows with *events*, not answer volume.
-        result = session.result if session.state == DONE else None
-        if result is not None:
-            result, _spilled = externalize_value(
-                result, JOURNAL_RESULT_MAX_BYTES, self._journal_blob_store()
-            )
-        self._journal_append(
-            {
-                "kind": "terminal",
-                "id": session.query_id,
-                "state": session.state,
-                "error": session.error,
-                "result": result,
-            }
-        )
-
-    def _retain_terminal_locked(self, session: QuerySession) -> None:
-        """Enter a terminal session into the retention window and evict
-        what no longer fits: fully-delivered sessions first, then the
-        oldest; never the newest, never a live one.  Caller holds
-        ``self._cond`` (or is recovery, before any other thread exists)."""
-        rows = len((session.result or {}).get("rows") or ())
-        self._terminal_rows[session.query_id] = rows
-        self._retained_rows += rows
-        while len(self._terminal_rows) > 1 and (
-            len(self._terminal_rows) > RETAINED_SESSIONS
-            or self._retained_rows > RETAINED_RESULT_ROWS
-        ):
-            older = list(self._terminal_rows)[:-1]
-            victim = next(
-                (qid for qid in older if self._sessions[qid].delivered), older[0]
-            )
-            self._retained_rows -= self._terminal_rows.pop(victim)
-            del self._sessions[victim]
-            self._evicted += 1
+            self.ledger.retain_terminal(session)
 
     # -- session execution ----------------------------------------------
 
     def _relations(self, workload: str, volume: int, seed: int) -> dict:
-        from repro.workloads import workload_relations
-
         key = (workload, volume, seed)
         with self._relations_lock:
             hit, relations = self._relations_cache.lookup(key)
@@ -658,36 +440,24 @@ class QueryService(wire.FrameServer):
         return overrides
 
     def _run_session(self, session: QuerySession) -> None:
-        from repro.cli import PLANNERS
-        from repro.core.executor import PlanExecutor
-        from repro.mapreduce.runtime import SimulatedCluster
-        from repro.relational.sql import parse_join_query
-
-        on_wave = None
-        if self.journal is not None:
-            query_id = session.query_id
-
-            def on_wave(job_id: str, digest: str, restored: bool) -> None:
-                # One durable record per completed (or restored) wave:
-                # the recovery drill reads these to prove which waves a
-                # restarted coordinator did NOT re-execute.
-                self._journal_append(
-                    {
-                        "kind": "wave",
-                        "id": query_id,
-                        "job_id": job_id,
-                        "digest": digest,
-                        "restored": restored,
-                    }
-                )
+        def on_wave(job_id: str, digest: str, restored: bool) -> None:
+            # One durable record per completed (or restored) wave: the
+            # recovery drill reads these to prove which waves a
+            # restarted coordinator did NOT re-execute.
+            self.ledger.append(
+                {
+                    "kind": "wave",
+                    "id": session.query_id,
+                    "job_id": job_id,
+                    "digest": digest,
+                    "restored": restored,
+                }
+            )
 
         try:
             overrides = self._session_overrides(session)
             with settings_scope(overrides), cancel_scope(session.token):
-                session.transition(PLANNING)
-                self._journal_append(
-                    {"kind": "state", "id": session.query_id, "state": PLANNING}
-                )
+                self._enter(session, PLANNING)
                 check_cancelled()
                 relations = self._relations(
                     session.workload, session.volume, session.seed
@@ -699,10 +469,7 @@ class QueryService(wire.FrameServer):
                     planner = PLANNERS[session.method](self._config)
                     plan = planner.plan(query)
                 check_cancelled()
-                session.transition(RUNNING)
-                self._journal_append(
-                    {"kind": "state", "id": session.query_id, "state": RUNNING}
-                )
+                self._enter(session, RUNNING)
                 outcome = PlanExecutor(
                     SimulatedCluster(self._config), on_wave=on_wave
                 ).execute(plan, query)
@@ -717,10 +484,11 @@ class QueryService(wire.FrameServer):
                     "num_jobs": len(report.job_metrics),
                     "checkpoint_hits": report.checkpoint_hits,
                     "checkpoint_stores": report.checkpoint_stores,
-                }
+                },
+                self.ledger.seal,
             )
         except BaseException as exc:  # noqa: BLE001 - classified by taxonomy
-            session.fail(exc)
+            session.fail(exc, self.ledger.seal)
         finally:
             self._count_terminal(session)
             self._release_slot(session)
@@ -729,21 +497,7 @@ class QueryService(wire.FrameServer):
 
     def _session_or_error(self, query_id: object) -> QuerySession:
         with self._cond:
-            session = (
-                self._sessions.get(query_id) if isinstance(query_id, str) else None
-            )
-            if session is not None:
-                return session
-            details: Dict[str, object] = {"known": sorted(self._sessions)[-8:]}
-            number = query_id[1:] if isinstance(query_id, str) else ""
-            if (
-                number.isdecimal()
-                and query_id == f"q{int(number)}"
-                and 0 < int(number) < self._next_id
-            ):
-                # Issued once, gone now: evicted from the retention window.
-                details["expired"] = True
-        raise ServiceError(f"unknown query id {query_id!r}", details=details)
+            return self.ledger.lookup(query_id)
 
     def status(self, query_id: str) -> dict:
         return self._session_or_error(query_id).snapshot()
@@ -755,7 +509,7 @@ class QueryService(wire.FrameServer):
             if not (session.state == QUEUED and self._sched.remove(session)):
                 session = None  # running: its own thread terminalizes it
         if session is not None:
-            session.finish_from_token()
+            session.finish_from_token(self.ledger.seal)
             self._count_terminal(session)
             return session.snapshot()
         return self.status(query_id)
@@ -845,8 +599,8 @@ class QueryService(wire.FrameServer):
             queued = len(self._sched)
             running = self._sched.total_running
             scheduler = self._sched.stats()
-            retained = len(self._terminal_rows)
-            evicted = self._evicted
+            retained = self.ledger.retained
+            evicted = self.ledger.evicted
         with self._stats_lock:
             counters = dict(self.stats)
         backend = live_distributed_backend()
@@ -871,9 +625,8 @@ class QueryService(wire.FrameServer):
             )
         }
         in_flight = backend.tasks_in_flight if backend is not None else 0
-        breakers = backend.breaker_state() if backend is not None else {}
-        from repro.core.executor import checkpoint_counters
-
+        journal = self.ledger.journal
+        breakers = backend.breaker.state() if backend is not None else {}
         counters.update(
             {
                 "queued": queued,
@@ -890,8 +643,8 @@ class QueryService(wire.FrameServer):
                 "resilience": resilience,
                 "breakers": breakers,
                 "checkpoints": checkpoint_counters(),
-                "journal": self.journal.stats() if self.journal else None,
-                "recovered": dict(self.recovered),
+                "journal": journal.stats() if journal else None,
+                "recovered": dict(self.ledger.recovered),
             }
         )
         return counters
@@ -964,10 +717,8 @@ def serve(
         host, port, journal_path=journal_path, recover=recover, **service_options
     )
     notes = []
-    if service.fleet.addrs:
-        notes.append(f"repro-serve fleet: {','.join(service.fleet.addrs)}")
     if journal_path is not None:
-        recovered = service.recovered
+        recovered = service.ledger.recovered
         notes.append(
             f"repro-serve journal: {journal_path}"
             + (
@@ -980,6 +731,8 @@ def serve(
                 else ""
             )
         )
+    if service.fleet.addrs:
+        notes.append(f"repro-serve fleet: {','.join(service.fleet.addrs)}")
     return service.run(notes)
 
 

@@ -106,7 +106,3 @@ class FleetManager:
         if backend is None:
             return {"added": [], "removed": [], "kept": list(addrs)}
         return backend.reconfigure(addrs)
-
-    def probe_all(self, timeout_s: float = 1.0) -> List[dict]:
-        """Probe every fleet member (see :func:`probe_worker`)."""
-        return [probe_worker(addr, timeout_s=timeout_s) for addr in self._addrs]

@@ -14,13 +14,20 @@ the first writer wins, the loser's transition is a no-op (terminal
 states accept no successors).  ``done`` is an :class:`threading.Event`
 set exactly when a terminal state is entered; ``result`` clients block
 on it instead of polling state.
+
+Durable before visible: the terminal writers take an optional ``seal``
+callback.  The winner of the terminal race calls ``seal(session, state,
+error, result)`` — the coordinator's journal append — *before* the state,
+the error or the result becomes observable through :meth:`snapshot` or
+``done``, so a client can never be told DONE about an outcome a crash
+would lose.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.errors import (
     DeadlineExceeded,
@@ -29,6 +36,7 @@ from repro.errors import (
     error_to_wire,
 )
 from repro.mapreduce.cancel import CancellationToken
+from repro.mapreduce.wire import encoded_size
 
 QUEUED = "QUEUED"
 ADMITTED = "ADMITTED"
@@ -40,6 +48,9 @@ CANCELLED = "CANCELLED"
 TIMED_OUT = "TIMED_OUT"
 
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED, TIMED_OUT})
+
+#: seal(session, state, error, result): make a terminal outcome durable.
+Seal = Callable[["QuerySession", str, Optional[dict], Optional[dict]], None]
 
 #: state -> states it may legally move to.  Terminal states accept
 #: nothing: the first terminal transition wins, later ones no-op.
@@ -83,9 +94,9 @@ class QuerySession:
         #: Scheduler bookkeeping, stamped by FairScheduler.enqueue().
         self.sched_seq = 0
         self.enqueued_at = time.monotonic()
-        #: Pickled size of ``result``, computed once at :meth:`complete`
-        #: so the result endpoint's oversize check never re-pickles per
-        #: poll (and never races a half-assigned result).
+        #: Pickled size of ``result``, computed once when it is set so the
+        #: result endpoint's oversize check never re-pickles per poll (and
+        #: never races a half-assigned result).
         self.result_bytes = 0
         self.knobs: Dict[str, str] = {
             str(k): str(v) for k, v in (knobs or {}).items()
@@ -105,40 +116,60 @@ class QuerySession:
         self.submitted_at = time.monotonic()
         self.state_times: Dict[str, float] = {QUEUED: 0.0}
         self._lock = threading.Lock()
+        #: A terminal writer won the race and is sealing its outcome; the
+        #: state it is about to enter is not observable yet.
+        self._sealing = False
 
     # -- transitions -----------------------------------------------------
 
     def transition(self, new_state: str) -> bool:
         """Move to ``new_state`` if legal; returns whether it happened."""
+        if new_state in TERMINAL_STATES:
+            return self._finish(new_state)
         with self._lock:
-            if new_state not in TRANSITIONS[self.state]:
+            if self._sealing or new_state not in TRANSITIONS[self.state]:
                 return False
             self.state = new_state
             self.state_times[new_state] = time.monotonic() - self.submitted_at
-        if new_state in TERMINAL_STATES:
+        return True
+
+    def _finish(
+        self,
+        state: str,
+        error: Optional[dict] = None,
+        result: Optional[dict] = None,
+        seal: Optional[Seal] = None,
+    ) -> bool:
+        """Enter terminal ``state`` with its outcome, sealed first; False
+        when another terminal writer was there before."""
+        with self._lock:
+            if self._sealing or state not in TRANSITIONS[self.state]:
+                return False
+            self._sealing = True
+        result_bytes = _encoded_size(result)
+        try:
+            if seal is not None:
+                seal(self, state, error, result)
+        finally:
+            # Visible whatever the seal did: a journal that cannot be
+            # written must not leave clients waiting on ``done`` forever.
+            with self._lock:
+                self.state = state
+                self.error = error
+                self.result = result
+                self.result_bytes = result_bytes
+                self.state_times[state] = time.monotonic() - self.submitted_at
             self.done.set()
         return True
 
-    def complete(self, result: dict) -> bool:
+    def complete(self, result: dict, seal: Optional[Seal] = None) -> bool:
         """Terminal success — unless cancel/deadline already won the race
         (results computed after the fire are discarded, not surfaced)."""
-        fired = self.token.fired()
-        if fired is not None:
-            return self.finish_from_token()
-        try:
-            from repro.mapreduce.wire import encoded_size
+        if self.token.fired() is not None:
+            return self.finish_from_token(seal)
+        return self._finish(DONE, result=result, seal=seal)
 
-            result_bytes = encoded_size(result)
-        except Exception:
-            result_bytes = 0
-        with self._lock:
-            if DONE not in TRANSITIONS[self.state]:
-                return False
-            self.result = result
-            self.result_bytes = result_bytes
-        return self.transition(DONE)
-
-    def fail(self, exc: BaseException) -> bool:
+    def fail(self, exc: BaseException, seal: Optional[Seal] = None) -> bool:
         """Terminal failure, classified through the error taxonomy."""
         if isinstance(exc, QueryCancelled):
             target = CANCELLED
@@ -146,21 +177,19 @@ class QuerySession:
             target = TIMED_OUT
         else:
             target = FAILED
-        with self._lock:
-            if target not in TRANSITIONS[self.state]:
-                return False
-            self.error = error_to_wire(exc)
-        return self.transition(target)
+        return self._finish(target, error=error_to_wire(exc), seal=seal)
 
-    def finish_from_token(self) -> bool:
+    def finish_from_token(self, seal: Optional[Seal] = None) -> bool:
         """Terminalize a session whose token fired (queue reap, post-run
         race): same classification :meth:`fail` would produce."""
         fired = self.token.fired()
         if fired == "cancelled":
-            return self.fail(QueryCancelled(f"{self.query_id}: cancelled"))
+            return self.fail(QueryCancelled(f"{self.query_id}: cancelled"), seal)
         if fired == "deadline":
-            return self.fail(DeadlineExceeded(f"{self.query_id}: deadline exceeded"))
-        return self.fail(ServiceError(f"{self.query_id}: session aborted"))
+            return self.fail(
+                DeadlineExceeded(f"{self.query_id}: deadline exceeded"), seal
+            )
+        return self.fail(ServiceError(f"{self.query_id}: session aborted"), seal)
 
     def restore_terminal(
         self,
@@ -178,20 +207,11 @@ class QuerySession:
         """
         if state not in TERMINAL_STATES:
             raise ValueError(f"restore_terminal needs a terminal state, got {state!r}")
-        if result is not None:
-            try:
-                from repro.mapreduce.wire import encoded_size
-
-                result_bytes = encoded_size(result)
-            except Exception:
-                result_bytes = 0
-        else:
-            result_bytes = 0
         with self._lock:
             self.state = state
             self.error = error
             self.result = result
-            self.result_bytes = result_bytes
+            self.result_bytes = _encoded_size(result)
             self.state_times[state] = 0.0
         self.done.set()
 
@@ -216,3 +236,12 @@ class QuerySession:
             "state_times": state_times,
             "age_s": time.monotonic() - self.submitted_at,
         }
+
+
+def _encoded_size(result: Optional[dict]) -> int:
+    if result is None:
+        return 0
+    try:
+        return encoded_size(result)
+    except Exception:
+        return 0

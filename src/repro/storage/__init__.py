@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.storage.base import (
-    BlobStore,
     LRUTable,
     atomic_write_bytes,
     blob_digest,
@@ -120,7 +119,6 @@ def clear_tiers(settings=None, only: Optional[str] = None) -> Dict[str, int]:
 
 __all__ = [
     "BLOB_REF_KEY",
-    "BlobStore",
     "CHECKPOINT_TABLES",
     "DISK_FORMAT",
     "DiskBlobStore",

@@ -15,10 +15,7 @@ repository runs — the planning statistics cache
   observe a torn file;
 * :func:`blob_digest` — the content fingerprint (sha256 hex) that
   addresses blobs end to end: the digest *is* the name, so a stored
-  payload can always be re-verified against it on read;
-* :class:`BlobStore` — the protocol both the worker blob tier and any
-  future remote tier implement (``has`` / ``get`` / ``put`` / ``stats``
-  / ``clear``).
+  payload can always be re-verified against it on read.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Tuple
 
 
 class LRUTable:
@@ -136,36 +133,3 @@ def discard_path(path: Path) -> None:
         path.unlink()
     except OSError:
         pass
-
-
-@runtime_checkable
-class BlobStore(Protocol):
-    """Content-addressed byte storage: the one protocol every tier speaks.
-
-    Implementations must guarantee that ``get`` only ever returns bytes
-    whose :func:`blob_digest` equals the requested digest — a corrupt or
-    torn entry reads as a **miss** (and is discarded), never as wrong
-    data.  That single invariant is what makes digest addressing safe:
-    the coordinator's response to a miss is to resend the payload, so
-    corruption can cost bandwidth, never correctness.
-    """
-
-    def has(self, digest: str) -> bool:
-        """Whether a payload for ``digest`` is (probably) present."""
-        ...
-
-    def get(self, digest: str) -> Optional[bytes]:
-        """The verified payload, or ``None`` on miss/corruption."""
-        ...
-
-    def put(self, digest: str, payload: bytes) -> bool:
-        """Store ``payload`` under its digest; ``False`` if rejected."""
-        ...
-
-    def stats(self) -> Dict[str, object]:
-        """Entry count, byte total, and hit/miss/corrupt counters."""
-        ...
-
-    def clear(self) -> int:
-        """Drop every entry; returns the number removed."""
-        ...

@@ -69,7 +69,7 @@ class DiskBlobStore:
     def _path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}{_SUFFIX}"
 
-    # -- the BlobStore protocol ------------------------------------------
+    # -- has / get / put --------------------------------------------------
 
     def has(self, digest: str) -> bool:
         """Existence probe (no verification — ``get`` verifies)."""

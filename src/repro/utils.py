@@ -58,17 +58,6 @@ def ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def next_power_of_two(value: int) -> int:
-    """Smallest power of two >= ``value`` (``value`` >= 1)."""
-    if value < 1:
-        raise ValueError("value must be >= 1")
-    return 1 << (value - 1).bit_length()
-
-
-def is_power_of_two(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
-
-
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")

@@ -206,14 +206,3 @@ def describe_itinerary(
         _fno, depart, arrive = result_row[base:base + schema_width]
         legs.append((query.relations[alias].name, int(depart), int(arrive)))
     return legs
-
-
-def valid_itinerary(legs: Sequence[Tuple[str, int, int]], windows: Sequence[StayOver]) -> bool:
-    """Check the stay-over constraints on a decoded itinerary (test helper)."""
-    for index in range(len(legs) - 1):
-        _, _, arrive = legs[index]
-        _, depart, _ = legs[index + 1]
-        window = windows[index]
-        if not (arrive + window.min_minutes < depart < arrive + window.max_minutes):
-            return False
-    return True

@@ -14,12 +14,9 @@ import dataclasses
 
 import pytest
 
-from repro.core import executor as executor_mod
-from repro.core.executor import (
-    PlanExecutor,
-    checkpoint_counters,
-    reset_checkpoint_counters,
-)
+from repro.core import checkpoint as checkpoint_mod
+from repro.core.checkpoint import checkpoint_counters, reset_checkpoint_counters
+from repro.core.executor import PlanExecutor
 from repro.core.planner import ThetaJoinPlanner
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
@@ -134,7 +131,7 @@ class TestSafety:
         assert again.report.checkpoint_stores == again.report.num_jobs
 
     def test_oversize_outputs_are_skipped(self, triangle_query, monkeypatch):
-        monkeypatch.setattr(executor_mod, "CHECKPOINT_MAX_BYTES", 64)
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_MAX_BYTES", 64)
         reference = digest(run(triangle_query))
         counters = checkpoint_counters()
         assert counters["stores"] == 0

@@ -1,0 +1,96 @@
+"""``core.checkpoint.CheckpointStore`` alone: no plan, no executor.
+
+Verify-on-read from the store's side: whatever is wrong with what is on
+disk — an index entry whose blob is gone, a blob whose bytes changed, a
+blob that hashes right but does not decode — reads as a miss, is
+discarded, and the next ``persist`` under the same key serves again.
+"""
+
+import pickle
+
+import pytest
+
+from repro.core.checkpoint import (
+    CheckpointStore,
+    checkpoint_counters,
+    reset_checkpoint_counters,
+)
+from repro.mapreduce.config import execution_settings
+from repro.mapreduce.counters import JobMetrics
+from repro.mapreduce.hdfs import DistributedFile
+from repro.mapreduce.job import JobResult
+from repro.storage import blob_digest, blob_tier, checkpoint_tier
+
+KEY = "k" * 64
+
+
+@pytest.fixture
+def store(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    reset_checkpoint_counters()
+    yield CheckpointStore(execution_settings())
+    reset_checkpoint_counters()
+
+
+def job_result(name="writer:j1"):
+    records = [(("a", i, (i, i * 2)),) for i in range(5)]
+    metrics = JobMetrics(job_name=name)
+    metrics.total_time_s = 7.5
+    return JobResult(DistributedFile(f"{name}.out", records, 16, tag=f"{name}.out"), metrics)
+
+
+def blob_path(digest):
+    (path,) = blob_tier(execution_settings()).root.rglob(f"{digest}.blob")
+    return path
+
+
+def test_round_trip_rewrites_the_name_dependent_fields(store):
+    digest = store.persist(KEY, job_result())
+    file, metrics, restored_digest = store.restore(KEY, "reader:j9")
+    assert restored_digest == digest
+    assert (file.name, file.tag, metrics.job_name) == (
+        "reader:j9.out", "reader:j9.out", "reader:j9",
+    )
+    assert list(file.records) == list(job_result().output.records)
+    assert (file.record_width, metrics.total_time_s) == (16, 7.5)
+    counters = checkpoint_counters()
+    assert (counters["stores"], counters["hits"]) == (1, 1)
+    assert counters["bytes_restored"] == counters["store_bytes"] > 0
+
+
+def test_unknown_key_is_a_miss(store):
+    assert store.restore(KEY, "reader:j1") is None
+    assert checkpoint_counters()["hits"] == 0
+
+
+def test_stale_index_entry_reads_as_a_miss_and_is_replaced(store):
+    digest = store.persist(KEY, job_result())
+    blob_path(digest).unlink()  # evicted from the blob tier; the index still points at it
+    assert store.restore(KEY, "reader:j1") is None
+    assert store.persist(KEY, job_result()) == digest
+    assert store.restore(KEY, "reader:j1") is not None
+
+
+def test_malformed_index_entry_reads_as_a_miss(store):
+    checkpoint_tier(execution_settings()).store("waves", KEY, "not a {digest, bytes} dict")
+    assert store.restore(KEY, "reader:j1") is None
+
+
+def test_corrupt_blob_reads_as_a_miss_and_is_deleted(store):
+    path = blob_path(store.persist(KEY, job_result()))
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    assert store.restore(KEY, "reader:j1") is None
+    assert not path.exists()
+    assert checkpoint_counters()["hits"] == 0
+
+
+def test_undecodable_payload_reads_as_a_miss_and_is_discarded(store):
+    settings = execution_settings()
+    payload = pickle.dumps(("only", "two"))  # hashes fine, is not (records, width, metrics)
+    digest = blob_digest(payload)
+    assert blob_tier(settings).put(digest, payload)
+    checkpoint_tier(settings).store("waves", KEY, {"digest": digest, "bytes": len(payload)})
+    assert store.restore(KEY, "reader:j1") is None
+    assert not blob_tier(settings).has(digest)

@@ -142,19 +142,6 @@ class TestParameters:
             1.0 / config.disk_write_bytes_s
         )
 
-    def test_with_reducers_rescales_profile(self):
-        p = profile(reducers=8)
-        from dataclasses import replace
-
-        p = replace(
-            p, max_reducer_input_bytes=800.0, comparisons_max_reducer=80.0
-        )
-        q = p.with_reducers(16)
-        assert q.max_reducer_input_bytes == pytest.approx(400.0)
-        assert q.comparisons_max_reducer == pytest.approx(40.0)
-        with pytest.raises(PlanningError):
-            p.with_reducers(0)
-
     def test_invalid_units(self, model):
         with pytest.raises(PlanningError):
             model.estimate(profile(), map_units=0)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.baselines import HivePlanner, PigPlanner, YSmartPlanner
-from repro.core.executor import PlanExecutor, _hash_merge
+from repro.core.executor import PlanExecutor
+from repro.core.merge import hash_merge
 from repro.core.plan import ExecutionPlan, InputRef, PlannedJob
 from repro.core.planner import ThetaJoinPlanner
 from repro.errors import ExecutionError
@@ -141,11 +142,11 @@ class TestHashMerge:
         bc = [
             merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,))),
         ]
-        merged = _hash_merge(ab, bc, ("a", "b"), ("b", "c"))
+        merged = hash_merge(ab, bc, ("a", "b"), ("b", "c"))
         assert len(merged) == 2
         assert all(len(c) == 3 for c in merged)
 
     def test_no_shared_match(self):
         ab = [merge_composites(singleton("a", 0, (0,)), singleton("b", 2, (2,)))]
         bc = [merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,)))]
-        assert _hash_merge(ab, bc, ("a", "b"), ("b", "c")) == []
+        assert hash_merge(ab, bc, ("a", "b"), ("b", "c")) == []

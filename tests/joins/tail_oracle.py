@@ -2,7 +2,7 @@
 
 Production compiles both steps once per ``execute()`` against static alias
 covers (``repro.joins.records.composites_to_relation`` and
-``repro.core.executor._hash_merge``).  These are the record-at-a-time
+``repro.core.merge.hash_merge``).  These are the record-at-a-time
 forms they replaced: a ``rows_by_alias`` dict and a checked ``append``
 per result row, and the Section 4.2 merge rule (``merge_composites``)
 applied to every pair in a nested loop.  They take the production

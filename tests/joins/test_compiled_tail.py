@@ -1,7 +1,7 @@
 """The compiled result tail against its per-row references.
 
 ``composites_to_relation`` (one C-level projection pass over a static
-alias cover) and the executor's ``_hash_merge`` (position-compiled
+alias cover) and ``core.merge.hash_merge`` (position-compiled
 id-merge) must agree with ``tail_oracle.py`` in content *and order*:
 property tests over random covers, projections and duplicate-key merges,
 then whole executions of every planner's plan with the references
@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.executor as executor_mod
+import repro.core.merge as merge_mod
 from repro.cli import PLANNERS
-from repro.core.executor import PlanExecutor, _hash_merge
+from repro.core.executor import PlanExecutor
+from repro.core.merge import hash_merge
 from repro.errors import ExecutionError
 from repro.joins.records import composites_to_relation
 from repro.mapreduce.config import PAPER_CLUSTER_KP64
@@ -120,14 +122,14 @@ class TestMergeMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_random_covers_with_duplicate_keys(self, case):
         left, right, left_cover, right_cover = case
-        assert _hash_merge(left, right, left_cover, right_cover) == (
+        assert hash_merge(left, right, left_cover, right_cover) == (
             _reference_hash_merge(left, right)
         )
 
     def test_m_by_n_duplicates_keep_left_then_right_arrival_order(self):
         left = [(("a", i, (i,)), ("b", 7, (7,))) for i in (2, 0, 1)]
         right = [(("b", 7, (7,)), ("c", j, (j,))) for j in (5, 3, 4)]
-        merged = _hash_merge(left, right, ("a", "b"), ("b", "c"))
+        merged = hash_merge(left, right, ("a", "b"), ("b", "c"))
         assert [(c[0][1], c[2][1]) for c in merged] == [
             (i, j) for i in (2, 0, 1) for j in (5, 3, 4)
         ]
@@ -139,7 +141,7 @@ class TestMergeMatchesReference:
             (("b", 1, (1,)), ("c", 9, (9,)), ("d", 3, (3,))),
             (("b", 1, (1,)), ("c", 2, (2,)), ("d", 4, (4,))),
         ]
-        merged = _hash_merge(left, right, ("a", "b", "c"), ("b", "c", "d"))
+        merged = hash_merge(left, right, ("a", "b", "c"), ("b", "c", "d"))
         assert merged == _reference_hash_merge(left, right)
         assert [c[3][1] for c in merged] == [4]
 
@@ -147,12 +149,12 @@ class TestMergeMatchesReference:
     def test_empty_side(self, empty):
         side = [(("a", 0, (0,)), ("b", 1, (1,)))]
         left, right = ([], side) if empty == "left" else (side, [])
-        assert _hash_merge(left, right, ("a", "b"), ("a", "b")) == []
+        assert hash_merge(left, right, ("a", "b"), ("a", "b")) == []
 
     def test_no_partners(self):
         left = [(("a", 0, (0,)), ("b", 1, (1,)))]
         right = [(("b", 2, (2,)), ("c", 0, (0,)))]
-        assert _hash_merge(left, right, ("a", "b"), ("b", "c")) == []
+        assert hash_merge(left, right, ("a", "b"), ("b", "c")) == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -170,13 +172,13 @@ class TestMergeMatchesReference:
         other = [(("b", 1, (1,)), ("c", 5, (5,)))]
         with pytest.raises(ExecutionError, match="cover"):
             if side == "left":
-                _hash_merge(good + [bad], other, ("a", "b"), ("b", "c"))
+                hash_merge(good + [bad], other, ("a", "b"), ("b", "c"))
             else:
-                _hash_merge(other, good + [bad], ("b", "c"), ("a", "b"))
+                hash_merge(other, good + [bad], ("b", "c"), ("a", "b"))
 
     def test_disjoint_covers_are_rejected(self):
         with pytest.raises(ExecutionError, match="share no relation"):
-            _hash_merge([(("a", 0, (0,)),)], [(("b", 0, (0,)),)], ("a",), ("b",))
+            hash_merge([(("a", 0, (0,)),)], [(("b", 0, (0,)),)], ("a",), ("b",))
 
 
 def tail_queries():
@@ -230,7 +232,7 @@ def test_executions_do_not_depend_on_the_compiled_tail(
     monkeypatch.setattr(
         executor_mod, "composites_to_relation", _reference_composites_to_relation
     )
-    monkeypatch.setattr(executor_mod, "_hash_merge", _reference_hash_merge)
+    monkeypatch.setattr(merge_mod, "hash_merge", _reference_hash_merge)
     _, reference = execute_all()
     assert cold == reference
     assert warm == reference

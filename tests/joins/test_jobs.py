@@ -110,7 +110,6 @@ class TestHypercubeJoin:
 
     def test_input_validation(self):
         a, b = rel("A", 10), rel("B", 10, seed=1)
-        cluster = SimulatedCluster()
         fa = relation_to_composite_file(a, "a")
         fb = relation_to_composite_file(b, "b")
         part = HypercubePartitioner([10, 99], 2)  # wrong cardinality

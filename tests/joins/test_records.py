@@ -11,7 +11,6 @@ from repro.joins.records import (
     global_id_of,
     merge_composites,
     relation_to_composite_file,
-    row_of,
     rows_by_alias,
     singleton,
 )
@@ -28,7 +27,6 @@ class TestBasics:
     def test_singleton(self):
         composite = singleton("a", 3, (3, 6))
         assert aliases_of(composite) == ("a",)
-        assert row_of(composite, "a") == (3, 6)
         assert global_id_of(composite, "a") == 3
 
     def test_entry_for_missing(self):

@@ -45,7 +45,7 @@ def make_spec(num_records=100, num_reducers=4, with_batch=True):
 def run_map(spec):
     cluster = SimulatedCluster(ClusterConfig())
     metrics = JobMetrics(job_name=spec.name)
-    buckets, _ = cluster._run_map_phase(spec, metrics)
+    buckets = cluster._run_map_phase(spec, metrics)
     return buckets, metrics
 
 

@@ -64,7 +64,7 @@ def make_spec(num_records=100, num_reducers=4, with_batch=True, input_bytes=Fals
 def run_reduce(spec):
     cluster = SimulatedCluster(ClusterConfig())
     metrics = JobMetrics(job_name=spec.name)
-    buckets, _ = cluster._run_map_phase(
+    buckets = cluster._run_map_phase(
         dataclasses.replace(spec, batch_reducer=None), metrics
     )
     outputs, costs = cluster._run_reduce_phase(spec, buckets, metrics)
@@ -118,7 +118,7 @@ class TestBatchedReducePhase:
         spec = dataclasses.replace(make_spec(), batch_reducer=recording_reducer)
         cluster = SimulatedCluster(ClusterConfig())
         metrics = JobMetrics(job_name=spec.name)
-        buckets, _ = cluster._run_map_phase(
+        buckets = cluster._run_map_phase(
             dataclasses.replace(spec, batch_mapper=None, batch_reducer=None), metrics
         )
         cluster._run_reduce_phase(spec, buckets, metrics)

@@ -12,7 +12,7 @@ checkpoint tier must never restore each other's waves incorrectly.
 import pytest
 
 import conformance
-from repro.core.executor import reset_checkpoint_counters
+from repro.core.checkpoint import reset_checkpoint_counters
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_checkpointed_runs_match_serial(query_id, planner_name, checkpoint_cache
 
 def test_warm_grid_restores_every_wave(checkpoint_cache):
     """A warmed entry replays entirely from the tier: all hits, no stores."""
-    from repro.core.executor import checkpoint_counters
+    from repro.core.checkpoint import checkpoint_counters
 
     entry = ("serial", "mobile-2", "pig")
     conformance.run_with_backend(  # warm the tier (no-op after the grid)

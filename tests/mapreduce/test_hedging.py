@@ -21,12 +21,9 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 import conformance
-from repro.mapreduce import backend as backend_mod
-from repro.mapreduce.backend import (
-    DistributedBackend,
-    _WorkerLost,
-    close_backends,
-)
+from repro.mapreduce import dispatch as dispatch_mod
+from repro.mapreduce.backend import DistributedBackend, close_backends
+from repro.mapreduce.worker_handle import WorkerLost
 from repro.mapreduce.wire import closure_transport_available
 
 
@@ -38,7 +35,7 @@ def _clean_pools():
 
 @contextlib.contextmanager
 def policy(**overrides):
-    """Patch the backend's hedge/breaker policy constants for a block
+    """Patch the dispatch policy's hedge/breaker constants for a block
     (a context manager, not the ``monkeypatch`` fixture, so hypothesis
     examples can each enter it)."""
     values = dict(
@@ -52,7 +49,7 @@ def policy(**overrides):
     values.update(overrides)
     with pytest.MonkeyPatch.context() as patch:
         for name, value in values.items():
-            patch.setattr(backend_mod, name, value)
+            patch.setattr(dispatch_mod, name, value)
         yield
 
 
@@ -73,7 +70,7 @@ class FakeHandle:
     def run_task(self, token, index):
         if index in self.lose_at:
             self.mark_dead()
-            raise _WorkerLost(self.addr)
+            raise WorkerLost(self.addr)
         time.sleep(self.delays.get(index, 0.005))
         self.ran.append(index)
         return (index, self.addr)
@@ -169,15 +166,15 @@ class TestBreaker:
         backend = DistributedBackend(("x:1",))
         with policy():
             for _ in range(3):
-                backend._record_worker_loss("x:1")
-            state = backend.breaker_state()["x:1"]
+                backend.breaker.record_loss("x:1", backend._batches)
+            state = backend.breaker.state()["x:1"]
             assert state["trips"] == 1
             assert state["failures"] == 0  # streak resets on trip
             assert state["open_until"] == backend._batches + 4
             assert backend.counters["breaker_trips"] == 1
             for _ in range(3):
-                backend._record_worker_loss("x:1")
-        assert backend.breaker_state()["x:1"]["open_until"] == (
+                backend.breaker.record_loss("x:1", backend._batches)
+        assert backend.breaker.state()["x:1"]["open_until"] == (
             backend._batches + 8  # cooldown doubles with each trip
         )
 
@@ -185,17 +182,17 @@ class TestBreaker:
         backend = DistributedBackend(("x:1",))
         with policy():
             for _ in range(6):
-                backend._record_worker_loss("x:1")
-        assert backend.breaker_state()["x:1"]["trips"] == 2
-        backend._record_worker_ok("x:1")
-        assert backend.breaker_state()["x:1"]["trips"] == 1
-        backend._record_worker_ok("x:1")
-        assert backend.breaker_state()["x:1"]["trips"] == 0
+                backend.breaker.record_loss("x:1", backend._batches)
+        assert backend.breaker.state()["x:1"]["trips"] == 2
+        backend.breaker.record_ok("x:1")
+        assert backend.breaker.state()["x:1"]["trips"] == 1
+        backend.breaker.record_ok("x:1")
+        assert backend.breaker.state()["x:1"]["trips"] == 0
 
     def test_open_breaker_skips_the_dial(self):
         backend = DistributedBackend(("127.0.0.1:9",))
         with backend._lock:
-            backend._breaker["127.0.0.1:9"] = {
+            backend.breaker._state["127.0.0.1:9"] = {
                 "failures": 0,
                 "trips": 1,
                 "open_until": backend._batches + 100,
@@ -212,9 +209,9 @@ class TestBreaker:
         healthy = FakeHandle("ok")
         out = dispatch(backend, [lossy, healthy], 8, BREAKER_THRESHOLD=1)
         assert [value[0] for value in out] == list(range(8))
-        assert backend.breaker_state()["lossy"]["trips"] == 1
-        assert "ok" not in backend.breaker_state() or (
-            backend.breaker_state()["ok"]["failures"] == 0
+        assert backend.breaker.state()["lossy"]["trips"] == 1
+        assert "ok" not in backend.breaker.state() or (
+            backend.breaker.state()["ok"]["failures"] == 0
         )
 
 

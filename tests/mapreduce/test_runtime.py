@@ -45,26 +45,21 @@ class TestExecutionSemantics:
     def test_record_index_visible_to_mapper(self):
         cluster = SimulatedCluster()
         file = DistributedFile("f", records=["a", "b", "c"], record_width=8)
-        seen = []
 
+        # Observed through the job's output, not a side effect: map tasks
+        # may run in a forked or remote worker.
         def mapper(tag, record, ctx):
-            seen.append(ctx.record_index)
-            return []
+            yield 0, (ctx.record_index, record)
 
         def reducer(key, values, ctx):
-            return []
-
-        # One key must be produced to avoid a degenerate job; emit per record.
-        def mapper2(tag, record, ctx):
-            seen.append(ctx.record_index)
-            yield 0, record
+            return values
 
         spec = MapReduceJobSpec(
-            name="idx", inputs=[file], mapper=mapper2, reducer=reducer,
+            name="idx", inputs=[file], mapper=mapper, reducer=reducer,
             num_reducers=1,
         )
-        cluster.run_job(spec)
-        assert seen == [0, 1, 2]
+        result = cluster.run_job(spec)
+        assert list(result.output.records) == [(0, "a"), (1, "b"), (2, "c")]
 
     def test_partitioner_out_of_range_rejected(self):
         cluster = SimulatedCluster()

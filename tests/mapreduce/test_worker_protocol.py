@@ -8,7 +8,6 @@ mirroring the fork registry's guarantee.
 """
 
 import socket
-import threading
 
 import pytest
 

@@ -15,13 +15,13 @@ import pytest
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.stats_cache import (
-    DiskCacheStore,
     PlanningCache,
-    _stable_key_repr,
     get_planning_cache,
     relation_fingerprint,
     reset_default_planning_cache,
 )
+from repro.storage import PLANNING_TABLES, KeyedDiskStore
+from repro.storage import stable_key_repr as _stable_key_repr
 
 
 def make_relation(name="r", rows=200, offset=0):
@@ -34,7 +34,7 @@ def make_relation(name="r", rows=200, offset=0):
 
 @pytest.fixture
 def store(tmp_path):
-    return DiskCacheStore(tmp_path / "planning")
+    return KeyedDiskStore(tmp_path / "planning", PLANNING_TABLES)
 
 
 class TestDiskRoundTrip:
@@ -155,7 +155,7 @@ class TestCorruptionTolerance:
     def test_unwritable_store_degrades_gracefully(self, tmp_path):
         target = tmp_path / "not-a-dir"
         target.write_text("file in the way")
-        store = DiskCacheStore(target / "planning")
+        store = KeyedDiskStore(target / "planning", PLANNING_TABLES)
         cache = PlanningCache(disk=store)
         sample = cache.sample(make_relation(), "a", 30)
         assert sample.rows == PlanningCache().sample(make_relation(), "a", 30).rows
@@ -230,7 +230,9 @@ class TestDefaultCacheWiring:
             reset_default_planning_cache()
 
     def test_prune_bounds_table(self, tmp_path):
-        store = DiskCacheStore(tmp_path / "planning", max_entries_per_table=4)
+        store = KeyedDiskStore(
+            tmp_path / "planning", PLANNING_TABLES, max_entries_per_table=4
+        )
         for i in range(128):  # crosses the every-128-stores prune point
             store.store("joins", ("sig", i), (i, 100))
         store._prune(store.root / "joins")

@@ -90,11 +90,6 @@ class TestAccessors:
         with pytest.raises(QueryError):
             query.condition(99)
 
-    def test_conditions_between(self):
-        query = simple_query()
-        assert len(query.conditions_between("a", "b")) == 1
-        assert query.conditions_between("a", "c") == []
-
     def test_conditions_among(self):
         query = simple_query()
         assert len(query.conditions_among(["a", "b", "c"])) == 2
@@ -106,11 +101,6 @@ class TestAccessors:
         sub = query.subquery([2])
         assert set(sub.relations) == {"b", "c"}
         assert sub.condition_ids == (2,)
-
-    def test_output_schema_prefixes(self):
-        query = simple_query()
-        names = query.output_schema().names
-        assert "a_id" in names and "c_v" in names
 
     def test_total_input_bytes_counts_distinct_relations(self):
         shared = rel("S")

@@ -63,10 +63,6 @@ class TestOperators:
         assert out.schema.names == ("v",)
         assert out[0] == (0,)
 
-    def test_sorted_by(self, relation):
-        out = relation.sorted_by("v", reverse=True)
-        assert out[0][1] == 90
-
     def test_distinct(self):
         schema = Schema.of("a")
         rel = Relation("R", schema, [(1,), (1,), (2,)])

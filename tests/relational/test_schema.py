@@ -66,12 +66,6 @@ class TestSchema:
         projected = schema.project(["c", "a"])
         assert projected.names == ("c", "a")
 
-    def test_concat_with_prefixes(self):
-        left = Schema.of("x", "y")
-        right = Schema.of("x", "z")
-        merged = left.concat(right, prefix_self="l_", prefix_other="r_")
-        assert merged.names == ("l_x", "l_y", "r_x", "r_z")
-
     def test_equality_and_hash(self):
         assert Schema.of("a", "b") == Schema.of("a", "b")
         assert hash(Schema.of("a")) == hash(Schema.of("a"))

@@ -122,8 +122,7 @@ def _drill(service, client, addrs):
     # i.e. mid-phase, with this run's work in flight on its socket.
     harness = ChaosHarness([ChaosEvent(addrs[0], "kill", after_tasks=2)])
     harness.start()
-    assert harness.wait(timeout_s=5.0), f"chaos arming failed: {harness.failed}"
-    assert not harness.failed
+    assert not harness.failed, f"chaos arming failed: {harness.failed}"
 
     # ----- phase 2: the concurrent storm --------------------------------
     # Everything is submitted while the test thread holds the planning

@@ -32,7 +32,7 @@ from tests.serve.test_service import MOBILE_SQL, expected_rows, wait_for
 
 def admitted_at(service, qid):
     """Absolute (monotonic) time the session left the queue."""
-    session = service._sessions[qid]
+    session = service.ledger.sessions[qid]
     return session.submitted_at + session.state_times[ADMITTED]
 
 
@@ -85,8 +85,8 @@ class TestQuotas:
                 # hog is at its 1-slot quota: guest takes the second
                 # slot even though hog2 arrived first.
                 assert wait_for(lambda: service._running == 2)
-                assert service._sessions[guest].state != QUEUED
-                assert service._sessions[hog2].state == QUEUED
+                assert service.ledger.sessions[guest].state != QUEUED
+                assert service.ledger.sessions[hog2].state == QUEUED
             for qid in (hog1, hog2, guest):
                 cli.wait(qid, timeout_s=60.0)
 

@@ -18,7 +18,7 @@ from repro.core.executor import PlanExecutor
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.sql import parse_join_query
-from repro.serve import coordinator as coordinator_mod
+from repro.serve import durability as durability_mod
 from repro.serve.coordinator import QueryService
 from repro.serve.session import DONE, QUEUED, RUNNING, QuerySession
 from repro.storage import SessionJournal, read_records
@@ -60,22 +60,6 @@ def wait_rows(service, qid, timeout_s=60.0):
         return [tuple(row) for row in client.wait(qid, timeout_s=timeout_s)["rows"]]
 
 
-def wait_for_terminal_record(journal_path, timeout_s=5.0):
-    """``client.wait`` returns on ``done``; the terminal record lands a
-    beat later from the session thread — poll the journal for it."""
-    import time
-
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if any(
-            r.get("kind") == "terminal"
-            for r in read_records(journal_path)[0]
-            if isinstance(r, dict)
-        ):
-            return
-        time.sleep(0.02)
-
-
 class TestDoneRecovery:
     def test_done_session_served_from_journal_not_reexecuted(self, tmp_path):
         journal_path = str(tmp_path / "serve.journal")
@@ -90,8 +74,8 @@ class TestDoneRecovery:
 
         second = QueryService(journal_path=journal_path, recover=True).start()
         try:
-            assert second.recovered["done"] == 1
-            assert second.recovered["resumed"] == 0
+            assert second.ledger.recovered["done"] == 1
+            assert second.ledger.recovered["resumed"] == 0
             # Served straight from the restored terminal record: the
             # submitted counter never moves, nothing re-runs.
             assert second.stats["submitted"] == 0
@@ -101,6 +85,48 @@ class TestDoneRecovery:
             assert stats["journal"]["bytes"] > 0
         finally:
             second.stop()
+
+    def test_done_is_not_observable_before_it_is_journaled(self, tmp_path):
+        """Durable before visible: while the terminal record is still on
+        its way into the journal, ``status`` must not say DONE and
+        ``result`` must not hand out rows — a crash in that window would
+        otherwise lose a result the client was already told about."""
+        import threading
+
+        journal_path = str(tmp_path / "serve.journal")
+        service = QueryService(journal_path=journal_path).start()
+        appending, release = threading.Event(), threading.Event()
+        append = service.ledger.append
+
+        def held_append(record):
+            if record["kind"] == "terminal":
+                appending.set()
+                assert release.wait(30.0)
+            append(record)
+
+        service.ledger.append = held_append
+        try:
+            with repro.connect(service.address, timeout_s=15.0) as client:
+                qid = client.submit(MOBILE_SQL, seed=0)
+                assert appending.wait(60.0)
+                # The query has finished computing; its outcome is not durable yet.
+                status = client.status(qid)
+                assert status["state"] == "RUNNING" and not status["terminal"]
+                assert not client.result(qid, timeout_s=0.05)["terminal"]
+                assert not any(
+                    r["kind"] == "terminal" for r in read_records(journal_path)[0]
+                )
+                release.set()
+                rows = [tuple(r) for r in client.wait(qid, timeout_s=30.0)["rows"]]
+                # ... and once DONE is visible, the record is already on disk.
+                terminal = [
+                    r for r in read_records(journal_path)[0] if r["kind"] == "terminal"
+                ]
+                assert [(r["id"], r["state"]) for r in terminal] == [(qid, "DONE")]
+        finally:
+            release.set()
+            service.stop()
+        assert rows == expected_rows(seed=0)
 
     def test_recovered_ids_never_collide(self, tmp_path):
         journal_path = str(tmp_path / "serve.journal")
@@ -138,9 +164,9 @@ class TestCrashMidFlight:
             journal_path=str(journal_path), recover=True
         ).start()
         try:
-            assert service.recovered["resumed"] == 1
+            assert service.ledger.recovered["resumed"] == 1
             assert wait_rows(service, "q1") == expected_rows(seed=0)
-            assert service._sessions["q1"].state == DONE
+            assert service.ledger.sessions["q1"].state == DONE
         finally:
             service.stop()
         # The rerun journaled its own lifecycle into the same file.
@@ -182,7 +208,7 @@ class TestCrashMidFlight:
             journal_path=str(tmp_path / "rewritten.journal"), recover=True
         ).start()
         try:
-            assert second.recovered["resumed"] == 1
+            assert second.ledger.recovered["resumed"] == 1
             with repro.connect(second.address, timeout_s=15.0) as client:
                 payload = client.wait(qid, timeout_s=60.0)
             assert [tuple(r) for r in payload["rows"]] == rows
@@ -201,7 +227,7 @@ class TestCrashMidFlight:
             journal_path=str(journal_path), recover=True
         ).start()
         try:
-            assert service.recovered["requeued"] == 1
+            assert service.ledger.recovered["requeued"] == 1
             assert wait_rows(service, "q7") == expected_rows(seed=3)
         finally:
             service.stop()
@@ -217,8 +243,8 @@ class TestCrashMidFlight:
             journal_path=str(journal_path), recover=True
         ).start()
         try:
-            assert service.recovered["torn"] is True
-            assert service.recovered["requeued"] == 1
+            assert service.ledger.recovered["torn"] is True
+            assert service.ledger.recovered["requeued"] == 1
             assert wait_rows(service, "q1") == expected_rows(seed=0)
         finally:
             service.stop()
@@ -257,20 +283,20 @@ class TestSchedulingMetadataRecovery:
             max_queue=16,
         ).start()
         try:
-            session = second._sessions[vip]
+            session = second.ledger.sessions[vip]
             assert session.client_id == "vip"
             assert session.priority == 9
             for qid in flood:
-                assert second._sessions[qid].client_id == "bulk"
-                assert second._sessions[qid].priority == 0
+                assert second.ledger.sessions[qid].client_id == "bulk"
+                assert second.ledger.sessions[qid].priority == 0
             # Priority survives: vip completes before the flood drains.
             assert wait_rows(second, vip) == expected_rows(seed=9)
             for qid in flood:
                 wait_rows(second, qid, timeout_s=120.0)
-            vip_s = second._sessions[vip]
+            vip_s = second.ledger.sessions[vip]
             vip_admitted = vip_s.submitted_at + vip_s.state_times["ADMITTED"]
             for qid in flood:
-                s = second._sessions[qid]
+                s = second.ledger.sessions[qid]
                 assert vip_admitted < s.submitted_at + s.state_times["ADMITTED"]
         finally:
             second.stop()
@@ -286,7 +312,7 @@ class TestSchedulingMetadataRecovery:
             journal_path=str(journal_path), recover=True
         ).start()
         try:
-            session = service._sessions["q3"]
+            session = service.ledger.sessions["q3"]
             assert session.client_id == "default"
             assert session.priority == 1
             assert wait_rows(service, "q3") == expected_rows(seed=1)
@@ -300,7 +326,7 @@ class TestJournalResultSpill:
         tier by digest; the journal stays event-sized and recovery reads
         the spilled result back bit-identically."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(coordinator_mod, "JOURNAL_RESULT_MAX_BYTES", 256)
+        monkeypatch.setattr(durability_mod, "JOURNAL_RESULT_MAX_BYTES", 256)
         journal_path = str(tmp_path / "serve.journal")
         first = QueryService(journal_path=journal_path).start()
         try:
@@ -310,7 +336,6 @@ class TestJournalResultSpill:
                     tuple(r)
                     for r in client.wait(qid, timeout_s=120.0)["rows"]
                 ]
-            wait_for_terminal_record(journal_path)
         finally:
             first.stop()
         # The journal holds a digest reference, not the rows.
@@ -324,8 +349,8 @@ class TestJournalResultSpill:
 
         second = QueryService(journal_path=journal_path, recover=True).start()
         try:
-            assert second.recovered["done"] == 1
-            assert second.recovered["spill_lost"] == 0
+            assert second.ledger.recovered["done"] == 1
+            assert second.ledger.recovered["spill_lost"] == 0
             assert second.stats["submitted"] == 0  # served, not re-run
             assert wait_rows(second, qid, timeout_s=15.0) == rows
         finally:
@@ -336,7 +361,7 @@ class TestJournalResultSpill:
         re-admits the session and deterministic re-execution rebuilds
         the identical rows."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(coordinator_mod, "JOURNAL_RESULT_MAX_BYTES", 256)
+        monkeypatch.setattr(durability_mod, "JOURNAL_RESULT_MAX_BYTES", 256)
         journal_path = str(tmp_path / "serve.journal")
         first = QueryService(journal_path=journal_path).start()
         try:
@@ -346,7 +371,6 @@ class TestJournalResultSpill:
                     tuple(r)
                     for r in client.wait(qid, timeout_s=120.0)["rows"]
                 ]
-            wait_for_terminal_record(journal_path)
         finally:
             first.stop()
         import shutil
@@ -355,11 +379,11 @@ class TestJournalResultSpill:
 
         second = QueryService(journal_path=journal_path, recover=True).start()
         try:
-            assert second.recovered["spill_lost"] == 1
-            assert second.recovered["done"] == 0
+            assert second.ledger.recovered["spill_lost"] == 1
+            assert second.ledger.recovered["done"] == 0
             # Its last journaled state was RUNNING, so it re-admits on
             # the resumed path (checkpointed waves restore from disk).
-            assert second.recovered["resumed"] == 1
+            assert second.ledger.recovered["resumed"] == 1
             assert wait_rows(second, qid, timeout_s=120.0) == rows
         finally:
             second.stop()
@@ -372,7 +396,6 @@ class TestJournalResultSpill:
             with repro.connect(first.address) as client:
                 qid = client.submit(MOBILE_SQL)
                 client.wait(qid, timeout_s=60.0)
-            wait_for_terminal_record(journal_path)
         finally:
             first.stop()
         from repro.storage import BLOB_REF_KEY

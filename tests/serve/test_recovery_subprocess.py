@@ -9,11 +9,6 @@ wave from the blob tier (zero re-execution), and produce rows
 bit-identical to a local serial reference.
 """
 
-import time
-from pathlib import Path
-
-import pytest
-
 from repro.cli import PLANNERS
 from repro.core.executor import PlanExecutor
 from repro.mapreduce.config import ClusterConfig
@@ -108,12 +103,10 @@ def test_sigkill_recover_resumes_from_checkpoint_frontier(tmp_path):
 
 def test_recover_banner_reports_the_resume(tmp_path):
     """The --recover banner is the operator's one-line audit trail."""
-    import subprocess
-    import sys
-
     journal_path = tmp_path / "serve.journal"
     env = {
         "REPRO_EXEC_BACKEND": "serial",
+        "REPRO_WORKERS_ADDRS": "",  # a fleet inherited from CI is not this test's
         "REPRO_CHECKPOINT": "1",
         "REPRO_CACHE_DIR": str(tmp_path / "cache"),
         "REPRO_WAVE_DELAY_S": "1.5",

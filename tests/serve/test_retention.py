@@ -14,12 +14,9 @@ import pytest
 
 import repro
 from repro.errors import ServiceError
-from repro.serve import coordinator
-from repro.serve.coordinator import (
-    RELATION_SETS_CACHED,
-    RETAINED_SESSIONS,
-    QueryService,
-)
+from repro.serve import durability
+from repro.serve.coordinator import RELATION_SETS_CACHED, QueryService
+from repro.serve.durability import RETAINED_SESSIONS
 from repro.serve.session import DONE, QUEUED, TERMINAL_STATES
 from repro.storage import SessionJournal
 
@@ -60,9 +57,9 @@ class TestRetentionWindow:
             query_id = client.execute(MOBILE_SQL, seed=index % 3)
             ids.append(query_id)
             assert client.wait(query_id)["rows"] == want[index % 3]
-            assert len(service._sessions) <= RETAINED_SESSIONS + 1
+            assert len(service.ledger.sessions) <= RETAINED_SESSIONS + 1
         assert settled(service, FLOOD)
-        assert len(service._sessions) == RETAINED_SESSIONS
+        assert len(service.ledger.sessions) == RETAINED_SESSIONS
         assert len(service._relations_cache.data) <= RELATION_SETS_CACHED
         stats = client.stats()
         assert stats["sessions_retained"] == RETAINED_SESSIONS
@@ -110,15 +107,15 @@ class TestRetentionWindow:
                     running = slow.execute(MOBILE_SQL, seed=1)
                     assert wait_for(lambda: svc._running == 1)
                     queued = slow.execute(MOBILE_SQL, seed=2)
-                    assert svc._sessions[queued].state == QUEUED
+                    assert svc.ledger.sessions[queued].state == QUEUED
                     # Nothing can finish while planning is parked, but a
                     # queued query that is cancelled is terminal at once.
                     for _ in range(FLOOD):
                         fast.cancel(fast.execute(MOBILE_SQL))
                     assert settled(svc, FLOOD)
-                    assert len(svc._sessions) == RETAINED_SESSIONS + 2
-                    assert svc._sessions[running].state not in TERMINAL_STATES
-                    assert svc._sessions[queued].state == QUEUED
+                    assert len(svc.ledger.sessions) == RETAINED_SESSIONS + 2
+                    assert svc.ledger.sessions[running].state not in TERMINAL_STATES
+                    assert svc.ledger.sessions[queued].state == QUEUED
                 assert slow.wait(running)["rows"] == expected_rows(seed=1)
                 assert slow.wait(queued)["rows"] == expected_rows(seed=2)
         finally:
@@ -128,7 +125,7 @@ class TestRetentionWindow:
         self, service, client, monkeypatch
     ):
         rows = len(expected_rows())
-        monkeypatch.setattr(coordinator, "RETAINED_RESULT_ROWS", 3 * rows)
+        monkeypatch.setattr(durability, "RETAINED_RESULT_ROWS", 3 * rows)
         first = client.execute(MOBILE_SQL)
         second = client.execute(MOBILE_SQL)
         third = client.execute(MOBILE_SQL)
@@ -146,12 +143,12 @@ class TestRetentionWindow:
         assert client.result(first)["result"]["rows"] == expected_rows()
 
     def test_one_oversized_result_is_still_served(self, service, client, monkeypatch):
-        monkeypatch.setattr(coordinator, "RETAINED_RESULT_ROWS", 1)
+        monkeypatch.setattr(durability, "RETAINED_RESULT_ROWS", 1)
         older = client.execute(MOBILE_SQL)
         client.wait(older)
         assert client.run(MOBILE_SQL, seed=1)["rows"] == expected_rows(seed=1)
         assert settled(service, 2)
-        assert len(service._sessions) == 1
+        assert len(service.ledger.sessions) == 1
 
 
     def test_concurrent_clients_keep_the_books_consistent(self, service):
@@ -185,11 +182,11 @@ class TestRetentionWindow:
         assert not errors
         assert settled(service, per_client * clients)
         with service._cond:
-            assert len(service._sessions) == RETAINED_SESSIONS
-            assert set(service._terminal_rows) == set(service._sessions)
-            assert service._retained_rows == sum(service._terminal_rows.values())
-            assert service._retained_rows == sum(
-                len(s.result["rows"]) for s in service._sessions.values()
+            assert len(service.ledger.sessions) == RETAINED_SESSIONS
+            assert set(service.ledger._terminal_rows) == set(service.ledger.sessions)
+            assert service.ledger._retained_rows == sum(service.ledger._terminal_rows.values())
+            assert service.ledger._retained_rows == sum(
+                len(s.result["rows"]) for s in service.ledger.sessions.values()
             )
 
 
@@ -213,12 +210,12 @@ class TestRecoveryIsBounded:
         journal.close()
         service = QueryService(journal_path=journal_path, recover=True).start()
         try:
-            assert service.recovered["done"] == FLOOD
-            assert service.recovered["requeued"] == 1
+            assert service.ledger.recovered["done"] == FLOOD
+            assert service.ledger.recovered["requeued"] == 1
             with repro.connect(service.address, timeout_s=15.0) as client:
                 assert client.wait(f"q{FLOOD + 1}")["rows"] == rows
                 assert settled(service, FLOOD + 1)
-                assert len(service._sessions) == RETAINED_SESSIONS
+                assert len(service.ledger.sessions) == RETAINED_SESSIONS
                 stats = client.stats()
                 assert stats["sessions_retained"] == RETAINED_SESSIONS
                 assert stats["sessions_evicted"] == FLOOD + 1 - RETAINED_SESSIONS

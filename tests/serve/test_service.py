@@ -312,12 +312,16 @@ class TestServiceLifecycle:
                     running = cli.submit(MOBILE_SQL)
                     assert wait_for(lambda: service._running == 1)
                     queued = cli.submit(MOBILE_SQL, seed=1)
+                    # Stop while the running query is still parked at the
+                    # planning gate: released first, it could finish and
+                    # hand its slot to ``queued`` before the stop lands.
+                    service.stop()
         finally:
             service.stop()
-        queued_session = service._sessions[queued]
+        queued_session = service.ledger.sessions[queued]
         assert wait_for(lambda: queued_session.done.is_set(), timeout_s=5.0)
         assert queued_session.state == CANCELLED
-        running_session = service._sessions[running]
+        running_session = service.ledger.sessions[running]
         assert wait_for(lambda: running_session.done.is_set(), timeout_s=10.0)
 
     def test_submit_after_stop_is_rejected(self):

@@ -8,7 +8,6 @@ record boundary.
 """
 
 import pickle
-import struct
 import threading
 import zlib
 

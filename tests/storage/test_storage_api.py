@@ -1,16 +1,14 @@
-"""The unified storage API: one protocol, three tiers, no internals.
+"""The unified storage API: three tiers, no internals.
 
-:mod:`repro.storage` is the single surface callers use — both disk
-stores satisfy the :class:`~repro.storage.base.BlobStore` protocol where
-it applies, and the ``repro cache`` CLI goes through
-:func:`~repro.storage.tier_stats` / :func:`~repro.storage.clear_tiers`
-instead of reaching into store internals.
+:mod:`repro.storage` is the single surface callers use, and the
+``repro cache`` CLI goes through :func:`~repro.storage.tier_stats` /
+:func:`~repro.storage.clear_tiers` instead of reaching into store
+internals.
 """
 
 import pytest
 
 from repro.storage import (
-    BlobStore,
     DiskBlobStore,
     KeyedDiskStore,
     LRUTable,
@@ -31,9 +29,6 @@ def _cache_env(tmp_path, monkeypatch):
 
 
 class TestProtocol:
-    def test_disk_blob_store_satisfies_the_protocol(self, tmp_path):
-        assert isinstance(DiskBlobStore(tmp_path / "b"), BlobStore)
-
     def test_lru_table_basics(self):
         table = LRUTable(max_entries=2)
         table.store("a", 1)

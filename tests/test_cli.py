@@ -105,6 +105,48 @@ class TestCommands:
         with pytest.raises(QueryError):
             main(["sql", "DELETE FROM table", "--workload", "mobile"])
 
+    def test_calibrate_command(self, capsys):
+        assert main(["calibrate"]) == 0
+        out = capsys.readouterr().out
+        assert "fitted cost-model constants" in out
+        for constant in ("read_s_per_byte", "write_s_per_byte",
+                         "network_s_per_byte", "connection_s"):
+            assert constant in out
+
+
+class TestQueryCommand:
+    """``repro query`` entered in-process against a live service."""
+
+    SQL = ("SELECT t2.id FROM table t1, table t2 "
+           "WHERE t1.d = t2.d AND t1.bt <= t2.bt")
+
+    @pytest.fixture
+    def service(self):
+        from repro.serve.coordinator import QueryService
+
+        service = QueryService().start()
+        yield service
+        service.stop()
+
+    def test_prints_the_report_line_and_rows(self, service, capsys):
+        assert main(["query", self.SQL, "--addr", service.address,
+                     "--limit", "2", "--set", "REPRO_TASK_RETRIES=0"]) == 0
+        unpaged = capsys.readouterr().out
+        assert "result rows | simulated makespan" in unpaged
+        assert "more rows" in unpaged
+        assert main(["query", self.SQL, "--addr", service.address,
+                     "--limit", "2", "--page-size", "7"]) == 0
+        assert capsys.readouterr().out == unpaged  # paging changes transport only
+
+    def test_service_errors_exit_1_with_their_taxonomy_code(self, service, capsys):
+        assert main(["query", self.SQL, "--addr", service.address,
+                     "--set", "REPRO_CACHE_DIR=/tmp"]) == 1
+        assert "query failed [admission-rejected]" in capsys.readouterr().err
+
+    def test_malformed_set_is_a_usage_error(self):
+        with pytest.raises(SystemExit, match="NAME=VALUE"):
+            main(["query", self.SQL, "--set", "REPRO_TASK_RETRIES"])
+
 
 class TestExecutionFlags:
     def test_backend_flag_applies_then_restores(self, capsys):
@@ -336,20 +378,20 @@ class TestWorkerServeParser:
 
 class TestWorkloadRelations:
     def test_mobile_names(self):
-        from repro.cli import workload_relations
+        from repro.workloads import workload_relations
 
         relations = workload_relations("mobile", 20, seed=0)
         assert set(relations) == {"table", "calls"}
         assert relations["table"] is relations["calls"]
 
     def test_tpch_names(self):
-        from repro.cli import workload_relations
+        from repro.workloads import workload_relations
 
         relations = workload_relations("tpch", 0, seed=0)
         assert "lineitem" in relations and "orders" in relations
 
     def test_unknown_workload(self):
-        from repro.cli import workload_relations
+        from repro.workloads import workload_relations
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError):
             workload_relations("spark", 0, seed=0)

@@ -9,11 +9,9 @@ from repro.utils import (
     ceil_div,
     chunks,
     format_bytes,
-    is_power_of_two,
     linear_fit,
     make_rng,
     mean,
-    next_power_of_two,
     reservoir_sample,
     stable_hash,
     stddev,
@@ -53,19 +51,6 @@ class TestMath:
         assert ceil_div(0, 3) == 0
         with pytest.raises(ValueError):
             ceil_div(1, 0)
-
-    def test_next_power_of_two(self):
-        assert next_power_of_two(1) == 1
-        assert next_power_of_two(3) == 4
-        assert next_power_of_two(16) == 16
-        with pytest.raises(ValueError):
-            next_power_of_two(0)
-
-    def test_is_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(64)
-        assert not is_power_of_two(6)
-        assert not is_power_of_two(0)
 
     def test_mean_stddev(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
