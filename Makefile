@@ -25,12 +25,15 @@
 #   make perf-smoke - the repo's benchmark (perf/run.py, BENCHMARK.json) at
 #                   tiny sizes: all five workloads, every metric printed,
 #                   every answer checked against sqlite (~10 s)
-#   make perf-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10] - the before/after
-#                   procedure of a PR that claims a gain: clone BASE into a
-#                   temp dir and run the benchmark's contract command on it
-#                   and on this tree in alternating order, fresh seed per
-#                   pair; prints per-metric median, quartiles and wins
-#                   (benchmarks/perf_pair.py)
+#   make perf-pair BASE=<rev> WORKLOAD=<name>|all [PAIRS=10] - the
+#                   before/after procedure of a PR that claims a gain:
+#                   clone BASE into a temp dir and run the benchmark's
+#                   contract command on it and on this tree in alternating
+#                   order, fresh seed per pair; prints per workload and
+#                   metric median, quartiles, wins and the guide's verdict
+#                   (gain / within-bound / unresolved / REGRESSION);
+#                   WORKLOAD=all runs all five per pair, which is what the
+#                   pipeline judges (benchmarks/perf_pair.py)
 #   make ci       - the full local equivalent of the CI gate:
 #                   lint + verify + smoke + results-clean + serve-smoke
 #                   + serve-recovery + perf-smoke; results-clean is `git

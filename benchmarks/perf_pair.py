@@ -1,4 +1,4 @@
-"""Alternating parent/change pairs of one benchmark workload.
+"""Alternating parent/change pairs of one benchmark workload, or of all.
 
 The procedure a PR that claims a gain has to follow (and PRs 13 and 14
 performed by hand): clone ``--base`` into a temporary directory, then run
@@ -8,11 +8,26 @@ the benchmark's contract command
 
 once per side and pair, each side from its *own* checkout (so each runs
 its own ``perf/`` and ``src/``), alternating which side goes first, on a
-fresh seed per pair.  Prints every run as it lands, then per end-to-end
-metric both sides' median and quartiles and how many pairs the change won.
+fresh seed per pair.  Prints every run as it lands, then per workload and
+end-to-end metric both sides' median and quartiles, how many pairs the
+change won, and the verdict of the choosing-metrics guide:
+
+* ``gain`` — the change won at least nine tenths of the pairs (ties
+  count for neither side) and the medians differ by more than the
+  distance between the base's own quartiles;
+* ``REGRESSION`` — the change's median is worse than the base's by more
+  than the metric's ``BENCHMARK.json`` bound;
+* ``unresolved`` — neither, but the base's own quartiles lie further
+  apart than the bound and some base run reads better than some change
+  run, so "unchanged" cannot be told from "worse";
+* ``within-bound`` — everything else.
+
+``--workload all`` runs every workload of ``BENCHMARK.json`` in each pair:
+the pipeline rejects a PR on *any* workload, so the five have to be seen
+together.
 
     python3 benchmarks/perf_pair.py --base HEAD~1 --workload exec_merge_q1
-    make perf-pair BASE=HEAD~1 WORKLOAD=exec_merge_q1 PAIRS=10
+    make perf-pair BASE=HEAD~1 WORKLOAD=all PAIRS=10
 
 The change side is the working tree this script sits in, uncommitted
 edits included.
@@ -53,10 +68,32 @@ def quartiles(values: List[float]) -> str:
     return f"{median:.4g} [{low:.4g}, {high:.4g}]"
 
 
+def verdict(
+    base: List[float], change: List[float], wins: int, lower_is_better: bool, bound: float
+) -> str:
+    """The guide's reading of one workload x metric (see the module doc)."""
+    sign = 1.0 if lower_is_better else -1.0
+    base_median, change_median = statistics.median(base), statistics.median(change)
+    spread = 0.0
+    if len(base) >= 2:
+        low, _median, high = statistics.quantiles(base, n=4, method="inclusive")
+        spread = high - low
+    improvement = sign * (base_median - change_median)
+    if wins >= 0.9 * len(base) and improvement > spread:
+        return "gain"
+    if -improvement > bound * abs(base_median):
+        return "REGRESSION"
+    all_better = max(sign * v for v in change) < min(sign * v for v in base)
+    if spread > bound * abs(base_median) and not all_better:
+        return "unresolved"
+    return "within-bound"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision of the parent side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a BENCHMARK.json workload name, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=None,
@@ -65,13 +102,17 @@ def main() -> int:
 
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    workloads = (
+        [w["name"] for w in spec["workloads"]] if args.workload == "all" else [args.workload]
+    )
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    runs: Dict[str, Dict[str, List[float]]] = {
-        side: {name: [] for name in better} for side in ("base", "change")
+    runs: Dict[str, Dict[str, Dict[str, List[float]]]] = {
+        workload: {side: {name: [] for name in better} for side in ("base", "change")}
+        for workload in workloads
     }
-    failed = {"base": 0, "change": 0}
-    wins = {name: 0 for name in better}
-    ties = {name: 0 for name in better}
+    failed = {workload: {"base": 0, "change": 0} for workload in workloads}
+    wins = {workload: {name: 0 for name in better} for workload in workloads}
+    ties = {workload: {name: 0 for name in better} for workload in workloads}
 
     with tempfile.TemporaryDirectory(prefix="perf-pair-") as tmp:
         base = Path(tmp) / "base"
@@ -81,42 +122,54 @@ def main() -> int:
         for pair in range(args.pairs):
             seed = args.seed + pair
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            got = {
-                side: run_once(checkouts[side], args.workload, seed, seconds)
-                for side in order
-            }
-            for side in order:
-                line = got[side]
-                failed[side] += line["failed"] + (not line["correct"])
-                for name in better:
-                    runs[side][name].append(line["metrics"][name]["value"])
-            for name, direction in better.items():
-                delta = got["change"]["metrics"][name]["value"] - (
-                    got["base"]["metrics"][name]["value"]
+            for workload in workloads:
+                got = {
+                    side: run_once(checkouts[side], workload, seed, seconds)
+                    for side in order
+                }
+                for side in order:
+                    line = got[side]
+                    failed[workload][side] += line["failed"] + (not line["correct"])
+                    for name in better:
+                        runs[workload][side][name].append(line["metrics"][name]["value"])
+                for name, direction in better.items():
+                    delta = got["change"]["metrics"][name]["value"] - (
+                        got["base"]["metrics"][name]["value"]
+                    )
+                    wins[workload][name] += (delta < 0) if direction == "lower" else (delta > 0)
+                    ties[workload][name] += delta == 0
+                print(
+                    f"pair {pair} seed {seed} first={order[0]} {workload} "
+                    + " ".join(
+                        f"{name}={got['base']['metrics'][name]['value']:.4g}"
+                        f"->{got['change']['metrics'][name]['value']:.4g}"
+                        for name in better
+                    ),
+                    flush=True,
                 )
-                wins[name] += (delta < 0) if direction == "lower" else (delta > 0)
-                ties[name] += delta == 0
-            print(
-                f"pair {pair} seed {seed} first={order[0]} "
-                + " ".join(
-                    f"{name}={got['base']['metrics'][name]['value']:.4g}"
-                    f"->{got['change']['metrics'][name]['value']:.4g}"
-                    for name in better
-                ),
-                flush=True,
-            )
 
-    print(f"\n{args.workload}: {args.pairs} pairs, base {args.base}, {seconds:g} s runs; "
-          "median [quartiles]")
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
+    for workload in workloads:
+        print(f"\n{workload}: {args.pairs} pairs, base {args.base}, {seconds:g} s runs; "
+              "median [quartiles]")
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            sides = runs[workload]
+            print(
+                f"{name:18s} base {quartiles(sides['base'][name]):32s} "
+                f"change {quartiles(sides['change'][name]):32s} {metric['unit']:6s} "
+                f"({metric['better']} is better) change wins "
+                f"{wins[workload][name]}/{args.pairs}"
+                + (f", {ties[workload][name]} ties" if ties[workload][name] else "")
+                + " -> "
+                + verdict(
+                    sides["base"][name], sides["change"][name], wins[workload][name],
+                    metric["better"] == "lower", metric["bound"],
+                )
+            )
         print(
-            f"{name:18s} base {quartiles(runs['base'][name]):32s} "
-            f"change {quartiles(runs['change'][name]):32s} {metric['unit']:6s} "
-            f"({metric['better']} is better) change wins {wins[name]}/{args.pairs}"
-            + (f", {ties[name]} ties" if ties[name] else "")
+            f"failed or wrong answers: base {failed[workload]['base']}, "
+            f"change {failed[workload]['change']}"
         )
-    print(f"failed or wrong answers: base {failed['base']}, change {failed['change']}")
     return 0
 
 

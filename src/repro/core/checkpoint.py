@@ -4,7 +4,9 @@ With ``REPRO_CHECKPOINT=1`` the executor persists each completed
 ready-wave job's output and restores it on the next identical run.  This
 module is the one owner of how: the content key, the two stores behind it
 (a keyed index ``key -> {"digest", "bytes"}`` and the blob tier ``digest
--> pickled (records, record width, metrics)``), verify-on-read, the size
+-> pickled (records, record width, metrics)``, the records a join
+output's ``CompositeSlab`` — index vectors and bucket tables, not one
+tuple per composite), verify-on-read, the size
 cap and the process-wide counters ``repro serve stats`` reports.  A
 checkpoint can cost a recompute, never a wrong answer.
 """
@@ -94,7 +96,7 @@ class CheckpointStore:
             else:
                 inputs.append(("job", self._keys[ref.name]))
         parts = (
-            "wave-ckpt-v1",
+            "wave-ckpt-v2",
             job.strategy,
             int(job.units),
             int(job.num_reducers),
@@ -151,7 +153,7 @@ class CheckpointStore:
         try:
             payload = pickle.dumps(
                 (
-                    list(result.output.records),
+                    result.output.records,
                     result.output.record_width,
                     result.metrics,
                 ),

@@ -18,7 +18,7 @@ import bisect
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.checkpoint import (  # noqa: F401  (counters: perf/ reads them here)
     CheckpointStore,
@@ -88,8 +88,9 @@ class ExecutionOutcome:
 
     result: Relation
     report: ExecutionReport
-    #: Raw result composites (alias, global id, row) for result validation.
-    composites: List[Composite]
+    #: Raw result composites — alias-sorted ``(alias, global id, row)``
+    #: tuples when iterated (a ``CompositeSlab``) — for result validation.
+    composites: Sequence[Composite]
 
 
 #: What :meth:`PlanExecutor._prepare` found for one job of a wave: an

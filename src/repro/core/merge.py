@@ -9,14 +9,15 @@ overlapping later jobs), smallest pair first.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.group_cost import merge_duration_s
 from repro.core.plan import ExecutionPlan
 from repro.errors import ExecutionError
-from repro.joins.progressive import merge_picker
-from repro.joins.records import Composite, entry_alias, entry_global_id
+from repro.joins.progressive import fold_keys, stack_pairs, window_pairs
+from repro.joins.records import Composite, CompositeSlab
 from repro.mapreduce.hdfs import DistributedFile
 
 
@@ -26,7 +27,7 @@ def merge_terminals(
     job_ends: Mapping[str, float],
     alias_cover: Mapping[str, Tuple[str, ...]],
     disk_read_bytes_s: float,
-) -> Tuple[List[Composite], Tuple[str, ...], float, float]:
+) -> Tuple[Sequence[Composite], Tuple[str, ...], float, float]:
     """Merge the terminal outputs pairwise, smallest pair first.
 
     ``alias_cover`` is the static alias cover of every job's output,
@@ -40,10 +41,9 @@ def merge_terminals(
     #: so (size, seq_i, seq_j) ordering reproduces its pair choices.
     #: Covers are the static ones of ``alias_cover``, never re-read
     #: from the records.
-    pool: Dict[int, Tuple[Tuple[str, ...], List[Composite], float]] = {}
+    pool: Dict[int, Tuple[Tuple[str, ...], Sequence[Composite], float]] = {}
     for sequence, job in enumerate(terminals):
-        output = job_outputs[job.job_id]
-        composites: List[Composite] = list(output.records)  # type: ignore[arg-type]
+        composites: Sequence[Composite] = job_outputs[job.job_id].records  # type: ignore[assignment]
         pool[sequence] = (alias_cover[job.job_id], composites, job_ends[job.job_id])
 
     if not pool:
@@ -105,62 +105,50 @@ def merge_terminals(
     return composites, cover, ready, merge_total
 
 
-def _shared_ids(
-    composites: Sequence[Composite], cover: Sequence[str], shared: Sequence[str]
-):
-    """The shared-alias global ids of each composite, in order: a bare id
-    when one alias is shared (the Section 4.2 common case), else a tuple.
-
-    Reading the ids is also where the static ``cover`` is held against
-    the records: position-compiled merging never looks at an alias tag
-    again, so a composite of another width, or with another alias in any
-    slot, must fail here rather than come out as a wrong row.
-    """
-
-    def entries_at(position: int):
-        return map(itemgetter(position), composites)
-
-    if set(map(len, composites)) != {len(cover)} or any(
-        set(map(entry_alias, entries_at(position))) != {alias}
-        for position, alias in enumerate(cover)
-    ):
-        raise ExecutionError(
-            f"merge input does not uniformly cover aliases {list(cover)}"
-        )
-    ids = [map(entry_global_id, entries_at(cover.index(alias))) for alias in shared]
-    return ids[0] if len(ids) == 1 else zip(*ids)
-
-
 def hash_merge(
-    left: List[Composite],
-    right: List[Composite],
+    left: Sequence[Composite],
+    right: Sequence[Composite],
     left_cover: Sequence[str],
     right_cover: Sequence[str],
-) -> List[Composite]:
-    """Id-based hash join of two partial results on their shared relations.
+) -> CompositeSlab:
+    """Id-based join of two partial results on their shared relations.
 
-    Every composite of one partial result covers the same statically known
-    alias set, which admits the same position-compiled technique as the
-    reduce-side kernel: shared-id keys and the merged entry picks are
-    tuple indexing resolved once per merge.  Output order is left order,
-    partners of one left composite in right arrival order; shared aliases
-    keep the left entry (partners agree on the shared ids by key
-    construction).  The nested-loop form is ``_reference_hash_merge`` in
-    ``tests/joins/tail_oracle.py``.
+    Both sides are :class:`CompositeSlab` s (tuple-form input is lifted,
+    which is also where it is held against its cover), so the merge is the
+    reduce kernel's window primitive on id columns: the ids of the shared
+    aliases fold into one integer key per composite, a stable sort of the
+    right keys plus one ``searchsorted`` per edge gives every left
+    composite its window of partners, and the merged slab gathers index
+    vectors — no composite is built.  Output order is left order, partners of one left composite in
+    right arrival order; shared aliases keep the left entry (partners
+    agree on the shared ids by key construction).  The nested-loop form is
+    ``_reference_hash_merge`` in ``tests/joins/tail_oracle.py``.
     """
-    if not left or not right:
-        return []
-    shared = sorted(set(left_cover) & set(right_cover))
+    if not isinstance(left, CompositeSlab):
+        left = CompositeSlab.from_composites(left_cover, left)
+    if not isinstance(right, CompositeSlab):
+        right = CompositeSlab.from_composites(right_cover, right)
+    shared = sorted(set(left.cover) & set(right.cover))
     if not shared:
         raise ExecutionError("partial results share no relation; cannot merge")
-    pick = merge_picker(left_cover, right_cover)
-    index: Dict[object, List[Composite]] = {}
-    for key, composite in zip(_shared_ids(right, right_cover, shared), right):
-        index.setdefault(key, []).append(composite)
-    partners_of = map(index.get, _shared_ids(left, left_cover, shared))
-    return [
-        pick(composite + partner)
-        for composite, partners in zip(left, partners_of)
-        if partners
-        for partner in partners
-    ]
+    cover = tuple(sorted(set(left.cover) | set(right.cover)))
+    if not len(left) or not len(right):
+        return CompositeSlab.empty(cover)
+    keys, span = (0, 0), 1  # no digit yet: the first alias's ids are the key
+    for alias in shared:
+        ids = left.ids(alias), right.ids(alias)
+        width = int(max(ids[0].max(), ids[1].max())) + 1
+        keys, span = fold_keys(keys, span, ids, width)
+    left_key, right_key = keys
+    order = np.argsort(right_key, kind="stable")
+    ranked = right_key[order]
+    first = np.searchsorted(ranked, left_key, side="left")
+    partners = np.searchsorted(ranked, left_key, side="right") - first
+    left_at, right_at = stack_pairs(list(window_pairs(first, partners, order)))
+    tables, index = [], []
+    for alias in cover:
+        side, at = (left, left_at) if alias in left.cover else (right, right_at)
+        a = side.cover.index(alias)
+        tables.append(side.tables[a])
+        index.append(side.index[a][at])
+    return CompositeSlab(cover, tables, index)

@@ -34,6 +34,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Type
 
+import numpy as np
+
 from repro.core import hilbert
 from repro.errors import PartitionError
 from repro.utils import ceil_div
@@ -292,6 +294,19 @@ class HypercubePartitioner:
                 slab = limit
             flat = flat * side + slab
         return self._owner_by_flat[flat]
+
+    @functools.cached_property
+    def _owner_table(self) -> np.ndarray:
+        return np.asarray(self._owner_by_flat, dtype=np.int64)
+
+    def owners_of_id_columns(self, id_columns: Sequence[np.ndarray]) -> np.ndarray:
+        """:meth:`owner_of_ids` of every row of ``dims`` in-range id
+        columns at once: one clamp per dimension, one table gather."""
+        flat = 0
+        for d, ids in enumerate(id_columns):
+            slab = np.minimum(ids // self.cell_widths[d], self.used_side[d] - 1)
+            flat = flat * self.side + slab
+        return self._owner_table[flat]
 
     def owner_component(self, global_ids: Sequence[int]) -> int:
         """The unique component owning the joint cell of a tuple combination.

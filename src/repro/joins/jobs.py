@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.partitioner import HypercubePartitioner
 from repro.errors import ExecutionError
-from repro.joins.progressive import ProgressiveJoin, bucket_reducer
+from repro.joins.progressive import ProgressiveJoin, reduce_side
 from repro.joins.records import Composite, composite_width
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapBatch, MapReduceJobSpec
@@ -158,9 +158,9 @@ def make_hypercube_join_job(
         scan_first=True,
         probe=True,
         # Ownership rule: output only combinations whose joint grid cell
-        # falls in this reducer's curve segment (two array lookups through
-        # the partitioner's precomputed ownership table).
-        owner_of_ids=partitioner.owner_of_ids,
+        # falls in this reducer's curve segment (one gather through the
+        # partitioner's precomputed ownership table per bucket).
+        owners_of=partitioner.owners_of_id_columns,
     )
 
     # Table-driven routing: record counts were validated against the
@@ -198,8 +198,8 @@ def make_hypercube_join_job(
             slab = min((base_index + lo) // width, top)
             hi = count if slab == top else min(count, (slab + 1) * width - base_index)
             values = [
-                (dim, base_index + position, records[position])
-                for position in range(lo, hi)
+                (dim, position, record)
+                for position, record in enumerate(records[lo:hi], base_index + lo)
             ]
             components = components_of_slab[slab]
             pair_count += (hi - lo) * len(components)
@@ -223,7 +223,7 @@ def make_hypercube_join_job(
         num_reducers=num_components,
         output_record_width=output_width,
         batch_mapper=batch_mapper,
-        batch_reducer=bucket_reducer(
+        **reduce_side(
             join, {dim: dim for dim in range(len(dim_files))}, dim_value_width
         ),
         output_name=output_name or f"{name}.out",
@@ -350,7 +350,7 @@ def make_equi_join_job(
             partition,
             num_reducers,
         ),
-        batch_reducer=bucket_reducer(
+        **reduce_side(
             ProgressiveJoin(
                 name, covers, conditions, schemas_by_alias, scan_first=False
             ),
@@ -422,7 +422,7 @@ def make_broadcast_join_job(
         num_reducers=num_reducers,
         output_record_width=output_width,
         batch_mapper=batch_mapper,
-        batch_reducer=bucket_reducer(
+        **reduce_side(
             ProgressiveJoin(
                 name, covers, conditions, schemas_by_alias, scan_first=False
             ),
@@ -570,7 +570,7 @@ def make_equichain_join_job(
             partition,
             num_reducers,
         ),
-        batch_reducer=bucket_reducer(
+        **reduce_side(
             ProgressiveJoin(
                 name, alias_groups, conditions, schemas_by_alias, scan_first=True
             ),

@@ -7,17 +7,30 @@ behind a different router (the mapper in :mod:`repro.joins.jobs` /
 :mod:`repro.joins.shares`), so they all compile to one
 :class:`ProgressiveJoin` here and differ only in three build-time facts:
 whether the first input is scanned as a charged step of its own, whether
-steps may probe (hash / sorted range) instead of testing every pair, and
-whether outputs pass an ownership filter.
+steps may probe (equality keys / sorted range) instead of testing every
+pair, and whether outputs pass an ownership filter.
 
-Every composite flowing through one join job covers a *statically known*
-alias set (each input's cover is fixed, and inputs are bound in a fixed
-order), so the partial composite entering step ``s`` is an alias-sorted
-tuple over a known cover.  That turns every per-composite dict build of a
-record-at-a-time reducer (``rows_by_alias``, ``merge_composites``) into
-tuple indexing resolved once at job-build time.  The compiled merge is
-exact only when the input covers are pairwise disjoint, which
-:func:`check_disjoint_covers` enforces for every builder.
+The kernel joins a reduce task's **whole bucket** — or, when the runtime
+reduces in line, every bucket of the job at once: key groups are
+independent, and the kernel accounts per key group — on index vectors.
+Per input the call's candidates are one table (key groups back to back);
+a partial result is one index vector per bound input; the columns a
+check or probe reads are extracted once per call as exactly-typed
+arrays (:func:`repro.relational.columns.typed_column` — ``object`` dtype
+where no fixed-width dtype compares as Python does, through the same
+code).  Every step is the same primitive: each partial gets a window
+``[lo, hi)`` in one permutation of the new input's candidates — its key
+group's run; narrowed, when the step probes, by a stable sort on
+(group, equality-key code) or (group, value rank) and ``searchsorted`` —
+the windows are expanded into flat ``(partial, candidate)`` vectors in
+blocks of at most :data:`_BLOCK_PAIRS`, charged one comparison per pair,
+and filtered by the step's compiled checks as gathers over those vectors.
+No composite, id tuple or intermediate partial is built: the output is a
+:class:`~repro.joins.records.CompositeSlab` over the call's tables.
+
+Every input's cover is static and covers are pairwise disjoint
+(:func:`check_disjoint_covers`), so each alias lives in exactly one
+input at a fixed entry position.
 
 The record-at-a-time form of the same join is the oracle in
 ``tests/joins/scalar_oracle.py``; the equivalence suite holds this module
@@ -26,58 +39,64 @@ to it bit for bit (outputs and their order, comparison counts, bytes).
 
 from __future__ import annotations
 
-import bisect
-from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.joins.records import Composite, tuple_getter
+from repro.joins.records import Composite, CompositeSlab, slab_table
+from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.job import BatchReducer, ReduceBatch
-from repro.relational.columns import add_offset, comparable, typed_column
+from repro.relational.columns import INT_SAFE, add_offset, comparable, typed_column
 from repro.relational.predicates import JoinCondition, ThetaOp
 from repro.relational.schema import Schema
 
-#: Candidate count from which the sorted range probe finds its windows
-#: with NumPy, and pair count from which a probe-less step evaluates its
-#: checks as one NumPy mask.  Both paths are selected by group size alone
-#: and both sides of each gate run in the benchmark grid; below the gates
-#: array construction costs more than the Python loop it replaces.
-NP_MIN_PROBE = 128
-NP_MIN_PAIRS = 256
+#: A step's candidate windows are expanded into pair vectors in blocks of
+#: at most this many pairs (whole partials; one partial's window is never
+#: split): every int64 vector of a block is then 256 KiB, so the handful a
+#: block keeps alive stay cache-resident and a job near the cross product
+#: costs a few MiB at a time instead of a few vectors per pair of the job.
+#: Measured on ``plan_cold_q3`` (480 k pairs in one call): ``peak_rss_mb``
+#: +19 MiB at 2**20, +6 at 2**17, +3 at 2**15, and no slower (NumPy's
+#: per-call cost is < 2 % of a 2**15-pair block).
+_BLOCK_PAIRS = 1 << 15
 
 #: Window edge contributed by ``bound op new`` (bound side on the left):
-#: ``(raises the lower edge?, bisect side)``.  ``bound < new`` keeps the
-#: candidates strictly above the bound value, i.e. from ``bisect_right``.
+#: ``(raises the lower edge?, searchsorted side)``.  ``bound < new`` keeps
+#: the candidates strictly above the bound value, i.e. from the right edge
+#: of the bound value's run.
 _RANGE_EDGE = {
     ThetaOp.LT: (True, "right"),
     ThetaOp.LE: (True, "left"),
     ThetaOp.GT: (False, "left"),
     ThetaOp.GE: (False, "right"),
 }
-_BISECT = {"left": bisect.bisect_left, "right": bisect.bisect_right}
+
+#: One column of one input's candidate table: ``(input, entry position
+#: within the input's composites, column of the row)``.
+Column = Tuple[int, int, int]
 
 
 class _Step(NamedTuple):
     """What binding one more input takes."""
 
-    #: Pair checks that become evaluable once this input is bound, or None.
-    checks: Optional[tuple]
-    #: ``pick(acc + cand)`` builds the merged composite (None: first input).
-    pick: Optional[Callable]
-    #: ``("hash", bound_specs, new_specs)``, ``("range", column, bounds)``,
-    #: or None (every pair is a candidate).
+    #: Pair checks that become evaluable once this input is bound:
+    #: ``(left column, left offset, compare, right column, right offset)``.
+    checks: tuple
+    #: ``("hash", bound columns, new columns)``, ``("range", new column,
+    #: ((bound column, shift, lower?, side), ...))``, or None (every
+    #: candidate of the partial's key group is in its window).
     probe: Optional[tuple]
 
 
 def check_disjoint_covers(name: str, covers: Sequence[Sequence[str]]) -> None:
     """Reject inputs whose alias covers overlap.
 
-    Position-compiled merging keeps one entry per alias and never compares
-    global ids, so two inputs carrying the same alias would be joined as
-    if their tuples of it agreed.  Partial results that share a relation
-    are merged by id in the executor's merge phase, not inside a join job.
+    The kernel keeps one entry per alias and never compares global ids,
+    so two inputs carrying the same alias would be joined as if their
+    tuples of it agreed.  Partial results that share a relation are
+    merged by id in the executor's merge phase, not inside a join job.
     """
     seen: set = set()
     shared: set = set()
@@ -93,70 +112,17 @@ def check_disjoint_covers(name: str, covers: Sequence[Sequence[str]]) -> None:
         raise error
 
 
-def merge_picker(bound_cover: Sequence[str], new_cover: Sequence[str]) -> Callable:
-    """``pick(acc + cand)`` realising ``merge_composites(acc, cand)`` for
-    alias-sorted composites over statically known covers.  Aliases in both
-    covers keep the accumulated side's entry, exactly like
-    ``merge_composites`` (callers must know the shared ids agree)."""
-    position = {alias: len(bound_cover) + i for i, alias in enumerate(new_cover)}
-    position.update({alias: i for i, alias in enumerate(bound_cover)})
-    return tuple_getter([position[alias] for alias in sorted(position)])
-
-
-def _pair_checks(
-    ready: Sequence[JoinCondition],
-    schemas: Mapping[str, Schema],
-    bound_pos: Mapping[str, int],
-    new_pos: Mapping[str, int],
-) -> Optional[tuple]:
-    """Compile a conjunction into (accumulated, candidate) pair form.
-
-    Each predicate endpoint resolves to ``(source, entry position, column
-    index, offset)`` — source 0 reads the accumulated composite, 1 the
-    candidate — so the check runs *before* the merged composite is built,
-    on tuple indexing alone, in predicate order.  ``None`` when empty.
-    """
-
-    def resolve(ref):
-        column = schemas[ref.alias].index_of(ref.attr)
-        if ref.alias in bound_pos:
-            return 0, bound_pos[ref.alias], column, ref.offset
-        return 1, new_pos[ref.alias], column, ref.offset
-
-    compiled = tuple(
-        (*resolve(p.left), p.op.as_function, *resolve(p.right))
-        for condition in ready
-        for p in condition.predicates
-    )
-    return compiled or None
-
-
-def _probe_plan(
-    ready: Sequence[JoinCondition],
-    schemas: Mapping[str, Schema],
-    bound_pos: Mapping[str, int],
-    new_pos: Mapping[str, int],
-) -> Optional[tuple]:
+def _probe_plan(crossing, column_of) -> Optional[tuple]:
     """How to find a partial's candidates without testing every pair.
 
-    Zero-offset equalities crossing the bound/new boundary make a hash
-    key — what a real reduce-side implementation does for the equality
-    part of a theta condition.  Failing that, inequalities against the
-    new-side attribute with the most constraints (the tightest window)
-    make a sorted range probe: candidates are sorted by that attribute
-    once and each partial bisects its window.  Probes only *narrow* the
+    ``crossing`` are the step's predicates with one endpoint bound and one
+    new, oriented bound-side left.  Zero-offset equalities among them make
+    a key — what a real reduce-side implementation hashes on for the
+    equality part of a theta condition.  Failing that, inequalities
+    against the new-side attribute with the most constraints (the
+    tightest window) make a sorted range probe.  Probes only *narrow* the
     candidates; the step's pair checks still run on every one.
     """
-    crossing = [
-        p.oriented(p.left.alias if p.left.alias in bound_pos else p.right.alias)
-        for condition in ready
-        for p in condition.predicates
-        if (p.left.alias in bound_pos) != (p.right.alias in bound_pos)
-    ]
-
-    def spec(ref, pos):
-        return pos[ref.alias], schemas[ref.alias].index_of(ref.attr)
-
     keys = [
         p for p in crossing
         if p.op.is_equality and p.left.offset == 0 and p.right.offset == 0
@@ -164,16 +130,15 @@ def _probe_plan(
     if keys:
         return (
             "hash",
-            tuple(spec(p.left, bound_pos) for p in keys),
-            tuple(spec(p.right, new_pos) for p in keys),
+            tuple(column_of(p.left) for p in keys),
+            tuple(column_of(p.right) for p in keys),
         )
-    by_column: Dict[Tuple[int, int], List[tuple]] = {}
+    by_column: Dict[Column, List[tuple]] = {}
     for p in crossing:
         if p.op in _RANGE_EDGE:
             # (bound + lo) op (new + ro)  <=>  new op' bound + (lo - ro)
-            by_column.setdefault(spec(p.right, new_pos), []).append(
-                (*spec(p.left, bound_pos), p.left.offset - p.right.offset,
-                 *_RANGE_EDGE[p.op])
+            by_column.setdefault(column_of(p.right), []).append(
+                (column_of(p.left), p.left.offset - p.right.offset, *_RANGE_EDGE[p.op])
             )
     if not by_column:
         return None
@@ -181,154 +146,129 @@ def _probe_plan(
     return "range", column, tuple(by_column[column])
 
 
-def _pair_passes(checks, acc: Composite, cand: Composite) -> bool:
-    """Evaluate compiled pair checks with scalar short-circuiting."""
-    for ls, lp, li, lo, compare, rs, rp, ri, ro in checks:
-        left_value = (acc if ls == 0 else cand)[lp][2][li]
-        if lo:
-            left_value = left_value + lo
-        right_value = (acc if rs == 0 else cand)[rp][2][ri]
-        if ro:
-            right_value = right_value + ro
-        if not compare(left_value, right_value):
-            return False
-    return True
+def window_pairs(
+    lo: np.ndarray, counts: np.ndarray, order: Optional[np.ndarray] = None
+):
+    """Expand per-partial windows into flat pair vectors, block by block.
 
-
-def _pair_mask(checks, accs: Sequence[Composite], cands: Sequence[Composite]):
-    """``len(accs) x len(cands)`` boolean matrix of passing pairs, or
-    ``None`` when some column has no dtype in which NumPy compares (and
-    adds offsets) exactly as Python does — callers then run the pair loop.
-    A conjunction of pure predicates, so evaluation order cannot matter.
+    Partial ``p`` is paired with the ``counts[p]`` candidates
+    ``order[lo[p]:lo[p] + counts[p]]`` (the positions themselves without
+    an ``order``).  Yields ``(acc_at, cand_at)`` — the partial and the
+    candidate of each pair, partial-major, window order within a partial —
+    in blocks of whole partials holding at most :data:`_BLOCK_PAIRS` pairs
+    (more only when one window alone does).
     """
-    mask = np.ones((len(accs), len(cands)), dtype=bool)
-    for ls, lp, li, lo, compare, rs, rp, ri, ro in checks:
-        left = typed_column([c[lp][2][li] for c in (cands if ls else accs)])
-        right = typed_column([c[rp][2][ri] for c in (cands if rs else accs)])
-        if left.dtype == object or right.dtype == object:
-            return None
-        left, right = comparable(add_offset(left, lo), add_offset(right, ro))
-        if left.dtype == object:
-            return None
-        mask &= compare(
-            left[None, :] if ls else left[:, None],
-            right[None, :] if rs else right[:, None],
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    start, base = 0, 0
+    while base < total:
+        stop = len(ends)
+        if total - base > _BLOCK_PAIRS:
+            stop = max(
+                int(np.searchsorted(ends, base + _BLOCK_PAIRS, side="right")), start + 1
+            )
+        size = counts[start:stop]
+        run_start = ends[start:stop] - size - base
+        acc_at = np.repeat(np.arange(start, stop), size)
+        cand_at = np.arange(int(ends[stop - 1]) - base) - np.repeat(
+            run_start - lo[start:stop], size
         )
-    return mask
+        yield acc_at, cand_at if order is None else order[cand_at]
+        start, base = stop, int(ends[stop - 1])
 
 
-def _keys(composites: Sequence[Composite], specs) -> list:
-    if len(specs) == 1:
-        ((pos, col),) = specs
-        return [c[pos][2][col] for c in composites]
-    return [tuple(c[pos][2][col] for pos, col in specs) for c in composites]
+def stack_pairs(blocks: Sequence[Tuple[np.ndarray, np.ndarray]]):
+    """The ``(acc_at, cand_at)`` blocks of one step as one pair of vectors."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
-def _hash_matches(bound_specs, new_specs, accs, cands) -> list:
-    """Per partial, the candidates with an equal key in arrival order
-    (``None`` when there are none)."""
-    index: Dict[object, List[int]] = {}
-    for i, key in enumerate(_keys(cands, new_specs)):
-        index.setdefault(key, []).append(i)
-    return [index.get(key) for key in _keys(accs, bound_specs)]
+def _ranks(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense ascending ranks of ``values`` and the rank count; every NaN
+    shares the top rank (NumPy's sort order, also for ``object`` columns,
+    whose Python ``<`` has no place for a NaN)."""
+    nan = values != values
+    ranks = np.empty(len(values), dtype=np.int64)
+    distinct, ranks[~nan] = np.unique(values[~nan], return_inverse=True)
+    ranks[nan] = len(distinct)
+    return ranks, len(distinct) + 1
 
 
-def _range_matches(column, bounds, accs, cands) -> list:
-    """Per partial, the candidates inside its value window, in stable
-    sorted order of the probed attribute."""
-    pos, col = column
-    values = [cand[pos][2][col] for cand in cands]
-    count = len(values)
-    windows = _np_windows(values, bounds, accs) if count >= NP_MIN_PROBE else None
-    if windows is None:
-        order = sorted(range(count), key=values.__getitem__)
-        ranked = [values[i] for i in order]
-        lows, highs = [], []
-        for acc in accs:
-            lo, hi = 0, count
-            for bpos, bcol, shift, lower, side in bounds:
-                value = acc[bpos][2][bcol]
-                edge = _BISECT[side](ranked, value + shift if shift else value)
-                if lower:
-                    if edge > lo:
-                        lo = edge
-                elif edge < hi:
-                    hi = edge
-            lows.append(lo)
-            highs.append(hi)
-    else:
-        order, lows, highs = windows
-    return [order[lo:hi] for lo, hi in zip(lows, highs)]
+def fold_keys(keys, span: int, digits, width: int):
+    """Append one more digit to a pair of integer sort-key vectors.
 
-
-def _np_windows(values, bounds, accs):
-    """``(order, lows, highs)`` of the range probe through NumPy, or
-    ``None`` when a column cannot be typed exactly (see ``_pair_mask``)."""
-    column = typed_column(values)
-    if column.dtype == object:
-        return None
-    order = np.argsort(column, kind="stable")
-    ranked = column[order]
-    lows = np.zeros(len(accs), dtype=np.int64)
-    highs = np.full(len(accs), len(values), dtype=np.int64)
-    for bpos, bcol, shift, lower, side in bounds:
-        bound = typed_column([acc[bpos][2][bcol] for acc in accs])
-        if bound.dtype == object:
-            return None
-        # An exact int64 -> float64 cast is monotone, so ``order`` stands.
-        probed, bound = comparable(ranked, add_offset(bound, shift))
-        if bound.dtype == object:
-            return None
-        edge = np.searchsorted(probed, bound, side=side)
-        if lower:
-            np.maximum(lows, edge, out=lows)
-        else:
-            np.minimum(highs, edge, out=highs)
-    return order.tolist(), lows.tolist(), highs.tolist()
-
-
-def _grow(step: _Step, accs, ids, cands, gids):
-    """Bind one more input: ``(partials, their id tuples, comparisons)``.
-
-    Every candidate a probe admits (every pair, without one) is charged
-    as one comparison, then filtered by the step's pair checks — as one
-    NumPy mask over the whole cross product when there is no probe and
-    the block is big enough, else pair by pair.
+    ``keys = (candidate keys, partial keys)`` lie in ``[0, span)`` and
+    ``digits`` (same shapes) in ``[0, width)``; returns the folded pair
+    and its span.  Two folded keys are equal iff the old keys and the
+    digits both were, and order by (old key, digit).  Before the product
+    could leave int64 the old keys are re-numbered densely, jointly.
     """
-    checks, pick, probe = step
-    num_accs, num_cands = len(accs), len(cands)
-    mask = None
-    if probe is None:
-        if checks is not None and num_accs * num_cands >= NP_MIN_PAIRS:
-            mask = _pair_mask(checks, accs, cands)
-        matches = repeat(range(num_cands), num_accs)
-    elif probe[0] == "hash":
-        matches = _hash_matches(probe[1], probe[2], accs, cands)
-    else:
-        matches = _range_matches(probe[1], probe[2], accs, cands)
-    if mask is not None:
-        comparisons = num_accs * num_cands
-        acc_at, cand_at = (axis.tolist() for axis in np.nonzero(mask))
-    else:
-        comparisons = 0
-        acc_at, cand_at = [], []
-        for j, hits in enumerate(matches):
-            if not hits:
-                continue
-            comparisons += len(hits)
-            if checks is None:
-                acc_at.extend(repeat(j, len(hits)))
-                cand_at.extend(hits)
-                continue
-            acc = accs[j]
-            for i in hits:
-                if _pair_passes(checks, acc, cands[i]):
-                    acc_at.append(j)
-                    cand_at.append(i)
-    grown = [pick(accs[j] + cands[i]) for j, i in zip(acc_at, cand_at)]
-    if ids is not None:
-        ids = [ids[j] + (gids[i],) for j, i in zip(acc_at, cand_at)]
-    return grown, ids, comparisons
+    cand_key, key = keys
+    if span * width > INT_SAFE:
+        both, span = _ranks(np.concatenate((cand_key, key)))
+        cand_key, key = both[: len(cand_key)], both[len(cand_key):]
+    return (cand_key * width + digits[0], key * width + digits[1]), span * width
+
+
+class _Bucket:
+    """The candidates one kernel call joins, per input: composites (key
+    groups back to back), the key group of each, and the per-alias tables
+    and typed columns extracted from them on first use."""
+
+    def __init__(
+        self,
+        inputs: Sequence[Sequence[Composite]],
+        groups: Sequence[np.ndarray],
+        num_groups: int,
+    ) -> None:
+        self.inputs = inputs
+        self.groups = groups
+        self.num_groups = num_groups
+        self._runs: Dict[int, np.ndarray] = {}
+        self._tables: Dict[Tuple[int, int], tuple] = {}
+        self._values: Dict[Column, list] = {}
+        self._columns: Dict[Column, np.ndarray] = {}
+
+    def runs(self, slot: int) -> np.ndarray:
+        """Where each key group's run of input ``slot``'s candidates
+        starts (``num_groups + 1`` edges)."""
+        runs = self._runs.get(slot)
+        if runs is None:
+            runs = self._runs[slot] = np.searchsorted(
+                self.groups[slot], np.arange(self.num_groups + 1)
+            )
+        return runs
+
+    def table(self, slot: int, position: int) -> tuple:
+        """``(global ids, rows)`` of the alias at ``position`` of input
+        ``slot``'s composites, as two lists."""
+        table = self._tables.get((slot, position))
+        if table is None:
+            entries = list(map(itemgetter(position), self.inputs[slot]))
+            table = self._tables[slot, position] = (
+                list(map(itemgetter(1), entries)),
+                list(map(itemgetter(2), entries)),
+            )
+        return table
+
+    def values(self, column: Column) -> list:
+        """The column's Python values, candidate order."""
+        values = self._values.get(column)
+        if values is None:
+            slot, position, index = column
+            values = self._values[column] = list(
+                map(itemgetter(index), self.table(slot, position)[1])
+            )
+        return values
+
+    def column(self, column: Column) -> np.ndarray:
+        typed = self._columns.get(column)
+        if typed is None:
+            typed = self._columns[column] = typed_column(self.values(column))
+        return typed
 
 
 class ProgressiveJoin:
@@ -344,10 +284,12 @@ class ProgressiveJoin:
       shares).  Without it the first input is only the left side of step
       1, which then checks those conditions too (the pair-wise equi and
       broadcast joins, which charge ``|left| * |right|`` and nothing else).
-    * ``probe`` — steps may use hash / sorted-range probes (hypercube).
-    * ``owner_of_ids`` — when given, :meth:`run` takes per-input record
-      ids and keeps only combinations whose id tuple the task's key owns
-      (the hypercube's exactness + no-duplicates rule).
+    * ``probe`` — steps may use equality-key / sorted-range probes
+      (hypercube).
+    * ``owners_of`` — when given, :meth:`run` takes per-input record ids
+      and keeps only combinations whose id columns ``owners_of`` maps to
+      their key group's (integer) key: the hypercube's exactness +
+      no-duplicates rule, one vectorised call per kernel call.
     """
 
     def __init__(
@@ -359,71 +301,216 @@ class ProgressiveJoin:
         *,
         scan_first: bool,
         probe: bool = False,
-        owner_of_ids: Optional[Callable[[Tuple[int, ...]], object]] = None,
+        owners_of: Optional[Callable[[Sequence[np.ndarray]], np.ndarray]] = None,
     ) -> None:
         check_disjoint_covers(name, covers)
         self.scan_first = scan_first
-        self.owner_of_ids = owner_of_ids
+        self.owners_of = owners_of
         self.steps: List[_Step] = []
+        #: alias -> (input, entry position): where the kernel reads it.
+        place: Dict[str, Tuple[int, int]] = {}
+
+        def column_of(ref) -> Column:
+            return (*place[ref.alias], schemas[ref.alias].index_of(ref.attr))
+
         pending = list(conditions)
-        bound: Tuple[str, ...] = ()
         for index, cover in enumerate(covers):
-            cover = tuple(sorted(cover))
-            bound_pos = {alias: i for i, alias in enumerate(bound)}
-            new_pos = {alias: i for i, alias in enumerate(cover)}
+            bound = set(place)
+            place.update((alias, (index, i)) for i, alias in enumerate(sorted(cover)))
             ready: List[JoinCondition] = []
             if index or scan_first:
-                known = bound_pos.keys() | new_pos.keys()
-                ready = [c for c in pending if set(c.aliases) <= known]
-                pending = [c for c in pending if not set(c.aliases) <= known]
+                ready = [c for c in pending if set(c.aliases) <= place.keys()]
+                pending = [c for c in pending if not set(c.aliases) <= place.keys()]
+            predicates = [p for condition in ready for p in condition.predicates]
+            crossing = [
+                p.oriented(p.left.alias if p.left.alias in bound else p.right.alias)
+                for p in predicates
+                if (p.left.alias in bound) != (p.right.alias in bound)
+            ]
             self.steps.append(
                 _Step(
-                    _pair_checks(ready, schemas, bound_pos, new_pos),
-                    merge_picker(bound, cover) if index else None,
-                    _probe_plan(ready, schemas, bound_pos, new_pos)
-                    if probe and index
-                    else None,
+                    tuple(
+                        (
+                            column_of(p.left), p.left.offset, p.op.as_function,
+                            column_of(p.right), p.right.offset,
+                        )
+                        for p in predicates
+                    ),
+                    _probe_plan(crossing, column_of) if probe and index else None,
                 )
             )
-            bound = tuple(sorted(bound + cover))
         if pending:
             raise ExecutionError(
                 f"job {name!r}: conditions {pending} reference aliases that "
                 f"no input covers"
             )
+        #: The output cover and where each of its aliases is read.
+        self.cover = tuple(sorted(place))
+        self._places = tuple(place[alias] for alias in self.cover)
+        self.empty = CompositeSlab.empty(self.cover)
 
+    # Python floats compare against NaN silently; NumPy's object loops
+    # raise the FP "invalid" flag for the very same comparisons.
+    @np.errstate(invalid="ignore")
     def run(
         self,
         inputs: Sequence[Sequence[Composite]],
-        gids: Optional[Sequence[Sequence[int]]] = None,
-        key: object = None,
-    ) -> Tuple[List[Composite], int]:
-        """Join one key group: ``inputs[i]`` holds input ``i``'s candidates
-        in arrival order.  Returns ``(outputs, comparisons)``; an empty
-        input ends the group at its step, keeping the charges so far."""
-        steps = self.steps
-        first = steps[0]
-        partial = inputs[0]
-        ids = None if gids is None else [(gid,) for gid in gids[0]]
-        comparisons = len(partial) if self.scan_first else 0
-        if first.checks is not None:
-            keep = [
-                i for i, c in enumerate(partial) if _pair_passes(first.checks, (), c)
-            ]
-            partial = [partial[i] for i in keep]
-            if ids is not None:
-                ids = [ids[i] for i in keep]
-        for index in range(1, len(steps)):
-            if not partial or not inputs[index]:
-                return [], comparisons
-            partial, ids, charged = _grow(
-                steps[index], partial, ids, inputs[index], gids and gids[index]
+        groups: Sequence[np.ndarray],
+        num_groups: int,
+        gids: Optional[Sequence[np.ndarray]] = None,
+        keys: Optional[np.ndarray] = None,
+    ) -> Tuple[CompositeSlab, np.ndarray, np.ndarray]:
+        """Join ``num_groups`` key groups in one pass.  ``inputs[i]`` holds
+        input ``i``'s candidates, key groups back to back and in arrival
+        order within a group; ``groups[i]`` is the (ascending) key-group
+        number of each.  Returns the outputs, key-group-major, and per key
+        group the comparisons charged and the outputs produced.  A key
+        group lacking an input ends at that step, keeping the charges so
+        far."""
+        bucket = _Bucket(inputs, groups, num_groups)
+        charged = np.zeros(num_groups, dtype=np.int64)
+        if self.scan_first:
+            charged += np.bincount(groups[0], minlength=num_groups)
+        #: One index vector per bound input, and each partial's key group.
+        partial = [np.arange(len(inputs[0]))]
+        group = groups[0]
+        if self.steps[0].checks and len(group):
+            (keep,) = self._passing(self.steps[0].checks, bucket, [], 0, partial[0])
+            partial, group = [keep], group[keep]
+        for slot in range(1, len(self.steps)):
+            if not len(group) or not len(inputs[slot]):
+                group = group[:0]
+                break
+            step = self.steps[slot]
+            order, lo, hi = self._windows(step.probe, bucket, partial, group, slot)
+            counts = np.maximum(hi - lo, 0)
+            # float64 weights: exact below 2**53 comparisons per key group.
+            charged += np.bincount(group, counts, num_groups).astype(np.int64)
+            grown = []
+            for acc_at, cand_at in window_pairs(lo, counts, order):
+                check_cancelled()
+                if step.checks:
+                    acc_at, cand_at = self._passing(
+                        step.checks, bucket, partial, slot, cand_at, acc_at
+                    )
+                grown.append((acc_at, cand_at))
+            acc_at, cand_at = stack_pairs(grown)
+            partial = [at[acc_at] for at in partial] + [cand_at]
+            group = group[acc_at]
+        if gids is not None and len(group):
+            owners = self.owners_of([ids[at] for ids, at in zip(gids, partial)])
+            owned = owners == keys[group]
+            partial, group = [at[owned] for at in partial], group[owned]
+        if not len(group):
+            return self.empty, charged, np.zeros(num_groups, dtype=np.int64)
+        tables = [slab_table(*bucket.table(*place)) for place in self._places]
+        return (
+            CompositeSlab(self.cover, tables, [partial[slot] for slot, _ in self._places]),
+            charged,
+            np.bincount(group, minlength=num_groups),
+        )
+
+    @staticmethod
+    def _passing(checks, bucket, partial, slot, cand_at, acc_at=None):
+        """The pairs passing every check, as filtered ``(acc_at, cand_at)``
+        (``(cand_at,)`` alone for the first input).  Checks run in
+        predicate order, each on the survivors of the ones before it — the
+        vector form of scalar short-circuiting, so a value is only ever
+        compared (or offset) where the scalar loop would have."""
+        column = bucket.column
+        for left, left_offset, compare, right, right_offset in checks:
+            a = column(left)[cand_at if left[0] == slot else partial[left[0]][acc_at]]
+            b = column(right)[cand_at if right[0] == slot else partial[right[0]][acc_at]]
+            if left_offset:
+                a = add_offset(a, left_offset)
+            if right_offset:
+                b = add_offset(b, right_offset)
+            if a.dtype != b.dtype:
+                a, b = comparable(a, b)
+            keep = compare(a, b)
+            if not keep.all():
+                cand_at = cand_at[keep]
+                if acc_at is not None:
+                    acc_at = acc_at[keep]
+        return (cand_at,) if acc_at is None else (acc_at, cand_at)
+
+    @staticmethod
+    def _windows(probe, bucket, partial, group, slot):
+        """``(order, lo, hi)``: partial ``p``'s candidates among input
+        ``slot`` are ``order[lo[p]:hi[p]]``.
+
+        Candidates and partials get integer sort keys whose leading digit
+        is the key group, so one stable sort and one ``searchsorted`` per
+        edge serve every key group of the bucket at once and a window
+        never leaves its group's run.
+        """
+        cand_group = bucket.groups[slot]
+        runs = bucket.runs(slot)
+        if probe is None:
+            return None, runs[group], runs[group + 1]
+        if probe[0] == "hash":
+            # Equal keys <=> equal codes: a dict decides, as Python
+            # decides ``==`` between any two values (1 == 1.0, str, None).
+            keys, span = (cand_group, group), bucket.num_groups
+            for bound, new in zip(probe[1], probe[2]):
+                codes: Dict[object, int] = {}
+                new_code = [codes.setdefault(v, len(codes)) for v in bucket.values(new)]
+                missing = len(codes)
+                bound_code = np.array(
+                    [codes.get(v, missing) for v in bucket.values(bound)], dtype=np.int64
+                )
+                keys, span = fold_keys(
+                    keys,
+                    span,
+                    (np.array(new_code, dtype=np.int64), bound_code[partial[bound[0]]]),
+                    missing + 1,
+                )
+            cand_key, key = keys
+            order = np.argsort(cand_key, kind="stable")
+            ranked = cand_key[order]
+            return (
+                order,
+                np.searchsorted(ranked, key, side="left"),
+                np.searchsorted(ranked, key, side="right"),
             )
-            comparisons += charged
-        if ids is not None:
-            owner = self.owner_of_ids
-            partial = [c for c, i in zip(partial, ids) if owner(i) == key]
-        return partial, comparisons
+        _kind, new, bounds = probe
+        order = lo = hi = None
+        for bound, shift, lower, side in bounds:
+            # One exact dtype for both sides, then joint ranks: the sort
+            # key (group, rank) is an int64 whatever the column held.
+            values, edges = comparable(
+                bucket.column(new), add_offset(bucket.column(bound), shift)
+            )
+            ranks, span = _ranks(np.concatenate((values, edges)))
+            cand_key = cand_group * span + ranks[: len(values)]
+            if order is None:
+                order = np.argsort(cand_key, kind="stable")
+                lo, hi = runs[group], runs[group + 1]
+            edge = np.searchsorted(
+                cand_key[order],
+                group * span + ranks[len(values):][partial[bound[0]]],
+                side=side,
+            )
+            if lower:
+                lo = np.maximum(lo, edge)
+            else:
+                hi = np.minimum(hi, edge)
+        return order, lo, hi
+
+
+def reduce_side(
+    join: ProgressiveJoin,
+    slot_of_tag: Mapping[object, int],
+    value_widths: Sequence[int],
+) -> Dict[str, object]:
+    """The reduce-side fields of a join job's ``MapReduceJobSpec``: the
+    :func:`bucket_reducer`, that it accounts per key group, and that its
+    outputs are slabs."""
+    return {
+        "batch_reducer": bucket_reducer(join, slot_of_tag, value_widths),
+        "reduces_key_groups": True,
+        "collect_outputs": CompositeSlab.concat,
+    }
 
 
 def bucket_reducer(
@@ -431,42 +518,53 @@ def bucket_reducer(
     slot_of_tag: Mapping[object, int],
     value_widths: Sequence[int],
 ) -> BatchReducer:
-    """The batch reducer of a join job: split each key group of the bucket
-    by input tag, run the kernel, account the bucket's input bytes.
+    """The batch reducer of a join job: split the key groups' values by
+    input tag, run the kernel on all of them at once, account comparisons,
+    outputs and input bytes per key group (``ReduceBatch.by_group``) — so
+    the runtime may hand it one bucket or, reducing in line, every bucket
+    of the job in one call.
 
     Shuffle values are ``(tag, composite)`` — ``(tag, record id,
-    composite)`` when the join filters by ownership — and ``value_widths``
-    is the serialized width of one value per input (12 bytes of pair
-    header are added per value, as the scalar runtime loop charges).
+    composite)`` when the join filters by ownership, whose shuffle keys
+    are then the integer component numbers — and ``value_widths`` is the
+    serialized width of one value per input (12 bytes of pair header are
+    added per value, as the scalar runtime loop charges).
     """
     num_inputs = len(value_widths)
-    with_ids = join.owner_of_ids is not None
+    with_ids = join.owners_of is not None
+    composite_of = itemgetter(-1)
 
-    def reduce_bucket(keys, values, offsets) -> ReduceBatch:
-        outputs: List[object] = []
-        comparisons = 0
-        counts = [0] * num_inputs
-        for g, key in enumerate(keys):
-            inputs: List[List[Composite]] = [[] for _ in range(num_inputs)]
-            gids = [[] for _ in range(num_inputs)] if with_ids else None
-            if with_ids:
-                for i in range(offsets[g], offsets[g + 1]):
-                    tag, gid, composite = values[i]
-                    slot = slot_of_tag[tag]
-                    inputs[slot].append(composite)
-                    gids[slot].append(gid)
-            else:
-                for i in range(offsets[g], offsets[g + 1]):
-                    tag, composite = values[i]
-                    inputs[slot_of_tag[tag]].append(composite)
-            for slot in range(num_inputs):
-                counts[slot] += len(inputs[slot])
-            produced, charged = join.run(inputs, gids, key)
-            outputs.extend(produced)
-            comparisons += charged
+    def reduce_groups(keys, values, offsets) -> ReduceBatch:
+        num_groups = len(keys)
+        at: List[List[int]] = [[] for _ in range(num_inputs)]
+        for position, value in enumerate(values):
+            at[slot_of_tag[value[0]]].append(position)
+        inputs = [[composite_of(values[i]) for i in slot_at] for slot_at in at]
+        # Key group of a value: offsets[g] <= position < offsets[g + 1].
+        starts = np.asarray(offsets[1:], dtype=np.intp)
+        groups = [
+            np.searchsorted(starts, np.asarray(slot_at, dtype=np.intp), side="right")
+            for slot_at in at
+        ]
         input_bytes = sum(
-            (12 + value_widths[slot]) * counts[slot] for slot in range(num_inputs)
+            (12 + value_widths[slot]) * np.bincount(groups[slot], minlength=num_groups)
+            for slot in range(num_inputs)
         )
-        return ReduceBatch(outputs, comparisons, input_bytes)
+        if with_ids:
+            gids = [
+                np.fromiter((values[i][1] for i in slot_at), dtype=np.int64, count=len(slot_at))
+                for slot_at in at
+            ]
+            outputs, charged, produced = join.run(
+                inputs, groups, num_groups, gids, np.asarray(keys)
+            )
+        else:
+            outputs, charged, produced = join.run(inputs, groups, num_groups)
+        return ReduceBatch(
+            outputs,
+            int(charged.sum()),
+            int(input_bytes.sum()),
+            by_group=(charged, produced, input_bytes),
+        )
 
-    return reduce_bucket
+    return reduce_groups

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.joins.jobs import _file_aliases
-from repro.joins.progressive import ProgressiveJoin, bucket_reducer
+from repro.joins.progressive import ProgressiveJoin, reduce_side
 from repro.joins.records import Composite, composite_width, rows_by_alias
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapReduceJobSpec, TaskContext
@@ -209,7 +209,7 @@ def make_shares_join_job(
         num_reducers=num_reducers,
         output_record_width=output_width,
         pair_width_fn=lambda value: width_of_tag[value[0]],
-        batch_reducer=bucket_reducer(
+        **reduce_side(
             ProgressiveJoin(
                 name,
                 [(alias,) for alias in aliases],

@@ -259,8 +259,8 @@ class DistributedBackend:
     in index order — so outputs are bit-identical to the serial loop no
     matter which worker ran what, or died when.
 
-    Degradation is always to correctness: no reachable workers, an
-    unshippable closure, or a missing cloudpickle simply run the batch
+    Degradation is always to correctness: no reachable workers or an
+    unshippable closure simply run the batch
     in-line (with a one-time note), never fail it — unless strict-fleet
     mode (``REPRO_STRICT_FLEET=1``) turns those degradations into
     structured :class:`~repro.errors.FleetExhausted` failures.  Strict
@@ -460,8 +460,6 @@ class DistributedBackend:
             handles = self._live_handles()
         if not handles:
             return degraded("no worker daemons answered")
-        if not wire.closure_transport_available():
-            return degraded("cloudpickle unavailable")
         try:
             # Register-by-digest: heavy captures split into content-
             # addressed payloads workers cache across batches and

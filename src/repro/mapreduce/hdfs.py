@@ -10,7 +10,7 @@ method" (plain upload plus an upload-time sampling/statistics pass).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Sequence
 
 from repro.errors import ExecutionError
 from repro.mapreduce.config import ClusterConfig
@@ -22,13 +22,15 @@ from repro.utils import ceil_div
 class DistributedFile:
     """One file in the simulated HDFS.
 
-    ``records`` are arbitrary Python objects (relation rows, join results,
-    (key, id-list) pairs, ...); ``record_width`` is the serialized bytes
-    per record used for I/O accounting.
+    ``records`` is a sequence of arbitrary Python objects (relation rows,
+    composites, (key, id-list) pairs, ... — a list, or a columnar container
+    that reads as one, like a join output's ``CompositeSlab``);
+    ``record_width`` is the serialized bytes per record used for I/O
+    accounting.
     """
 
     name: str
-    records: List[object]
+    records: Sequence[object]
     record_width: int
     #: Source tag handed to mappers so multi-input jobs can tell inputs apart.
     tag: str = ""

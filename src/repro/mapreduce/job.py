@@ -10,6 +10,7 @@ the single user-supplied scheduling parameter RN(MRJ) the paper optimises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -87,9 +88,13 @@ class ReduceBatch:
     runtime derive it by :meth:`MapReduceJobSpec.pair_bytes`.
     """
 
-    outputs: List[object]
+    outputs: Sequence[object]
     comparisons: int
     input_bytes: Optional[int] = None
+    #: Optional per-key-group accounting, three integer sequences in key
+    #: order: comparisons charged, outputs produced, input bytes.  See
+    #: :attr:`MapReduceJobSpec.reduces_key_groups`.
+    by_group: Optional[Tuple[Sequence[int], Sequence[int], Sequence[int]]] = None
 
 
 #: batch_reducer(keys, values, group_offsets) -> ReduceBatch.  One call
@@ -100,6 +105,11 @@ class ReduceBatch:
 #: a per-key-group reducer would for the same bucket; the equivalence
 #: suite holds it to that.
 BatchReducer = Callable[[Sequence[object], Sequence[object], Sequence[int]], ReduceBatch]
+
+
+def chain_outputs(parts: Sequence[Sequence[object]]) -> List[object]:
+    """The default ``collect_outputs``: one list, task outputs in task order."""
+    return list(chain.from_iterable(parts))
 
 
 def default_partitioner(key: object, num_reducers: int) -> int:
@@ -179,6 +189,20 @@ class MapReduceJobSpec:
     #: both are set; they must then agree exactly.
     batch_reducer: Optional[BatchReducer] = None
     output_name: str = ""
+    #: True when ``batch_reducer`` treats every key group on its own
+    #: (outputs key-group-major, nothing carried between groups) and fills
+    #: :attr:`ReduceBatch.by_group`.  Reducing in line, the runtime then
+    #: hands it the key groups of *all* reduce tasks in one call and
+    #: splits outputs and accounting back per task — a job of many tiny
+    #: buckets pays the reducer's per-call set-up once.
+    reduces_key_groups: bool = False
+    #: How the runtime joins the reduce tasks' ``outputs`` (one sequence
+    #: per task, task order) into the job's output records.  A job whose
+    #: batch reducer returns a columnar container names that container's
+    #: concatenation here (the join jobs: ``CompositeSlab.concat``).
+    collect_outputs: Callable[[Sequence[Sequence[object]]], Sequence[object]] = (
+        chain_outputs
+    )
 
     def __post_init__(self) -> None:
         if self.num_reducers < 1:

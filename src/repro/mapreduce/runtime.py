@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ExecutionError
 from repro.mapreduce.backend import get_backend
 from repro.mapreduce.cancel import check_cancelled
@@ -31,6 +33,25 @@ from repro.mapreduce.counters import JobMetrics
 from repro.mapreduce.hdfs import DistributedFile, SimulatedHDFS
 from repro.mapreduce.job import JobResult, MapReduceJobSpec
 from repro.utils import ceil_div, make_rng
+
+
+def _key_major(
+    buckets: Sequence[Dict[object, List[object]]],
+) -> Tuple[List[object], List[object], List[int], List[int]]:
+    """The buckets' key groups flattened for a batch reducer: shuffle keys
+    in bucket and insertion order, one flat value list, the group offsets
+    into it — and, per bucket, the number of its first key group."""
+    keys: List[object] = []
+    flat: List[object] = []
+    offsets: List[int] = [0]
+    first_group: List[int] = [0]
+    for bucket in buckets:
+        for key, values in bucket.items():
+            keys.append(key)
+            flat.extend(values)
+            offsets.append(len(flat))
+        first_group.append(len(keys))
+    return keys, flat, offsets, first_group
 
 
 class SimulatedCluster:
@@ -185,7 +206,7 @@ class SimulatedCluster:
         spec: MapReduceJobSpec,
         buckets: List[Dict[object, List[object]]],
         metrics: JobMetrics,
-    ) -> Tuple[List[object], List[float]]:
+    ) -> Tuple[Sequence[object], List[float]]:
         """Run the reduce tasks; returns output records and per-task cost
         seconds.
 
@@ -205,19 +226,15 @@ class SimulatedCluster:
         """
         batch_reducer = spec.batched_reducer()
         backend = get_backend()
+        if spec.reduces_key_groups and backend.name == "serial":
+            return self._reduce_in_one_call(spec, buckets, metrics, batch_reducer)
 
-        def reduce_bucket(index: int) -> Tuple[List[object], int, int, float]:
+        def reduce_bucket(index: int) -> Tuple[Sequence[object], int, int, float]:
             # Per-bucket cancellation checkpoint (one reduce task is the
             # grain): active on the session thread (serial, local
             # fallbacks), a no-op on pool threads.
             check_cancelled()
-            bucket = buckets[index]
-            keys = list(bucket)
-            offsets: List[int] = [0]
-            flat: List[object] = []
-            for values in bucket.values():
-                flat.extend(values)
-                offsets.append(len(flat))
+            keys, flat, offsets, _first_group = _key_major([buckets[index]])
             batch = batch_reducer(keys, flat, offsets)
             input_bytes = batch.input_bytes
             if input_bytes is None:
@@ -234,14 +251,51 @@ class SimulatedCluster:
         else:
             results = backend.run_tasks(reduce_bucket, len(buckets))
 
-        output_records: List[object] = []
+        parts: List[Sequence[object]] = []
         reducer_costs: List[float] = []
         for outputs, input_bytes, comparisons, cost in results:
-            output_records.extend(outputs)
+            parts.append(outputs)
             metrics.reducer_input_bytes.append(input_bytes)
             metrics.reduce_comparisons += comparisons
             reducer_costs.append(cost)
-        return output_records, reducer_costs
+        return spec.collect_outputs(parts), reducer_costs
+
+    def _reduce_in_one_call(
+        self,
+        spec: MapReduceJobSpec,
+        buckets: List[Dict[object, List[object]]],
+        metrics: JobMetrics,
+        batch_reducer,
+    ) -> Tuple[Sequence[object], List[float]]:
+        """The reduce phase of a job whose reducer accounts per key group
+        (``spec.reduces_key_groups``), run in line: every bucket's key
+        groups go to the reducer in one call, bucket after bucket, and
+        the per-group accounting it returns is summed back per reduce
+        task — outputs, counters and task costs are those of one call per
+        bucket (what the other backends make)."""
+        check_cancelled()
+        keys, flat, offsets, first_group = _key_major(buckets)
+        batch = batch_reducer(keys, flat, offsets)
+        # Running totals over the key groups, as Python ints.
+        comparisons, produced, input_bytes = (
+            [0, *np.cumsum(counts).tolist()] for counts in batch.by_group
+        )
+        reducer_costs: List[float] = []
+        for lo, hi in zip(first_group, first_group[1:]):
+            task_bytes = input_bytes[hi] - input_bytes[lo]
+            task_comparisons = comparisons[hi] - comparisons[lo]
+            metrics.reducer_input_bytes.append(task_bytes)
+            metrics.reduce_comparisons += task_comparisons
+            reducer_costs.append(
+                self._reduce_task_cost(
+                    spec,
+                    task_bytes,
+                    offsets[hi] - offsets[lo],
+                    task_comparisons,
+                    produced[hi] - produced[lo],
+                )
+            )
+        return batch.outputs, reducer_costs
 
     def _reduce_task_cost(
         self,

@@ -75,9 +75,6 @@ every client side opens its connection with :func:`dial` (connect +
   with :mod:`cloudpickle` (code objects, cells, and captured state ship
   inline; anything importable — repro modules, classes, top-level
   functions — ships by reference and is imported on the worker).
-  cloudpickle is optional: when it is missing the distributed backend
-  reports closure transport unavailable and degrades to the serial
-  in-line loop, which is always correct.
 
 * **Closure splitting** — the one way a closure reaches a worker:
   :func:`split_task_fn` separates it into a *slim* executable part and
@@ -109,12 +106,9 @@ import sys
 import threading
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.storage import blob_digest
+import cloudpickle
 
-try:  # optional dependency: ships compiled closures by value
-    import cloudpickle
-except ImportError:  # pragma: no cover - container without cloudpickle
-    cloudpickle = None  # type: ignore[assignment]
+from repro.storage import blob_digest
 
 #: Bump when the message shapes change; mismatching peers refuse to talk
 #: during the hello handshake instead of failing mid-job.  2 = PR 8's
@@ -158,9 +152,9 @@ def compatible(remote: object) -> bool:
     its own (different) join builders and silently break the
     bit-identity guarantee rather than erroring.
 
-    A worker that cannot rebuild shipped closures (no cloudpickle) is
-    refused here too: it would otherwise pass the handshake and then be
-    misdiagnosed as a *lost host* on its first register.
+    A peer from before cloudpickle became a dependency may announce
+    ``closures: False``; it is refused here rather than misdiagnosed as
+    a *lost host* on its first register.
     """
     local = peer_info()
     return (
@@ -270,8 +264,10 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 def closure_transport_available() -> bool:
-    """Whether compiled closures can be shipped by value (cloudpickle)."""
-    return cloudpickle is not None
+    """Whether compiled closures can be shipped by value: always, since
+    cloudpickle is a declared dependency (``perf/run.py`` and the test
+    suite's skip marks still ask)."""
+    return True
 
 
 #: The persistent-id tag marking an externalized payload in a slim blob.
@@ -327,8 +323,6 @@ def split_task_fn(fn) -> Tuple[bytes, Dict[str, bytes]]:
     by task code (it already is: phases build fresh outputs), because
     workers cache decoded payloads across batches and queries.
     """
-    if cloudpickle is None:  # pragma: no cover - container w/o cloudpickle
-        raise WireError("cloudpickle unavailable; cannot ship closures")
     from repro.mapreduce.hdfs import DistributedFile
 
     try:

@@ -3,10 +3,11 @@
 NumPy compares and adds in fixed-width dtypes; Python compares ``int``
 with ``float`` exactly and grows integers without bound.  These helpers
 pick, for a column of Python values, a dtype in which NumPy's answer
-*equals* Python's — or ``object``, which the two vectorised kernels
-(:mod:`repro.relational.sampling` on the planning side,
-:mod:`repro.joins.progressive` on the reduce side) read as "this column
-stays in Python".
+*equals* Python's — or ``object``, in which NumPy applies Python's own
+operators element by element: exact by construction, only slower.  The
+two vectorised kernels (:mod:`repro.relational.sampling` on the planning
+side, :mod:`repro.joins.progressive` on the reduce side) run ``object``
+columns through the same code as typed ones.
 """
 
 from __future__ import annotations

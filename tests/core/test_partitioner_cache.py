@@ -3,6 +3,7 @@ the kR clamp surfacing (the hot-path overhaul's correctness contract)."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,28 @@ class TestOwnershipTable:
         for _ in range(200):
             combo = [rng.randrange(c) for c in cards]
             assert partition.owner_of_ids(combo) == partition.owner_component(combo)
+
+    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    @pytest.mark.parametrize(
+        "cards,k", [([7, 5], 3), ([10, 8, 6], 5), ([33, 17], 8), ([5, 5, 5, 5], 9)]
+    )
+    def test_id_columns_equal_scalar_owner(self, cls, cards, k):
+        """The whole-column form equals ``owner_of_ids`` row by row, on
+        random ids and on the first and last ids of every dimension (the
+        top used slab, where both forms clamp)."""
+        partition = cls(cards, k)
+        rng = random.Random(7)
+        combos = [[rng.randrange(c) for c in cards] for _ in range(300)]
+        combos += [[c - 1 for c in cards], [0] * len(cards)]
+        combos += [
+            [c - 1 if d == dim else rng.randrange(c) for d, c in enumerate(cards)]
+            for dim in range(len(cards))
+            for _ in range(20)
+        ]
+        columns = [np.array(column, dtype=np.int64) for column in zip(*combos)]
+        owners = partition.owners_of_id_columns(columns)
+        assert owners.tolist() == [partition.owner_of_ids(combo) for combo in combos]
+        assert partition.owners_of_id_columns([c[:0] for c in columns]).tolist() == []
 
     @pytest.mark.parametrize("cls", ALL_CLASSES)
     def test_owner_consistent_with_cell_assignment(self, cls):

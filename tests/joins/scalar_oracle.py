@@ -5,8 +5,9 @@ One scalar ``mapper`` + ``reducer`` spec per operator, built from the
 ``repro.joins.shares``.  Mappers emit one ``(key, value)`` pair at a
 time; reducers handle one key group at a time and are written over
 ``merge_composites`` (per-composite dict merge with id agreement),
-``JoinCondition.evaluate`` (schema lookups per call) and ``bisect`` —
-no positional compilation, no NumPy, and no code shared with
+``JoinCondition.evaluate`` (schema lookups per call) and ``bisect`` over
+NaN-last sort keys — no positional compilation, no NumPy, and no code
+shared with
 ``repro.joins.progressive``.  The equivalence suite runs every job both
 ways and requires identical buckets (incl. key order), outputs,
 comparison counts, input bytes and task costs.
@@ -25,7 +26,7 @@ import repro.joins.jobs as jobs
 from repro.joins.jobs import find_single_key_class, make_keyspread_partitioner
 from repro.joins.records import merge_composites, rows_by_alias
 from repro.mapreduce.counters import JobMetrics
-from repro.mapreduce.job import MapReduceJobSpec
+from repro.mapreduce.job import MapReduceJobSpec, chain_outputs
 from repro.relational.predicates import ThetaOp
 from repro.utils import stable_hash
 
@@ -37,6 +38,12 @@ def _check(conditions, composite, schemas) -> bool:
 
 def _value(composite, ref, schemas):
     return rows_by_alias(composite)[ref.alias][schemas[ref.alias].index_of(ref.attr)]
+
+
+def _nan_last(value):
+    """Sort key ordering NaN after every other value (NumPy's order):
+    ``bisect`` over a list ``sorted()`` with NaNs in it is not sorted."""
+    return (value != value, value)
 
 
 def _composite_bytes(composite, schemas) -> int:
@@ -153,9 +160,10 @@ def _progressive_reducer(covers, conditions, schemas, probe=False, owner_of_ids=
             else:
                 _kind, probe_ref, bounds = plan
                 ranked = sorted(
-                    candidates, key=lambda item: _value(item[1], probe_ref, schemas)
+                    candidates,
+                    key=lambda item: _nan_last(_value(item[1], probe_ref, schemas)),
                 )
-                keys = [_value(c, probe_ref, schemas) for _, c in ranked]
+                keys = [_nan_last(_value(c, probe_ref, schemas)) for _, c in ranked]
 
                 def matches_of(accumulated):
                     lo, hi = 0, len(ranked)
@@ -163,6 +171,7 @@ def _progressive_reducer(covers, conditions, schemas, probe=False, owner_of_ids=
                         edge = _value(accumulated, bound_ref, schemas)
                         if shift:
                             edge = edge + shift
+                        edge = _nan_last(edge)
                         if kind == "lower":
                             lo = max(lo, bisect.bisect_right(keys, edge))
                         elif kind == "lower_eq":
@@ -359,6 +368,8 @@ def shares_reduce_side(spec: MapReduceJobSpec, input_files, conditions, schemas_
         spec,
         reducer=reducer,
         batch_reducer=None,
+        collect_outputs=chain_outputs,
+        reduces_key_groups=False,
         pair_width_fn=lambda value: (
             4 + len(value[0]) + _composite_bytes(value[1], schemas_by_alias)
         ),
@@ -382,7 +393,7 @@ def assert_job_matches_oracle(cluster, spec, oracle, require_output=False):
     assert got.shuffle_bytes == want.shuffle_bytes
     outputs, costs = cluster._run_reduce_phase(spec, buckets, got)
     oracle_outputs, oracle_costs = cluster._run_reduce_phase(oracle, buckets, want)
-    assert outputs == oracle_outputs, f"{spec.name}: reduce outputs differ"
+    assert list(outputs) == oracle_outputs, f"{spec.name}: reduce outputs differ"
     assert got.reduce_comparisons == want.reduce_comparisons, spec.name
     assert got.reducer_input_bytes == want.reducer_input_bytes, spec.name
     assert costs == oracle_costs, f"{spec.name}: reduce costs differ"

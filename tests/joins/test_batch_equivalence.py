@@ -8,8 +8,8 @@ every map AND reduce phase of every planner's plan both ways and require
 bit-identical buckets (including key insertion order), outputs,
 counters, per-task costs, and shuffle bytes — on the paper's mobile
 queries and the TPC-H extensions — plus identical final answers across
-all four planners.  Synthetic large joins push the group sizes over the
-NumPy range-probe/pair-mask gates the benchmark grid stays under.
+all four planners.  Synthetic large joins give every probe kind key
+groups of hundreds of candidates, which the benchmark grid's do not reach.
 """
 
 import dataclasses
@@ -121,8 +121,9 @@ def assert_matches_oracle(builder, *args, **kwargs):
 
 
 class TestLargeGroupNumpyPaths:
-    """Group sizes above ``NP_MIN_PROBE``/``NP_MIN_PAIRS`` so the NumPy
-    sorted-probe and pair-mask fast paths run (and must stay exact)."""
+    """Key groups of hundreds of candidates through each window kind
+    (range ranks, equality codes, plain key-group runs): the sizes the
+    old 128-candidate / 256-pair NumPy gates used to split on."""
 
     def test_hypercube_range_probe(self):
         rels = {"a": big_rel("A", 300, 2000, 4), "b": big_rel("B", 300, 2000, 4, 1)}

@@ -1,13 +1,14 @@
-"""The compiled result tail against its per-row references.
+"""The columnar result tail against its per-row references.
 
-``composites_to_relation`` (one C-level projection pass over a static
-alias cover) and ``core.merge.hash_merge`` (position-compiled
-id-merge) must agree with ``tail_oracle.py`` in content *and order*:
-property tests over random covers, projections and duplicate-key merges,
-then whole executions of every planner's plan with the references
-monkeypatched into the executor.
+``composites_to_relation`` (table-level projection, one gather per run of
+fields) and ``core.merge.hash_merge`` (the window primitive on id
+columns) must agree with ``tail_oracle.py`` in content *and order*, fed
+tuple-form composites or slabs: property tests over random covers,
+projections and duplicate-key merges, then whole executions of every
+planner's plan with the references monkeypatched into the executor.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from repro.cli import PLANNERS
 from repro.core.executor import PlanExecutor
 from repro.core.merge import hash_merge
 from repro.errors import ExecutionError
-from repro.joins.records import composites_to_relation
+from repro.joins.records import CompositeSlab, composites_to_relation
 from repro.mapreduce.config import PAPER_CLUSTER_KP64
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.schema import Schema
@@ -29,6 +30,13 @@ from repro.workloads.synthetic import chain_query
 from tail_oracle import _reference_composites_to_relation, _reference_hash_merge
 
 ALIASES = ("a", "b", "c", "d", "e")
+
+
+def scrambled(cover, composites):
+    """The same composites, in the same order, as a slab whose index
+    vectors are not the identity (its tables hold them reversed)."""
+    backwards = CompositeSlab.from_composites(cover, composites[::-1])
+    return backwards.take(np.arange(len(composites))[::-1])
 
 
 def composites_over(draw, cover, schemas, max_size=12, max_id=3):
@@ -85,6 +93,11 @@ class TestProjectorMatchesReference:
         assert compiled.schema.names == reference.schema.names
         assert compiled.name == reference.name
         assert all(type(row) is tuple for row in compiled.rows)
+        from_slab = composites_to_relation(
+            scrambled(cover, composites), schemas, "out", projection, cover
+        )
+        assert from_slab.rows == reference.rows
+        assert all(type(row) is tuple for row in from_slab.rows)
 
     def test_empty_input_keeps_the_schema(self):
         schemas = {"a": Schema.of("x:int", "y:str"), "b": Schema.of("z:float")}
@@ -122,8 +135,18 @@ class TestMergeMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_random_covers_with_duplicate_keys(self, case):
         left, right, left_cover, right_cover = case
-        assert hash_merge(left, right, left_cover, right_cover) == (
-            _reference_hash_merge(left, right)
+        reference = _reference_hash_merge(left, right)
+        merged = hash_merge(left, right, left_cover, right_cover)
+        assert merged == reference
+        assert merged.cover == tuple(sorted(set(left_cover) | set(right_cover)))
+        from_slabs = hash_merge(
+            scrambled(left_cover, left), scrambled(right_cover, right),
+            left_cover, right_cover,
+        )
+        assert from_slabs == reference
+        # A merged slab is a merge input again (three terminal jobs).
+        assert hash_merge(from_slabs, right, merged.cover, right_cover) == (
+            _reference_hash_merge(reference, right)
         )
 
     def test_m_by_n_duplicates_keep_left_then_right_arrival_order(self):
@@ -144,6 +167,20 @@ class TestMergeMatchesReference:
         merged = hash_merge(left, right, ("a", "b", "c"), ("b", "c", "d"))
         assert merged == _reference_hash_merge(left, right)
         assert [c[3][1] for c in merged] == [4]
+
+    def test_ids_too_wide_to_fold_into_one_int64_are_renumbered(self):
+        big = 2**40
+        left = [
+            (("a", i, (i,)), ("b", big + i % 2, (0,)), ("c", big - i % 3, (0,)))
+            for i in range(12)
+        ]
+        right = [
+            (("b", big + j % 2, (0,)), ("c", big - j % 3, (0,)), ("d", j, (j,)))
+            for j in range(12)
+        ]
+        merged = hash_merge(left, right, ("a", "b", "c"), ("b", "c", "d"))
+        assert merged == _reference_hash_merge(left, right)
+        assert len(merged) == 24
 
     @pytest.mark.parametrize("empty", ["left", "right"])
     def test_empty_side(self, empty):

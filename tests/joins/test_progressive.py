@@ -1,31 +1,40 @@
 """The progressive-join kernel against the scalar oracle.
 
-Three groups: exactness of the NumPy paths on columns NumPy would cast
-(the int-vs-float wrong-answer reproductions, > int64 values, wrapping
-offsets, ``None`` / ``bool`` / ``str``), a hypothesis property driving
-:class:`~repro.joins.progressive.ProgressiveJoin` alone against the
-oracle's per-key-group reducers, and the build-time rejections.
+Four groups: exactness of the index-vector kernel on columns NumPy would
+cast (the int-vs-float wrong-answer reproductions, > int64 values,
+wrapping offsets, ``None`` / ``bool`` / ``str``); NaN in a range-probed
+column against a brute-force nested loop; a hypothesis property driving
+whole buckets through :func:`~repro.joins.progressive.bucket_reducer`
+against the oracle's per-key-group reducers; and the build-time
+rejections.
 """
 
+import math
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scalar_oracle import (
+    _composite_bytes,
     _pairwise_reducer,
     _progressive_reducer,
     assert_job_matches_oracle,
     build_with_oracle,
 )
 
+import repro.joins.progressive as progressive
 from repro.core.partitioner import HypercubePartitioner
 from repro.errors import ExecutionError
 from repro.joins.jobs import (
+    _value_widths,
     make_broadcast_join_job,
     make_equi_join_job,
     make_equichain_join_job,
     make_hypercube_join_job,
 )
-from repro.joins.progressive import NP_MIN_PAIRS, NP_MIN_PROBE, ProgressiveJoin
+from repro.joins.progressive import ProgressiveJoin, bucket_reducer
 from repro.joins.records import relation_to_composite_file
 from repro.joins.shares import make_shares_join_job
 from repro.mapreduce.config import PAPER_CLUSTER_KP64
@@ -44,7 +53,7 @@ def relation(name, values, groups=1):
 
 def run_pair(builder, conditions, a_values, b_values, **kwargs):
     """Join ``a`` with ``b`` on ``conditions`` through ``builder`` and its
-    oracle; returns the number of output rows."""
+    oracle; returns the output composites."""
     a, b = relation("A", a_values), relation("B", b_values)
     files = [relation_to_composite_file(a, "a"), relation_to_composite_file(b, "b")]
     schemas = {"a": SCHEMA, "b": SCHEMA}
@@ -54,16 +63,13 @@ def run_pair(builder, conditions, a_values, b_values, **kwargs):
     else:
         args = ("exact", *files, conditions, schemas)
     spec, oracle = build_with_oracle(builder, *args, **kwargs)
-    return len(
-        assert_job_matches_oracle(SimulatedCluster(PAPER_CLUSTER_KP64), spec, oracle)
-    )
+    return assert_job_matches_oracle(SimulatedCluster(PAPER_CLUSTER_KP64), spec, oracle)
 
 
 class TestExactColumns:
-    """The NumPy pair mask and range probe must answer as Python does."""
+    """Typed columns, ranks and searches must answer as Python does."""
 
-    def test_equi_mask_int_against_float_past_2_53(self):
-        # 20 x 20 = 400 pairs in one key group: above the pair-mask gate.
+    def test_equi_checks_int_against_float_past_2_53(self):
         rows = run_pair(
             "make_equi_join_job",
             [JoinCondition.parse(1, "a.g = b.g", "a.v > b.v")],
@@ -71,17 +77,16 @@ class TestExactColumns:
             [float(2**53)] * 20,
             num_reducers=1,
         )
-        assert 20 * 20 >= NP_MIN_PAIRS and rows == 400
+        assert len(rows) == 400
 
     def test_hypercube_range_probe_float_against_int_past_2_53(self):
-        # 200 candidates: above the range-probe gate.
         rows = run_pair(
             "make_hypercube_join_job",
             [JoinCondition.parse(1, "a.v < b.v")],
             [float(2**53)] * 200,
             [2**53 + 1] * 200,
         )
-        assert 200 >= NP_MIN_PROBE and rows == 40_000
+        assert len(rows) == 40_000
 
     @pytest.mark.parametrize(
         "builder",
@@ -93,7 +98,7 @@ class TestExactColumns:
             ([2**64 + i for i in range(140)], [2**64 + 70] * 140),  # beyond int64
             ([2**60 - 70 + i for i in range(140)], [float(2**60)] * 140),  # unsafe cast
             ([i if i % 2 else float(i) for i in range(140)], list(range(140))),
-            (list(range(140)), [i + 0.5 for i in range(140)]),  # safe cast: NumPy runs
+            (list(range(140)), [i + 0.5 for i in range(140)]),  # safe cast
             ([True, False] * 70, list(range(-70, 70))),
             (["k%03d" % i for i in range(140)], ["k%03d" % (i // 2) for i in range(140)]),
         ],
@@ -105,7 +110,7 @@ class TestExactColumns:
     ):
         kwargs = {} if "hypercube" in builder else {"num_reducers": 1}
         condition = JoinCondition.parse(1, f"a.v {op} b.v")
-        assert run_pair(builder, [condition], a_values, b_values, **kwargs) > 0
+        assert len(run_pair(builder, [condition], a_values, b_values, **kwargs)) > 0
 
     @pytest.mark.parametrize(
         "builder", ["make_hypercube_join_job", "make_broadcast_join_job"]
@@ -125,21 +130,88 @@ class TestExactColumns:
         values = [None if i % 3 == 0 else i % 5 for i in range(40)]
         for op in ("=", "!="):
             condition = JoinCondition.parse(1, f"a.v {op} b.v")
-            assert run_pair(
-                "make_broadcast_join_job", [condition], values, values, num_reducers=1
+            assert len(
+                run_pair(
+                    "make_broadcast_join_job", [condition], values, values, num_reducers=1
+                )
             )
-        assert run_pair(
-            "make_hypercube_join_job",
-            [JoinCondition.parse(1, "a.v = b.v")],
-            values,
-            values,
+        assert len(
+            run_pair(
+                "make_hypercube_join_job",
+                [JoinCondition.parse(1, "a.v = b.v")],
+                values,
+                values,
+            )
+        )
+
+
+def run_hypercube(conditions, a_values, b_values):
+    """The output composites of the one-reducer hypercube job (no oracle
+    run beside it: two NaN-bearing shuffles only compare equal while no
+    process boundary has copied the NaN objects)."""
+    a, b = relation("A", a_values), relation("B", b_values)
+    spec = make_hypercube_join_job(
+        "nan",
+        [relation_to_composite_file(a, "a"), relation_to_composite_file(b, "b")],
+        [("a",), ("b",)],
+        HypercubePartitioner([len(a), len(b)], 1),
+        conditions,
+        {"a": SCHEMA, "b": SCHEMA},
+    )
+    return list(SimulatedCluster(PAPER_CLUSTER_KP64).run_job(spec).output.records)
+
+
+class TestNaNInRangeProbedColumn:
+    """A NaN satisfies no inequality, and must not hide the rows that do:
+    the answer used to depend on the group size (a ``bisect`` over a list
+    ``sorted()`` with NaNs in it below 128 candidates, NumPy above).  The
+    oracle's NaN-last windows are held to the kernel's by the whole-bucket
+    property below."""
+
+    @pytest.mark.parametrize("rows", [20, 100, 127, 128, 200])
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize("nan_side", ["b", "a", "both"])
+    def test_answer_is_the_nested_loop_whatever_the_size(self, rows, op, nan_side):
+        def values(seed, with_nan):
+            return [
+                math.nan if with_nan and i % 7 == 0 else float((i * seed) % rows)
+                for i in range(rows)
+            ]
+
+        a_values = values(37, nan_side in ("a", "both"))
+        b_values = values(11, nan_side in ("b", "both"))
+        condition = JoinCondition.parse(1, f"a.v {op} b.v")
+        got = run_hypercube([condition], a_values, b_values)
+        schemas = {"a": SCHEMA, "b": SCHEMA}
+        a, b = relation("A", a_values), relation("B", b_values)
+        truth = {
+            (i, j)
+            for i, a_row in enumerate(a.rows)
+            for j, b_row in enumerate(b.rows)
+            if condition.evaluate({"a": a_row, "b": b_row}, schemas)
+        }
+        assert truth, "degenerate: nothing joins"
+        assert len(got) == len(truth)
+        assert {(c[0][1], c[1][1]) for c in got} == truth
+
+    def test_the_reproduction_from_the_issue(self):
+        b_values = [math.nan if i % 7 == 0 else float(i) for i in range(100)]
+        got = run_hypercube(
+            [JoinCondition.parse(1, "a.v < b.v")],
+            [float(i) for i in range(100)],
+            b_values,
+        )
+        assert len(got) == sum(
+            1 for i in range(100) for v in b_values if float(i) < v
         )
 
 
 # ---------------------------------------------------------------------------
-# property: the kernel alone vs the oracle's per-key-group reducers
+# property: whole buckets through the kernel vs the oracle's per-key-group
+# reducers
 # ---------------------------------------------------------------------------
 
+NAN = math.nan
 NUMBERS = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([-1.5, 0.0, 0.5, 1.0, 2.0]),
@@ -148,22 +220,26 @@ NUMBERS = st.one_of(
 VALUE_FAMILIES = {
     "int": st.integers(-3, 3),
     "float": st.sampled_from([-1.5, 0.0, 0.5, 1.0, 2.0, 2.5]),
+    "nan": st.sampled_from([-1.5, 0.0, 1.0, 2.0, NAN, float("nan")]),
     "number": NUMBERS,
     "str": st.sampled_from(["a", "b", "c", "d"]),
+    # Equality-only families: ``None < 1`` raises in Python.
+    "nullable": st.sampled_from([None, None, 0, 1, 2, 1.0, "a"]),
 }
-#: Group sizes straddling the 256-pair mask gate (15x17, 16x16, 17x17) and
-#: the 128-candidate range-probe gate, plus the (rarer) empty input.
-SIZES = [0, 1, 2, 15, 16, 17, 127, 128, 130, 2, 16, 17, 128, 130]
+#: Key-group shapes: many 1-5-record groups, one huge group (sizes
+#: straddling the old 256-pair and 128-candidate gates), slots left empty.
+SMALL_SIZES = [0, 1, 1, 2, 3, 5]
+HUGE_SIZES = [1, 2, 15, 16, 17, 127, 128, 130]
 ROW_SCHEMA = Schema.of("x:int", "y:int")
 
 
 @st.composite
-def join_cases(draw):
+def bucket_cases(draw):
     num_inputs = draw(st.integers(2, 4))
     mode = draw(st.sampled_from(["hypercube", "hypercube", "equichain", "pairwise"]))
     if mode == "pairwise":
         num_inputs = 2
-    # Shuffled alias names, one or two per input, so merged composites
+    # Shuffled alias names, one or two per input, so output composites
     # interleave entries from both sides.
     names = draw(st.permutations(list("abcdefgh")))
     covers, cursor = [], 0
@@ -173,10 +249,10 @@ def join_cases(draw):
         cursor += width
     aliases = [alias for cover in covers for alias in cover]
 
-    family = draw(st.sampled_from(["number", "str"]))
+    family = draw(st.sampled_from(["number", "number", "str", "nullable"]))
     kinds = {
-        alias: "str" if family == "str"
-        else draw(st.sampled_from(["int", "float", "number"]))
+        alias: family if family != "number"
+        else draw(st.sampled_from(["int", "float", "nan", "number"]))
         for alias in aliases
     }
     shape = draw(st.sampled_from(["chain", "star", "triangle"]))
@@ -187,7 +263,14 @@ def join_cases(draw):
     else:
         edges = list(zip(aliases, aliases[1:])) + [(aliases[0], aliases[-1])]
         edges = list(dict.fromkeys(edges))
-    offsets = st.just(0.0) if family == "str" else st.sampled_from([0.0, 0.0, 1.0, -2.0, 0.5, 3])
+    offsets = (
+        st.sampled_from([0.0, 0.0, 1.0, -2.0, 0.5, 3]) if family == "number" else st.just(0.0)
+    )
+    ops = (
+        st.sampled_from([ThetaOp.EQ, ThetaOp.EQ, ThetaOp.NE])
+        if family == "nullable"
+        else st.sampled_from([*ThetaOp, ThetaOp.EQ, ThetaOp.EQ])
+    )
     conditions = []
     for cid, (left, right) in enumerate(edges, 1):
         if draw(st.booleans()):
@@ -195,82 +278,135 @@ def join_cases(draw):
         predicates = [
             JoinPredicate(
                 AttrRef(left, draw(st.sampled_from("xy")), draw(offsets)),
-                draw(st.sampled_from([*ThetaOp, ThetaOp.EQ, ThetaOp.EQ])),
+                draw(ops),
                 AttrRef(right, draw(st.sampled_from("xy")), draw(offsets)),
             )
             for _ in range(draw(st.integers(1, 2)))
         ]
         conditions.append(JoinCondition(cid, predicates))
 
-    sizes, budget = [], 20_000
-    for _ in range(num_inputs):
-        size = draw(st.sampled_from(SIZES))
-        if size and size > budget:
-            size = 2
-        budget //= max(size, 1)
-        sizes.append(size)
-    inputs = []
-    for cover, size in zip(covers, sizes):
-        records = []
-        for gid in range(size):
-            records.append(
-                tuple(
+    num_groups = draw(st.integers(1, 8))
+    huge = draw(st.integers(-1, num_groups - 1))  # -1: no huge group
+    next_gid = [0] * num_inputs
+    groups = []
+    for group in range(num_groups):
+        budget = 20_000
+        per_input = []
+        for slot, cover in enumerate(covers):
+            size = draw(st.sampled_from(HUGE_SIZES if group == huge else SMALL_SIZES))
+            if size > budget:
+                size = 2
+            budget //= max(size, 1)
+            records = []
+            for _ in range(size):
+                gid = next_gid[slot]
+                next_gid[slot] += 1
+                records.append(
                     (
-                        alias,
-                        gid * 7 + position,
-                        (
-                            draw(VALUE_FAMILIES[kinds[alias]]),
-                            draw(VALUE_FAMILIES[kinds[alias]]),
+                        gid,
+                        tuple(
+                            (
+                                alias,
+                                gid * 7 + position,
+                                (
+                                    draw(VALUE_FAMILIES[kinds[alias]]),
+                                    draw(VALUE_FAMILIES[kinds[alias]]),
+                                ),
+                            )
+                            for position, alias in enumerate(cover)
                         ),
                     )
-                    for position, alias in enumerate(cover)
                 )
+            per_input.append(records)
+        # Arrival order interleaves the inputs, as a real shuffle does.
+        arrivals = draw(
+            st.permutations(
+                [(slot, item) for slot, records in enumerate(per_input) for item in records]
             )
-        inputs.append(records)
-    return mode, covers, conditions, inputs, draw(st.integers(0, 2))
+        )
+        # ... but keeps each input's own order.
+        cursor = [iter(records) for records in per_input]
+        values = [(slot, *next(cursor[slot])) for slot, _item in arrivals]
+        groups.append((draw(st.integers(0, 2)), values))
+    block = draw(st.sampled_from([3, 40, progressive._BLOCK_PAIRS]))
+    return mode, covers, conditions, groups, block
 
 
-@given(join_cases())
+@given(bucket_cases())
 @settings(
     max_examples=300,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_kernel_matches_oracle_reducers(case):
-    mode, covers, conditions, inputs, key = case
+def test_whole_buckets_match_oracle_reducers(case):
+    """Rows, their order, comparisons, outputs and input bytes — in total
+    and per key group — of one kernel call over a whole bucket equal the
+    oracle reducer's, key group by key group; with the block constant
+    drawn small, pair counts straddle many block edges."""
+    mode, covers, conditions, groups, block = case
     schemas = {alias: ROW_SCHEMA for cover in covers for alias in cover}
-
-    def owner_of_ids(ids):
-        return sum(ids) % 3
-
-    gids = [list(range(len(records))) for records in inputs]
+    header = {"pairwise": 2, "equichain": 8, "hypercube": 16}[mode]
+    widths = _value_widths(header, covers, schemas)
+    slots = {slot: slot for slot in range(len(covers))}
     if mode == "pairwise":
         join = ProgressiveJoin("p", covers, conditions, schemas, scan_first=False)
         oracle = _pairwise_reducer(0, conditions, schemas)
-        values = [(slot, c) for slot, records in enumerate(inputs) for c in records]
-        got = join.run(inputs)
     elif mode == "equichain":
         join = ProgressiveJoin("p", covers, conditions, schemas, scan_first=True)
         oracle = _progressive_reducer(covers, conditions, schemas)
-        values = [(slot, c) for slot, records in enumerate(inputs) for c in records]
-        got = join.run(inputs)
     else:
         join = ProgressiveJoin(
-            "p", covers, conditions, schemas,
-            scan_first=True, probe=True, owner_of_ids=owner_of_ids,
+            "p", covers, conditions, schemas, scan_first=True, probe=True,
+            owners_of=lambda id_columns: sum(id_columns) % 3,
         )
         oracle = _progressive_reducer(
-            covers, conditions, schemas, probe=True, owner_of_ids=owner_of_ids
+            covers, conditions, schemas, probe=True,
+            owner_of_ids=lambda ids: sum(ids) % 3,
         )
-        values = [
-            (slot, gid, c)
-            for slot, records in enumerate(inputs)
-            for gid, c in enumerate(records)
-        ]
-        got = join.run(inputs, gids, key)
-    ctx = TaskContext()
-    want = list(oracle(key, values, ctx))
-    assert got == (want, ctx.comparisons)
+    if mode != "hypercube":  # only ownership ships record ids
+        groups = [(key, [(v[0], v[-1]) for v in values]) for key, values in groups]
+
+    want, want_comparisons, want_produced, want_bytes = [], [], [], []
+    for key, values in groups:
+        ctx = TaskContext()
+        produced = list(oracle(key, values, ctx))
+        want.extend(produced)
+        want_comparisons.append(ctx.comparisons)
+        want_produced.append(len(produced))
+        want_bytes.append(
+            sum(12 + header + _composite_bytes(v[-1], schemas) for v in values)
+        )
+
+    keys = [key for key, _values in groups]
+    flat = [value for _key, values in groups for value in values]
+    offsets = [0]
+    for _key, values in groups:
+        offsets.append(offsets[-1] + len(values))
+    with mock.patch.object(progressive, "_BLOCK_PAIRS", block):
+        got = bucket_reducer(join, slots, widths)(keys, flat, offsets)
+    assert list(got.outputs) == want
+    assert got.comparisons == sum(want_comparisons)
+    assert got.input_bytes == sum(want_bytes)
+    charged, produced, input_bytes = (np.asarray(c).tolist() for c in got.by_group)
+    assert charged == want_comparisons
+    assert produced == want_produced
+    assert input_bytes == want_bytes
+
+
+def test_blocks_split_between_partials_never_inside_a_window():
+    lo = np.array([0, 2, 0, 5])
+    counts = np.array([3, 0, 4, 2])
+    order = np.arange(10)[::-1]
+    whole = list(progressive.window_pairs(lo, counts, order))
+    assert len(whole) == 1
+    with mock.patch.object(progressive, "_BLOCK_PAIRS", 3):
+        blocks = list(progressive.window_pairs(lo, counts, order))
+    # 3 | (0 +) 4 alone above the budget | 2
+    assert [len(acc_at) for acc_at, _ in blocks] == [3, 4, 2]
+    for axis in (0, 1):
+        assert np.concatenate([b[axis] for b in blocks]).tolist() == whole[0][axis].tolist()
+    assert whole[0][0].tolist() == [0, 0, 0, 2, 2, 2, 2, 3, 3]
+    assert whole[0][1].tolist() == [9, 8, 7, 9, 8, 7, 6, 4, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Tests for composite join records and merge semantics."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
 from repro.joins.records import (
+    CompositeSlab,
     aliases_of,
     composite_width,
     composites_to_relation,
@@ -96,3 +100,110 @@ class TestToRelation:
         )
         assert out.schema.names == ("b_v", "a_id")
         assert out.rows == [(2, 7)]
+
+
+def _composites(count, cover=("a", "c"), base=0):
+    """Tuple-form composites over ``cover``; ids repeat, rows follow ids."""
+    return [
+        tuple(
+            (alias, (base + i * (k + 2)) % 5, ((base + i * (k + 2)) % 5, alias))
+            for k, alias in enumerate(cover)
+        )
+        for i in range(count)
+    ]
+
+
+class TestCompositeSlab:
+    """The column-wise container must read exactly as the tuple form."""
+
+    def test_reads_as_the_tuple_form(self):
+        composites = _composites(7)
+        slab = CompositeSlab.from_composites(("a", "c"), composites)
+        assert len(slab) == 7
+        assert list(slab) == composites
+        assert tuple(slab) == tuple(composites)
+        assert [slab[i] for i in range(7)] == composites
+        assert slab[-1] == composites[-1]
+        assert slab == composites and composites == slab
+        assert slab != composites[:-1]
+        assert list(slab) == list(slab), "iteration must be repeatable"
+        ids = [entry[1] for composite in slab for entry in composite]
+        assert all(type(gid) is int for gid in ids)
+
+    def test_slices_are_slabs_over_the_same_tables(self):
+        composites = _composites(9)
+        slab = CompositeSlab.from_composites(("a", "c"), composites)
+        for piece in (slice(2, 6), slice(None, 3), slice(4, None), slice(0, 0), slice(1, 9, 3)):
+            cut = slab[piece]
+            assert isinstance(cut, CompositeSlab)
+            assert list(cut) == composites[piece]
+            assert cut.tables[0][1] is slab.tables[0][1]
+
+    def test_take_reorders_and_repeats(self):
+        composites = _composites(6)
+        slab = CompositeSlab.from_composites(("a", "c"), composites)
+        at = np.array([5, 0, 0, 3])
+        assert list(slab.take(at)) == [composites[i] for i in at]
+        assert slab.take(at).ids("c").tolist() == [composites[i][1][1] for i in at]
+
+    def test_concat_keeps_order_and_skips_empties(self):
+        first, second = _composites(4), _composites(5, base=3)
+        empty = CompositeSlab.empty(("a", "c"))
+        parts = [
+            empty,
+            CompositeSlab.from_composites(("a", "c"), first),
+            empty,
+            CompositeSlab.from_composites(("a", "c"), second)[1:],
+        ]
+        joined = CompositeSlab.concat(parts)
+        assert list(joined) == first + second[1:]
+        assert list(joined[3:6]) == (first + second[1:])[3:6]
+        assert CompositeSlab.concat([empty, empty]) == []
+        assert CompositeSlab.concat([empty, parts[1]]) is parts[1]
+
+    def test_pickles_as_vectors_and_tables(self):
+        composites = _composites(8)
+        slab = CompositeSlab.from_composites(("a", "c"), composites).take(
+            np.array([7, 7, 1, 0])
+        )
+        clone = pickle.loads(pickle.dumps(slab, protocol=pickle.HIGHEST_PROTOCOL))
+        assert isinstance(clone, CompositeSlab)
+        assert clone.cover == ("a", "c")
+        assert list(clone) == list(slab) == [composites[i] for i in (7, 7, 1, 0)]
+        assert clone.index[0].dtype == slab.index[0].dtype
+
+    def test_empty(self):
+        empty = CompositeSlab.from_composites(("a", "b"), [])
+        assert len(empty) == 0 and list(empty) == [] and empty == []
+        assert list(empty[0:5]) == []
+        assert pickle.loads(pickle.dumps(empty)) == []
+        schemas = {"a": Schema.of("x:int"), "b": Schema.of("y:int")}
+        assert composites_to_relation(empty, schemas, "out").rows == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (("a", 0, (0,)),),
+            (("a", 0, (0,)), ("b", 1, (1,)), ("c", 2, (2,))),
+            (("a", 0, (0,)), ("x", 1, (1,))),
+        ],
+    )
+    def test_lifting_holds_composites_against_the_cover(self, bad):
+        good = (("a", 0, (0,)), ("c", 1, (1,)))
+        with pytest.raises(ExecutionError, match="cover"):
+            CompositeSlab.from_composites(("a", "c"), [good, bad])
+
+    def test_projection_reads_a_slab_whose_cover_matches(self):
+        schemas = {"a": Schema.of("x:int", "y:str"), "c": Schema.of("x:int", "y:str")}
+        composites = _composites(6)
+        slab = CompositeSlab.from_composites(("a", "c"), composites).take(
+            np.array([4, 4, 2])
+        )
+        out = composites_to_relation(
+            slab, schemas, "out", [("c", "y"), ("a", "x"), ("a", "y")], ("a", "c")
+        )
+        assert out.rows == [
+            (composites[i][1][2][1], *composites[i][0][2]) for i in (4, 4, 2)
+        ]
+        with pytest.raises(ExecutionError, match="cover"):
+            composites_to_relation(slab, {**schemas, "b": schemas["a"]}, "out")

@@ -131,6 +131,10 @@ class TestDistributedSettings:
     def test_single_worker_is_still_parallel(self, monkeypatch):
         """One remote daemon is worth dispatching to — unlike a 1-thread
         pool, it offloads the coordinator."""
+        # The CI matrix sets these for the whole run; this test is about
+        # what the addresses alone select.
+        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
         monkeypatch.setenv("REPRO_WORKERS_ADDRS", "127.0.0.1:7601")
         settings = execution_settings()
         assert settings.effective_workers == 1
