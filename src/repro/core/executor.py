@@ -359,13 +359,13 @@ class PlanExecutor:
         concurrently on the execution backend.  Every job is prepared
         parent-side in wave order (partitioner/composite caches stay
         warm and single-threaded); only the pure ``run_job`` calls are
-        dispatched — to threads, forked workers, or remote worker
-        daemons alike (the distributed coordinator falls back to the
-        in-line loop when no daemon answers), or run in line when the
-        wave has one job or the backend is serial.  Results are folded
-        back strictly in wave order, so ``report.job_metrics``, HDFS
-        contents, and every downstream decision are identical whatever
-        ran the jobs.
+        dispatched through the backend's ``run_tasks`` — the serial loop,
+        threads or forked workers (both run a lone job in line), or
+        remote worker daemons (even a lone job; the coordinator falls
+        back to the in-line loop when no daemon answers).  Results are
+        folded back strictly in wave order, so ``report.job_metrics``,
+        HDFS contents, and every downstream decision are identical
+        whatever ran the jobs.
         """
         prepared = [
             self._prepare(job, query, schemas, base_files, job_outputs)
@@ -380,12 +380,7 @@ class PlanExecutor:
             job, spec = runnable[index]
             return cluster.run_job(spec, map_units=job.units, reduce_units=job.units)
 
-        backend = get_backend()
-        if len(jobs) <= 1 or backend.name == "serial":
-            results = [run_one(index) for index in range(len(runnable))]
-        else:
-            results = backend.run_tasks(run_one, len(runnable))
-        ran = iter(results)
+        ran = iter(get_backend().run_tasks(run_one, len(runnable)))
         return [
             self._fold(
                 job, query, kind, next(ran) if kind == _RUN else found,

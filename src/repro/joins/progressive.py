@@ -10,9 +10,9 @@ whether the first input is scanned as a charged step of its own, whether
 steps may probe (equality keys / sorted range) instead of testing every
 pair, and whether outputs pass an ownership filter.
 
-The kernel joins a reduce task's **whole bucket** — or, when the runtime
-reduces in line, every bucket of the job at once: key groups are
-independent, and the kernel accounts per key group — on index vectors.
+The kernel joins a whole **bucket range** — the key groups of one or more
+reduce tasks at once: key groups are independent, and the kernel accounts
+per key group — on index vectors.
 Per input the call's candidates are one table (key groups back to back);
 a partial result is one index vector per bound input; the columns a
 check or probe reads are extracted once per call as exactly-typed
@@ -504,11 +504,9 @@ def reduce_side(
     value_widths: Sequence[int],
 ) -> Dict[str, object]:
     """The reduce-side fields of a join job's ``MapReduceJobSpec``: the
-    :func:`bucket_reducer`, that it accounts per key group, and that its
-    outputs are slabs."""
+    :func:`bucket_reducer` and the concatenation of its slabs."""
     return {
         "batch_reducer": bucket_reducer(join, slot_of_tag, value_widths),
-        "reduces_key_groups": True,
         "collect_outputs": CompositeSlab.concat,
     }
 
@@ -519,10 +517,10 @@ def bucket_reducer(
     value_widths: Sequence[int],
 ) -> BatchReducer:
     """The batch reducer of a join job: split the key groups' values by
-    input tag, run the kernel on all of them at once, account comparisons,
-    outputs and input bytes per key group (``ReduceBatch.by_group``) — so
-    the runtime may hand it one bucket or, reducing in line, every bucket
-    of the job in one call.
+    input tag, run the kernel on all of them at once — the key groups of
+    one bucket range, every bucket of the job when nothing runs in
+    parallel — and account comparisons, outputs and input bytes per key
+    group, as :class:`ReduceBatch` requires.
 
     Shuffle values are ``(tag, composite)`` — ``(tag, record id,
     composite)`` when the join filters by ownership, whose shuffle keys
@@ -560,11 +558,6 @@ def bucket_reducer(
             )
         else:
             outputs, charged, produced = join.run(inputs, groups, num_groups)
-        return ReduceBatch(
-            outputs,
-            int(charged.sum()),
-            int(input_bytes.sum()),
-            by_group=(charged, produced, input_bytes),
-        )
+        return ReduceBatch(outputs, charged, produced, input_bytes)
 
     return reduce_groups

@@ -2,10 +2,10 @@
 
 The simulated runtime (PR 2/3) reduced both MapReduce phases to lists of
 *independent* tasks — map chunks whose :class:`MapBatch` results merge in
-deterministic input order, and reduce buckets whose outputs concatenate
-in bucket order.  The plan executor's ready waves are independent in the
-same way.  This module is the one place that decides how such task lists
-actually run:
+deterministic input order, and reduce bucket ranges whose outputs
+concatenate in bucket order.  The plan executor's ready waves are
+independent in the same way.  This module is the one place that decides
+how such task lists actually run:
 
 * ``serial``  — in-line loop (the default; zero overhead, zero risk);
 * ``thread``  — a shared :class:`~concurrent.futures.ThreadPoolExecutor`
@@ -50,6 +50,7 @@ thread backend with a one-time note; results are identical either way.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import sys
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
@@ -63,14 +64,26 @@ from repro.mapreduce.worker_handle import RemoteTaskError, WorkerHandle, WorkerL
 #: *where* the call runs — the backends only promise index order.
 TaskFn = Callable[[int], object]
 
-#: Set in forked pool workers (via the pool initializer) so nested
-#: ``get_backend`` calls degrade to serial instead of forking again.
-_IN_WORKER = False
-
-#: Thread-local mirror of the same guard for the thread backend: a task
-#: already running on the pool must not fan out onto the pool again (all
-#: workers could end up blocked waiting on sub-tasks queued behind them).
+#: Set on every thread that runs backend tasks — thread-pool tasks,
+#: worker daemon tasks, the main thread of a forked pool worker — so
+#: nested ``get_backend`` calls degrade to serial: a task already running
+#: on a pool must not fan out onto a pool again (all workers could end up
+#: blocked waiting on sub-tasks queued behind them; a pool worker must
+#: not fork grandchildren).
 _TLS = threading.local()
+
+
+@contextlib.contextmanager
+def running_task():
+    """Mark the calling thread as running one backend task: nested
+    :func:`get_backend` calls return the serial backend until it ends."""
+    outer = getattr(_TLS, "in_task", False)
+    _TLS.in_task = True
+    try:
+        yield
+    finally:
+        _TLS.in_task = outer
+
 
 # -- the job registry (parent writes, forked workers inherit) -----------
 
@@ -93,8 +106,8 @@ def _unregister_task_fn(token: int) -> None:
 
 
 def _worker_init() -> None:  # pragma: no cover - runs in forked children
-    global _IN_WORKER
-    _IN_WORKER = True
+    # A pool worker runs its tasks on the thread that ran this.
+    _TLS.in_task = True
 
 
 def _invoke_registered(payload: Tuple[int, int]) -> object:
@@ -141,11 +154,8 @@ class ThreadBackend:
             pool = self._pool
 
         def guarded(index: int) -> object:
-            _TLS.in_task = True
-            try:
+            with running_task():
                 return fn(index)
-            finally:
-                _TLS.in_task = False
 
         return list(pool.map(guarded, range(count)))
 
@@ -437,8 +447,10 @@ class DistributedBackend:
     # -- execution ------------------------------------------------------
 
     def run_tasks(self, fn: TaskFn, count: int) -> List[object]:
-        if count <= 1:
-            return [fn(index) for index in range(count)]
+        # Even a single task ships when a daemon answers: it offloads the
+        # coordinator (``ExecutionSettings.parallel``).
+        if count == 0:
+            return []
         from repro.errors import FleetExhausted
         from repro.mapreduce.cancel import current_token
 
@@ -603,12 +615,13 @@ _BACKENDS_LOCK = threading.Lock()
 def get_backend(settings: Optional[ExecutionSettings] = None):
     """The process-wide backend for ``settings`` (default: environment).
 
-    Inside a forked pool worker (or a thread-backend task) this always
-    returns the serial backend, whatever the environment says — pool
-    workers are daemonic and must not fork grandchildren, and thread
-    tasks must not fan out onto their own pool.
+    Inside a forked pool worker, a thread-backend task or a worker
+    daemon's task (:func:`running_task`) this always returns the serial
+    backend, whatever the environment says — pool workers are daemonic
+    and must not fork grandchildren, and tasks must not fan out onto a
+    pool again.
     """
-    if _IN_WORKER or getattr(_TLS, "in_task", False):
+    if getattr(_TLS, "in_task", False):
         return _SERIAL
     if settings is None:
         settings = execution_settings()

@@ -77,33 +77,34 @@ BatchMapper = Callable[[str, Sequence[object], int], MapBatch]
 
 @dataclass
 class ReduceBatch:
-    """Batched reduce output for one whole reduce task (bucket).
+    """Batched reduce output for one call over a run of key groups — the
+    key groups of a contiguous range of reduce tasks (buckets), bucket
+    after bucket.
 
-    ``outputs`` holds the task's output records in the exact order a
-    per-group reducer would emit them (key groups in bucket insertion
-    order, records in emission order within a group); ``comparisons`` is
-    the total it would charge via :meth:`TaskContext.charge_comparisons`
-    over the same bucket.  A batch reducer that knows its value widths
-    statically may fill ``input_bytes`` arithmetically; ``None`` makes the
-    runtime derive it by :meth:`MapReduceJobSpec.pair_bytes`.
+    ``outputs`` holds the output records in the exact order a per-group
+    reducer would emit them (key groups in the order given, records in
+    emission order within a group).  The three other fields are
+    per-key-group integer sequences in key order: comparisons charged
+    (what :meth:`TaskContext.charge_comparisons` would total), outputs
+    produced and input bytes (:meth:`MapReduceJobSpec.pair_bytes` of the
+    group's values).  The runtime sums them back per bucket, so a reduce
+    task's accounting does not depend on how many buckets one call got.
     """
 
     outputs: Sequence[object]
-    comparisons: int
-    input_bytes: Optional[int] = None
-    #: Optional per-key-group accounting, three integer sequences in key
-    #: order: comparisons charged, outputs produced, input bytes.  See
-    #: :attr:`MapReduceJobSpec.reduces_key_groups`.
-    by_group: Optional[Tuple[Sequence[int], Sequence[int], Sequence[int]]] = None
+    group_comparisons: Sequence[int]
+    group_produced: Sequence[int]
+    group_bytes: Sequence[int]
 
 
 #: batch_reducer(keys, values, group_offsets) -> ReduceBatch.  One call
-#: covers one whole reduce task: ``keys[i]`` is the i-th shuffle key in
-#: bucket insertion order and its value group is the flat slice
-#: ``values[group_offsets[i]:group_offsets[i + 1]]`` (key-major layout —
-#: ``len(group_offsets) == len(keys) + 1``).  Must produce exactly what
-#: a per-key-group reducer would for the same bucket; the equivalence
-#: suite holds it to that.
+#: covers the key groups of a bucket range: ``keys[i]`` is the i-th
+#: shuffle key (buckets in order, each in insertion order) and its value
+#: group is the flat slice ``values[group_offsets[i]:group_offsets[i + 1]]``
+#: (key-major layout — ``len(group_offsets) == len(keys) + 1``).  Key
+#: groups are independent: nothing may carry from one group to the next.
+#: Must produce exactly what a per-key-group reducer would for the same
+#: groups; the equivalence suite holds it to that.
 BatchReducer = Callable[[Sequence[object], Sequence[object], Sequence[int]], ReduceBatch]
 
 
@@ -183,23 +184,18 @@ class MapReduceJobSpec:
     #: when both are set; they must then agree exactly (same buckets, same
     #: counters).
     batch_mapper: Optional[BatchMapper] = None
-    #: Vectorized reducer: consumes a whole reduce task's bucket at once,
-    #: key-major (flat value array + group offsets), returning outputs and
-    #: counters (:class:`ReduceBatch`).  Preferred over ``reducer`` when
-    #: both are set; they must then agree exactly.
+    #: Vectorized reducer: consumes a range of reduce tasks' buckets at
+    #: once, key-major (flat value array + group offsets), returning
+    #: outputs and per-key-group counters (:class:`ReduceBatch`).
+    #: Preferred over ``reducer`` when both are set; they must then agree
+    #: exactly.
     batch_reducer: Optional[BatchReducer] = None
     output_name: str = ""
-    #: True when ``batch_reducer`` treats every key group on its own
-    #: (outputs key-group-major, nothing carried between groups) and fills
-    #: :attr:`ReduceBatch.by_group`.  Reducing in line, the runtime then
-    #: hands it the key groups of *all* reduce tasks in one call and
-    #: splits outputs and accounting back per task — a job of many tiny
-    #: buckets pays the reducer's per-call set-up once.
-    reduces_key_groups: bool = False
-    #: How the runtime joins the reduce tasks' ``outputs`` (one sequence
-    #: per task, task order) into the job's output records.  A job whose
-    #: batch reducer returns a columnar container names that container's
-    #: concatenation here (the join jobs: ``CompositeSlab.concat``).
+    #: How the runtime joins the reducer calls' ``outputs`` (one sequence
+    #: per bucket range, range order) into the job's output records.  A
+    #: job whose batch reducer returns a columnar container names that
+    #: container's concatenation here (the join jobs:
+    #: ``CompositeSlab.concat``).
     collect_outputs: Callable[[Sequence[Sequence[object]]], Sequence[object]] = (
         chain_outputs
     )
@@ -275,19 +271,28 @@ def lift_mapper(spec: MapReduceJobSpec) -> BatchMapper:
 
 def lift_reducer(spec: MapReduceJobSpec) -> BatchReducer:
     """``spec.reducer`` as a batch reducer: one call per key group in
-    bucket order, one fresh :class:`TaskContext` per reduce task."""
+    order, each with a fresh :class:`TaskContext`; a group's input bytes
+    are :meth:`MapReduceJobSpec.pair_bytes` of its values (additive, so
+    a bucket's total is that of its values)."""
     reducer = spec.reducer
     assert reducer is not None
 
     def batch_reducer(
         keys: Sequence[object], values: Sequence[object], offsets: Sequence[int]
     ) -> ReduceBatch:
-        ctx = TaskContext()
         outputs: List[object] = []
+        comparisons: List[int] = []
+        produced: List[int] = []
+        input_bytes: List[int] = []
         for position, key in enumerate(keys):
             group = values[offsets[position] : offsets[position + 1]]
+            ctx = TaskContext()
+            before = len(outputs)
             outputs.extend(reducer(key, group, ctx))  # type: ignore[arg-type]
-        return ReduceBatch(outputs, ctx.comparisons)
+            comparisons.append(ctx.comparisons)
+            produced.append(len(outputs) - before)
+            input_bytes.append(spec.pair_bytes(group))
+        return ReduceBatch(outputs, comparisons, produced, input_bytes)
 
     return batch_reducer
 

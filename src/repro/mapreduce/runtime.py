@@ -35,6 +35,15 @@ from repro.mapreduce.job import JobResult, MapReduceJobSpec
 from repro.utils import ceil_div, make_rng
 
 
+def _split(count: int, parts: int) -> List[Tuple[int, int]]:
+    """``range(count)`` cut into at most ``parts`` contiguous, non-empty
+    ``(lo, hi)`` ranges of ``ceil(count / parts)`` items (the last one may
+    be shorter): the map phase's chunks of a file, the reduce phase's
+    bucket ranges."""
+    step = max(1, ceil_div(count, parts))
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def _key_major(
     buckets: Sequence[Dict[object, List[object]]],
 ) -> Tuple[List[object], List[object], List[int], List[int]]:
@@ -146,14 +155,9 @@ class SimulatedCluster:
         chunks: List[Tuple[str, Sequence[object], int]] = []
         for file in spec.inputs:
             records = file.records
-            if not records:
-                continue
-            if fanout <= 1:
-                chunks.append((file.tag, records, 0))
-                continue
-            per_chunk = max(1, ceil_div(len(records), fanout))
-            for start in range(0, len(records), per_chunk):
-                chunks.append((file.tag, records[start : start + per_chunk], start))
+            for lo, hi in _split(len(records), fanout):
+                whole = hi - lo == len(records)
+                chunks.append((file.tag, records if whole else records[lo:hi], lo))
 
         batch_mapper = spec.batched_mapper()
 
@@ -210,92 +214,57 @@ class SimulatedCluster:
         """Run the reduce tasks; returns output records and per-task cost
         seconds.
 
-        Each bucket's key groups are flattened into one value array plus
-        group offsets and handed to the job's batch reducer in a single
-        call; the returned :class:`ReduceBatch` carries the task's outputs
-        (key groups in bucket order) and its comparison count.
-
-        Reduce tasks are independent by construction (each consumes one
-        bucket and shares nothing), so whole buckets are dispatched
-        through the execution backend and the per-bucket results merged
-        in bucket order — counters, costs, and outputs are bit-identical
-        across the serial, thread, process, and distributed backends
-        (the distributed coordinator additionally promises ordered
-        exactly-once folding under worker loss, and degrades to this
-        same serial arithmetic when no worker daemons answer).
+        The buckets are cut into ``chunk_fanout`` contiguous ranges (one
+        per worker; one range, so one reducer call per job, when nothing
+        runs in parallel).  A range's key groups go to the job's batch
+        reducer in one key-major call, and the per-key-group accounting
+        of the :class:`ReduceBatch` it returns is summed back per bucket:
+        every reduce task gets the input bytes, comparisons and cost of
+        its own key groups, whatever range it fell into.  Ranges share
+        nothing, so they are dispatched through the execution backend and
+        folded in range order — counters, costs and outputs are
+        bit-identical on every backend.
         """
         batch_reducer = spec.batched_reducer()
-        backend = get_backend()
-        if spec.reduces_key_groups and backend.name == "serial":
-            return self._reduce_in_one_call(spec, buckets, metrics, batch_reducer)
+        settings = execution_settings()
+        ranges = _split(len(buckets), settings.chunk_fanout)
 
-        def reduce_bucket(index: int) -> Tuple[Sequence[object], int, int, float]:
-            # Per-bucket cancellation checkpoint (one reduce task is the
-            # grain): active on the session thread (serial, local
-            # fallbacks), a no-op on pool threads.
+        def reduce_range(index: int) -> Tuple[Sequence[object], List[Tuple[int, ...]]]:
+            # Per-range cancellation checkpoint: active on the session
+            # thread (serial, local fallbacks), a no-op on pool threads.
             check_cancelled()
-            keys, flat, offsets, _first_group = _key_major([buckets[index]])
+            lo, hi = ranges[index]
+            keys, flat, offsets, first_group = _key_major(buckets[lo:hi])
             batch = batch_reducer(keys, flat, offsets)
-            input_bytes = batch.input_bytes
-            if input_bytes is None:
-                input_bytes = spec.pair_bytes(flat)
-            cost = self._reduce_task_cost(
-                spec, input_bytes, len(flat), batch.comparisons, len(batch.outputs)
+            # Running totals over the key groups, as Python ints.
+            comparisons, produced, input_bytes = (
+                [0, *np.cumsum(counts, dtype=np.int64).tolist()]
+                for counts in (batch.group_comparisons, batch.group_produced, batch.group_bytes)
             )
-            return batch.outputs, input_bytes, batch.comparisons, cost
-
-        if backend.name == "serial":
-            # The serial default loops directly: same function, without a
-            # backend dispatch on the single-core hot path.
-            results = map(reduce_bucket, range(len(buckets)))
-        else:
-            results = backend.run_tasks(reduce_bucket, len(buckets))
+            tasks = [
+                (
+                    input_bytes[b] - input_bytes[a],
+                    offsets[b] - offsets[a],
+                    comparisons[b] - comparisons[a],
+                    produced[b] - produced[a],
+                )
+                for a, b in zip(first_group, first_group[1:])
+            ]
+            return batch.outputs, tasks
 
         parts: List[Sequence[object]] = []
         reducer_costs: List[float] = []
-        for outputs, input_bytes, comparisons, cost in results:
+        for outputs, tasks in get_backend(settings).run_tasks(reduce_range, len(ranges)):
             parts.append(outputs)
-            metrics.reducer_input_bytes.append(input_bytes)
-            metrics.reduce_comparisons += comparisons
-            reducer_costs.append(cost)
-        return spec.collect_outputs(parts), reducer_costs
-
-    def _reduce_in_one_call(
-        self,
-        spec: MapReduceJobSpec,
-        buckets: List[Dict[object, List[object]]],
-        metrics: JobMetrics,
-        batch_reducer,
-    ) -> Tuple[Sequence[object], List[float]]:
-        """The reduce phase of a job whose reducer accounts per key group
-        (``spec.reduces_key_groups``), run in line: every bucket's key
-        groups go to the reducer in one call, bucket after bucket, and
-        the per-group accounting it returns is summed back per reduce
-        task — outputs, counters and task costs are those of one call per
-        bucket (what the other backends make)."""
-        check_cancelled()
-        keys, flat, offsets, first_group = _key_major(buckets)
-        batch = batch_reducer(keys, flat, offsets)
-        # Running totals over the key groups, as Python ints.
-        comparisons, produced, input_bytes = (
-            [0, *np.cumsum(counts).tolist()] for counts in batch.by_group
-        )
-        reducer_costs: List[float] = []
-        for lo, hi in zip(first_group, first_group[1:]):
-            task_bytes = input_bytes[hi] - input_bytes[lo]
-            task_comparisons = comparisons[hi] - comparisons[lo]
-            metrics.reducer_input_bytes.append(task_bytes)
-            metrics.reduce_comparisons += task_comparisons
-            reducer_costs.append(
-                self._reduce_task_cost(
-                    spec,
-                    task_bytes,
-                    offsets[hi] - offsets[lo],
-                    task_comparisons,
-                    produced[hi] - produced[lo],
+            for input_bytes, values, comparisons, produced in tasks:
+                metrics.reducer_input_bytes.append(input_bytes)
+                metrics.reduce_comparisons += comparisons
+                reducer_costs.append(
+                    self._reduce_task_cost(
+                        spec, input_bytes, values, comparisons, produced
+                    )
                 )
-            )
-        return batch.outputs, reducer_costs
+        return spec.collect_outputs(parts), reducer_costs
 
     def _reduce_task_cost(
         self,

@@ -10,10 +10,11 @@ everything it registered — the remote counterpart of the fork
 registry's copy-on-write lifetime.
 
 Inside a task the worker behaves exactly like a forked pool worker:
-``repro.mapreduce.backend`` is flagged so nested ``get_backend()`` calls
-return the serial backend (a remote task must never fan out onto another
-pool), and task callables rebuilt from shipped closures run against the
-same imported ``repro`` modules the coordinator used.
+the task runs under ``backend.running_task()``, so nested
+``get_backend()`` calls return the serial backend (a remote task — a
+whole job, say — must never fan out onto another pool), and task
+callables rebuilt from shipped closures run against the same imported
+``repro`` modules the coordinator used.
 
 Fault injection (tests only)
 ----------------------------
@@ -55,6 +56,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
+from repro.mapreduce.backend import running_task
 from repro.mapreduce.config import (
     EXEC_BACKEND_ENV,
     EXEC_WORKERS_ENV,
@@ -200,7 +202,9 @@ class WorkerServer(wire.FrameServer):
         super().__init__(host, port)
         self.fault = fault
         self._lock = threading.Lock()
-        self._tasks_started = 0
+        #: Tasks this daemon started since it started or a fault was
+        #: last armed (what ``FaultSpec.after_tasks`` counts).
+        self.tasks_started = 0
         self._stalled = threading.Event()
 
     def connection_state(self) -> "OrderedDict[int, object]":
@@ -271,7 +275,10 @@ class WorkerServer(wire.FrameServer):
             registry.move_to_end(token)  # live tokens stay off the LRU floor
             self._maybe_fault()
             try:
-                value = fn(index)
+                # A remote task never fans out again (a whole job runs its
+                # phases in line here), in a daemon or an in-process server.
+                with running_task():
+                    value = fn(index)
             except BaseException as exc:  # noqa: BLE001 - travels to coordinator
                 return ("task-error", index, _portable_exception(exc))
             return ("result", index, value)
@@ -286,7 +293,7 @@ class WorkerServer(wire.FrameServer):
             )
             with self._lock:
                 self.fault = spec
-                self._tasks_started = 0
+                self.tasks_started = 0
             if spec is None:
                 return ("fault-armed", None, 0)
             return ("fault-armed", spec.mode, spec.after_tasks)
@@ -296,11 +303,11 @@ class WorkerServer(wire.FrameServer):
 
     def _maybe_fault(self) -> None:
         with self._lock:
+            self.tasks_started += 1
+            started = self.tasks_started
             fault = self.fault
-            if fault is None:
-                return
-            self._tasks_started += 1
-            started = self._tasks_started
+        if fault is None:
+            return
         if fault.mode == "slow":
             # Keeps firing: every task from the N-th on runs degraded.
             if started >= fault.after_tasks:
@@ -372,10 +379,4 @@ def serve(
     fault: Optional[FaultSpec] = None,
 ) -> int:
     """CLI entry: run one worker daemon until interrupted."""
-    from repro.mapreduce import backend as backend_mod
-
-    # Remote tasks must not fan out onto another pool: flag the process
-    # so nested get_backend() calls degrade to serial, exactly like a
-    # forked pool worker.
-    backend_mod._IN_WORKER = True
     return WorkerServer(host=host, port=port, fault=fault).run()

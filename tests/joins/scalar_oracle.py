@@ -369,7 +369,6 @@ def shares_reduce_side(spec: MapReduceJobSpec, input_files, conditions, schemas_
         reducer=reducer,
         batch_reducer=None,
         collect_outputs=chain_outputs,
-        reduces_key_groups=False,
         pair_width_fn=lambda value: (
             4 + len(value[0]) + _composite_bytes(value[1], schemas_by_alias)
         ),

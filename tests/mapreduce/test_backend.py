@@ -9,6 +9,9 @@ that keep pool tasks from fanning out onto their own pool).
 
 import pytest
 
+from repro.core.partitioner import HypercubePartitioner
+from repro.joins.jobs import make_hypercube_join_job
+from repro.joins.records import relation_to_composite_file
 from repro.mapreduce import backend as backend_mod
 from repro.mapreduce.backend import (
     ProcessBackend,
@@ -18,10 +21,14 @@ from repro.mapreduce.backend import (
     get_backend,
 )
 from repro.mapreduce.config import (
+    PAPER_CLUSTER_KP64,
     ExecutionSettings,
     execution_settings,
     settings_scope,
 )
+from repro.mapreduce.runtime import SimulatedCluster
+from repro.mapreduce.worker import WorkerServer
+from repro.workloads.synthetic import chain_query
 
 
 @pytest.fixture(autouse=True)
@@ -278,6 +285,49 @@ class TestOrdering:
             assert backend._pool is None
         finally:
             backend.close()
+
+
+class TestOneDaemonFleet:
+    """A one-daemon fleet is parallel (it offloads the coordinator), so
+    even a batch of one task runs on the daemon, not in line."""
+
+    @pytest.fixture
+    def daemon(self):
+        server = WorkerServer().start()
+        yield server
+        close_backends()
+        server.stop()
+
+    def scope(self, daemon):
+        return settings_scope(
+            {"REPRO_EXEC_BACKEND": "distributed", "REPRO_WORKERS_ADDRS": daemon.address}
+        )
+
+    def test_single_task_batch_ships(self, daemon):
+        with self.scope(daemon):
+            assert get_backend().run_tasks(lambda i: i + 7, 1) == [7]
+            assert get_backend().run_tasks(lambda i: i, 0) == []
+        assert daemon.tasks_started == 1
+
+    def test_chain_job_runs_every_task_on_the_daemon(self, daemon):
+        query = chain_query(3, rows=40, selectivity=0.1, seed=2)
+        aliases = sorted(query.relations)
+        spec = make_hypercube_join_job(
+            "chain",
+            [relation_to_composite_file(query.relations[a], a) for a in aliases],
+            [(a,) for a in aliases],
+            HypercubePartitioner([len(query.relations[a]) for a in aliases], 8),
+            query.conditions,
+            {a: query.relations[a].schema for a in aliases},
+        )
+        serial = SimulatedCluster(PAPER_CLUSTER_KP64).run_job(spec)
+        assert serial.output.records
+        with self.scope(daemon):
+            remote = SimulatedCluster(PAPER_CLUSTER_KP64).run_job(spec)
+        # One map chunk per input file and one reduce range: all remote.
+        assert daemon.tasks_started == len(aliases) + 1
+        assert list(remote.output.records) == list(serial.output.records)
+        assert remote.metrics == serial.metrics
 
 
 class TestSelectionAndNesting:

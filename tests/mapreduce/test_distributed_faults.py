@@ -19,7 +19,7 @@ import pytest
 
 import conformance
 from repro.mapreduce.backend import DistributedBackend, close_backends
-from repro.mapreduce.wire import closure_transport_available
+from repro.mapreduce.wire import closure_transport_available, dial
 
 pytestmark = pytest.mark.skipif(
     not closure_transport_available(),
@@ -34,6 +34,17 @@ FAST_HEARTBEAT = 0.2
 def _shutdown_pools():
     yield
     close_backends()
+
+
+def answers(addr):
+    """Whether the daemon at ``addr`` completes a handshake within a
+    second (a killed one refuses, a stalled one never replies)."""
+    try:
+        sock, _info = dial(addr, 1.0)
+    except OSError:
+        return False
+    sock.close()
+    return True
 
 
 def make_backend(addrs, **overrides):
@@ -161,11 +172,13 @@ class TestMidPhaseKillEquivalence:
 
     @pytest.mark.parametrize("query_id", ["mobile-2", "tpch-3"])
     def test_grid_entry_with_mid_phase_kill(self, query_id):
-        # Task counting is global across the daemon's connections, so
-        # "after 5 tasks" lands mid map- or reduce-phase of the first
-        # planner's first job — well inside the grid entry's execution.
+        # Task counting is global across the daemon's connections.  A
+        # lone job ships whole, so a grid entry is only a handful of
+        # tasks, shared between the daemons as their dispatchers race:
+        # "after 2 tasks" lands inside its execution, and the daemon must
+        # really be gone by its end.
         with conformance.worker_pool(
-            2, extra_args=[("--fail-after-tasks", "5", "--fail-mode", "kill"), ()]
+            2, extra_args=[("--fail-after-tasks", "2", "--fail-mode", "kill"), ()]
         ) as addrs:
             conformance.assert_backend_matches_serial(
                 "distributed",
@@ -173,10 +186,12 @@ class TestMidPhaseKillEquivalence:
                 workers_addrs=addrs,
                 REPRO_WORKER_HEARTBEAT_S=FAST_HEARTBEAT,
             )
+            assert not answers(addrs[0]), "the flaky daemon never died"
+            assert answers(addrs[1])
 
     def test_grid_entry_with_mid_phase_stall(self):
         with conformance.worker_pool(
-            2, extra_args=[("--fail-after-tasks", "4", "--fail-mode", "stall"), ()]
+            2, extra_args=[("--fail-after-tasks", "2", "--fail-mode", "stall"), ()]
         ) as addrs:
             conformance.assert_backend_matches_serial(
                 "distributed",
@@ -184,3 +199,5 @@ class TestMidPhaseKillEquivalence:
                 workers_addrs=addrs,
                 REPRO_WORKER_HEARTBEAT_S=FAST_HEARTBEAT,
             )
+            assert not answers(addrs[0]), "the flaky daemon never stalled"
+            assert answers(addrs[1])

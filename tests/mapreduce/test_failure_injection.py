@@ -71,7 +71,9 @@ class TestSpecValidation:
             batch_mapper=lambda tag, records, base: MapBatch(
                 [{0: list(records)}, {}, {}, {}], len(records), 16 * len(records)
             ),
-            batch_reducer=lambda keys, values, offsets: ReduceBatch(list(values), 0),
+            batch_reducer=lambda keys, values, offsets: ReduceBatch(
+                list(values), [0] * len(keys), [0] * len(keys), [0] * len(keys)
+            ),
         )
         result = SimulatedCluster().run_job(spec)
         assert result.output.records == small_file().records
