@@ -52,7 +52,7 @@ def run_one(query, strategy: str):
             [f.num_records for f in files], NUM_REDUCERS
         )
         spec = make_hypercube_join_job(
-            "skew-cube", files, [(a,) for a in aliases], partitioner,
+            "skew-cube", files, partitioner,
             query.conditions, schemas,
         )
     return cluster.run_job(spec)

@@ -45,7 +45,6 @@ def run_point(volume_gb: int, num_reducers: int) -> float:
     spec = make_hypercube_join_job(
         f"fig6-{volume_gb}-{num_reducers}",
         files,
-        [(a,) for a in aliases],
         partitioner,
         query.conditions,
         {a: query.relations[a].schema for a in aliases},

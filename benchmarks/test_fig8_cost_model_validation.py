@@ -53,7 +53,7 @@ def run_and_estimate():
         ]
         partitioner = HypercubePartitioner([rows, rows], k)
         spec = make_hypercube_join_job(
-            f"fig8-{size_gb}", files, [(a,) for a in aliases], partitioner,
+            f"fig8-{size_gb}", files, partitioner,
             query.conditions, {a: query.relations[a].schema for a in aliases},
         )
         metrics = cluster.run_job(spec).metrics

@@ -46,7 +46,7 @@ def run_join(query, strategy: str):
             [f.num_records for f in files], NUM_REDUCERS
         )
         spec = make_hypercube_join_job(
-            "cube", files, [(a,) for a in aliases], partitioner,
+            "cube", files, partitioner,
             query.conditions, schemas,
         )
     return cluster.run_job(spec)

@@ -453,7 +453,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=EXEC_BACKENDS,
         default=None,
-        help="execution backend for map chunks / reduce buckets / job waves "
+        help="execution backend for map chunks / bucket ranges / job waves "
         "(default: REPRO_EXEC_BACKEND or serial)",
     )
     def positive_workers(text: str) -> int:

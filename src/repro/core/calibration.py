@@ -87,7 +87,6 @@ def run_self_join_probe(
     spec = make_hypercube_join_job(
         f"probe-{query.name}-{num_reducers}",
         files,
-        [(alias,) for alias in aliases],
         partitioner,
         query.conditions,
         schemas,

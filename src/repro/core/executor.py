@@ -39,7 +39,6 @@ from repro.core.plan import (
     STRATEGY_ONEBUCKET,
     STRATEGY_RANDOMCUBE,
     ExecutionPlan,
-    InputRef,
     PlannedJob,
 )
 from repro.errors import ExecutionError
@@ -50,7 +49,8 @@ from repro.joins.jobs import (
     make_hypercube_join_job,
 )
 from repro.joins.records import (
-    Composite,
+    CompositeSlab,
+    composite_width,
     composites_to_relation,
     relation_to_composite_file,
 )
@@ -89,13 +89,13 @@ class ExecutionOutcome:
     result: Relation
     report: ExecutionReport
     #: Raw result composites — alias-sorted ``(alias, global id, row)``
-    #: tuples when iterated (a ``CompositeSlab``) — for result validation.
-    composites: Sequence[Composite]
+    #: tuples when iterated — for result validation.
+    composites: CompositeSlab
 
 
 #: What :meth:`PlanExecutor._prepare` found for one job of a wave: an
-#: empty input (the join is empty, nothing runs), a checkpointed output
-#: to restore, or a materialized spec to run.
+#: empty input (the join is empty, nothing runs, the output is an empty
+#: slab), a checkpointed output to restore, or a materialized spec to run.
 _EMPTY, _RESTORED, _RUN = "empty", "restored", "run"
 
 
@@ -141,7 +141,6 @@ class PlanExecutor:
 
         report = ExecutionReport(plan_name=plan.name)
         job_outputs: Dict[str, DistributedFile] = {}
-        self._alias_cover = self._compute_alias_cover(plan)
         settings = execution_settings()
         self._wave_delay_s = settings.wave_delay_s
         # Simulated-time noise would make a restored wave replay the
@@ -150,12 +149,8 @@ class PlanExecutor:
         self._ckpt = CheckpointStore(settings) if checkpointing else None
         job_ends = self._run_jobs(plan, query, schemas, base_files, job_outputs, report)
 
-        final_composites, final_cover, merge_end, merge_total = merge_terminals(
-            plan,
-            job_outputs,
-            job_ends,
-            self._alias_cover,
-            self.cluster.config.disk_read_bytes_s,
+        final_composites, merge_end, merge_total = merge_terminals(
+            plan, job_outputs, job_ends, self.cluster.config.disk_read_bytes_s
         )
         report.merge_time_s = merge_total
         report.makespan_s = max(max(job_ends.values(), default=0.0), merge_end)
@@ -166,7 +161,6 @@ class PlanExecutor:
             schemas,
             name=f"{query.name}-result",
             projection=query.projection,
-            cover=final_cover,
         )
         return ExecutionOutcome(
             result=result, report=report, composites=final_composites
@@ -175,51 +169,6 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     # job phase
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _compute_alias_cover(plan: ExecutionPlan) -> Dict[str, Tuple[str, ...]]:
-        """Alias coverage of every job's output, independent of its records.
-
-        Needed because an *empty* intermediate file carries no records to
-        infer aliases from, yet downstream jobs still have to be built.
-        Kahn-style topological pass: each job is visited once when its
-        last job-input resolves, instead of re-sweeping the full list.
-        """
-        cover: Dict[str, Tuple[str, ...]] = {}
-        waiting: Dict[str, int] = {}
-        dependents: Dict[str, List[PlannedJob]] = {}
-        ready: List[PlannedJob] = []
-        for job in plan.jobs:
-            unresolved = {ref.name for ref in job.inputs if ref.kind == "job"}
-            if unresolved:
-                waiting[job.job_id] = len(unresolved)
-                for name in unresolved:
-                    dependents.setdefault(name, []).append(job)
-            else:
-                ready.append(job)
-        resolved = 0
-        while ready:
-            job = ready.pop()
-            aliases: set = set()
-            for ref in job.inputs:
-                if ref.kind == "base":
-                    aliases.add(ref.name)
-                else:
-                    aliases.update(cover[ref.name])
-            cover[job.job_id] = tuple(sorted(aliases))
-            resolved += 1
-            for dependent in dependents.get(job.job_id, ()):
-                waiting[dependent.job_id] -= 1
-                if waiting[dependent.job_id] == 0:
-                    ready.append(dependent)
-        if resolved != len(plan.jobs):
-            raise ExecutionError("cyclic job inputs in plan")
-        return cover
-
-    def _input_aliases(self, ref: InputRef) -> Tuple[str, ...]:
-        if ref.kind == "base":
-            return (ref.name,)
-        return self._alias_cover[ref.name]
 
     def _run_jobs(
         self,
@@ -373,7 +322,7 @@ class PlanExecutor:
         ]
         cluster = self.cluster
         runnable = [
-            (job, spec) for job, (kind, spec) in zip(jobs, prepared) if kind == _RUN
+            (job, spec) for job, (kind, spec, _) in zip(jobs, prepared) if kind == _RUN
         ]
 
         def run_one(index: int):
@@ -383,10 +332,10 @@ class PlanExecutor:
         ran = iter(get_backend().run_tasks(run_one, len(runnable)))
         return [
             self._fold(
-                job, query, kind, next(ran) if kind == _RUN else found,
+                job, query, kind, next(ran) if kind == _RUN else found, key,
                 job_outputs, report,
             )
-            for job, (kind, found) in zip(jobs, prepared)
+            for job, (kind, found, key) in zip(jobs, prepared)
         ]
 
     def _prepare(
@@ -396,29 +345,41 @@ class PlanExecutor:
         schemas,
         base_files: Mapping[str, DistributedFile],
         job_outputs: Mapping[str, DistributedFile],
-    ) -> Tuple[str, object]:
+    ) -> Tuple[str, object, Optional[str]]:
         """Everything of one job that precedes running it: ``(_EMPTY,
-        None)``, ``(_RESTORED, (file, metrics, digest))`` or ``(_RUN,
-        spec)``."""
-        resolved = [
+        empty output file)``, ``(_RESTORED, (file, metrics, digest))`` or
+        ``(_RUN, spec)``, each with the job's checkpoint key (None when
+        checkpointing is off).  The key and the builders read the input
+        covers from the input files' slabs."""
+        files = [
             base_files[ref.name] if ref.kind == "base" else job_outputs[ref.name]
             for ref in job.inputs
         ]
-        if any(f.num_records == 0 for f in resolved):
-            # An empty input (e.g. an upstream join with no matches)
-            # makes the whole join empty.
-            if self._ckpt is not None:
-                # Not worth persisting (start-up charge only), but the key
-                # must exist: downstream jobs chain through it.
-                self._checkpoint_key(job, query)
-            return _EMPTY, None
+        key = None
         if self._ckpt is not None:
-            restored = self._ckpt.restore(
-                self._checkpoint_key(job, query), f"{query.name}:{job.job_id}"
+            # Keyed even when the job is empty (not worth persisting, but
+            # downstream jobs chain through its key).
+            key = self._ckpt.key(
+                job, query, [f.records.cover for f in files], self.cluster.config
             )
+        if any(f.num_records == 0 for f in files):
+            # An empty input (e.g. an upstream join with no matches)
+            # makes the whole join empty; its output still carries the
+            # union cover downstream builders and the merge read.
+            cover = sorted({alias for f in files for alias in f.records.cover})
+            name = f"{query.name}:{job.job_id}.out"
+            empty = DistributedFile(
+                name=name,
+                records=CompositeSlab.empty(cover),
+                record_width=composite_width(schemas, cover),
+                tag=name,
+            )
+            return _EMPTY, empty, key
+        if key is not None:
+            restored = self._ckpt.restore(key, f"{query.name}:{job.job_id}")
             if restored is not None:
-                return _RESTORED, restored
-        return _RUN, self._materialize(job, query, schemas, base_files, job_outputs)
+                return _RESTORED, restored, key
+        return _RUN, self._materialize(job, query, schemas, files), key
 
     def _fold(
         self,
@@ -426,6 +387,7 @@ class PlanExecutor:
         query: JoinQuery,
         kind: str,
         found,
+        key: Optional[str],
         job_outputs: Dict[str, DistributedFile],
         report: ExecutionReport,
     ) -> float:
@@ -435,10 +397,8 @@ class PlanExecutor:
         name = f"{query.name}:{job.job_id}"
         digest: Optional[str] = None
         if kind == _EMPTY:
-            # Emit an empty output and charge start-up only.
-            file = DistributedFile(
-                name=f"{name}.out", records=[], record_width=64, tag=f"{name}.out"
-            )
+            # The empty output is charged start-up only.
+            file = found
             metrics = JobMetrics(job_name=name)
             metrics.total_time_s = (
                 self.cluster.config.job_startup_s + job.extra_startup_s
@@ -450,8 +410,8 @@ class PlanExecutor:
             file, metrics = found.output, found.metrics
             metrics.total_time_s += job.extra_startup_s
             metrics.startup_time_s += job.extra_startup_s
-            if self._ckpt is not None:
-                digest = self._ckpt.persist(self._checkpoint_key(job, query), found)
+            if key is not None:
+                digest = self._ckpt.persist(key, found)
                 if digest is not None:
                     report.checkpoint_stores += 1
         # The job may have run against a forked (process backend) or
@@ -464,28 +424,13 @@ class PlanExecutor:
             self.on_wave(job.job_id, digest, kind == _RESTORED)
         return metrics.total_time_s
 
-    def _checkpoint_key(self, job: PlannedJob, query: JoinQuery) -> str:
-        return self._ckpt.key(
-            job,
-            query,
-            [self._input_aliases(ref) for ref in job.inputs],
-            self.cluster.config,
-        )
-
     def _materialize(
         self,
         job: PlannedJob,
         query: JoinQuery,
         schemas,
-        base_files: Mapping[str, DistributedFile],
-        job_outputs: Mapping[str, DistributedFile],
+        files: Sequence[DistributedFile],
     ):
-        def resolve(ref: InputRef) -> DistributedFile:
-            if ref.kind == "base":
-                return base_files[ref.name]
-            return job_outputs[ref.name]
-
-        files = [resolve(ref) for ref in job.inputs]
         conditions = [query.condition(cid) for cid in job.condition_ids]
         name = f"{query.name}:{job.job_id}"
 
@@ -510,11 +455,9 @@ class PlanExecutor:
             partitioner = get_partitioner(
                 partitioner_cls, tuple(cards), reducers, bits=job.partition_bits
             )
-            dim_aliases = [self._input_aliases(ref) for ref in job.inputs]
             spec = make_hypercube_join_job(
                 name,
                 files,
-                dim_aliases,
                 partitioner,
                 conditions,
                 schemas,
@@ -528,7 +471,6 @@ class PlanExecutor:
                 schemas,
                 num_reducers=job.num_reducers,
                 output_name=f"{name}.out",
-                alias_groups=[self._input_aliases(ref) for ref in job.inputs],
             )
         elif job.strategy == STRATEGY_EQUI:
             spec = make_equi_join_job(
@@ -539,15 +481,11 @@ class PlanExecutor:
                 schemas,
                 num_reducers=job.num_reducers,
                 output_name=f"{name}.out",
-                left_aliases=self._input_aliases(job.inputs[0]),
-                right_aliases=self._input_aliases(job.inputs[1]),
             )
         elif job.strategy == STRATEGY_BROADCAST:
             big, small = files[0], files[1]
-            big_ref, small_ref = job.inputs[0], job.inputs[1]
             if small.size_bytes > big.size_bytes:
                 big, small = small, big
-                big_ref, small_ref = small_ref, big_ref
             spec = make_broadcast_join_job(
                 name,
                 big,
@@ -556,8 +494,6 @@ class PlanExecutor:
                 schemas,
                 num_reducers=job.num_reducers,
                 output_name=f"{name}.out",
-                big_aliases=self._input_aliases(big_ref),
-                small_aliases=self._input_aliases(small_ref),
             )
         else:
             raise ExecutionError(f"unknown strategy {job.strategy!r}")

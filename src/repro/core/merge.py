@@ -9,7 +9,7 @@ overlapping later jobs), smallest pair first.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.core.group_cost import merge_duration_s
 from repro.core.plan import ExecutionPlan
 from repro.errors import ExecutionError
 from repro.joins.progressive import fold_keys, stack_pairs, window_pairs
-from repro.joins.records import Composite, CompositeSlab
+from repro.joins.records import CompositeSlab
 from repro.mapreduce.hdfs import DistributedFile
 
 
@@ -25,29 +25,23 @@ def merge_terminals(
     plan: ExecutionPlan,
     job_outputs: Mapping[str, DistributedFile],
     job_ends: Mapping[str, float],
-    alias_cover: Mapping[str, Tuple[str, ...]],
     disk_read_bytes_s: float,
-) -> Tuple[Sequence[Composite], Tuple[str, ...], float, float]:
+) -> Tuple[CompositeSlab, float, float]:
     """Merge the terminal outputs pairwise, smallest pair first.
 
-    ``alias_cover`` is the static alias cover of every job's output,
-    ``disk_read_bytes_s`` the cluster's disk rate (merge duration).
-    Returns the final composites, their alias cover, the simulated
-    time they are ready and the total merge time.
+    ``disk_read_bytes_s`` is the cluster's disk rate (merge duration).
+    Returns the final composites, the simulated time they are ready and
+    the total merge time.
     """
     terminals = plan.terminal_jobs()
     #: Live partial results keyed by insertion sequence number.  List
     #: positions in the old quadratic scan preserved insertion order,
     #: so (size, seq_i, seq_j) ordering reproduces its pair choices.
-    #: Covers are the static ones of ``alias_cover``, never re-read
-    #: from the records.
-    pool: Dict[int, Tuple[Tuple[str, ...], Sequence[Composite], float]] = {}
-    for sequence, job in enumerate(terminals):
-        composites: Sequence[Composite] = job_outputs[job.job_id].records  # type: ignore[assignment]
-        pool[sequence] = (alias_cover[job.job_id], composites, job_ends[job.job_id])
-
-    if not pool:
-        return [], (), 0.0, 0.0
+    #: A partial result's cover is its slab's.
+    pool: Dict[int, Tuple[CompositeSlab, float]] = {
+        sequence: (job_outputs[job.job_id].records, job_ends[job.job_id])  # type: ignore[misc]
+        for sequence, job in enumerate(terminals)
+    }
 
     # Candidate heap memoizes pair sizes: each mergeable pair is priced
     # once when both sides exist, instead of re-scanning all pairs per
@@ -55,10 +49,10 @@ def merge_terminals(
     candidates: List[Tuple[int, int, int]] = []
     entries = list(pool.items())
     for a in range(len(entries)):
-        seq_i, (cover_i, rows_i, _) = entries[a]
+        seq_i, (rows_i, _) = entries[a]
         for b in range(a + 1, len(entries)):
-            seq_j, (cover_j, rows_j, _) = entries[b]
-            if not set(cover_i).isdisjoint(cover_j):
+            seq_j, (rows_j, _) = entries[b]
+            if not set(rows_i.cover).isdisjoint(rows_j.cover):
                 heapq.heappush(
                     candidates, (len(rows_i) + len(rows_j), seq_i, seq_j)
                 )
@@ -77,17 +71,16 @@ def merge_terminals(
                 "terminal results share no relation; cannot merge"
             )
         seq_i, seq_j = pair
-        left_cover, left_rows, left_ready = pool.pop(seq_i)
-        right_cover, right_rows, right_ready = pool.pop(seq_j)
-        merged_rows = hash_merge(left_rows, right_rows, left_cover, right_cover)
+        left_rows, left_ready = pool.pop(seq_i)
+        right_rows, right_ready = pool.pop(seq_j)
+        merged_rows = hash_merge(left_rows, right_rows)
         duration = merge_duration_s(
             len(left_rows), len(right_rows), len(merged_rows), disk_read_bytes_s
         )
         merge_total += duration
         ready = max(left_ready, right_ready) + duration
-        merged_cover = tuple(sorted(set(left_cover) | set(right_cover)))
-        for seq_other, (cover_other, rows_other, _) in pool.items():
-            if not set(merged_cover).isdisjoint(cover_other):
+        for seq_other, (rows_other, _) in pool.items():
+            if not set(merged_rows.cover).isdisjoint(rows_other.cover):
                 heapq.heappush(
                     candidates,
                     (
@@ -96,38 +89,28 @@ def merge_terminals(
                         next_sequence,
                     ),
                 )
-        pool[next_sequence] = (merged_cover, merged_rows, ready)
+        pool[next_sequence] = (merged_rows, ready)
         next_sequence += 1
 
-    cover, composites, ready = next(iter(pool.values()))
+    composites, ready = next(iter(pool.values()))
     if len(terminals) == 1:
         ready = job_ends[terminals[0].job_id]
-    return composites, cover, ready, merge_total
+    return composites, ready, merge_total
 
 
-def hash_merge(
-    left: Sequence[Composite],
-    right: Sequence[Composite],
-    left_cover: Sequence[str],
-    right_cover: Sequence[str],
-) -> CompositeSlab:
+def hash_merge(left: CompositeSlab, right: CompositeSlab) -> CompositeSlab:
     """Id-based join of two partial results on their shared relations.
 
-    Both sides are :class:`CompositeSlab` s (tuple-form input is lifted,
-    which is also where it is held against its cover), so the merge is the
-    reduce kernel's window primitive on id columns: the ids of the shared
-    aliases fold into one integer key per composite, a stable sort of the
-    right keys plus one ``searchsorted`` per edge gives every left
-    composite its window of partners, and the merged slab gathers index
-    vectors — no composite is built.  Output order is left order, partners of one left composite in
-    right arrival order; shared aliases keep the left entry (partners
-    agree on the shared ids by key construction).  The nested-loop form is
-    ``_reference_hash_merge`` in ``tests/joins/tail_oracle.py``.
+    The merge is the reduce kernel's window primitive on id columns: the
+    ids of the shared aliases fold into one integer key per composite, a
+    stable sort of the right keys plus one ``searchsorted`` per edge gives
+    every left composite its window of partners, and the merged slab
+    gathers index vectors — no composite is built.  Output order is left
+    order, partners of one left composite in right arrival order; shared
+    aliases keep the left entry (partners agree on the shared ids by key
+    construction).  The nested-loop form is ``_reference_hash_merge`` in
+    ``tests/joins/tail_oracle.py``.
     """
-    if not isinstance(left, CompositeSlab):
-        left = CompositeSlab.from_composites(left_cover, left)
-    if not isinstance(right, CompositeSlab):
-        right = CompositeSlab.from_composites(right_cover, right)
     shared = sorted(set(left.cover) & set(right.cover))
     if not shared:
         raise ExecutionError("partial results share no relation; cannot merge")

@@ -13,10 +13,7 @@ from repro.joins.records import (
     Entry,
     composite_width,
     composites_to_relation,
-    merge_composites,
     relation_to_composite_file,
-    rows_by_alias,
-    singleton,
 )
 from repro.joins.reference import join_result_signature, reference_join
 
@@ -32,10 +29,7 @@ __all__ = [
     "make_equichain_join_job",
     "make_hypercube_join_job",
     "make_shares_join_job",
-    "merge_composites",
     "optimize_shares",
     "reference_join",
     "relation_to_composite_file",
-    "rows_by_alias",
-    "singleton",
 ]

@@ -30,34 +30,17 @@ reducers these replace are the oracle in ``tests/joins/scalar_oracle.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.partitioner import HypercubePartitioner
 from repro.errors import ExecutionError
 from repro.joins.progressive import ProgressiveJoin, reduce_side
-from repro.joins.records import Composite, composite_width
+from repro.joins.records import composite_width, input_cover
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapBatch, MapReduceJobSpec
 from repro.relational.predicates import JoinCondition
 from repro.relational.schema import Schema
 from repro.utils import stable_hash
-
-
-def _resolve_refs(refs, schemas: Mapping[str, Schema]) -> List[Tuple[str, int]]:
-    """Attribute references -> ``(alias, column index)`` pairs, resolved ONCE
-    at job-build time so per-composite probes skip the schema lookup."""
-    return [(ref.alias, schemas[ref.alias].index_of(ref.attr)) for ref in refs]
-
-
-def _precomputed_keys(
-    file: DistributedFile, specs: Sequence[Tuple[str, int]]
-) -> List[Tuple[str, tuple]]:
-    """Shuffle key of every record of a composite file, in record order."""
-    keys: List[Tuple[str, tuple]] = []
-    for record in file.records:
-        rows = {alias: row for alias, _, row in record}
-        keys.append(("k", tuple(rows[alias][index] for alias, index in specs)))
-    return keys
 
 
 def _value_widths(
@@ -117,7 +100,6 @@ def make_keyspread_partitioner(keys: Iterable[object], num_reducers: int):
 def make_hypercube_join_job(
     name: str,
     dim_files: Sequence[DistributedFile],
-    dim_aliases: Sequence[Tuple[str, ...]],
     partitioner: HypercubePartitioner,
     conditions: Sequence[JoinCondition],
     schemas_by_alias: Mapping[str, Schema],
@@ -125,17 +107,16 @@ def make_hypercube_join_job(
 ) -> MapReduceJobSpec:
     """One-MRJ multi-way theta-join over the hyper-cube partition.
 
-    ``dim_files[i]`` is dimension ``i`` of the cube; its records must be
-    composites covering exactly the aliases in ``dim_aliases[i]``.  The
-    partitioner's cardinalities must equal the file record counts.
+    ``dim_files[i]`` is dimension ``i`` of the cube; its slab's cover is
+    the dimension's alias set.  The partitioner's cardinalities must equal
+    the file record counts.
     """
+    covers = [input_cover(name, file) for file in dim_files]
     if len(dim_files) != partitioner.dims:
         raise ExecutionError(
             f"job {name!r}: {len(dim_files)} inputs but partitioner has "
             f"{partitioner.dims} dimensions"
         )
-    if len(dim_aliases) != len(dim_files):
-        raise ExecutionError(f"job {name!r}: dim_aliases arity mismatch")
     for index, file in enumerate(dim_files):
         if file.num_records != partitioner.cardinalities[index]:
             raise ExecutionError(
@@ -148,11 +129,11 @@ def make_hypercube_join_job(
         raise ExecutionError(f"job {name!r}: input files must carry distinct tags")
 
     output_width = composite_width(
-        schemas_by_alias, sorted({a for group in dim_aliases for a in group})
+        schemas_by_alias, sorted({a for cover in covers for a in cover})
     )
     join = ProgressiveJoin(
         name,
-        dim_aliases,
+        covers,
         conditions,
         schemas_by_alias,
         scan_first=True,
@@ -170,7 +151,7 @@ def make_hypercube_join_job(
     cell_widths = partitioner.cell_widths
     slab_top = tuple(u - 1 for u in partitioner.used_side)
     num_components = partitioner.num_components
-    dim_value_width = _value_widths(16, dim_aliases, schemas_by_alias)
+    dim_value_width = _value_widths(16, covers, schemas_by_alias)
 
     def batch_mapper(tag: str, records: Sequence[object], base_index: int) -> MapBatch:
         """Route a whole record chunk through the flat slab tables.
@@ -275,8 +256,6 @@ def make_equi_join_job(
     schemas_by_alias: Mapping[str, Schema],
     num_reducers: int,
     output_name: str = "",
-    left_aliases: Optional[Tuple[str, ...]] = None,
-    right_aliases: Optional[Tuple[str, ...]] = None,
 ) -> MapReduceJobSpec:
     """Hash-partitioned equi-join keyed on all pure-equality predicates.
 
@@ -285,6 +264,7 @@ def make_equi_join_job(
     as reducer-side filters.  At least one key predicate is required —
     otherwise use the broadcast or hypercube job.
     """
+    covers = [input_cover(name, left_file), input_cover(name, right_file)]
     key_predicates = [
         p
         for condition in conditions
@@ -300,42 +280,36 @@ def make_equi_join_job(
     if left_tag == right_tag:
         raise ExecutionError(f"job {name!r}: inputs must carry distinct tags")
 
-    left_aliases = set(left_aliases or _file_aliases(left_file))
-    right_aliases = set(right_aliases or _file_aliases(right_file))
     for predicate in key_predicates:
         sides = {predicate.left.alias, predicate.right.alias}
-        if not (sides & left_aliases and sides & right_aliases):
+        if not all(sides.intersection(cover) for cover in covers):
             raise ExecutionError(
                 f"job {name!r}: key predicate {predicate} does not connect "
                 f"the two inputs"
             )
-    all_aliases = sorted(left_aliases | right_aliases)
-    output_width = composite_width(schemas_by_alias, all_aliases)
+    output_width = composite_width(schemas_by_alias, sorted({*covers[0], *covers[1]}))
 
-    # Key attribute indices resolved once per side: a composite from the
-    # left input covers exactly left_aliases (and symmetrically).
-    def _side_specs(side_aliases) -> List[Tuple[str, int]]:
-        refs = [
-            p.left if p.left.alias in side_aliases else p.right
-            for p in key_predicates
+    def shuffle_keys(file: DistributedFile, cover) -> List[Tuple[str, tuple]]:
+        """Every record's shuffle key, in record order: one column gather
+        per key attribute, read on the side's own alias."""
+        refs = [p.left if p.left.alias in cover else p.right for p in key_predicates]
+        columns = [
+            file.records.column(ref.alias, schemas_by_alias[ref.alias].index_of(ref.attr))
+            for ref in refs
         ]
-        return _resolve_refs(refs, schemas_by_alias)
-
-    left_key_specs = _side_specs(left_aliases)
-    right_key_specs = _side_specs(right_aliases)
+        return [("k", key) for key in zip(*columns)]
 
     # The whole key population is known at build time (the simulator hands
     # the builder complete files), which enables two things: the
     # rank-balanced key-spread shuffle placement, and batch mapping that
     # reuses the precomputed per-record keys instead of re-deriving them.
     keys_of_tag = {
-        left_tag: _precomputed_keys(left_file, left_key_specs),
-        right_tag: _precomputed_keys(right_file, right_key_specs),
+        left_tag: shuffle_keys(left_file, covers[0]),
+        right_tag: shuffle_keys(right_file, covers[1]),
     }
     partition, _ = make_keyspread_partitioner(
         (key for keys in keys_of_tag.values() for key in keys), num_reducers
     )
-    covers = [left_aliases, right_aliases]
     widths = _value_widths(2, covers, schemas_by_alias)
     return MapReduceJobSpec(
         name=name,
@@ -373,8 +347,6 @@ def make_broadcast_join_job(
     schemas_by_alias: Mapping[str, Schema],
     num_reducers: int,
     output_name: str = "",
-    big_aliases: Optional[Tuple[str, ...]] = None,
-    small_aliases: Optional[Tuple[str, ...]] = None,
 ) -> MapReduceJobSpec:
     """Pair-wise theta-join by replicating the small input to all reducers.
 
@@ -383,15 +355,11 @@ def make_broadcast_join_job(
     volume is ``|small| * n + |big|`` — the baseline our hypercube job is
     measured against.
     """
+    covers = [input_cover(name, big_file), input_cover(name, small_file)]
     if big_file.tag == small_file.tag:
         raise ExecutionError(f"job {name!r}: inputs must carry distinct tags")
     big_tag = big_file.tag
-    big_alias_set = set(big_aliases or _file_aliases(big_file))
-    small_alias_set = set(small_aliases or _file_aliases(small_file))
-    all_aliases = sorted(big_alias_set | small_alias_set)
-    output_width = composite_width(schemas_by_alias, all_aliases)
-
-    covers = [big_alias_set, small_alias_set]
+    output_width = composite_width(schemas_by_alias, sorted({*covers[0], *covers[1]}))
     big_value_width, small_value_width = _value_widths(6, covers, schemas_by_alias)
 
     def batch_mapper(tag: str, records: Sequence[object], base_index: int) -> MapBatch:
@@ -431,14 +399,6 @@ def make_broadcast_join_job(
         ),
         output_name=output_name or f"{name}.out",
     )
-
-
-def _file_aliases(file: DistributedFile) -> Tuple[str, ...]:
-    """Aliases covered by a composite file (from its first record)."""
-    if not file.records:
-        return ()
-    first: Composite = file.records[0]  # type: ignore[assignment]
-    return tuple(entry[0] for entry in first)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +468,6 @@ def make_equichain_join_job(
     schemas_by_alias: Mapping[str, Schema],
     num_reducers: int,
     output_name: str = "",
-    alias_groups: Optional[Sequence[Tuple[str, ...]]] = None,
 ) -> MapReduceJobSpec:
     """Several joins sharing one equality key class, in one MapReduce job.
 
@@ -518,7 +477,7 @@ def make_equichain_join_job(
     the merged job YSmart's common-MapReduce framework produces for
     transit-correlated joins.
     """
-    alias_groups = list(alias_groups or [_file_aliases(f) for f in input_files])
+    alias_groups = [input_cover(name, file) for file in input_files]
     key_refs = find_single_key_class(conditions, alias_groups)
     if key_refs is None:
         raise ExecutionError(
@@ -542,16 +501,15 @@ def make_equichain_join_job(
         for tag, ref in key_ref_of_tag.items()
     }
 
-    # Build-time key scan: enables the rank-balanced key-spread shuffle
-    # and lets the batch mapper reuse precomputed keys.
-    keys_of_tag: Dict[str, List[Tuple[str, object]]] = {}
-    for file in input_files:
-        alias, attr_index = key_spec_of_tag[file.tag]
-        file_keys: List[Tuple[str, object]] = []
-        for record in file.records:
-            rows = {a: row for a, _, row in record}
-            file_keys.append(("k", rows[alias][attr_index]))
-        keys_of_tag[file.tag] = file_keys
+    # Build-time key gather (one column per input): enables the
+    # rank-balanced key-spread shuffle and lets the batch mapper reuse
+    # precomputed keys.
+    keys_of_tag: Dict[str, List[Tuple[str, object]]] = {
+        file.tag: [
+            ("k", value) for value in file.records.column(*key_spec_of_tag[file.tag])
+        ]
+        for file in input_files
+    }
     partition, _ = make_keyspread_partitioner(
         (key for keys in keys_of_tag.values() for key in keys), num_reducers
     )

@@ -1,16 +1,22 @@
 """Composite join records flowing between MapReduce join jobs.
 
 A composite record is the partial-join currency of the whole pipeline:
-a tuple of ``(alias, global_id, row)`` entries, sorted by alias.  Base
-relations lift to singleton composites and travel through map and
-shuffle in that form; everything *produced* by a join — reduce-task
-outputs, job output files, checkpoints, merged partial results, the
-final answer — is a :class:`CompositeSlab`, the same composites held
-column-wise: per alias one index vector into a small ``(global id,
-row)`` table.  A slab reads as ``Sequence[Composite]`` (the next wave's
-mappers just iterate it) but is joined, concatenated, shipped and
-projected as vectors; row tuples are only gathered by
-:func:`composites_to_relation` at the very end.
+one ``(alias, global_id, row)`` entry per relation it has bound, sorted
+by alias.  Every file a join reads or writes holds a
+:class:`CompositeSlab` — the composites of one static alias cover, held
+column-wise: per alias one index vector into a ``(global id, row)``
+table.  A base relation lifts to a one-alias slab
+(:func:`relation_to_composite_file`: the global ids are the row
+positions, the index vector an ``arange``); reduce-task outputs, job
+output files, checkpoints, merged partial results and the final answer
+are slabs as well.  So a file's alias cover is ``file.records.cover``
+and is stored nowhere else — an empty file carries it too.
+
+The tuple form is only a view: a slab iterates as alias-sorted entry
+tuples, which is what mappers and the shuffle see.  Joining,
+concatenation, shipping, merging and projection work on the vectors,
+and row tuples are only gathered by :func:`composites_to_relation` at
+the very end.
 
 Keeping the per-alias *global id* around is what makes the cheap merge
 step of Section 4.2 possible: two partial results that share a relation
@@ -24,7 +30,6 @@ from itertools import repeat
 from operator import add, eq, itemgetter
 from typing import (
     Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -93,38 +98,6 @@ class CompositeSlab(Sequence):
         return cls(cover, [table] * len(cover), [none] * len(cover))
 
     @classmethod
-    def from_composites(
-        cls, cover: Sequence[str], composites: Sequence[Composite]
-    ) -> "CompositeSlab":
-        """Lift tuple-form composites (each becomes its own table entry).
-
-        This is where the static ``cover`` is held against the records:
-        column-wise code never looks at an alias tag again, so a composite
-        of another width, or with another alias in any slot, must fail
-        here rather than come out as a wrong row.
-        """
-        cover = tuple(cover)
-        count = len(composites)
-        if not count:
-            return cls.empty(cover)
-        uniform = set(map(len, composites)) == {len(cover)}
-        tables = []
-        for position, alias in enumerate(cover if uniform else ()):
-            # (``zip(*composites)`` would do, at one iterator per composite.)
-            entries = list(map(itemgetter(position), composites))
-            uniform = uniform and set(map(itemgetter(0), entries)) == {alias}
-            tables.append(
-                slab_table(
-                    list(map(itemgetter(1), entries)), list(map(itemgetter(2), entries))
-                )
-            )
-        if not uniform:
-            raise ExecutionError(
-                f"composites do not uniformly cover aliases {list(cover)}"
-            )
-        return cls(cover, tables, [np.arange(count)] * len(cover))
-
-    @classmethod
     def concat(cls, parts: Sequence["CompositeSlab"]) -> "CompositeSlab":
         """The parts' composites in order (all over one cover): tables are
         stacked, index vectors shifted onto the stacked tables."""
@@ -159,6 +132,16 @@ class CompositeSlab(Sequence):
         a = self.cover.index(alias)
         return self.tables[a][0][self.index[a]]
 
+    def column(self, alias: str, attribute: int) -> list:
+        """Attribute ``attribute`` of ``alias``'s row in every composite, in
+        order: projected on the alias's row table, gathered through its
+        index vector.  The values are the rows' own objects (never a typed
+        column), so ``1`` and ``1.0`` or a NaN stay what the row holds."""
+        a = self.cover.index(alias)
+        rows = self.tables[a][1]
+        projected = object_column(map(itemgetter(attribute), rows), len(rows))
+        return projected[self.index[a]].tolist()
+
     def __len__(self) -> int:
         return len(self.index[0])
 
@@ -192,44 +175,14 @@ class CompositeSlab(Sequence):
         return f"CompositeSlab({list(self.cover)}, {len(self)} composites)"
 
 
-def singleton(alias: str, global_id: int, row: Row) -> Composite:
-    return ((alias, global_id, row),)
-
-
-def aliases_of(composite: Composite) -> Tuple[str, ...]:
-    return tuple(entry[0] for entry in composite)
-
-
-def entry_for(composite: Composite, alias: str) -> Entry:
-    for entry in composite:
-        if entry[0] == alias:
-            return entry
-    raise ExecutionError(f"composite has no entry for alias {alias!r}")
-
-
-def global_id_of(composite: Composite, alias: str) -> int:
-    return entry_for(composite, alias)[1]
-
-
-def rows_by_alias(composite: Composite) -> Dict[str, Row]:
-    return {alias: row for alias, _, row in composite}
-
-
-def merge_composites(left: Composite, right: Composite) -> Optional[Composite]:
-    """Union of two composites; ``None`` when shared aliases disagree on ids.
-
-    This is the merge rule of Section 4.2: partial results agree on a
-    shared relation exactly when they picked the same tuple of it.
-    """
-    merged: Dict[str, Entry] = {alias: (alias, gid, row) for alias, gid, row in left}
-    for alias, gid, row in right:
-        existing = merged.get(alias)
-        if existing is not None:
-            if existing[1] != gid:
-                return None
-        else:
-            merged[alias] = (alias, gid, row)
-    return tuple(merged[a] for a in sorted(merged))
+def input_cover(job: str, file: DistributedFile) -> Tuple[str, ...]:
+    """The alias cover of join input ``file``: its slab's cover."""
+    if not isinstance(file.records, CompositeSlab):
+        raise ExecutionError(
+            f"job {job!r}: input {file.name!r} holds "
+            f"{type(file.records).__name__}, not a CompositeSlab"
+        )
+    return file.records.cover
 
 
 def composite_width(schemas_by_alias: Mapping[str, Schema], aliases: Iterable[str]) -> int:
@@ -244,17 +197,20 @@ def composite_width(schemas_by_alias: Mapping[str, Schema], aliases: Iterable[st
 def relation_to_composite_file(
     relation: Relation, alias: str, file_name: Optional[str] = None
 ) -> DistributedFile:
-    """Lift a base relation into a file of singleton composites.
+    """Lift a base relation into a one-alias :class:`CompositeSlab` file.
 
     Row position is the global id — unique and uniformly spread, matching
-    Algorithm 1's random-id assignment semantics.
+    Algorithm 1's random-id assignment semantics — so the id column and
+    the index vector are one ``arange``, and the row table holds the
+    relation's own row tuples.
     """
-    records: List[Composite] = [
-        singleton(alias, index, row) for index, row in enumerate(relation.rows)
-    ]
+    count = len(relation.rows)
+    positions = np.arange(count, dtype=np.int64)
     return DistributedFile(
         name=file_name or f"{alias}:{relation.name}",
-        records=records,
+        records=CompositeSlab(
+            (alias,), [(positions, object_column(relation.rows, count))], [positions]
+        ),
         record_width=8 + 8 + relation.schema.row_width,
         tag=alias,
     )
@@ -269,30 +225,28 @@ def tuple_getter(positions: Sequence[int]) -> Callable:
 
 
 def composites_to_relation(
-    composites: Sequence[Composite],
+    composites: CompositeSlab,
     schemas_by_alias: Mapping[str, Schema],
     name: str,
     projection: Optional[Sequence[Tuple[str, str]]] = None,
-    cover: Optional[Sequence[str]] = None,
 ) -> Relation:
     """Unpack composites into a flat output relation.
 
     Without a projection the output is the concatenation of all alias rows
     in alias order, with fields named ``alias_field``.
 
-    This is where a :class:`CompositeSlab` (tuple-form input is lifted to
-    one) finally becomes rows.  Every composite covers the same
-    alias-sorted ``cover`` (default: all of ``schemas_by_alias``), so the
-    output splits into runs of consecutive fields read from one alias;
-    each run is projected on the alias's *table* (a pass over the bucket
-    candidates, not over the result), gathered through the alias's index
-    vector in one take, and the runs are concatenated row-wise — a
-    one-run result (``SELECT t2.id``) allocates nothing per row.  Rows are
-    adopted without a per-row arity check: base rows were validated when
-    their relation was built.  The per-row form of this function is
+    This is where a :class:`CompositeSlab` finally becomes rows.  Every
+    composite covers the slab's alias-sorted cover, so the output splits
+    into runs of consecutive fields read from one alias; each run is
+    projected on the alias's *table* (a pass over the bucket candidates,
+    not over the result), gathered through the alias's index vector in
+    one take, and the runs are concatenated row-wise — a one-run result
+    (``SELECT t2.id``) allocates nothing per row.  Rows are adopted
+    without a per-row arity check: base rows were validated when their
+    relation was built.  The per-row form of this function is
     ``_reference_composites_to_relation`` in ``tests/joins/tail_oracle.py``.
     """
-    cover = tuple(sorted(schemas_by_alias) if cover is None else cover)
+    cover = composites.cover
     if projection:
         outputs = list(projection)
     else:
@@ -312,13 +266,6 @@ def composites_to_relation(
         raise ExecutionError(
             f"result {name!r} reads aliases {sorted(missing)} that its "
             f"composites (cover {list(cover)}) do not carry"
-        )
-    if not isinstance(composites, CompositeSlab):
-        composites = CompositeSlab.from_composites(cover, composites)
-    elif composites.cover != cover:
-        raise ExecutionError(
-            f"result {name!r}: composites cover {list(composites.cover)}, "
-            f"expected {list(cover)}"
         )
     runs: List[Tuple[str, List[int]]] = []
     for alias, attr in outputs:

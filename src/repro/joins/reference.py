@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from repro.joins.records import Composite, merge_composites, singleton
+from repro.joins.records import Composite
 from repro.relational.query import JoinQuery
 
 
 def reference_join(query: JoinQuery) -> List[Composite]:
-    """All result composites of ``query``, in deterministic order."""
+    """All result composites of ``query``, in deterministic order.
+
+    Each alias is bound once, so a partial grows by appending the new
+    alias's entry; the finished composites are alias-sorted at the end."""
     # Order aliases so each new alias connects to the ones already bound
     # (possible because the query graph is connected).
     order = _connected_alias_order(query)
@@ -35,9 +38,7 @@ def reference_join(query: JoinQuery) -> List[Composite]:
         grown: List[Composite] = []
         for composite in partial:
             for global_id, row in enumerate(relation.rows):
-                candidate = merge_composites(composite, singleton(alias, global_id, row))
-                if candidate is None:
-                    continue
+                candidate = composite + ((alias, global_id, row),)
                 rows = {a: r for a, _, r in candidate}
                 if all(c.evaluate(rows, schemas) for c in ready):
                     grown.append(candidate)
@@ -49,7 +50,7 @@ def reference_join(query: JoinQuery) -> List[Composite]:
     for composite in partial:
         rows = {a: r for a, _, r in composite}
         if all(c.evaluate(rows, schemas) for c in query.conditions):
-            results.append(composite)
+            results.append(tuple(sorted(composite)))
     return sorted(results)
 
 

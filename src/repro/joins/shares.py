@@ -22,9 +22,8 @@ import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
-from repro.joins.jobs import _file_aliases
 from repro.joins.progressive import ProgressiveJoin, reduce_side
-from repro.joins.records import Composite, composite_width, rows_by_alias
+from repro.joins.records import Composite, composite_width, input_cover
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapReduceJobSpec, TaskContext
 from repro.relational.predicates import JoinCondition
@@ -138,7 +137,7 @@ def make_shares_join_job(
 ) -> MapReduceJobSpec:
     """Multi-way equi-join in one MapReduce job via attribute shares.
 
-    ``input_files`` are composite files, one per alias (tag = alias).
+    ``input_files`` are one-alias slabs, one per alias (tag = alias).
     Routing is per record (the scalar ``mapper``); the reduce side is the
     shared progressive join of :mod:`repro.joins.progressive`.
     """
@@ -149,7 +148,7 @@ def make_shares_join_job(
     if len(set(aliases)) != len(aliases):
         raise ExecutionError(f"job {name!r}: inputs must carry distinct tags")
     for file in input_files:
-        if _file_aliases(file) not in ((), (file.tag,)):
+        if input_cover(name, file) != (file.tag,):
             raise ExecutionError(
                 f"job {name!r}: input {file.name!r} must hold singleton "
                 f"composites of alias {file.tag!r}"
@@ -172,21 +171,23 @@ def make_shares_join_job(
             flat = flat * share + coordinate
         return flat
 
+    #: Per input: ``(class, column of the input's row)`` for every share
+    #: class its alias carries, resolved once here.
+    key_columns = {
+        alias: [
+            (index, schemas_by_alias[alias].index_of(klass[alias]))
+            for index, klass in enumerate(classes)
+            if alias in klass
+        ]
+        for alias in aliases
+    }
+
     def mapper(tag: str, record: object, ctx: TaskContext):
         composite: Composite = record  # type: ignore[assignment]
-        rows = rows_by_alias(composite)
-        known: List[Optional[int]] = []
-        for index, klass in enumerate(classes):
-            attr = None
-            for alias in rows:
-                if alias in klass:
-                    attr = (alias, klass[alias])
-                    break
-            if attr is None:
-                known.append(None)
-                continue
-            value = rows[attr[0]][schemas_by_alias[attr[0]].index_of(attr[1])]
-            known.append(stable_hash(("share", index, value), share_vector[index]))
+        ((_alias, _gid, row),) = composite
+        known: List[Optional[int]] = [None] * len(classes)
+        for index, column in key_columns[tag]:
+            known[index] = stable_hash(("share", index, row[column]), share_vector[index])
         free_dims = [i for i, v in enumerate(known) if v is None]
         for combination in itertools.product(
             *(range(share_vector[i]) for i in free_dims)

@@ -11,8 +11,8 @@ how such task lists actually run:
 * ``thread``  — a shared :class:`~concurrent.futures.ThreadPoolExecutor`
   (the GIL throttles pure-Python mappers, but the NumPy probe/pair paths
   release it);
-* ``process`` — a fork-context :mod:`multiprocessing` pool for true
-  multi-core execution of the pure-Python fallback paths;
+* ``process`` — a fork-context :mod:`multiprocessing` pool that runs
+  the tasks in forked worker processes;
 * ``distributed`` — TCP dispatch to long-lived ``repro worker serve``
   daemons (:class:`DistributedBackend`), which is what finally takes the
   task lists past one machine: heartbeat liveness, per-task retry on

@@ -5,7 +5,7 @@ scope) with a query from the ``repro serve`` session that created it
 down through every layer that does work on the session's thread:
 
 * the plan executor checks it between ready waves,
-* the simulated runtime checks it between map chunks and reduce buckets,
+* the simulated runtime checks it between map chunks and bucket ranges,
 * the distributed backend checks it between task dispatches — a fired
   token stops dispatchers from pulling new indices and **abandons**
   in-flight work instead of retrying it (a dead-by-deadline query must

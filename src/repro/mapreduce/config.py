@@ -122,9 +122,9 @@ PAPER_CLUSTER_KP64 = PAPER_CLUSTER.with_units(64)
 # Execution settings: the repository's own runtime knobs (environment)
 # ----------------------------------------------------------------------
 
-#: Which executor runs independent map chunks / reduce buckets / ready
-#: jobs: ``serial`` (in-line), ``thread`` (GIL-shared pool, helps the
-#: NumPy paths), ``process`` (fork-based pool, true multi-core), or
+#: Which executor runs independent map chunks / bucket ranges / ready
+#: jobs: ``serial`` (in-line), ``thread`` (GIL-shared pool), ``process``
+#: (fork-based pool), or
 #: ``distributed`` (TCP dispatch to ``repro worker serve`` daemons).
 EXEC_BACKEND_ENV = "REPRO_EXEC_BACKEND"
 #: Worker count for the thread/process backends; 0 = auto (cpu count).

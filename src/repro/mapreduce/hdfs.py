@@ -23,8 +23,10 @@ class DistributedFile:
     """One file in the simulated HDFS.
 
     ``records`` is a sequence of arbitrary Python objects (relation rows,
-    composites, (key, id-list) pairs, ... — a list, or a columnar container
-    that reads as one, like a join output's ``CompositeSlab``);
+    (key, id-list) pairs, ... — a list, or a columnar container that reads
+    as one).  Every file a join job reads or writes holds a
+    ``CompositeSlab``, base relations included, and its alias cover is
+    ``records.cover`` — the builders refuse any other input.
     ``record_width`` is the serialized bytes per record used for I/O
     accounting.
     """

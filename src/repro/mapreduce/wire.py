@@ -107,6 +107,7 @@ import threading
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import cloudpickle
+import numpy as np
 
 from repro.storage import blob_digest
 
@@ -325,11 +326,6 @@ def split_task_fn(fn) -> Tuple[bytes, Dict[str, bytes]]:
     """
     from repro.mapreduce.hdfs import DistributedFile
 
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a core dependency
-        numpy = None
-
     payloads: Dict[str, bytes] = {}
     memo: Dict[int, Optional[str]] = {}
     keep = []  # candidates stay alive so id() keys stay unique
@@ -341,7 +337,7 @@ def split_task_fn(fn) -> Tuple[bytes, Dict[str, bytes]]:
         elif isinstance(obj, (list, tuple, dict)):
             if len(obj) < BLOB_MIN_ITEMS:
                 return None
-        elif numpy is not None and isinstance(obj, numpy.ndarray):
+        elif isinstance(obj, np.ndarray):
             if obj.nbytes < BLOB_MIN_BYTES:
                 return None
         else:

@@ -232,15 +232,15 @@ class JoinCondition:
     def touches(self, alias: str) -> bool:
         return alias in (self.left_alias, self.right_alias)
 
-    def evaluate(self, rows_by_alias, schemas_by_alias) -> bool:
+    def evaluate(self, rows, schemas_by_alias) -> bool:
         """Evaluate the conjunction given ``alias -> row`` and ``alias -> schema``."""
         for predicate in self.predicates:
             left_schema = schemas_by_alias[predicate.left.alias]
             right_schema = schemas_by_alias[predicate.right.alias]
-            left_value = rows_by_alias[predicate.left.alias][
+            left_value = rows[predicate.left.alias][
                 left_schema.index_of(predicate.left.attr)
             ]
-            right_value = rows_by_alias[predicate.right.alias][
+            right_value = rows[predicate.right.alias][
                 right_schema.index_of(predicate.right.attr)
             ]
             if not predicate.evaluate_values(left_value, right_value):

@@ -1,5 +1,8 @@
 """Tests for plan execution: correctness, dependencies, merges, timing."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import HivePlanner, PigPlanner, YSmartPlanner
@@ -8,7 +11,6 @@ from repro.core.merge import hash_merge
 from repro.core.plan import ExecutionPlan, InputRef, PlannedJob
 from repro.core.planner import ThetaJoinPlanner
 from repro.errors import ExecutionError
-from repro.joins.records import merge_composites, singleton
 from repro.joins.reference import join_result_signature, reference_join
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
@@ -16,6 +18,9 @@ from repro.relational.predicates import JoinCondition
 from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "joins"))
+from tail_oracle import merge_composites, singleton, slab_of  # noqa: E402
 
 
 def execute(planner_cls, query, config=None):
@@ -135,18 +140,28 @@ class TestPlanValidation:
 
 class TestHashMerge:
     def test_merges_on_shared_ids(self):
-        ab = [
-            merge_composites(singleton("a", 0, (0,)), singleton("b", 1, (1,))),
-            merge_composites(singleton("a", 1, (1,)), singleton("b", 1, (1,))),
-        ]
-        bc = [
-            merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,))),
-        ]
-        merged = hash_merge(ab, bc, ("a", "b"), ("b", "c"))
+        ab = slab_of(
+            ("a", "b"),
+            [
+                merge_composites(singleton("a", 0, (0,)), singleton("b", 1, (1,))),
+                merge_composites(singleton("a", 1, (1,)), singleton("b", 1, (1,))),
+            ],
+        )
+        bc = slab_of(
+            ("b", "c"),
+            [merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,)))],
+        )
+        merged = hash_merge(ab, bc)
         assert len(merged) == 2
         assert all(len(c) == 3 for c in merged)
 
     def test_no_shared_match(self):
-        ab = [merge_composites(singleton("a", 0, (0,)), singleton("b", 2, (2,)))]
-        bc = [merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,)))]
-        assert hash_merge(ab, bc, ("a", "b"), ("b", "c")) == []
+        ab = slab_of(
+            ("a", "b"),
+            [merge_composites(singleton("a", 0, (0,)), singleton("b", 2, (2,)))],
+        )
+        bc = slab_of(
+            ("b", "c"),
+            [merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,)))],
+        )
+        assert hash_merge(ab, bc) == []

@@ -13,6 +13,7 @@ from repro.core.plan import (
     PlannedJob,
 )
 from repro.errors import ExecutionError, PlanningError
+from repro.joins.records import CompositeSlab, composite_width
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.predicates import JoinCondition
@@ -149,11 +150,24 @@ class TestEmptyIntermediates:
                     conditions=(1,))
         second = job("j2", inputs=(InputRef.job("j1"), InputRef.base("c")),
                      conditions=(2,))
-        outcome = run(plan_of(first, second), query)
+        cluster = SimulatedCluster(ClusterConfig().with_units(8))
+        outcome = PlanExecutor(cluster).execute(plan_of(first, second), query)
         assert outcome.report.output_records == 0
         assert outcome.result.cardinality == 0
         # The downstream job is charged start-up only, not a full run.
         assert len(outcome.report.job_metrics) == 2
+        # Its output is an empty slab over the union of its inputs' covers,
+        # accounted at that cover's composite width.
+        empty = cluster.hdfs.get("empty:j2.out")
+        assert isinstance(empty.records, CompositeSlab)
+        assert empty.records.cover == ("a", "b", "c")
+        schemas = {alias: rel.schema for alias, rel in relations.items()}
+        assert empty.record_width == composite_width(schemas, ("a", "b", "c"))
+        assert outcome.composites.cover == ("a", "b", "c")
+        # The final relation keeps the full projected schema.
+        assert outcome.result.schema.names == tuple(
+            f"{alias}_{name}" for alias in "abc" for name in schemas[alias].names
+        )
 
     def test_every_planner_survives_empty_answers(self):
         from repro.baselines import HivePlanner, PigPlanner, YSmartPlanner

@@ -4,7 +4,8 @@ One scalar ``mapper`` + ``reducer`` spec per operator, built from the
 *same arguments* as the production builder in ``repro.joins.jobs`` /
 ``repro.joins.shares``.  Mappers emit one ``(key, value)`` pair at a
 time; reducers handle one key group at a time and are written over
-``merge_composites`` (per-composite dict merge with id agreement),
+``merge_composites`` (per-composite dict merge with id agreement, from
+``tail_oracle.py``),
 ``JoinCondition.evaluate`` (schema lookups per call) and ``bisect`` over
 NaN-last sort keys — no positional compilation, no NumPy, and no code
 shared with
@@ -24,11 +25,12 @@ from typing import Dict, List, Optional, Tuple
 
 import repro.joins.jobs as jobs
 from repro.joins.jobs import find_single_key_class, make_keyspread_partitioner
-from repro.joins.records import merge_composites, rows_by_alias
 from repro.mapreduce.counters import JobMetrics
 from repro.mapreduce.job import MapReduceJobSpec, chain_outputs
 from repro.relational.predicates import ThetaOp
 from repro.utils import stable_hash
+
+from tail_oracle import merge_composites, rows_by_alias
 
 
 def _check(conditions, composite, schemas) -> bool:
@@ -49,10 +51,6 @@ def _nan_last(value):
 def _composite_bytes(composite, schemas) -> int:
     """alias tag + global id + row, per entry (``composite_width``)."""
     return sum(16 + schemas[alias].row_width for alias, _, _ in composite)
-
-
-def _file_aliases(file) -> Tuple[str, ...]:
-    return tuple(entry[0] for entry in file.records[0]) if file.records else ()
 
 
 def _ready_at_step(conditions, covers) -> List[list]:
@@ -217,9 +215,9 @@ def _pairwise_reducer(first_tag, conditions, schemas):
 
 
 def hypercube_job(
-    name, dim_files, dim_aliases, partitioner, conditions, schemas_by_alias,
-    output_name="",
+    name, dim_files, partitioner, conditions, schemas_by_alias, output_name="",
 ) -> MapReduceJobSpec:
+    dim_aliases = [file.records.cover for file in dim_files]
     dim_of_tag = {file.tag: dim for dim, file in enumerate(dim_files)}
     slab_components = partitioner.slab_components()
 
@@ -253,10 +251,10 @@ def _output_width(covers, schemas) -> int:
 
 def equi_join_job(
     name, left_file, right_file, conditions, schemas_by_alias, num_reducers,
-    output_name="", left_aliases=None, right_aliases=None,
+    output_name="",
 ) -> MapReduceJobSpec:
-    left_aliases = set(left_aliases or _file_aliases(left_file))
-    right_aliases = set(right_aliases or _file_aliases(right_file))
+    left_aliases = set(left_file.records.cover)
+    right_aliases = set(right_file.records.cover)
     key_predicates = [
         p for c in conditions for p in c.predicates
         if p.op is ThetaOp.EQ and p.left.offset == 0 and p.right.offset == 0
@@ -290,12 +288,9 @@ def equi_join_job(
 
 def broadcast_join_job(
     name, big_file, small_file, conditions, schemas_by_alias, num_reducers,
-    output_name="", big_aliases=None, small_aliases=None,
+    output_name="",
 ) -> MapReduceJobSpec:
-    covers = [
-        set(big_aliases or _file_aliases(big_file)),
-        set(small_aliases or _file_aliases(small_file)),
-    ]
+    covers = [set(big_file.records.cover), set(small_file.records.cover)]
 
     def mapper(tag, record, ctx):
         if tag == big_file.tag:
@@ -318,9 +313,9 @@ def broadcast_join_job(
 
 def equichain_join_job(
     name, input_files, conditions, schemas_by_alias, num_reducers,
-    output_name="", alias_groups=None,
+    output_name="",
 ) -> MapReduceJobSpec:
-    alias_groups = list(alias_groups or [_file_aliases(f) for f in input_files])
+    alias_groups = [file.records.cover for file in input_files]
     key_refs = find_single_key_class(conditions, alias_groups)
     index_of_tag = {file.tag: i for i, file in enumerate(input_files)}
     key_ref_of_tag = {

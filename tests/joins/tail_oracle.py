@@ -1,23 +1,93 @@
-"""Per-row reference forms of the executor's result tail.
+"""Per-row reference forms of the executor's result tail, and the
+tuple-form composite algebra they are written over.
 
-Production compiles both steps once per ``execute()`` against static alias
-covers (``repro.joins.records.composites_to_relation`` and
+Production compiles both steps once per ``execute()`` against the slabs'
+static alias covers (``repro.joins.records.composites_to_relation`` and
 ``repro.core.merge.hash_merge``).  These are the record-at-a-time
 forms they replaced: a ``rows_by_alias`` dict and a checked ``append``
 per result row, and the Section 4.2 merge rule (``merge_composites``)
 applied to every pair in a nested loop.  They take the production
-signatures so a test can monkeypatch them into the executor; the covers
-are ignored because each composite is read by its own alias tags.
+signatures so a test can monkeypatch them into the executor, and read
+each composite by its own alias tags.
+
+``slab_of`` lifts tuple-form composites into a ``CompositeSlab``, the
+only form production code accepts; it is where a test's composites are
+held against their cover.
 """
 
-from repro.joins.records import merge_composites, rows_by_alias
-from repro.relational.relation import Relation
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.errors import ExecutionError
+from repro.joins.records import Composite, CompositeSlab, Entry, slab_table
+from repro.relational.relation import Relation, Row
 from repro.relational.schema import Field, Schema
 
 
-def _reference_composites_to_relation(
-    composites, schemas_by_alias, name, projection=None, cover=None
-):
+def singleton(alias: str, global_id: int, row: Row) -> Composite:
+    return ((alias, global_id, row),)
+
+
+def aliases_of(composite: Composite) -> Tuple[str, ...]:
+    return tuple(entry[0] for entry in composite)
+
+
+def entry_for(composite: Composite, alias: str) -> Entry:
+    for entry in composite:
+        if entry[0] == alias:
+            return entry
+    raise ExecutionError(f"composite has no entry for alias {alias!r}")
+
+
+def global_id_of(composite: Composite, alias: str) -> int:
+    return entry_for(composite, alias)[1]
+
+
+def rows_by_alias(composite: Composite) -> Dict[str, Row]:
+    return {alias: row for alias, _, row in composite}
+
+
+def merge_composites(left: Composite, right: Composite) -> Optional[Composite]:
+    """Union of two composites; ``None`` when shared aliases disagree on ids.
+
+    This is the merge rule of Section 4.2: partial results agree on a
+    shared relation exactly when they picked the same tuple of it.
+    """
+    merged: Dict[str, Entry] = {alias: (alias, gid, row) for alias, gid, row in left}
+    for alias, gid, row in right:
+        existing = merged.get(alias)
+        if existing is not None:
+            if existing[1] != gid:
+                return None
+        else:
+            merged[alias] = (alias, gid, row)
+    return tuple(merged[a] for a in sorted(merged))
+
+
+def slab_of(cover: Sequence[str], composites: Sequence[Composite]) -> CompositeSlab:
+    """Tuple-form composites as a slab (each its own table entry).
+
+    Column-wise code never looks at an alias tag again, so a composite of
+    another width, or with another alias in any slot, fails here rather
+    than coming out as a wrong row.
+    """
+    cover = tuple(cover)
+    if not composites:
+        return CompositeSlab.empty(cover)
+    tables = []
+    for position, alias in enumerate(cover):
+        if any(len(c) != len(cover) or c[position][0] != alias for c in composites):
+            raise ExecutionError(
+                f"composites do not uniformly cover aliases {list(cover)}"
+            )
+        tables.append(
+            slab_table([c[position][1] for c in composites], [c[position][2] for c in composites])
+        )
+    return CompositeSlab(cover, tables, [np.arange(len(composites))] * len(cover))
+
+
+def _reference_composites_to_relation(composites, schemas_by_alias, name, projection=None):
     if projection:
         outputs = list(projection)
     else:
@@ -42,12 +112,13 @@ def _reference_composites_to_relation(
     return out
 
 
-def _reference_hash_merge(left, right, left_cover=None, right_cover=None):
-    """Left order; the partners of one left composite in right order."""
+def _reference_hash_merge(left, right):
+    """Left order; the partners of one left composite in right order.
+    Returns a slab over the union cover, as the merge pool reads covers."""
     merged = []
     for composite in left:
         for partner in right:
             combined = merge_composites(composite, partner)
             if combined is not None:
                 merged.append(combined)
-    return merged
+    return slab_of(sorted(set(left.cover) | set(right.cover)), merged)

@@ -134,7 +134,6 @@ class TestLargeGroupNumpyPaths:
             "make_hypercube_join_job",
             "np-range",
             files,
-            [("a",), ("b",)],
             partitioner,
             conditions,
             {a: r.schema for a, r in rels.items()},
@@ -149,7 +148,6 @@ class TestLargeGroupNumpyPaths:
             "make_hypercube_join_job",
             "np-hash",
             files,
-            [("a",), ("b",)],
             partitioner,
             conditions,
             {a: r.schema for a, r in rels.items()},

@@ -3,7 +3,8 @@
 ``composites_to_relation`` (table-level projection, one gather per run of
 fields) and ``core.merge.hash_merge`` (the window primitive on id
 columns) must agree with ``tail_oracle.py`` in content *and order*, fed
-tuple-form composites or slabs: property tests over random covers,
+slabs whose index vectors are the identity or scrambled: property tests
+over random covers,
 projections and duplicate-key merges, then whole executions of every
 planner's plan with the references monkeypatched into the executor.
 """
@@ -27,7 +28,11 @@ from repro.utils import GB
 from repro.workloads.mobile import generate_mobile_calls, make_mobile_query
 from repro.workloads.synthetic import chain_query
 
-from tail_oracle import _reference_composites_to_relation, _reference_hash_merge
+from tail_oracle import (
+    _reference_composites_to_relation,
+    _reference_hash_merge,
+    slab_of,
+)
 
 ALIASES = ("a", "b", "c", "d", "e")
 
@@ -35,7 +40,7 @@ ALIASES = ("a", "b", "c", "d", "e")
 def scrambled(cover, composites):
     """The same composites, in the same order, as a slab whose index
     vectors are not the identity (its tables hold them reversed)."""
-    backwards = CompositeSlab.from_composites(cover, composites[::-1])
+    backwards = slab_of(cover, composites[::-1])
     return backwards.take(np.arange(len(composites))[::-1])
 
 
@@ -80,11 +85,12 @@ class TestProjectorMatchesReference:
     def test_random_covers_and_projections(self, case):
         schemas, cover, composites, projection = case
         read = {alias for alias, _ in projection} if projection else set(schemas)
+        slab = slab_of(cover, composites)
         if not read <= set(cover):
             with pytest.raises(ExecutionError):
-                composites_to_relation(composites, schemas, "out", projection, cover)
+                composites_to_relation(slab, schemas, "out", projection)
             return
-        compiled = composites_to_relation(composites, schemas, "out", projection, cover)
+        compiled = composites_to_relation(slab, schemas, "out", projection)
         reference = _reference_composites_to_relation(
             composites, schemas, "out", projection
         )
@@ -94,26 +100,30 @@ class TestProjectorMatchesReference:
         assert compiled.name == reference.name
         assert all(type(row) is tuple for row in compiled.rows)
         from_slab = composites_to_relation(
-            scrambled(cover, composites), schemas, "out", projection, cover
+            scrambled(cover, composites), schemas, "out", projection
         )
         assert from_slab.rows == reference.rows
         assert all(type(row) is tuple for row in from_slab.rows)
 
     def test_empty_input_keeps_the_schema(self):
         schemas = {"a": Schema.of("x:int", "y:str"), "b": Schema.of("z:float")}
-        out = composites_to_relation([], schemas, "out", [("b", "z"), ("a", "x")])
+        out = composites_to_relation(
+            CompositeSlab.empty(("a", "b")), schemas, "out", [("b", "z"), ("a", "x")]
+        )
         assert out.rows == []
         assert out.schema.names == ("b_z", "a_x")
 
-    def test_cover_defaults_to_every_schema_alias(self):
+    def test_no_projection_reads_every_schema_alias(self):
         schemas = {"a": Schema.of("x:int"), "b": Schema.of("y:int")}
-        composites = [(("a", 0, (1,)), ("b", 4, (2,)))]
-        assert composites_to_relation(composites, schemas, "out").rows == [(1, 2)]
+        slab = slab_of(("a", "b"), [(("a", 0, (1,)), ("b", 4, (2,)))])
+        assert composites_to_relation(slab, schemas, "out").rows == [(1, 2)]
 
     def test_composites_of_another_cover_are_rejected(self):
         schemas = {"a": Schema.of("x:int"), "b": Schema.of("y:int")}
+        slab = slab_of(("a",), [(("a", 0, (1,)),)])
+        assert composites_to_relation(slab, schemas, "out", [("a", "x")]).rows == [(1,)]
         with pytest.raises(ExecutionError, match="cover"):
-            composites_to_relation([(("a", 0, (1,)),)], schemas, "out", [("a", "x")])
+            composites_to_relation(slab, schemas, "out")
 
 
 @st.composite
@@ -135,50 +145,58 @@ class TestMergeMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_random_covers_with_duplicate_keys(self, case):
         left, right, left_cover, right_cover = case
-        reference = _reference_hash_merge(left, right)
-        merged = hash_merge(left, right, left_cover, right_cover)
-        assert merged == reference
-        assert merged.cover == tuple(sorted(set(left_cover) | set(right_cover)))
         from_slabs = hash_merge(
-            scrambled(left_cover, left), scrambled(right_cover, right),
-            left_cover, right_cover,
+            scrambled(left_cover, left), scrambled(right_cover, right)
         )
+        left, right = slab_of(left_cover, left), slab_of(right_cover, right)
+        reference = _reference_hash_merge(left, right)
+        merged = hash_merge(left, right)
+        assert merged == reference
+        assert merged.cover == reference.cover
+        assert merged.cover == tuple(sorted(set(left_cover) | set(right_cover)))
         assert from_slabs == reference
         # A merged slab is a merge input again (three terminal jobs).
-        assert hash_merge(from_slabs, right, merged.cover, right_cover) == (
-            _reference_hash_merge(reference, right)
-        )
+        assert hash_merge(from_slabs, right) == _reference_hash_merge(reference, right)
 
     def test_m_by_n_duplicates_keep_left_then_right_arrival_order(self):
-        left = [(("a", i, (i,)), ("b", 7, (7,))) for i in (2, 0, 1)]
-        right = [(("b", 7, (7,)), ("c", j, (j,))) for j in (5, 3, 4)]
-        merged = hash_merge(left, right, ("a", "b"), ("b", "c"))
+        left = slab_of(("a", "b"), [(("a", i, (i,)), ("b", 7, (7,))) for i in (2, 0, 1)])
+        right = slab_of(("b", "c"), [(("b", 7, (7,)), ("c", j, (j,))) for j in (5, 3, 4)])
+        merged = hash_merge(left, right)
         assert [(c[0][1], c[2][1]) for c in merged] == [
             (i, j) for i in (2, 0, 1) for j in (5, 3, 4)
         ]
         assert merged == _reference_hash_merge(left, right)
 
     def test_two_shared_aliases_must_both_agree(self):
-        left = [(("a", 0, (0,)), ("b", 1, (1,)), ("c", 2, (2,)))]
-        right = [
-            (("b", 1, (1,)), ("c", 9, (9,)), ("d", 3, (3,))),
-            (("b", 1, (1,)), ("c", 2, (2,)), ("d", 4, (4,))),
-        ]
-        merged = hash_merge(left, right, ("a", "b", "c"), ("b", "c", "d"))
+        left = slab_of(("a", "b", "c"), [(("a", 0, (0,)), ("b", 1, (1,)), ("c", 2, (2,)))])
+        right = slab_of(
+            ("b", "c", "d"),
+            [
+                (("b", 1, (1,)), ("c", 9, (9,)), ("d", 3, (3,))),
+                (("b", 1, (1,)), ("c", 2, (2,)), ("d", 4, (4,))),
+            ],
+        )
+        merged = hash_merge(left, right)
         assert merged == _reference_hash_merge(left, right)
         assert [c[3][1] for c in merged] == [4]
 
     def test_ids_too_wide_to_fold_into_one_int64_are_renumbered(self):
         big = 2**40
-        left = [
-            (("a", i, (i,)), ("b", big + i % 2, (0,)), ("c", big - i % 3, (0,)))
-            for i in range(12)
-        ]
-        right = [
-            (("b", big + j % 2, (0,)), ("c", big - j % 3, (0,)), ("d", j, (j,)))
-            for j in range(12)
-        ]
-        merged = hash_merge(left, right, ("a", "b", "c"), ("b", "c", "d"))
+        left = slab_of(
+            ("a", "b", "c"),
+            [
+                (("a", i, (i,)), ("b", big + i % 2, (0,)), ("c", big - i % 3, (0,)))
+                for i in range(12)
+            ],
+        )
+        right = slab_of(
+            ("b", "c", "d"),
+            [
+                (("b", big + j % 2, (0,)), ("c", big - j % 3, (0,)), ("d", j, (j,)))
+                for j in range(12)
+            ],
+        )
+        merged = hash_merge(left, right)
         assert merged == _reference_hash_merge(left, right)
         assert len(merged) == 24
 
@@ -186,12 +204,13 @@ class TestMergeMatchesReference:
     def test_empty_side(self, empty):
         side = [(("a", 0, (0,)), ("b", 1, (1,)))]
         left, right = ([], side) if empty == "left" else (side, [])
-        assert hash_merge(left, right, ("a", "b"), ("a", "b")) == []
+        merged = hash_merge(slab_of(("a", "b"), left), slab_of(("a", "b"), right))
+        assert merged == [] and merged.cover == ("a", "b")
 
     def test_no_partners(self):
-        left = [(("a", 0, (0,)), ("b", 1, (1,)))]
-        right = [(("b", 2, (2,)), ("c", 0, (0,)))]
-        assert hash_merge(left, right, ("a", "b"), ("b", "c")) == []
+        left = slab_of(("a", "b"), [(("a", 0, (0,)), ("b", 1, (1,)))])
+        right = slab_of(("b", "c"), [(("b", 2, (2,)), ("c", 0, (0,)))])
+        assert hash_merge(left, right) == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -205,17 +224,19 @@ class TestMergeMatchesReference:
     )
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_mismatched_cover_is_an_error_not_a_row(self, bad, side):
+        """Slabs are the merge's only input, and a composite that does not
+        fit its slab's cover cannot become one."""
         good = [(("a", 0, (0,)), ("b", 1, (1,)))]
-        other = [(("b", 1, (1,)), ("c", 5, (5,)))]
+        other = slab_of(("b", "c"), [(("b", 1, (1,)), ("c", 5, (5,)))])
         with pytest.raises(ExecutionError, match="cover"):
             if side == "left":
-                hash_merge(good + [bad], other, ("a", "b"), ("b", "c"))
+                hash_merge(slab_of(("a", "b"), good + [bad]), other)
             else:
-                hash_merge(other, good + [bad], ("b", "c"), ("a", "b"))
+                hash_merge(other, slab_of(("a", "b"), good + [bad]))
 
     def test_disjoint_covers_are_rejected(self):
         with pytest.raises(ExecutionError, match="share no relation"):
-            hash_merge([(("a", 0, (0,)),)], [(("b", 0, (0,)),)], ("a",), ("b",))
+            hash_merge(slab_of(("a",), [(("a", 0, (0,)),)]), slab_of(("b",), [(("b", 0, (0,)),)]))
 
 
 def tail_queries():

@@ -21,12 +21,16 @@ from repro.joins.jobs import (
 )
 from repro.joins.records import relation_to_composite_file
 from repro.joins.reference import join_result_signature, reference_join
+from repro.joins.shares import make_shares_join_job
+from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.predicates import JoinCondition
 from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.utils import make_rng
+
+from tail_oracle import slab_of
 
 
 def rel(name: str, rows: int, hi: int = 40, groups: int = 4, seed: int = 0) -> Relation:
@@ -50,7 +54,7 @@ def run_hypercube(query: JoinQuery, num_components: int = 6):
     partitioner = HypercubePartitioner([f.num_records for f in files], num_components)
     schemas = {a: query.relations[a].schema for a in aliases}
     spec = make_hypercube_join_job(
-        "hc", files, [(a,) for a in aliases], partitioner, query.conditions, schemas
+        "hc", files, partitioner, query.conditions, schemas
     )
     return cluster.run_job(spec)
 
@@ -115,7 +119,7 @@ class TestHypercubeJoin:
         part = HypercubePartitioner([10, 99], 2)  # wrong cardinality
         with pytest.raises(ExecutionError):
             make_hypercube_join_job(
-                "bad", [fa, fb], [("a",), ("b",)], part,
+                "bad", [fa, fb], part,
                 [JoinCondition.parse(1, "a.v < b.v")],
                 {"a": a.schema, "b": b.schema},
             )
@@ -151,7 +155,7 @@ class TestHypercubeJoin:
         ]
         partitioner = RandomPartitioner([20, 18], 6)
         spec = make_hypercube_join_job(
-            "rc", files, [("a",), ("b",)], partitioner, query.conditions,
+            "rc", files, partitioner, query.conditions,
             {x: query.relations[x].schema for x in ("a", "b")},
         )
         result = cluster.run_job(spec)
@@ -323,3 +327,62 @@ class TestFindSingleKeyClass:
         ]
         refs = find_single_key_class(conditions, [("a", "b"), ("c",)])
         assert refs is not None
+
+
+class TestInputsAreSlabs:
+    """Every builder reads its inputs' covers from their slabs: an empty
+    input still names its aliases, and a file of anything else is refused
+    by name."""
+
+    @staticmethod
+    def inputs():
+        rels = {x: rel(x.upper(), 8, seed=i) for i, x in enumerate("abc")}
+        files = {x: relation_to_composite_file(r, x) for x, r in rels.items()}
+        return {x: r.schema for x, r in rels.items()}, files
+
+    @staticmethod
+    def empty(alias, tag=None):
+        return DistributedFile(f"empty:{alias}", slab_of((alias,), []), 16, tag=tag or alias)
+
+    def test_empty_input_keeps_its_cover(self):
+        schemas, files = self.inputs()
+        equality = [JoinCondition.parse(1, "a.g = b.g")]
+        chain = equality + [JoinCondition.parse(2, "b.g = c.g")]
+        three = [self.empty("a"), files["b"], files["c"]]
+        specs = [
+            make_equi_join_job("e", self.empty("a"), files["b"], equality, schemas, 2),
+            make_broadcast_join_job("bc", files["b"], self.empty("a"), equality, schemas, 2),
+            make_equichain_join_job("ec", three, chain, schemas, 2),
+            make_shares_join_job("s", three, chain, schemas, total_reducers=4),
+        ]
+        for spec in specs:
+            output = SimulatedCluster().run_job(spec).output
+            assert len(output.records) == 0, spec.name
+            assert output.records.cover == ("a", "b", "c")[: len(spec.inputs)], spec.name
+
+    def test_shares_refuses_an_empty_input_of_another_alias(self):
+        schemas, files = self.inputs()
+        with pytest.raises(ExecutionError, match="singleton"):
+            make_shares_join_job(
+                "s", [self.empty("z", tag="a"), files["b"]],
+                [JoinCondition.parse(1, "a.g = b.g")], schemas, total_reducers=4,
+            )
+
+    def test_a_file_of_tuples_is_refused_by_name(self):
+        schemas, files = self.inputs()
+        tuples = DistributedFile("tuples:a", list(files["a"].records), 40, tag="a")
+        equality = [JoinCondition.parse(1, "a.g = b.g")]
+        builds = [
+            lambda: make_hypercube_join_job(
+                "h", [tuples, files["b"]], HypercubePartitioner([8, 8], 2), equality, schemas
+            ),
+            lambda: make_equi_join_job("e", tuples, files["b"], equality, schemas, 2),
+            lambda: make_broadcast_join_job("bc", files["b"], tuples, equality, schemas, 2),
+            lambda: make_equichain_join_job("ec", [tuples, files["b"]], equality, schemas, 2),
+            lambda: make_shares_join_job(
+                "s", [tuples, files["b"]], equality, schemas, total_reducers=4
+            ),
+        ]
+        for build in builds:
+            with pytest.raises(ExecutionError, match="'tuples:a' holds list, not a CompositeSlab"):
+                build()

@@ -59,7 +59,7 @@ def run_pair(builder, conditions, a_values, b_values, **kwargs):
     schemas = {"a": SCHEMA, "b": SCHEMA}
     if builder == "make_hypercube_join_job":
         partitioner = HypercubePartitioner([len(a), len(b)], 1)
-        args = ("exact", files, [("a",), ("b",)], partitioner, conditions, schemas)
+        args = ("exact", files, partitioner, conditions, schemas)
     else:
         args = ("exact", *files, conditions, schemas)
     spec, oracle = build_with_oracle(builder, *args, **kwargs)
@@ -153,7 +153,6 @@ def run_hypercube(conditions, a_values, b_values):
     spec = make_hypercube_join_job(
         "nan",
         [relation_to_composite_file(a, "a"), relation_to_composite_file(b, "b")],
-        [("a",), ("b",)],
         HypercubePartitioner([len(a), len(b)], 1),
         conditions,
         {"a": SCHEMA, "b": SCHEMA},
@@ -463,7 +462,7 @@ class TestOverlappingCoversRejected:
         partitioner = HypercubePartitioner([ab.num_records, bc.num_records], 2)
         self.check(
             lambda: make_hypercube_join_job(
-                "j", [ab, bc], [("a", "b"), ("b", "c")], partitioner,
+                "j", [ab, bc], partitioner,
                 self.CONDITION, schemas,
             )
         )
@@ -532,7 +531,7 @@ def test_every_builder_is_batch_only():
     equality = [JoinCondition.parse(1, "a.g = b.g")]
     specs = [
         make_hypercube_join_job(
-            "h", files, [("a",), ("b",)], HypercubePartitioner([8, 8], 2), equality, schemas
+            "h", files, HypercubePartitioner([8, 8], 2), equality, schemas
         ),
         make_equi_join_job("e", *files, equality, schemas, 2),
         make_broadcast_join_job("b", *files, equality, schemas, 2),

@@ -1,4 +1,5 @@
-"""Tests for composite join records and merge semantics."""
+"""Tests for composite join records, the slab, and the tuple-form merge
+semantics the oracles are written over."""
 
 import pickle
 
@@ -8,18 +9,22 @@ import pytest
 from repro.errors import ExecutionError
 from repro.joins.records import (
     CompositeSlab,
-    aliases_of,
     composite_width,
     composites_to_relation,
-    entry_for,
-    global_id_of,
-    merge_composites,
     relation_to_composite_file,
-    rows_by_alias,
-    singleton,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+
+from tail_oracle import (
+    aliases_of,
+    entry_for,
+    global_id_of,
+    merge_composites,
+    rows_by_alias,
+    singleton,
+    slab_of,
+)
 
 
 @pytest.fixture
@@ -71,8 +76,18 @@ class TestFiles:
         file = relation_to_composite_file(relation, "x")
         assert file.num_records == 5
         assert file.tag == "x"
-        # Global ids are row positions.
-        assert [global_id_of(c, "x") for c in file.records] == list(range(5))
+        # A one-alias slab whose global ids are the row positions.
+        assert isinstance(file.records, CompositeSlab)
+        assert file.records.cover == ("x",)
+        assert list(file.records) == [
+            singleton("x", i, row) for i, row in enumerate(relation.rows)
+        ]
+        assert file.records.tables[0][1][2] is relation.rows[2]
+
+    def test_empty_relation_lifts_to_an_empty_slab(self):
+        file = relation_to_composite_file(Relation("E", Schema.of("id:int")), "e")
+        assert file.num_records == 0 and file.records.cover == ("e",)
+        assert list(file.records) == []
 
     def test_composite_width_accounts_all_aliases(self, relation):
         schemas = {"a": relation.schema, "b": relation.schema}
@@ -83,18 +98,20 @@ class TestFiles:
 class TestToRelation:
     def test_full_concatenation(self, relation):
         schemas = {"a": relation.schema, "b": relation.schema}
-        composites = [
-            merge_composites(singleton("a", 0, (0, 0)), singleton("b", 1, (1, 2)))
-        ]
+        composites = slab_of(
+            ("a", "b"),
+            [merge_composites(singleton("a", 0, (0, 0)), singleton("b", 1, (1, 2)))],
+        )
         out = composites_to_relation(composites, schemas, "out")
         assert out.schema.names == ("a_id", "a_v", "b_id", "b_v")
         assert out.rows == [(0, 0, 1, 2)]
 
     def test_projection(self, relation):
         schemas = {"a": relation.schema, "b": relation.schema}
-        composites = [
-            merge_composites(singleton("a", 0, (7, 8)), singleton("b", 1, (1, 2)))
-        ]
+        composites = slab_of(
+            ("a", "b"),
+            [merge_composites(singleton("a", 0, (7, 8)), singleton("b", 1, (1, 2)))],
+        )
         out = composites_to_relation(
             composites, schemas, "out", projection=[("b", "v"), ("a", "id")]
         )
@@ -118,7 +135,7 @@ class TestCompositeSlab:
 
     def test_reads_as_the_tuple_form(self):
         composites = _composites(7)
-        slab = CompositeSlab.from_composites(("a", "c"), composites)
+        slab = slab_of(("a", "c"), composites)
         assert len(slab) == 7
         assert list(slab) == composites
         assert tuple(slab) == tuple(composites)
@@ -132,7 +149,7 @@ class TestCompositeSlab:
 
     def test_slices_are_slabs_over_the_same_tables(self):
         composites = _composites(9)
-        slab = CompositeSlab.from_composites(("a", "c"), composites)
+        slab = slab_of(("a", "c"), composites)
         for piece in (slice(2, 6), slice(None, 3), slice(4, None), slice(0, 0), slice(1, 9, 3)):
             cut = slab[piece]
             assert isinstance(cut, CompositeSlab)
@@ -141,7 +158,7 @@ class TestCompositeSlab:
 
     def test_take_reorders_and_repeats(self):
         composites = _composites(6)
-        slab = CompositeSlab.from_composites(("a", "c"), composites)
+        slab = slab_of(("a", "c"), composites)
         at = np.array([5, 0, 0, 3])
         assert list(slab.take(at)) == [composites[i] for i in at]
         assert slab.take(at).ids("c").tolist() == [composites[i][1][1] for i in at]
@@ -151,9 +168,9 @@ class TestCompositeSlab:
         empty = CompositeSlab.empty(("a", "c"))
         parts = [
             empty,
-            CompositeSlab.from_composites(("a", "c"), first),
+            slab_of(("a", "c"), first),
             empty,
-            CompositeSlab.from_composites(("a", "c"), second)[1:],
+            slab_of(("a", "c"), second)[1:],
         ]
         joined = CompositeSlab.concat(parts)
         assert list(joined) == first + second[1:]
@@ -163,7 +180,7 @@ class TestCompositeSlab:
 
     def test_pickles_as_vectors_and_tables(self):
         composites = _composites(8)
-        slab = CompositeSlab.from_composites(("a", "c"), composites).take(
+        slab = slab_of(("a", "c"), composites).take(
             np.array([7, 7, 1, 0])
         )
         clone = pickle.loads(pickle.dumps(slab, protocol=pickle.HIGHEST_PROTOCOL))
@@ -172,8 +189,16 @@ class TestCompositeSlab:
         assert list(clone) == list(slab) == [composites[i] for i in (7, 7, 1, 0)]
         assert clone.index[0].dtype == slab.index[0].dtype
 
+    def test_column_gathers_the_rows_own_objects(self):
+        nan = float("nan")
+        composites = [(("a", i, (i, value)),) for i, value in enumerate([1, 1.0, nan, "k"])]
+        values = slab_of(("a",), composites).take(np.array([2, 0, 1, 2, 3])).column("a", 1)
+        assert [type(value) for value in values] == [float, int, float, float, str]
+        assert values[0] is nan and values[3] is nan
+        assert values[1:3] == [1, 1.0] and values[4] == "k"
+
     def test_empty(self):
-        empty = CompositeSlab.from_composites(("a", "b"), [])
+        empty = slab_of(("a", "b"), [])
         assert len(empty) == 0 and list(empty) == [] and empty == []
         assert list(empty[0:5]) == []
         assert pickle.loads(pickle.dumps(empty)) == []
@@ -191,16 +216,16 @@ class TestCompositeSlab:
     def test_lifting_holds_composites_against_the_cover(self, bad):
         good = (("a", 0, (0,)), ("c", 1, (1,)))
         with pytest.raises(ExecutionError, match="cover"):
-            CompositeSlab.from_composites(("a", "c"), [good, bad])
+            slab_of(("a", "c"), [good, bad])
 
     def test_projection_reads_a_slab_whose_cover_matches(self):
         schemas = {"a": Schema.of("x:int", "y:str"), "c": Schema.of("x:int", "y:str")}
         composites = _composites(6)
-        slab = CompositeSlab.from_composites(("a", "c"), composites).take(
+        slab = slab_of(("a", "c"), composites).take(
             np.array([4, 4, 2])
         )
         out = composites_to_relation(
-            slab, schemas, "out", [("c", "y"), ("a", "x"), ("a", "y")], ("a", "c")
+            slab, schemas, "out", [("c", "y"), ("a", "x"), ("a", "y")]
         )
         assert out.rows == [
             (composites[i][1][2][1], *composites[i][0][2]) for i in (4, 4, 2)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.joins.records import (
+from tail_oracle import (
     aliases_of,
     global_id_of,
     merge_composites,

@@ -1,7 +1,7 @@
 """Cross-backend conformance harness: one equivalence grid, every backend.
 
 The execution backend may only change *where* independent map chunks,
-reduce buckets, and ready-wave jobs run — never any output, counter, or
+bucket ranges, and ready-wave jobs run — never any output, counter, or
 simulated time.  This module is the single home of that contract:
 
 * the **grid** — every planner (ours, YSmart, Hive, Pig) on the paper's

@@ -315,7 +315,6 @@ class TestOneDaemonFleet:
         spec = make_hypercube_join_job(
             "chain",
             [relation_to_composite_file(query.relations[a], a) for a in aliases],
-            [(a,) for a in aliases],
             HypercubePartitioner([len(query.relations[a]) for a in aliases], 8),
             query.conditions,
             {a: query.relations[a].schema for a in aliases},

@@ -238,7 +238,6 @@ def join_case(num_reducers):
     spec = make_hypercube_join_job(
         "ranges-join",
         [relation_to_composite_file(a, "a"), relation_to_composite_file(b, "b")],
-        [("a",), ("b",)],
         HypercubePartitioner([len(a), len(b)], num_reducers),
         [JoinCondition.parse(1, "a.v <= b.v")],
         {"a": ROW, "b": ROW},

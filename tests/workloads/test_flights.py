@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.joins.reference import reference_join
-from repro.joins.records import rows_by_alias
 from repro.relational.predicates import ThetaOp
 from repro.workloads.flights import (
     DAY_MINUTES,
@@ -144,7 +143,7 @@ class TestTravelPlanQuery:
         results = reference_join(query)
         assert results, "expected at least one valid itinerary"
         for composite in results:
-            rows = rows_by_alias(composite)
+            rows = {alias: row for alias, _, row in composite}
             arrive = rows["leg1"][2]
             depart = rows["leg2"][1]
             layover = depart - arrive
@@ -208,7 +207,7 @@ class TestProperties:
             stayovers=[window], seed=1,
         )
         for composite in reference_join(query):
-            rows = rows_by_alias(composite)
+            rows = {alias: row for alias, _, row in composite}
             layover = rows["leg2"][1] - rows["leg1"][2]
             assert window.min_minutes < layover < window.max_minutes
 
