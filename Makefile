@@ -6,7 +6,8 @@
 #                   every join job's batched map AND reduce phase must
 #                   match the scalar oracle (tests/joins/scalar_oracle.py)
 #                   bit for bit, on a trimmed volume grid (fast enough
-#                   for CI); merge and projection must match their per-row
+#                   for CI), and so must the shares job, which no planner
+#                   builds; merge and projection must match their per-row
 #                   oracles (tests/joins/tail_oracle.py)
 #   make lint     - ruff check (config in pyproject.toml); where ruff is
 #                   not installed, tools/lint.py — a stdlib AST check for
@@ -65,7 +66,8 @@ smoke:
 	REPRO_QUICK=1 $(PYTEST) -q \
 		tests/test_integration.py::TestBenchmarkQuerySmoke \
 		tests/joins/test_batch_equivalence.py \
-		tests/joins/test_compiled_tail.py
+		tests/joins/test_compiled_tail.py \
+		tests/joins/test_shares.py::TestSharesJoin::test_reduce_side_matches_scalar_oracle
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

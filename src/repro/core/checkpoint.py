@@ -5,10 +5,11 @@ ready-wave job's output and restores it on the next identical run.  This
 module is the one owner of how: the content key, the two stores behind it
 (a keyed index ``key -> {"digest", "bytes"}`` and the blob tier ``digest
 -> pickled (records, record width, metrics)``, the records a join
-output's ``CompositeSlab`` — index vectors and bucket tables, not one
-tuple per composite), verify-on-read, the size
-cap and the process-wide counters ``repro serve stats`` reports.  A
-checkpoint can cost a recompute, never a wrong answer.
+output's ``CompositeSlab`` — index vectors and the base row tables they
+index, not one tuple per composite), verify-on-read (a payload of
+another slab layout is a miss), the size cap and the process-wide
+counters ``repro serve stats`` reports.  A checkpoint can cost a
+recompute, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import threading
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.plan import PlannedJob
+from repro.joins.records import CompositeSlab
 from repro.mapreduce.config import ClusterConfig, ExecutionSettings
 from repro.mapreduce.counters import JobMetrics
 from repro.mapreduce.hdfs import DistributedFile
@@ -60,6 +62,16 @@ def reset_checkpoint_counters() -> None:
             _COUNTERS[name] = 0
 
 
+def _current_layout(records: object) -> bool:
+    """Whether ``records`` is a slab with one index vector and one 1-d
+    object row table per cover alias (the current layout)."""
+    return (
+        isinstance(records, CompositeSlab)
+        and len(records.tables) == len(records.cover) == len(records.index)
+        and all(getattr(t, "dtype", None) == object and t.ndim == 1 for t in records.tables)
+    )
+
+
 class CheckpointStore:
     """The checkpoints one plan execution reads and writes."""
 
@@ -96,7 +108,7 @@ class CheckpointStore:
             else:
                 inputs.append(("job", self._keys[ref.name]))
         parts = (
-            "wave-ckpt-v2",
+            "wave-ckpt-v3",
             job.strategy,
             int(job.units),
             int(job.num_reducers),
@@ -120,7 +132,8 @@ class CheckpointStore:
 
         Verify-on-read end to end: the keyed index rejects version/format
         skew, the blob store re-hashes the payload (deleting a corrupt
-        file), and an undecodable payload is discarded.
+        file), and a payload that does not decode into a current-layout
+        slab is discarded.
         """
         hit, entry = self._index.load("waves", key)
         if not hit or not isinstance(entry, dict) or "digest" not in entry:
@@ -132,6 +145,8 @@ class CheckpointStore:
         try:
             records, record_width, metrics = pickle.loads(payload)
         except Exception:
+            records = None
+        if not _current_layout(records):
             self._blobs.discard(digest)
             return None
         # The stored output/metrics carry the *writing* query's name;

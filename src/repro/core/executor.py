@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.checkpoint import (  # noqa: F401  (counters: perf/ reads them here)
     CheckpointStore,
     checkpoint_counters,
@@ -50,6 +52,7 @@ from repro.joins.jobs import (
 )
 from repro.joins.records import (
     CompositeSlab,
+    compose,
     composite_width,
     composites_to_relation,
     relation_to_composite_file,
@@ -88,8 +91,9 @@ class ExecutionOutcome:
 
     result: Relation
     report: ExecutionReport
-    #: Raw result composites — alias-sorted ``(alias, global id, row)``
-    #: tuples when iterated — for result validation.
+    #: Raw result composites — index vectors into the base relations' row
+    #: tables, alias-sorted ``(alias, global id, row)`` tuples when
+    #: iterated — for result validation.
     composites: CompositeSlab
 
 
@@ -365,13 +369,13 @@ class PlanExecutor:
         if any(f.num_records == 0 for f in files):
             # An empty input (e.g. an upstream join with no matches)
             # makes the whole join empty; its output still carries the
-            # union cover downstream builders and the merge read.
-            cover = sorted({alias for f in files for alias in f.records.cover})
+            # union cover and base tables downstream builders and the merge read.
+            records = compose([f.records for f in files], [np.empty(0, np.int64)] * len(files))
             name = f"{query.name}:{job.job_id}.out"
             empty = DistributedFile(
                 name=name,
-                records=CompositeSlab.empty(cover),
-                record_width=composite_width(schemas, cover),
+                records=records,
+                record_width=composite_width(schemas, records.cover),
                 tag=name,
             )
             return _EMPTY, empty, key

@@ -17,7 +17,7 @@ from repro.core.group_cost import merge_duration_s
 from repro.core.plan import ExecutionPlan
 from repro.errors import ExecutionError
 from repro.joins.progressive import fold_keys, stack_pairs, window_pairs
-from repro.joins.records import CompositeSlab
+from repro.joins.records import CompositeSlab, compose
 from repro.mapreduce.hdfs import DistributedFile
 
 
@@ -114,24 +114,16 @@ def hash_merge(left: CompositeSlab, right: CompositeSlab) -> CompositeSlab:
     shared = sorted(set(left.cover) & set(right.cover))
     if not shared:
         raise ExecutionError("partial results share no relation; cannot merge")
-    cover = tuple(sorted(set(left.cover) | set(right.cover)))
-    if not len(left) or not len(right):
-        return CompositeSlab.empty(cover)
     keys, span = (0, 0), 1  # no digit yet: the first alias's ids are the key
     for alias in shared:
         ids = left.ids(alias), right.ids(alias)
-        width = int(max(ids[0].max(), ids[1].max())) + 1
+        width = int(max(ids[0].max(initial=0), ids[1].max(initial=0))) + 1
         keys, span = fold_keys(keys, span, ids, width)
     left_key, right_key = keys
     order = np.argsort(right_key, kind="stable")
     ranked = right_key[order]
     first = np.searchsorted(ranked, left_key, side="left")
     partners = np.searchsorted(ranked, left_key, side="right") - first
-    left_at, right_at = stack_pairs(list(window_pairs(first, partners, order)))
-    tables, index = [], []
-    for alias in cover:
-        side, at = (left, left_at) if alias in left.cover else (right, right_at)
-        a = side.cover.index(alias)
-        tables.append(side.tables[a])
-        index.append(side.index[a][at])
-    return CompositeSlab(cover, tables, index)
+    return compose(
+        [left, right], stack_pairs(list(window_pairs(first, partners, order)))
+    )

@@ -19,7 +19,9 @@ composite records (:mod:`repro.joins.records`):
   shared equality class (YSmart's merged job).
 
 An operator *is* its router.  Each builder validates its inputs and
-writes one ``batch_mapper`` that routes a whole record chunk; the reduce
+writes one ``batch_mapper`` that routes a whole record chunk — as
+``(tag, position)`` values, the record's index in its input file, never
+the record itself; the reduce
 side of all four is the same progressive join — dimension by dimension,
 every condition applied as soon as both its endpoints are bound, the
 actually-performed comparisons charged so reducer workload (the quantity
@@ -30,6 +32,7 @@ reducers these replace are the oracle in ``tests/joins/scalar_oracle.py``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.partitioner import HypercubePartitioner
@@ -47,7 +50,8 @@ def _value_widths(
     header: int, covers: Sequence[Iterable[str]], schemas: Mapping[str, Schema]
 ) -> List[int]:
     """Serialized width of one shuffle value per input: the operator's tag
-    header plus ``alias + global id + row`` per covered alias.  Every
+    header plus ``alias + global id + row`` per covered alias — what the
+    composite a position stands for would cost on the wire.  Every
     input's composites cover a fixed alias set, so these are constants."""
     return [
         header + sum(16 + schemas[alias].row_width for alias in cover)
@@ -156,12 +160,11 @@ def make_hypercube_join_job(
     def batch_mapper(tag: str, records: Sequence[object], base_index: int) -> MapBatch:
         """Route a whole record chunk through the flat slab tables.
 
-        Record ``i`` of dimension ``d`` goes, as ``(d, i, record)``, to
-        every component its grid slab ``min(i // cell_width, top)``
-        intersects.  Contiguous global ids share a slab, so routing
-        happens per *span* of records instead of per record: each span's
-        value tuples are built once and shared by every component the
-        slab intersects.
+        Record ``i`` of dimension ``d`` goes, as ``(d, i)``, to every
+        component its grid slab ``min(i // cell_width, top)`` intersects.
+        Contiguous global ids share a slab, so routing happens per *span*
+        of records instead of per record: each span's value tuples are
+        built once and extended onto every component the slab intersects.
         """
         dim = dim_of_tag[tag]
         width = cell_widths[dim]
@@ -178,23 +181,11 @@ def make_hypercube_join_job(
             # Slabs clamp to the top used slab, which takes the remainder.
             slab = min((base_index + lo) // width, top)
             hi = count if slab == top else min(count, (slab + 1) * width - base_index)
-            values = [
-                (dim, position, record)
-                for position, record in enumerate(records[lo:hi], base_index + lo)
-            ]
+            values = list(zip(repeat(dim), range(base_index + lo, base_index + hi)))
             components = components_of_slab[slab]
             pair_count += (hi - lo) * len(components)
-            first = True
             for component in components:
-                bucket = buckets[component]
-                existing = bucket.get(component)
-                if existing is not None:
-                    existing.extend(values)
-                elif first:
-                    bucket[component] = values
-                else:
-                    bucket[component] = list(values)
-                first = False
+                buckets[component].setdefault(component, []).extend(values)
             lo = hi
         return MapBatch(buckets, pair_count, pair_count * pair_width)
 
@@ -205,7 +196,7 @@ def make_hypercube_join_job(
         output_record_width=output_width,
         batch_mapper=batch_mapper,
         **reduce_side(
-            join, {dim: dim for dim in range(len(dim_files))}, dim_value_width
+            join, {dim: dim for dim in range(len(dim_files))}, dim_value_width, dim_files
         ),
         output_name=output_name or f"{name}.out",
     )
@@ -219,8 +210,8 @@ def _keyed_batch_mapper(
     num_reducers: int,
 ):
     """Repartition routing: record ``i`` of the file tagged ``tag`` goes,
-    as ``(header_of_tag[tag], record)``, to the reducer its build-time
-    shuffle key ``keys_of_tag[tag][i]`` is placed on."""
+    as ``(header_of_tag[tag], i)``, to the reducer its build-time shuffle
+    key ``keys_of_tag[tag][i]`` is placed on."""
 
     def batch_mapper(tag: str, records: Sequence[object], base_index: int) -> MapBatch:
         keys = keys_of_tag[tag]
@@ -228,9 +219,9 @@ def _keyed_batch_mapper(
         buckets: List[Dict[object, List[object]]] = [
             {} for _ in range(num_reducers)
         ]
-        for offset, record in enumerate(records):
-            key = keys[base_index + offset]
-            value = (header, record)
+        for position in range(base_index, base_index + len(records)):
+            key = keys[position]
+            value = (header, position)
             bucket = buckets[partition(key, num_reducers)]
             existing = bucket.get(key)
             if existing is None:
@@ -330,6 +321,7 @@ def make_equi_join_job(
             ),
             {True: 0, False: 1},
             widths,
+            [left_file, right_file],
         ),
         output_name=output_name or f"{name}.out",
     )
@@ -363,21 +355,23 @@ def make_broadcast_join_job(
     big_value_width, small_value_width = _value_widths(6, covers, schemas_by_alias)
 
     def batch_mapper(tag: str, records: Sequence[object], base_index: int) -> MapBatch:
-        """Big record ``i`` goes to reducer ``stable_hash(("b", i))``;
-        every small record goes to every reducer."""
+        """Big record ``i`` goes, as ``("big", i)``, to reducer
+        ``stable_hash(("b", i))``; every small record goes to every
+        reducer."""
         buckets: List[Dict[object, List[object]]] = [
             {} for _ in range(num_reducers)
         ]
+        positions = range(base_index, base_index + len(records))
         if tag == big_tag:
-            for offset, record in enumerate(records):
-                index = stable_hash(("b", base_index + offset), num_reducers)
-                buckets[index].setdefault(index, []).append(("big", record))
+            for position in positions:
+                index = stable_hash(("b", position), num_reducers)
+                buckets[index].setdefault(index, []).append(("big", position))
             pair_count = len(records)
             pair_bytes = pair_count * (12 + big_value_width)
         else:
             # Replicate: the same value tuple is shared by every reducer.
-            for record in records:
-                value = ("small", record)
+            for position in positions:
+                value = ("small", position)
                 for component in range(num_reducers):
                     buckets[component].setdefault(component, []).append(value)
             pair_count = len(records) * num_reducers
@@ -396,6 +390,7 @@ def make_broadcast_join_job(
             ),
             {"big": 0, "small": 1},
             [big_value_width, small_value_width],
+            [big_file, small_file],
         ),
         output_name=output_name or f"{name}.out",
     )
@@ -534,6 +529,7 @@ def make_equichain_join_job(
             ),
             {index: index for index in range(len(tags))},
             widths,
+            input_files,
         ),
         output_name=output_name or f"{name}.out",
     )

@@ -12,21 +12,24 @@ pair, and whether outputs pass an ownership filter.
 
 The kernel joins a whole **bucket range** — the key groups of one or more
 reduce tasks at once: key groups are independent, and the kernel accounts
-per key group — on index vectors.
-Per input the call's candidates are one table (key groups back to back);
-a partial result is one index vector per bound input; the columns a
-check or probe reads are extracted once per call as exactly-typed
-arrays (:func:`repro.relational.columns.typed_column` — ``object`` dtype
-where no fixed-width dtype compares as Python does, through the same
-code).  Every step is the same primitive: each partial gets a window
-``[lo, hi)`` in one permutation of the new input's candidates — its key
+per key group — on index vectors.  Shuffle values are ``(tag, position
+in the input file)``, so per input the call's candidates are one
+position vector (key groups back to back); a partial result is one index
+vector per bound input; a column a check or probe reads is projected once
+per job on the input's base row table as an exactly-typed array
+(:func:`repro.relational.columns.typed_column` — ``object`` dtype where no
+fixed-width dtype compares as Python does, through the same code) and
+gathered by position.  Every step is the same primitive: each partial
+gets a window ``[lo, hi)`` in one permutation of the new input's candidates — its key
 group's run; narrowed, when the step probes, by a stable sort on
 (group, equality-key code) or (group, value rank) and ``searchsorted`` —
 the windows are expanded into flat ``(partial, candidate)`` vectors in
 blocks of at most :data:`_BLOCK_PAIRS`, charged one comparison per pair,
 and filtered by the step's compiled checks as gathers over those vectors.
-No composite, id tuple or intermediate partial is built: the output is a
-:class:`~repro.joins.records.CompositeSlab` over the call's tables.
+No composite, id tuple, row table or intermediate partial is built: a
+call returns one position vector per input, and the job's
+``collect_outputs`` composes them over the input slabs once
+(:func:`~repro.joins.records.compose`).
 
 Every input's cover is static and covers are pairwise disjoint
 (:func:`check_disjoint_covers`), so each alias lives in exactly one
@@ -45,7 +48,8 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.joins.records import Composite, CompositeSlab, slab_table
+from repro.joins.records import CompositeSlab, compose, object_column
+from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.job import BatchReducer, ReduceBatch
 from repro.relational.columns import INT_SAFE, add_offset, comparable, typed_column
@@ -214,23 +218,28 @@ def fold_keys(keys, span: int, digits, width: int):
 
 
 class _Bucket:
-    """The candidates one kernel call joins, per input: composites (key
-    groups back to back), the key group of each, and the per-alias tables
-    and typed columns extracted from them on first use."""
+    """The candidates one kernel call joins, per input: their positions in
+    the input file (key groups back to back) and the key group of each.
+    A column a check or probe reads is projected once per *job* on the
+    input slab's base row table — as Python values or as a typed array,
+    kept in the job's ``projected`` — and gathered through the slab's
+    index vector and the candidate positions on first use."""
 
     def __init__(
         self,
-        inputs: Sequence[Sequence[Composite]],
+        files: Sequence[DistributedFile],
+        projected: Dict[tuple, np.ndarray],
+        positions: Sequence[np.ndarray],
         groups: Sequence[np.ndarray],
         num_groups: int,
     ) -> None:
-        self.inputs = inputs
+        self.files = files
+        self.projected = projected
+        self.positions = positions
         self.groups = groups
         self.num_groups = num_groups
         self._runs: Dict[int, np.ndarray] = {}
-        self._tables: Dict[Tuple[int, int], tuple] = {}
-        self._values: Dict[Column, list] = {}
-        self._columns: Dict[Column, np.ndarray] = {}
+        self._gathered: Dict[tuple, object] = {}
 
     def runs(self, slot: int) -> np.ndarray:
         """Where each key group's run of input ``slot``'s candidates
@@ -242,33 +251,32 @@ class _Bucket:
             )
         return runs
 
-    def table(self, slot: int, position: int) -> tuple:
-        """``(global ids, rows)`` of the alias at ``position`` of input
-        ``slot``'s composites, as two lists."""
-        table = self._tables.get((slot, position))
-        if table is None:
-            entries = list(map(itemgetter(position), self.inputs[slot]))
-            table = self._tables[slot, position] = (
-                list(map(itemgetter(1), entries)),
-                list(map(itemgetter(2), entries)),
-            )
-        return table
+    def _gather(self, column: Column, typed: bool):
+        key = (column, typed)
+        gathered = self._gathered.get(key)
+        if gathered is None:
+            slot, position, index = column
+            slab: CompositeSlab = self.files[slot].records  # type: ignore[assignment]
+            table = self.projected.get(key)
+            if table is None:
+                rows = slab.tables[position]
+                table = object_column(map(itemgetter(index), rows), len(rows))
+                if typed:
+                    table = typed_column(table.tolist())
+                self.projected[key] = table
+            gathered = table[slab.index[position][self.positions[slot]]]
+            if not typed:
+                gathered = gathered.tolist()
+            self._gathered[key] = gathered
+        return gathered
 
     def values(self, column: Column) -> list:
         """The column's Python values, candidate order."""
-        values = self._values.get(column)
-        if values is None:
-            slot, position, index = column
-            values = self._values[column] = list(
-                map(itemgetter(index), self.table(slot, position)[1])
-            )
-        return values
+        return self._gather(column, False)
 
     def column(self, column: Column) -> np.ndarray:
-        typed = self._columns.get(column)
-        if typed is None:
-            typed = self._columns[column] = typed_column(self.values(column))
-        return typed
+        """The column as an exactly-typed array, candidate order."""
+        return self._gather(column, True)
 
 
 class ProgressiveJoin:
@@ -286,10 +294,11 @@ class ProgressiveJoin:
       broadcast joins, which charge ``|left| * |right|`` and nothing else).
     * ``probe`` — steps may use equality-key / sorted-range probes
       (hypercube).
-    * ``owners_of`` — when given, :meth:`run` takes per-input record ids
-      and keeps only combinations whose id columns ``owners_of`` maps to
-      their key group's (integer) key: the hypercube's exactness +
-      no-duplicates rule, one vectorised call per kernel call.
+    * ``owners_of`` — when given, :meth:`run` keeps only combinations
+      whose candidate positions (the records' global ids within their
+      input files) ``owners_of`` maps to their key group's (integer) key:
+      the hypercube's exactness + no-duplicates rule, one vectorised call
+      per kernel call.
     """
 
     def __init__(
@@ -344,41 +353,32 @@ class ProgressiveJoin:
                 f"job {name!r}: conditions {pending} reference aliases that "
                 f"no input covers"
             )
-        #: The output cover and where each of its aliases is read.
-        self.cover = tuple(sorted(place))
-        self._places = tuple(place[alias] for alias in self.cover)
-        self.empty = CompositeSlab.empty(self.cover)
 
     # Python floats compare against NaN silently; NumPy's object loops
     # raise the FP "invalid" flag for the very same comparisons.
     @np.errstate(invalid="ignore")
     def run(
-        self,
-        inputs: Sequence[Sequence[Composite]],
-        groups: Sequence[np.ndarray],
-        num_groups: int,
-        gids: Optional[Sequence[np.ndarray]] = None,
-        keys: Optional[np.ndarray] = None,
-    ) -> Tuple[CompositeSlab, np.ndarray, np.ndarray]:
-        """Join ``num_groups`` key groups in one pass.  ``inputs[i]`` holds
-        input ``i``'s candidates, key groups back to back and in arrival
-        order within a group; ``groups[i]`` is the (ascending) key-group
-        number of each.  Returns the outputs, key-group-major, and per key
-        group the comparisons charged and the outputs produced.  A key
-        group lacking an input ends at that step, keeping the charges so
-        far."""
-        bucket = _Bucket(inputs, groups, num_groups)
+        self, bucket: _Bucket, keys: Optional[np.ndarray] = None
+    ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+        """Join the bucket's key groups in one pass (candidates in arrival
+        order within a group; ``keys`` are the key-group keys when outputs
+        are filtered by ownership).  Returns, key-group-major, one position
+        vector per input (output ``j`` joins record ``out[i][j]`` of every
+        input ``i``), and per key group the comparisons charged and the
+        outputs produced.  A key group lacking an input ends at that step,
+        keeping the charges so far."""
+        positions, groups, num_groups = bucket.positions, bucket.groups, bucket.num_groups
         charged = np.zeros(num_groups, dtype=np.int64)
         if self.scan_first:
             charged += np.bincount(groups[0], minlength=num_groups)
         #: One index vector per bound input, and each partial's key group.
-        partial = [np.arange(len(inputs[0]))]
+        partial = [np.arange(len(positions[0]))]
         group = groups[0]
         if self.steps[0].checks and len(group):
             (keep,) = self._passing(self.steps[0].checks, bucket, [], 0, partial[0])
             partial, group = [keep], group[keep]
         for slot in range(1, len(self.steps)):
-            if not len(group) or not len(inputs[slot]):
+            if not len(group) or not len(positions[slot]):
                 group = group[:0]
                 break
             step = self.steps[slot]
@@ -397,18 +397,14 @@ class ProgressiveJoin:
             acc_at, cand_at = stack_pairs(grown)
             partial = [at[acc_at] for at in partial] + [cand_at]
             group = group[acc_at]
-        if gids is not None and len(group):
-            owners = self.owners_of([ids[at] for ids, at in zip(gids, partial)])
-            owned = owners == keys[group]
-            partial, group = [at[owned] for at in partial], group[owned]
         if not len(group):
-            return self.empty, charged, np.zeros(num_groups, dtype=np.int64)
-        tables = [slab_table(*bucket.table(*place)) for place in self._places]
-        return (
-            CompositeSlab(self.cover, tables, [partial[slot] for slot, _ in self._places]),
-            charged,
-            np.bincount(group, minlength=num_groups),
-        )
+            none = np.empty(0, dtype=np.int64)
+            return [none] * len(positions), charged, np.zeros(num_groups, dtype=np.int64)
+        out = [candidates[at] for candidates, at in zip(positions, partial)]
+        if self.owners_of is not None:
+            owned = self.owners_of(out) == keys[group]
+            out, group = [at[owned] for at in out], group[owned]
+        return out, charged, np.bincount(group, minlength=num_groups)
 
     @staticmethod
     def _passing(checks, bucket, partial, slot, cand_at, acc_at=None):
@@ -502,12 +498,22 @@ def reduce_side(
     join: ProgressiveJoin,
     slot_of_tag: Mapping[object, int],
     value_widths: Sequence[int],
+    files: Sequence[DistributedFile],
 ) -> Dict[str, object]:
-    """The reduce-side fields of a join job's ``MapReduceJobSpec``: the
-    :func:`bucket_reducer` and the concatenation of its slabs."""
+    """The reduce-side fields of a join job's ``MapReduceJobSpec`` over
+    input ``files``: the :func:`bucket_reducer`, and the composition of
+    its position vectors over the input slabs."""
+
+    def collect_outputs(parts: Sequence[Sequence[np.ndarray]]) -> CompositeSlab:
+        """Each input's positions, range after range, composed once."""
+        return compose(
+            [file.records for file in files],  # type: ignore[misc]
+            [np.concatenate(vectors) for vectors in zip(*parts)],
+        )
+
     return {
-        "batch_reducer": bucket_reducer(join, slot_of_tag, value_widths),
-        "collect_outputs": CompositeSlab.concat,
+        "batch_reducer": bucket_reducer(join, slot_of_tag, value_widths, files),
+        "collect_outputs": collect_outputs,
     }
 
 
@@ -515,49 +521,48 @@ def bucket_reducer(
     join: ProgressiveJoin,
     slot_of_tag: Mapping[object, int],
     value_widths: Sequence[int],
+    files: Sequence[DistributedFile],
 ) -> BatchReducer:
-    """The batch reducer of a join job: split the key groups' values by
+    """The batch reducer of a join job: split the key groups' positions by
     input tag, run the kernel on all of them at once — the key groups of
     one bucket range, every bucket of the job when nothing runs in
     parallel — and account comparisons, outputs and input bytes per key
-    group, as :class:`ReduceBatch` requires.
+    group, as :class:`ReduceBatch` requires.  Its ``outputs`` are one
+    position vector per input.
 
-    Shuffle values are ``(tag, composite)`` — ``(tag, record id,
-    composite)`` when the join filters by ownership, whose shuffle keys
-    are then the integer component numbers — and ``value_widths`` is the
-    serialized width of one value per input (12 bytes of pair header are
-    added per value, as the scalar runtime loop charges).
+    Shuffle values are ``(tag, position)``, ``position`` the record's
+    index in ``files[slot_of_tag[tag]]`` — the global id the hypercube's
+    ownership rule reads (its shuffle keys are the component numbers).
+    ``value_widths`` is the serialized width of the composite a value
+    stands for, per input (plus 12 bytes of pair header per value, as
+    the scalar runtime loop charges).
     """
     num_inputs = len(value_widths)
-    with_ids = join.owners_of is not None
-    composite_of = itemgetter(-1)
+    #: The job's projected columns, filled by the process that reduces
+    #: (two threads may both fill an entry: with the same array).
+    projected: Dict[tuple, np.ndarray] = {}
 
     def reduce_groups(keys, values, offsets) -> ReduceBatch:
         num_groups = len(keys)
-        at: List[List[int]] = [[] for _ in range(num_inputs)]
-        for position, value in enumerate(values):
-            at[slot_of_tag[value[0]]].append(position)
-        inputs = [[composite_of(values[i]) for i in slot_at] for slot_at in at]
-        # Key group of a value: offsets[g] <= position < offsets[g + 1].
-        starts = np.asarray(offsets[1:], dtype=np.intp)
-        groups = [
-            np.searchsorted(starts, np.asarray(slot_at, dtype=np.intp), side="right")
-            for slot_at in at
-        ]
+        count = len(values)
+        # Two flat passes; ``zip(*values)`` would build one iterator per
+        # value, and that burst alone runs a dozen GC collections.
+        slots = np.fromiter(
+            map(slot_of_tag.__getitem__, map(itemgetter(0), values)), np.intp, count
+        )
+        where = np.fromiter(map(itemgetter(1), values), np.int64, count)
+        # Key group of a value: offsets[g] <= value < offsets[g + 1].
+        group_of = np.repeat(np.arange(num_groups), np.diff(offsets))
+        at = [np.flatnonzero(slots == slot) for slot in range(num_inputs)]
+        groups = [group_of[slot_at] for slot_at in at]
         input_bytes = sum(
             (12 + value_widths[slot]) * np.bincount(groups[slot], minlength=num_groups)
             for slot in range(num_inputs)
         )
-        if with_ids:
-            gids = [
-                np.fromiter((values[i][1] for i in slot_at), dtype=np.int64, count=len(slot_at))
-                for slot_at in at
-            ]
-            outputs, charged, produced = join.run(
-                inputs, groups, num_groups, gids, np.asarray(keys)
-            )
-        else:
-            outputs, charged, produced = join.run(inputs, groups, num_groups)
+        bucket = _Bucket(files, projected, [where[a] for a in at], groups, num_groups)
+        outputs, charged, produced = join.run(
+            bucket, np.asarray(keys) if join.owners_of is not None else None
+        )
         return ReduceBatch(outputs, charged, produced, input_bytes)
 
     return reduce_groups

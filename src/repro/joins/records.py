@@ -4,19 +4,21 @@ A composite record is the partial-join currency of the whole pipeline:
 one ``(alias, global_id, row)`` entry per relation it has bound, sorted
 by alias.  Every file a join reads or writes holds a
 :class:`CompositeSlab` — the composites of one static alias cover, held
-column-wise: per alias one index vector into a ``(global id, row)``
+column-wise: per alias one index vector into the alias's *base* row
 table.  A base relation lifts to a one-alias slab
-(:func:`relation_to_composite_file`: the global ids are the row
-positions, the index vector an ``arange``); reduce-task outputs, job
-output files, checkpoints, merged partial results and the final answer
-are slabs as well.  So a file's alias cover is ``file.records.cover``
-and is stored nowhere else — an empty file carries it too.
+(:func:`relation_to_composite_file`: the table is the relation's own row
+tuples, the index vector an ``arange``), and every slab built from
+slabs — job outputs (:func:`compose`), merged partial results,
+checkpoints and the final answer — shares those tables, so a global id
+*is* a row position and ``index[a]`` is the id column of alias ``a``.
+A file's alias cover is ``file.records.cover`` and is stored nowhere
+else — an empty file carries it too.
 
 The tuple form is only a view: a slab iterates as alias-sorted entry
-tuples, which is what mappers and the shuffle see.  Joining,
-concatenation, shipping, merging and projection work on the vectors,
-and row tuples are only gathered by :func:`composites_to_relation` at
-the very end.
+tuples.  The shuffle never carries one — join mappers emit ``(tag,
+position)`` — and joining, composing, shipping, merging and projection
+work on the vectors; row tuples are only gathered by
+:func:`composites_to_relation` at the very end.
 
 Keeping the per-alias *global id* around is what makes the cheap merge
 step of Section 4.2 possible: two partial results that share a relation
@@ -58,22 +60,17 @@ def object_column(values: Iterable[object], count: int) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=count)
 
 
-def slab_table(gids: Sequence[int], rows: Sequence[Row]) -> Tuple[np.ndarray, np.ndarray]:
-    """One alias's ``(global ids, rows)`` table of a :class:`CompositeSlab`."""
-    count = len(gids)
-    return np.fromiter(gids, dtype=np.int64, count=count), object_column(rows, count)
-
-
 class CompositeSlab(Sequence):
     """Composites over one static, alias-sorted ``cover``, column-wise.
 
-    Alias ``cover[a]`` of composite ``i`` is entry ``index[a][i]`` of
-    ``tables[a]``, a pair of equally long arrays ``(global ids, rows)``
-    (int64, object).  A reduce task's tables are its bucket's candidates,
-    so a slab of a million composites still holds each row tuple once per
-    bucket it was shuffled to.  Slabs are immutable: slices, merges and
-    concatenations share or copy arrays, never write them — and pickle as
-    those arrays, not as tuples of tuples.
+    Alias ``cover[a]`` of composite ``i`` is row ``index[a][i]`` of
+    ``tables[a]``, a 1-d object array of row tuples: the base relation's
+    own row table, shared by every slab over the alias, so ``index[a]``
+    (int64) is also the alias's global-id column.  A slab of a million
+    composites holds no row beyond its base relations'.  Slabs are
+    immutable: slices, takes and compositions share tables and gather
+    index vectors, never write them — and pickle as those arrays, not as
+    tuples of tuples.
 
     Reads as ``Sequence[Composite]``: ``len``, indexing, slicing (a slab),
     lazy iteration, and ``==`` against any sequence of composites.
@@ -84,53 +81,20 @@ class CompositeSlab(Sequence):
     def __init__(
         self,
         cover: Sequence[str],
-        tables: Sequence[Tuple[np.ndarray, np.ndarray]],
+        tables: Sequence[np.ndarray],
         index: Sequence[np.ndarray],
     ) -> None:
         self.cover = tuple(cover)
         self.tables = tuple(tables)
         self.index = tuple(index)
 
-    @classmethod
-    def empty(cls, cover: Sequence[str]) -> "CompositeSlab":
-        none = np.empty(0, dtype=np.intp)
-        table = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
-        return cls(cover, [table] * len(cover), [none] * len(cover))
-
-    @classmethod
-    def concat(cls, parts: Sequence["CompositeSlab"]) -> "CompositeSlab":
-        """The parts' composites in order (all over one cover): tables are
-        stacked, index vectors shifted onto the stacked tables."""
-        filled = [part for part in parts if len(part)]
-        if len(filled) <= 1:
-            return filled[0] if filled else parts[0]
-        tables, index = [], []
-        for a in range(len(filled[0].cover)):
-            sizes = [len(part.tables[a][0]) for part in filled]
-            bases = np.cumsum([0] + sizes[:-1])
-            tables.append(
-                (
-                    np.concatenate([part.tables[a][0] for part in filled]),
-                    np.concatenate([part.tables[a][1] for part in filled]),
-                )
-            )
-            index.append(
-                np.concatenate(
-                    [part.index[a] + base for part, base in zip(filled, bases)]
-                )
-            )
-        return cls(filled[0].cover, tables, index)
-
     def take(self, positions: np.ndarray) -> "CompositeSlab":
         """The composites at ``positions`` (an index vector or bool mask)."""
-        return CompositeSlab(
-            self.cover, self.tables, [at[positions] for at in self.index]
-        )
+        return compose([self], [positions])
 
     def ids(self, alias: str) -> np.ndarray:
-        """The global-id column of ``alias``."""
-        a = self.cover.index(alias)
-        return self.tables[a][0][self.index[a]]
+        """The global-id column of ``alias``: its index vector."""
+        return self.index[self.cover.index(alias)]
 
     def column(self, alias: str, attribute: int) -> list:
         """Attribute ``attribute`` of ``alias``'s row in every composite, in
@@ -138,7 +102,7 @@ class CompositeSlab(Sequence):
         index vector.  The values are the rows' own objects (never a typed
         column), so ``1`` and ``1.0`` or a NaN stay what the row holds."""
         a = self.cover.index(alias)
-        rows = self.tables[a][1]
+        rows = self.tables[a]
         projected = object_column(map(itemgetter(attribute), rows), len(rows))
         return projected[self.index[a]].tolist()
 
@@ -149,15 +113,15 @@ class CompositeSlab(Sequence):
         if isinstance(item, slice):
             return self.take(item)
         return tuple(
-            (alias, int(gids[at[item]]), rows[at[item]])
-            for alias, (gids, rows), at in zip(self.cover, self.tables, self.index)
+            (alias, int(at[item]), rows[at[item]])
+            for alias, rows, at in zip(self.cover, self.tables, self.index)
         )
 
     def __iter__(self) -> Iterator[Composite]:
         return zip(
             *(
-                zip(repeat(alias), gids[at].tolist(), rows[at].tolist())
-                for alias, (gids, rows), at in zip(self.cover, self.tables, self.index)
+                zip(repeat(alias), at.tolist(), rows[at].tolist())
+                for alias, rows, at in zip(self.cover, self.tables, self.index)
             )
         )
 
@@ -175,6 +139,27 @@ class CompositeSlab(Sequence):
         return f"CompositeSlab({list(self.cover)}, {len(self)} composites)"
 
 
+def compose(
+    parts: Sequence[CompositeSlab], positions: Sequence[np.ndarray]
+) -> CompositeSlab:
+    """Composite ``i`` joins composite ``positions[p][i]`` of every part
+    ``p`` (equally long int vectors).  The cover is the parts' union; each
+    alias is read from the first part that covers it, with that part's
+    table and its index vector gathered by the part's positions — so the
+    result shares its parts' base tables, and an empty ``positions``
+    gives the empty slab over the union cover."""
+    cover = sorted({alias for part in parts for alias in part.cover})
+    tables, index = [], []
+    for alias in cover:
+        part, at = next(
+            (part, at) for part, at in zip(parts, positions) if alias in part.cover
+        )
+        a = part.cover.index(alias)
+        tables.append(part.tables[a])
+        index.append(part.index[a][at])
+    return CompositeSlab(cover, tables, index)
+
+
 def input_cover(job: str, file: DistributedFile) -> Tuple[str, ...]:
     """The alias cover of join input ``file``: its slab's cover."""
     if not isinstance(file.records, CompositeSlab):
@@ -186,12 +171,9 @@ def input_cover(job: str, file: DistributedFile) -> Tuple[str, ...]:
 
 
 def composite_width(schemas_by_alias: Mapping[str, Schema], aliases: Iterable[str]) -> int:
-    """Serialized bytes of one composite over the given aliases."""
-    total = 0
-    for alias in aliases:
-        # alias tag + global id + the row itself.
-        total += 8 + 8 + schemas_by_alias[alias].row_width
-    return total
+    """Serialized bytes of one composite over the given aliases: per alias,
+    its tag, the global id and the row itself."""
+    return sum(8 + 8 + schemas_by_alias[alias].row_width for alias in aliases)
 
 
 def relation_to_composite_file(
@@ -200,16 +182,17 @@ def relation_to_composite_file(
     """Lift a base relation into a one-alias :class:`CompositeSlab` file.
 
     Row position is the global id — unique and uniformly spread, matching
-    Algorithm 1's random-id assignment semantics — so the id column and
-    the index vector are one ``arange``, and the row table holds the
-    relation's own row tuples.
+    Algorithm 1's random-id assignment semantics — so the index vector is
+    an ``arange``, and the row table, which every slab built from this
+    one shares, holds the relation's own row tuples.
     """
     count = len(relation.rows)
-    positions = np.arange(count, dtype=np.int64)
     return DistributedFile(
         name=file_name or f"{alias}:{relation.name}",
         records=CompositeSlab(
-            (alias,), [(positions, object_column(relation.rows, count))], [positions]
+            (alias,),
+            [object_column(relation.rows, count)],
+            [np.arange(count, dtype=np.int64)],
         ),
         record_width=8 + 8 + relation.schema.row_width,
         tag=alias,
@@ -238,7 +221,7 @@ def composites_to_relation(
     This is where a :class:`CompositeSlab` finally becomes rows.  Every
     composite covers the slab's alias-sorted cover, so the output splits
     into runs of consecutive fields read from one alias; each run is
-    projected on the alias's *table* (a pass over the bucket candidates,
+    projected on the alias's *table* (a pass over the base relation,
     not over the result), gathered through the alias's index vector in
     one take, and the runs are concatenated row-wise — a one-run result
     (``SELECT t2.id``) allocates nothing per row.  Rows are adopted
@@ -277,7 +260,7 @@ def composites_to_relation(
     gathered = []
     for alias, columns in runs:
         a = cover.index(alias)
-        rows = composites.tables[a][1]
+        rows = composites.tables[a]
         if columns != list(range(len(schemas_by_alias[alias]))):
             rows = object_column(map(tuple_getter(columns), rows), len(rows))
         gathered.append(rows[composites.index[a]].tolist())

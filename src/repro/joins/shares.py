@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.joins.progressive import ProgressiveJoin, reduce_side
-from repro.joins.records import Composite, composite_width, input_cover
+from repro.joins.records import composite_width, input_cover
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapReduceJobSpec, TaskContext
 from repro.relational.predicates import JoinCondition
@@ -138,8 +138,9 @@ def make_shares_join_job(
     """Multi-way equi-join in one MapReduce job via attribute shares.
 
     ``input_files`` are one-alias slabs, one per alias (tag = alias).
-    Routing is per record (the scalar ``mapper``); the reduce side is the
-    shared progressive join of :mod:`repro.joins.progressive`.
+    Routing is per record (the scalar ``mapper``, which emits ``(alias,
+    position)``); the reduce side is the shared progressive join of
+    :mod:`repro.joins.progressive`.
     """
     classes = attribute_classes(conditions)
     if not classes:
@@ -183,8 +184,7 @@ def make_shares_join_job(
     }
 
     def mapper(tag: str, record: object, ctx: TaskContext):
-        composite: Composite = record  # type: ignore[assignment]
-        ((_alias, _gid, row),) = composite
+        ((_alias, _gid, row),) = record  # type: ignore[misc]
         known: List[Optional[int]] = [None] * len(classes)
         for index, column in key_columns[tag]:
             known[index] = stable_hash(("share", index, row[column]), share_vector[index])
@@ -195,9 +195,9 @@ def make_shares_join_job(
             coordinates = list(known)
             for dim, value in zip(free_dims, combination):
                 coordinates[dim] = value
-            yield grid_to_reducer(coordinates), (tag, composite)  # type: ignore[arg-type]
+            yield grid_to_reducer(coordinates), (tag, ctx.record_index)
 
-    # tag header (length-prefixed alias) + the singleton composite.
+    # tag header (length-prefixed alias) + the singleton a position stands for.
     width_of_tag = {
         alias: 4 + len(alias) + 16 + schemas_by_alias[alias].row_width
         for alias in aliases
@@ -220,6 +220,7 @@ def make_shares_join_job(
             ),
             {alias: slot for slot, alias in enumerate(aliases)},
             list(width_of_tag.values()),
+            input_files,
         ),
         output_name=output_name or f"{name}.out",
     )

@@ -25,8 +25,9 @@ class DistributedFile:
     ``records`` is a sequence of arbitrary Python objects (relation rows,
     (key, id-list) pairs, ... — a list, or a columnar container that reads
     as one).  Every file a join job reads or writes holds a
-    ``CompositeSlab``, base relations included, and its alias cover is
-    ``records.cover`` — the builders refuse any other input.
+    ``CompositeSlab`` of index vectors into base row tables, base relations
+    included; its alias cover is ``records.cover``, and the builders refuse
+    any other input.
     ``record_width`` is the serialized bytes per record used for I/O
     accounting.
     """

@@ -83,7 +83,9 @@ class ReduceBatch:
 
     ``outputs`` holds the output records in the exact order a per-group
     reducer would emit them (key groups in the order given, records in
-    emission order within a group).  The three other fields are
+    emission order within a group) — or, for a job with its own
+    ``collect_outputs``, whatever that folds into such records (a join:
+    one position vector per input).  The three other fields are
     per-key-group integer sequences in key order: comparisons charged
     (what :meth:`TaskContext.charge_comparisons` would total), outputs
     produced and input bytes (:meth:`MapReduceJobSpec.pair_bytes` of the
@@ -191,11 +193,11 @@ class MapReduceJobSpec:
     #: exactly.
     batch_reducer: Optional[BatchReducer] = None
     output_name: str = ""
-    #: How the runtime joins the reducer calls' ``outputs`` (one sequence
-    #: per bucket range, range order) into the job's output records.  A
-    #: job whose batch reducer returns a columnar container names that
-    #: container's concatenation here (the join jobs:
-    #: ``CompositeSlab.concat``).
+    #: How the runtime joins the reducer calls' ``outputs`` (one per
+    #: bucket range, range order) into the job's output records.  A join
+    #: returns one position vector per input per call, and names here
+    #: their concatenation composed over its input slabs
+    #: (``repro.joins.records.compose``).
     collect_outputs: Callable[[Sequence[Sequence[object]]], Sequence[object]] = (
         chain_outputs
     )

@@ -15,12 +15,19 @@ import dataclasses
 import pytest
 
 from repro.core import checkpoint as checkpoint_mod
-from repro.core.checkpoint import checkpoint_counters, reset_checkpoint_counters
+from repro.core.checkpoint import (
+    CheckpointStore,
+    checkpoint_counters,
+    reset_checkpoint_counters,
+)
 from repro.core.executor import PlanExecutor
 from repro.core.planner import ThetaJoinPlanner
 from repro.mapreduce.config import ClusterConfig
+from repro.mapreduce.job import JobResult
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.query import JoinQuery
+
+from test_checkpoint_store import previous_layout
 
 
 @pytest.fixture(autouse=True)
@@ -129,6 +136,33 @@ class TestSafety:
         assert counters["hits"] == 0
         assert again.report.checkpoint_hits == 0
         assert again.report.checkpoint_stores == again.report.num_jobs
+
+    def test_previous_slab_layout_recomputes_not_wrong_answer(
+        self, triangle_query, monkeypatch
+    ):
+        """Checkpoints written in the ``(global ids, rows)`` table layout
+        that preceded base row tables are misses: the run recomputes every
+        wave, bit-identically, and re-persists it."""
+        reference = digest(run_without_cache(triangle_query))
+        persist = CheckpointStore.persist
+
+        def persist_previous_layout(store, key, result):
+            output = dataclasses.replace(
+                result.output, records=previous_layout(result.output.records)
+            )
+            return persist(store, key, JobResult(output, result.metrics))
+
+        monkeypatch.setattr(CheckpointStore, "persist", persist_previous_layout)
+        cold = run(triangle_query)
+        assert cold.report.checkpoint_stores == cold.report.num_jobs
+        monkeypatch.setattr(CheckpointStore, "persist", persist)
+        reset_checkpoint_counters()
+        again = run(triangle_query)
+        assert digest(again) == reference
+        assert again.report.checkpoint_hits == 0
+        assert again.report.checkpoint_stores == again.report.num_jobs
+        assert digest(run(triangle_query)) == reference  # now a warm hit
+        assert checkpoint_counters()["hits"] == again.report.num_jobs
 
     def test_oversize_outputs_are_skipped(self, triangle_query, monkeypatch):
         monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_MAX_BYTES", 64)

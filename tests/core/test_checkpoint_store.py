@@ -2,12 +2,14 @@
 
 Verify-on-read from the store's side: whatever is wrong with what is on
 disk — an index entry whose blob is gone, a blob whose bytes changed, a
-blob that hashes right but does not decode — reads as a miss, is
-discarded, and the next ``persist`` under the same key serves again.
+blob that hashes right but does not decode, or decodes into a slab of
+another layout — reads as a miss, is discarded, and the next ``persist``
+under the same key serves again.
 """
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.checkpoint import (
@@ -15,10 +17,13 @@ from repro.core.checkpoint import (
     checkpoint_counters,
     reset_checkpoint_counters,
 )
+from repro.joins.records import CompositeSlab, relation_to_composite_file
 from repro.mapreduce.config import execution_settings
 from repro.mapreduce.counters import JobMetrics
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import JobResult
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.storage import blob_digest, blob_tier, checkpoint_tier
 
 KEY = "k" * 64
@@ -32,8 +37,10 @@ def store(tmp_path, monkeypatch):
     reset_checkpoint_counters()
 
 
-def job_result(name="writer:j1"):
-    records = [(("a", i, (i, i * 2)),) for i in range(5)]
+def job_result(name="writer:j1", records=None):
+    if records is None:
+        relation = Relation("R", Schema.of("x:int", "y:int"), [(i, i * 2) for i in range(5)])
+        records = relation_to_composite_file(relation, "a").records
     metrics = JobMetrics(job_name=name)
     metrics.total_time_s = 7.5
     return JobResult(DistributedFile(f"{name}.out", records, 16, tag=f"{name}.out"), metrics)
@@ -94,3 +101,27 @@ def test_undecodable_payload_reads_as_a_miss_and_is_discarded(store):
     checkpoint_tier(settings).store("waves", KEY, {"digest": digest, "bytes": len(payload)})
     assert store.restore(KEY, "reader:j1") is None
     assert not blob_tier(settings).has(digest)
+
+
+def previous_layout(slab):
+    """``slab`` in the layout checkpoints held before a slab's tables were
+    its base relations' row tables: per alias a ``(global ids, rows)``
+    pair — here the identity ids, so it still reads as the same rows."""
+    return CompositeSlab(
+        slab.cover,
+        [(np.arange(len(rows), dtype=np.int64), rows) for rows in slab.tables],
+        slab.index,
+    )
+
+
+def test_a_slab_of_the_previous_layout_reads_as_a_miss_and_is_discarded(store):
+    current = job_result().output.records
+    digest = store.persist(KEY, job_result(records=previous_layout(current)))
+    assert digest is not None
+    assert store.restore(KEY, "reader:j1") is None
+    assert not blob_tier(execution_settings()).has(digest)
+    assert checkpoint_counters()["hits"] == 0
+    # Recomputed and persisted in the current layout, it serves again.
+    store.persist(KEY, job_result())
+    file, _metrics, _digest = store.restore(KEY, "reader:j1")
+    assert list(file.records) == list(current)

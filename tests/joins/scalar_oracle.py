@@ -2,8 +2,10 @@
 
 One scalar ``mapper`` + ``reducer`` spec per operator, built from the
 *same arguments* as the production builder in ``repro.joins.jobs`` /
-``repro.joins.shares``.  Mappers emit one ``(key, value)`` pair at a
-time; reducers handle one key group at a time and are written over
+``repro.joins.shares``.  Mappers emit one ``(key, (tag, position))`` pair
+at a time — the record's position in its input file, as production
+does; reducers handle one key group at a time, resolve each position
+through the input file's tuple view, and are written over
 ``merge_composites`` (per-composite dict merge with id agreement, from
 ``tail_oracle.py``),
 ``JoinCondition.evaluate`` (schema lookups per call) and ``bisect`` over
@@ -116,12 +118,15 @@ def _range_plan(ready, bound, new):
     return refs[key], by_attr[key]
 
 
-def _progressive_reducer(covers, conditions, schemas, probe=False, owner_of_ids=None):
+def _progressive_reducer(inputs, conditions, schemas, probe=False, owner_of_ids=None):
     """The per-key-group progressive join: bind one input at a time, test
     each (partial, candidate) combination that the step's hash / range
     probe admits (every combination without one), charge one comparison
     per test, keep the merged composite when the newly ready conditions
-    hold.  Values are ``(input index, [record id,] composite)``."""
+    hold.  ``inputs[i]`` is input ``i``'s slab, read as tuples; values
+    are ``(input index, position)``, and a position is the record id the
+    ownership rule reads."""
+    covers = [composites.cover for composites in inputs]
     staged = _ready_at_step(conditions, covers)
     plans: List[Optional[tuple]] = [None]
     for step in range(1, len(covers)):
@@ -135,8 +140,8 @@ def _progressive_reducer(covers, conditions, schemas, probe=False, owner_of_ids=
 
     def reducer(key, values, ctx):
         per_input = [[] for _ in covers]
-        for value in values:
-            per_input[value[0]].append((value[1] if owner_of_ids else None, value[-1]))
+        for slot, position in values:
+            per_input[slot].append((position, inputs[slot][position]))
         partial = [((), ())]  # (record ids so far, merged composite)
         for step, candidates in enumerate(per_input):
             if not candidates:
@@ -197,13 +202,14 @@ def _progressive_reducer(covers, conditions, schemas, probe=False, owner_of_ids=
     return reducer
 
 
-def _pairwise_reducer(first_tag, conditions, schemas):
+def _pairwise_reducer(inputs_by_tag, first_tag, conditions, schemas):
     """The pair-wise (equi / broadcast) reduce: a filtered nested loop
-    charged ``|first| * |second|``.  Values are ``(tag, composite)``."""
+    charged ``|first| * |second|``.  Values are ``(tag, position)``,
+    resolved through ``inputs_by_tag[tag]`` (tuple form)."""
 
     def reducer(key, values, ctx):
-        firsts = [c for tag, c in values if tag == first_tag]
-        seconds = [c for tag, c in values if tag != first_tag]
+        firsts = [inputs_by_tag[tag][at] for tag, at in values if tag == first_tag]
+        seconds = [inputs_by_tag[tag][at] for tag, at in values if tag != first_tag]
         ctx.charge_comparisons(len(firsts) * len(seconds))
         for first in firsts:
             for second in seconds:
@@ -218,6 +224,7 @@ def hypercube_job(
     name, dim_files, partitioner, conditions, schemas_by_alias, output_name="",
 ) -> MapReduceJobSpec:
     dim_aliases = [file.records.cover for file in dim_files]
+    inputs = [file.records for file in dim_files]
     dim_of_tag = {file.tag: dim for dim, file in enumerate(dim_files)}
     slab_components = partitioner.slab_components()
 
@@ -228,19 +235,21 @@ def hypercube_job(
             partitioner.used_side[dim] - 1,
         )
         for component in slab_components[dim][slab]:
-            yield component, (dim, ctx.record_index, record)
+            yield component, (dim, ctx.record_index)
 
     return MapReduceJobSpec(
         name=name,
         inputs=list(dim_files),
         mapper=mapper,
         reducer=_progressive_reducer(
-            dim_aliases, conditions, schemas_by_alias,
+            inputs, conditions, schemas_by_alias,
             probe=True, owner_of_ids=partitioner.owner_of_ids,
         ),
         num_reducers=partitioner.num_components,
         output_record_width=_output_width(dim_aliases, schemas_by_alias),
-        pair_width_fn=lambda value: 16 + _composite_bytes(value[2], schemas_by_alias),
+        pair_width_fn=lambda value: (
+            16 + _composite_bytes(inputs[value[0]][value[1]], schemas_by_alias)
+        ),
         output_name=output_name or f"{name}.out",
     )
 
@@ -271,17 +280,20 @@ def equi_join_job(
     )
 
     def mapper(tag, record, ctx):
-        yield key_of(tag, record), (tag == left_file.tag, record)
+        yield key_of(tag, record), (tag == left_file.tag, ctx.record_index)
 
+    inputs = {True: left_file.records, False: right_file.records}
     return MapReduceJobSpec(
         name=name,
         inputs=[left_file, right_file],
         mapper=mapper,
-        reducer=_pairwise_reducer(True, list(conditions), schemas_by_alias),
+        reducer=_pairwise_reducer(inputs, True, list(conditions), schemas_by_alias),
         num_reducers=num_reducers,
         partitioner=partition,
         output_record_width=_output_width([left_aliases, right_aliases], schemas_by_alias),
-        pair_width_fn=lambda value: 2 + _composite_bytes(value[1], schemas_by_alias),
+        pair_width_fn=lambda value: (
+            2 + _composite_bytes(inputs[value[0]][value[1]], schemas_by_alias)
+        ),
         output_name=output_name or f"{name}.out",
     )
 
@@ -294,19 +306,25 @@ def broadcast_join_job(
 
     def mapper(tag, record, ctx):
         if tag == big_file.tag:
-            yield stable_hash(("b", ctx.record_index), num_reducers), ("big", record)
+            yield (
+                stable_hash(("b", ctx.record_index), num_reducers),
+                ("big", ctx.record_index),
+            )
         else:
             for component in range(num_reducers):
-                yield component, ("small", record)
+                yield component, ("small", ctx.record_index)
 
+    inputs = {"big": big_file.records, "small": small_file.records}
     return MapReduceJobSpec(
         name=name,
         inputs=[big_file, small_file],
         mapper=mapper,
-        reducer=_pairwise_reducer("big", list(conditions), schemas_by_alias),
+        reducer=_pairwise_reducer(inputs, "big", list(conditions), schemas_by_alias),
         num_reducers=num_reducers,
         output_record_width=_output_width(covers, schemas_by_alias),
-        pair_width_fn=lambda value: 6 + _composite_bytes(value[1], schemas_by_alias),
+        pair_width_fn=lambda value: (
+            6 + _composite_bytes(inputs[value[0]][value[1]], schemas_by_alias)
+        ),
         output_name=output_name or f"{name}.out",
     )
 
@@ -332,17 +350,20 @@ def equichain_join_job(
     )
 
     def mapper(tag, record, ctx):
-        yield key_of(tag, record), (index_of_tag[tag], record)
+        yield key_of(tag, record), (index_of_tag[tag], ctx.record_index)
 
+    inputs = [file.records for file in input_files]
     return MapReduceJobSpec(
         name=name,
         inputs=list(input_files),
         mapper=mapper,
-        reducer=_progressive_reducer(alias_groups, conditions, schemas_by_alias),
+        reducer=_progressive_reducer(inputs, conditions, schemas_by_alias),
         num_reducers=num_reducers,
         partitioner=partition,
         output_record_width=_output_width(alias_groups, schemas_by_alias),
-        pair_width_fn=lambda value: 8 + _composite_bytes(value[1], schemas_by_alias),
+        pair_width_fn=lambda value: (
+            8 + _composite_bytes(inputs[value[0]][value[1]], schemas_by_alias)
+        ),
         output_name=output_name or f"{name}.out",
     )
 
@@ -350,22 +371,21 @@ def equichain_join_job(
 def shares_reduce_side(spec: MapReduceJobSpec, input_files, conditions, schemas_by_alias):
     """``spec`` (from ``make_shares_join_job``, whose mapper is scalar
     already) with its reduce side replaced by the reference: values are
-    ``(alias, composite)``, inputs are bound in file order."""
+    ``(alias, position)``, inputs are bound in file order."""
     slot = {file.tag: i for i, file in enumerate(input_files)}
-    progressive = _progressive_reducer(
-        [(file.tag,) for file in input_files], conditions, schemas_by_alias
-    )
+    inputs = [file.records for file in input_files]
+    progressive = _progressive_reducer(inputs, conditions, schemas_by_alias)
 
     def reducer(key, values, ctx):
-        return progressive(key, [(slot[tag], c) for tag, c in values], ctx)
+        return progressive(key, [(slot[tag], at) for tag, at in values], ctx)
 
     return dataclasses.replace(
         spec,
         reducer=reducer,
         batch_reducer=None,
         collect_outputs=chain_outputs,
-        pair_width_fn=lambda value: (
-            4 + len(value[0]) + _composite_bytes(value[1], schemas_by_alias)
+        pair_width_fn=lambda value: 4 + len(value[0]) + _composite_bytes(
+            inputs[slot[value[0]]][value[1]], schemas_by_alias
         ),
     )
 

@@ -12,7 +12,7 @@ each composite by its own alias tags.
 
 ``slab_of`` lifts tuple-form composites into a ``CompositeSlab``, the
 only form production code accepts; it is where a test's composites are
-held against their cover.
+held against their cover and their ids against their rows.
 """
 
 from typing import Dict, Optional, Sequence, Tuple
@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.joins.records import Composite, CompositeSlab, Entry, slab_table
+from repro.joins.records import Composite, CompositeSlab, Entry, object_column
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Field, Schema
 
@@ -66,25 +66,36 @@ def merge_composites(left: Composite, right: Composite) -> Optional[Composite]:
 
 
 def slab_of(cover: Sequence[str], composites: Sequence[Composite]) -> CompositeSlab:
-    """Tuple-form composites as a slab (each its own table entry).
+    """Tuple-form composites as a slab over base-shaped tables: alias
+    ``a``'s table holds the row of global id ``i`` at position ``i``, its
+    index vector is the ids.  An id no composite names repeats a row that
+    one does (tables are projected whole; nothing indexes the filler).
 
     Column-wise code never looks at an alias tag again, so a composite of
     another width, or with another alias in any slot, fails here rather
-    than coming out as a wrong row.
+    than coming out as a wrong row — and so does an id that names two
+    different rows, which no base table could hold.
     """
     cover = tuple(cover)
-    if not composites:
-        return CompositeSlab.empty(cover)
-    tables = []
+    tables, index = [], []
     for position, alias in enumerate(cover):
         if any(len(c) != len(cover) or c[position][0] != alias for c in composites):
             raise ExecutionError(
                 f"composites do not uniformly cover aliases {list(cover)}"
             )
-        tables.append(
-            slab_table([c[position][1] for c in composites], [c[position][2] for c in composites])
+        rows: Dict[int, Row] = {}
+        for _alias, gid, row in (c[position] for c in composites):
+            if rows.setdefault(gid, row) is not row and rows[gid] != row:
+                raise ExecutionError(
+                    f"alias {alias!r}: global id {gid} names two different rows"
+                )
+        size = max(rows, default=-1) + 1
+        filler = next(iter(rows.values()), None)
+        tables.append(object_column((rows.get(i, filler) for i in range(size)), size))
+        index.append(
+            np.fromiter((c[position][1] for c in composites), np.int64, len(composites))
         )
-    return CompositeSlab(cover, tables, [np.arange(len(composites))] * len(cover))
+    return CompositeSlab(cover, tables, index)
 
 
 def _reference_composites_to_relation(composites, schemas_by_alias, name, projection=None):

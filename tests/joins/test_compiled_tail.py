@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 import repro.core.executor as executor_mod
 import repro.core.merge as merge_mod
+import repro.joins.progressive as progressive
 from repro.cli import PLANNERS
 from repro.core.executor import PlanExecutor
 from repro.core.merge import hash_merge
 from repro.errors import ExecutionError
-from repro.joins.records import CompositeSlab, composites_to_relation
+from repro.joins.records import composites_to_relation
 from repro.mapreduce.config import PAPER_CLUSTER_KP64
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.schema import Schema
@@ -38,8 +39,8 @@ ALIASES = ("a", "b", "c", "d", "e")
 
 
 def scrambled(cover, composites):
-    """The same composites, in the same order, as a slab whose index
-    vectors are not the identity (its tables hold them reversed)."""
+    """The same composites, in the same order, as a slab built from them
+    reversed and read back through a reversing take."""
     backwards = slab_of(cover, composites[::-1])
     return backwards.take(np.arange(len(composites))[::-1])
 
@@ -108,7 +109,7 @@ class TestProjectorMatchesReference:
     def test_empty_input_keeps_the_schema(self):
         schemas = {"a": Schema.of("x:int", "y:str"), "b": Schema.of("z:float")}
         out = composites_to_relation(
-            CompositeSlab.empty(("a", "b")), schemas, "out", [("b", "z"), ("a", "x")]
+            slab_of(("a", "b"), []), schemas, "out", [("b", "z"), ("a", "x")]
         )
         assert out.rows == []
         assert out.schema.names == ("b_z", "a_x")
@@ -180,8 +181,11 @@ class TestMergeMatchesReference:
         assert merged == _reference_hash_merge(left, right)
         assert [c[3][1] for c in merged] == [4]
 
-    def test_ids_too_wide_to_fold_into_one_int64_are_renumbered(self):
-        big = 2**40
+    def test_ids_too_wide_to_fold_into_one_int64_are_renumbered(self, monkeypatch):
+        # Ids are row positions, so no test table reaches 2**62 / width;
+        # a lowered bound makes the second shared alias's fold overflow.
+        monkeypatch.setattr(progressive, "INT_SAFE", 1000)
+        big = 40
         left = slab_of(
             ("a", "b", "c"),
             [

@@ -386,3 +386,43 @@ class TestInputsAreSlabs:
         for build in builds:
             with pytest.raises(ExecutionError, match="'tuples:a' holds list, not a CompositeSlab"):
                 build()
+
+
+class TestShuffleCarriesPositions:
+    """No row or composite crosses the shuffle: every value a join's map
+    side emits is ``(tag, position)``."""
+
+    @pytest.mark.parametrize(
+        "builder", ["hypercube", "equi", "broadcast", "equichain", "shares"]
+    )
+    def test_every_map_value_is_a_tag_and_an_int(self, builder):
+        schemas, files = TestInputsAreSlabs.inputs()
+        equality = [JoinCondition.parse(1, "a.g = b.g")]
+        two = [files["a"], files["b"]]
+        if builder == "hypercube":
+            spec = make_hypercube_join_job(
+                "h", two, HypercubePartitioner([8, 8], 3), equality, schemas
+            )
+        elif builder == "equi":
+            spec = make_equi_join_job("e", *two, equality, schemas, 3)
+        elif builder == "broadcast":
+            spec = make_broadcast_join_job("bc", *two, equality, schemas, 3)
+        elif builder == "equichain":
+            chain = equality + [JoinCondition.parse(2, "b.g = c.g")]
+            spec = make_equichain_join_job("ec", [*two, files["c"]], chain, schemas, 3)
+        else:
+            spec = make_shares_join_job("s", two, equality, schemas, total_reducers=4)
+        mapper = spec.batched_mapper()
+        values = [
+            value
+            for file in spec.inputs
+            for bucket in mapper(file.tag, file.records, 0).buckets
+            for group in bucket.values()
+            for value in group
+        ]
+        assert values
+        for value in values:
+            assert type(value) is tuple and len(value) == 2, value
+            assert type(value[1]) is int and 0 <= value[1] < 8, value
+        # One tag per input: the reducer tells the inputs apart by it.
+        assert len({value[0] for value in values}) == len(spec.inputs)

@@ -5,6 +5,7 @@ cast (the int-vs-float wrong-answer reproductions, > int64 values,
 wrapping offsets, ``None`` / ``bool`` / ``str``); NaN in a range-probed
 column against a brute-force nested loop; a hypothesis property driving
 whole buckets through :func:`~repro.joins.progressive.bucket_reducer`
+and the job's composition of its position vectors
 against the oracle's per-key-group reducers; and the build-time
 rejections.
 """
@@ -23,6 +24,7 @@ from scalar_oracle import (
     assert_job_matches_oracle,
     build_with_oracle,
 )
+from tail_oracle import slab_of
 
 import repro.joins.progressive as progressive
 from repro.core.partitioner import HypercubePartitioner
@@ -34,10 +36,11 @@ from repro.joins.jobs import (
     make_equichain_join_job,
     make_hypercube_join_job,
 )
-from repro.joins.progressive import ProgressiveJoin, bucket_reducer
+from repro.joins.progressive import ProgressiveJoin
 from repro.joins.records import relation_to_composite_file
 from repro.joins.shares import make_shares_join_job
 from repro.mapreduce.config import PAPER_CLUSTER_KP64
+from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import TaskContext
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.predicates import AttrRef, JoinCondition, JoinPredicate, ThetaOp
@@ -341,29 +344,41 @@ def test_whole_buckets_match_oracle_reducers(case):
     """Rows, their order, comparisons, outputs and input bytes — in total
     and per key group — of one kernel call over a whole bucket equal the
     oracle reducer's, key group by key group; with the block constant
-    drawn small, pair counts straddle many block edges."""
+    drawn small, pair counts straddle many block edges.  Each input's
+    records are a slab in record-id order, and the shuffle values
+    ``(slot, record id)`` address them by position."""
     mode, covers, conditions, groups, block = case
     schemas = {alias: ROW_SCHEMA for cover in covers for alias in cover}
     header = {"pairwise": 2, "equichain": 8, "hypercube": 16}[mode]
     widths = _value_widths(header, covers, schemas)
     slots = {slot: slot for slot in range(len(covers))}
+    records = [{} for _ in covers]
+    for _key, values in groups:
+        for slot, gid, composite in values:
+            records[slot][gid] = composite
+    inputs = [
+        slab_of(cover, [composites[gid] for gid in range(len(composites))])
+        for cover, composites in zip(covers, records)
+    ]
+    files = [
+        DistributedFile(f"in{slot}", slab, 0, tag=slot) for slot, slab in enumerate(inputs)
+    ]
     if mode == "pairwise":
         join = ProgressiveJoin("p", covers, conditions, schemas, scan_first=False)
-        oracle = _pairwise_reducer(0, conditions, schemas)
+        oracle = _pairwise_reducer(dict(enumerate(inputs)), 0, conditions, schemas)
     elif mode == "equichain":
         join = ProgressiveJoin("p", covers, conditions, schemas, scan_first=True)
-        oracle = _progressive_reducer(covers, conditions, schemas)
+        oracle = _progressive_reducer(inputs, conditions, schemas)
     else:
         join = ProgressiveJoin(
             "p", covers, conditions, schemas, scan_first=True, probe=True,
             owners_of=lambda id_columns: sum(id_columns) % 3,
         )
         oracle = _progressive_reducer(
-            covers, conditions, schemas, probe=True,
+            inputs, conditions, schemas, probe=True,
             owner_of_ids=lambda ids: sum(ids) % 3,
         )
-    if mode != "hypercube":  # only ownership ships record ids
-        groups = [(key, [(v[0], v[-1]) for v in values]) for key, values in groups]
+    groups = [(key, [(slot, gid) for slot, gid, _ in values]) for key, values in groups]
 
     want, want_comparisons, want_produced, want_bytes = [], [], [], []
     for key, values in groups:
@@ -373,7 +388,7 @@ def test_whole_buckets_match_oracle_reducers(case):
         want_comparisons.append(ctx.comparisons)
         want_produced.append(len(produced))
         want_bytes.append(
-            sum(12 + header + _composite_bytes(v[-1], schemas) for v in values)
+            sum(12 + header + _composite_bytes(inputs[s][at], schemas) for s, at in values)
         )
 
     keys = [key for key, _values in groups]
@@ -381,9 +396,11 @@ def test_whole_buckets_match_oracle_reducers(case):
     offsets = [0]
     for _key, values in groups:
         offsets.append(offsets[-1] + len(values))
+    side = progressive.reduce_side(join, slots, widths, files)
     with mock.patch.object(progressive, "_BLOCK_PAIRS", block):
-        got = bucket_reducer(join, slots, widths)(keys, flat, offsets)
-    assert list(got.outputs) == want
+        got = side["batch_reducer"](keys, flat, offsets)
+    assert all(vector.dtype == np.int64 for vector in got.outputs)
+    assert list(side["collect_outputs"]([got.outputs])) == want
     charged, produced, input_bytes = (
         np.asarray(c).tolist()
         for c in (got.group_comparisons, got.group_produced, got.group_bytes)

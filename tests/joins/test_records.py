@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.joins.records import (
     CompositeSlab,
+    compose,
     composite_width,
     composites_to_relation,
     relation_to_composite_file,
@@ -82,7 +83,7 @@ class TestFiles:
         assert list(file.records) == [
             singleton("x", i, row) for i, row in enumerate(relation.rows)
         ]
-        assert file.records.tables[0][1][2] is relation.rows[2]
+        assert file.records.tables[0][2] is relation.rows[2]
 
     def test_empty_relation_lifts_to_an_empty_slab(self):
         file = relation_to_composite_file(Relation("E", Schema.of("id:int")), "e")
@@ -154,7 +155,7 @@ class TestCompositeSlab:
             cut = slab[piece]
             assert isinstance(cut, CompositeSlab)
             assert list(cut) == composites[piece]
-            assert cut.tables[0][1] is slab.tables[0][1]
+            assert cut.tables[0] is slab.tables[0]
 
     def test_take_reorders_and_repeats(self):
         composites = _composites(6)
@@ -163,20 +164,21 @@ class TestCompositeSlab:
         assert list(slab.take(at)) == [composites[i] for i in at]
         assert slab.take(at).ids("c").tolist() == [composites[i][1][1] for i in at]
 
-    def test_concat_keeps_order_and_skips_empties(self):
-        first, second = _composites(4), _composites(5, base=3)
-        empty = CompositeSlab.empty(("a", "c"))
-        parts = [
-            empty,
-            slab_of(("a", "c"), first),
-            empty,
-            slab_of(("a", "c"), second)[1:],
+    def test_compose_joins_parts_by_position_over_their_tables(self):
+        left = slab_of(("a", "c"), _composites(4))
+        right = slab_of(("b",), [(("b", i, (i, "b")),) for i in range(3)])
+        at = [np.array([3, 0, 3]), np.array([2, 2, 0])]
+        joined = compose([left, right], at)
+        assert joined.cover == ("a", "b", "c")
+        assert list(joined) == [
+            tuple(sorted(left[i] + right[j])) for i, j in zip(*at)
         ]
-        joined = CompositeSlab.concat(parts)
-        assert list(joined) == first + second[1:]
-        assert list(joined[3:6]) == (first + second[1:])[3:6]
-        assert CompositeSlab.concat([empty, empty]) == []
-        assert CompositeSlab.concat([empty, parts[1]]) is parts[1]
+        assert joined.tables == (left.tables[0], right.tables[0], left.tables[1])
+        none = np.empty(0, dtype=np.int64)
+        assert compose([left, right], [none, none]) == []
+        # An alias two parts carry is read from the first.
+        twice = compose([left, left.take(np.array([1, 2, 3, 0]))], at)
+        assert twice.cover == ("a", "c") and list(twice) == [left[i] for i in at[0]]
 
     def test_pickles_as_vectors_and_tables(self):
         composites = _composites(8)

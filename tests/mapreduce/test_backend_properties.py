@@ -29,7 +29,6 @@ from repro.mapreduce.backend import (  # noqa: E402
     ThreadBackend,
 )
 from repro.mapreduce.config import settings_scope  # noqa: E402
-from repro.mapreduce.wire import closure_transport_available  # noqa: E402
 from repro.mapreduce.worker import FaultSpec, WorkerServer  # noqa: E402
 
 RELAXED = settings(
@@ -98,10 +97,6 @@ def test_serial_backend_is_the_reference(count):
     ]
 
 
-@pytest.mark.skipif(
-    not closure_transport_available(),
-    reason="cloudpickle unavailable: closures cannot ship over TCP",
-)
 @given(
     count=st.integers(min_value=2, max_value=24),
     fail_after=st.integers(min_value=1, max_value=10),

@@ -280,7 +280,7 @@ def per_bucket_reference(cluster, spec, buckets):
         task_bytes = int(sum(batch.group_bytes))
         task_comparisons = int(sum(batch.group_comparisons))
         produced = int(sum(batch.group_produced))
-        assert produced == len(batch.outputs)
+        assert produced == len(spec.collect_outputs([batch.outputs]))
         parts.append(batch.outputs)
         input_bytes.append(task_bytes)
         comparisons += task_comparisons
@@ -289,7 +289,28 @@ def per_bucket_reference(cluster, spec, buckets):
                 spec, task_bytes, len(flat), task_comparisons, produced
             )
         )
-    return list(spec.collect_outputs(parts)), input_bytes, comparisons, costs
+    return spec.collect_outputs(parts), input_bytes, comparisons, costs
+
+
+def collect_ranges(spec, buckets, edges):
+    """The job's output from one reducer call per range ``[edges[i],
+    edges[i + 1])`` of the buckets, collected in range order."""
+    reducer = spec.batched_reducer()
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        keys, flat, offsets, _first = _key_major(buckets[lo:hi])
+        parts.append(reducer(keys, flat, offsets).outputs)
+    return spec.collect_outputs(parts)
+
+
+def assert_same_output(kind, got, want):
+    """Same records in the same order; a join's slab also over the same
+    cover, the very same base tables and equal index vectors."""
+    assert list(got) == list(want), kind
+    if kind == "join":
+        assert got.cover == want.cover
+        assert all(a is b for a, b in zip(got.tables, want.tables))
+        assert [at.tolist() for at in got.index] == [at.tolist() for at in want.index]
 
 
 # Empty buckets at the start, middle and end of a range, under every
@@ -316,11 +337,22 @@ def test_ranges_account_like_one_call_per_bucket(backend, workers, case):
     want_outputs, want_bytes, want_comparisons, want_costs = per_bucket_reference(
         cluster, spec, buckets
     )
-    assert list(outputs) == want_outputs, kind
+    assert_same_output(kind, outputs, want_outputs)
     assert metrics.reducer_input_bytes == want_bytes
     assert all(type(b) is int for b in metrics.reducer_input_bytes)
     assert metrics.reduce_comparisons == want_comparisons
     assert costs == want_costs
+
+
+@given(case=reduce_cases(), cuts=st.sets(st.integers(1, 8), max_size=8))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_collecting_any_split_into_ranges_gives_the_one_range_output(case, cuts):
+    """1, 2, ..., one-per-bucket ranges: the collected output is the one
+    range's, for a join the same slab."""
+    kind, spec, buckets = case
+    whole = collect_ranges(spec, buckets, [0, len(buckets)])
+    edges = [0, *sorted(cut for cut in cuts if cut < len(buckets)), len(buckets)]
+    assert_same_output(kind, collect_ranges(spec, buckets, edges), whole)
 
 
 def test_chain_job_calls_the_reducer_once_per_worker(monkeypatch):

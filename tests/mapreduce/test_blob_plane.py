@@ -23,10 +23,6 @@ from repro.mapreduce import worker as worker_mod
 from repro.mapreduce.worker import REGISTRY_MAX_ENTRIES, WorkerServer
 from repro.storage import blob_digest
 
-pytestmark = pytest.mark.skipif(
-    not wire.closure_transport_available(), reason="cloudpickle unavailable"
-)
-
 
 @pytest.fixture(autouse=True)
 def _blob_env(tmp_path, monkeypatch):

@@ -31,14 +31,7 @@ from repro.mapreduce.cancel import (  # noqa: E402
     current_token,
 )
 from repro.mapreduce.config import settings_scope  # noqa: E402
-from repro.mapreduce.wire import closure_transport_available  # noqa: E402
 from repro.mapreduce.worker import FaultSpec, WorkerServer  # noqa: E402
-
-needs_closures = pytest.mark.skipif(
-    not closure_transport_available(),
-    reason="cloudpickle unavailable: closures cannot ship over TCP",
-)
-
 
 # ----------------------------------------------------------------------
 # token semantics (plain unit tests)
@@ -130,7 +123,6 @@ def _run_cancelled_batch(backend, count, seed, cancel_after_s):
     return "completed"
 
 
-@needs_closures
 @given(
     count=st.integers(min_value=2, max_value=30),
     seed=st.integers(min_value=0, max_value=2**31),
@@ -162,7 +154,6 @@ def test_random_cancel_points_leave_no_inflight_and_survivors_usable(
             worker.stop()
 
 
-@needs_closures
 @given(
     count=st.integers(min_value=4, max_value=24),
     seed=st.integers(min_value=0, max_value=2**31),
@@ -195,7 +186,6 @@ def test_cancel_racing_worker_loss_still_leaves_zero_inflight(
         healthy.stop()
 
 
-@needs_closures
 def test_expired_deadline_abandons_instead_of_retrying():
     """A dead-by-deadline query must not burn the fleet's retry budget:
     after the token fires, lost/undone indices are abandoned and the

@@ -15,16 +15,14 @@ including heartbeats the way a hung host would (only the heartbeat
 thread can notice).
 """
 
+import threading
+
 import pytest
 
 import conformance
 from repro.mapreduce.backend import DistributedBackend, close_backends
-from repro.mapreduce.wire import closure_transport_available, dial
-
-pytestmark = pytest.mark.skipif(
-    not closure_transport_available(),
-    reason="cloudpickle unavailable: closures cannot ship over TCP",
-)
+from repro.mapreduce.dispatch import BatchState
+from repro.mapreduce.wire import dial
 
 #: Heartbeat fast enough that stall detection doesn't dominate test time.
 FAST_HEARTBEAT = 0.2
@@ -45,6 +43,28 @@ def answers(addr):
         return False
     sock.close()
     return True
+
+
+def flaky_takes_first(monkeypatch, flaky_addr):
+    """Make a fault armed on the flaky daemon's first task fire, whatever
+    the dispatcher race: until the flaky daemon's dispatcher has taken an
+    index, every other dispatcher waits before taking one, so the first
+    batch's first index is the flaky daemon's.  Its peers then retry that
+    index once the fault is detected."""
+    took = threading.Event()
+    take = BatchState.take
+    flaky_thread = f"repro-dispatch-{flaky_addr}"
+
+    def flaky_first(state, draining):
+        mine = threading.current_thread().name == flaky_thread
+        if not mine:
+            took.wait(timeout=30.0)
+        got = take(state, draining)
+        if mine and got is not None:
+            took.set()
+        return got
+
+    monkeypatch.setattr(BatchState, "take", flaky_first)
 
 
 def make_backend(addrs, **overrides):
@@ -171,15 +191,16 @@ class TestMidPhaseKillEquivalence:
     serial, while a worker daemon dies mid-phase."""
 
     @pytest.mark.parametrize("query_id", ["mobile-2", "tpch-3"])
-    def test_grid_entry_with_mid_phase_kill(self, query_id):
-        # Task counting is global across the daemon's connections.  A
-        # lone job ships whole, so a grid entry is only a handful of
-        # tasks, shared between the daemons as their dispatchers race:
-        # "after 2 tasks" lands inside its execution, and the daemon must
-        # really be gone by its end.
+    def test_grid_entry_with_mid_phase_kill(self, query_id, monkeypatch):
+        # A lone job ships whole, so a grid entry is only a handful of
+        # tasks, shared between the daemons as their dispatchers race;
+        # the flaky daemon takes the first one (flaky_takes_first), which
+        # is the task its fault is armed on, and must really be gone by
+        # the end.
         with conformance.worker_pool(
-            2, extra_args=[("--fail-after-tasks", "2", "--fail-mode", "kill"), ()]
+            2, extra_args=[("--fail-after-tasks", "1", "--fail-mode", "kill"), ()]
         ) as addrs:
+            flaky_takes_first(monkeypatch, addrs[0])
             conformance.assert_backend_matches_serial(
                 "distributed",
                 query_id,
@@ -189,10 +210,11 @@ class TestMidPhaseKillEquivalence:
             assert not answers(addrs[0]), "the flaky daemon never died"
             assert answers(addrs[1])
 
-    def test_grid_entry_with_mid_phase_stall(self):
+    def test_grid_entry_with_mid_phase_stall(self, monkeypatch):
         with conformance.worker_pool(
-            2, extra_args=[("--fail-after-tasks", "2", "--fail-mode", "stall"), ()]
+            2, extra_args=[("--fail-after-tasks", "1", "--fail-mode", "stall"), ()]
         ) as addrs:
+            flaky_takes_first(monkeypatch, addrs[0])
             conformance.assert_backend_matches_serial(
                 "distributed",
                 "mobile-1",

@@ -15,16 +15,17 @@ bytes.
 import pytest
 
 import conformance
+from repro.core.executor import PlanExecutor, lift_base_relation
+from repro.joins.reference import reference_join
 from repro.mapreduce.backend import close_backends, live_distributed_backend
-from repro.mapreduce.wire import closure_transport_available
+from repro.mapreduce.config import PAPER_CLUSTER_KP64
+from repro.mapreduce.runtime import SimulatedCluster
 
 PARALLEL_BACKENDS = ("thread", "process", "distributed")
 
 
 @pytest.fixture(scope="module")
 def distributed_workers(tmp_path_factory):
-    if not closure_transport_available():  # pragma: no cover - no cloudpickle
-        pytest.skip("cloudpickle unavailable: closures cannot ship over TCP")
     # Daemons inherit REPRO_CACHE_DIR at spawn, so the module pool's blob
     # tier lives in a throwaway directory, not the user's cache.
     cache_dir = tmp_path_factory.mktemp("worker-blob-cache")
@@ -50,6 +51,53 @@ def test_backend_equivalence(request, backend, query_id):
     )
 
 
+def run_keeping_files(backend, query, workers_addrs=()):
+    """Every planner's plan of ``query`` under ``backend``: the outcome
+    and each job's output file, as the parent's simulated HDFS holds it."""
+    runs = []
+    for planner_cls in conformance.METHOD_PLANNERS.values():
+        plan = planner_cls(PAPER_CLUSTER_KP64).plan(query)
+        cluster = SimulatedCluster(PAPER_CLUSTER_KP64)
+        with conformance.execution_env(
+            **conformance._backend_overrides(backend, workers_addrs)
+        ):
+            outcome = PlanExecutor(cluster).execute(plan, query)
+        files = [cluster.hdfs.get(f"{query.name}:{job.job_id}.out") for job in plan.jobs]
+        runs.append((outcome, files))
+    return runs
+
+
+@pytest.mark.parametrize("backend", ["serial", "distributed"])
+def test_every_output_indexes_the_base_tables(request, backend, three_way_query):
+    """A job output, a merged result and the final answer hold no row
+    table of their own: alias ``a``'s table is the lifted base relation's
+    (that very object in process, an equal copy off a daemon), and its
+    index vector is the global ids ``reference_join`` binds."""
+    workers_addrs = ()
+    if backend == "distributed":
+        workers_addrs = request.getfixturevalue("distributed_workers")
+    query = three_way_query
+    base = {
+        alias: lift_base_relation(relation, alias).records.tables[0]
+        for alias, relation in query.relations.items()
+    }
+    reference = sorted(
+        tuple(gid for _alias, gid, _row in composite)
+        for composite in reference_join(query)
+    )
+    for outcome, files in run_keeping_files(backend, query, workers_addrs):
+        for slab in [outcome.composites, *(file.records for file in files)]:
+            for alias, table in zip(slab.cover, slab.tables):
+                if backend == "serial":
+                    assert table is base[alias], alias
+                else:
+                    assert table.tolist() == base[alias].tolist(), alias
+        final = outcome.composites
+        assert final.cover == ("a", "b", "c")
+        ids = sorted(zip(*(final.ids(alias).tolist() for alias in final.cover)))
+        assert ids == reference
+
+
 def test_distributed_leg_really_dispatched(distributed_workers):
     """Must run after the grid (file order): the distributed runs above
     may not have degraded to serial behind the assertions' backs."""
@@ -60,8 +108,6 @@ def test_warm_rerun_ships_10x_fewer_payload_bytes(tmp_path):
     """PR 8 acceptance: a warm re-run of an identical distributed query
     registers its closures by digest and ships only the slim executable
     parts — at least 10x fewer payload bytes than the cold run."""
-    if not closure_transport_available():  # pragma: no cover - no cloudpickle
-        pytest.skip("cloudpickle unavailable: closures cannot ship over TCP")
     query_id, planner = "mobile-2", "ours"
     expected = conformance.serial_digest(query_id, planner)
     cache_dir = tmp_path / "blob-cache"

@@ -24,7 +24,6 @@ import conformance
 from repro.mapreduce import dispatch as dispatch_mod
 from repro.mapreduce.backend import DistributedBackend, close_backends
 from repro.mapreduce.worker_handle import WorkerLost
-from repro.mapreduce.wire import closure_transport_available
 
 
 @pytest.fixture(autouse=True)
@@ -215,9 +214,6 @@ class TestBreaker:
         )
 
 
-@pytest.mark.skipif(
-    not closure_transport_available(), reason="cloudpickle unavailable"
-)
 class TestLiveFleet:
     def test_slowed_daemon_is_hedged_around(self, tmp_path):
         """Integration: a real two-daemon fleet where one worker sleeps

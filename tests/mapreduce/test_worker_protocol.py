@@ -69,10 +69,6 @@ class TestFraming:
 
 
 class TestHandshake:
-    @pytest.mark.skipif(
-        not wire.closure_transport_available(),
-        reason="a cloudpickle-less peer is by design incompatible",
-    )
     def test_hello_ack_is_compatible(self, server):
         sock = dial(server)
         try:
@@ -127,9 +123,6 @@ class TestHandshake:
             sock.close()
 
 
-@pytest.mark.skipif(
-    not wire.closure_transport_available(), reason="cloudpickle unavailable"
-)
 class TestRegistryAndTasks:
     def register(self, sock, token, fn):
         slim, blobs = wire.split_task_fn(fn)
@@ -238,19 +231,18 @@ class TestLifecycle:
         socks = [dial(server), dial(server)]
         results = []
         try:
-            if wire.closure_transport_available():
-                slim, _blobs = wire.split_task_fn(lambda i: i)
+            slim, _blobs = wire.split_task_fn(lambda i: i)
+            for token, sock in enumerate(socks, start=1):
+                wire.send_frame(sock, ("register", token, slim, []))
+                assert wire.recv_frame(sock)[0] == "registered"
+            for attempt in range(4):
                 for token, sock in enumerate(socks, start=1):
-                    wire.send_frame(sock, ("register", token, slim, []))
-                    assert wire.recv_frame(sock)[0] == "registered"
-                for attempt in range(4):
-                    for token, sock in enumerate(socks, start=1):
-                        try:
-                            wire.send_frame(sock, ("task", token, attempt))
-                            results.append(wire.recv_frame(sock))
-                        except (wire.WireError, OSError):
-                            results.append("lost")
-                assert "lost" in results  # the drop fired within the batch
+                    try:
+                        wire.send_frame(sock, ("task", token, attempt))
+                        results.append(wire.recv_frame(sock))
+                    except (wire.WireError, OSError):
+                        results.append("lost")
+            assert "lost" in results  # the drop fired within the batch
         finally:
             for sock in socks:
                 sock.close()

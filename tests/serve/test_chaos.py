@@ -26,10 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.mapreduce.backend import close_backends
-from repro.mapreduce.wire import closure_transport_available
 from repro.serve.chaos import ChaosEvent, ChaosHarness
 import repro
 from repro.serve.coordinator import QueryService
@@ -40,11 +37,6 @@ from conformance import (  # noqa: E402
     assert_distributed_really_dispatched,
     execution_env,
     worker_pool,
-)
-
-pytestmark = pytest.mark.skipif(
-    not closure_transport_available(),
-    reason="cloudpickle unavailable: closures cannot ship over TCP",
 )
 
 #: Three distinct survivor queries (different shapes + seeds), plus the

@@ -14,7 +14,6 @@ import pytest
 import repro
 from repro.cli import main
 from repro.mapreduce import backend as backend_mod
-from repro.mapreduce import wire
 from repro.mapreduce.backend import close_backends, get_backend
 from repro.mapreduce.config import WORKERS_ADDRS_ENV
 from repro.mapreduce.worker import WorkerServer
@@ -104,9 +103,6 @@ class TestFleetManager:
 
 
 
-@pytest.mark.skipif(
-    not wire.closure_transport_available(), reason="cloudpickle unavailable"
-)
 class TestOneBackendPerService:
     def test_distinct_session_knobs_share_one_distributed_backend(
         self, monkeypatch, worker

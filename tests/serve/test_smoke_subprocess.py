@@ -23,7 +23,6 @@ from repro.core.executor import PlanExecutor
 from repro.errors import DeadlineExceeded, QueryCancelled
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
-from repro.mapreduce.wire import closure_transport_available
 from repro.relational.sql import parse_join_query
 import repro
 from repro.serve.coordinator import spawn_service
@@ -31,11 +30,6 @@ from repro.workloads import workload_relations
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "mapreduce"))
 from conformance import worker_pool  # noqa: E402
-
-pytestmark = pytest.mark.skipif(
-    not closure_transport_available(),
-    reason="cloudpickle unavailable: closures cannot ship over TCP",
-)
 
 SQL = (
     "SELECT t2.id FROM table t1, table t2 "
