@@ -25,8 +25,11 @@ execution daemon (point coordinators at it with ``--workers-addrs`` or
 ``REPRO_WORKERS_ADDRS``) and ``worker list`` / ``worker status`` probe a
 fleet's health; ``serve`` runs the long-lived query service
 (admission control, per-query deadlines, cancellation) and ``query`` is
-its client; ``cache`` inspects or wipes the disk caches — the planning
-tier and the workers' content-addressed blob tier.
+its client; ``cache`` inspects or wipes the disk tiers — the
+wave-checkpoint index and the workers' content-addressed blob store.
+
+A :class:`~repro.errors.ReproError` (a bad volume, query id or SQL text)
+ends the command with one ``repro: error: ...`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -35,23 +38,22 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.baselines import PLANNERS
 from repro.core.executor import PlanExecutor
+from repro.errors import ReproError
 from repro.mapreduce.config import (
     CACHE_DIR_ENV,
     EXEC_BACKEND_ENV,
     EXEC_BACKENDS,
     EXEC_WORKERS_ENV,
-    PLAN_DISK_CACHE_ENV,
     WORKERS_ADDRS_ENV,
     ClusterConfig,
     execution_settings,
 )
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.query import JoinQuery
-from repro.relational.stats_cache import reset_default_planning_cache
 from repro.utils import format_bytes
 
 
@@ -67,6 +69,18 @@ def build_query(workload: str, query_id: int, volume: int, seed: int) -> JoinQue
     raise SystemExit(f"unknown workload {workload!r} (mobile | tpch)")
 
 
+#: ``--volume`` when none is given: the smallest paper scale per workload.
+DEFAULT_VOLUMES = {"mobile": 20, "tpch": 200}
+
+
+def query_from_args(args: argparse.Namespace) -> JoinQuery:
+    """The benchmark query ``args`` names; fills in the workload's
+    default ``--volume`` so commands can print the one they used."""
+    if args.volume is None:
+        args.volume = DEFAULT_VOLUMES[args.workload]
+    return build_query(args.workload, args.query, args.volume, args.seed)
+
+
 def cluster_config(kp: int) -> ClusterConfig:
     config = ClusterConfig()
     if kp and kp != config.total_units:
@@ -75,7 +89,7 @@ def cluster_config(kp: int) -> ClusterConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    query = build_query(args.workload, args.query, args.volume, args.seed)
+    query = query_from_args(args)
     config = cluster_config(args.kp)
     planner = PLANNERS[args.method](config)
     plan = planner.plan(query)
@@ -92,7 +106,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    query = build_query(args.workload, args.query, args.volume, args.seed)
+    query = query_from_args(args)
     config = cluster_config(args.kp)
     plan = PLANNERS[args.method](config).plan(query)
     print(plan.describe())
@@ -102,7 +116,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    query = build_query(args.workload, args.query, args.volume, args.seed)
+    query = query_from_args(args)
     config = cluster_config(args.kp)
     print(
         f"{args.workload} Q{args.query} @ {args.volume}GB, "
@@ -157,7 +171,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.core.join_path_graph import build_join_path_graph
     from repro.relational.statistics import StatisticsCatalog
 
-    query = build_query(args.workload, args.query, args.volume, args.seed)
+    query = query_from_args(args)
     config = cluster_config(args.kp)
     graph = JoinGraph.from_query(query)
 
@@ -355,7 +369,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_stats(args: argparse.Namespace) -> int:
-    """Report every disk tier (planning + checkpoints + blobs) through
+    """Report every disk tier (checkpoints + blobs) through
     the unified :mod:`repro.storage` API — works whether or not the
     caches are enabled, and never creates directories just to look."""
     from repro.storage import tier_stats
@@ -388,14 +402,13 @@ def apply_execution_flags(args: argparse.Namespace) -> Callable[[], None]:
     The environment is the single source of truth
     (:class:`repro.mapreduce.config.ExecutionSettings` reads it fresh),
     so setting it here configures every layer — runtime phases, executor
-    waves, and the planning cache — without threading parameters through.
+    waves, and the disk tiers — without threading parameters through.
     Explicit environment variables win over CLI defaults, which keeps
     ``REPRO_EXEC_BACKEND=process python -m repro.cli ...`` working.
 
     Returns a restore callable: :func:`main` runs the command under the
     mapped environment, then undoes the mutations so library callers
-    invoking ``main()`` in-process don't inherit CLI defaults (notably
-    the disk cache, which is opt-in outside the CLI).
+    invoking ``main()`` in-process don't inherit the CLI's flags.
     """
     saved = {
         name: os.environ.get(name)
@@ -403,7 +416,6 @@ def apply_execution_flags(args: argparse.Namespace) -> Callable[[], None]:
             EXEC_BACKEND_ENV,
             EXEC_WORKERS_ENV,
             WORKERS_ADDRS_ENV,
-            PLAN_DISK_CACHE_ENV,
             CACHE_DIR_ENV,
         )
     }
@@ -424,15 +436,8 @@ def apply_execution_flags(args: argparse.Namespace) -> Callable[[], None]:
         os.environ[EXEC_WORKERS_ENV] = str(workers)
     if workers_addrs:
         os.environ[WORKERS_ADDRS_ENV] = workers_addrs
-    if getattr(args, "no_disk_cache", False):
-        os.environ[PLAN_DISK_CACHE_ENV] = "0"
-    elif PLAN_DISK_CACHE_ENV not in os.environ:
-        # CLI default: persist planning statistics so the next run of the
-        # same data starts warm (tests and library users stay opt-in).
-        os.environ[PLAN_DISK_CACHE_ENV] = "1"
     if getattr(args, "cache_dir", None):
         os.environ[CACHE_DIR_ENV] = args.cache_dir
-    reset_default_planning_cache()
 
     def restore() -> None:
         for name, value in saved.items():
@@ -440,7 +445,6 @@ def apply_execution_flags(args: argparse.Namespace) -> Callable[[], None]:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-        reset_default_planning_cache()
 
     return restore
 
@@ -478,22 +482,20 @@ def make_parser() -> argparse.ArgumentParser:
         "distributed backend (same as REPRO_WORKERS_ADDRS)",
     )
     parser.add_argument(
-        "--no-disk-cache",
-        action="store_true",
-        help="disable the disk-persistent planning cache (on by default "
-        "for CLI runs; REPRO_CACHE_DIR overrides its location)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
-        help="root of the on-disk planning cache (default ~/.cache/repro)",
+        help="root of the on-disk checkpoint and blob tiers "
+        "(default ~/.cache/repro; same as REPRO_CACHE_DIR)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--workload", choices=("mobile", "tpch"), default="mobile")
         p.add_argument("--query", type=int, default=1)
-        p.add_argument("--volume", type=int, default=20, help="data volume label (GB)")
+        p.add_argument(
+            "--volume", type=int, default=None,
+            help="data volume label in GB (default: mobile 20, tpch 200)",
+        )
         p.add_argument("--kp", type=int, default=96, help="processing units")
         p.add_argument("--seed", type=int, default=0)
 
@@ -671,8 +673,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser(
         "cache",
-        help="inspect or wipe the disk caches "
-        "(planning + checkpoint + blob tiers)",
+        help="inspect or wipe the disk tiers (checkpoints + blobs)",
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
@@ -684,10 +685,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     cache_clear.add_argument(
         "--only",
-        choices=("planning", "checkpoints", "blobs"),
+        choices=("checkpoints", "blobs"),
         default=None,
-        help="clear just one tier: the planning cache, the wave-checkpoint "
-        "index, or the worker blob store",
+        help="clear just one tier: the wave-checkpoint index or the "
+        "worker blob store",
     )
     cache_clear.set_defaults(func=cmd_cache_clear)
     return parser
@@ -699,6 +700,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     restore = apply_execution_flags(args)
     try:
         return args.func(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         restore()
 

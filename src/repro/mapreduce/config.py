@@ -7,8 +7,8 @@ Hadoop parameter set of Table 1.
 
 This module also owns :class:`ExecutionSettings` — the single typed home
 of every environment knob that shapes *how* the repository itself runs
-(which execution backend, how many workers, the disk-persistent planning
-cache), as opposed to the simulated hardware the dataclasses above
+(which execution backend, how many workers, where the disk tiers live),
+as opposed to the simulated hardware the dataclasses above
 describe.  The README documents the full knob table.
 """
 
@@ -152,11 +152,7 @@ WORKER_CONNECT_TIMEOUT_ENV = "REPRO_WORKER_CONNECT_TIMEOUT_S"
 #: services want the loud failure; the library default stays the quiet
 #: degradation that can never break a result.
 STRICT_FLEET_ENV = "REPRO_STRICT_FLEET"
-#: "1" spills the PlanningCache to disk (samples/stats/join observations
-#: persist across processes); "0" keeps it in-memory only.  The CLI turns
-#: this on by default so repeated runs start warm.
-PLAN_DISK_CACHE_ENV = "REPRO_PLAN_DISK_CACHE"
-#: Root directory of the on-disk planning cache.
+#: Root directory of the on-disk tiers (wave checkpoints, worker blobs).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: "1" persists each completed ready-wave job's output by sha256 digest
 #: into the blob tier (wave checkpointing): a retried phase, re-planned
@@ -247,8 +243,6 @@ class ExecutionSettings:
     task_retries: int = 2
     #: TCP connect + hello handshake budget per worker, seconds.
     worker_connect_timeout_s: float = 1.0
-    #: Whether the PlanningCache persists to disk across processes.
-    plan_disk_cache: bool = False
     #: Root of the on-disk cache (``~/.cache/repro`` by default).
     cache_dir: Optional[str] = None
     #: Fail with ``fleet-exhausted`` instead of degrading to serial/local
@@ -287,7 +281,6 @@ class ExecutionSettings:
             worker_connect_timeout_s=_env_number(
                 WORKER_CONNECT_TIMEOUT_ENV, 1.0, env, minimum=0.05
             ),
-            plan_disk_cache=env.get(PLAN_DISK_CACHE_ENV, "0") == "1",
             cache_dir=env.get(CACHE_DIR_ENV) or None,
             strict_fleet=env.get(STRICT_FLEET_ENV, "0") == "1",
             checkpoint=env.get(CHECKPOINT_ENV, "0") == "1",

@@ -60,7 +60,6 @@ from repro.mapreduce.backend import running_task
 from repro.mapreduce.config import (
     EXEC_BACKEND_ENV,
     EXEC_WORKERS_ENV,
-    PLAN_DISK_CACHE_ENV,
     WORKERS_ADDRS_ENV,
     execution_settings,
 )
@@ -349,12 +348,7 @@ def spawn_daemon(extra_args: Tuple[str, ...] = ()):
     """
     return wire.spawn_listening(
         ("worker", "serve", "--port", "0", *extra_args),
-        env_scrub=(
-            EXEC_BACKEND_ENV,
-            EXEC_WORKERS_ENV,
-            WORKERS_ADDRS_ENV,
-            PLAN_DISK_CACHE_ENV,
-        ),
+        env_scrub=(EXEC_BACKEND_ENV, EXEC_WORKERS_ENV, WORKERS_ADDRS_ENV),
     )
 
 

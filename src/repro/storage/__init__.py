@@ -2,11 +2,6 @@
 
 One package owns every disk-resident tier the repository runs:
 
-* the **planning tier** — the keyed pickle store under
-  ``<cache_dir>/planning`` that persists samples, statistics, and
-  join-sample observations across processes
-  (:class:`~repro.storage.keyed.KeyedDiskStore`, wrapped by
-  :class:`repro.relational.stats_cache.PlanningCache`);
 * the **blob tier** — the content-addressed byte store under
   ``<cache_dir>/blobs`` that worker daemons use to cache shipped
   closure payloads by sha256 digest
@@ -14,15 +9,19 @@ One package owns every disk-resident tier the repository runs:
   budgets with LRU eviction;
 * the **checkpoint tier** — the keyed index under
   ``<cache_dir>/checkpoints`` mapping a ready-wave job's Merkle
-  checkpoint key to the blob digest of its persisted output, which is
-  what lets a retried phase or a recovered ``repro serve`` session
-  resume from its last completed wave (:mod:`repro.core.executor`);
+  checkpoint key to the blob digest of its persisted output
+  (:class:`~repro.storage.keyed.KeyedDiskStore`), which is what lets a
+  retried phase or a recovered ``repro serve`` session resume from its
+  last completed wave (:mod:`repro.core.checkpoint`);
 * the **session journal** — the append-only, CRC-framed record log the
   coordinator replays after a crash
   (:class:`~repro.storage.journal.SessionJournal`).
 
-Both speak through this package's public API —
-:func:`planning_tier` / :func:`blob_tier` build the stores from the
+Planning statistics are not a tier: they live in memory only
+(:mod:`repro.relational.stats_cache`).
+
+The tiers speak through this package's public API —
+:func:`checkpoint_tier` / :func:`blob_tier` build the stores from the
 environment's :class:`~repro.mapreduce.config.ExecutionSettings`, and
 :func:`tier_stats` / :func:`clear_tiers` are what ``repro cache
 stats|clear`` call, so no caller reaches into store internals.
@@ -48,9 +47,6 @@ from repro.storage.journal import (
 )
 from repro.storage.keyed import DISK_FORMAT, KeyedDiskStore
 
-#: The planning tier's tables (samples / statistics / join observations).
-PLANNING_TABLES = ("samples", "stats", "joins")
-
 #: The checkpoint tier's tables (ready-wave job output index).
 CHECKPOINT_TABLES = ("waves",)
 
@@ -61,18 +57,6 @@ def _settings(settings=None):
     from repro.mapreduce.config import execution_settings
 
     return execution_settings()
-
-
-def planning_tier(settings=None) -> KeyedDiskStore:
-    """The keyed planning store at the environment's cache location.
-
-    Construction never creates directories, so building one just to read
-    ``stats()`` is side-effect free.
-    """
-    settings = _settings(settings)
-    return KeyedDiskStore(
-        settings.resolved_cache_dir() / "planning", PLANNING_TABLES
-    )
 
 
 def blob_tier(settings=None) -> DiskBlobStore:
@@ -86,7 +70,9 @@ def checkpoint_tier(settings=None) -> KeyedDiskStore:
 
     The payload bytes themselves live in the blob tier (verify-on-read
     content addressing); this keyed index only maps a job's Merkle
-    checkpoint key to the digest of its pickled output.
+    checkpoint key to the digest of its pickled output.  Construction
+    never creates directories, so building one just to read ``stats()``
+    is side-effect free.
     """
     settings = _settings(settings)
     return KeyedDiskStore(
@@ -98,7 +84,6 @@ def tier_stats(settings=None) -> Dict[str, Dict[str, object]]:
     """Uniform per-tier statistics for the ``repro cache stats`` CLI."""
     settings = _settings(settings)
     return {
-        "planning": planning_tier(settings).stats(),
         "checkpoints": checkpoint_tier(settings).stats(),
         "blobs": blob_tier(settings).stats(),
     }
@@ -108,8 +93,6 @@ def clear_tiers(settings=None, only: Optional[str] = None) -> Dict[str, int]:
     """Clear all tiers (or ``only`` one); returns per-tier drop counts."""
     settings = _settings(settings)
     removed: Dict[str, int] = {}
-    if only in (None, "planning"):
-        removed["planning"] = planning_tier(settings).clear()
     if only in (None, "checkpoints"):
         removed["checkpoints"] = checkpoint_tier(settings).clear()
     if only in (None, "blobs"):
@@ -124,7 +107,6 @@ __all__ = [
     "DiskBlobStore",
     "KeyedDiskStore",
     "LRUTable",
-    "PLANNING_TABLES",
     "SessionJournal",
     "atomic_write_bytes",
     "blob_digest",
@@ -132,7 +114,6 @@ __all__ = [
     "checkpoint_tier",
     "clear_tiers",
     "externalize_value",
-    "planning_tier",
     "read_records",
     "resolve_value",
     "stable_key_repr",

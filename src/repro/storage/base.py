@@ -1,12 +1,13 @@
 """Shared storage primitives: LRU tables, stable keys, atomic files, digests.
 
 This module is the common substrate under every disk-resident tier the
-repository runs — the planning statistics cache
-(:mod:`repro.relational.stats_cache`) and the distributed blob store
-(:mod:`repro.storage.blob`).  It holds exactly the machinery both need:
+repository runs — the wave-checkpoint index
+(:mod:`repro.storage.keyed`) and the distributed blob store
+(:mod:`repro.storage.blob`) — and under the in-memory tables beside
+them.  It holds exactly the machinery they need:
 
 * :class:`LRUTable` — a bounded in-memory mapping with LRU eviction and
-  hit/miss counters (the planning cache's memory tier, the executor's
+  hit/miss counters (the planning statistics cache, the executor's
   composite-file lift cache, the worker daemon's decoded-blob cache);
 * :func:`stable_key_repr` — canonical, process-independent rendering of
   structured cache keys (``frozenset`` iteration order is per-process);
@@ -52,12 +53,6 @@ class LRUTable:
         self.data.move_to_end(key)
         while len(self.data) > self.max_entries:
             self.data.popitem(last=False)
-
-    def drop_where(self, predicate) -> int:
-        doomed = [key for key in self.data if predicate(key)]
-        for key in doomed:
-            del self.data[key]
-        return len(doomed)
 
     def clear(self) -> None:
         self.data.clear()

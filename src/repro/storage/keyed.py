@@ -1,7 +1,7 @@
 """Keyed disk store: one pickle file per (table, structured key) entry.
 
-Generalized out of the planning cache's disk tier (PR 4) so any
-subsystem can persist keyed values with the same guarantees:
+The wave-checkpoint index (:func:`repro.storage.checkpoint_tier`) is
+its one user; every entry gets the same guarantees:
 
 * one file per entry, ``<root>/<table>/<sha256(stable key)>.pkl``;
 * atomic writes (temp file + rename) — concurrent readers in other
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.storage.base import atomic_write_bytes, discard_path, stable_key_repr
 
@@ -138,36 +138,16 @@ class KeyedDiskStore:
         except OSError:  # pragma: no cover - directory vanished mid-scan
             pass
 
-    # -- invalidation ----------------------------------------------------
-
-    def drop_where(self, table: str, predicate: Callable[[object], bool]) -> int:
-        """Remove entries whose *stored key* matches; returns drop count."""
-        table_dir = self.root / table
-        dropped = 0
-        try:
-            entries = list(table_dir.iterdir())
-        except OSError:
-            return 0
-        for path in entries:
-            if path.suffix != ".pkl":
-                continue
-            try:
-                with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
-                key = payload.get("key") if isinstance(payload, dict) else None
-                matches = key is not None and predicate(key)
-            except Exception:
-                matches = True  # unreadable: drop it while we are here
-            if matches:
-                discard_path(path)
-                dropped += 1
-        return dropped
-
     def clear(self) -> int:
-        """Remove every entry in every table; returns the drop count."""
-        return sum(
-            self.drop_where(table, lambda _key: True) for table in self.tables
-        )
+        """Unlink every entry file of every table, readable or not, without
+        opening it; in-flight ``.part`` files are left to their writers.
+        Returns the number of files removed."""
+        removed = 0
+        for table in self.tables:
+            for path in (self.root / table).glob("*.pkl"):
+                discard_path(path)
+                removed += 1
+        return removed
 
     # -- introspection ---------------------------------------------------
 

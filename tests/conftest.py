@@ -13,7 +13,7 @@ from repro.mapreduce.config import ClusterConfig
 def _scoped_cache_dir(tmp_path_factory):
     """Point REPRO_CACHE_DIR at a session-scoped tmp dir unless the
     environment already pins one: spawned worker daemons inherit it, so
-    test runs never write blob or planning entries into the user's real
+    test runs never write blob or checkpoint entries into the user's real
     ``~/.cache/repro``.  Tests that need their own root still override
     via monkeypatch/execution_env as before."""
     if os.environ.get("REPRO_CACHE_DIR"):

@@ -46,7 +46,6 @@ class TestSettings:
             "REPRO_WORKER_HEARTBEAT_S",
             "REPRO_TASK_RETRIES",
             "REPRO_WORKER_CONNECT_TIMEOUT_S",
-            "REPRO_PLAN_DISK_CACHE",
             "REPRO_CACHE_DIR",
         ):
             monkeypatch.delenv(name, raising=False)
@@ -56,7 +55,6 @@ class TestSettings:
         assert settings.worker_heartbeat_s == 2.0
         assert settings.task_retries == 2
         assert settings.worker_connect_timeout_s == 1.0
-        assert not settings.plan_disk_cache
         assert not settings.parallel
 
     def test_explicit_backend(self, monkeypatch):

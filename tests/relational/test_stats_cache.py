@@ -104,6 +104,23 @@ class TestSampleCache:
         direct = relation.sample(50, make_rng("join-sample", "A", "a"))
         assert cached.rows == direct.rows
 
+    def test_append_orphans_cached_sample(self):
+        """An in-place ``append`` changes the fingerprint, so the next
+        lookup misses and resamples the grown relation."""
+        cache = PlanningCache()
+        relation = rel("A", 200)
+        cache.sample(relation, "a", 50)
+        relation.append((10_000, 3, 1))
+        resampled = cache.sample(relation, "a", 50)
+        assert cache.counters()["samples"] == {
+            "hits": 0,
+            "misses": 2,
+            "entries": 2,
+        }
+        assert resampled.rows == relation.sample(
+            50, make_rng("join-sample", "A", "a")
+        ).rows
+
 
 class TestRelationStatsCache:
     def test_hit_and_equivalence(self):
@@ -120,6 +137,14 @@ class TestRelationStatsCache:
         relation = rel("A", 300)
         cache.relation_stats(relation, sample_size=100)
         cache.relation_stats(relation, sample_size=200)
+        assert cache.counters()["stats"]["entries"] == 2
+
+    def test_buckets_part_of_key(self):
+        cache = PlanningCache()
+        relation = rel("A", 300)
+        coarse = cache.relation_stats(relation, buckets=5)
+        fine = cache.relation_stats(relation, buckets=20)
+        assert coarse is not fine
         assert cache.counters()["stats"]["entries"] == 2
 
 
@@ -170,22 +195,18 @@ class TestJoinObservationCache:
             est.selectivity(list(query.conditions))
         assert cache.counters()["joins"]["entries"] == 2
 
+    def test_cached_none_observation_is_a_hit(self):
+        """A work-cap overflow (``None``) is a *hit*, distinct from a miss."""
+        cache = PlanningCache()
+        signature = (("a",), frozenset(), 1, 1)
+        assert cache.join_observation(signature) == (False, None)
+        cache.store_join_observation(signature, None)
+        assert cache.join_observation(signature) == (True, None)
+        cache.store_join_observation(("b",), (3, 1600))
+        assert cache.join_observation(("b",)) == (True, (3, 1600))
+
 
 class TestInvalidation:
-    def test_invalidate_by_relation_name(self):
-        cache = PlanningCache()
-        a, b = rel("A", 200), rel("B", 180, seed=1)
-        est = estimator_for(query_of(a, b), cache)
-        est.selectivity(list(est.query.conditions))
-        cache.relation_stats(a)
-        assert cache.invalidate("A") > 0
-        counters = cache.counters()
-        # Everything touching A is gone; B's sample survives.
-        assert counters["joins"]["entries"] == 0
-        assert all(
-            key[0][0] == "B" for key in cache._samples.data
-        )
-
     def test_clear(self):
         cache = PlanningCache()
         est = estimator_for(query_of(rel("A", 200), rel("B", 180, seed=1)), cache)
@@ -194,6 +215,19 @@ class TestInvalidation:
         assert all(
             t["entries"] == 0 for t in cache.counters().values()
         )
+
+    def test_recompute_after_clear_is_identical(self):
+        cache = PlanningCache()
+        relation = rel("A", 200)
+        sample = cache.sample(relation, "a", 50)
+        stats = cache.relation_stats(relation, sample_size=100)
+        cache.clear()
+        assert cache.sample(relation, "a", 50).rows == sample.rows
+        again = cache.relation_stats(relation, sample_size=100)
+        assert again is not stats
+        assert again.cardinality == stats.cardinality
+        for name in stats.columns:
+            assert again.column(name).distinct == stats.column(name).distinct
 
     def test_lru_bound(self):
         cache = PlanningCache(max_entries=4)

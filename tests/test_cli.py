@@ -3,24 +3,17 @@
 import pytest
 
 from repro.cli import build_query, cluster_config, main, make_parser
-from repro.relational.stats_cache import reset_default_planning_cache
 
 
 @pytest.fixture(autouse=True)
 def _isolated_cli_environment(tmp_path, monkeypatch):
-    """``main`` maps CLI flags onto ``REPRO_*`` env (and turns the disk
-    planning cache on by default); keep both effects inside the test —
-    writes go to a tmp dir and the default cache is rebuilt from the
-    restored environment afterwards."""
+    """``main`` maps CLI flags onto ``REPRO_*`` env; keep that inside the
+    test — any disk tier writes to a tmp dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_PLAN_DISK_CACHE", "1")
     # Pre-touch the backend keys so monkeypatch restores them even when a
     # test's --backend/--workers flags overwrite them inside ``main``.
     monkeypatch.setenv("REPRO_EXEC_BACKEND", "serial")
     monkeypatch.setenv("REPRO_EXEC_WORKERS", "0")
-    reset_default_planning_cache()
-    yield
-    reset_default_planning_cache()
 
 
 class TestParser:
@@ -99,11 +92,53 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "result rows" in out
 
-    def test_sql_rejects_bad_query(self):
-        from repro.errors import QueryError
+    def test_sql_rejects_bad_query(self, capsys):
+        assert main(["sql", "DELETE FROM table", "--workload", "mobile"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: query must look like SELECT")
 
-        with pytest.raises(QueryError):
-            main(["sql", "DELETE FROM table", "--workload", "mobile"])
+    def test_tpch_default_volume_runs(self, capsys):
+        assert main(["run", "--workload", "tpch", "--query", "7"]) == 0
+        assert "Plan tpch-Q7-ours" in capsys.readouterr().out
+        assert main(["compare", "--workload", "tpch", "--query", "7"]) == 0
+        assert capsys.readouterr().out.startswith("tpch Q7 @ 200GB")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--workload", "mobile", "--query", "3", "--volume", "7"],
+         "volume_gb must be one of [20, 100, 500], got 7"),
+        (["plan", "--workload", "mobile", "--query", "9"],
+         "mobile query id must be in (1, 2, 3, 4), got 9"),
+        (["compare", "--workload", "tpch", "--query", "7", "--volume", "20"],
+         "volume_gb must be one of [200, 500, 1000] or 0"),
+        (["explain", "--workload", "tpch", "--query", "8"],
+         "tpch query id must be in (3, 5, 7, 10, 17, 18, 21), got 8"),
+    ])
+    def test_bad_workload_argument_is_one_error_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {message}\n"
+
+    def test_mobile_default_volume_is_printed(self, capsys):
+        assert main(["compare", "--workload", "mobile", "--query", "1"]) == 0
+        assert capsys.readouterr().out.startswith("mobile Q1 @ 20GB")
+
+    def test_other_exceptions_keep_their_traceback(self, tmp_path, monkeypatch):
+        """Only a ReproError becomes a one-line message; anything else is
+        a bug and propagates, after main() restores the environment."""
+        import os
+
+        import repro.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("planner bug")
+
+        monkeypatch.setattr(cli, "build_query", broken)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        with pytest.raises(RuntimeError, match="planner bug"):
+            main(["--cache-dir", str(tmp_path / "elsewhere"),
+                  "plan", "--workload", "mobile", "--query", "1"])
+        assert "REPRO_CACHE_DIR" not in os.environ
 
     def test_calibrate_command(self, capsys):
         assert main(["calibrate"]) == 0
@@ -204,37 +239,24 @@ class TestExecutionFlags:
         process_out = capsys.readouterr().out
         assert process_out == serial_out
 
-    def test_disk_cache_written_to_cache_dir(self, tmp_path):
-        target = tmp_path / "explicit-cache"
+    def test_plan_writes_nothing_to_cache_dir(self, tmp_path):
+        """Planning statistics live in memory only."""
+        target = tmp_path / "never-written"
         assert main(["--cache-dir", str(target),
                      "plan", "--workload", "mobile", "--query", "1",
                      "--volume", "20"]) == 0
-        assert list(target.glob("planning/*/*.pkl"))
+        assert not target.exists()
 
-    def test_no_disk_cache_flag(self, tmp_path, monkeypatch):
+    def test_main_restores_library_defaults(self, tmp_path, monkeypatch):
+        """A library caller invoking main() must not inherit the CLI's
+        flags afterwards."""
         import os
 
-        monkeypatch.delenv("REPRO_PLAN_DISK_CACHE", raising=False)
-        target = tmp_path / "never-written"
-        assert main(["--no-disk-cache", "--cache-dir", str(target),
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert main(["--cache-dir", str(tmp_path / "elsewhere"),
                      "plan", "--workload", "mobile", "--query", "1",
                      "--volume", "20"]) == 0
-        assert not target.exists()
-        # main() restored the pre-call environment (variable was absent).
-        assert "REPRO_PLAN_DISK_CACHE" not in os.environ
-
-    def test_main_restores_library_defaults(self, monkeypatch):
-        """A library caller invoking main() must not inherit CLI env
-        defaults afterwards — the default planning cache stays opt-in."""
-        import os
-
-        from repro.relational.stats_cache import get_planning_cache
-
-        monkeypatch.delenv("REPRO_PLAN_DISK_CACHE", raising=False)
-        assert main(["plan", "--workload", "mobile", "--query", "1",
-                     "--volume", "20"]) == 0
-        assert "REPRO_PLAN_DISK_CACHE" not in os.environ
-        assert get_planning_cache().disk is None
+        assert "REPRO_CACHE_DIR" not in os.environ
 
 
 class TestWorkersAddrsFlag:
@@ -277,27 +299,30 @@ class TestWorkersAddrsFlag:
 
 
 class TestCacheCommand:
-    def run_plan(self, cache_dir):
+    def run_checkpointed(self, cache_dir, monkeypatch):
+        """A checkpointed run fills both disk tiers: each wave's output
+        is a blob, and the checkpoint index maps the wave to it."""
+        monkeypatch.setenv("REPRO_CHECKPOINT", "1")
         assert main(["--cache-dir", str(cache_dir),
-                     "plan", "--workload", "mobile", "--query", "1",
+                     "run", "--workload", "mobile", "--query", "1",
                      "--volume", "20"]) == 0
 
-    def test_stats_reports_entries_and_bytes(self, tmp_path, capsys):
+    def test_stats_reports_entries_and_bytes(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "cache"
-        self.run_plan(target)
+        self.run_checkpointed(target, monkeypatch)
         capsys.readouterr()
         assert main(["--cache-dir", str(target), "cache", "stats"]) == 0
         out = capsys.readouterr().out
-        # Both tiers report through the unified storage API (PR 8).
-        assert str(target / "planning") in out
+        assert str(target / "checkpoints") in out
         assert str(target / "blobs") in out
-        for table in ("samples", "stats", "joins", "total"):
-            assert table in out
-        # The plan above cached at least one sample/statistics entry.
-        planning_total = next(
+        assert "planning" not in out
+        assert "waves" in out
+        totals = [
             line for line in out.splitlines() if line.strip().startswith("total")
-        )
-        assert "   0 entries" not in planning_total
+        ]
+        assert len(totals) == 2
+        for line in totals:  # the run above stored entries in both tiers
+            assert " 0 entries" not in line
 
     def test_stats_on_empty_cache(self, tmp_path, capsys):
         target = tmp_path / "nothing-here"
@@ -312,16 +337,16 @@ class TestCacheCommand:
         target = tmp_path / "never-created"
         assert main(["--cache-dir", str(target), "cache", "stats"]) == 0
         out = capsys.readouterr().out
-        for tier in ("planning", "checkpoints", "blobs"):
+        for tier in ("checkpoints", "blobs"):
             assert str(target / tier) in out
-        assert out.count("0 entr") >= 3  # every tier totals to zero
+        assert out.count("0 entr") >= 2  # every tier totals to zero
         assert not target.exists()
 
     def test_clear_on_missing_dir_creates_nothing(self, tmp_path, capsys):
         target = tmp_path / "never-created"
         assert main(["--cache-dir", str(target), "cache", "clear"]) == 0
         out = capsys.readouterr().out
-        assert out.count("removed 0") == 3
+        assert out.count("removed 0") == 2
         assert not target.exists()
 
     def test_clear_only_checkpoints_choice(self, tmp_path, capsys):
@@ -331,15 +356,22 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "removed 0" in out and "checkpoints" in out
 
-    def test_clear_removes_every_entry(self, tmp_path, capsys):
+    def test_clear_only_planning_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["cache", "clear", "--only", "planning"])
+        assert exc.value.code == 2
+
+    def test_clear_removes_every_entry(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "cache"
-        self.run_plan(target)
-        assert list(target.glob("planning/*/*.pkl"))
+        self.run_checkpointed(target, monkeypatch)
+        assert list(target.glob("checkpoints/waves/*.pkl"))
+        assert list(target.glob("blobs/*/*.blob"))
         capsys.readouterr()
         assert main(["--cache-dir", str(target), "cache", "clear"]) == 0
         out = capsys.readouterr().out
         assert "removed" in out
-        assert not list(target.glob("planning/*/*.pkl"))
+        assert not list(target.glob("checkpoints/waves/*.pkl"))
+        assert not list(target.glob("blobs/*/*.blob"))
         # Idempotent: clearing an empty cache is a no-op, not an error.
         assert main(["--cache-dir", str(target), "cache", "clear"]) == 0
         assert "removed 0" in capsys.readouterr().out
