@@ -98,6 +98,7 @@ ci: lint verify smoke results-clean serve-smoke serve-recovery perf-smoke
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
 	@echo "$$(grep -rhoE "[\"']REPRO_[A-Z0-9_]+[\"']" src | sort -u | wc -l) REPRO_* knobs"
+	@echo "$$(grep -rhE 'pickle\.loads?\(|Unpickler\(' src | grep -vcE '^\s*class ') pickle decode sites"
 
 census:
 	python3 tools/census.py

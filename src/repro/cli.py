@@ -376,9 +376,6 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
     for tier, stats in tier_stats().items():
         print(f"{tier} cache at {stats['root']}")
-        for table, (files, size) in sorted(stats.get("tables", {}).items()):
-            print(f"  {table:8s} {files:6d} entr{'y' if files == 1 else 'ies'}  "
-                  f"{format_bytes(size)}")
         entries = stats["entries"]
         print(f"  {'total':8s} {entries:6d} entr{'y' if entries == 1 else 'ies'}  "
               f"{format_bytes(stats['bytes'])}")

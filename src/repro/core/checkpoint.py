@@ -2,14 +2,13 @@
 
 With ``REPRO_CHECKPOINT=1`` the executor persists each completed
 ready-wave job's output and restores it on the next identical run.  This
-module is the one owner of how: the content key, the two stores behind it
-(a keyed index ``key -> {"digest", "bytes"}`` and the blob tier ``digest
--> pickled (records, record width, metrics)``, the records a join
+module is the one owner of how: the content key, the payload format (a
+blob of pickled ``(records, record width, metrics)``, the records a join
 output's ``CompositeSlab`` — index vectors and the base row tables they
-index, not one tuple per composite), verify-on-read (a payload of
-another slab layout is a miss), the size cap and the process-wide
-counters ``repro serve stats`` reports.  A checkpoint can cost a
-recompute, never a wrong answer.
+index), the pointer ``<key>.ref`` that holds the blob's digest,
+verify-on-read (a payload of another shape or slab layout is a miss), the
+size cap and the process-wide counters ``repro serve stats`` reports.  A
+checkpoint can cost a recompute, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -130,23 +129,31 @@ class CheckpointStore:
         """Load the output checkpointed under ``key`` as job ``name``'s;
         None on any miss or corruption.
 
-        Verify-on-read end to end: the keyed index rejects version/format
-        skew, the blob store re-hashes the payload (deleting a corrupt
+        Verify-on-read end to end: a pointer that is not a digest is a
+        miss, the blob store re-hashes the payload (deleting a corrupt
         file), and a payload that does not decode into a current-layout
-        slab is discarded.
+        slab, an ``int`` width and ``JobMetrics`` is discarded.  A miss
+        past the pointer deletes the pointer too.
         """
-        hit, entry = self._index.load("waves", key)
-        if not hit or not isinstance(entry, dict) or "digest" not in entry:
+        digest = self._index.load(key)
+        if digest is None:
             return None
-        digest = entry["digest"]
         payload = self._blobs.get(digest)
         if payload is None:
+            self._index.discard(key)
             return None
         try:
             records, record_width, metrics = pickle.loads(payload)
+            valid = (
+                _current_layout(records)
+                and isinstance(record_width, int)
+                and record_width >= 0
+                and isinstance(metrics, JobMetrics)
+            )
         except Exception:
-            records = None
-        if not _current_layout(records):
+            valid = False
+        if not valid:
+            self._index.discard(key)
             self._blobs.discard(digest)
             return None
         # The stored output/metrics carry the *writing* query's name;
@@ -182,7 +189,7 @@ class CheckpointStore:
         digest = blob_digest(payload)
         if not self._blobs.put(digest, payload):
             return None
-        self._index.store("waves", key, {"digest": digest, "bytes": len(payload)})
+        self._index.store(key, digest)
         _account("stores")
         _account("store_bytes", len(payload))
         return digest

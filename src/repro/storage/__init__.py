@@ -1,4 +1,4 @@
-"""Unified storage layer: LRU tables, keyed disk caches, blob stores.
+"""Unified storage layer: LRU tables, blob stores, digest pointers.
 
 One package owns every disk-resident tier the repository runs:
 
@@ -7,12 +7,12 @@ One package owns every disk-resident tier the repository runs:
   closure payloads by sha256 digest
   (:class:`~repro.storage.blob.DiskBlobStore`), governed by age/size
   budgets with LRU eviction;
-* the **checkpoint tier** — the keyed index under
-  ``<cache_dir>/checkpoints`` mapping a ready-wave job's Merkle
-  checkpoint key to the blob digest of its persisted output
-  (:class:`~repro.storage.keyed.KeyedDiskStore`), which is what lets a
-  retried phase or a recovered ``repro serve`` session resume from its
-  last completed wave (:mod:`repro.core.checkpoint`);
+* the **checkpoint tier** — digest pointers under
+  ``<cache_dir>/checkpoints``: ``<key>.ref`` holds the blob digest of the
+  output of the ready-wave job with Merkle checkpoint key ``key``
+  (:class:`~repro.storage.pointers.PointerIndex`), which lets a retried
+  phase or a recovered ``repro serve`` session resume from its last
+  completed wave (:mod:`repro.core.checkpoint` owns the payload format);
 * the **session journal** — the append-only, CRC-framed record log the
   coordinator replays after a crash
   (:class:`~repro.storage.journal.SessionJournal`).
@@ -35,6 +35,7 @@ from repro.storage.base import (
     LRUTable,
     atomic_write_bytes,
     blob_digest,
+    is_digest,
     stable_key_repr,
 )
 from repro.storage.blob import DiskBlobStore
@@ -45,10 +46,7 @@ from repro.storage.journal import (
     read_records,
     resolve_value,
 )
-from repro.storage.keyed import DISK_FORMAT, KeyedDiskStore
-
-#: The checkpoint tier's tables (ready-wave job output index).
-CHECKPOINT_TABLES = ("waves",)
+from repro.storage.pointers import PointerIndex
 
 
 def _settings(settings=None):
@@ -65,19 +63,16 @@ def blob_tier(settings=None) -> DiskBlobStore:
     return DiskBlobStore(_settings(settings).resolved_cache_dir() / "blobs")
 
 
-def checkpoint_tier(settings=None) -> KeyedDiskStore:
+def checkpoint_tier(settings=None) -> PointerIndex:
     """The wave-checkpoint index: checkpoint key -> blob digest.
 
     The payload bytes themselves live in the blob tier (verify-on-read
-    content addressing); this keyed index only maps a job's Merkle
-    checkpoint key to the digest of its pickled output.  Construction
+    content addressing); this index only points a job's Merkle
+    checkpoint key at the digest of its pickled output.  Construction
     never creates directories, so building one just to read ``stats()``
     is side-effect free.
     """
-    settings = _settings(settings)
-    return KeyedDiskStore(
-        settings.resolved_cache_dir() / "checkpoints", CHECKPOINT_TABLES
-    )
+    return PointerIndex(_settings(settings).resolved_cache_dir() / "checkpoints")
 
 
 def tier_stats(settings=None) -> Dict[str, Dict[str, object]]:
@@ -102,11 +97,9 @@ def clear_tiers(settings=None, only: Optional[str] = None) -> Dict[str, int]:
 
 __all__ = [
     "BLOB_REF_KEY",
-    "CHECKPOINT_TABLES",
-    "DISK_FORMAT",
     "DiskBlobStore",
-    "KeyedDiskStore",
     "LRUTable",
+    "PointerIndex",
     "SessionJournal",
     "atomic_write_bytes",
     "blob_digest",
@@ -114,6 +107,7 @@ __all__ = [
     "checkpoint_tier",
     "clear_tiers",
     "externalize_value",
+    "is_digest",
     "read_records",
     "resolve_value",
     "stable_key_repr",

@@ -2,7 +2,7 @@
 
 This module is the common substrate under every disk-resident tier the
 repository runs — the wave-checkpoint index
-(:mod:`repro.storage.keyed`) and the distributed blob store
+(:mod:`repro.storage.pointers`) and the distributed blob store
 (:mod:`repro.storage.blob`) — and under the in-memory tables beside
 them.  It holds exactly the machinery they need:
 
@@ -16,13 +16,16 @@ them.  It holds exactly the machinery they need:
   observe a torn file;
 * :func:`blob_digest` — the content fingerprint (sha256 hex) that
   addresses blobs end to end: the digest *is* the name, so a stored
-  payload can always be re-verified against it on read.
+  payload can always be re-verified against it on read;
+* :func:`is_digest` — the one check that a string names a blob (and so
+  is safe to use as a file name under a store's root).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
@@ -90,6 +93,16 @@ def stable_key_repr(key: object) -> str:
 def blob_digest(payload: bytes) -> str:
     """The content address of ``payload``: its sha256 hex digest."""
     return hashlib.sha256(payload).hexdigest()
+
+
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def is_digest(value: object) -> bool:
+    """Whether ``value`` is a sha256 hex digest: a ``str`` of exactly 64
+    lowercase hex characters.  Nothing else may address a blob or a
+    pointer — ``"../x"`` would name a file outside the store's root."""
+    return isinstance(value, str) and _DIGEST.fullmatch(value) is not None
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> bool:

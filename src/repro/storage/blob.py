@@ -20,7 +20,10 @@ Lifecycle (the EMBANKS-style spill discipline):
 * **corruption** — ``get`` re-hashes what it read; a mismatch (torn
   write, bit rot, truncation) deletes the file and reads as a miss.
   The coordinator's miss path re-sends the payload, so a corrupt entry
-  costs one re-ship, never a wrong result.
+  costs one re-ship, never a wrong result;
+* **addresses** — only a digest (:func:`~repro.storage.base.is_digest`)
+  names an entry: anything else a peer sends reads as a miss and is
+  never joined to the root, so no request reaches a file outside it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.storage.base import atomic_write_bytes, blob_digest, discard_path
+from repro.storage.base import atomic_write_bytes, blob_digest, discard_path, is_digest
 
 #: Run the age/size sweep on the first put of the store's life and every
 #: N-th after — often enough that budgets bind, rare enough that a put
@@ -73,9 +76,12 @@ class DiskBlobStore:
 
     def has(self, digest: str) -> bool:
         """Existence probe (no verification — ``get`` verifies)."""
-        return self._path(digest).is_file()
+        return is_digest(digest) and self._path(digest).is_file()
 
     def get(self, digest: str) -> Optional[bytes]:
+        if not is_digest(digest):
+            self.misses += 1
+            return None
         path = self._path(digest)
         try:
             with open(path, "rb") as handle:
@@ -101,8 +107,9 @@ class DiskBlobStore:
     def put(self, digest: str, payload: bytes) -> bool:
         if blob_digest(payload) != digest:
             # A peer shipped bytes that do not match their claimed
-            # address (truncation in transit, a buggy client): storing
-            # them would manufacture a permanent corrupt entry.
+            # address (truncation in transit, a buggy client, a string
+            # that is no digest at all): storing them would manufacture
+            # a permanent corrupt entry.
             self.errors += 1
             return False
         path = self._path(digest)
@@ -121,7 +128,8 @@ class DiskBlobStore:
 
     def discard(self, digest: str) -> None:
         """Drop one entry (an undecodable payload found by a reader)."""
-        discard_path(self._path(digest))
+        if is_digest(digest):
+            discard_path(self._path(digest))
 
     # -- lifecycle -------------------------------------------------------
 

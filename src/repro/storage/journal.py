@@ -85,7 +85,7 @@ def resolve_value(encoded: object, store) -> Tuple[object, bool]:
     if not (isinstance(encoded, dict) and BLOB_REF_KEY in encoded):
         return encoded, True
     digest = encoded.get(BLOB_REF_KEY)
-    if store is None or not isinstance(digest, str):
+    if store is None:
         return None, False
     payload = store.get(digest)
     if payload is None:

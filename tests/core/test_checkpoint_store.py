@@ -1,10 +1,11 @@
 """``core.checkpoint.CheckpointStore`` alone: no plan, no executor.
 
 Verify-on-read from the store's side: whatever is wrong with what is on
-disk — an index entry whose blob is gone, a blob whose bytes changed, a
-blob that hashes right but does not decode, or decodes into a slab of
-another layout — reads as a miss, is discarded, and the next ``persist``
-under the same key serves again.
+disk — a pointer whose blob is gone, a pointer that is not a digest, a
+blob whose bytes changed, a blob that hashes right but does not decode,
+decodes into the wrong shape or into a slab of another layout — reads as
+a miss, is discarded, and the next ``persist`` under the same key serves
+again.
 """
 
 import pickle
@@ -70,17 +71,24 @@ def test_unknown_key_is_a_miss(store):
     assert checkpoint_counters()["hits"] == 0
 
 
+def pointer_path():
+    return checkpoint_tier(execution_settings()).root / f"{KEY}.ref"
+
+
 def test_stale_index_entry_reads_as_a_miss_and_is_replaced(store):
     digest = store.persist(KEY, job_result())
     blob_path(digest).unlink()  # evicted from the blob tier; the index still points at it
     assert store.restore(KEY, "reader:j1") is None
+    assert not pointer_path().exists()
     assert store.persist(KEY, job_result()) == digest
     assert store.restore(KEY, "reader:j1") is not None
 
 
 def test_malformed_index_entry_reads_as_a_miss(store):
-    checkpoint_tier(execution_settings()).store("waves", KEY, "not a {digest, bytes} dict")
+    store.persist(KEY, job_result())
+    pointer_path().write_bytes(b"not a digest")
     assert store.restore(KEY, "reader:j1") is None
+    assert not pointer_path().exists()
 
 
 def test_corrupt_blob_reads_as_a_miss_and_is_deleted(store):
@@ -93,14 +101,39 @@ def test_corrupt_blob_reads_as_a_miss_and_is_deleted(store):
     assert checkpoint_counters()["hits"] == 0
 
 
-def test_undecodable_payload_reads_as_a_miss_and_is_discarded(store):
+def plant(payload):
+    """Point ``KEY`` at a blob holding ``payload`` (hashes fine)."""
     settings = execution_settings()
-    payload = pickle.dumps(("only", "two"))  # hashes fine, is not (records, width, metrics)
     digest = blob_digest(payload)
     assert blob_tier(settings).put(digest, payload)
-    checkpoint_tier(settings).store("waves", KEY, {"digest": digest, "bytes": len(payload)})
+    assert checkpoint_tier(settings).store(KEY, digest)
+    return digest
+
+
+def test_undecodable_payload_reads_as_a_miss_and_is_discarded(store):
+    digest = plant(pickle.dumps(("only", "two")))  # is not (records, width, metrics)
     assert store.restore(KEY, "reader:j1") is None
-    assert not blob_tier(settings).has(digest)
+    assert not blob_tier(execution_settings()).has(digest)
+    assert not pointer_path().exists()
+
+
+@pytest.mark.parametrize("width, metrics", [
+    (16, None),
+    (16, {"job_name": "writer:j1"}),
+    (-1, JobMetrics(job_name="writer:j1")),
+    ("16", JobMetrics(job_name="writer:j1")),
+    (16.0, JobMetrics(job_name="writer:j1")),
+], ids=["metrics-none", "metrics-dict", "width-negative", "width-str", "width-float"])
+def test_payload_of_the_wrong_shape_reads_as_a_miss_and_is_discarded(
+    store, width, metrics
+):
+    """A current slab beside a width that is no ``int`` >= 0, or metrics
+    that are no ``JobMetrics``, is a miss — never an ``AttributeError``."""
+    digest = plant(pickle.dumps((job_result().output.records, width, metrics)))
+    assert store.restore(KEY, "reader:j1") is None
+    assert not blob_tier(execution_settings()).has(digest)
+    assert not pointer_path().exists()
+    assert checkpoint_counters()["hits"] == 0
 
 
 def previous_layout(slab):

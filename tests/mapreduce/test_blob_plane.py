@@ -167,6 +167,28 @@ class TestBlobVerbs:
             second.close()
 
 
+    def test_a_traversal_digest_is_a_miss_and_touches_nothing(
+        self, server, tmp_path
+    ):
+        """A peer's digest never leaves the blob root: ``"../x"`` would
+        name ``<cache>/../x.blob``, here a planted file that must survive
+        both verbs."""
+        planted = tmp_path / "x.blob"
+        planted.write_bytes(b"not this daemon's to read or delete")
+        payload = b"an entry, so the blob root exists"
+        sock = dial(server)
+        try:
+            wire.send_frame(sock, ("blob-put", blob_digest(payload), payload))
+            assert wire.recv_frame(sock)[0] == "blob-stored"
+            wire.send_frame(sock, ("blob-get", "../x"))
+            assert wire.recv_frame(sock) == ("blob", "../x", None)
+            wire.send_frame(sock, ("blob-has", ["../x"]))
+            assert wire.recv_frame(sock) == ("blob-have", ["../x"])
+        finally:
+            sock.close()
+        assert planted.read_bytes() == b"not this daemon's to read or delete"
+
+
 class TestSplitRegister:
     def register_split(self, sock, token, fn):
         """The coordinator's register-by-digest conversation, by hand."""

@@ -89,6 +89,27 @@ class TestCorruption:
         assert not store.has(digest)
 
 
+class TestAddresses:
+    @pytest.mark.parametrize(
+        "digest",
+        ["../x", "abc123", "A" * 64, 64],
+        ids=["traversal", "short", "uppercase", "not-a-str"],
+    )
+    def test_a_non_digest_is_a_miss_and_touches_nothing(self, tmp_path, digest):
+        """Only a digest names an entry: ``"../x"`` would name
+        ``<root>/../../x.blob``, outside the store."""
+        store = DiskBlobStore(tmp_path / "deep" / "blobs")
+        put(store, b"an entry, so the root exists")
+        planted = tmp_path / "x.blob"
+        planted.write_bytes(b"a file outside the root")
+        assert not store.has(digest)
+        assert store.get(digest) is None
+        assert not store.put(digest, b"any payload")
+        store.discard(digest)
+        assert planted.read_bytes() == b"a file outside the root"
+        assert store.stats()["entries"] == 1
+
+
 class TestBudgets:
     @settings(max_examples=25, deadline=None)
     @given(

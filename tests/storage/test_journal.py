@@ -236,6 +236,12 @@ class TestValueSpill:
         assert resolve_value(encoded, store) == (None, False)
         assert resolve_value(encoded, None) == (None, False)
 
+    @pytest.mark.parametrize("ref", ["../x", 7, None], ids=["traversal", "int", "none"])
+    def test_a_ref_that_is_no_digest_resolves_to_not_ok(self, store, ref):
+        from repro.storage import BLOB_REF_KEY, resolve_value
+
+        assert resolve_value({BLOB_REF_KEY: ref}, store) == (None, False)
+
     def test_corrupt_spill_reads_as_a_miss(self, store, tmp_path):
         from repro.storage import externalize_value, resolve_value
 

@@ -6,18 +6,21 @@
 internals.
 """
 
-import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage import (
-    CHECKPOINT_TABLES,
     DiskBlobStore,
-    KeyedDiskStore,
     LRUTable,
+    PointerIndex,
     blob_digest,
     checkpoint_tier,
     clear_tiers,
+    is_digest,
     stable_key_repr,
     tier_stats,
 )
@@ -43,85 +46,98 @@ class TestProtocol:
         assert table.lookup("c") == (True, 3)
 
 
-class TestKeyedStore:
-    def test_version_skew_reads_as_miss(self, tmp_path):
-        writer = KeyedDiskStore(tmp_path / "k", ("t",), version="1")
-        writer.store("t", ("key",), "value")
-        reader = KeyedDiskStore(tmp_path / "k", ("t",), version="2")
-        hit, _ = reader.load("t", ("key",))
-        assert not hit
-        # The skewed file was deleted on contact; a same-version reader
-        # now simply misses.
-        hit, _ = KeyedDiskStore(tmp_path / "k", ("t",), version="1").load(
-            "t", ("key",)
-        )
-        assert not hit
+class TestPointerIndex:
+    KEY = "c" * 64
+    DIGEST = "d" * 64
 
-    @pytest.mark.parametrize("damage", [
-        lambda path: path.write_bytes(b"this is not a pickle"),
-        lambda path: path.write_bytes(path.read_bytes()[:10]),
-        lambda path: path.write_bytes(
-            pickle.dumps({**pickle.loads(path.read_bytes()), "format": -1})
+    def pointer(self, index):
+        return index.root / f"{self.KEY}.ref"
+
+    def test_round_trip_is_the_digest_as_the_file(self, tmp_path):
+        index = PointerIndex(tmp_path / "checkpoints")
+        assert index.store(self.KEY, self.DIGEST)
+        assert index.load(self.KEY) == self.DIGEST
+        assert self.pointer(index).read_bytes() == self.DIGEST.encode("ascii")
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=80),
+        st.text("0123456789abcdefABCDEF\n ", min_size=60, max_size=68).map(
+            lambda text: text.encode("ascii")
         ),
-        lambda path: path.write_bytes(
-            pickle.dumps({**pickle.loads(path.read_bytes()), "key": ("other",)})
-        ),
-        lambda path: path.write_bytes(
-            pickle.dumps({**pickle.loads(path.read_bytes()), "table": "other"})
-        ),
-    ], ids=["garbage", "truncated", "stale-format", "key-mismatch",
-            "table-mismatch"])
-    def test_damaged_entry_reads_as_miss_and_is_deleted(self, tmp_path, damage):
-        """The checkpoint index can cost a recompute, never serve a wrong
-        value: every unreadable or mismatching file is a miss and goes."""
-        store = KeyedDiskStore(tmp_path / "k", ("t",))
-        store.store("t", ("key",), "value")
-        (path,) = (store.root / "t").glob("*.pkl")
-        damage(path)
-        assert store.load("t", ("key",)) == (False, None)
-        assert not path.exists()
-        store.store("t", ("key",), "value")
-        assert store.load("t", ("key",)) == (True, "value")
+    ))
+    def test_any_pointer_bytes_are_the_digest_or_a_deleted_miss(self, raw):
+        """A pointer file holds nothing to decode: whatever bytes it has,
+        ``load`` returns exactly them as a digest, or misses and the file
+        is gone."""
+        with tempfile.TemporaryDirectory() as tmp:
+            index = PointerIndex(Path(tmp))
+            path = self.pointer(index)
+            path.write_bytes(raw)
+            digest = index.load(self.KEY)
+            if digest is None:
+                assert not path.exists()
+            else:
+                assert is_digest(digest)
+                assert digest.encode("ascii") == raw
+
+    @pytest.mark.parametrize("raw", [
+        b"this is not a digest",
+        b"d" * 10,
+        b"D" * 64,
+        b"d" * 64 + b"\n",
+        b"\xff" * 64,
+    ], ids=["garbage", "truncated", "uppercase", "trailing-newline", "non-ascii"])
+    def test_damaged_pointer_reads_as_miss_and_is_deleted(self, tmp_path, raw):
+        """The checkpoint index can cost a recompute, never point at the
+        wrong blob: a file that is not exactly a digest is a miss and
+        goes."""
+        index = PointerIndex(tmp_path / "checkpoints")
+        index.store(self.KEY, self.DIGEST)
+        self.pointer(index).write_bytes(raw)
+        assert index.load(self.KEY) is None
+        assert not self.pointer(index).exists()
+        index.store(self.KEY, self.DIGEST)
+        assert index.load(self.KEY) == self.DIGEST
 
     def test_unwritable_root_degrades_to_misses(self, tmp_path):
         target = tmp_path / "not-a-dir"
         target.write_text("file in the way")
-        store = KeyedDiskStore(target / "k", ("t",))
-        store.store("t", ("key",), "value")
-        assert store.errors == 1
-        assert store.load("t", ("key",)) == (False, None)
+        index = PointerIndex(target / "checkpoints")
+        assert not index.store(self.KEY, self.DIGEST)
+        assert index.load(self.KEY) is None
 
     def test_stats_shape(self, tmp_path):
-        store = KeyedDiskStore(tmp_path / "k", ("alpha", "beta"))
-        store.store("alpha", ("k",), [1, 2, 3])
-        stats = store.stats()
-        assert stats["entries"] == 1
-        assert stats["bytes"] > 0
-        assert set(stats["tables"]) == {"alpha", "beta"}
+        index = PointerIndex(tmp_path / "checkpoints")
+        index.store(self.KEY, self.DIGEST)
+        assert index.stats() == {
+            "root": str(index.root), "entries": 1, "bytes": 64,
+        }
 
-    def test_prune_bounds_table(self, tmp_path):
-        store = KeyedDiskStore(
-            tmp_path / "checkpoints", CHECKPOINT_TABLES, max_entries_per_table=4
-        )
+    def test_prune_bounds_index(self, tmp_path):
+        index = PointerIndex(tmp_path / "checkpoints", max_entries=4)
         for i in range(128):  # crosses the every-128-stores prune point
-            store.store("waves", ("wave-key", i), {"digest": "d" * 64, "bytes": i})
-        store._prune(store.root / "waves")
-        remaining = list((store.root / "waves").glob("*.pkl"))
-        assert len(remaining) <= 4
+            assert index.store(blob_digest(b"wave-key %d" % i), self.DIGEST)
+        assert len(list(index.root.glob("*.ref"))) <= 4
 
     def test_clear_removes_unreadable_entries_and_spares_part_files(
         self, tmp_path
     ):
-        store = KeyedDiskStore(tmp_path / "k", ("t",))
-        store.store("t", ("key",), "value")
-        table_dir = store.root / "t"
-        garbage = table_dir / ("0" * 64 + ".pkl")
-        garbage.write_bytes(b"this is not a pickle")
-        in_flight = table_dir / ".tmp-writer.part"
-        in_flight.write_bytes(b"half a payload")
-        assert store.clear() == 2
-        assert not list(table_dir.glob("*.pkl"))
-        assert in_flight.read_bytes() == b"half a payload"
+        index = PointerIndex(tmp_path / "checkpoints")
+        index.store(self.KEY, self.DIGEST)
+        garbage = index.root / ("0" * 64 + ".ref")
+        garbage.write_bytes(b"this is not a digest")
+        # An entry of the earlier pickled layout, swept without an upgrade
+        # step: clear unlinks every file, whatever its name.
+        old_layout = index.root / "waves" / ("1" * 64 + ".pkl")
+        old_layout.parent.mkdir()
+        old_layout.write_bytes(b"an old pickled envelope")
+        in_flight = index.root / ".tmp-writer.part"
+        in_flight.write_bytes(b"half a pointer")
+        assert index.clear() == 3
+        assert not list(index.root.glob("*.ref"))
+        assert not old_layout.exists()
+        assert in_flight.read_bytes() == b"half a pointer"
 
 
 class TestStableKeyRepr:
@@ -141,9 +157,7 @@ class TestStableKeyRepr:
 
 class TestTiers:
     def populate(self, cache_root):
-        checkpoint_tier().store(
-            "waves", ("wave-key",), {"digest": "d" * 64, "bytes": 16}
-        )
+        assert checkpoint_tier().store("c" * 64, "d" * 64)
         blobs = DiskBlobStore(cache_root / "blobs")
         payload = b"blob payload" * 50
         blobs.put(blob_digest(payload), payload)

@@ -316,7 +316,6 @@ class TestCacheCommand:
         assert str(target / "checkpoints") in out
         assert str(target / "blobs") in out
         assert "planning" not in out
-        assert "waves" in out
         totals = [
             line for line in out.splitlines() if line.strip().startswith("total")
         ]
@@ -364,13 +363,13 @@ class TestCacheCommand:
     def test_clear_removes_every_entry(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "cache"
         self.run_checkpointed(target, monkeypatch)
-        assert list(target.glob("checkpoints/waves/*.pkl"))
+        assert list(target.glob("checkpoints/*.ref"))
         assert list(target.glob("blobs/*/*.blob"))
         capsys.readouterr()
         assert main(["--cache-dir", str(target), "cache", "clear"]) == 0
         out = capsys.readouterr().out
         assert "removed" in out
-        assert not list(target.glob("checkpoints/waves/*.pkl"))
+        assert not list(target.glob("checkpoints/*.ref"))
         assert not list(target.glob("blobs/*/*.blob"))
         # Idempotent: clearing an empty cache is a no-op, not an error.
         assert main(["--cache-dir", str(target), "cache", "clear"]) == 0

@@ -97,6 +97,21 @@ class TestReadmeReferences:
         Raising the number is a one-line, reviewed edit."""
         assert len(self.defined_knobs()) <= 11
 
+    def test_pickle_decode_budget(self):
+        """Every line of ``src/`` that decodes pickle is a place where a
+        byte from disk or a socket can run code, so the count is a
+        budget that only goes down (``make loc`` prints it).  A
+        ``class ...(pickle.Unpickler)`` line declares a decoder and is
+        counted where it is constructed instead."""
+        sites = [
+            line
+            for path in (ROOT / "src").rglob("*.py")
+            for line in path.read_text("utf-8").splitlines()
+            if re.search(r"pickle\.loads?\(|Unpickler\(", line)
+            and not line.lstrip().startswith("class ")
+        ]
+        assert len(sites) <= 7
+
 
 class TestExperimentsReferences:
     def test_result_files_come_from_real_benchmarks(self):
