@@ -26,7 +26,8 @@ execution daemon (point coordinators at it with ``--workers-addrs`` or
 fleet's health; ``serve`` runs the long-lived query service
 (admission control, per-query deadlines, cancellation) and ``query`` is
 its client; ``cache`` inspects or wipes the disk tiers — the
-wave-checkpoint index and the workers' content-addressed blob store.
+wave-checkpoint index and the content-addressed blob store (shipped
+payloads, checkpointed waves, DONE results).
 
 A :class:`~repro.errors.ReproError` (a bad volume, query id or SQL text)
 ends the command with one ``repro: error: ...`` line and exit status 2.
@@ -685,7 +686,7 @@ def make_parser() -> argparse.ArgumentParser:
         choices=("checkpoints", "blobs"),
         default=None,
         help="clear just one tier: the wave-checkpoint index or the "
-        "worker blob store",
+        "blob store",
     )
     cache_clear.set_defaults(func=cmd_cache_clear)
     return parser

@@ -71,6 +71,19 @@ def _current_layout(records: object) -> bool:
     )
 
 
+def _valid_payload(value: object) -> bool:
+    """Whether a decoded payload is ``(current-layout slab, int width
+    >= 0, JobMetrics)``; raises on what does not unpack into three,
+    which the decoder counts as a no."""
+    records, record_width, metrics = value
+    return (
+        _current_layout(records)
+        and isinstance(record_width, int)
+        and record_width >= 0
+        and isinstance(metrics, JobMetrics)
+    )
+
+
 class CheckpointStore:
     """The checkpoints one plan execution reads and writes."""
 
@@ -132,30 +145,18 @@ class CheckpointStore:
         Verify-on-read end to end: a pointer that is not a digest is a
         miss, the blob store re-hashes the payload (deleting a corrupt
         file), and a payload that does not decode into a current-layout
-        slab, an ``int`` width and ``JobMetrics`` is discarded.  A miss
-        past the pointer deletes the pointer too.
+        slab, an ``int`` width and ``JobMetrics`` is discarded
+        (:meth:`~repro.storage.blob.DiskBlobStore.decode`).  A miss past
+        the pointer deletes the pointer too.
         """
         digest = self._index.load(key)
         if digest is None:
             return None
-        payload = self._blobs.get(digest)
-        if payload is None:
+        loaded = self._blobs.decode(digest, _valid_payload)
+        if loaded is None:
             self._index.discard(key)
             return None
-        try:
-            records, record_width, metrics = pickle.loads(payload)
-            valid = (
-                _current_layout(records)
-                and isinstance(record_width, int)
-                and record_width >= 0
-                and isinstance(metrics, JobMetrics)
-            )
-        except Exception:
-            valid = False
-        if not valid:
-            self._index.discard(key)
-            self._blobs.discard(digest)
-            return None
+        (records, record_width, metrics), size = loaded
         # The stored output/metrics carry the *writing* query's name;
         # rebuild the name-dependent fields for this run so a restored
         # execution is bit-identical to a fresh one.
@@ -167,7 +168,7 @@ class CheckpointStore:
             tag=f"{name}.out",
         )
         _account("hits")
-        _account("bytes_restored", len(payload))
+        _account("bytes_restored", size)
         return file, metrics, digest
 
     def persist(self, key: str, result: JobResult) -> Optional[str]:

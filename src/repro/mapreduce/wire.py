@@ -42,8 +42,6 @@ every client side opens its connection with :func:`dial` (connect +
                                    Reply ``("blob-stored", d)`` or
                                    ``("blob-error", d, message)`` (digest
                                    mismatch, unwritable store).
-  ``("blob-get", d)``              fetch one payload back.  Reply
-                                   ``("blob", d, payload_or_None)``.
   ``("task", t, i)``               run registered callable ``t`` on index
                                    ``i``.  Reply ``("result", i, value)``,
                                    ``("task-error", i, exc)`` (the pickled
@@ -114,7 +112,8 @@ from repro.storage import blob_digest
 #: Bump when the message shapes change; mismatching peers refuse to talk
 #: during the hello handshake instead of failing mid-job.  2 = PR 8's
 #: blob verbs + split registration; 3 = the unsplit three-tuple
-#: ``register`` is gone.
+#: ``register`` is gone.  Still 3 without the worker's old fetch-one-blob
+#: verb: no coordinator ever sent it, so no sender's messages changed.
 WIRE_FORMAT = 3
 
 #: 8-byte big-endian frame length header.
@@ -188,11 +187,6 @@ def send_frame(sock: socket.socket, message: object) -> None:
             f"(cap {MAX_FRAME_BYTES}); page the payload instead"
         )
     sock.sendall(_HEADER.pack(len(payload)) + payload)
-
-
-def encoded_size(message: object) -> int:
-    """Byte length ``message`` would occupy as one frame payload."""
-    return len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def page_bounds(

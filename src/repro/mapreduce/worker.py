@@ -260,9 +260,6 @@ class WorkerServer(wire.FrameServer):
             except Exception as exc:
                 return ("blob-error", digest, f"{type(exc).__name__}: {exc}")
             return ("blob-stored", digest)
-        if kind == "blob-get":
-            _kind, digest = message
-            return ("blob", digest, _blob_store().get(digest))
         if kind == "unregister":
             registry.pop(message[1], None)
             return ("unregistered", message[1])

@@ -69,14 +69,17 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
   checkpoint digest, terminal outcome) to an append-only CRC-framed log
   (:class:`~repro.storage.journal.SessionJournal`).  ``--recover``
   replays it on startup, *before* the admitter runs: DONE sessions come
-  back serving their cached result, FAILED/CANCELLED/TIMED_OUT ones
-  their error, and every non-terminal session is re-admitted under its
-  original query id — resuming from its last completed wave via the
-  checkpoint tier (the executor restores by content key; the journal's
-  wave records exist so tests and operators can *prove* which waves
-  were skipped).  A submit is journaled before its session becomes
-  visible, and a terminal outcome before its state does, so neither an
-  acknowledged query id nor an acknowledged result is lost to a crash.
+  back serving their result from the blob tier (a terminal record holds
+  the digest of the pickled result, never rows; a blob that is gone or
+  no result re-runs the query from its submit record),
+  FAILED/CANCELLED/TIMED_OUT ones their error, and every non-terminal
+  session is re-admitted under its original query id — resuming from
+  its last completed wave via the checkpoint tier (the executor
+  restores by content key; the journal's wave records exist so tests
+  and operators can *prove* which waves were skipped).  A submit is
+  journaled before its session becomes visible, and a terminal outcome
+  before its state does, so neither an acknowledged query id nor an
+  acknowledged result is lost to a crash.
   The journal, its replay and the retention window live in
   :class:`~repro.serve.durability.SessionLedger`; this module is the
   protocol handler and the session runner.

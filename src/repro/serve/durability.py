@@ -9,7 +9,9 @@ a long uptime must not lose track of:
   event (submit, state, completed-wave checkpoint digest, terminal
   outcome) in an append-only CRC-framed log
   (:class:`~repro.storage.journal.SessionJournal`), and its replay on
-  ``--recover``;
+  ``--recover``.  A DONE result is a blob in the blob tier and its
+  terminal record holds only the digest, so the journal grows with
+  events, not with answer volume;
 * the **retention window** — finished sessions stay addressable only
   within the newest :data:`RETAINED_SESSIONS` terminal sessions, their
   result rows summing to at most :data:`RETAINED_RESULT_ROWS`.
@@ -35,7 +37,7 @@ from repro.serve.session import (
     TERMINAL_STATES,
     QuerySession,
 )
-from repro.storage import SessionJournal, blob_tier, externalize_value, resolve_value
+from repro.storage import SessionJournal, blob_digest, blob_tier
 
 #: Retention window for finished sessions: how many terminal sessions
 #: stay addressable, and how many result rows they may hold between
@@ -43,11 +45,10 @@ from repro.storage import SessionJournal, blob_tier, externalize_value, resolve_
 RETAINED_SESSIONS = 32
 RETAINED_RESULT_ROWS = 500_000
 
-#: Inline cap on journaled DONE-result payloads.  Larger results spill
-#: to the content-addressed blob tier and the journal records only their
-#: digest, so the journal stays lifecycle-sized instead of growing with
-#: answer volume; recovery reads either form.
-JOURNAL_RESULT_MAX_BYTES = 1 << 20
+
+def _is_result(value: object) -> bool:
+    """Whether a decoded blob is a DONE result: a dict with list rows."""
+    return isinstance(value, dict) and isinstance(value.get("rows"), list)
 
 
 class SessionLedger:
@@ -72,7 +73,7 @@ class SessionLedger:
             "other_terminal": 0,
             "resumed": 0,
             "requeued": 0,
-            "spill_lost": 0,
+            "result_lost": 0,
         }
 
     # -- journal ---------------------------------------------------------
@@ -82,8 +83,8 @@ class SessionLedger:
             self.journal.append(record)
 
     def _blob_store(self):
-        """The blob tier oversized journal values spill to (lazy; a
-        journal-less service never touches the cache directory)."""
+        """The blob tier DONE results live in (lazy; a journal-less
+        service never touches the cache directory)."""
         if self._blobs is None:
             self._blobs = blob_tier()
         return self._blobs
@@ -93,27 +94,28 @@ class SessionLedger:
         session: QuerySession,
         state: str,
         error: Optional[dict],
-        result: Optional[dict],
+        encoded: Optional[bytes],
     ) -> None:
         """Journal a session's terminal outcome (the session calls this
         before the outcome is observable).  This is the one place the
-        journal learns an outcome — rows for DONE, which is what lets a
-        recovered coordinator serve cached results.  Large results spill
-        to the blob tier by digest so the journal grows with *events*,
-        not answer volume."""
+        journal learns an outcome.  A DONE result's pickled bytes
+        ``encoded`` go to the blob tier and the record holds their
+        digest — None when the put failed, which recovery treats like a
+        lost blob: the query re-runs."""
         if self.journal is None:
             return
-        if result is not None:
-            result, _spilled = externalize_value(
-                result, JOURNAL_RESULT_MAX_BYTES, self._blob_store()
-            )
+        digest = None
+        if encoded is not None:
+            digest = blob_digest(encoded)
+            if not self._blob_store().put(digest, encoded):
+                digest = None
         self.append(
             {
                 "kind": "terminal",
                 "id": session.query_id,
                 "state": state,
                 "error": error,
-                "result": result,
+                "result": digest,
             }
         )
 
@@ -229,8 +231,7 @@ class SessionLedger:
         self.next_id = max_id + 1
         # The retention window applies to replay as well: terminal
         # sessions older than the newest RETAINED_SESSIONS are counted
-        # but never re-materialised (no result resolved from the journal
-        # or the blob tier).
+        # but never re-materialised (no result read from the blob tier).
         expired = set([qid for qid in terminals if qid in specs][:-RETAINED_SESSIONS])
         restored: Dict[str, QuerySession] = {}
         for qid in order:
@@ -261,23 +262,27 @@ class SessionLedger:
                 state = str(terminal.get("state", FAILED))
                 if state not in TERMINAL_STATES:
                     state = FAILED
-                result = None
+                result, result_bytes = None, 0
                 if state == DONE:
-                    # The journaled result may be a blob-tier reference
-                    # (spilled at terminal time).  A lost spill is not a
-                    # lost query: fall through to re-admission and let
-                    # deterministic re-execution rebuild the rows.
-                    result, ok = resolve_value(
-                        terminal.get("result"), self._blob_store()
+                    # A DONE record names its result's blob.  A blob that
+                    # is gone, corrupt or no result (and a record of any
+                    # other form) is not a lost query: fall through to
+                    # re-admission and let deterministic re-execution
+                    # rebuild the rows.
+                    loaded = self._blob_store().decode(
+                        terminal.get("result"), _is_result
                     )
-                    if not ok:
-                        self.recovered["spill_lost"] += 1
+                    if loaded is None:
+                        self.recovered["result_lost"] += 1
                         terminal = None
+                    else:
+                        result, result_bytes = loaded
             if terminal is not None:
                 session.restore_terminal(
                     state,
                     error=terminal.get("error"),
                     result=result,
+                    result_bytes=result_bytes,
                 )
                 self.sessions[qid] = restored[qid] = session
                 key = "done" if state == DONE else "other_terminal"

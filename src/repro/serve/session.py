@@ -16,8 +16,9 @@ set exactly when a terminal state is entered; ``result`` clients block
 on it instead of polling state.
 
 Durable before visible: the terminal writers take an optional ``seal``
-callback.  The winner of the terminal race calls ``seal(session, state,
-error, result)`` — the coordinator's journal append — *before* the state,
+callback.  The winner of the terminal race pickles a DONE result once
+and calls ``seal(session, state, error, encoded)`` — the coordinator's
+journal append, ``encoded`` those bytes or None — *before* the state,
 the error or the result becomes observable through :meth:`snapshot` or
 ``done``, so a client can never be told DONE about an outcome a crash
 would lose.
@@ -25,6 +26,7 @@ would lose.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 from typing import Callable, Dict, Mapping, Optional
@@ -36,7 +38,6 @@ from repro.errors import (
     error_to_wire,
 )
 from repro.mapreduce.cancel import CancellationToken
-from repro.mapreduce.wire import encoded_size
 
 QUEUED = "QUEUED"
 ADMITTED = "ADMITTED"
@@ -49,8 +50,9 @@ TIMED_OUT = "TIMED_OUT"
 
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED, TIMED_OUT})
 
-#: seal(session, state, error, result): make a terminal outcome durable.
-Seal = Callable[["QuerySession", str, Optional[dict], Optional[dict]], None]
+#: seal(session, state, error, encoded): make a terminal outcome durable;
+#: ``encoded`` is the pickled DONE result (None for the other states).
+Seal = Callable[["QuerySession", str, Optional[dict], Optional[bytes]], None]
 
 #: state -> states it may legally move to.  Terminal states accept
 #: nothing: the first terminal transition wins, later ones no-op.
@@ -94,9 +96,9 @@ class QuerySession:
         #: Scheduler bookkeeping, stamped by FairScheduler.enqueue().
         self.sched_seq = 0
         self.enqueued_at = time.monotonic()
-        #: Pickled size of ``result``, computed once when it is set so the
-        #: result endpoint's oversize check never re-pickles per poll (and
-        #: never races a half-assigned result).
+        #: Pickled size of ``result``, taken from the one encoding the
+        #: seal journals, so the result endpoint's oversize check never
+        #: re-pickles per poll (and never races a half-assigned result).
         self.result_bytes = 0
         self.knobs: Dict[str, str] = {
             str(k): str(v) for k, v in (knobs or {}).items()
@@ -146,10 +148,10 @@ class QuerySession:
             if self._sealing or state not in TRANSITIONS[self.state]:
                 return False
             self._sealing = True
-        result_bytes = _encoded_size(result)
+        encoded = _encode(result)
         try:
             if seal is not None:
-                seal(self, state, error, result)
+                seal(self, state, error, encoded)
         finally:
             # Visible whatever the seal did: a journal that cannot be
             # written must not leave clients waiting on ``done`` forever.
@@ -157,7 +159,7 @@ class QuerySession:
                 self.state = state
                 self.error = error
                 self.result = result
-                self.result_bytes = result_bytes
+                self.result_bytes = len(encoded or b"")
                 self.state_times[state] = time.monotonic() - self.submitted_at
             self.done.set()
         return True
@@ -196,9 +198,12 @@ class QuerySession:
         state: str,
         error: Optional[dict] = None,
         result: Optional[dict] = None,
+        result_bytes: int = 0,
     ) -> None:
         """Journal-replay path: place a *recovered* session directly into
-        a terminal state it reached in a previous process life.
+        a terminal state it reached in a previous process life;
+        ``result_bytes`` is the length of the blob ``result`` was read
+        from (the bytes :meth:`_finish` encoded).
 
         Bypasses :data:`TRANSITIONS` deliberately — the transition was
         validated when it originally happened; replay just restates it.
@@ -211,7 +216,7 @@ class QuerySession:
             self.state = state
             self.error = error
             self.result = result
-            self.result_bytes = _encoded_size(result)
+            self.result_bytes = result_bytes
             self.state_times[state] = 0.0
         self.done.set()
 
@@ -238,10 +243,12 @@ class QuerySession:
         }
 
 
-def _encoded_size(result: Optional[dict]) -> int:
+def _encode(result: Optional[dict]) -> Optional[bytes]:
+    """A DONE result pickled as a wire frame would carry it; None when
+    there is none or it does not pickle."""
     if result is None:
-        return 0
+        return None
     try:
-        return encoded_size(result)
+        return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
-        return 0
+        return None

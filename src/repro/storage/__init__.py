@@ -3,10 +3,12 @@
 One package owns every disk-resident tier the repository runs:
 
 * the **blob tier** — the content-addressed byte store under
-  ``<cache_dir>/blobs`` that worker daemons use to cache shipped
-  closure payloads by sha256 digest
-  (:class:`~repro.storage.blob.DiskBlobStore`), governed by age/size
-  budgets with LRU eviction;
+  ``<cache_dir>/blobs`` (:class:`~repro.storage.blob.DiskBlobStore`),
+  governed by age/size budgets with LRU eviction: worker daemons cache
+  shipped closure payloads in it by sha256 digest, and the coordinator
+  keeps its durable values there — wave checkpoints and DONE results,
+  read back through one verify-on-read decoder
+  (:meth:`~repro.storage.blob.DiskBlobStore.decode`);
 * the **checkpoint tier** — digest pointers under
   ``<cache_dir>/checkpoints``: ``<key>.ref`` holds the blob digest of the
   output of the ready-wave job with Merkle checkpoint key ``key``
@@ -15,7 +17,9 @@ One package owns every disk-resident tier the repository runs:
   completed wave (:mod:`repro.core.checkpoint` owns the payload format);
 * the **session journal** — the append-only, CRC-framed record log the
   coordinator replays after a crash
-  (:class:`~repro.storage.journal.SessionJournal`).
+  (:class:`~repro.storage.journal.SessionJournal`); it records
+  lifecycle events only, and a DONE result appears in it as the digest
+  of its blob.
 
 Planning statistics are not a tier: they live in memory only
 (:mod:`repro.relational.stats_cache`).
@@ -39,13 +43,7 @@ from repro.storage.base import (
     stable_key_repr,
 )
 from repro.storage.blob import DiskBlobStore
-from repro.storage.journal import (
-    BLOB_REF_KEY,
-    SessionJournal,
-    externalize_value,
-    read_records,
-    resolve_value,
-)
+from repro.storage.journal import SessionJournal, read_records
 from repro.storage.pointers import PointerIndex
 
 
@@ -96,7 +94,6 @@ def clear_tiers(settings=None, only: Optional[str] = None) -> Dict[str, int]:
 
 
 __all__ = [
-    "BLOB_REF_KEY",
     "DiskBlobStore",
     "LRUTable",
     "PointerIndex",
@@ -106,10 +103,8 @@ __all__ = [
     "blob_tier",
     "checkpoint_tier",
     "clear_tiers",
-    "externalize_value",
     "is_digest",
     "read_records",
-    "resolve_value",
     "stable_key_repr",
     "tier_stats",
 ]

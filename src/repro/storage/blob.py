@@ -4,7 +4,10 @@ The worker daemon's data tier: payloads shipped by the distributed
 coordinator are stored under their sha256 digest and survive across
 batches, queries, and coordinator connections — which is what lets a
 warm re-run of the same query register its closures by digest instead of
-re-shipping megabytes of captured inputs.
+re-shipping megabytes of captured inputs.  The same tier holds the
+coordinator's durable values: wave checkpoints and ``repro serve``'s
+DONE results, each named by its digest from a pointer file or a journal
+record.
 
 Lifecycle (the EMBANKS-style spill discipline):
 
@@ -21,6 +24,10 @@ Lifecycle (the EMBANKS-style spill discipline):
   write, bit rot, truncation) deletes the file and reads as a miss.
   The coordinator's miss path re-sends the payload, so a corrupt entry
   costs one re-ship, never a wrong result;
+* **durable values** — ``decode`` is the one reader of pickled values
+  kept here (wave checkpoints, ``repro serve``'s DONE results): a
+  payload that does not decode into the shape its reader accepts is
+  deleted and reads as a miss, which costs a recompute;
 * **addresses** — only a digest (:func:`~repro.storage.base.is_digest`)
   names an entry: anything else a peer sends reads as a miss and is
   never joined to the root, so no request reaches a file outside it.
@@ -29,9 +36,10 @@ Lifecycle (the EMBANKS-style spill discipline):
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.storage.base import atomic_write_bytes, blob_digest, discard_path, is_digest
 
@@ -125,6 +133,31 @@ class DiskBlobStore:
         if self._put_count == 1 or self._put_count % _EVICT_EVERY == 0:
             self.evict()
         return True
+
+    def decode(
+        self, digest: object, accept: Callable[[object], bool]
+    ) -> Optional[Tuple[object, int]]:
+        """The blob ``digest`` unpickled, as ``(value, payload bytes)``;
+        None on a miss.
+
+        The one decoder of durable pickled blobs (wave checkpoints, DONE
+        results).  ``get`` verifies the bytes against the digest; a
+        payload that does not unpickle, or whose value ``accept`` refuses
+        (or raises on), is discarded and reads as a miss — the caller
+        recomputes what it stood for.
+        """
+        payload = self.get(digest)
+        if payload is None:
+            return None
+        try:
+            value = pickle.loads(payload)
+            valid = bool(accept(value))
+        except Exception:
+            valid = False
+        if not valid:
+            self.discard(digest)
+            return None
+        return value, len(payload)
 
     def discard(self, digest: str) -> None:
         """Drop one entry (an undecodable payload found by a reader)."""

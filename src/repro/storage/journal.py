@@ -15,13 +15,16 @@ On-disk format — a flat sequence of length-prefixed records::
   header + payload, flushed (and by default ``fsync``ed) before
   :meth:`SessionJournal.append` returns, under a lock.  A crash can tear
   at most the *last* record.
-* **Torn-tail tolerance** — :func:`read_records` stops cleanly at the
-  first short header, short payload, implausible length, or CRC
-  mismatch: everything before the tear replays, the tear itself is
-  reported (``torn=True``), never raised.  The next append seals the
-  file again by truncating the torn tail first.
+* **Torn-tail tolerance** — :func:`scan`, the one frame walker, stops
+  cleanly at the first short header, short payload, implausible length,
+  CRC mismatch or undecodable payload: everything before the tear
+  replays, the tear itself is reported (``torn=True``), never raised.
+  The next append seals the file again by truncating it back to the
+  offset the same walk stopped at.
 * **No interpretation** — payloads are opaque dicts; what the records
-  *mean* is the coordinator's business (:mod:`repro.serve.coordinator`).
+  *mean* is the coordinator's business (:mod:`repro.serve.durability`).
+  Records stay lifecycle-sized: a DONE result is a blob in the blob
+  tier, and its terminal record carries only the digest.
 """
 
 from __future__ import annotations
@@ -41,117 +44,48 @@ _HEADER = struct.Struct("<II")  # (payload length, CRC32 of payload)
 #: replay attempt a multi-gigabyte read.
 MAX_RECORD_BYTES = 256 * 1024 * 1024
 
-#: Marker key of a journal value that was spilled to the blob tier.  A
-#: record field holding ``{BLOB_REF_KEY: <sha256>, "bytes": n}`` stands
-#: for the pickled object stored content-addressed under that digest.
-BLOB_REF_KEY = "__journal_blob__"
 
+def scan(path) -> Tuple[List[object], bool, int]:
+    """Walk a journal file frame by frame: ``(records, torn, intact)``.
 
-def externalize_value(value: object, max_bytes: int, store) -> Tuple[object, bool]:
-    """``(encoded, spilled)`` — spill ``value`` to ``store`` when big.
-
-    Journals record session *lifecycle*; a DONE result's rows can be
-    arbitrarily large, and inlining them makes the journal grow with
-    answer volume instead of event count.  Values whose pickle exceeds
-    ``max_bytes`` are written to the content-addressed blob ``store``
-    (sha256 of the pickled bytes — verify-on-read for free) and replaced
-    by a tiny digest reference.  When the spill *fails* (unwritable
-    store) the value stays inline: durability beats the size cap.  A
-    ``max_bytes`` of 0 or less never spills.
-    """
-    if store is None or max_bytes <= 0:
-        return value, False
-    try:
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return value, False
-    if len(payload) <= max_bytes:
-        return value, False
-    digest = _blob_digest(payload)
-    if not store.put(digest, payload):
-        return value, False
-    return {BLOB_REF_KEY: digest, "bytes": len(payload)}, True
-
-
-def resolve_value(encoded: object, store) -> Tuple[object, bool]:
-    """Inverse of :func:`externalize_value`: ``(value, ok)``.
-
-    Inline values pass through untouched (``ok=True``).  A blob
-    reference is fetched (the store re-hashes what it reads, so a
-    corrupt spill reads as a miss) and unpickled; a missing or
-    undecodable spill returns ``(None, False)`` — the caller decides
-    whether that costs a re-execution or just the cached copy.
-    """
-    if not (isinstance(encoded, dict) and BLOB_REF_KEY in encoded):
-        return encoded, True
-    digest = encoded.get(BLOB_REF_KEY)
-    if store is None:
-        return None, False
-    payload = store.get(digest)
-    if payload is None:
-        return None, False
-    try:
-        return pickle.loads(payload), True
-    except Exception:
-        return None, False
-
-
-def _blob_digest(payload: bytes) -> str:
-    from repro.storage.base import blob_digest
-
-    return blob_digest(payload)
-
-
-def read_records(path) -> Tuple[List[object], bool]:
-    """Replay a journal file; returns ``(records, torn)``.
-
-    A missing file is an empty journal.  ``torn`` is True when the file
-    ends mid-record (crash during append) or the tail fails its CRC —
-    the intact prefix is returned either way.
+    The one reader of the on-disk format, for both replay and tail
+    sealing.  A missing file is an empty journal.  The walk stops at the
+    first short header, implausible length, short payload, CRC mismatch
+    or undecodable payload; ``torn`` says whether it stopped early, and
+    ``intact`` is the byte offset where it stopped (the file size when
+    the journal is whole) — everything before it replays, and the next
+    append truncates the file back to it.
     """
     records: List[object] = []
+    offset = 0
     try:
         handle = open(path, "rb")
     except (FileNotFoundError, IsADirectoryError):
-        return records, False
+        return records, False, offset
     with handle:
         while True:
             header = handle.read(_HEADER.size)
             if not header:
-                return records, False  # clean end
+                return records, False, offset  # clean end
             if len(header) < _HEADER.size:
-                return records, True  # torn header
+                return records, True, offset  # torn header
             length, crc = _HEADER.unpack(header)
             if length > MAX_RECORD_BYTES:
-                return records, True  # implausible length: treat as tear
+                return records, True, offset  # implausible length: a tear
             payload = handle.read(length)
             if len(payload) < length or zlib.crc32(payload) != crc:
-                return records, True  # torn or corrupt payload
+                return records, True, offset  # torn or corrupt payload
             try:
                 records.append(pickle.loads(payload))
             except Exception:
-                return records, True  # undecodable payload: stop here
-
-
-def _intact_prefix_bytes(path: Path) -> int:
-    """Byte offset of the first tear (== file size when intact)."""
-    offset = 0
-    try:
-        handle = open(path, "rb")
-    except OSError:
-        return 0
-    with handle:
-        while True:
-            header = handle.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                return offset
-            length, crc = _HEADER.unpack(header)
-            if length > MAX_RECORD_BYTES:
-                return offset
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return offset
+                return records, True, offset  # undecodable payload: stop here
             offset += _HEADER.size + length
+
+
+def read_records(path) -> Tuple[List[object], bool]:
+    """Replay a journal file; returns ``(records, torn)`` (see :func:`scan`)."""
+    records, torn, _intact = scan(path)
+    return records, torn
 
 
 class SessionJournal:
@@ -181,11 +115,10 @@ class SessionJournal:
             # Seal a torn tail left by a crash mid-append: truncate back
             # to the intact prefix so the next record starts on a record
             # boundary (replay would stop at the tear otherwise).
-            if self.path.exists():
-                intact = _intact_prefix_bytes(self.path)
-                if intact != self.path.stat().st_size:
-                    with open(self.path, "rb+") as handle:
-                        handle.truncate(intact)
+            _records, torn, intact = scan(self.path)
+            if torn:
+                with open(self.path, "rb+") as handle:
+                    handle.truncate(intact)
             self._file = open(self.path, "ab")
         return self._file
 

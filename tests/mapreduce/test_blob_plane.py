@@ -7,7 +7,7 @@ Covers the PR 8 wire additions end to end at the protocol level:
   rebuild to an identical callable, heavy captures must leave the slim
   pickle, small or unpicklable captures must stay inline, and the same
   content must always produce the same digest;
-* the worker's ``blob-has`` / ``blob-put`` / ``blob-get`` verbs and the
+* the worker's ``blob-has`` / ``blob-put`` verbs and the
   split ``register`` shape, including the ``register-missing`` repair
   path a corrupt or evicted payload triggers;
 * the bounded per-connection registry (leaked registrations must not
@@ -124,7 +124,10 @@ class TestSplitJoin:
 
 
 class TestBlobVerbs:
-    def test_put_has_get_round_trip(self, server):
+    def test_put_has_round_trip_lands_in_the_daemon_store(self, server):
+        """What ``blob-put`` stores, ``blob-has`` reports and the
+        daemon's own blob tier reads back byte for byte; no verb hands
+        a blob back to a peer."""
         payload = b"shipped payload bytes" * 100
         digest = blob_digest(payload)
         sock = dial(server)
@@ -135,8 +138,9 @@ class TestBlobVerbs:
             assert wire.recv_frame(sock) == ("blob-stored", digest)
             wire.send_frame(sock, ("blob-has", [digest]))
             assert wire.recv_frame(sock) == ("blob-have", [])
+            assert worker_mod._blob_store().get(digest) == payload
             wire.send_frame(sock, ("blob-get", digest))
-            assert wire.recv_frame(sock) == ("blob", digest, payload)
+            assert wire.recv_frame(sock)[0] == "error"
         finally:
             sock.close()
 
@@ -180,8 +184,8 @@ class TestBlobVerbs:
         try:
             wire.send_frame(sock, ("blob-put", blob_digest(payload), payload))
             assert wire.recv_frame(sock)[0] == "blob-stored"
-            wire.send_frame(sock, ("blob-get", "../x"))
-            assert wire.recv_frame(sock) == ("blob", "../x", None)
+            wire.send_frame(sock, ("blob-put", "../x", b"overwrite"))
+            assert wire.recv_frame(sock)[:2] == ("blob-error", "../x")
             wire.send_frame(sock, ("blob-has", ["../x"]))
             assert wire.recv_frame(sock) == ("blob-have", ["../x"])
         finally:

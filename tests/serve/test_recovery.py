@@ -2,13 +2,17 @@
 
 A ``QueryService`` built with ``recover=True`` replays its journal
 before the admitter thread starts: terminal sessions come back whole
-(DONE results served from the journal, never re-executed), sessions
+(DONE results served from the blob tier, never re-executed), sessions
 that were in flight re-queue under their original ids with fresh
 deadline budgets, and a torn tail costs at most the record that was
-mid-append.  The subprocess SIGKILL drill lives in
-``test_recovery_subprocess.py``; here every crash is simulated by
-stopping one service and recovering a second from the same journal.
+mid-append.  A DONE record holds the digest of its result's blob; a
+result that cannot be read back re-runs the query.  The subprocess
+SIGKILL drill lives in ``test_recovery_subprocess.py``; here every crash
+is simulated by stopping one service and recovering a second from the
+same journal.
 """
+
+import pickle
 
 import pytest
 
@@ -18,10 +22,16 @@ from repro.core.executor import PlanExecutor
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.sql import parse_join_query
-from repro.serve import durability as durability_mod
 from repro.serve.coordinator import QueryService
 from repro.serve.session import DONE, QUEUED, RUNNING, QuerySession
-from repro.storage import SessionJournal, read_records
+from repro.storage import (
+    DiskBlobStore,
+    SessionJournal,
+    blob_digest,
+    blob_tier,
+    is_digest,
+    read_records,
+)
 from repro.workloads import workload_relations
 
 MOBILE_SQL = (
@@ -68,18 +78,24 @@ class TestDoneRecovery:
             with repro.connect(first.address, timeout_s=15.0) as client:
                 qid = client.submit(MOBILE_SQL, seed=0)
                 rows = [tuple(r) for r in client.wait(qid, timeout_s=60.0)["rows"]]
+            result_bytes = first.ledger.sessions[qid].result_bytes
         finally:
             first.stop()
         assert rows == expected_rows(seed=0)
+        # The terminal record holds the result blob's digest, not rows.
+        terminal = [r for r in read_records(journal_path)[0] if r["kind"] == "terminal"]
+        assert [(r["state"], is_digest(r["result"])) for r in terminal] == [(DONE, True)]
 
         second = QueryService(journal_path=journal_path, recover=True).start()
         try:
             assert second.ledger.recovered["done"] == 1
             assert second.ledger.recovered["resumed"] == 0
-            # Served straight from the restored terminal record: the
-            # submitted counter never moves, nothing re-runs.
+            assert second.ledger.recovered["result_lost"] == 0
+            # Served straight from the result blob: the submitted
+            # counter never moves, nothing re-runs.
             assert second.stats["submitted"] == 0
             assert wait_rows(second, qid, timeout_s=15.0) == rows
+            assert second.ledger.sessions[qid].result_bytes == result_bytes > 0
             stats = second.service_stats()
             assert stats["recovered"]["done"] == 1
             assert stats["journal"]["bytes"] > 0
@@ -320,90 +336,84 @@ class TestSchedulingMetadataRecovery:
             service.stop()
 
 
-class TestJournalResultSpill:
-    def test_large_result_spills_and_recovers(self, tmp_path, monkeypatch):
-        """Satellite 4: DONE rows above the inline cap go to the blob
-        tier by digest; the journal stays event-sized and recovery reads
-        the spilled result back bit-identically."""
+class TestResultBlobs:
+    def test_a_failed_put_journals_no_digest(self, tmp_path, monkeypatch):
+        """An unwritable blob tier costs the shortcut, not the outcome:
+        the client still gets its rows and the record says ``None``."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(durability_mod, "JOURNAL_RESULT_MAX_BYTES", 256)
+        monkeypatch.setattr(DiskBlobStore, "put", lambda self, digest, payload: False)
         journal_path = str(tmp_path / "serve.journal")
-        first = QueryService(journal_path=journal_path).start()
+        service = QueryService(journal_path=journal_path).start()
         try:
-            with repro.connect(first.address) as client:
-                qid = client.submit(MOBILE_SQL, volume=20)
-                rows = [
-                    tuple(r)
-                    for r in client.wait(qid, timeout_s=120.0)["rows"]
-                ]
-        finally:
-            first.stop()
-        # The journal holds a digest reference, not the rows.
-        from repro.storage import BLOB_REF_KEY
-
-        records, torn = read_records(journal_path)
-        assert not torn
-        terminal = [r for r in records if r.get("kind") == "terminal"][0]
-        assert BLOB_REF_KEY in terminal["result"]
-        assert terminal["result"]["bytes"] > 256
-
-        second = QueryService(journal_path=journal_path, recover=True).start()
-        try:
-            assert second.ledger.recovered["done"] == 1
-            assert second.ledger.recovered["spill_lost"] == 0
-            assert second.stats["submitted"] == 0  # served, not re-run
-            assert wait_rows(second, qid, timeout_s=15.0) == rows
-        finally:
-            second.stop()
-
-    def test_lost_spill_falls_back_to_reexecution(self, tmp_path, monkeypatch):
-        """A missing/corrupt spilled blob is not a lost query: recovery
-        re-admits the session and deterministic re-execution rebuilds
-        the identical rows."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(durability_mod, "JOURNAL_RESULT_MAX_BYTES", 256)
-        journal_path = str(tmp_path / "serve.journal")
-        first = QueryService(journal_path=journal_path).start()
-        try:
-            with repro.connect(first.address) as client:
-                qid = client.submit(MOBILE_SQL, volume=20)
-                rows = [
-                    tuple(r)
-                    for r in client.wait(qid, timeout_s=120.0)["rows"]
-                ]
-        finally:
-            first.stop()
-        import shutil
-
-        shutil.rmtree(tmp_path / "cache" / "blobs")
-
-        second = QueryService(journal_path=journal_path, recover=True).start()
-        try:
-            assert second.ledger.recovered["spill_lost"] == 1
-            assert second.ledger.recovered["done"] == 0
-            # Its last journaled state was RUNNING, so it re-admits on
-            # the resumed path (checkpointed waves restore from disk).
-            assert second.ledger.recovered["resumed"] == 1
-            assert wait_rows(second, qid, timeout_s=120.0) == rows
-        finally:
-            second.stop()
-
-    def test_small_result_stays_inline(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        journal_path = str(tmp_path / "serve.journal")
-        first = QueryService(journal_path=journal_path).start()
-        try:
-            with repro.connect(first.address) as client:
+            with repro.connect(service.address) as client:
                 qid = client.submit(MOBILE_SQL)
-                client.wait(qid, timeout_s=60.0)
+            assert wait_rows(service, qid) == expected_rows(seed=0)
         finally:
-            first.stop()
-        from repro.storage import BLOB_REF_KEY
+            service.stop()
+        terminal = [r for r in read_records(journal_path)[0] if r["kind"] == "terminal"]
+        assert [(r["state"], r["result"]) for r in terminal] == [(DONE, None)]
 
-        records, _torn = read_records(journal_path)
-        terminal = [r for r in records if r.get("kind") == "terminal"][0]
-        assert isinstance(terminal["result"], dict)
-        assert BLOB_REF_KEY not in terminal["result"]
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "list-blob",
+            "dict-without-list-rows",
+            "inline-dict",
+            "none",
+            "deleted-blob",
+            "inline-list",
+            "old-stub-to-list-blob",
+        ],
+    )
+    def test_a_lost_result_reexecutes(self, tmp_path, monkeypatch, case):
+        """A DONE record whose result cannot be served — a blob that is
+        no result, a pre-blob inline dict or list or size-switched stub,
+        no digest (the put failed), a blob that is gone — is not a lost
+        query: the daemon starts, ``result_lost`` counts the session, and
+        it re-runs from its submit record to the rows of a fresh run."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        store = blob_tier()
+
+        def blob(value):
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            assert store.put(blob_digest(payload), payload)
+            return blob_digest(payload)
+
+        fresh = expected_rows(seed=0)
+        if case == "list-blob":
+            result = blob(["not", "a", "result"])
+        elif case == "dict-without-list-rows":
+            result = blob({"columns": ["t2.id"], "rows": tuple(fresh)})
+        elif case == "inline-dict":
+            result = {"columns": ["t2.id"], "rows": fresh}
+        elif case == "none":
+            result = None
+        elif case == "inline-list":
+            result = ["not", "a", "result"]
+        elif case == "old-stub-to-list-blob":
+            result = {"__journal_blob__": blob(["not", "a", "result"]), "bytes": 30}
+        else:
+            result = blob({"columns": ["t2.id"], "rows": fresh})
+            store.discard(result)
+        journal_path = tmp_path / "serve.journal"
+        journal = SessionJournal(journal_path, fsync=False)
+        journal.append(submit_record("q1"))
+        journal.append({"kind": "state", "id": "q1", "state": RUNNING})
+        journal.append(
+            {"kind": "terminal", "id": "q1", "state": DONE, "error": None, "result": result}
+        )
+        journal.close()
+
+        service = QueryService(journal_path=str(journal_path), recover=True).start()
+        try:
+            assert service.ledger.recovered["result_lost"] == 1
+            assert service.ledger.recovered["done"] == 0
+            assert service.ledger.recovered["resumed"] == 1
+            assert wait_rows(service, "q1", timeout_s=120.0) == fresh
+        finally:
+            service.stop()
+        terminal = [r for r in read_records(journal_path)[0] if r["kind"] == "terminal"]
+        assert is_digest(terminal[-1]["result"])
 
 
 class TestGuards:

@@ -7,6 +7,7 @@ applies the same window to the journal.  Every test drives a real
 :class:`QueryService` over the wire.
 """
 
+import pickle
 import sys
 import threading
 
@@ -18,7 +19,7 @@ from repro.serve import durability
 from repro.serve.coordinator import RELATION_SETS_CACHED, QueryService
 from repro.serve.durability import RETAINED_SESSIONS
 from repro.serve.session import DONE, QUEUED, TERMINAL_STATES
-from repro.storage import SessionJournal
+from repro.storage import SessionJournal, blob_digest, blob_tier
 
 from tests.serve.test_recovery import expected_rows, submit_record
 from tests.serve.test_service import MOBILE_SQL, wait_for
@@ -191,11 +192,17 @@ class TestRetentionWindow:
 
 
 class TestRecoveryIsBounded:
-    def test_recover_over_a_long_journal_comes_up_bounded(self, tmp_path):
+    def test_recover_over_a_long_journal_comes_up_bounded(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         journal_path = str(tmp_path / "serve.journal")
         rows = expected_rows()
+        blobs = blob_tier()
         journal = SessionJournal(journal_path, fsync=False)
         for index in range(1, FLOOD + 1):
+            payload = pickle.dumps({"columns": ["t2_id"], "rows": rows, "tag": index})
+            assert blobs.put(blob_digest(payload), payload)
             journal.append(submit_record(f"q{index}"))
             journal.append(
                 {
@@ -203,7 +210,7 @@ class TestRecoveryIsBounded:
                     "id": f"q{index}",
                     "state": DONE,
                     "error": None,
-                    "result": {"columns": ["t2_id"], "rows": rows, "tag": index},
+                    "result": blob_digest(payload),
                 }
             )
         journal.append(submit_record(f"q{FLOOD + 1}"))  # still in flight
@@ -212,6 +219,8 @@ class TestRecoveryIsBounded:
         try:
             assert service.ledger.recovered["done"] == FLOOD
             assert service.ledger.recovered["requeued"] == 1
+            # Only the retained window's results were read back.
+            assert service.ledger._blob_store().hits == RETAINED_SESSIONS
             with repro.connect(service.address, timeout_s=15.0) as client:
                 assert client.wait(f"q{FLOOD + 1}")["rows"] == rows
                 assert settled(service, FLOOD + 1)
@@ -219,7 +228,7 @@ class TestRecoveryIsBounded:
                 stats = client.stats()
                 assert stats["sessions_retained"] == RETAINED_SESSIONS
                 assert stats["sessions_evicted"] == FLOOD + 1 - RETAINED_SESSIONS
-                # Newest journaled results are served from the journal...
+                # Newest journaled results are served from their blobs...
                 newest = client.result(f"q{FLOOD}")["result"]
                 assert (newest["tag"], newest["rows"]) == (FLOOD, rows)
                 # ...the oldest were never re-materialised.

@@ -11,10 +11,13 @@ data plane leans on:
   thrash), and entries older than the age budget are gone;
 * **corruption** — a torn or bit-rotten file reads as a *miss* and is
   deleted, so the coordinator's miss path re-ships the bytes; a wrong
-  read is impossible because the digest is the address.
+  read is impossible because the digest is the address;
+* **decoding** — ``decode(digest, accept)`` hands back a pickled value
+  its reader accepts, and deletes anything else.
 """
 
 import os
+import pickle
 import tempfile
 import time
 from pathlib import Path
@@ -108,6 +111,40 @@ class TestAddresses:
         store.discard(digest)
         assert planted.read_bytes() == b"a file outside the root"
         assert store.stats()["entries"] == 1
+
+
+class TestDecode:
+    """``decode``: the one reader of durable pickled values."""
+
+    def is_pair(self, value):
+        return isinstance(value, tuple) and len(value) == 2
+
+    def test_accepted_value_round_trips_with_its_size(self, store):
+        payload = pickle.dumps((1, ["two"]), protocol=pickle.HIGHEST_PROTOCOL)
+        digest = put(store, payload)
+        assert store.decode(digest, self.is_pair) == ((1, ["two"]), len(payload))
+        assert store.has(digest)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pickle.dumps(["not", "a", "pair"]),
+            b"\x80\x05not really a pickle",
+            pickle.dumps((1,)),
+        ],
+        ids=["refused", "undecodable", "accept-raises"],
+    )
+    def test_anything_else_is_a_miss_and_is_discarded(self, store, payload):
+        def accept(value):
+            return value[1] == ["two"]  # raises on a 1-tuple
+
+        digest = put(store, payload)
+        assert store.decode(digest, accept) is None
+        assert not store.has(digest)
+
+    @pytest.mark.parametrize("digest", [None, "../x", {"rows": []}, "0" * 64])
+    def test_a_missing_or_non_digest_address_is_a_miss(self, store, digest):
+        assert store.decode(digest, self.is_pair) is None
 
 
 class TestBudgets:

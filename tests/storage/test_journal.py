@@ -11,10 +11,8 @@ import pickle
 import threading
 import zlib
 
-import pytest
-
 from repro.storage import SessionJournal, read_records
-from repro.storage.journal import _HEADER, MAX_RECORD_BYTES
+from repro.storage.journal import _HEADER, MAX_RECORD_BYTES, scan
 
 
 def write_journal(path, records):
@@ -133,6 +131,32 @@ class TestTornTails:
         records, torn = read_records(path)
         assert records == [] and torn
 
+    def test_scan_stops_replay_and_sealing_at_one_offset(self, tmp_path):
+        """One walk answers both questions: what replays, and where the
+        next append truncates to."""
+        path = tmp_path / "j"
+        write_journal(path, [{"n": 1}, {"n": 2}])
+        assert scan(path) == ([{"n": 1}, {"n": 2}], False, path.stat().st_size)
+        boundary = self.sizes(path)[0]
+        with open(path, "rb+") as handle:
+            handle.truncate(boundary + 5)
+        assert scan(path) == ([{"n": 1}], True, boundary)
+        assert scan(tmp_path / "absent") == ([], False, 0)
+
+    def test_reopen_seals_an_undecodable_record(self, tmp_path):
+        """A record that passes its CRC but does not unpickle is where
+        replay stops, so sealing truncates there too: later appends must
+        not land behind a record replay never gets past."""
+        path = tmp_path / "j"
+        write_journal(path, [{"n": 1}])
+        garbage = b"\x80\x05not really a pickle"
+        with open(path, "ab") as handle:
+            handle.write(_HEADER.pack(len(garbage), zlib.crc32(garbage)))
+            handle.write(garbage)
+        write_journal(path, [{"n": 3}])
+        records, torn = read_records(path)
+        assert records == [{"n": 1}, {"n": 3}] and not torn
+
     def test_reopen_seals_a_torn_tail(self, tmp_path):
         path = tmp_path / "j"
         write_journal(path, [{"n": 1}, {"n": 2}])
@@ -181,87 +205,3 @@ class TestConcurrency:
         assert journal.stats()["append_errors"] == 1
         assert journal.append({"fine": 1}) is True
         journal.close()
-
-
-class TestValueSpill:
-    """externalize_value / resolve_value: the journal's blob-tier escape
-    hatch for record fields that grow with answer volume."""
-
-    @pytest.fixture
-    def store(self, tmp_path):
-        from repro.storage import DiskBlobStore
-
-        return DiskBlobStore(
-            tmp_path / "blobs", max_bytes=1 << 20, max_age_s=3600.0
-        )
-
-    def test_small_value_stays_inline(self, store):
-        from repro.storage import externalize_value, resolve_value
-
-        value = {"rows": [(1, 2)]}
-        encoded, spilled = externalize_value(value, 1 << 20, store)
-        assert spilled is False and encoded is value
-        assert resolve_value(encoded, store) == (value, True)
-
-    def test_large_value_round_trips_through_the_blob_tier(self, store):
-        from repro.storage import BLOB_REF_KEY, externalize_value, resolve_value
-
-        value = {"rows": [(i, "x" * 50) for i in range(200)]}
-        encoded, spilled = externalize_value(value, 64, store)
-        assert spilled is True
-        assert BLOB_REF_KEY in encoded and encoded["bytes"] > 64
-        restored, ok = resolve_value(encoded, store)
-        assert ok is True and restored == value
-
-    def test_spill_is_content_addressed(self, store):
-        from repro.storage import BLOB_REF_KEY, blob_digest, externalize_value
-
-        value = ["v"] * 1000
-        encoded, spilled = externalize_value(value, 16, store)
-        assert spilled
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        assert encoded[BLOB_REF_KEY] == blob_digest(payload)
-
-    def test_zero_cap_never_spills(self, store):
-        from repro.storage import externalize_value
-
-        value = ["v"] * 1000
-        assert externalize_value(value, 0, store) == (value, False)
-        assert externalize_value(value, 64, None) == (value, False)
-
-    def test_missing_blob_resolves_to_not_ok(self, store):
-        from repro.storage import BLOB_REF_KEY, resolve_value
-
-        encoded = {BLOB_REF_KEY: "0" * 64, "bytes": 999}
-        assert resolve_value(encoded, store) == (None, False)
-        assert resolve_value(encoded, None) == (None, False)
-
-    @pytest.mark.parametrize("ref", ["../x", 7, None], ids=["traversal", "int", "none"])
-    def test_a_ref_that_is_no_digest_resolves_to_not_ok(self, store, ref):
-        from repro.storage import BLOB_REF_KEY, resolve_value
-
-        assert resolve_value({BLOB_REF_KEY: ref}, store) == (None, False)
-
-    def test_corrupt_spill_reads_as_a_miss(self, store, tmp_path):
-        from repro.storage import externalize_value, resolve_value
-
-        value = ["v"] * 1000
-        encoded, spilled = externalize_value(value, 16, store)
-        assert spilled
-        # Flip bytes in the stored blob: verify-on-read must reject it.
-        blob_files = list((tmp_path / "blobs").rglob("*"))
-        blob_file = [p for p in blob_files if p.is_file()][0]
-        blob_file.write_bytes(b"corrupted beyond recognition")
-        assert resolve_value(encoded, store) == (None, False)
-
-    def test_failed_put_keeps_value_inline(self, store):
-        from repro.storage import externalize_value
-
-        class RefusingStore:
-            def put(self, digest, payload):
-                return False
-
-        value = ["v"] * 1000
-        # Durability beats the size cap: an unwritable store never
-        # drops the value from the record.
-        assert externalize_value(value, 16, RefusingStore()) == (value, False)

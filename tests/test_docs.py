@@ -110,7 +110,7 @@ class TestReadmeReferences:
             if re.search(r"pickle\.loads?\(|Unpickler\(", line)
             and not line.lstrip().startswith("class ")
         ]
-        assert len(sites) <= 7
+        assert len(sites) <= 6
 
 
 class TestExperimentsReferences:
