@@ -36,9 +36,7 @@ def run_one(query, strategy: str):
     cluster = SimulatedCluster()
     aliases = sorted(query.relations)
     files = [
-        cluster.hdfs.put(
-            relation_to_composite_file(query.relations[a], a, file_name=f"f:{a}")
-        )
+        relation_to_composite_file(query.relations[a], a, file_name=f"f:{a}")
         for a in aliases
     ]
     schemas = {a: query.relations[a].schema for a in aliases}

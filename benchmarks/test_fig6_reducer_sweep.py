@@ -34,10 +34,8 @@ def run_point(volume_gb: int, num_reducers: int) -> float:
     cluster = SimulatedCluster(ClusterConfig())
     aliases = sorted(query.relations)
     files = [
-        cluster.hdfs.put(
-            relation_to_composite_file(
-                query.relations[a], a, file_name=f"{query.name}:{a}:{num_reducers}"
-            )
+        relation_to_composite_file(
+            query.relations[a], a, file_name=f"{query.name}:{a}:{num_reducers}"
         )
         for a in aliases
     ]

@@ -34,7 +34,7 @@ def best_kr_curve():
         times = {}
         for k in REDUCERS:
             spec = make_shuffle_probe_job(
-                cluster, rows, duplication=2, num_reducers=k,
+                rows, duplication=2, num_reducers=k,
                 bytes_per_row=int(volume * GB) // (rows * 2), seed=int(volume * 100),
             )
             times[k] = cluster.run_job(spec).metrics.total_time_s

@@ -44,10 +44,8 @@ def run_and_estimate():
         )
         aliases = sorted(query.relations)
         files = [
-            cluster.hdfs.put(
-                relation_to_composite_file(
-                    query.relations[a], a, file_name=f"{query.name}:{a}"
-                )
+            relation_to_composite_file(
+                query.relations[a], a, file_name=f"{query.name}:{a}"
             )
             for a in aliases
         ]

@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.baselines import PLANNERS
@@ -285,20 +284,10 @@ def cmd_worker_status(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.mapreduce.config import JOURNAL_DIR_ENV
     from repro.serve.coordinator import serve
 
-    journal_path = args.journal
-    if journal_path is None:
-        journal_dir = (execution_settings().journal_dir or "").strip()
-        if journal_dir:
-            journal_path = str(Path(journal_dir) / "serve.journal")
-    if args.recover and journal_path is None:
-        print(
-            "serve --recover needs a journal: pass --journal PATH or set "
-            f"{JOURNAL_DIR_ENV}",
-            file=sys.stderr,
-        )
+    if args.recover and args.journal is None:
+        print("serve --recover needs a journal: pass --journal PATH", file=sys.stderr)
         return 2
     return serve(
         args.host,
@@ -306,7 +295,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_concurrent=args.max_concurrent,
         max_queue=args.max_queue,
         default_deadline_s=args.default_deadline_s or None,
-        journal_path=journal_path,
+        journal_path=args.journal,
         recover=args.recover,
         client_max_running=args.client_max_running,
         client_max_queued=args.client_max_queued,
@@ -603,8 +592,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--journal", default=None, metavar="PATH",
-        help="append-only session journal for crash recovery "
-        "(default: $REPRO_JOURNAL_DIR/serve.journal when that is set)",
+        help="append-only session journal for crash recovery",
     )
     serve_cmd.add_argument(
         "--recover", action="store_true",

@@ -12,7 +12,6 @@ from repro.core.eulerian import (
     count_eulerian_trails,
     eulerian_circuits,
     eulerian_trails,
-    exact_join_path_graph,
 )
 from repro.core.executor import ExecutionOutcome, PlanExecutor
 from repro.core.join_graph import JoinGraph
@@ -91,7 +90,6 @@ __all__ = [
     "count_eulerian_trails",
     "eulerian_circuits",
     "eulerian_trails",
-    "exact_join_path_graph",
     "delta_value",
     "enumerate_paths",
     "evaluate_reducer_counts",

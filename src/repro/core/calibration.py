@@ -27,6 +27,7 @@ from repro.errors import PlanningError
 from repro.joins.jobs import make_hypercube_join_job
 from repro.joins.records import relation_to_composite_file
 from repro.mapreduce.counters import JobMetrics
+from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.utils import MB, linear_fit
 from repro.workloads.synthetic import controllable_selfjoin_query
@@ -75,10 +76,8 @@ def run_self_join_probe(
     )
     aliases = sorted(query.relations)
     files = [
-        cluster.hdfs.put(
-            relation_to_composite_file(query.relations[alias], alias,
-                                       file_name=f"{query.name}:{alias}")
-        )
+        relation_to_composite_file(query.relations[alias], alias,
+                                   file_name=f"{query.name}:{alias}")
         for alias in aliases
     ]
     cards = [f.num_records for f in files]
@@ -95,7 +94,6 @@ def run_self_join_probe(
 
 
 def make_shuffle_probe_job(
-    cluster: SimulatedCluster,
     rows: int,
     duplication: int,
     num_reducers: int,
@@ -117,8 +115,11 @@ def make_shuffle_probe_job(
         f"shufprobe{rows}x{duplication}", rows, columns=1, seed=seed,
         bytes_per_row=bytes_per_row,
     )
-    file = cluster.hdfs.store_relation(relation)
     width = relation.schema.row_width
+    file = DistributedFile(
+        name=relation.name, records=list(relation.rows), record_width=width,
+        tag=relation.name,
+    )
 
     def mapper(tag, record, ctx):
         for copy in range(duplication):
@@ -151,7 +152,7 @@ def collect_probes(
         for dup in duplications:
             for n in reducer_counts:
                 spec = make_shuffle_probe_job(
-                    cluster, rows, dup, n, bytes_per_row, seed=rows + dup + n
+                    rows, dup, n, bytes_per_row, seed=rows + dup + n
                 )
                 metrics = cluster.run_job(spec).metrics
                 rounds = max(1, metrics.map_rounds)

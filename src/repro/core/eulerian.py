@@ -17,9 +17,10 @@ tractable (the paper's queries have at most ~8 join conditions):
 * :func:`count_eulerian_trails` — the quantity Theorem 1 reduces to;
 * :func:`add_virtual_vertex` — the Figure 2 construction;
 * :func:`paths_via_virtual_vertex` — GJP path enumeration routed through
-  the augmented graph, validating the Theorem 1 proof constructively;
-* :func:`exact_join_path_graph` — the *unpruned* GJP of Definition 3,
-  used as ground truth by the pruning ablation.
+  the augmented graph, validating the Theorem 1 proof constructively.
+
+The *unpruned* GJP of Definition 3 is
+``build_join_path_graph(..., apply_pruning=False)``.
 
 None of this is on the planner's hot path — Algorithm 2's pruned
 construction in :mod:`repro.core.join_path_graph` is — but it is the
@@ -32,12 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.join_graph import JoinGraph
-from repro.core.join_path_graph import (
-    CandidateEvaluator,
-    CandidateJob,
-    JoinPathGraph,
-    enumerate_paths,
-)
+from repro.core.join_path_graph import enumerate_paths
 from repro.errors import PlanningError
 
 #: Edge-id sequence of one trail, paired with its start vertex.
@@ -219,35 +215,6 @@ def paths_via_virtual_vertex(
             continue
         kept.append((start, end, path))
     return sorted(kept)
-
-
-# ---------------------------------------------------------------------------
-# Exact (unpruned) GJP — Definition 3 ground truth
-# ---------------------------------------------------------------------------
-
-def exact_join_path_graph(
-    graph: JoinGraph,
-    evaluator: CandidateEvaluator,
-    max_hops: Optional[int] = None,
-) -> JoinPathGraph:
-    """The full join-path graph GJP with *no* Lemma 1/2 pruning.
-
-    Every no-edge-repeating path becomes a candidate priced by
-    ``evaluator``.  Exponential in the edge count — use only on
-    query-sized graphs.  The pruning ablation compares plans chosen from
-    this graph against plans from Algorithm 2's pruned G'JP.
-    """
-    candidates: List[CandidateJob] = []
-    for start, end, path in enumerate_paths(graph, max_hops=max_hops):
-        candidates.append(
-            CandidateJob(
-                endpoints=(start, end),
-                path=path,
-                labels=frozenset(path),
-                cost=evaluator(path),
-            )
-        )
-    return JoinPathGraph(graph, candidates, enumerated=len(candidates), pruned=0)
 
 
 def subpath_of_some_trail(graph: JoinGraph, path: Sequence[int]) -> bool:

@@ -95,6 +95,9 @@ class ExecutionOutcome:
     #: tables, alias-sorted ``(alias, global id, row)`` tuples when
     #: iterated — for result validation.
     composites: CompositeSlab
+    #: Every job's output file by job id: the one registry of what the
+    #: plan wrote (restored checkpoints and empty outputs included).
+    job_outputs: Dict[str, DistributedFile]
 
 
 #: What :meth:`PlanExecutor._prepare` found for one job of a wave: an
@@ -139,7 +142,7 @@ class PlanExecutor:
 
         schemas = {alias: rel.schema for alias, rel in query.relations.items()}
         base_files = {
-            alias: self.cluster.hdfs.put(lift_base_relation(relation, alias))
+            alias: lift_base_relation(relation, alias)
             for alias, relation in query.relations.items()
         }
 
@@ -167,7 +170,10 @@ class PlanExecutor:
             projection=query.projection,
         )
         return ExecutionOutcome(
-            result=result, report=report, composites=final_composites
+            result=result,
+            report=report,
+            composites=final_composites,
+            job_outputs=job_outputs,
         )
 
     # ------------------------------------------------------------------
@@ -317,8 +323,10 @@ class PlanExecutor:
         remote worker daemons (even a lone job; the coordinator falls
         back to the in-line loop when no daemon answers).  Results are
         folded back strictly in wave order, so ``report.job_metrics``,
-        HDFS contents, and every downstream decision are identical
-        whatever ran the jobs.
+        ``job_outputs``, and every downstream decision are identical
+        whatever ran the jobs.  The task closure captures the cluster
+        (config only) and this wave's specs, so it ships exactly the
+        wave's input files.
         """
         prepared = [
             self._prepare(job, query, schemas, base_files, job_outputs)
@@ -396,7 +404,7 @@ class PlanExecutor:
         report: ExecutionReport,
     ) -> float:
         """Publish one job's outcome — the empty output, the restored
-        checkpoint, or the :class:`JobResult` of its run — into HDFS,
+        checkpoint, or the :class:`JobResult` of its run — into
         ``job_outputs`` and the report; returns the job's duration."""
         name = f"{query.name}:{job.job_id}"
         digest: Optional[str] = None
@@ -418,10 +426,6 @@ class PlanExecutor:
                 digest = self._ckpt.persist(key, found)
                 if digest is not None:
                     report.checkpoint_stores += 1
-        # The job may have run against a forked (process backend) or
-        # shipped (distributed backend) copy of the cluster; publish its
-        # output in the parent's namespace.
-        self.cluster.hdfs.put(file)
         job_outputs[job.job_id] = file
         report.job_metrics.append(metrics)
         if digest is not None and self.on_wave is not None:

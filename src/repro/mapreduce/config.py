@@ -160,10 +160,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: recomputing them.  Off by default in the library; ``repro serve``
 #: recovery relies on it being set for the daemon.
 CHECKPOINT_ENV = "REPRO_CHECKPOINT"
-#: Directory of the coordinator's session journal.  ``repro serve``
-#: journals to ``<dir>/serve.journal`` when set (the ``--journal`` flag
-#: overrides with an explicit file path).
-JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
 #: Seconds slept between executor ready waves (0 = none).  A chaos/test
 #: knob: it widens the window in which a coordinator can be killed
 #: mid-query with a known number of waves checkpointed.
@@ -251,8 +247,6 @@ class ExecutionSettings:
     #: Wave checkpointing: persist completed ready-wave job outputs by
     #: digest so retries/restarts resume instead of recomputing.
     checkpoint: bool = False
-    #: Session-journal directory (``repro serve``); None = no journal.
-    journal_dir: Optional[str] = None
     #: Sleep between executor ready waves, seconds (chaos/test knob).
     wave_delay_s: float = 0.0
 
@@ -284,7 +278,6 @@ class ExecutionSettings:
             cache_dir=env.get(CACHE_DIR_ENV) or None,
             strict_fleet=env.get(STRICT_FLEET_ENV, "0") == "1",
             checkpoint=env.get(CHECKPOINT_ENV, "0") == "1",
-            journal_dir=env.get(JOURNAL_DIR_ENV) or None,
             wave_delay_s=_env_number(WAVE_DELAY_ENV, 0.0, env),
         )
 

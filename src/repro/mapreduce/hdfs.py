@@ -1,20 +1,20 @@
-"""A simulated HDFS: named files of records, block accounting, upload timing.
+"""A simulated HDFS: files of records, block accounting, upload timing.
 
 Files hold real Python records (so jobs actually compute correct answers)
 while sizes are tracked in bytes so the runtime can charge realistic I/O
-time.  Upload timing models the three loading modes compared in the
-paper's Figure 11: plain HDFS upload, Hive warehouse loading, and "our
-method" (plain upload plus an upload-time sampling/statistics pass).
+time.  There is no namespace: a job reads the files its spec names and
+returns the one it wrote.  Upload timing models the three loading modes
+compared in the paper's Figure 11: plain HDFS upload, Hive warehouse
+loading, and "our method" (plain upload plus an upload-time
+sampling/statistics pass).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
-from repro.errors import ExecutionError
 from repro.mapreduce.config import ClusterConfig
-from repro.relational.relation import Relation
 from repro.utils import ceil_div
 
 
@@ -60,41 +60,14 @@ class DistributedFile:
 
 
 class SimulatedHDFS:
-    """Namespace of distributed files plus upload-time modelling."""
+    """The Figure 11 load-time model of one cluster configuration.
+
+    It holds no files: a job's inputs travel in its spec, and the
+    executor's ``job_outputs`` is the one registry of what a plan wrote.
+    """
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self._files: Dict[str, DistributedFile] = {}
-
-    # -- namespace -------------------------------------------------------
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._files
-
-    def get(self, name: str) -> DistributedFile:
-        try:
-            return self._files[name]
-        except KeyError:
-            raise ExecutionError(f"no such file in simulated HDFS: {name!r}") from None
-
-    def put(self, file: DistributedFile) -> DistributedFile:
-        self._files[file.name] = file
-        return file
-
-    def delete(self, name: str) -> None:
-        self._files.pop(name, None)
-
-    # -- ingesting relations ------------------------------------------------
-
-    def store_relation(self, relation: Relation, tag: str = "") -> DistributedFile:
-        """Store a relation's rows as a file without charging upload time."""
-        file = DistributedFile(
-            name=relation.name,
-            records=list(relation.rows),
-            record_width=relation.schema.row_width,
-            tag=tag or relation.name,
-        )
-        return self.put(file)
 
     # -- upload timing (Figure 11) ---------------------------------------
 

@@ -30,7 +30,7 @@ from repro.mapreduce.backend import get_backend
 from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.config import ClusterConfig, execution_settings
 from repro.mapreduce.counters import JobMetrics
-from repro.mapreduce.hdfs import DistributedFile, SimulatedHDFS
+from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import JobResult, MapReduceJobSpec
 from repro.utils import ceil_div, make_rng
 
@@ -64,11 +64,15 @@ def _key_major(
 
 
 class SimulatedCluster:
-    """Executes MapReduce jobs over a :class:`SimulatedHDFS` with timing."""
+    """Executes MapReduce jobs with timing; holds its configuration only.
+
+    A job reads the :class:`DistributedFile` inputs its spec carries and
+    returns its output in the :class:`JobResult`; the cluster keeps no
+    file state, so a task closure that captures it ships config only.
+    """
 
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
-        self.hdfs = SimulatedHDFS(self.config)
 
     # ------------------------------------------------------------------
     # public API
@@ -119,7 +123,6 @@ class SimulatedCluster:
             record_width=spec.output_record_width,
             tag=spec.output_name,
         )
-        self.hdfs.put(output)
         metrics.output_records = len(output_records)
         metrics.output_bytes = output.size_bytes * spec.output_replication
         return JobResult(output=output, metrics=metrics)

@@ -291,7 +291,9 @@ def split_task_fn(fn) -> Tuple[bytes, Dict[str, bytes]]:
     The executable *body* is the cloudpickle of ``fn`` with every *heavy
     data capture* — :class:`~repro.mapreduce.hdfs.DistributedFile`
     inputs, record-chunk lists, shuffle-bucket dicts, large ndarrays —
-    replaced by a ``(BLOB_TAG, digest)`` persistent reference; each
+    replaced by a ``(BLOB_TAG, digest)`` persistent reference (an
+    executor wave closure captures the config-only cluster and that
+    wave's job specs, so its files are exactly the wave's inputs); each
     replaced object is pickled standalone (plain pickle) as a payload
     blob addressed by the sha256 of its bytes.  A body that still
     reaches :data:`BLOB_MIN_BYTES` after that (compiled join closures capture

@@ -53,8 +53,8 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
   concurrency, not the number of queries it has served — across
   ``--recover`` restarts too.
 * **Session isolation** — every query runs on its own thread with its
-  own :class:`~repro.mapreduce.runtime.SimulatedCluster` (own HDFS
-  namespace), its own knob scope
+  own :class:`~repro.mapreduce.runtime.SimulatedCluster` (config
+  only: it holds no files), its own knob scope
   (:class:`~repro.mapreduce.config.settings_scope`), and its own
   cancellation token (:class:`~repro.mapreduce.cancel.cancel_scope`).
   Shared state is limited to immutable relations, the planning cache
@@ -87,7 +87,6 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -105,24 +104,15 @@ from repro.mapreduce.backend import live_distributed_backend
 from repro.mapreduce.cancel import cancel_scope, check_cancelled
 from repro.mapreduce.config import (
     EXEC_BACKEND_ENV,
-    EXEC_BACKENDS,
-    EXEC_WORKERS_ENV,
-    STRICT_FLEET_ENV,
-    TASK_RETRIES_ENV,
     ClusterConfig,
     execution_settings,
     settings_scope,
 )
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.sql import parse_join_query
-from repro.serve.durability import SessionLedger
+from repro.serve.durability import SessionLedger, validate_spec
 from repro.serve.fleet import FleetManager
-from repro.serve.scheduler import (
-    PRIORITY_DEFAULT,
-    PRIORITY_MAX,
-    PRIORITY_MIN,
-    FairScheduler,
-)
+from repro.serve.scheduler import FairScheduler
 from repro.serve.session import (
     ADMITTED,
     DONE,
@@ -134,28 +124,6 @@ from repro.serve.session import (
 )
 from repro.storage import LRUTable
 from repro.workloads import workload_relations
-
-#: Knobs a query may override for its own session, each with the check
-#: its value must pass at submit (values arrive as strings or ints).  The
-#: fleet address list and the heartbeat/connect timings are deliberately
-#: absent: they are state of the one live distributed backend every
-#: session shares (the ``fleet`` endpoint changes the fleet for everyone).
-ALLOWED_KNOBS = {
-    EXEC_BACKEND_ENV: lambda text: text.strip().lower() in EXEC_BACKENDS,
-    EXEC_WORKERS_ENV: lambda text: 0 <= int(text) <= (os.cpu_count() or 1),
-    TASK_RETRIES_ENV: lambda text: int(text) >= 0,
-    STRICT_FLEET_ENV: lambda text: text in ("0", "1"),
-}
-
-
-def _knob_value_ok(name: str, value: object) -> bool:
-    try:
-        return ALLOWED_KNOBS[name](str(value))
-    except ValueError:
-        return False
-
-
-WORKLOADS = ("mobile", "tpch")
 
 #: Generated ``(workload, volume, seed)`` relation sets kept for reuse.
 RELATION_SETS_CACHED = 8
@@ -266,72 +234,9 @@ class QueryService(wire.FrameServer):
     # -- admission -------------------------------------------------------
 
     def submit(self, spec: dict) -> QuerySession:
-        """Validate + enqueue one query; raises ``AdmissionRejected``.
-
-        Validation is deliberately cheap (type/enum checks only): load
-        shedding must cost O(1) however overloaded the service is.
-        """
-        if not isinstance(spec, dict):
-            raise AdmissionRejected("submit payload must be a dict")
-        sql = spec.get("sql")
-        if not isinstance(sql, str) or not sql.strip():
-            raise AdmissionRejected("submit requires a non-empty 'sql' string")
-        workload = spec.get("workload", "mobile")
-        if workload not in WORKLOADS:
-            raise AdmissionRejected(
-                f"unknown workload {workload!r}",
-                details={"allowed": list(WORKLOADS)},
-            )
-        method = spec.get("method", "ours")
-        if method not in PLANNERS:
-            raise AdmissionRejected(
-                f"unknown method {method!r}",
-                details={"allowed": sorted(PLANNERS)},
-            )
-        knobs = spec.get("knobs") or {}
-        if not isinstance(knobs, dict):
-            raise AdmissionRejected("'knobs' must be a dict")
-        bad = sorted(set(knobs) - set(ALLOWED_KNOBS))
-        if bad:
-            raise AdmissionRejected(
-                f"knob(s) not overridable per query: {', '.join(bad)}",
-                details={"rejected": bad, "allowed": sorted(ALLOWED_KNOBS)},
-            )
-        # A typo must not silently run serial, nor an absurd worker count
-        # key one more pool into the daemon for its lifetime.
-        bad = sorted(name for name in knobs if not _knob_value_ok(name, knobs[name]))
-        if bad:
-            raise AdmissionRejected(
-                "invalid value for knob(s): "
-                + ", ".join(f"{name}={knobs[name]!r}" for name in bad),
-                details={"rejected": bad},
-            )
-        deadline_s = spec.get("deadline_s", self.default_deadline_s)
-        if deadline_s is not None:
-            try:
-                deadline_s = float(deadline_s)
-            except (TypeError, ValueError):
-                raise AdmissionRejected("'deadline_s' must be a number")
-            if deadline_s <= 0:
-                raise AdmissionRejected("'deadline_s' must be > 0")
-        client_id = spec.get("client_id", "default")
-        if not isinstance(client_id, str) or not client_id.strip():
-            raise AdmissionRejected("'client_id' must be a non-empty string")
-        client_id = client_id.strip()
-        if len(client_id) > 128:
-            raise AdmissionRejected("'client_id' must be <= 128 characters")
-        priority = spec.get("priority", PRIORITY_DEFAULT)
-        if (
-            not isinstance(priority, int)
-            or isinstance(priority, bool)
-            or not (PRIORITY_MIN <= priority <= PRIORITY_MAX)
-        ):
-            raise AdmissionRejected(
-                f"'priority' must be an integer in "
-                f"[{PRIORITY_MIN}, {PRIORITY_MAX}]",
-                details={"min": PRIORITY_MIN, "max": PRIORITY_MAX},
-            )
-
+        """Validate (:func:`~repro.serve.durability.validate_spec`) and
+        enqueue one query; raises ``AdmissionRejected``."""
+        spec = validate_spec(spec, self.default_deadline_s)
         with self._cond:
             if self._closing:
                 raise AdmissionRejected("service is shutting down")
@@ -339,24 +244,13 @@ class QueryService(wire.FrameServer):
             # scope: N concurrent submits racing K free seats admit
             # exactly K, never K+1 (regression-tested).
             try:
-                self._sched.check_admit(client_id)
+                self._sched.check_admit(spec["client_id"])
             except AdmissionRejected:
                 with self._stats_lock:
                     self.stats["rejected"] += 1
                 raise
-            session = QuerySession(
-                query_id=self.ledger.issue_id(),
-                sql=sql,
-                workload=workload,
-                volume=int(spec.get("volume", 0) or 0),
-                seed=int(spec.get("seed", 0) or 0),
-                method=method,
-                deadline_s=deadline_s,
-                knobs=knobs,
-                client_id=client_id,
-                priority=priority,
-            )
-            self.ledger.admit(session)
+            session = QuerySession(query_id=self.ledger.issue_id(), **spec)
+            self.ledger.admit(session, spec)
             self._sched.enqueue(session, force=True)
             with self._stats_lock:
                 self.stats["submitted"] += 1

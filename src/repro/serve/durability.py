@@ -5,6 +5,7 @@ are durable, which finished ones stay addressable.
 a long uptime must not lose track of:
 
 * the **registry** — query id -> :class:`QuerySession`, and the next id;
+  every spec passes :func:`validate_spec` on submit and again on replay;
 * the **journal** — with ``--journal`` one durable record per lifecycle
   event (submit, state, completed-wave checkpoint digest, terminal
   outcome) in an append-only CRC-framed log
@@ -23,10 +24,19 @@ methods marked *caller holds the service lock* are only called under it
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
-from repro.errors import ServiceError
+from repro.baselines import PLANNERS
+from repro.errors import AdmissionRejected, ServiceError, error_to_wire
+from repro.mapreduce.config import (
+    EXEC_BACKEND_ENV,
+    EXEC_BACKENDS,
+    EXEC_WORKERS_ENV,
+    STRICT_FLEET_ENV,
+    TASK_RETRIES_ENV,
+)
 from repro.serve.scheduler import PRIORITY_DEFAULT, PRIORITY_MAX, PRIORITY_MIN
 from repro.serve.session import (
     ADMITTED,
@@ -44,6 +54,117 @@ from repro.storage import SessionJournal, blob_digest, blob_tier
 #: them.  The newest terminal session is kept whatever its size.
 RETAINED_SESSIONS = 32
 RETAINED_RESULT_ROWS = 500_000
+
+
+WORKLOADS = ("mobile", "tpch")
+
+#: Knobs a query may override for its own session, each with the check
+#: its value must pass at submit (values arrive as strings or ints).  The
+#: fleet address list and the heartbeat/connect timings are deliberately
+#: absent: they are state of the one live distributed backend every
+#: session shares (the ``fleet`` endpoint changes the fleet for everyone).
+ALLOWED_KNOBS = {
+    EXEC_BACKEND_ENV: lambda text: text.strip().lower() in EXEC_BACKENDS,
+    EXEC_WORKERS_ENV: lambda text: 0 <= int(text) <= (os.cpu_count() or 1),
+    TASK_RETRIES_ENV: lambda text: int(text) >= 0,
+    STRICT_FLEET_ENV: lambda text: text in ("0", "1"),
+}
+
+
+def _knob_value_ok(name: str, value: object) -> bool:
+    try:
+        return ALLOWED_KNOBS[name](str(value))
+    except ValueError:
+        return False
+
+
+def _integer(spec: dict, name: str) -> int:
+    try:
+        return int(spec.get(name, 0) or 0)
+    except (TypeError, ValueError, OverflowError):
+        raise AdmissionRejected(f"{name!r} must be an integer") from None
+
+
+def validate_spec(spec: object, default_deadline_s: Optional[float] = None) -> dict:
+    """The one check a query spec passes: a live submit and a journal
+    replay alike.  Returns the normalized spec — exactly the keyword
+    arguments of :class:`QuerySession` beyond its id, and what the
+    submit record journals — or raises ``AdmissionRejected``.
+
+    Validation is deliberately cheap (type/enum checks only): load
+    shedding must cost O(1) however overloaded the service is.
+    """
+    if not isinstance(spec, dict):
+        raise AdmissionRejected("submit payload must be a dict")
+    sql = spec.get("sql")
+    if not isinstance(sql, str) or not sql.strip():
+        raise AdmissionRejected("submit requires a non-empty 'sql' string")
+    workload = spec.get("workload", "mobile")
+    if workload not in WORKLOADS:
+        raise AdmissionRejected(
+            f"unknown workload {workload!r}",
+            details={"allowed": list(WORKLOADS)},
+        )
+    method = spec.get("method", "ours")
+    if not isinstance(method, str) or method not in PLANNERS:
+        raise AdmissionRejected(
+            f"unknown method {method!r}",
+            details={"allowed": sorted(PLANNERS)},
+        )
+    knobs = spec.get("knobs") or {}
+    if not isinstance(knobs, dict):
+        raise AdmissionRejected("'knobs' must be a dict")
+    bad = sorted(str(name) for name in set(knobs) - set(ALLOWED_KNOBS))
+    if bad:
+        raise AdmissionRejected(
+            f"knob(s) not overridable per query: {', '.join(bad)}",
+            details={"rejected": bad, "allowed": sorted(ALLOWED_KNOBS)},
+        )
+    # A typo must not silently run serial, nor an absurd worker count
+    # key one more pool into the daemon for its lifetime.
+    bad = sorted(name for name in knobs if not _knob_value_ok(name, knobs[name]))
+    if bad:
+        raise AdmissionRejected(
+            "invalid value for knob(s): "
+            + ", ".join(f"{name}={knobs[name]!r}" for name in bad),
+            details={"rejected": bad},
+        )
+    deadline_s = spec.get("deadline_s", default_deadline_s)
+    if deadline_s is not None:
+        try:
+            deadline_s = float(deadline_s)
+        except (TypeError, ValueError, OverflowError):
+            raise AdmissionRejected("'deadline_s' must be a number") from None
+        if deadline_s <= 0:
+            raise AdmissionRejected("'deadline_s' must be > 0")
+    client_id = spec.get("client_id", "default")
+    if not isinstance(client_id, str) or not client_id.strip():
+        raise AdmissionRejected("'client_id' must be a non-empty string")
+    client_id = client_id.strip()
+    if len(client_id) > 128:
+        raise AdmissionRejected("'client_id' must be <= 128 characters")
+    priority = spec.get("priority", PRIORITY_DEFAULT)
+    if (
+        not isinstance(priority, int)
+        or isinstance(priority, bool)
+        or not (PRIORITY_MIN <= priority <= PRIORITY_MAX)
+    ):
+        raise AdmissionRejected(
+            f"'priority' must be an integer in "
+            f"[{PRIORITY_MIN}, {PRIORITY_MAX}]",
+            details={"min": PRIORITY_MIN, "max": PRIORITY_MAX},
+        )
+    return {
+        "sql": sql,
+        "workload": workload,
+        "volume": _integer(spec, "volume"),
+        "seed": _integer(spec, "seed"),
+        "method": method,
+        "deadline_s": deadline_s,
+        "knobs": {name: str(value) for name, value in knobs.items()},
+        "client_id": client_id,
+        "priority": priority,
+    }
 
 
 def _is_result(value: object) -> bool:
@@ -126,29 +247,13 @@ class SessionLedger:
         self.next_id += 1
         return query_id
 
-    def admit(self, session: QuerySession) -> None:
+    def admit(self, session: QuerySession, spec: dict) -> None:
         """Register a new session, durable before visible: once the
         client holds this query id, a crash-and-recover coordinator still
         knows the query — and re-admits it under its original client and
-        priority."""
+        priority.  ``spec`` is what :func:`validate_spec` returned."""
         self.sessions[session.query_id] = session
-        self.append(
-            {
-                "kind": "submit",
-                "id": session.query_id,
-                "spec": {
-                    "sql": session.sql,
-                    "workload": session.workload,
-                    "volume": session.volume,
-                    "seed": session.seed,
-                    "method": session.method,
-                    "deadline_s": session.deadline_s,
-                    "knobs": dict(session.knobs),
-                    "client_id": session.client_id,
-                    "priority": session.priority,
-                },
-            }
-        )
+        self.append({"kind": "submit", "id": session.query_id, "spec": spec})
 
     def lookup(self, query_id: object) -> QuerySession:
         session = self.sessions.get(query_id) if isinstance(query_id, str) else None
@@ -217,7 +322,7 @@ class SessionLedger:
             if kind == "submit":
                 if qid not in specs:
                     order.append(qid)
-                specs[qid] = record.get("spec") or {}
+                specs[qid] = record.get("spec")
             elif kind == "state":
                 states[qid] = str(record.get("state"))
             elif kind == "terminal":
@@ -234,29 +339,26 @@ class SessionLedger:
         # but never re-materialised (no result read from the blob tier).
         expired = set([qid for qid in terminals if qid in specs][:-RETAINED_SESSIONS])
         restored: Dict[str, QuerySession] = {}
+        rejected: list = []
         for qid in order:
             if qid in expired:
                 done = terminals[qid].get("state") == DONE
                 self.recovered["done" if done else "other_terminal"] += 1
                 self.evicted += 1
                 continue
-            spec = specs[qid]
             try:
-                priority = int(spec.get("priority", PRIORITY_DEFAULT))
-            except (TypeError, ValueError):
-                priority = PRIORITY_DEFAULT
-            session = QuerySession(
-                query_id=qid,
-                sql=str(spec.get("sql", "")),
-                workload=str(spec.get("workload", "mobile")),
-                volume=int(spec.get("volume", 0) or 0),
-                seed=int(spec.get("seed", 0) or 0),
-                method=str(spec.get("method", "ours")),
-                deadline_s=spec.get("deadline_s"),
-                knobs=spec.get("knobs") or {},
-                client_id=str(spec.get("client_id") or "default"),
-                priority=min(PRIORITY_MAX, max(PRIORITY_MIN, priority)),
-            )
+                spec = validate_spec(specs[qid])
+            except AdmissionRejected as exc:
+                # A submit record that fails the submit check cannot be
+                # re-run: it comes back FAILED with that rejection, and
+                # replay goes on with the next record.
+                session = QuerySession(query_id=qid, sql="")
+                session.restore_terminal(FAILED, error=error_to_wire(exc))
+                self.sessions[qid] = restored[qid] = session
+                rejected.append(qid)
+                self.recovered["other_terminal"] += 1
+                continue
+            session = QuerySession(query_id=qid, **spec)
             terminal = terminals.get(qid)
             if terminal is not None:
                 state = str(terminal.get("state", FAILED))
@@ -296,7 +398,8 @@ class SessionLedger:
                 else "requeued"
             )
             self.recovered[key] += 1
-        for qid in terminals:  # journal order: oldest terminal first
+        # Rejected specs first, then terminal records in journal order.
+        for qid in dict.fromkeys([*rejected, *terminals]):
             if qid in restored:
                 self.retain_terminal(restored[qid])
         self.recovered["records"] = len(records)

@@ -11,13 +11,16 @@ from repro.core.eulerian import (
     count_eulerian_trails,
     eulerian_circuits,
     eulerian_trails,
-    exact_join_path_graph,
     is_eulerian_trail,
     paths_via_virtual_vertex,
     subpath_of_some_trail,
 )
 from repro.core.join_graph import JoinGraph
-from repro.core.join_path_graph import CandidateCost, enumerate_paths
+from repro.core.join_path_graph import (
+    CandidateCost,
+    build_join_path_graph,
+    enumerate_paths,
+)
 from repro.errors import PlanningError
 
 from tests.core.test_join_graph import fig1_graph
@@ -187,21 +190,28 @@ class TestSubpathClaim:
 
 
 class TestExactJoinPathGraph:
+    """Definition 3's full GJP: Algorithm 2's builder with pruning off."""
+
     def evaluator(self, path):
         return CandidateCost(time_s=float(len(path)), reducers=len(path))
 
+    def unpruned(self, graph, **kwargs):
+        return build_join_path_graph(
+            graph, self.evaluator, apply_pruning=False, **kwargs
+        )
+
     def test_candidate_per_path(self):
         graph = fig1_graph()
-        gjp = exact_join_path_graph(graph, self.evaluator)
+        gjp = self.unpruned(graph)
         assert len(gjp) == len(enumerate_paths(graph))
         assert gjp.pruned == 0
 
     def test_sufficient(self):
-        gjp = exact_join_path_graph(fig1_graph(), self.evaluator)
+        gjp = self.unpruned(fig1_graph())
         assert gjp.is_sufficient()
 
     def test_max_hops_respected(self):
-        gjp = exact_join_path_graph(fig1_graph(), self.evaluator, max_hops=2)
+        gjp = self.unpruned(fig1_graph(), max_hops=2)
         assert all(c.hop_count <= 2 for c in gjp)
 
 

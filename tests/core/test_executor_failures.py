@@ -158,7 +158,7 @@ class TestEmptyIntermediates:
         assert len(outcome.report.job_metrics) == 2
         # Its output is an empty slab over the union of its inputs' covers,
         # accounted at that cover's composite width.
-        empty = cluster.hdfs.get("empty:j2.out")
+        empty = outcome.job_outputs["j2"]
         assert isinstance(empty.records, CompositeSlab)
         assert empty.records.cover == ("a", "b", "c")
         schemas = {alias: rel.schema for alias, rel in relations.items()}

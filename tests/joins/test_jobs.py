@@ -46,9 +46,7 @@ def run_hypercube(query: JoinQuery, num_components: int = 6):
     cluster = SimulatedCluster()
     aliases = sorted(query.relations)
     files = [
-        cluster.hdfs.put(
-            relation_to_composite_file(query.relations[a], a, file_name=f"f:{a}")
-        )
+        relation_to_composite_file(query.relations[a], a, file_name=f"f:{a}")
         for a in aliases
     ]
     partitioner = HypercubePartitioner([f.num_records for f in files], num_components)
@@ -150,7 +148,7 @@ class TestHypercubeJoin:
         )
         cluster = SimulatedCluster()
         files = [
-            cluster.hdfs.put(relation_to_composite_file(query.relations[x], x))
+            relation_to_composite_file(query.relations[x], x)
             for x in ("a", "b")
         ]
         partitioner = RandomPartitioner([20, 18], 6)
@@ -172,8 +170,8 @@ class TestEquiJoin:
             [JoinCondition.parse(1, "a.g = b.g")],
         )
         cluster = SimulatedCluster()
-        fa = cluster.hdfs.put(relation_to_composite_file(query.relations["a"], "a"))
-        fb = cluster.hdfs.put(relation_to_composite_file(query.relations["b"], "b"))
+        fa = relation_to_composite_file(query.relations["a"], "a")
+        fb = relation_to_composite_file(query.relations["b"], "b")
         spec = make_equi_join_job(
             "eq", fa, fb, query.conditions,
             {"a": query.relations["a"].schema, "b": query.relations["b"].schema},
@@ -191,8 +189,8 @@ class TestEquiJoin:
             [JoinCondition.parse(1, "a.g = b.g", "a.v < b.v")],
         )
         cluster = SimulatedCluster()
-        fa = cluster.hdfs.put(relation_to_composite_file(query.relations["a"], "a"))
-        fb = cluster.hdfs.put(relation_to_composite_file(query.relations["b"], "b"))
+        fa = relation_to_composite_file(query.relations["a"], "a")
+        fb = relation_to_composite_file(query.relations["b"], "b")
         spec = make_equi_join_job(
             "eqr", fa, fb, query.conditions,
             {x: query.relations[x].schema for x in ("a", "b")},
@@ -222,8 +220,8 @@ class TestBroadcastJoin:
             [JoinCondition.parse(1, "a.v > b.v")],
         )
         cluster = SimulatedCluster()
-        fa = cluster.hdfs.put(relation_to_composite_file(query.relations["a"], "a"))
-        fb = cluster.hdfs.put(relation_to_composite_file(query.relations["b"], "b"))
+        fa = relation_to_composite_file(query.relations["a"], "a")
+        fb = relation_to_composite_file(query.relations["b"], "b")
         spec = make_broadcast_join_job(
             "bc", fa, fb, query.conditions,
             {x: query.relations[x].schema for x in ("a", "b")},
@@ -237,8 +235,8 @@ class TestBroadcastJoin:
     def test_small_side_replicated(self):
         a, b = rel("A", 40), rel("B", 5, seed=1)
         cluster = SimulatedCluster()
-        fa = cluster.hdfs.put(relation_to_composite_file(a, "a"))
-        fb = cluster.hdfs.put(relation_to_composite_file(b, "b"))
+        fa = relation_to_composite_file(a, "a")
+        fb = relation_to_composite_file(b, "b")
         spec = make_broadcast_join_job(
             "bc2", fa, fb, [JoinCondition.parse(1, "a.v > b.v")],
             {"a": a.schema, "b": b.schema}, num_reducers=8,
@@ -264,7 +262,7 @@ class TestEquichainJoin:
         )
         cluster = SimulatedCluster()
         files = [
-            cluster.hdfs.put(relation_to_composite_file(query.relations[x], x))
+            relation_to_composite_file(query.relations[x], x)
             for x in ("a", "b", "c")
         ]
         spec = make_equichain_join_job(

@@ -120,7 +120,7 @@ class TestSharesJoin:
         query = chain_equi_query()
         cluster = SimulatedCluster()
         files = [
-            cluster.hdfs.put(relation_to_composite_file(query.relations[a], a))
+            relation_to_composite_file(query.relations[a], a)
             for a in sorted(query.relations)
         ]
         spec = make_shares_join_job(
@@ -137,7 +137,7 @@ class TestSharesJoin:
         query = chain_equi_query(12)
         cluster = SimulatedCluster()
         files = [
-            cluster.hdfs.put(relation_to_composite_file(query.relations[a], a))
+            relation_to_composite_file(query.relations[a], a)
             for a in sorted(query.relations)
         ]
         spec = make_shares_join_job(
@@ -165,7 +165,7 @@ class TestSharesJoin:
         )
         cluster = SimulatedCluster()
         files = [
-            cluster.hdfs.put(relation_to_composite_file(query.relations[a], a))
+            relation_to_composite_file(query.relations[a], a)
             for a in sorted(query.relations)
         ]
         spec = make_shares_join_job(

@@ -51,10 +51,10 @@ def test_backend_equivalence(request, backend, query_id):
     )
 
 
-def run_keeping_files(backend, query, workers_addrs=()):
-    """Every planner's plan of ``query`` under ``backend``: the outcome
-    and each job's output file, as the parent's simulated HDFS holds it."""
-    runs = []
+def run_every_planner(backend, query, workers_addrs=()):
+    """Every planner's plan of ``query`` under ``backend``: the outcomes,
+    each holding every job's output file in ``job_outputs``."""
+    outcomes = []
     for planner_cls in conformance.METHOD_PLANNERS.values():
         plan = planner_cls(PAPER_CLUSTER_KP64).plan(query)
         cluster = SimulatedCluster(PAPER_CLUSTER_KP64)
@@ -62,9 +62,9 @@ def run_keeping_files(backend, query, workers_addrs=()):
             **conformance._backend_overrides(backend, workers_addrs)
         ):
             outcome = PlanExecutor(cluster).execute(plan, query)
-        files = [cluster.hdfs.get(f"{query.name}:{job.job_id}.out") for job in plan.jobs]
-        runs.append((outcome, files))
-    return runs
+        assert sorted(outcome.job_outputs) == sorted(job.job_id for job in plan.jobs)
+        outcomes.append(outcome)
+    return outcomes
 
 
 @pytest.mark.parametrize("backend", ["serial", "distributed"])
@@ -85,7 +85,8 @@ def test_every_output_indexes_the_base_tables(request, backend, three_way_query)
         tuple(gid for _alias, gid, _row in composite)
         for composite in reference_join(query)
     )
-    for outcome, files in run_keeping_files(backend, query, workers_addrs):
+    for outcome in run_every_planner(backend, query, workers_addrs):
+        files = outcome.job_outputs.values()
         for slab in [outcome.composites, *(file.records for file in files)]:
             for alias, table in zip(slab.cover, slab.tables):
                 if backend == "serial":

@@ -3,8 +3,8 @@
 A cost simulator that silently produces bad answers under malformed jobs
 would poison every benchmark built on it, so every contract violation —
 bad reducer counts, rogue partitioners, crashing user code, unit
-under-allocation — must surface as an explicit error, and partial
-failures must not corrupt HDFS state.
+under-allocation — must surface as an explicit error, and a partial
+failure must leave the cluster usable.
 """
 
 import pytest
@@ -147,7 +147,7 @@ class TestUserCodeCrashes:
             cluster.run_job(spec)
 
     def test_failed_job_does_not_publish_output(self):
-        """A crashed job must leave no output file in HDFS."""
+        """A crashed job returns no output and leaves no state behind."""
         cluster = SimulatedCluster()
 
         def bad_reducer(key, values, ctx):
@@ -158,8 +158,7 @@ class TestUserCodeCrashes:
         spec.reducer = bad_reducer
         with pytest.raises(ValueError):
             cluster.run_job(spec)
-        with pytest.raises(ExecutionError):
-            cluster.hdfs.get("crash.out")
+        assert vars(cluster) == {"config": cluster.config}
 
 
 class TestRecoveryAfterFailure:
@@ -178,4 +177,4 @@ class TestRecoveryAfterFailure:
         good = identity_spec(small_file("in2"), name="good")
         result = cluster.run_job(good)
         assert result.metrics.output_records == 10
-        assert cluster.hdfs.get(result.output.name) is result.output
+        assert len(result.output.records) == 10

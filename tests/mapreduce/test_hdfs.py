@@ -1,12 +1,9 @@
-"""Tests for the simulated HDFS and the Figure 11 loading-time model."""
+"""Tests for distributed files and the Figure 11 loading-time model."""
 
 import pytest
 
-from repro.errors import ExecutionError
 from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.hdfs import DistributedFile, SimulatedHDFS
-from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.utils import GB, MB
 
 
@@ -32,26 +29,6 @@ class TestDistributedFile:
     def test_small_file_is_one_block(self):
         file = DistributedFile("f", records=[1], record_width=10)
         assert file.blocks(64 * MB) == 1
-
-
-class TestNamespace:
-    def test_put_get_delete(self, hdfs):
-        file = DistributedFile("x", records=[1], record_width=8)
-        hdfs.put(file)
-        assert "x" in hdfs
-        assert hdfs.get("x") is file
-        hdfs.delete("x")
-        assert "x" not in hdfs
-
-    def test_get_missing_raises(self, hdfs):
-        with pytest.raises(ExecutionError):
-            hdfs.get("nope")
-
-    def test_store_relation(self, hdfs):
-        relation = Relation("R", Schema.of("a:int"), [(1,), (2,)])
-        file = hdfs.store_relation(relation)
-        assert file.num_records == 2
-        assert file.size_bytes == relation.size_bytes
 
 
 class TestLoadingTimes:

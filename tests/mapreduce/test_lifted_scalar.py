@@ -31,7 +31,7 @@ from repro.utils import make_rng
 
 
 def shuffle_probe(cluster):
-    return make_shuffle_probe_job(cluster, 40, 4, 8, 1024, seed=7)
+    return make_shuffle_probe_job(40, 4, 8, 1024, seed=7)
 
 
 def shares_join(cluster):

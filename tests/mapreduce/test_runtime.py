@@ -37,10 +37,14 @@ class TestExecutionSemantics:
         counts = dict(result.output.records)
         assert counts == {"a": 3, "b": 2, "c": 1}
 
-    def test_output_stored_in_hdfs(self):
+    def test_output_returned_not_stored(self):
         cluster = SimulatedCluster()
-        result = cluster.run_job(word_count_spec(["x"]))
-        assert cluster.hdfs.get(result.output.name) is result.output
+        spec = word_count_spec(["x"])
+        result = cluster.run_job(spec)
+        assert result.output.name == spec.output_name
+        # The cluster keeps no file state: a closure capturing it ships
+        # its configuration only.
+        assert vars(cluster) == {"config": cluster.config}
 
     def test_record_index_visible_to_mapper(self):
         cluster = SimulatedCluster()

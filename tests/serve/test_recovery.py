@@ -23,7 +23,7 @@ from repro.mapreduce.config import ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.sql import parse_join_query
 from repro.serve.coordinator import QueryService
-from repro.serve.session import DONE, QUEUED, RUNNING, QuerySession
+from repro.serve.session import DONE, FAILED, QUEUED, RUNNING, QuerySession
 from repro.storage import (
     DiskBlobStore,
     SessionJournal,
@@ -414,6 +414,41 @@ class TestResultBlobs:
             service.stop()
         terminal = [r for r in read_records(journal_path)[0] if r["kind"] == "terminal"]
         assert is_digest(terminal[-1]["result"])
+
+
+class TestMalformedSubmitRecords:
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda spec: [spec["sql"]],
+            lambda spec: {**spec, "volume": "abc"},
+            lambda spec: {**spec, "knobs": ["REPRO_EXEC_BACKEND"]},
+            lambda spec: {**spec, "deadline_s": "soon"},
+        ],
+        ids=["spec-is-a-list", "volume-not-a-number", "knobs-is-a-list", "deadline-not-a-number"],
+    )
+    def test_a_spec_that_fails_the_submit_check_comes_back_failed(
+        self, tmp_path, mangle
+    ):
+        """A submit record with a valid CRC but a spec the submit check
+        refuses does not stop the daemon: the session comes back FAILED
+        with ``admission-rejected``, and the records after it replay."""
+        journal_path = tmp_path / "serve.journal"
+        journal = SessionJournal(journal_path, fsync=False)
+        bad = submit_record("q1")
+        journal.append({**bad, "spec": mangle(bad["spec"])})
+        journal.append(submit_record("q2", seed=2))
+        journal.close()
+        service = QueryService(journal_path=str(journal_path), recover=True).start()
+        try:
+            assert service.ledger.recovered["other_terminal"] == 1
+            assert service.ledger.recovered["requeued"] == 1
+            session = service.ledger.sessions["q1"]
+            assert session.state == FAILED
+            assert session.error["code"] == "admission-rejected"
+            assert wait_rows(service, "q2") == expected_rows(seed=2)
+        finally:
+            service.stop()
 
 
 class TestGuards:

@@ -203,6 +203,14 @@ class TestAdmission:
         with pytest.raises(AdmissionRejected):
             client.submit(MOBILE_SQL, deadline_s=-1)
 
+    @pytest.mark.parametrize(
+        "field, value", [("volume", "abc"), ("seed", [1]), ("method", ["ours"])]
+    )
+    def test_malformed_field_rejected(self, service, client, field, value):
+        with pytest.raises(AdmissionRejected):
+            client.submit(MOBILE_SQL, **{field: value})
+        assert service.stats["submitted"] == 0
+
     def test_queue_full_sheds_with_structured_details(self, tight_service):
         service = tight_service
         with repro.connect(service.address, timeout_s=15.0) as cli:
