@@ -99,6 +99,7 @@ loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
 	@echo "$$(grep -rhoE "[\"']REPRO_[A-Z0-9_]+[\"']" src | sort -u | wc -l) REPRO_* knobs"
 	@echo "$$(grep -rhE 'pickle\.loads?\(|Unpickler\(' src | grep -vcE '^\s*class ') pickle decode sites"
+	@echo "$$(grep -rhE 'threading\.local\(|ContextVar\(' src | wc -l) per-query state stores"
 
 census:
 	python3 tools/census.py

@@ -59,7 +59,7 @@ from repro.joins.records import (
 )
 from repro.mapreduce.backend import get_backend
 from repro.mapreduce.cancel import check_cancelled
-from repro.mapreduce.config import execution_settings
+from repro.mapreduce.config import execution_settings, settings_scope
 from repro.mapreduce.counters import ExecutionReport, JobMetrics
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.runtime import SimulatedCluster
@@ -119,7 +119,6 @@ class PlanExecutor:
     #: Per-execute state, defaulted at class level so helper methods can
     #: run standalone (tests) without an :meth:`execute` call first.
     _ckpt: Optional[CheckpointStore] = None
-    _wave_delay_s: float = 0.0
 
     def __init__(
         self,
@@ -132,6 +131,12 @@ class PlanExecutor:
     # ------------------------------------------------------------------
 
     def execute(self, plan: ExecutionPlan, query: JoinQuery) -> ExecutionOutcome:
+        # The query's settings are resolved once: the caller's context
+        # when it opened one (a serve session), else one read here.
+        with settings_scope(None):
+            return self._execute(plan, query)
+
+    def _execute(self, plan: ExecutionPlan, query: JoinQuery) -> ExecutionOutcome:
         missing = set(c.condition_id for c in query.conditions) - set(
             plan.covered_condition_ids()
         )
@@ -149,7 +154,6 @@ class PlanExecutor:
         report = ExecutionReport(plan_name=plan.name)
         job_outputs: Dict[str, DistributedFile] = {}
         settings = execution_settings()
-        self._wave_delay_s = settings.wave_delay_s
         # Simulated-time noise would make a restored wave replay the
         # *other* run's noise draw; checkpointing stays off under noise.
         checkpointing = settings.checkpoint and self.cluster.config.noise_sigma == 0.0
@@ -197,6 +201,7 @@ class PlanExecutor:
         """
         done: Dict[str, float] = {}
         running: List[Tuple[float, str, int]] = []  # (end, job_id, units)
+        wave_delay_s = execution_settings().wave_delay_s
         available = plan.total_units
         now = 0.0
 
@@ -275,11 +280,11 @@ class PlanExecutor:
                 )
                 for (job, units), duration in zip(wave, durations):
                     heapq.heappush(running, (now + duration, job.job_id, units))
-                if self._wave_delay_s > 0:
+                if wave_delay_s > 0:
                     # Chaos/test knob (REPRO_WAVE_DELAY_S): widen the
                     # inter-wave window so a kill lands after a known
                     # number of waves were checkpointed and journaled.
-                    time.sleep(self._wave_delay_s)
+                    time.sleep(wave_delay_s)
             if remaining or running:
                 if not running:
                     stuck = sorted(

@@ -38,10 +38,11 @@ The pool is reused only while its fork-time registry snapshot is
 current; a batch that registered a *new* callable (which is every phase
 of every job, since closures are compiled per job) triggers a re-fork —
 cheap on Linux (COW pages, no re-import, no re-pickling), so in
-practice the backend forks once per task batch.  Pool workers set a flag
-that makes :func:`get_backend` return the serial backend inside them, so
-nested parallelism (e.g. a whole job running in a worker whose phases
-would try to fork again) degrades safely.
+practice the backend forks once per task batch.  Pool workers run their
+tasks in a context marked ``in_task``, which makes :func:`get_backend`
+return the serial backend inside them, so nested parallelism (e.g. a
+whole job running in a worker whose phases would try to fork again)
+degrades safely.
 
 Platforms without the ``fork`` start method (Windows) fall back to the
 thread backend with a one-time note; results are identical either way.
@@ -50,40 +51,25 @@ thread backend with a one-time note; results are identical either way.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import sys
 import threading
+import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
-from repro.mapreduce.config import ExecutionSettings, execution_settings
+from repro.mapreduce.config import (
+    CURRENT_QUERY,
+    ExecutionSettings,
+    QueryContext,
+    execution_settings,
+    query_scope,
+)
 from repro.mapreduce.dispatch import BatchState, CircuitBreaker
 from repro.mapreduce.worker_handle import RemoteTaskError, WorkerHandle, WorkerLost
 
 #: Task callable: index -> result.  Results must not depend on *when* or
 #: *where* the call runs — the backends only promise index order.
 TaskFn = Callable[[int], object]
-
-#: Set on every thread that runs backend tasks — thread-pool tasks,
-#: worker daemon tasks, the main thread of a forked pool worker — so
-#: nested ``get_backend`` calls degrade to serial: a task already running
-#: on a pool must not fan out onto a pool again (all workers could end up
-#: blocked waiting on sub-tasks queued behind them; a pool worker must
-#: not fork grandchildren).
-_TLS = threading.local()
-
-
-@contextlib.contextmanager
-def running_task():
-    """Mark the calling thread as running one backend task: nested
-    :func:`get_backend` calls return the serial backend until it ends."""
-    outer = getattr(_TLS, "in_task", False)
-    _TLS.in_task = True
-    try:
-        yield
-    finally:
-        _TLS.in_task = outer
-
 
 # -- the job registry (parent writes, forked workers inherit) -----------
 
@@ -106,8 +92,9 @@ def _unregister_task_fn(token: int) -> None:
 
 
 def _worker_init() -> None:  # pragma: no cover - runs in forked children
-    # A pool worker runs its tasks on the thread that ran this.
-    _TLS.in_task = True
+    # A pool worker runs its tasks on the thread that ran this, from an
+    # empty context: no inherited knobs or token, nested backends serial.
+    CURRENT_QUERY.set(QueryContext(in_task=True))
 
 
 def _invoke_registered(payload: Tuple[int, int]) -> object:
@@ -154,7 +141,8 @@ class ThreadBackend:
             pool = self._pool
 
         def guarded(index: int) -> object:
-            with running_task():
+            # A pool thread starts from an empty context; mark it a task.
+            with query_scope(in_task=True):
                 return fn(index)
 
         return list(pool.map(guarded, range(count)))
@@ -275,10 +263,10 @@ class DistributedBackend:
     mode (``REPRO_STRICT_FLEET=1``) turns those degradations into
     structured :class:`~repro.errors.FleetExhausted` failures.  Strict
     mode and the retry budget (``REPRO_TASK_RETRIES``) are read per
-    batch on the calling thread, so ``repro serve`` can scope them per
-    query over the one backend instance every session shares.
+    batch from the calling query's context, so ``repro serve`` can scope
+    them per query over the one backend instance every session shares.
 
-    Cancellation: ``run_tasks`` captures the calling thread's
+    Cancellation: ``run_tasks`` captures the calling query's
     :class:`~repro.mapreduce.cancel.CancellationToken` (if any).  A fired
     token stops dispatchers from pulling new indices, **abandons**
     in-flight indices of lost workers instead of re-queueing them (a
@@ -302,6 +290,8 @@ class DistributedBackend:
         connect_timeout_s: float = 1.0,
     ) -> None:
         self.addrs = tuple(addrs)
+        #: Monotonic time ``addrs`` was last set (see :func:`get_backend`).
+        self.pointed_at = time.monotonic()
         self.heartbeat_s = heartbeat_s
         self.connect_timeout_s = connect_timeout_s
         self._handles: Dict[str, WorkerHandle] = {}
@@ -375,6 +365,7 @@ class DistributedBackend:
             removed = [addr for addr in old if addr not in addrs]
             added = [addr for addr in addrs if addr not in old]
             self.addrs = addrs
+            self.pointed_at = time.monotonic()
             drained: List[WorkerHandle] = []
             for addr in removed:
                 handle = self._handles.pop(addr, None)
@@ -452,12 +443,11 @@ class DistributedBackend:
         if count == 0:
             return []
         from repro.errors import FleetExhausted
-        from repro.mapreduce.cancel import current_token
 
-        # All are read on the *calling* thread, so a serve session's
-        # per-query scope (knobs + cancellation token) travels with the
-        # batch even though this backend instance is shared.
-        token = current_token()
+        # Both are read from the *calling* query's context, so a serve
+        # session's knobs and cancellation token travel with the batch
+        # even though this backend instance is shared.
+        token = CURRENT_QUERY.get().token
         settings = execution_settings()
         strict = settings.strict_fleet
 
@@ -613,15 +603,17 @@ _BACKENDS_LOCK = threading.Lock()
 
 
 def get_backend(settings: Optional[ExecutionSettings] = None):
-    """The process-wide backend for ``settings`` (default: environment).
+    """The process-wide backend for ``settings`` (default: the active
+    query's, or the environment's outside any query).
 
-    Inside a forked pool worker, a thread-backend task or a worker
-    daemon's task (:func:`running_task`) this always returns the serial
-    backend, whatever the environment says — pool workers are daemonic
-    and must not fork grandchildren, and tasks must not fan out onto a
-    pool again.
+    Inside a backend task — a thread-pool task, a forked pool worker, a
+    worker daemon's task (``QueryContext.in_task``) — this always
+    returns the serial backend, whatever the settings say: pool workers
+    are daemonic and must not fork grandchildren, and tasks must not fan
+    out onto a pool again.
     """
-    if getattr(_TLS, "in_task", False):
+    query = CURRENT_QUERY.get()
+    if query.in_task:
         return _SERIAL
     if settings is None:
         settings = execution_settings()
@@ -650,8 +642,11 @@ def get_backend(settings: Optional[ExecutionSettings] = None):
             else:
                 backend = ProcessBackend(settings.effective_workers)
             _BACKENDS[key] = backend
-    if settings.backend == "distributed":
-        if tuple(backend.addrs) != tuple(settings.workers_addrs):
+    if settings.backend == "distributed" and backend.addrs != settings.workers_addrs:
+        # A query's settings date from its entry: they re-point the fleet
+        # only if nothing re-pointed it since, or a running session would
+        # undo a ``FleetManager.set_addrs`` it outlived.
+        if query.settings is None or query.resolved_at > backend.pointed_at:
             backend.reconfigure(settings.workers_addrs)
     return backend
 

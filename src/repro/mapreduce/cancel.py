@@ -1,8 +1,10 @@
 """Cooperative cancellation: deadline budgets and cancel tokens.
 
-One :class:`CancellationToken` travels (implicitly, via a thread-local
-scope) with a query from the ``repro serve`` session that created it
-down through every layer that does work on the session's thread:
+One :class:`CancellationToken` travels (implicitly, as the ``token`` of
+the query's :class:`~repro.mapreduce.config.QueryContext`, set with
+``query_scope(token=...)``) with a query from
+the ``repro serve`` session that created it down through every layer
+that does work on the session's thread:
 
 * the plan executor checks it between ready waves,
 * the simulated runtime checks it between map chunks and bucket ranges,
@@ -17,12 +19,13 @@ reaction latency is bounded by one task plus, on the distributed
 backend, one heartbeat window, while results produced before the fire
 stay bit-identical to an uncancelled run.
 
-The scope is plain ``threading.local``, deliberately: a session runs
-planning + execution on one thread, and backend pool/dispatcher threads
-must *not* inherit the token (they check it through the closure the
-dispatch loop captured instead — see ``DistributedBackend._dispatch``).
+The context lives in a ``contextvars.ContextVar``, and a new thread
+starts with an empty context: backend pool/dispatcher threads do *not*
+inherit the token (they check it through the closure the dispatch loop
+captured instead — see ``DistributedBackend._dispatch``), and a forked
+pool worker starts its tasks from an empty context too.
 ``check_cancelled()`` is therefore a safe no-op inside forked workers,
-thread pools, and remote daemons, where the thread-local is empty.
+thread pools, and remote daemons.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ import time
 from typing import Optional
 
 from repro.errors import DeadlineExceeded, QueryCancelled
-
-_TLS = threading.local()
+from repro.mapreduce.config import CURRENT_QUERY
 
 
 class CancellationToken:
@@ -90,39 +92,16 @@ class CancellationToken:
 
 
 # ----------------------------------------------------------------------
-# thread-local scope
+# the cooperative checkpoint
 # ----------------------------------------------------------------------
 
 
-class cancel_scope:
-    """``with cancel_scope(token):`` — install ``token`` as the calling
-    thread's current token.  Reentrant: an inner scope shadows the outer
-    one and restores it on exit."""
-
-    def __init__(self, token: Optional[CancellationToken]) -> None:
-        self._token = token
-        self._outer: Optional[CancellationToken] = None
-
-    def __enter__(self) -> Optional[CancellationToken]:
-        self._outer = getattr(_TLS, "token", None)
-        _TLS.token = self._token
-        return self._token
-
-    def __exit__(self, *exc_info) -> None:
-        _TLS.token = self._outer
-
-
-def current_token() -> Optional[CancellationToken]:
-    """The calling thread's active token, or ``None`` outside any scope."""
-    return getattr(_TLS, "token", None)
-
-
 def check_cancelled() -> None:
-    """Raise if the calling thread's token (if any) has fired.
+    """Raise if the active query's token (if any) has fired.
 
     The cooperative checkpoint the runtime/executor layers call between
     independent work items; free when no query scope is active.
     """
-    token = getattr(_TLS, "token", None)
+    token = CURRENT_QUERY.get().token
     if token is not None:
         token.check()

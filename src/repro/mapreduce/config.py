@@ -15,9 +15,10 @@ describe.  The README documents the full knob table.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 import sys
-import threading
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Tuple
@@ -141,7 +142,8 @@ WORKERS_ADDRS_ENV = "REPRO_WORKERS_ADDRS"
 WORKER_HEARTBEAT_ENV = "REPRO_WORKER_HEARTBEAT_S"
 #: How many times one task may be re-queued after worker losses before
 #: the coordinator stops trying workers and runs it locally.  Read per
-#: batch on the calling thread, so a ``repro serve`` query may scope it.
+#: batch from the calling query's settings, so a ``repro serve`` query
+#: may scope it.
 TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
 #: Seconds allowed for the TCP connect + hello handshake per worker;
 #: like the heartbeat, fixed when the distributed backend is built.
@@ -182,7 +184,7 @@ def _env_number(name: str, default, env: Mapping[str, str], minimum=0):
 
 #: Malformed ``REPRO_WORKERS_ADDRS`` entries already warned about, so a
 #: fleet typo is named exactly once per process instead of on every
-#: settings read (these are re-read per phase) or not at all.
+#: settings read (one per query entry) or not at all.
 _warned_addr_entries: set = set()
 
 
@@ -221,10 +223,10 @@ def parse_workers_addrs(raw: str) -> Tuple[str, ...]:
 class ExecutionSettings:
     """Typed snapshot of every ``REPRO_*`` execution knob.
 
-    Build one from the environment with :func:`execution_settings` (a
-    fresh read each call, so ``monkeypatch.setenv`` in tests and CLI
-    ``os.environ`` writes take effect immediately — none of these knobs
-    sit on a hot path).
+    A query resolves one when it enters (:func:`settings_scope`) and
+    every layer below reads that one through :func:`execution_settings`,
+    so ``monkeypatch.setenv`` in tests and ``os.environ`` writes take
+    effect at the next query entry.
     """
 
     #: ``serial`` | ``thread`` | ``process`` | ``distributed``.
@@ -309,33 +311,68 @@ class ExecutionSettings:
         return Path(self.cache_dir or "~/.cache/repro").expanduser()
 
 
-#: Thread-local ``REPRO_*`` override scope: ``repro serve`` runs each
-#: query session on its own thread with the session's knob overrides
-#: installed here, so concurrent queries can each see a different
-#: backend / retry budget without fighting over the (process global)
-#: ``os.environ``.
-_SCOPE_TLS = threading.local()
+@dataclass(frozen=True)
+class QueryContext:
+    """Everything one query carries down the layers that do its work.
+
+    ``settings`` is resolved once, when the query enters
+    (:func:`settings_scope`), at monotonic time ``resolved_at`` (so
+    ``get_backend`` can tell settings older than the fleet's last
+    re-point); ``overrides`` are the ``REPRO_*`` keys it was resolved
+    from, kept so a nested scope can fold its own keys on top.  ``token`` is the
+    query's :class:`~repro.mapreduce.cancel.CancellationToken`, and
+    ``in_task`` marks a backend task, inside which ``get_backend``
+    returns the serial backend (a task must not fan out onto a pool
+    again).
+    """
+
+    settings: Optional[ExecutionSettings] = None
+    overrides: Mapping[str, str] = field(default_factory=dict)
+    resolved_at: float = 0.0
+    token: Optional[object] = None
+    in_task: bool = False
+
+
+#: The active :class:`QueryContext`.  A new thread (and so every backend
+#: pool or dispatcher thread) starts with the empty default, so a
+#: session's knobs and token never leak into tasks that share a pool.
+CURRENT_QUERY = contextvars.ContextVar("repro_query", default=QueryContext())
+
+
+@contextlib.contextmanager
+def query_scope(**fields):
+    """Install a copy of the active context with ``fields`` replaced;
+    the outer context comes back on exit."""
+    reset = CURRENT_QUERY.set(replace(CURRENT_QUERY.get(), **fields))
+    try:
+        yield CURRENT_QUERY.get()
+    finally:
+        CURRENT_QUERY.reset(reset)
 
 
 @contextlib.contextmanager
 def settings_scope(overrides: Optional[Mapping[str, str]]):
-    """``with settings_scope({"REPRO_TASK_RETRIES": "0"}):`` — shadow the
-    environment for :func:`execution_settings` reads *on this thread*.
+    """``with settings_scope({"REPRO_TASK_RETRIES": "0"}):`` — resolve the
+    environment shadowed by ``overrides`` once and make it the
+    :func:`execution_settings` of everything this thread runs inside.
 
     Reentrant: an inner scope's keys win over an outer scope's, and the
-    outer mapping is restored on exit.  Backend pool threads never
-    inherit the scope (by design — a session's knobs must not leak into
-    another session's tasks that happen to share a pool).
+    outer context comes back on exit.  A scope that adds no keys to an
+    already resolved context keeps its settings as they are.
     """
-    outer = getattr(_SCOPE_TLS, "overrides", None)
-    _SCOPE_TLS.overrides = {**(outer or {}), **(overrides or {})}
-    try:
-        yield _SCOPE_TLS.overrides
-    finally:
-        _SCOPE_TLS.overrides = outer
+    outer = CURRENT_QUERY.get()
+    if not overrides and outer.settings is not None:
+        yield outer.overrides
+        return
+    merged = {**outer.overrides, **(overrides or {})}
+    resolved_at = time.monotonic()
+    settings = ExecutionSettings.from_env(merged)
+    with query_scope(overrides=merged, settings=settings, resolved_at=resolved_at):
+        yield merged
 
 
 def execution_settings() -> ExecutionSettings:
-    """The current environment's :class:`ExecutionSettings` (fresh read),
-    folded with the calling thread's :class:`settings_scope` overrides."""
-    return ExecutionSettings.from_env(getattr(_SCOPE_TLS, "overrides", None))
+    """The active query's settings; outside any query (CLI helpers,
+    tests, a bare ``run_job``) a fresh read of the environment."""
+    settings = CURRENT_QUERY.get().settings
+    return ExecutionSettings.from_env() if settings is None else settings

@@ -10,11 +10,13 @@ everything it registered — the remote counterpart of the fork
 registry's copy-on-write lifetime.
 
 Inside a task the worker behaves exactly like a forked pool worker:
-the task runs under ``backend.running_task()``, so nested
-``get_backend()`` calls return the serial backend (a remote task — a
-whole job, say — must never fan out onto another pool), and task
-callables rebuilt from shipped closures run against the same imported
-``repro`` modules the coordinator used.
+the task runs in a query context marked ``in_task``, with the settings
+the server resolved once when it was built, so nested ``get_backend()``
+calls return the serial backend (a remote task — a whole job, say —
+must never fan out onto another pool), and task callables rebuilt from
+shipped closures run against the same imported ``repro`` modules the
+coordinator used.  The blob tier (disk store plus decoded-object LRU)
+belongs to the server too, shared by all its connections.
 
 Fault injection (tests only)
 ----------------------------
@@ -56,12 +58,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
-from repro.mapreduce.backend import running_task
 from repro.mapreduce.config import (
     EXEC_BACKEND_ENV,
     EXEC_WORKERS_ENV,
     WORKERS_ADDRS_ENV,
-    execution_settings,
+    ExecutionSettings,
+    query_scope,
 )
 from repro.storage import LRUTable, blob_digest, blob_tier
 
@@ -78,92 +80,6 @@ REGISTRY_MAX_ENTRIES = 64
 #: Entry cap of the daemon's in-memory decoded-payload cache (LRU above
 #: the disk blob tier).
 BLOB_MEM_ENTRIES = 64
-
-
-# -- the blob tier (shared by every connection of this daemon) ----------
-
-_BLOB_LOCK = threading.Lock()
-_BLOB_STORE = None
-_BLOB_STORE_ROOT = None
-_BLOB_OBJECTS = None
-
-
-def _blob_store():
-    """This daemon's disk blob tier, built lazily under the environment's
-    cache directory and rebuilt if that changes (tests repoint it
-    between servers)."""
-    global _BLOB_STORE, _BLOB_STORE_ROOT, _BLOB_OBJECTS
-    settings = execution_settings()
-    root = settings.resolved_cache_dir() / "blobs"
-    with _BLOB_LOCK:
-        if _BLOB_STORE is None or _BLOB_STORE_ROOT != root:
-            _BLOB_STORE = blob_tier(settings)
-            _BLOB_STORE_ROOT = root
-            _BLOB_OBJECTS = LRUTable(BLOB_MEM_ENTRIES)
-        return _BLOB_STORE
-
-
-def _cache_blob_object(digest: str, obj: object) -> None:
-    with _BLOB_LOCK:
-        if _BLOB_OBJECTS is not None:
-            _BLOB_OBJECTS.store(digest, obj)
-
-
-def _cached_blob_object(digest: str) -> Tuple[bool, object]:
-    with _BLOB_LOCK:
-        if _BLOB_OBJECTS is None:
-            return False, None
-        return _BLOB_OBJECTS.lookup(digest)
-
-
-def reset_blob_state() -> None:
-    """Drop the daemon-wide blob store/object cache (tests only)."""
-    global _BLOB_STORE, _BLOB_STORE_ROOT, _BLOB_OBJECTS
-    with _BLOB_LOCK:
-        _BLOB_STORE = None
-        _BLOB_STORE_ROOT = None
-        _BLOB_OBJECTS = None
-
-
-def _fetch_blob_object(digest: str) -> object:
-    """Resolve one digest to its decoded payload object: memory tier
-    first, then the verified disk tier; a body blob's nested payload
-    references recurse right back through here.  Raises
-    :class:`~repro.mapreduce.wire.BlobMissing` for an absent digest; an
-    undecodable-but-verified payload is discarded and reported missing
-    too, so the coordinator's re-put repairs it (delete-and-refetch)."""
-    hit, obj = _cached_blob_object(digest)
-    if hit:
-        return obj
-    store = _blob_store()
-    payload = store.get(digest)
-    if payload is None:
-        raise wire.BlobMissing(digest)
-    try:
-        obj = wire.load_payload(payload, _fetch_blob_object)
-    except wire.BlobMissing:
-        raise
-    except Exception:
-        store.discard(digest)
-        raise wire.BlobMissing(digest)
-    _cache_blob_object(digest, obj)
-    return obj
-
-
-def _load_blob_objects(digests) -> Tuple[List[str], Dict[str, object]]:
-    """Resolve digests to decoded payload objects; returns
-    ``(missing, objects)`` with every unresolvable digest (absent,
-    corrupt, or undecodable — including one a body blob references
-    transitively) collected into ``missing``."""
-    missing: List[str] = []
-    objects: Dict[str, object] = {}
-    for digest in digests:
-        try:
-            objects[digest] = _fetch_blob_object(digest)
-        except wire.BlobMissing as exc:
-            if exc.digest not in missing:
-                missing.append(exc.digest)
-    return missing, objects
 
 
 @dataclass(frozen=True)
@@ -205,6 +121,60 @@ class WorkerServer(wire.FrameServer):
         #: last armed (what ``FaultSpec.after_tasks`` counts).
         self.tasks_started = 0
         self._stalled = threading.Event()
+        #: Read from the environment once (a server belongs to no query):
+        #: no verb reads it again, and every task runs under these
+        #: settings with ``in_task`` set.
+        self.settings = ExecutionSettings.from_env()
+        #: The blob tier every connection of this daemon shares: the
+        #: verified disk store under the cache directory, and above it
+        #: an LRU of decoded payload objects.
+        self.blob_store = blob_tier(self.settings)
+        self.blob_objects = LRUTable(BLOB_MEM_ENTRIES)
+        self._blob_lock = threading.Lock()
+
+    # -- the blob tier ----------------------------------------------------
+
+    def _fetch_blob_object(self, digest: str) -> object:
+        """Resolve one digest to its decoded payload object: memory tier
+        first, then the verified disk tier; a body blob's nested payload
+        references recurse right back through here.  Raises
+        :class:`~repro.mapreduce.wire.BlobMissing` for an absent digest; an
+        undecodable-but-verified payload is discarded and reported missing
+        too, so the coordinator's re-put repairs it (delete-and-refetch)."""
+        with self._blob_lock:
+            hit, obj = self.blob_objects.lookup(digest)
+        if hit:
+            return obj
+        payload = self.blob_store.get(digest)
+        if payload is None:
+            raise wire.BlobMissing(digest)
+        try:
+            obj = wire.load_payload(payload, self._fetch_blob_object)
+        except wire.BlobMissing:
+            raise
+        except Exception:
+            self.blob_store.discard(digest)
+            raise wire.BlobMissing(digest)
+        with self._blob_lock:
+            self.blob_objects.store(digest, obj)
+        return obj
+
+    def _load_blob_objects(self, digests) -> Tuple[List[str], Dict[str, object]]:
+        """Resolve digests to decoded payload objects; returns
+        ``(missing, objects)`` with every unresolvable digest (absent,
+        corrupt, or undecodable — including one a body blob references
+        transitively) collected into ``missing``."""
+        missing: List[str] = []
+        objects: Dict[str, object] = {}
+        for digest in digests:
+            try:
+                objects[digest] = self._fetch_blob_object(digest)
+            except wire.BlobMissing as exc:
+                if exc.digest not in missing:
+                    missing.append(exc.digest)
+        return missing, objects
+
+    # -- the frame server -------------------------------------------------
 
     def connection_state(self) -> "OrderedDict[int, object]":
         """The connection's token registry (bounded LRU)."""
@@ -222,7 +192,7 @@ class WorkerServer(wire.FrameServer):
         if kind == "register":
             _kind, token, slim, digests = message
             try:
-                missing, objects = _load_blob_objects(digests)
+                missing, objects = self._load_blob_objects(digests)
                 if missing:
                     # Evicted or corrupt since the coordinator's
                     # blob-has: ask for exactly those bytes again.
@@ -237,26 +207,26 @@ class WorkerServer(wire.FrameServer):
             return ("registered", token)
         if kind == "blob-has":
             _kind, digests = message
-            store = _blob_store()
+            with self._blob_lock:
+                cached = {d for d in digests if self.blob_objects.lookup(d)[0]}
             missing = [
                 digest
                 for digest in digests
-                if not (_cached_blob_object(digest)[0] or store.has(digest))
+                if digest not in cached and not self.blob_store.has(digest)
             ]
             return ("blob-have", missing)
         if kind == "blob-put":
             _kind, digest, payload = message
-            store = _blob_store()
-            if store.put(digest, payload):
+            if self.blob_store.put(digest, payload):
                 return ("blob-stored", digest)
             # Unwritable disk is survivable if the payload at least
             # decodes into the memory tier; a digest mismatch is not.
             try:
                 if blob_digest(payload) != digest:
                     raise ValueError("payload does not match its digest")
-                _cache_blob_object(
-                    digest, wire.load_payload(payload, _fetch_blob_object)
-                )
+                obj = wire.load_payload(payload, self._fetch_blob_object)
+                with self._blob_lock:
+                    self.blob_objects.store(digest, obj)
             except Exception as exc:
                 return ("blob-error", digest, f"{type(exc).__name__}: {exc}")
             return ("blob-stored", digest)
@@ -273,7 +243,7 @@ class WorkerServer(wire.FrameServer):
             try:
                 # A remote task never fans out again (a whole job runs its
                 # phases in line here), in a daemon or an in-process server.
-                with running_task():
+                with query_scope(settings=self.settings, in_task=True):
                     value = fn(index)
             except BaseException as exc:  # noqa: BLE001 - travels to coordinator
                 return ("task-error", index, _portable_exception(exc))

@@ -54,9 +54,10 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
   ``--recover`` restarts too.
 * **Session isolation** — every query runs on its own thread with its
   own :class:`~repro.mapreduce.runtime.SimulatedCluster` (config
-  only: it holds no files), its own knob scope
-  (:class:`~repro.mapreduce.config.settings_scope`), and its own
-  cancellation token (:class:`~repro.mapreduce.cancel.cancel_scope`).
+  only: it holds no files) and its own
+  :class:`~repro.mapreduce.config.QueryContext`: its knobs, resolved
+  into settings once when the session starts, and its cancellation
+  token.
   Shared state is limited to immutable relations, the planning cache
   (serialized by ``_planning_lock``), and the worker fleet — whose
   dispatcher already folds results per batch.
@@ -88,6 +89,8 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
 from __future__ import annotations
 
 import threading
+import time
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import (
@@ -101,12 +104,12 @@ from repro.core.checkpoint import checkpoint_counters
 from repro.core.executor import PlanExecutor
 from repro.mapreduce import wire
 from repro.mapreduce.backend import live_distributed_backend
-from repro.mapreduce.cancel import cancel_scope, check_cancelled
+from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.config import (
     EXEC_BACKEND_ENV,
     ClusterConfig,
-    execution_settings,
-    settings_scope,
+    ExecutionSettings,
+    query_scope,
 )
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.sql import parse_join_query
@@ -325,17 +328,6 @@ class QueryService(wire.FrameServer):
                 self._relations_cache.store(key, relations)
         return relations  # type: ignore[return-value]
 
-    def _session_overrides(self, session: QuerySession) -> Dict[str, str]:
-        overrides = dict(session.knobs)
-        with settings_scope(overrides):
-            resolved = execution_settings()
-        if resolved.backend == "process":
-            # The fork-pool backend re-forks per batch and tears pools
-            # down globally — unsafe under concurrent sessions.  Threads
-            # give the same bit-identical results; pin quietly.
-            overrides[EXEC_BACKEND_ENV] = "thread"
-        return overrides
-
     def _run_session(self, session: QuerySession) -> None:
         def on_wave(job_id: str, digest: str, restored: bool) -> None:
             # One durable record per completed (or restored) wave: the
@@ -352,8 +344,22 @@ class QueryService(wire.FrameServer):
             )
 
         try:
-            overrides = self._session_overrides(session)
-            with settings_scope(overrides), cancel_scope(session.token):
+            # The session's knobs, resolved once, and its token.
+            overrides = dict(session.knobs)
+            resolved_at = time.monotonic()
+            settings = ExecutionSettings.from_env(overrides)
+            if settings.backend == "process":
+                # The fork-pool backend re-forks per batch and tears pools
+                # down globally — unsafe under concurrent sessions.  Threads
+                # give the same bit-identical results; pin quietly.
+                overrides[EXEC_BACKEND_ENV] = "thread"
+                settings = replace(settings, backend="thread")
+            with query_scope(
+                overrides=overrides,
+                settings=settings,
+                resolved_at=resolved_at,
+                token=session.token,
+            ):
                 self._enter(session, PLANNING)
                 check_cancelled()
                 relations = self._relations(

@@ -24,6 +24,7 @@ methods marked *caller holds the service lock* are only called under it
 
 from __future__ import annotations
 
+import math
 import os
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
@@ -131,12 +132,15 @@ def validate_spec(spec: object, default_deadline_s: Optional[float] = None) -> d
         )
     deadline_s = spec.get("deadline_s", default_deadline_s)
     if deadline_s is not None:
+        if isinstance(deadline_s, bool):
+            raise AdmissionRejected("'deadline_s' must be a number")
         try:
             deadline_s = float(deadline_s)
         except (TypeError, ValueError, OverflowError):
             raise AdmissionRejected("'deadline_s' must be a number") from None
-        if deadline_s <= 0:
-            raise AdmissionRejected("'deadline_s' must be > 0")
+        # ``not > 0`` also refuses nan; inf would mean no deadline at all.
+        if not 0 < deadline_s < math.inf:
+            raise AdmissionRejected("'deadline_s' must be a finite number > 0")
     client_id = spec.get("client_id", "default")
     if not isinstance(client_id, str) or not client_id.strip():
         raise AdmissionRejected("'client_id' must be a non-empty string")

@@ -8,9 +8,9 @@ Two jobs live here:
   endpoint reports.
 * :class:`FleetManager` — the single writer of the process's worker
   address set.  ``set_addrs`` re-points ``REPRO_WORKERS_ADDRS`` (the
-  source of truth every session's next batch reads) *and* reconfigures
-  the live :class:`~repro.mapreduce.backend.DistributedBackend` in
-  place: removed workers drain (their in-flight task finishes, then
+  source of truth every session resolves when it starts) *and*
+  reconfigures the live :class:`~repro.mapreduce.backend.DistributedBackend`
+  in place: removed workers drain (their in-flight task finishes, then
   the handle closes), added workers become dial-eligible with fresh
   backoff.  Running queries keep their results bit-identical — a
   drained worker's completed work is already folded, and anything it
@@ -90,11 +90,12 @@ class FleetManager:
     def set_addrs(self, raw: str) -> Dict[str, List[str]]:
         """Re-point the fleet at ``raw`` (``host:port,host:port``).
 
-        Updates the environment (which running sessions re-read at
-        their next batch — per-session knob scopes may not override the
-        fleet, so every session converges) and reconfigures the live
-        distributed backend immediately.  Returns the added/removed/
-        kept address sets.
+        Updates the environment, which every session resolves when it
+        starts (per-session knobs may not override the fleet), and
+        reconfigures the live distributed backend at once; a running
+        session converges because ``get_backend`` never re-points it
+        from settings older than its last re-point.  Returns the
+        added/removed/kept address sets.
         """
         addrs = parse_workers_addrs(raw)
         self._addrs = addrs

@@ -165,3 +165,26 @@ class TestHashMerge:
             [merge_composites(singleton("b", 1, (1,)), singleton("c", 5, (5,)))],
         )
         assert hash_merge(ab, bc) == []
+
+
+def test_one_execute_reads_the_environment_once(monkeypatch):
+    """A query resolves its settings when it enters: every phase below
+    ``execute`` reads that one resolution, not ``os.environ`` again."""
+    from repro.mapreduce.config import ExecutionSettings
+    from repro.workloads.mobile import generate_mobile_calls, make_mobile_query
+
+    calls = generate_mobile_calls(60, num_stations=25, num_users=5, seed=0)
+    query = make_mobile_query(3, calls)
+    config = ClusterConfig()
+    plan = ThetaJoinPlanner(config).plan(query)
+    assert len(plan.jobs) > 1
+    reads = []
+    from_env = ExecutionSettings.from_env.__func__
+
+    def counting(cls, overrides=None):
+        reads.append(overrides)
+        return from_env(cls, overrides)
+
+    monkeypatch.setattr(ExecutionSettings, "from_env", classmethod(counting))
+    PlanExecutor(SimulatedCluster(config)).execute(plan, query)
+    assert len(reads) == 1

@@ -193,6 +193,22 @@ class TestDistributedSettings:
         assert second is first  # same coordinator, re-pointed in place
         assert second.addrs == ("127.0.0.1:7602",)
 
+    def test_a_running_query_never_points_the_fleet_back(self, monkeypatch):
+        """``FleetManager.set_addrs`` under a running query: the query's
+        settings date from its entry and still name the old fleet, but
+        its next ``get_backend()`` must leave the new one in place."""
+        from repro.serve.fleet import FleetManager
+
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "distributed")
+        monkeypatch.setenv("REPRO_WORKERS_ADDRS", "127.0.0.1:7601")
+        fleet = FleetManager()
+        with settings_scope({"REPRO_TASK_RETRIES": "1"}):
+            backend = get_backend()
+            fleet.set_addrs("127.0.0.1:7602")
+            assert get_backend() is backend
+            assert backend.addrs == ("127.0.0.1:7602",)
+        assert get_backend().addrs == ("127.0.0.1:7602",)
+
     def test_no_knob_keys_a_second_distributed_instance(self, monkeypatch):
         """Five scopes, five retry budgets and heartbeats: still the one
         live backend, with the timings it was built with (they change

@@ -19,18 +19,14 @@ import socket
 import pytest
 
 from repro.mapreduce import wire
-from repro.mapreduce import worker as worker_mod
 from repro.mapreduce.worker import REGISTRY_MAX_ENTRIES, WorkerServer
 from repro.storage import blob_digest
 
 
 @pytest.fixture(autouse=True)
 def _blob_env(tmp_path, monkeypatch):
-    """Each test gets a private worker blob tier under a tmp cache dir."""
+    """Each test's servers get a private blob tier under a tmp cache dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    worker_mod.reset_blob_state()
-    yield
-    worker_mod.reset_blob_state()
 
 
 @pytest.fixture
@@ -138,7 +134,7 @@ class TestBlobVerbs:
             assert wire.recv_frame(sock) == ("blob-stored", digest)
             wire.send_frame(sock, ("blob-has", [digest]))
             assert wire.recv_frame(sock) == ("blob-have", [])
-            assert worker_mod._blob_store().get(digest) == payload
+            assert server.blob_store.get(digest) == payload
             wire.send_frame(sock, ("blob-get", digest))
             assert wire.recv_frame(sock)[0] == "error"
         finally:
@@ -170,6 +166,29 @@ class TestBlobVerbs:
         finally:
             second.close()
 
+    def test_each_server_owns_its_blob_tier(self, tmp_path, monkeypatch):
+        """A server keeps the cache directory it was built under: a blob
+        put to one daemon is not a hit on a peer built under another."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
+        first = WorkerServer().start()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
+        second = WorkerServer().start()
+        payload = b"one daemon's payload" * 50
+        digest = blob_digest(payload)
+        socks = [dial(first), dial(second)]
+        try:
+            wire.send_frame(socks[0], ("blob-put", digest, payload))
+            assert wire.recv_frame(socks[0]) == ("blob-stored", digest)
+            wire.send_frame(socks[0], ("blob-has", [digest]))
+            assert wire.recv_frame(socks[0]) == ("blob-have", [])
+            wire.send_frame(socks[1], ("blob-has", [digest]))
+            assert wire.recv_frame(socks[1]) == ("blob-have", [digest])
+        finally:
+            for sock in socks:
+                sock.close()
+            first.stop()
+            second.stop()
+        assert first.blob_store.root == tmp_path / "a" / "blobs"
 
     def test_a_traversal_digest_is_a_miss_and_touches_nothing(
         self, server, tmp_path
@@ -248,7 +267,7 @@ class TestSplitRegister:
             for digest, payload in blobs.items():
                 wire.send_frame(sock, ("blob-put", digest, payload))
                 assert wire.recv_frame(sock)[0] == "blob-stored"
-            store = worker_mod._blob_store()
+            store = server.blob_store
             for digest in blobs:
                 store._path(digest).write_bytes(b"rot")
             wire.send_frame(sock, ("register", 1, slim, list(blobs)))

@@ -23,19 +23,22 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.errors import DeadlineExceeded, QueryCancelled  # noqa: E402
-from repro.mapreduce.backend import DistributedBackend  # noqa: E402
-from repro.mapreduce.cancel import (  # noqa: E402
-    CancellationToken,
-    cancel_scope,
-    check_cancelled,
-    current_token,
+from repro.mapreduce.backend import DistributedBackend, ThreadBackend  # noqa: E402
+from repro.mapreduce.cancel import CancellationToken, check_cancelled  # noqa: E402
+from repro.mapreduce.config import (  # noqa: E402
+    CURRENT_QUERY,
+    query_scope,
+    settings_scope,
 )
-from repro.mapreduce.config import settings_scope  # noqa: E402
 from repro.mapreduce.worker import FaultSpec, WorkerServer  # noqa: E402
 
 # ----------------------------------------------------------------------
 # token semantics (plain unit tests)
 # ----------------------------------------------------------------------
+
+
+def current_token():
+    return CURRENT_QUERY.get().token
 
 
 class TestCancellationToken:
@@ -74,18 +77,30 @@ class TestCancellationToken:
     def test_scope_is_thread_local_and_reentrant(self):
         outer = CancellationToken(label="outer")
         inner = CancellationToken(label="inner")
+
+        def snapshot(_index=None):
+            query = CURRENT_QUERY.get()
+            return query.token, dict(query.overrides), query.settings, query.in_task
+
         assert current_token() is None
-        with cancel_scope(outer):
-            assert current_token() is outer
-            with cancel_scope(inner):
-                assert current_token() is inner
-            assert current_token() is outer
-            seen = []
-            worker = threading.Thread(target=lambda: seen.append(current_token()))
-            worker.start()
-            worker.join()
-            # Pool/dispatcher threads must NOT inherit the session token.
-            assert seen == [None]
+        pool = ThreadBackend(2)
+        try:
+            with query_scope(token=outer), settings_scope({"REPRO_TASK_RETRIES": "7"}):
+                assert current_token() is outer
+                assert CURRENT_QUERY.get().settings.task_retries == 7
+                with query_scope(token=inner):
+                    assert current_token() is inner
+                assert current_token() is outer
+                seen = []
+                worker = threading.Thread(target=lambda: seen.append(snapshot()))
+                worker.start()
+                worker.join()
+                # Pool/dispatcher threads must NOT inherit the session's
+                # token or knobs; only a pool task is marked in-task.
+                assert seen == [(None, {}, None, False)]
+                assert pool.run_tasks(snapshot, 4) == [(None, {}, None, True)] * 4
+        finally:
+            pool.close()
         assert current_token() is None
 
     def test_check_cancelled_is_noop_without_scope(self):
@@ -113,7 +128,7 @@ def _run_cancelled_batch(backend, count, seed, cancel_after_s):
         return ("result", index)
 
     try:
-        with cancel_scope(token):
+        with query_scope(token=token):
             results = backend.run_tasks(fn, count)
     except QueryCancelled:
         return "cancelled"
@@ -202,7 +217,7 @@ def test_expired_deadline_abandons_instead_of_retrying():
     token = CancellationToken(deadline_s=0.08, label="expiring")
     try:
         started = time.monotonic()
-        with cancel_scope(token), settings_scope({"REPRO_TASK_RETRIES": "5"}):
+        with query_scope(token=token), settings_scope({"REPRO_TASK_RETRIES": "5"}):
             with pytest.raises(DeadlineExceeded):
                 backend.run_tasks(slow, 40)
         elapsed = time.monotonic() - started

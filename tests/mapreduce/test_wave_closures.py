@@ -17,7 +17,6 @@ import pytest
 from repro.baselines import PLANNERS
 from repro.core.executor import PlanExecutor
 from repro.mapreduce import wire
-from repro.mapreduce import worker as worker_mod
 from repro.mapreduce.backend import close_backends
 from repro.mapreduce.config import ClusterConfig, settings_scope
 from repro.mapreduce.hdfs import DistributedFile
@@ -37,13 +36,11 @@ CASCADE_SQL = (
 @pytest.fixture
 def workers(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    worker_mod.reset_blob_state()
     servers = [WorkerServer().start(), WorkerServer().start()]
     yield servers
     close_backends()
     for server in servers:
         server.stop()
-    worker_mod.reset_blob_state()
 
 
 def run_cascade(servers):
@@ -120,7 +117,11 @@ def test_a_wave_ships_only_its_own_input_files(workers, monkeypatch):
 
 def test_worker_cache_payloads_still_match_their_digests(workers):
     run_cascade(workers)
-    cached = dict(worker_mod._BLOB_OBJECTS.data)
+    cached = {
+        digest: value
+        for server in workers
+        for digest, value in server.blob_objects.data.items()
+    }
     checked = 0
     for digest, value in cached.items():
         try:

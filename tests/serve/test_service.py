@@ -204,7 +204,17 @@ class TestAdmission:
             client.submit(MOBILE_SQL, deadline_s=-1)
 
     @pytest.mark.parametrize(
-        "field, value", [("volume", "abc"), ("seed", [1]), ("method", ["ours"])]
+        "field, value",
+        [
+            ("volume", "abc"),
+            ("seed", [1]),
+            ("method", ["ours"]),
+            # A nan or infinite deadline would silently mean "none", and
+            # a bool is not a number of seconds.
+            ("deadline_s", float("nan")),
+            ("deadline_s", "inf"),
+            ("deadline_s", True),
+        ],
     )
     def test_malformed_field_rejected(self, service, client, field, value):
         with pytest.raises(AdmissionRejected):

@@ -112,6 +112,18 @@ class TestReadmeReferences:
         ]
         assert len(sites) <= 6
 
+    def test_query_state_budget(self):
+        """One query's state (settings, cancel token, in-task flag) lives
+        in one ``QueryContext``: a second per-thread store would split it
+        again (``make loc`` prints the count)."""
+        stores = [
+            line
+            for path in (ROOT / "src").rglob("*.py")
+            for line in path.read_text("utf-8").splitlines()
+            if re.search(r"threading\.local\(|ContextVar\(", line)
+        ]
+        assert len(stores) <= 1
+
 
 class TestExperimentsReferences:
     def test_result_files_come_from_real_benchmarks(self):
