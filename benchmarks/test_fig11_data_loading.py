@@ -8,14 +8,14 @@ comparable to Hive's warehouse loading at large volumes.
 from _harness import Table, once
 
 from repro.mapreduce.config import ClusterConfig
-from repro.mapreduce.hdfs import SimulatedHDFS
+from repro.mapreduce.hdfs import hive_load_time_s, our_load_time_s, plain_upload_time_s
 from repro.utils import GB
 
 VOLUMES_GB = [1, 10, 50, 100, 250, 500]
 
 
 def loading_curves():
-    hdfs = SimulatedHDFS(ClusterConfig())
+    config = ClusterConfig()
     table = Table(
         "Figure 11 — data loading time (simulated s) by volume",
         ["volume", "plain_hadoop", "ours", "hive"],
@@ -23,9 +23,9 @@ def loading_curves():
     curves = {"plain": {}, "ours": {}, "hive": {}}
     for volume in VOLUMES_GB:
         size = volume * GB
-        plain = hdfs.plain_upload_time_s(size)
-        ours = hdfs.our_load_time_s(size)
-        hive = hdfs.hive_load_time_s(size)
+        plain = plain_upload_time_s(config, size)
+        ours = our_load_time_s(config, size)
+        hive = hive_load_time_s(config, size)
         curves["plain"][volume] = plain
         curves["ours"][volume] = ours
         curves["hive"][volume] = hive

@@ -36,6 +36,7 @@ ends the command with one ``repro: error: ...`` line and exit status 2.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Optional, Sequence
@@ -226,16 +227,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_worker_serve(args: argparse.Namespace) -> int:
-    from repro.mapreduce.worker import FaultSpec, serve
+    from repro.mapreduce.worker import serve
 
-    fault = None
-    if args.fail_after_tasks:
-        fault = FaultSpec(
-            mode=args.fail_mode,
-            after_tasks=args.fail_after_tasks,
-            delay_s=args.fail_delay_s,
-        )
-    return serve(args.host, args.port, fault=fault)
+    return serve(args.host, args.port)
 
 
 def _print_probe(report: dict) -> None:
@@ -289,6 +283,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.recover and args.journal is None:
         print("serve --recover needs a journal: pass --journal PATH", file=sys.stderr)
         return 2
+    if not math.isfinite(args.default_deadline_s) or args.default_deadline_s < 0:
+        raise ReproError(
+            "--default-deadline-s must be a finite number >= 0 (0 = none), "
+            f"got {args.default_deadline_s}"
+        )
     return serve(
         args.host,
         args.port,
@@ -535,20 +534,6 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=7601,
         help="TCP port (0 = OS-assigned; the daemon prints the address)",
-    )
-    serve.add_argument(
-        "--fail-after-tasks", type=int, default=0, metavar="N",
-        help="TEST ONLY: inject a fault when the N-th task starts",
-    )
-    serve.add_argument(
-        "--fail-mode", choices=("kill", "stall", "slow"), default="kill",
-        help="TEST ONLY: fault kind — kill (process exit), stall (stop "
-        "answering everything, heartbeats included), or slow (sleep "
-        "--fail-delay-s before every task from the N-th on)",
-    )
-    serve.add_argument(
-        "--fail-delay-s", type=float, default=0.0, metavar="S",
-        help="TEST ONLY: per-task sleep for --fail-mode slow",
     )
     serve.set_defaults(func=cmd_worker_serve)
 

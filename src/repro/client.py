@@ -254,18 +254,6 @@ class Client:
         reply = self._raise_if_error(self._call(("fleet", addrs)))
         return reply[1]
 
-    def shutdown(self) -> None:
-        """Ask the service to exit (fire-and-forget; connection drops)."""
-        try:
-            if self._sock is None:
-                self.connect()
-            assert self._sock is not None
-            wire.send_frame(self._sock, ("shutdown",))
-        except (OSError, wire.WireError):  # pragma: no cover - already down
-            pass
-        finally:
-            self.close()
-
 
 def connect(
     addr: str,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -201,7 +200,6 @@ class PlanExecutor:
         """
         done: Dict[str, float] = {}
         running: List[Tuple[float, str, int]] = []  # (end, job_id, units)
-        wave_delay_s = execution_settings().wave_delay_s
         available = plan.total_units
         now = 0.0
 
@@ -280,11 +278,6 @@ class PlanExecutor:
                 )
                 for (job, units), duration in zip(wave, durations):
                     heapq.heappush(running, (now + duration, job.job_id, units))
-                if wave_delay_s > 0:
-                    # Chaos/test knob (REPRO_WAVE_DELAY_S): widen the
-                    # inter-wave window so a kill lands after a known
-                    # number of waves were checkpointed and journaled.
-                    time.sleep(wave_delay_s)
             if remaining or running:
                 if not running:
                     stuck = sorted(

@@ -7,7 +7,7 @@ from repro.mapreduce.config import (
     HadoopParameters,
 )
 from repro.mapreduce.counters import ExecutionReport, JobMetrics
-from repro.mapreduce.hdfs import DistributedFile, SimulatedHDFS
+from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import (
     JobResult,
     MapReduceJobSpec,
@@ -28,7 +28,6 @@ __all__ = [
     "PAPER_CLUSTER",
     "PAPER_CLUSTER_KP64",
     "SimulatedCluster",
-    "SimulatedHDFS",
     "TaskContext",
     "default_partitioner",
     "estimate_width",

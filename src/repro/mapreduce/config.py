@@ -162,10 +162,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: recomputing them.  Off by default in the library; ``repro serve``
 #: recovery relies on it being set for the daemon.
 CHECKPOINT_ENV = "REPRO_CHECKPOINT"
-#: Seconds slept between executor ready waves (0 = none).  A chaos/test
-#: knob: it widens the window in which a coordinator can be killed
-#: mid-query with a known number of waves checkpointed.
-WAVE_DELAY_ENV = "REPRO_WAVE_DELAY_S"
 
 #: Valid values for ``REPRO_EXEC_BACKEND``.
 EXEC_BACKENDS = ("serial", "thread", "process", "distributed")
@@ -249,8 +245,6 @@ class ExecutionSettings:
     #: Wave checkpointing: persist completed ready-wave job outputs by
     #: digest so retries/restarts resume instead of recomputing.
     checkpoint: bool = False
-    #: Sleep between executor ready waves, seconds (chaos/test knob).
-    wave_delay_s: float = 0.0
 
     @classmethod
     def from_env(
@@ -280,7 +274,6 @@ class ExecutionSettings:
             cache_dir=env.get(CACHE_DIR_ENV) or None,
             strict_fleet=env.get(STRICT_FLEET_ENV, "0") == "1",
             checkpoint=env.get(CHECKPOINT_ENV, "0") == "1",
-            wave_delay_s=_env_number(WAVE_DELAY_ENV, 0.0, env),
         )
 
     @property

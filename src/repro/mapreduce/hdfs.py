@@ -3,10 +3,10 @@
 Files hold real Python records (so jobs actually compute correct answers)
 while sizes are tracked in bytes so the runtime can charge realistic I/O
 time.  There is no namespace: a job reads the files its spec names and
-returns the one it wrote.  Upload timing models the three loading modes
-compared in the paper's Figure 11: plain HDFS upload, Hive warehouse
-loading, and "our method" (plain upload plus an upload-time
-sampling/statistics pass).
+returns the one it wrote.  Three functions of a cluster configuration
+and a data size model the loading modes compared in the paper's
+Figure 11: plain HDFS upload, Hive warehouse loading, and "our method"
+(plain upload plus an upload-time sampling/statistics pass).
 """
 
 from __future__ import annotations
@@ -59,45 +59,40 @@ class DistributedFile:
         )
 
 
-class SimulatedHDFS:
-    """The Figure 11 load-time model of one cluster configuration.
+# -- upload timing (Figure 11) ----------------------------------------------
 
-    It holds no files: a job's inputs travel in its spec, and the
-    executor's ``job_outputs`` is the one registry of what a plan wrote.
+
+def plain_upload_time_s(config: ClusterConfig, size_bytes: int) -> float:
+    """Plain ``hadoop fs -put`` from the DataNodes' local disks.
+
+    Each node uploads its share in parallel; replication multiplies the
+    written volume.  Pipeline replication overlaps the network hop with
+    the disk write, so the write rate dominates.
     """
+    replication = config.hadoop.dfs_replication
+    writers = max(1, config.worker_nodes)
+    bytes_per_writer = size_bytes * replication / writers
+    return bytes_per_writer / config.disk_write_bytes_s
 
-    def __init__(self, config: ClusterConfig) -> None:
-        self.config = config
 
-    # -- upload timing (Figure 11) ---------------------------------------
+def hive_load_time_s(config: ClusterConfig, size_bytes: int) -> float:
+    """Loading into the Hive warehouse: upload plus SerDe parse pass."""
+    parse = size_bytes / config.disk_read_bytes_s / max(1, config.total_units // 2)
+    return plain_upload_time_s(config, size_bytes) * 1.18 + parse
 
-    def plain_upload_time_s(self, size_bytes: int) -> float:
-        """Plain ``hadoop fs -put`` from the DataNodes' local disks.
 
-        Each node uploads its share in parallel; replication multiplies the
-        written volume.  Pipeline replication overlaps the network hop with
-        the disk write, so the write rate dominates.
-        """
-        replication = self.config.hadoop.dfs_replication
-        writers = max(1, self.config.worker_nodes)
-        bytes_per_writer = size_bytes * replication / writers
-        return bytes_per_writer / self.config.disk_write_bytes_s
+def our_load_time_s(
+    config: ClusterConfig, size_bytes: int, sample_fraction: float = 0.02
+) -> float:
+    """The paper's loading mode: plain upload + sampling & index pass.
 
-    def hive_load_time_s(self, size_bytes: int) -> float:
-        """Loading into the Hive warehouse: upload plus SerDe parse pass."""
-        parse = size_bytes / self.config.disk_read_bytes_s / max(1, self.config.total_units // 2)
-        return self.plain_upload_time_s(size_bytes) * 1.18 + parse
-
-    def our_load_time_s(self, size_bytes: int, sample_fraction: float = 0.02) -> float:
-        """The paper's loading mode: plain upload + sampling & index pass.
-
-        A sampling MapReduce pass reads ``sample_fraction`` of the blocks
-        and writes a small statistics/index file; the paper reports this
-        makes loading "a little more time consuming" than plain upload but
-        comparable to Hive at large volumes.
-        """
-        plain = self.plain_upload_time_s(size_bytes)
-        readers = max(1, self.config.total_units)
-        sampling = size_bytes * sample_fraction / self.config.disk_read_bytes_s / readers
-        index_write = size_bytes * 0.001 / self.config.disk_write_bytes_s
-        return plain + self.config.job_startup_s + sampling + index_write
+    A sampling MapReduce pass reads ``sample_fraction`` of the blocks
+    and writes a small statistics/index file; the paper reports this
+    makes loading "a little more time consuming" than plain upload but
+    comparable to Hive at large volumes.
+    """
+    plain = plain_upload_time_s(config, size_bytes)
+    readers = max(1, config.total_units)
+    sampling = size_bytes * sample_fraction / config.disk_read_bytes_s / readers
+    index_write = size_bytes * 0.001 / config.disk_write_bytes_s
+    return plain + config.job_startup_s + sampling + index_write

@@ -6,9 +6,9 @@ message protocol over TCP; the ``repro serve`` coordinator
 (:mod:`repro.serve.coordinator`) speaks the same framing to its clients.
 Both daemons are one :class:`FrameServer` (listener, accept loop,
 connection registry, the per-connection recv → handle → send loop, the
-``hello``/``ping``/``shutdown`` verbs) with their own verbs on top, and
-every client side opens its connection with :func:`dial` (connect +
-``hello`` handshake):
+``hello``/``ping`` verbs, the stop on SIGTERM) with their own verbs on
+top, and every client side opens its connection with :func:`dial`
+(connect + ``hello`` handshake):
 
 * **Framing** — every message is one length-prefixed pickle frame: an
   8-byte big-endian length header followed by that many payload bytes.
@@ -51,12 +51,12 @@ every client side opens its connection with :func:`dial` (connect +
   ``("unregister", t)``            drop token ``t``.  Reply
                                    ``("unregistered", t)``.
   ``("ping", n)``                  liveness probe.  Reply ``("pong", n)``.
-  ``("shutdown",)``                daemon exits (tests/operators).
   ==============================  =========================================
 
   A frame that is not a non-empty tuple, names an unknown kind, or has
   the wrong arity is answered ``("error", ...)`` and the connection
-  keeps serving; only an unframeable byte stream drops it.
+  keeps serving; only an unframeable byte stream drops it.  No verb
+  stops a daemon: the operator sends SIGTERM (or ctrl-C).
 
   Registrations are **per connection**: tokens are generated by the
   coordinator and live in a bounded LRU owned by the connection handler,
@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import io
 import pickle
+import signal
 import socket
 import struct
 import sys
@@ -510,9 +511,9 @@ class FrameServer:
     common: the listener, the accept loop, the registry of live
     connections, ``start``/``stop``, and one handler thread per
     connection running recv → handle → send.  The base answers the verbs
-    every daemon shares (``hello``, ``ping``, ``shutdown``) and every
-    malformed frame; a subclass implements :meth:`handle` for its own
-    verbs and overrides a hook only where it really differs.
+    every daemon shares (``hello``, ``ping``) and every malformed frame;
+    a subclass implements :meth:`handle` for its own verbs and overrides
+    a hook only where it really differs.
     """
 
     #: Banner and thread-name prefix (``repro-worker`` / ``repro-serve``).
@@ -546,9 +547,6 @@ class FrameServer:
         """Fresh per-connection state handed to every :meth:`handle`
         call of one connection; it dies with the connection."""
         return None
-
-    def before_handle(self) -> None:
-        """Runs after each received frame, before anything is answered."""
 
     def error_reply(self, text: str) -> Tuple:
         """The reply to a frame this daemon cannot act on."""
@@ -600,18 +598,21 @@ class FrameServer:
             close_socket(conn)
 
     def run(self, notes: Sequence[str] = ()) -> int:
-        """CLI entry: serve until interrupted.
+        """CLI entry: serve until SIGTERM or ctrl-C, then :meth:`stop`
+        and return 0.
 
         Prints ``<name> listening on HOST:PORT`` (flushed) first, so a
         spawner using ``--port 0`` can read the assigned port back
         (:func:`spawn_listening`), then ``notes``, one per line.
         """
+        # SIGTERM, the operator's stop, takes ctrl-C's path.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         print(f"{self.name} listening on {self.address}", flush=True)
         for note in notes:
             print(note, flush=True)
         try:
             self.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - operator ctrl-C
+        except KeyboardInterrupt:
             pass
         finally:
             self.stop()
@@ -650,7 +651,6 @@ class FrameServer:
             close_socket(conn)
 
     def _reply_to(self, message: object, state: object) -> Optional[Tuple]:
-        self.before_handle()
         if not isinstance(message, tuple) or not message:
             return self.error_reply("malformed message")
         kind = message[0]
@@ -658,12 +658,6 @@ class FrameServer:
             return ("hello-ack", peer_info())
         if kind == "ping":
             return ("pong", message[1] if len(message) > 1 else 0)
-        if kind == "shutdown":
-            # Off this thread (stop() closes this very connection); the
-            # closed listener also unblocks the accept loop, so the
-            # daemon ends.
-            threading.Thread(target=self.stop, daemon=True).start()
-            return None
         try:
             return self.handle(message, state)
         except (ValueError, IndexError, TypeError):
@@ -673,13 +667,14 @@ class FrameServer:
 
 
 def spawn_listening(
-    command: Sequence[str],
+    argv: Sequence[str],
     env_extra: Optional[Mapping[str, str]] = None,
     env_scrub: Sequence[str] = (),
 ):
-    """Spawn ``python -m repro.cli <command>`` (a daemon started with
-    ``--port 0``) and return ``(proc, addr)``, the address read back
-    from the ``listening on`` banner of :meth:`FrameServer.run`.
+    """Spawn ``python <argv>`` (a daemon started with ``--port 0``, e.g.
+    ``-m repro.cli serve --port 0``) and return ``(proc, addr)``, the
+    address read back from the ``listening on`` banner of
+    :meth:`FrameServer.run`.
 
     The child gets this checkout on ``PYTHONPATH`` and the parent's
     environment minus ``env_scrub`` plus ``env_extra``.
@@ -695,7 +690,7 @@ def spawn_listening(
         env.pop(name, None)
     env.update(env_extra or {})
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *command],
+        [sys.executable, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -705,5 +700,5 @@ def spawn_listening(
     if "listening on" not in banner:
         proc.kill()
         proc.wait()
-        raise RuntimeError(f"repro {command[0]} daemon failed to start: {banner!r}")
+        raise RuntimeError(f"{' '.join(argv)} failed to start: {banner!r}")
     return proc, banner.rsplit(" ", 1)[-1].strip()

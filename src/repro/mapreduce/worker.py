@@ -15,46 +15,20 @@ the server resolved once when it was built, so nested ``get_backend()``
 calls return the serial backend (a remote task — a whole job, say —
 must never fan out onto another pool), and task callables rebuilt from
 shipped closures run against the same imported ``repro`` modules the
-coordinator used.  The blob tier (disk store plus decoded-object LRU)
+coordinator used.  Task code that raises is a result, not a fault: the
+exception travels back and re-raises at the coordinator, as on every
+other backend.  The blob tier (disk store plus decoded-object LRU)
 belongs to the server too, shared by all its connections.
 
-Fault injection (tests only)
-----------------------------
-``--fail-after-tasks N --fail-mode kill|stall`` arms a fault that fires
-when the N-th task *starts*:
-
-* ``kill``  — the process exits immediately (``os._exit``), as a crashed
-  host would: every socket dies and the coordinator's dispatcher sees a
-  broken connection at once.
-* ``stall`` — the daemon stops responding on *every* connection,
-  heartbeats included, as a frozen host would: the coordinator's
-  heartbeat thread is what must notice.
-
-A third mode, ``drop``, closes all sockets but leaves the process alive;
-it exists for in-process tests (property-based suites run WorkerServer
-on a thread, where ``os._exit`` would take the test runner with it).
-A fourth, ``slow``, sleeps ``delay_s`` before *every* task from the
-N-th on — a degraded-but-alive host, the shape that stresses deadline
-budgets rather than retry logic.  These flags simulate infrastructure
-loss — task *code* that raises is not a fault, it is a result (the
-exception travels back and re-raises at the coordinator, matching every
-other backend).
-
-Faults can also be **armed over the wire**: a ``("fault", mode,
-after_tasks, delay_s)`` message replaces the server's fault spec and
-resets its task counter.  That is what the serve-mode chaos harness
-(:mod:`repro.serve.chaos`) uses to script kill/stall/slow schedules
-against live daemons without restarting them.
+No verb stops the daemon or changes how it runs a task; it stops on
+SIGTERM or ctrl-C (:meth:`~repro.mapreduce.wire.FrameServer.run`).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
@@ -66,8 +40,6 @@ from repro.mapreduce.config import (
     query_scope,
 )
 from repro.storage import LRUTable, blob_digest, blob_tier
-
-FAULT_MODES = ("kill", "stall", "drop", "slow")
 
 #: Per-connection registration cap: a long-lived coordinator connection
 #: whose unregisters get lost (a dispatcher death mid-batch, say) must
@@ -82,45 +54,13 @@ REGISTRY_MAX_ENTRIES = 64
 BLOB_MEM_ENTRIES = 64
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """Test-only fault: fire ``mode`` when task number ``after_tasks`` starts.
-
-    ``slow`` mode keeps firing: every task from the ``after_tasks``-th on
-    sleeps ``delay_s`` first.  The terminal modes fire exactly once.
-    """
-
-    mode: str
-    after_tasks: int
-    delay_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in FAULT_MODES:
-            raise ValueError(f"fault mode must be one of {FAULT_MODES}")
-        if self.after_tasks < 1:
-            raise ValueError("after_tasks must be >= 1")
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
-
-
 class WorkerServer(wire.FrameServer):
     """One worker daemon: the frame server plus the task verbs."""
 
     name = "repro-worker"
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fault: Optional[FaultSpec] = None,
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         super().__init__(host, port)
-        self.fault = fault
-        self._lock = threading.Lock()
-        #: Tasks this daemon started since it started or a fault was
-        #: last armed (what ``FaultSpec.after_tasks`` counts).
-        self.tasks_started = 0
-        self._stalled = threading.Event()
         #: Read from the environment once (a server belongs to no query):
         #: no verb reads it again, and every task runs under these
         #: settings with ``in_task`` set.
@@ -180,11 +120,6 @@ class WorkerServer(wire.FrameServer):
         """The connection's token registry (bounded LRU)."""
         return OrderedDict()
 
-    def before_handle(self) -> None:
-        if self._stalled.is_set():
-            # A "frozen host": never answer anything again.
-            threading.Event().wait()
-
     def handle(
         self, message: Tuple, registry: "OrderedDict[int, object]"
     ) -> Optional[Tuple]:
@@ -239,7 +174,6 @@ class WorkerServer(wire.FrameServer):
             if fn is None:
                 return ("task-error", index, KeyError(f"unknown token {token}"))
             registry.move_to_end(token)  # live tokens stay off the LRU floor
-            self._maybe_fault()
             try:
                 # A remote task never fans out again (a whole job runs its
                 # phases in line here), in a daemon or an in-process server.
@@ -248,47 +182,7 @@ class WorkerServer(wire.FrameServer):
             except BaseException as exc:  # noqa: BLE001 - travels to coordinator
                 return ("task-error", index, _portable_exception(exc))
             return ("result", index, value)
-        if kind == "fault":
-            # Chaos-harness arming: replace the fault spec live and reset
-            # the task counter so after_tasks counts from *this* arming.
-            _kind, mode, after_tasks, delay_s = message
-            spec = (
-                None
-                if mode is None
-                else FaultSpec(str(mode), int(after_tasks), float(delay_s))
-            )
-            with self._lock:
-                self.fault = spec
-                self.tasks_started = 0
-            if spec is None:
-                return ("fault-armed", None, 0)
-            return ("fault-armed", spec.mode, spec.after_tasks)
         return self.error_reply(f"unknown message kind {kind!r}")
-
-    # -- fault injection --------------------------------------------------
-
-    def _maybe_fault(self) -> None:
-        with self._lock:
-            self.tasks_started += 1
-            started = self.tasks_started
-            fault = self.fault
-        if fault is None:
-            return
-        if fault.mode == "slow":
-            # Keeps firing: every task from the N-th on runs degraded.
-            if started >= fault.after_tasks:
-                time.sleep(fault.delay_s)
-            return
-        if started != fault.after_tasks:
-            return
-        if fault.mode == "kill":
-            os._exit(1)
-        if fault.mode == "stall":
-            self._stalled.set()
-            threading.Event().wait()  # never returns: this task hangs too
-        if fault.mode == "drop":
-            self.stop()
-            raise wire.WireError("connections dropped by fault injection")
 
 
 def _portable_exception(exc: BaseException) -> object:
@@ -305,16 +199,16 @@ def _portable_exception(exc: BaseException) -> object:
         return RuntimeError(f"remote task failed: {type(exc).__name__}: {exc}")
 
 
-def spawn_daemon(extra_args: Tuple[str, ...] = ()):
+def spawn_daemon():
     """Spawn one ``repro worker serve`` subprocess on an OS-assigned port.
 
     Returns ``(proc, addr)`` (:func:`repro.mapreduce.wire.spawn_listening`).
     The child gets a scrubbed execution environment — no inherited
     backend/addrs vars: remote tasks must never recursively dispatch.
-    Shared by the conformance/fault test harness and the benchmark.
+    Shared by the test harness and the benchmark.
     """
     return wire.spawn_listening(
-        ("worker", "serve", "--port", "0", *extra_args),
+        ("-m", "repro.cli", "worker", "serve", "--port", "0"),
         env_scrub=(EXEC_BACKEND_ENV, EXEC_WORKERS_ENV, WORKERS_ADDRS_ENV),
     )
 
@@ -334,10 +228,6 @@ def stop_daemons(procs) -> None:
             proc.wait()
 
 
-def serve(
-    host: str,
-    port: int,
-    fault: Optional[FaultSpec] = None,
-) -> int:
-    """CLI entry: run one worker daemon until interrupted."""
-    return WorkerServer(host=host, port=port, fault=fault).run()
+def serve(host: str, port: int) -> int:
+    """CLI entry: run one worker daemon until SIGTERM or ctrl-C."""
+    return WorkerServer(host=host, port=port).run()

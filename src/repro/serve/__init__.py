@@ -6,13 +6,9 @@ queries from many concurrent clients over the
 (:mod:`repro.serve.session`) over the shared worker fleet
 (:mod:`repro.serve.fleet`), and survives overload, worker loss,
 deadlines, and cancellation with structured errors
-(:mod:`repro.errors`) instead of hangs or tracebacks.  The chaos
-harness (:mod:`repro.serve.chaos`) scripts worker kill/stall/slow
-schedules against a live service so the isolation guarantees are
-tested, not asserted.
+(:mod:`repro.errors`) instead of hangs or tracebacks.
 """
 
-from repro.serve.chaos import ChaosEvent, ChaosHarness, arm_fault
 from repro.serve.coordinator import QueryService, spawn_service
 from repro.serve.fleet import FleetManager, probe_worker
 from repro.serve.scheduler import (
@@ -37,8 +33,6 @@ from repro.serve.session import (
 __all__ = [
     "ADMITTED",
     "CANCELLED",
-    "ChaosEvent",
-    "ChaosHarness",
     "DONE",
     "FAILED",
     "FairScheduler",
@@ -53,7 +47,6 @@ __all__ = [
     "RUNNING",
     "TERMINAL_STATES",
     "TIMED_OUT",
-    "arm_fault",
     "probe_worker",
     "spawn_service",
 ]

@@ -22,8 +22,10 @@ accepting queries from many clients:
   ``("fleet", None | "h:p,h:p")``              read or re-point the worker
                                                fleet (drain/dial live).
   ``("stats",)``                               service counters.
-  ``("shutdown",)``                            stop the daemon.
   ==========================================  ===============================
+
+It stops on SIGTERM or ctrl-C (:meth:`~repro.mapreduce.wire.FrameServer.run`);
+no verb stops it.
 
 Robustness invariants (argued in DESIGN.md, enforced by tests):
 
@@ -615,7 +617,7 @@ def serve(
     **service_options,
 ) -> int:
     """CLI entry: run one coordinator daemon — a :class:`QueryService`
-    built with ``service_options`` — until interrupted."""
+    built with ``service_options`` — until SIGTERM or ctrl-C."""
     service = QueryService(
         host, port, journal_path=journal_path, recover=recover, **service_options
     )
@@ -647,5 +649,6 @@ def spawn_service(extra_args: Tuple[str, ...] = (), env_extra: Optional[dict] = 
     Pass the fleet as ``REPRO_WORKERS_ADDRS`` in ``env_extra``.
     """
     return wire.spawn_listening(
-        ("serve", "--port", "0", *extra_args), env_extra=env_extra
+        ("-m", "repro.cli", "serve", "--port", "0", *extra_args),
+        env_extra=env_extra,
     )

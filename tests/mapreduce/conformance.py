@@ -12,8 +12,9 @@ simulated time.  This module is the single home of that contract:
 * the **drivers** — run one (query, planner) under a chosen backend and
   assert its digest is bit-identical to the serial reference;
 * the **worker helpers** — spawn real ``repro worker serve`` daemons as
-  subprocesses (with optional fault-injection flags) for the distributed
-  backend's legs.
+  subprocesses (or the fault-injecting test worker, ``fault_worker.py``)
+  for the distributed backend's legs, and the serial reference rows a
+  daemon's answer to a SQL query must equal.
 
 ``tests/mapreduce/test_exec_backends.py`` parameterizes the grid over
 serial|thread|process|distributed, and
@@ -35,7 +36,7 @@ from functools import lru_cache
 from repro.baselines import HivePlanner, PigPlanner, YSmartPlanner
 from repro.core.executor import PlanExecutor
 from repro.core.planner import ThetaJoinPlanner
-from repro.mapreduce.config import PAPER_CLUSTER_KP64
+from repro.mapreduce.config import PAPER_CLUSTER_KP64, ClusterConfig
 from repro.mapreduce.runtime import SimulatedCluster
 
 METHOD_PLANNERS = {
@@ -167,6 +168,20 @@ def run_with_backend(backend: str, query_id: str, planner_name: str,
     return outcome_digest(outcome)
 
 
+def serial_reference_rows(sql: str, method: str = "ours", volume: int = 0, seed: int = 0):
+    """Rows of ``sql`` over the mobile relation set, planned by ``method``
+    and run in this process on the serial backend — what a daemon's
+    answer to the same query must equal."""
+    from repro.relational.sql import parse_join_query
+    from repro.workloads import workload_relations
+
+    query = parse_join_query(sql, workload_relations("mobile", volume, seed), name="reference")
+    config = ClusterConfig()
+    plan = METHOD_PLANNERS[method](config).plan(query)
+    outcome = PlanExecutor(SimulatedCluster(config)).execute(plan, query)
+    return [tuple(row) for row in outcome.result.rows]
+
+
 @lru_cache(maxsize=None)
 def serial_digest(query_id: str, planner_name: str):
     """The serial reference digest every other backend must reproduce."""
@@ -214,23 +229,28 @@ def assert_distributed_really_dispatched(workers_addrs=None):
 
 
 @contextlib.contextmanager
-def worker_pool(count: int = 2, extra_args=()):
+def worker_pool(count: int = 2, faults=()):
     """``count`` daemons for a ``with`` block; yields their addresses.
 
     Spawning/teardown mechanics live with the daemon itself
     (:func:`repro.mapreduce.worker.spawn_daemon`); this wrapper only
-    adds the pool shape.  ``extra_args[i]`` (when present) is a tuple of
-    extra CLI flags for the i-th worker — how fault-injection tests arm
-    exactly one flaky worker in an otherwise healthy pool.
+    adds the pool shape.  When ``faults[i]`` is present, the i-th worker
+    is the fault-injecting test worker (``fault_worker.py``) with that
+    fault, ``(MODE, AFTER_TASKS[, DELAY_S])`` — how fault-injection
+    tests arm exactly one flaky worker in an otherwise healthy pool;
+    ``()`` arms none, leaving the ``fault`` verb to the chaos harness.
     """
+    from fault_worker import spawn_fault_worker
     from repro.mapreduce.worker import spawn_daemon, stop_daemons
 
     procs = []
     addrs = []
     try:
         for index in range(count):
-            args = tuple(extra_args[index]) if index < len(extra_args) else ()
-            proc, addr = spawn_daemon(args)
+            if index < len(faults):
+                proc, addr = spawn_fault_worker(*faults[index])
+            else:
+                proc, addr = spawn_daemon()
             procs.append(proc)
             addrs.append(addr)
         yield addrs

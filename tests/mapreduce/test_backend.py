@@ -9,6 +9,7 @@ that keep pool tasks from fanning out onto their own pool).
 
 import pytest
 
+from fault_worker import FaultyWorkerServer
 from repro.core.partitioner import HypercubePartitioner
 from repro.joins.jobs import make_hypercube_join_job
 from repro.joins.records import relation_to_composite_file
@@ -27,7 +28,6 @@ from repro.mapreduce.config import (
     settings_scope,
 )
 from repro.mapreduce.runtime import SimulatedCluster
-from repro.mapreduce.worker import WorkerServer
 from repro.workloads.synthetic import chain_query
 
 
@@ -307,7 +307,8 @@ class TestOneDaemonFleet:
 
     @pytest.fixture
     def daemon(self):
-        server = WorkerServer().start()
+        # The test worker with no fault armed: it counts the tasks it starts.
+        server = FaultyWorkerServer().start()
         yield server
         close_backends()
         server.stop()

@@ -4,10 +4,10 @@ Every backend promises ``run_tasks(fn, count) == [fn(0), ..., fn(count-1)]``
 — results in submission order, each index folded exactly once — for any
 task count, any per-task duration skew, and (distributed) any worker
 failure point.  Hypothesis drives those dimensions; the distributed
-cases run against real in-process :class:`WorkerServer` instances whose
-``drop`` fault severs every connection mid-batch (``kill`` would take
-the test runner with it — subprocess kill/stall live in
-``test_distributed_faults.py``).
+cases run against real in-process worker servers, one of them the test
+worker (``fault_worker.py``) whose ``drop`` fault severs every
+connection mid-batch (``kill`` would take the test runner with it —
+subprocess kill/stall live in ``test_distributed_faults.py``).
 
 Hypothesis is an optional dependency: the whole module skips when it is
 not installed.
@@ -29,7 +29,8 @@ from repro.mapreduce.backend import (  # noqa: E402
     ThreadBackend,
 )
 from repro.mapreduce.config import settings_scope  # noqa: E402
-from repro.mapreduce.worker import FaultSpec, WorkerServer  # noqa: E402
+from fault_worker import FaultSpec, FaultyWorkerServer  # noqa: E402
+from repro.mapreduce.worker import WorkerServer  # noqa: E402
 
 RELAXED = settings(
     max_examples=15,
@@ -114,7 +115,7 @@ def test_distributed_orders_and_folds_once_under_worker_loss(
     visible here: every index runs at least once (retries may run one
     more than once — folding, not execution, is what is exactly-once).
     """
-    flaky = WorkerServer(fault=FaultSpec("drop", fail_after)).start()
+    flaky = FaultyWorkerServer(fault=FaultSpec("drop", fail_after)).start()
     healthy = WorkerServer().start()
     backend = DistributedBackend(
         (flaky.address, healthy.address),

@@ -30,7 +30,8 @@ from repro.mapreduce.config import (  # noqa: E402
     query_scope,
     settings_scope,
 )
-from repro.mapreduce.worker import FaultSpec, WorkerServer  # noqa: E402
+from fault_worker import FaultSpec, FaultyWorkerServer  # noqa: E402
+from repro.mapreduce.worker import WorkerServer  # noqa: E402
 
 # ----------------------------------------------------------------------
 # token semantics (plain unit tests)
@@ -182,7 +183,7 @@ def test_cancel_racing_worker_loss_still_leaves_zero_inflight(
     """The worst race: a worker drops its connections *while* the query
     is being cancelled.  Whatever interleaving happens, accounting must
     return to zero and the survivor must serve the next batch."""
-    flaky = WorkerServer(fault=FaultSpec("drop", fail_after)).start()
+    flaky = FaultyWorkerServer(fault=FaultSpec("drop", fail_after)).start()
     healthy = WorkerServer().start()
     backend = DistributedBackend(
         (flaky.address, healthy.address),

@@ -7,12 +7,12 @@ in index order, and the final digest of a real query grid entry stays
 bit-identical to the serial reference — *including* a run where a worker
 daemon is killed mid-phase (the acceptance scenario).
 
-Worker daemons are real subprocesses armed with the test-only
-``--fail-after-tasks N --fail-mode kill|stall`` flags of
-``repro worker serve``: ``kill`` exits the process the way a crashed
-host would (sockets die instantly), ``stall`` freezes every handler
-including heartbeats the way a hung host would (only the heartbeat
-thread can notice).
+Worker daemons are real subprocesses; the flaky one is the test worker
+(``fault_worker.py``) armed with ``kill`` or ``stall`` on its N-th
+task: ``kill`` exits the process the way a crashed host would
+(sockets die instantly), ``stall`` freezes every handler including
+heartbeats the way a hung host would (only the heartbeat thread can
+notice).
 """
 
 import threading
@@ -82,9 +82,7 @@ class TestTaskLevelRetry:
         def fn(index):
             return index * table["scale"] + 1
 
-        with conformance.worker_pool(
-            2, extra_args=[("--fail-after-tasks", "3", "--fail-mode", "kill"), ()]
-        ) as addrs:
+        with conformance.worker_pool(2, faults=[("kill", "3"), ()]) as addrs:
             backend = make_backend(addrs)
             try:
                 results = backend.run_tasks(fn, 24)
@@ -101,9 +99,7 @@ class TestTaskLevelRetry:
     def test_stall_mid_batch_detected_by_heartbeat(self):
         """A frozen worker answers nothing — not even heartbeats; the
         coordinator must notice via the ping thread and move on."""
-        with conformance.worker_pool(
-            2, extra_args=[("--fail-after-tasks", "2", "--fail-mode", "stall"), ()]
-        ) as addrs:
+        with conformance.worker_pool(2, faults=[("stall", "2"), ()]) as addrs:
             backend = make_backend(addrs)
             try:
                 results = backend.run_tasks(lambda index: index * index, 16)
@@ -115,13 +111,7 @@ class TestTaskLevelRetry:
     def test_all_workers_dead_falls_back_locally(self):
         """With every worker gone mid-batch the leftovers run locally —
         still exactly once per index, still in order."""
-        with conformance.worker_pool(
-            2,
-            extra_args=[
-                ("--fail-after-tasks", "2", "--fail-mode", "kill"),
-                ("--fail-after-tasks", "2", "--fail-mode", "kill"),
-            ],
-        ) as addrs:
+        with conformance.worker_pool(2, faults=[("kill", "2"), ("kill", "2")]) as addrs:
             backend = make_backend(addrs)
             try:
                 results = backend.run_tasks(lambda index: index + 100, 12)
@@ -197,9 +187,7 @@ class TestMidPhaseKillEquivalence:
         # the flaky daemon takes the first one (flaky_takes_first), which
         # is the task its fault is armed on, and must really be gone by
         # the end.
-        with conformance.worker_pool(
-            2, extra_args=[("--fail-after-tasks", "1", "--fail-mode", "kill"), ()]
-        ) as addrs:
+        with conformance.worker_pool(2, faults=[("kill", "1"), ()]) as addrs:
             flaky_takes_first(monkeypatch, addrs[0])
             conformance.assert_backend_matches_serial(
                 "distributed",
@@ -211,9 +199,7 @@ class TestMidPhaseKillEquivalence:
             assert answers(addrs[1])
 
     def test_grid_entry_with_mid_phase_stall(self, monkeypatch):
-        with conformance.worker_pool(
-            2, extra_args=[("--fail-after-tasks", "1", "--fail-mode", "stall"), ()]
-        ) as addrs:
+        with conformance.worker_pool(2, faults=[("stall", "1"), ()]) as addrs:
             flaky_takes_first(monkeypatch, addrs[0])
             conformance.assert_backend_matches_serial(
                 "distributed",

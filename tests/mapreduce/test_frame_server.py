@@ -6,14 +6,18 @@ so one suite, parametrised over both, pins what a peer may rely on
 whichever daemon it dialed: a frame the daemon cannot act on is answered
 with a structured error and the connection keeps serving; a byte stream
 that cannot be framed drops that connection and no other; ``stop()``
-closes the listener and every live connection, twice without harm; and a
-daemon started on ``--port 0`` prints the banner its spawner parses.
+closes the listener and every live connection, twice without harm; a
+daemon started on ``--port 0`` prints the banner its spawner parses; no
+frame stops a daemon or arms a fault in it, and SIGTERM stops it with
+exit status 0.
 """
 
 import socket
 
 import pytest
 
+import repro
+from conformance import serial_reference_rows
 from repro.mapreduce import wire
 from repro.mapreduce.worker import WorkerServer, spawn_daemon, stop_daemons
 from repro.serve.coordinator import QueryService, spawn_service
@@ -120,9 +124,51 @@ class TestLifecycle:
             sock, _info = wire.dial(addr, timeout=5.0)
             try:
                 assert ask(sock, ("ping", 3)) == ("pong", 3)
-                wire.send_frame(sock, ("shutdown",))
             finally:
                 sock.close()
-            assert proc.wait(timeout=15) == 0  # the verb ends the daemon
+            proc.terminate()  # SIGTERM: the operator's stop
+            assert proc.wait(timeout=15) == 0
         finally:
             stop_daemons([proc])
+
+
+SQL = "SELECT t2.id FROM table t1, table t2 WHERE t1.d = t2.d AND t1.bt <= t2.bt"
+
+
+def worker_answers_a_task(addr: str) -> None:
+    sock, _info = wire.dial(addr, timeout=5.0)
+    try:
+        slim, _blobs = wire.split_task_fn(lambda index: index * index)
+        assert ask(sock, ("register", 1, slim, [])) == ("registered", 1)
+        assert ask(sock, ("task", 1, 7)) == ("result", 7, 49)
+    finally:
+        sock.close()
+
+
+def service_answers_a_query(addr: str) -> None:
+    with repro.connect(addr, timeout_s=30.0) as client:
+        rows = client.run(SQL, timeout_s=60.0)["rows"]
+    assert [tuple(row) for row in rows] == serial_reference_rows(SQL)
+
+
+@pytest.mark.parametrize(
+    "spawn, answers",
+    [(spawn_daemon, worker_answers_a_task), (spawn_service, service_answers_a_query)],
+    ids=["worker", "serve"],
+)
+def test_no_frame_stops_a_daemon_or_arms_a_fault(spawn, answers):
+    """A peer can neither stop a production daemon nor make it kill
+    itself: ``shutdown`` and ``fault`` are unknown verbs, answered with
+    an error, and the daemon then serves its next query correctly."""
+    proc, addr = spawn()
+    try:
+        for frame in (("shutdown",), ("fault", "kill", 1, 0)):
+            sock, _info = wire.dial(addr, timeout=5.0)
+            try:
+                assert ask(sock, frame)[0] == "error"
+            finally:
+                sock.close()
+        answers(addr)
+        assert proc.poll() is None
+    finally:
+        stop_daemons([proc])

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.mapreduce.config import ClusterConfig
-from repro.mapreduce.hdfs import DistributedFile, SimulatedHDFS
+from repro.mapreduce.hdfs import (
+    DistributedFile,
+    hive_load_time_s,
+    our_load_time_s,
+    plain_upload_time_s,
+)
 from repro.utils import GB, MB
-
-
-@pytest.fixture
-def hdfs():
-    return SimulatedHDFS(ClusterConfig())
 
 
 class TestDistributedFile:
@@ -34,21 +34,21 @@ class TestDistributedFile:
 class TestLoadingTimes:
     """Figure 11's shape: plain < ours <= hive-ish, converging at scale."""
 
-    def test_plain_upload_scales_linearly(self, hdfs):
-        t1 = hdfs.plain_upload_time_s(1 * GB)
-        t2 = hdfs.plain_upload_time_s(2 * GB)
+    def test_plain_upload_scales_linearly(self, config):
+        t1 = plain_upload_time_s(config, 1 * GB)
+        t2 = plain_upload_time_s(config, 2 * GB)
         assert t2 == pytest.approx(2 * t1)
 
-    def test_ours_slower_than_plain(self, hdfs):
+    def test_ours_slower_than_plain(self, config):
         for size in (1 * GB, 100 * GB, 500 * GB):
-            assert hdfs.our_load_time_s(size) > hdfs.plain_upload_time_s(size)
+            assert our_load_time_s(config, size) > plain_upload_time_s(config, size)
 
-    def test_ours_comparable_to_hive_at_scale(self, hdfs):
+    def test_ours_comparable_to_hive_at_scale(self, config):
         # The paper reports our loading is comparable to Hive for large
         # volumes; at 500GB the gap should be within 25%.
         size = 500 * GB
-        ours = hdfs.our_load_time_s(size)
-        hive = hdfs.hive_load_time_s(size)
+        ours = our_load_time_s(config, size)
+        hive = hive_load_time_s(config, size)
         assert ours < hive * 1.25
 
     def test_replication_multiplies_upload(self):
@@ -57,6 +57,6 @@ class TestLoadingTimes:
 
         config1 = ClusterConfig(hadoop=HadoopParameters(dfs_replication=1))
         config3 = ClusterConfig(hadoop=HadoopParameters(dfs_replication=3))
-        t1 = SimulatedHDFS(config1).plain_upload_time_s(GB)
-        t3 = SimulatedHDFS(config3).plain_upload_time_s(GB)
+        t1 = plain_upload_time_s(config1, GB)
+        t3 = plain_upload_time_s(config3, GB)
         assert t3 == pytest.approx(3 * t1)

@@ -219,14 +219,7 @@ class TestLiveFleet:
         """Integration: a real two-daemon fleet where one worker sleeps
         1 s per task mid-batch; the healthy daemon hedges the straggler
         and the batch still folds bit-identically."""
-        with conformance.worker_pool(
-            2,
-            extra_args=(
-                (),
-                ("--fail-mode", "slow", "--fail-after-tasks", "4",
-                 "--fail-delay-s", "1.0"),
-            ),
-        ) as addrs:
+        with conformance.worker_pool(2, faults=[(), ("slow", "4", "1.0")]) as addrs:
             with conformance.execution_env(
                 REPRO_CACHE_DIR=str(tmp_path / "cache")
             ), policy(HEDGE_MIN_SAMPLES=3):

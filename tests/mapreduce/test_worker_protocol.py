@@ -12,7 +12,7 @@ import socket
 import pytest
 
 from repro.mapreduce import wire
-from repro.mapreduce.worker import FaultSpec, WorkerServer
+from repro.mapreduce.worker import WorkerServer
 
 
 @pytest.fixture
@@ -202,48 +202,3 @@ class TestRegistryAndTasks:
             assert message
         finally:
             sock.close()
-
-
-class TestLifecycle:
-    def test_shutdown_message_stops_the_daemon(self):
-        server = WorkerServer().start()
-        sock = dial(server)
-        try:
-            wire.send_frame(sock, ("shutdown",))
-            # The accept thread unblocks and dies with the listener.
-            server._thread.join(timeout=5.0)
-            assert not server._thread.is_alive()
-        finally:
-            sock.close()
-            server.stop()
-
-    def test_fault_spec_validation(self):
-        with pytest.raises(ValueError):
-            FaultSpec(mode="melt", after_tasks=1)
-        with pytest.raises(ValueError):
-            FaultSpec(mode="kill", after_tasks=0)
-
-    def test_concurrent_connections_share_the_task_counter(self):
-        """Fault arming counts tasks across all connections — that is
-        what lets one flag fire mid-phase whichever connection lands the
-        N-th task."""
-        server = WorkerServer(fault=FaultSpec("drop", 3)).start()
-        socks = [dial(server), dial(server)]
-        results = []
-        try:
-            slim, _blobs = wire.split_task_fn(lambda i: i)
-            for token, sock in enumerate(socks, start=1):
-                wire.send_frame(sock, ("register", token, slim, []))
-                assert wire.recv_frame(sock)[0] == "registered"
-            for attempt in range(4):
-                for token, sock in enumerate(socks, start=1):
-                    try:
-                        wire.send_frame(sock, ("task", token, attempt))
-                        results.append(wire.recv_frame(sock))
-                    except (wire.WireError, OSError):
-                        results.append("lost")
-            assert "lost" in results  # the drop fired within the batch
-        finally:
-            for sock in socks:
-                sock.close()
-            server.stop()

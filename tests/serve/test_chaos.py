@@ -26,8 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+from chaos import arm_fault
 from repro.mapreduce.backend import close_backends
-from repro.serve.chaos import ChaosEvent, ChaosHarness
 import repro
 from repro.serve.coordinator import QueryService
 from repro.serve.session import CANCELLED, DONE, TIMED_OUT
@@ -79,7 +79,8 @@ def wait_terminal(client, query_id, timeout_s=60.0):
 
 
 def test_chaos_drill():
-    with worker_pool(3) as addrs:
+    # Worker 0 is the fault-injecting test worker, armed over the wire.
+    with worker_pool(3, faults=[()]) as addrs:
         with execution_env(
             REPRO_EXEC_BACKEND="distributed",
             REPRO_WORKERS_ADDRS=",".join(addrs),
@@ -112,9 +113,7 @@ def _drill(service, client, addrs):
     # ----- phase 1: arm the chaos schedule ------------------------------
     # Worker 0 dies after executing two tasks of the concurrent phase —
     # i.e. mid-phase, with this run's work in flight on its socket.
-    harness = ChaosHarness([ChaosEvent(addrs[0], "kill", after_tasks=2)])
-    harness.start()
-    assert not harness.failed, f"chaos arming failed: {harness.failed}"
+    assert arm_fault(addrs[0], "kill", after_tasks=2), "chaos arming failed"
 
     # ----- phase 2: the concurrent storm --------------------------------
     # Everything is submitted while the test thread holds the planning

@@ -13,37 +13,21 @@ teardown).
 """
 
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.cli import PLANNERS
-from repro.core.executor import PlanExecutor
 from repro.errors import DeadlineExceeded, QueryCancelled
-from repro.mapreduce.config import ClusterConfig
-from repro.mapreduce.runtime import SimulatedCluster
-from repro.relational.sql import parse_join_query
 import repro
 from repro.serve.coordinator import spawn_service
-from repro.workloads import workload_relations
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "mapreduce"))
-from conformance import worker_pool  # noqa: E402
+from conformance import serial_reference_rows, worker_pool  # noqa: E402
 
 SQL = (
     "SELECT t2.id FROM table t1, table t2 "
     "WHERE t1.d = t2.d AND t1.bt <= t2.bt"
 )
-
-
-def serial_reference_rows(sql=SQL, volume=0, seed=0):
-    relations = workload_relations("mobile", volume, seed)
-    query = parse_join_query(sql, relations, name="reference")
-    config = ClusterConfig()
-    plan = PLANNERS["ours"](config).plan(query)
-    outcome = PlanExecutor(SimulatedCluster(config)).execute(plan, query)
-    return [tuple(row) for row in outcome.result.rows]
 
 
 def test_serve_smoke_over_subprocess_daemons():
@@ -65,7 +49,7 @@ def test_serve_smoke_over_subprocess_daemons():
                 client.cancel(cancelled_id, "smoke cancel")
 
                 rows = client.wait(ok_id, timeout_s=120.0)["rows"]
-                assert rows == serial_reference_rows(seed=0)
+                assert rows == serial_reference_rows(SQL, seed=0)
 
                 with pytest.raises(DeadlineExceeded):
                     client.wait(doomed_id, timeout_s=30.0)
@@ -84,12 +68,8 @@ def test_serve_smoke_over_subprocess_daemons():
                 assert stats["tasks_in_flight"] == 0
                 assert stats["fleet"] == list(addrs)
 
-                client.shutdown()
-            for _ in range(100):
-                if proc.poll() is not None:
-                    break
-                time.sleep(0.1)
-            assert proc.poll() is not None, "daemon ignored shutdown"
+            proc.terminate()  # SIGTERM: the operator's stop
+            assert proc.wait(timeout=10) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -133,7 +113,7 @@ def test_serve_fairness_and_pagination_over_subprocess_daemon():
                 deadline_s=90.0,
             )
             rows = client.wait(vip, timeout_s=90.0)["rows"]
-            assert rows == serial_reference_rows(seed=9)
+            assert rows == serial_reference_rows(SQL, seed=9)
 
             # Per-client quota: seat 9 for 'bulk' sheds structurally.
             from repro.errors import QuotaExceeded
@@ -157,7 +137,7 @@ def test_serve_fairness_and_pagination_over_subprocess_daemon():
             # reference bit-identically.
             big = client.submit(SQL, volume=20, seed=0)
             reference = client.wait(big, timeout_s=120.0)["rows"]
-            assert reference == serial_reference_rows(volume=20, seed=0)
+            assert reference == serial_reference_rows(SQL, volume=20, seed=0)
             paged = list(client.iter_rows(big, page_size=7))
             assert paged == reference
 
@@ -165,7 +145,8 @@ def test_serve_fairness_and_pagination_over_subprocess_daemon():
             assert stats["clients"]["vip"]["completed"] == 1
             assert stats["clients"]["bulk"]["completed"] >= 6
             assert stats["clients"]["bulk"]["quota_rejected"] >= 1
-            client.shutdown()
+        proc.terminate()
+        assert proc.wait(timeout=10) == 0
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -385,26 +385,31 @@ class TestWorkerServeParser:
         args = make_parser().parse_args(["worker", "serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 7601
-        assert args.fail_after_tasks == 0
-
-    def test_fault_flags(self):
-        args = make_parser().parse_args(
-            ["worker", "serve", "--port", "0",
-             "--fail-after-tasks", "3", "--fail-mode", "stall"]
-        )
-        assert args.port == 0
-        assert args.fail_after_tasks == 3
-        assert args.fail_mode == "stall"
 
     def test_worker_requires_subcommand(self):
         with pytest.raises(SystemExit):
             make_parser().parse_args(["worker"])
 
-    def test_bad_fail_mode_rejected(self):
+    def test_no_fault_flags(self):
         with pytest.raises(SystemExit):
-            make_parser().parse_args(
-                ["worker", "serve", "--fail-mode", "melt"]
-            )
+            make_parser().parse_args(["worker", "serve", "--fail-after-tasks", "1"])
+
+
+class TestServeStartup:
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+    def test_bad_default_deadline_is_refused(self, value, monkeypatch, capsys):
+        """An unusable ``--default-deadline-s`` stops ``repro serve``
+        before it starts, as the operator's error: otherwise every submit
+        without a deadline of its own is rejected as the client's."""
+        started = []
+        monkeypatch.setattr(
+            "repro.serve.coordinator.serve", lambda *a, **k: started.append(k) or 0
+        )
+        assert main(["serve", "--port", "0", "--default-deadline-s", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --default-deadline-s")
+        assert err.count("\n") == 1
+        assert not started
 
 
 class TestWorkloadRelations:

@@ -95,7 +95,19 @@ class TestReadmeReferences:
         must cover, so the count is a budget: a value only tests vary is
         a module constant beside the code it governs, not a knob.
         Raising the number is a one-line, reviewed edit."""
-        assert len(self.defined_knobs()) <= 10
+        assert len(self.defined_knobs()) <= 9
+
+    def test_no_test_scaffolding_in_src(self):
+        """A production daemon carries no test-only path: no process
+        exit a peer can trigger, no option whose help says it is for
+        tests.  Fault injection lives in ``tests/mapreduce/fault_worker.py``."""
+        hits = [
+            f"{path.relative_to(ROOT)}:{number}"
+            for path in (ROOT / "src").rglob("*.py")
+            for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+            if "os._exit(" in line or "TEST ONLY" in line
+        ]
+        assert hits == []
 
     def test_pickle_decode_budget(self):
         """Every line of ``src/`` that decodes pickle is a place where a

@@ -3,13 +3,18 @@
 
     python3 tools/lint.py [PATH ...]      # default: the whole checkout
 
-Two of the pyflakes checks the ruff configuration in ``pyproject.toml``
-enforces, the two that dead code shows up as:
+Three of the pyflakes checks the ruff configuration in ``pyproject.toml``
+enforces: the two that dead code shows up as, and the one a moved or
+trimmed import shows up as:
 
 * **unused import** (F401) — a name bound by ``import`` / ``from ... import``
   that the module never reads and does not list in ``__all__``;
 * **unused local** (F841) — a plain ``name = ...`` assignment (or ``except
-  ... as name``) inside a function that nothing in that function reads.
+  ... as name``) inside a function that nothing in that function reads;
+* **undefined name in an annotation** (F821) — a name an annotation
+  reads (string annotations included) that nothing in the module binds
+  and that is not a builtin.  With ``from __future__ import annotations``
+  such a name never fails at run time, so only a linter sees it.
 
 A ``# noqa`` comment on the line silences it, as it does for ruff.  Exit
 status 1 when anything is reported.
@@ -18,6 +23,7 @@ status 1 when anything is reported.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -102,11 +108,60 @@ def unused_locals(tree: ast.Module) -> Iterator[Finding]:
                 yield node.lineno, f"F841 local `{target.id}` is assigned but never used"
 
 
+def bound_names(tree: ast.Module) -> Set[str]:
+    """Every name the module binds, at any scope."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            names.update(node.names)
+    return names
+
+
+def annotation_names(annotation: ast.AST) -> Iterator[str]:
+    """The names an annotation reads; a string annotation is parsed."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield from annotation_names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+
+
+def undefined_annotation_names(tree: ast.Module) -> Iterator[Finding]:
+    known = bound_names(tree) | set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for name in annotation_names(annotation) if annotation else ():
+            if name not in known:
+                yield annotation.lineno, f"F821 undefined name `{name}` in annotation"
+
+
 def check(path: Path) -> List[Finding]:
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     lines = source.splitlines()
-    findings = set(unused_imports(tree)) | set(unused_locals(tree))
+    findings = (
+        set(unused_imports(tree))
+        | set(unused_locals(tree))
+        | set(undefined_annotation_names(tree))
+    )
     return sorted(
         (lineno, text) for lineno, text in findings if "# noqa" not in lines[lineno - 1]
     )
