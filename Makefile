@@ -42,7 +42,9 @@
 #                   diff --exit-code benchmarks/results`: the paper
 #                   artefacts tier-1 rewrites must come out byte-identical
 #   make loc      - the size numbers a simplicity PR quotes: lines of
-#                   src/**/*.py and distinct quoted REPRO_* knob names
+#                   src/**/*.py, distinct quoted REPRO_* knob names,
+#                   pickle decode sites, per-query state stores and the
+#                   distinct verbs a peer can send either daemon
 #   make census   - dead-code census (tools/census.py, stdlib only, ~15
 #                   min): tier-1 + perf-smoke + the examples under a
 #                   sys.settrace hook that every spawned daemon, pool
@@ -56,6 +58,9 @@
 
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
+#: The modules whose ``kind == "..."`` branches are every verb a peer can
+#: send a daemon (tests/test_docs.py holds the same list).
+VERB_FILES := src/repro/mapreduce/wire.py src/repro/mapreduce/worker.py src/repro/serve/coordinator.py
 
 .PHONY: verify smoke lint results-clean serve-smoke serve-recovery perf-smoke perf-pair ci loc census
 
@@ -100,6 +105,7 @@ loc:
 	@echo "$$(grep -rhoE "[\"']REPRO_[A-Z0-9_]+[\"']" src | sort -u | wc -l) REPRO_* knobs"
 	@echo "$$(grep -rhE 'pickle\.loads?\(|Unpickler\(' src | grep -vcE '^\s*class ') pickle decode sites"
 	@echo "$$(grep -rhE 'threading\.local\(|ContextVar\(' src | wc -l) per-query state stores"
+	@echo "$$(grep -ohE 'kind == "[a-z-]+"' $(VERB_FILES) | sort -u | wc -l) peer-reachable verbs"
 
 census:
 	python3 tools/census.py

@@ -29,8 +29,9 @@ its client; ``cache`` inspects or wipes the disk tiers — the
 wave-checkpoint index and the content-addressed blob store (shipped
 payloads, checkpointed waves, DONE results).
 
-A :class:`~repro.errors.ReproError` (a bad volume, query id or SQL text)
-ends the command with one ``repro: error: ...`` line and exit status 2.
+A :class:`~repro.errors.ReproError` (a bad volume, query id or SQL text,
+a daemon flag out of range, a service ``query`` cannot reach) ends the
+command with one ``repro: error: ...`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -226,9 +227,27 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(low: float) -> Callable[[float], bool]:
+    return lambda value: math.isfinite(value) and value >= low
+
+
+#: A daemon's ``--port`` check: a TCP port, 0 = OS-assigned.
+_PORT = (lambda value: 0 <= value <= 65535, "in 0..65535 (0 = OS-assigned)")
+
+
+def _refuse_bad_flags(args: argparse.Namespace, checks: dict) -> None:
+    """Stop a daemon before it starts, as the operator's error, on the
+    first flag (``dest`` -> ``(ok, rule)``) whose value fails ``ok``."""
+    for dest, (ok, rule) in checks.items():
+        value = getattr(args, dest)
+        if not ok(value):
+            raise ReproError(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
+
+
 def cmd_worker_serve(args: argparse.Namespace) -> int:
     from repro.mapreduce.worker import serve
 
+    _refuse_bad_flags(args, {"port": _PORT})
     return serve(args.host, args.port)
 
 
@@ -281,13 +300,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.coordinator import serve
 
     if args.recover and args.journal is None:
-        print("serve --recover needs a journal: pass --journal PATH", file=sys.stderr)
-        return 2
-    if not math.isfinite(args.default_deadline_s) or args.default_deadline_s < 0:
-        raise ReproError(
-            "--default-deadline-s must be a finite number >= 0 (0 = none), "
-            f"got {args.default_deadline_s}"
-        )
+        raise ReproError("--recover needs a journal: pass --journal PATH")
+    _refuse_bad_flags(
+        args,
+        {
+            "port": _PORT,
+            "max_concurrent": (_at_least(1), ">= 1"),
+            "max_queue": (_at_least(0), ">= 0"),
+            "default_deadline_s": (_at_least(0), "a finite number >= 0 (0 = none)"),
+            "client_max_running": (_at_least(0), ">= 0 (0 = none)"),
+            "client_max_queued": (_at_least(0), ">= 0 (0 = none)"),
+            "aging_s": (_at_least(0), "a finite number >= 0 (0 = off)"),
+        },
+    )
     return serve(
         args.host,
         args.port,
@@ -311,7 +336,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     for entry in args.set or ():
         name, sep, value = entry.partition("=")
         if not sep:
-            raise SystemExit(f"--set expects NAME=VALUE, got {entry!r}")
+            raise ReproError(f"--set expects NAME=VALUE, got {entry!r}")
         knobs[name] = value
     try:
         with repro.connect(
@@ -345,6 +370,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     except ServiceError as exc:
         print(f"query failed [{exc.code}]: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the dial: once connected, a loss is a ServiceError
+        raise ReproError(f"cannot reach the service at {args.addr}: {exc}") from exc
     print(
         f"{result['output_records']} result rows | "
         f"simulated makespan {result['makespan_s']:.1f}s | "

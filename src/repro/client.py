@@ -249,11 +249,6 @@ class Client:
         reply = self._raise_if_error(self._call(("stats",)))
         return reply[1]
 
-    def fleet(self, addrs: Optional[str] = None) -> dict:
-        """Read (``None``) or re-point (``"host:port,host:port"``) the fleet."""
-        reply = self._raise_if_error(self._call(("fleet", addrs)))
-        return reply[1]
-
 
 def connect(
     addr: str,

@@ -7,7 +7,7 @@ blob of pickled ``(records, record width, metrics)``, the records a join
 output's ``CompositeSlab`` — index vectors and the base row tables they
 index), the pointer ``<key>.ref`` that holds the blob's digest,
 verify-on-read (a payload of another shape or slab layout is a miss), the
-size cap and the process-wide counters ``repro serve stats`` reports.  A
+size cap and the process-wide counters the service's ``stats`` verb reports.  A
 checkpoint can cost a recompute, never a wrong answer.
 """
 

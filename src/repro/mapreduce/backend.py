@@ -53,7 +53,6 @@ from __future__ import annotations
 import atexit
 import sys
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
@@ -274,11 +273,9 @@ class DistributedBackend:
     the matching taxonomy error after the dispatchers settle — never the
     local fallback.
 
-    Elasticity: :meth:`reconfigure` changes the worker address set of a
-    *live* coordinator — removed workers drain (finish their in-flight
-    task, take no new ones), added ones are dialed with the existing
-    backoff machinery at the next batch.  ``repro serve`` drives this
-    from its fleet-reconfiguration endpoint.
+    The worker address set is fixed when the backend is built:
+    :func:`get_backend` keys each instance by its address tuple, so a
+    different fleet is a different backend.
     """
 
     name = "distributed"
@@ -290,8 +287,6 @@ class DistributedBackend:
         connect_timeout_s: float = 1.0,
     ) -> None:
         self.addrs = tuple(addrs)
-        #: Monotonic time ``addrs`` was last set (see :func:`get_backend`).
-        self.pointed_at = time.monotonic()
         self.heartbeat_s = heartbeat_s
         self.connect_timeout_s = connect_timeout_s
         self._handles: Dict[str, WorkerHandle] = {}
@@ -303,7 +298,7 @@ class DistributedBackend:
         self._batches = 0
         self._noted_degraded = False
         self._next_token = 0
-        #: Guards addrs/handles/redial — ``run_tasks`` may now be called
+        #: Guards handles/redial — ``run_tasks`` may now be called
         #: concurrently from several ``repro serve`` session threads.
         self._lock = threading.Lock()
         #: Coordinator-wide count of indices currently on the wire,
@@ -346,48 +341,6 @@ class DistributedBackend:
     def _track_inflight(self, delta: int) -> None:
         with self._inflight_lock:
             self.tasks_in_flight += delta
-
-    def reconfigure(self, addrs) -> Dict[str, List[str]]:
-        """Re-point this live coordinator at a new worker address set.
-
-        Removed addresses *drain*: their in-flight task completes, no new
-        index is pulled, and the handle closes when its dispatcher exits
-        (immediately when no batch is active).  Added addresses become
-        dial-eligible at the next batch with fresh backoff state.  The
-        degradation note resets — a changed fleet deserves a fresh
-        verdict.
-        """
-        addrs = tuple(addrs)
-        with self._lock:
-            old = self.addrs
-            if addrs == old:
-                return {"added": [], "removed": [], "kept": list(old)}
-            removed = [addr for addr in old if addr not in addrs]
-            added = [addr for addr in addrs if addr not in old]
-            self.addrs = addrs
-            self.pointed_at = time.monotonic()
-            drained: List[WorkerHandle] = []
-            for addr in removed:
-                handle = self._handles.pop(addr, None)
-                self._redial.pop(addr, None)
-                if handle is not None:
-                    handle.draining.set()
-                    drained.append(handle)
-            for addr in added:
-                self._redial.pop(addr, None)
-            self._noted_degraded = False
-        with self._inflight_lock:
-            idle = self.tasks_in_flight == 0
-        if idle:
-            # No batch is dispatching, so no dispatcher will ever reach
-            # the drained handles' close path: close them here.
-            for handle in drained:
-                handle.mark_dead()
-        return {
-            "added": added,
-            "removed": removed,
-            "kept": [addr for addr in addrs if addr in old],
-        }
 
     def _live_handles(self) -> List[WorkerHandle]:
         """Connected handles; dials (and re-dials) the rest with backoff.
@@ -549,7 +502,7 @@ class DistributedBackend:
             return
         try:
             while True:
-                taken = state.take(handle.draining.is_set)
+                taken = state.take()
                 if taken is None:
                     return
                 index, is_hedge = taken
@@ -578,10 +531,6 @@ class DistributedBackend:
             # must not leak the registration (unregister of a lost worker
             # is a no-op).
             handle.unregister(token)
-            if handle.draining.is_set():
-                # Drained by a live reconfiguration: this dispatcher owns
-                # the close once its last round-trip finished.
-                handle.mark_dead()
 
     def close(self) -> None:
         with self._lock:
@@ -612,20 +561,18 @@ def get_backend(settings: Optional[ExecutionSettings] = None):
     are daemonic and must not fork grandchildren, and tasks must not fan
     out onto a pool again.
     """
-    query = CURRENT_QUERY.get()
-    if query.in_task:
+    if CURRENT_QUERY.get().in_task:
         return _SERIAL
     if settings is None:
         settings = execution_settings()
     if not settings.parallel:
         return _SERIAL
     if settings.backend == "distributed":
-        # One live coordinator per process, whatever the caller's knobs
-        # or address list: a fleet change (scaling under a live ``repro
-        # serve``) *reconfigures* it (drain removed workers, dial added
-        # ones) rather than abandon its handles and dial a cold twin,
-        # and the heartbeat/connect timings are fixed when it is built.
-        key: object = "distributed"
+        # One coordinator per address set, whatever the caller's other
+        # knobs: the heartbeat/connect timings are fixed when it is
+        # built, and a different fleet gets its own backend, so no query
+        # can move the workers another query dispatches to.
+        key: object = ("distributed", settings.workers_addrs)
     else:
         key = (settings.backend, settings.effective_workers)
     with _BACKENDS_LOCK:
@@ -642,20 +589,15 @@ def get_backend(settings: Optional[ExecutionSettings] = None):
             else:
                 backend = ProcessBackend(settings.effective_workers)
             _BACKENDS[key] = backend
-    if settings.backend == "distributed" and backend.addrs != settings.workers_addrs:
-        # A query's settings date from its entry: they re-point the fleet
-        # only if nothing re-pointed it since, or a running session would
-        # undo a ``FleetManager.set_addrs`` it outlived.
-        if query.settings is None or query.resolved_at > backend.pointed_at:
-            backend.reconfigure(settings.workers_addrs)
     return backend
 
 
-def live_distributed_backend() -> Optional[DistributedBackend]:
-    """The process's one distributed backend, if it was ever built
-    (``repro serve`` reads its counters and re-points its fleet)."""
+def live_distributed_backend(addrs) -> Optional[DistributedBackend]:
+    """The distributed backend of the worker addresses ``addrs``, if a
+    query ever built it (``repro serve`` reads its counters); never
+    builds one."""
     with _BACKENDS_LOCK:
-        return _BACKENDS.get("distributed")  # type: ignore[return-value]
+        return _BACKENDS.get(("distributed", tuple(addrs)))  # type: ignore[return-value]
 
 
 def close_backends() -> None:

@@ -18,7 +18,6 @@ import contextlib
 import contextvars
 import os
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Tuple
@@ -309,19 +308,16 @@ class QueryContext:
     """Everything one query carries down the layers that do its work.
 
     ``settings`` is resolved once, when the query enters
-    (:func:`settings_scope`), at monotonic time ``resolved_at`` (so
-    ``get_backend`` can tell settings older than the fleet's last
-    re-point); ``overrides`` are the ``REPRO_*`` keys it was resolved
-    from, kept so a nested scope can fold its own keys on top.  ``token`` is the
-    query's :class:`~repro.mapreduce.cancel.CancellationToken`, and
-    ``in_task`` marks a backend task, inside which ``get_backend``
-    returns the serial backend (a task must not fan out onto a pool
-    again).
+    (:func:`settings_scope`); ``overrides`` are the ``REPRO_*`` keys it
+    was resolved from, kept so a nested scope can fold its own keys on
+    top.  ``token`` is the query's
+    :class:`~repro.mapreduce.cancel.CancellationToken`, and ``in_task``
+    marks a backend task, inside which ``get_backend`` returns the
+    serial backend (a task must not fan out onto a pool again).
     """
 
     settings: Optional[ExecutionSettings] = None
     overrides: Mapping[str, str] = field(default_factory=dict)
-    resolved_at: float = 0.0
     token: Optional[object] = None
     in_task: bool = False
 
@@ -358,9 +354,8 @@ def settings_scope(overrides: Optional[Mapping[str, str]]):
         yield outer.overrides
         return
     merged = {**outer.overrides, **(overrides or {})}
-    resolved_at = time.monotonic()
     settings = ExecutionSettings.from_env(merged)
-    with query_scope(overrides=merged, settings=settings, resolved_at=resolved_at):
+    with query_scope(overrides=merged, settings=settings):
         yield merged
 
 

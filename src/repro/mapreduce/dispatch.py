@@ -71,20 +71,20 @@ class BatchState:
         self._copies: Dict[int, int] = {}  # index -> copies on the wire
         self._hedges: Dict[int, int] = {}  # index -> hedges launched
 
-    def take(self, draining: Callable[[], bool]) -> Optional[Tuple[int, bool]]:
+    def take(self) -> Optional[Tuple[int, bool]]:
         """The next ``(index, is_hedge)`` for a free worker, or ``None``
         when its dispatcher should exit (batch failed, query cancelled,
-        worker draining, or nothing pending and nothing in flight).
+        or nothing pending and nothing in flight).
 
         An idle dispatcher must not exit while a peer still holds an index
         in flight: if that peer's worker dies its index is re-queued, and
         this survivor is the one meant to retry it.  The 50 ms poll bounds
-        how long an expired deadline or a drain goes unnoticed while idling
+        how long an expired deadline goes unnoticed while idling
         — and is where an idle survivor spots a straggler worth hedging.
         """
         with self.cond:
             while True:
-                if self.failure is not None or self._fired() or draining():
+                if self.failure is not None or self._fired():
                     return None
                 if self.pending:
                     index, is_hedge = self.pending.popleft(), False
@@ -222,17 +222,14 @@ class CircuitBreaker:
 
     def score(self, handles, batch: int) -> None:
         """Score every worker of a finished batch exactly once: ended
-        dead is a loss against its address, alive a clean batch; a drained
-        handle was closed deliberately and counts as neither."""
+        dead is a loss against its address, alive a clean batch."""
         for handle in handles:
-            if handle.draining.is_set():
-                continue
             if handle.dead.is_set():
                 self.record_loss(handle.addr, batch)
             else:
                 self.record_ok(handle.addr)
 
     def state(self) -> Dict[str, Dict[str, int]]:
-        """Snapshot of per-worker breaker state (``repro serve stats``)."""
+        """Snapshot of per-worker breaker state (the service's ``stats`` verb)."""
         with self._lock:
             return {addr: dict(state) for addr, state in self._state.items()}

@@ -46,10 +46,6 @@ class WorkerHandle:
         self.heartbeat_s = heartbeat_s
         self.connect_timeout_s = connect_timeout_s
         self.dead = threading.Event()
-        #: Set when the worker was removed from the fleet by a live
-        #: reconfiguration: dispatchers finish the in-flight task, then
-        #: stop pulling and close the handle — a drain, not a kill.
-        self.draining = threading.Event()
         self._task_sock = None
         self._heartbeat_sock = None
         self._io_lock = threading.Lock()

@@ -3,14 +3,14 @@
 A coordinator daemon (:mod:`repro.serve.coordinator`) accepts SQL
 queries from many concurrent clients over the
 :mod:`repro.mapreduce.wire` framing, runs each in an isolated session
-(:mod:`repro.serve.session`) over the shared worker fleet
-(:mod:`repro.serve.fleet`), and survives overload, worker loss,
+(:mod:`repro.serve.session`) over the worker fleet it started with
+(:mod:`repro.serve.fleet` probes it), and survives overload, worker loss,
 deadlines, and cancellation with structured errors
 (:mod:`repro.errors`) instead of hangs or tracebacks.
 """
 
 from repro.serve.coordinator import QueryService, spawn_service
-from repro.serve.fleet import FleetManager, probe_worker
+from repro.serve.fleet import probe_worker
 from repro.serve.scheduler import (
     PRIORITY_DEFAULT,
     PRIORITY_MAX,
@@ -36,7 +36,6 @@ __all__ = [
     "DONE",
     "FAILED",
     "FairScheduler",
-    "FleetManager",
     "PLANNING",
     "PRIORITY_DEFAULT",
     "PRIORITY_MAX",

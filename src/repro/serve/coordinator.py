@@ -19,13 +19,14 @@ accepting queries from many clients:
                                                (``total_rows`` /
                                                ``next_offset`` ride along).
   ``("cancel", query_id, reason)``             fire the query's token.
-  ``("fleet", None | "h:p,h:p")``              read or re-point the worker
-                                               fleet (drain/dial live).
   ``("stats",)``                               service counters.
   ==========================================  ===============================
 
 It stops on SIGTERM or ctrl-C (:meth:`~repro.mapreduce.wire.FrameServer.run`);
-no verb stops it.
+no verb stops it.  Its worker fleet is the ``REPRO_WORKERS_ADDRS`` (or
+``--workers-addrs``) it started with, and no verb changes it: a
+different fleet is a restart (``--journal … --recover`` keeps the
+queries).
 
 Robustness invariants (argued in DESIGN.md, enforced by tests):
 
@@ -61,8 +62,8 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
   into settings once when the session starts, and its cancellation
   token.
   Shared state is limited to immutable relations, the planning cache
-  (serialized by ``_planning_lock``), and the worker fleet — whose
-  dispatcher already folds results per batch.
+  (serialized by ``_planning_lock``), and the worker fleet fixed at
+  start-up — whose dispatcher already folds results per batch.
 * **Deadlines/cancellation are cooperative and terminal** — the token
   fires once; every layer observes it at a work-item boundary; in-flight
   remote tasks of a dead query are abandoned, not retried; the session
@@ -90,8 +91,8 @@ Robustness invariants (argued in DESIGN.md, enforced by tests):
 
 from __future__ import annotations
 
+import os
 import threading
-import time
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
@@ -109,14 +110,15 @@ from repro.mapreduce.backend import live_distributed_backend
 from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.config import (
     EXEC_BACKEND_ENV,
+    WORKERS_ADDRS_ENV,
     ClusterConfig,
     ExecutionSettings,
+    parse_workers_addrs,
     query_scope,
 )
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.relational.sql import parse_join_query
 from repro.serve.durability import SessionLedger, validate_spec
-from repro.serve.fleet import FleetManager
 from repro.serve.scheduler import FairScheduler
 from repro.serve.session import (
     ADMITTED,
@@ -169,7 +171,8 @@ class QueryService(wire.FrameServer):
         self.max_queue = max_queue
         self.default_deadline_s = default_deadline_s
         self._config = config or ClusterConfig()
-        self.fleet = FleetManager()
+        #: The worker daemons every session dispatches to, fixed here.
+        self.workers_addrs = parse_workers_addrs(os.environ.get(WORKERS_ADDRS_ENV, ""))
         self._sched = FairScheduler(
             max_queue=max_queue,
             max_concurrent=max_concurrent,
@@ -346,9 +349,12 @@ class QueryService(wire.FrameServer):
             )
 
         try:
-            # The session's knobs, resolved once, and its token.
-            overrides = dict(session.knobs)
-            resolved_at = time.monotonic()
+            # The session's knobs over the service's fleet, resolved
+            # once, and its token.
+            overrides = {
+                **session.knobs,
+                WORKERS_ADDRS_ENV: ",".join(self.workers_addrs),
+            }
             settings = ExecutionSettings.from_env(overrides)
             if settings.backend == "process":
                 # The fork-pool backend re-forks per batch and tears pools
@@ -359,7 +365,6 @@ class QueryService(wire.FrameServer):
             with query_scope(
                 overrides=overrides,
                 settings=settings,
-                resolved_at=resolved_at,
                 token=session.token,
             ):
                 self._enter(session, PLANNING)
@@ -508,7 +513,7 @@ class QueryService(wire.FrameServer):
             evicted = self.ledger.evicted
         with self._stats_lock:
             counters = dict(self.stats)
-        backend = live_distributed_backend()
+        backend = live_distributed_backend(self.workers_addrs)
         shipped = dict(backend.counters) if backend is not None else {}
         data_plane = {
             name: shipped.get(name, 0)
@@ -542,7 +547,7 @@ class QueryService(wire.FrameServer):
                 "sessions_evicted": evicted,
                 "scheduler": scheduler,
                 "clients": scheduler["clients"],
-                "fleet": list(self.fleet.addrs),
+                "fleet": list(self.workers_addrs),
                 "tasks_in_flight": in_flight,
                 "data_plane": data_plane,
                 "resilience": resilience,
@@ -588,13 +593,6 @@ class QueryService(wire.FrameServer):
             if kind == "cancel":
                 reason = message[2] if len(message) > 2 else "client cancel"
                 return ("cancelled", self.cancel(message[1], str(reason)))
-            if kind == "fleet":
-                raw = message[1] if len(message) > 1 else None
-                if raw is None:
-                    return ("fleet", {"addrs": list(self.fleet.addrs)})
-                delta = self.fleet.set_addrs(str(raw))
-                delta["addrs"] = list(self.fleet.addrs)
-                return ("fleet", delta)
             if kind == "stats":
                 return ("stats", self.service_stats())
             return self.error_reply(f"unknown message kind {kind!r}")
@@ -636,8 +634,8 @@ def serve(
                 else ""
             )
         )
-    if service.fleet.addrs:
-        notes.append(f"repro-serve fleet: {','.join(service.fleet.addrs)}")
+    if service.workers_addrs:
+        notes.append(f"repro-serve fleet: {','.join(service.workers_addrs)}")
     return service.run(notes)
 
 

@@ -1,31 +1,16 @@
-"""Elastic worker fleet management under a live coordinator.
+"""Worker fleet health probes.
 
-Two jobs live here:
-
-* :func:`probe_worker` — one health probe: TCP connect, hello
-  handshake, ping round-trip.  This is what ``repro worker list`` /
-  ``repro worker status`` print, and what the service's ``fleet``
-  endpoint reports.
-* :class:`FleetManager` — the single writer of the process's worker
-  address set.  ``set_addrs`` re-points ``REPRO_WORKERS_ADDRS`` (the
-  source of truth every session resolves when it starts) *and*
-  reconfigures the live :class:`~repro.mapreduce.backend.DistributedBackend`
-  in place: removed workers drain (their in-flight task finishes, then
-  the handle closes), added workers become dial-eligible with fresh
-  backoff.  Running queries keep their results bit-identical — a
-  drained worker's completed work is already folded, and anything it
-  would have pulled goes to the survivors.
+:func:`probe_worker` — one health probe: TCP connect, hello handshake,
+ping round-trip.  This is what ``repro worker list`` / ``repro worker
+status`` print.  The fleet itself is fixed when a process starts
+(``--workers-addrs`` / ``REPRO_WORKERS_ADDRS``); nothing here changes it.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Dict, List, Optional, Tuple
 
 from repro.mapreduce import wire
-from repro.mapreduce.backend import live_distributed_backend
-from repro.mapreduce.config import WORKERS_ADDRS_ENV, parse_workers_addrs
 
 
 def probe_worker(addr: str, timeout_s: float = 1.0) -> dict:
@@ -71,39 +56,3 @@ def probe_worker(addr: str, timeout_s: float = 1.0) -> dict:
         return report
     finally:
         wire.close_socket(sock)
-
-
-class FleetManager:
-    """Owns the live worker address set for a ``repro serve`` process."""
-
-    def __init__(self, addrs: Optional[Tuple[str, ...]] = None) -> None:
-        if addrs is None:
-            addrs = parse_workers_addrs(os.environ.get(WORKERS_ADDRS_ENV, ""))
-        self._addrs: Tuple[str, ...] = tuple(addrs)
-        if self._addrs:
-            os.environ[WORKERS_ADDRS_ENV] = ",".join(self._addrs)
-
-    @property
-    def addrs(self) -> Tuple[str, ...]:
-        return self._addrs
-
-    def set_addrs(self, raw: str) -> Dict[str, List[str]]:
-        """Re-point the fleet at ``raw`` (``host:port,host:port``).
-
-        Updates the environment, which every session resolves when it
-        starts (per-session knobs may not override the fleet), and
-        reconfigures the live distributed backend at once; a running
-        session converges because ``get_backend`` never re-points it
-        from settings older than its last re-point.  Returns the
-        added/removed/kept address sets.
-        """
-        addrs = parse_workers_addrs(raw)
-        self._addrs = addrs
-        if addrs:
-            os.environ[WORKERS_ADDRS_ENV] = ",".join(addrs)
-        else:
-            os.environ.pop(WORKERS_ADDRS_ENV, None)
-        backend = live_distributed_backend()
-        if backend is None:
-            return {"added": [], "removed": [], "kept": list(addrs)}
-        return backend.reconfigure(addrs)

@@ -24,7 +24,7 @@ healthy only when one tenant's load cannot consume another's share):
   within one level of the best, the scheduler prefers the client with
   the fewest running sessions, then the fewest dequeues so far, then
   global arrival order.  Equal-priority bursts from several clients
-  therefore interleave round-robin instead of draining one client's
+  therefore interleave round-robin instead of serving one client's
   burst first.
 
 The scheduler is deliberately **not** self-locking: the coordinator

@@ -205,19 +205,15 @@ def assert_backend_matches_serial(backend: str, query_id: str,
         )
 
 
-def assert_distributed_really_dispatched(workers_addrs=None):
-    """Guard against a vacuously-green distributed leg: the process's
-    distributed backend must exist and may not have degraded to serial
-    (no reachable workers / unshippable closure).
-
-    Pass ``workers_addrs`` to also require that it is still pointed at
-    the pool the test module spawned itself."""
+def assert_distributed_really_dispatched(workers_addrs):
+    """Guard against a vacuously-green distributed leg: the distributed
+    backend of ``workers_addrs`` (the pool the test module spawned) must
+    exist and may not have degraded to serial (no reachable workers /
+    unshippable closure)."""
     from repro.mapreduce.backend import live_distributed_backend
 
-    backend = live_distributed_backend()
+    backend = live_distributed_backend(workers_addrs)
     assert backend is not None, "no distributed backend was ever created"
-    if workers_addrs is not None:
-        assert set(backend.addrs) == set(workers_addrs)
     assert not backend._noted_degraded, (
         "distributed backend degraded to serial during the run"
     )

@@ -179,10 +179,11 @@ class TestDistributedSettings:
         monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_S", "0")
         assert execution_settings().worker_heartbeat_s == 0.05
 
-    def test_changed_addrs_reconfigure_the_live_backend(self, monkeypatch):
-        """A fleet change re-points the ONE live coordinator (drain +
-        dial) instead of building a cold twin — the elasticity contract
-        ``repro serve`` relies on."""
+    def test_each_address_set_keys_its_own_backend(self, monkeypatch):
+        """The fleet is part of the backend's identity: the same
+        addresses return the same coordinator, different ones a new
+        coordinator, and the first keeps its own fleet — no query can
+        move the workers another query dispatches to."""
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "distributed")
         monkeypatch.setenv("REPRO_WORKERS_ADDRS", "127.0.0.1:7601")
         first = get_backend()
@@ -190,24 +191,11 @@ class TestDistributedSettings:
         assert get_backend() is first
         monkeypatch.setenv("REPRO_WORKERS_ADDRS", "127.0.0.1:7602")
         second = get_backend()
-        assert second is first  # same coordinator, re-pointed in place
+        assert second is not first
         assert second.addrs == ("127.0.0.1:7602",)
-
-    def test_a_running_query_never_points_the_fleet_back(self, monkeypatch):
-        """``FleetManager.set_addrs`` under a running query: the query's
-        settings date from its entry and still name the old fleet, but
-        its next ``get_backend()`` must leave the new one in place."""
-        from repro.serve.fleet import FleetManager
-
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "distributed")
-        monkeypatch.setenv("REPRO_WORKERS_ADDRS", "127.0.0.1:7601")
-        fleet = FleetManager()
-        with settings_scope({"REPRO_TASK_RETRIES": "1"}):
-            backend = get_backend()
-            fleet.set_addrs("127.0.0.1:7602")
-            assert get_backend() is backend
-            assert backend.addrs == ("127.0.0.1:7602",)
-        assert get_backend().addrs == ("127.0.0.1:7602",)
+        assert first.addrs == ("127.0.0.1:7601",)
+        assert backend_mod.live_distributed_backend(["127.0.0.1:7601"]) is first
+        assert backend_mod.live_distributed_backend(["127.0.0.1:7603"]) is None
 
     def test_no_knob_keys_a_second_distributed_instance(self, monkeypatch):
         """Five scopes, five retry budgets and heartbeats: still the one
@@ -224,8 +212,8 @@ class TestDistributedSettings:
                 }
             ):
                 assert get_backend() is first
-        assert list(backend_mod._BACKENDS) == ["distributed"]
-        assert backend_mod.live_distributed_backend() is first
+        assert list(backend_mod._BACKENDS) == [("distributed", ("127.0.0.1:7601",))]
+        assert backend_mod.live_distributed_backend(("127.0.0.1:7601",)) is first
         assert first.heartbeat_s == 2.0
         close_backends()
         monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_S", "0.31")

@@ -14,67 +14,58 @@ from repro.mapreduce import dispatch as dispatch_mod
 from repro.mapreduce.dispatch import BatchState
 
 
-def never():
-    return False
-
-
 def take_all(state):
     taken = []
     while state.pending:
-        taken.append(state.take(never))
+        taken.append(state.take())
     return taken
 
 
 class TestRequeueOrAbandon:
     def test_lost_worker_requeues_within_the_retry_budget(self):
         state = BatchState(count=2, task_retries=2, hedging=False)
-        assert state.take(never) == (0, False)
+        assert state.take() == (0, False)
         state.lost(0)  # attempt 1 of 1 + 2 retries
         assert list(state.pending) == [1, 0]
-        assert state.take(never) == (1, False)
+        assert state.take() == (1, False)
         state.done(1, "one")
         for attempt in (2, 3):
-            assert state.take(never) == (0, False)
+            assert state.take() == (0, False)
             assert state.attempts[0] == attempt
             state.lost(0)
         # Third loss: the budget (1 try + 2 retries) is spent — the index
         # is left for the caller's local fallback, not queued again.
         assert not state.pending
         assert state.in_flight == 0
-        assert state.take(never) is None
+        assert state.take() is None
         assert state.missing() == [0]
 
     def test_fired_token_abandons_instead_of_requeueing(self):
         fired = []
         state = BatchState(3, task_retries=5, hedging=False, fired=lambda: bool(fired))
-        assert state.take(never) == (0, False)
+        assert state.take() == (0, False)
         fired.append("deadline")
         state.lost(0)
         assert 0 not in state.pending  # abandoned: nobody will read it
-        assert state.take(never) is None  # and nothing new is pulled
+        assert state.take() is None  # and nothing new is pulled
         assert state.missing() == [0, 1, 2]
-
-    def test_draining_worker_pulls_nothing_more(self):
-        state = BatchState(2, task_retries=0, hedging=False)
-        assert state.take(lambda: True) is None
-        assert list(state.pending) == [0, 1]
 
     def test_task_error_ends_the_batch(self):
         state = BatchState(3, task_retries=2, hedging=False)
-        index, _ = state.take(never)
+        index, _ = state.take()
         boom = ValueError("boom")
         state.failed(index, boom)
         assert state.failure is boom
         assert state.in_flight == 0
-        assert state.take(never) is None  # peers stop pulling too
+        assert state.take() is None  # peers stop pulling too
 
 
 class TestExactlyOnceFold:
     def test_first_completion_wins_and_a_late_duplicate_is_dropped(self):
         state = BatchState(1, task_retries=1, hedging=False)
-        index, _ = state.take(never)
+        index, _ = state.take()
         state.lost(index)  # presumed dead ...
-        assert state.take(never) == (0, False)  # ... retried elsewhere
+        assert state.take() == (0, False)  # ... retried elsewhere
         assert state.done(0, "retry") is True
         assert state.done(0, "zombie") is False  # the first worker resurfaces
         assert state.results == {0: "retry"}
@@ -98,7 +89,7 @@ class TestHedging:
 
     def test_idle_worker_hedges_the_straggler_and_the_loser_is_dropped(self):
         state = self.straggling()
-        assert state.take(never) == (1, True)
+        assert state.take() == (1, True)
         assert state.attempts[1] == 1  # a hedge is not a retry
         assert state.done(1, "hedge") is True
         assert state.done(1, "primary") is False
@@ -107,7 +98,7 @@ class TestHedging:
 
     def test_lost_primary_with_a_live_hedge_is_not_requeued(self):
         state = self.straggling()
-        assert state.take(never) == (1, True)
+        assert state.take() == (1, True)
         state.lost(1)  # the primary's worker dies; the hedge IS the retry
         assert not state.pending
         state.done(1, "hedge")
@@ -115,15 +106,15 @@ class TestHedging:
 
     def test_worker_lost_after_the_fold_requeues_nothing(self):
         state = self.straggling()
-        assert state.take(never) == (1, True)
+        assert state.take() == (1, True)
         state.done(1, "hedge")
         state.lost(1)  # the primary's worker dies with the index folded
         assert not state.pending
         assert state.in_flight == 0
-        assert state.take(never) is None
+        assert state.take() is None
 
     def test_hedge_budget_is_one_copy_per_index(self):
         state = self.straggling()
-        assert state.take(never) == (1, True)
+        assert state.take() == (1, True)
         state.done(1, "hedge")  # in_flight 1: the primary is still out
         assert state._pick_hedge() is None

@@ -55,11 +55,11 @@ def flaky_takes_first(monkeypatch, flaky_addr):
     take = BatchState.take
     flaky_thread = f"repro-dispatch-{flaky_addr}"
 
-    def flaky_first(state, draining):
+    def flaky_first(state):
         mine = threading.current_thread().name == flaky_thread
         if not mine:
             took.wait(timeout=30.0)
-        got = take(state, draining)
+        got = take(state)
         if mine and got is not None:
             took.set()
         return got

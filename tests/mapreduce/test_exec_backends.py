@@ -124,12 +124,8 @@ def test_warm_rerun_ships_10x_fewer_payload_bytes(tmp_path):
                     REPRO_CACHE_DIR=str(cache_dir),
                 )
 
-            # The process has one distributed backend: clear whatever the
-            # grid above shipped through it before the measured cold run.
-            if live_distributed_backend() is not None:
-                live_distributed_backend().reset_counters()
             assert run_once() == expected
-            backend = live_distributed_backend()
+            backend = live_distributed_backend(addrs)
             cold = backend.counters["bytes_shipped"]
             assert backend.counters["blob_puts"] > 0
             backend.reset_counters()

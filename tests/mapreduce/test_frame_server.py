@@ -151,23 +151,36 @@ def service_answers_a_query(addr: str) -> None:
     assert [tuple(row) for row in rows] == serial_reference_rows(SQL)
 
 
+def service_fleet(addr: str) -> list:
+    with repro.connect(addr, timeout_s=30.0) as client:
+        return client.stats()["fleet"]
+
+
 @pytest.mark.parametrize(
-    "spawn, answers",
-    [(spawn_daemon, worker_answers_a_task), (spawn_service, service_answers_a_query)],
+    "spawn, answers, fleet",
+    [
+        (spawn_daemon, worker_answers_a_task, lambda addr: None),
+        (spawn_service, service_answers_a_query, service_fleet),
+    ],
     ids=["worker", "serve"],
 )
-def test_no_frame_stops_a_daemon_or_arms_a_fault(spawn, answers):
-    """A peer can neither stop a production daemon nor make it kill
-    itself: ``shutdown`` and ``fault`` are unknown verbs, answered with
-    an error, and the daemon then serves its next query correctly."""
+def test_no_frame_stops_a_daemon_or_arms_a_fault(spawn, answers, fleet):
+    """A peer can neither stop a production daemon, make it kill itself,
+    nor point it at other workers: ``shutdown``, ``fault`` and ``fleet``
+    are unknown verbs, answered with an error, the service keeps the
+    fleet it started with, and the daemon then serves its next query
+    correctly."""
     proc, addr = spawn()
     try:
-        for frame in (("shutdown",), ("fault", "kill", 1, 0)):
+        started_with = fleet(addr)
+        # Port 9 (discard): an address no worker daemon listens on.
+        for frame in (("shutdown",), ("fault", "kill", 1, 0), ("fleet", "127.0.0.1:9")):
             sock, _info = wire.dial(addr, timeout=5.0)
             try:
                 assert ask(sock, frame)[0] == "error"
             finally:
                 sock.close()
+        assert fleet(addr) == started_with
         answers(addr)
         assert proc.poll() is None
     finally:

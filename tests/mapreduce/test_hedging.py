@@ -60,7 +60,6 @@ class FakeHandle:
         self.delays = delays or {}
         self.lose_at = set(lose_at)
         self.dead = threading.Event()
-        self.draining = threading.Event()
         self.ran = []
 
     def register(self, token, slim, blobs=None, account=None):

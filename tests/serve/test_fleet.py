@@ -1,10 +1,9 @@
-"""Fleet health probes and live reconfiguration.
+"""Fleet health probes and the service's one fleet.
 
-Covers the elastic-fleet half of the serve tentpole: ``probe_worker``
-(the primitive behind ``repro worker list`` / ``repro worker status``),
-:class:`FleetManager` re-pointing both the environment *and* any live
-:class:`DistributedBackend` instance, and the CLI exit codes operators
-script against.
+Covers ``probe_worker`` (the primitive behind ``repro worker list`` /
+``repro worker status``), the one :class:`DistributedBackend` every
+session of a service shares, and the CLI exit codes operators script
+against.
 """
 
 import socket
@@ -14,11 +13,11 @@ import pytest
 import repro
 from repro.cli import main
 from repro.mapreduce import backend as backend_mod
-from repro.mapreduce.backend import close_backends, get_backend
+from repro.mapreduce.backend import close_backends
 from repro.mapreduce.config import WORKERS_ADDRS_ENV
 from repro.mapreduce.worker import WorkerServer
 from repro.serve.coordinator import QueryService
-from repro.serve.fleet import FleetManager, probe_worker
+from repro.serve.fleet import probe_worker
 
 
 @pytest.fixture(autouse=True)
@@ -63,44 +62,6 @@ class TestProbeWorker:
         report = probe_worker("not-an-addr", timeout_s=0.5)
         assert report["alive"] is False
         assert report["error"]
-
-
-class TestFleetManager:
-    def test_set_addrs_repoints_env(self, monkeypatch, worker):
-        monkeypatch.delenv(WORKERS_ADDRS_ENV, raising=False)
-        fleet = FleetManager()
-        assert fleet.addrs == ()
-        fleet.set_addrs(worker.address)
-        assert fleet.addrs == (worker.address,)
-        import os
-
-        assert os.environ[WORKERS_ADDRS_ENV] == worker.address
-        fleet.set_addrs("")
-        assert fleet.addrs == ()
-        assert WORKERS_ADDRS_ENV not in os.environ
-
-    def test_set_addrs_reconfigures_live_backend(self, monkeypatch):
-        first = WorkerServer().start()
-        second = WorkerServer().start()
-        try:
-            monkeypatch.setenv("REPRO_EXEC_BACKEND", "distributed")
-            monkeypatch.setenv(WORKERS_ADDRS_ENV, first.address)
-            backend = get_backend()
-            assert backend.addrs == (first.address,)
-            fleet = FleetManager()
-            delta = fleet.set_addrs(f"{first.address},{second.address}")
-            assert delta["added"] == [second.address]
-            assert backend.addrs == (first.address, second.address)
-            # Drain the first worker out again: the same live instance
-            # keeps serving from the survivor.
-            delta = fleet.set_addrs(second.address)
-            assert delta["removed"] == [first.address]
-            assert backend.addrs == (second.address,)
-            assert backend.run_tasks(lambda i: i + 1, 5) == [1, 2, 3, 4, 5]
-        finally:
-            first.stop()
-            second.stop()
-
 
 
 class TestOneBackendPerService:

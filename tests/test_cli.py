@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_query, cluster_config, main, make_parser
@@ -178,9 +180,21 @@ class TestQueryCommand:
                      "--set", "REPRO_CACHE_DIR=/tmp"]) == 1
         assert "query failed [admission-rejected]" in capsys.readouterr().err
 
-    def test_malformed_set_is_a_usage_error(self):
-        with pytest.raises(SystemExit, match="NAME=VALUE"):
-            main(["query", self.SQL, "--set", "REPRO_TASK_RETRIES"])
+    def test_malformed_set_is_a_usage_error(self, capsys):
+        assert main(["query", self.SQL, "--set", "REPRO_TASK_RETRIES"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --set expects NAME=VALUE")
+        assert err.count("\n") == 1
+
+    def test_unreachable_service_is_one_error_line(self, capsys):
+        # Bound but not listening: a dial is refused at once.
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            addr = "127.0.0.1:%d" % closed.getsockname()[1]
+            assert main(["query", self.SQL, "--addr", addr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: cannot reach the service at {addr}")
+        assert err.count("\n") == 1
 
 
 class TestExecutionFlags:
@@ -396,18 +410,49 @@ class TestWorkerServeParser:
 
 
 class TestServeStartup:
-    @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
-    def test_bad_default_deadline_is_refused(self, value, monkeypatch, capsys):
-        """An unusable ``--default-deadline-s`` stops ``repro serve``
-        before it starts, as the operator's error: otherwise every submit
-        without a deadline of its own is rejected as the client's."""
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--default-deadline-s", "-5"),
+            ("--default-deadline-s", "nan"),
+            ("--default-deadline-s", "inf"),
+            ("--max-concurrent", "0"),
+            ("--max-queue", "-1"),
+            ("--port", "70000"),
+            ("--client-max-running", "-2"),
+            ("--client-max-queued", "-1"),
+            ("--aging-s", "nan"),
+            ("--aging-s", "-5"),
+        ],
+    )
+    def test_bad_numeric_flag_is_refused(self, flag, value, monkeypatch, capsys):
+        """An unusable number stops ``repro serve`` before it starts, as
+        the operator's error — not a traceback, and not a silent clamp
+        (a negative quota would read as "no quota", a nan aging as off,
+        and a bad ``--default-deadline-s`` would reject every submit
+        without a deadline of its own as the client's error)."""
         started = []
         monkeypatch.setattr(
             "repro.serve.coordinator.serve", lambda *a, **k: started.append(k) or 0
         )
-        assert main(["serve", "--port", "0", "--default-deadline-s", value]) == 2
+        assert main(["serve", "--port", "0", flag, value]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("repro: error: --default-deadline-s")
+        assert err.startswith(f"repro: error: {flag} ")
+        assert err.count("\n") == 1
+        assert not started
+
+    def test_recover_without_journal_is_refused(self, capsys):
+        assert main(["serve", "--port", "0", "--recover"]) == 2
+        assert capsys.readouterr().err.startswith("repro: error: --recover ")
+
+    def test_worker_bad_port_is_refused(self, monkeypatch, capsys):
+        started = []
+        monkeypatch.setattr(
+            "repro.mapreduce.worker.serve", lambda *a, **k: started.append(a) or 0
+        )
+        assert main(["worker", "serve", "--port", "70000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --port ")
         assert err.count("\n") == 1
         assert not started
 

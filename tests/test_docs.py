@@ -136,6 +136,38 @@ class TestReadmeReferences:
         ]
         assert len(stores) <= 1
 
+    #: The modules whose ``kind == "..."`` branches are every verb a peer
+    #: can send a daemon (the Makefile's ``VERB_FILES``).
+    VERB_FILES = (
+        "src/repro/mapreduce/wire.py",
+        "src/repro/mapreduce/worker.py",
+        "src/repro/serve/coordinator.py",
+    )
+
+    def test_peer_verb_budget(self):
+        """Every verb a peer can send a daemon is a way into it, so the
+        count is a budget that only goes down (``make loc`` prints it)."""
+        verbs = {
+            verb
+            for name in self.VERB_FILES
+            for verb in re.findall(r'kind == "([a-z-]+)"', read(name))
+        }
+        assert len(verbs) <= 12
+
+    def test_coordinator_verb_table_matches_its_handler(self):
+        """The coordinator's docstring table names exactly the verbs
+        ``QueryService.handle`` answers, plus the ``hello`` handshake the
+        shared frame server answers."""
+        import inspect
+
+        from repro.serve import coordinator
+
+        table = set(re.findall(r'^  ``\("([a-z-]+)"', coordinator.__doc__, re.MULTILINE))
+        handled = set(
+            re.findall(r'kind == "([a-z-]+)"', inspect.getsource(coordinator.QueryService.handle))
+        )
+        assert table == handled | {"hello"}
+
 
 class TestExperimentsReferences:
     def test_result_files_come_from_real_benchmarks(self):
