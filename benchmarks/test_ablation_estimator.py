@@ -1,22 +1,19 @@
-"""Ablation: selectivity-estimator quality (midpoint vs closed form vs sample).
+"""Ablation: selectivity-estimator quality (midpoint histogram vs join-sample).
 
 The planner's cost estimates (w(e'), Equation 10's kR, the group cost)
 all start from per-condition selectivities.  This ablation measures the
-absolute estimation error of the three estimators the library ships
+absolute estimation error of the two estimators the library ships
 against the *true* pair-wise selectivity computed by the nested-loop
 oracle:
 
-* ``midpoint`` — the stock histogram estimator (bucket-midpoint
-  integration, the paper's sampling-statistics approach);
-* ``closed``  — exact bucket-pair integration
-  (:class:`repro.relational.histogram.ClosedFormSelectivityEstimator`);
+* ``midpoint`` — the histogram estimator (bucket-midpoint integration
+  over the per-column upload-time statistics);
 * ``sampled`` — the join-sample estimator used for joint cardinalities.
 
 Two findings this table documents (and asserts):
 
-* the closed form matches midpoint integration on single range
-  predicates (both are near-exact there) — its value is robustness, not
-  headline accuracy;
+* on single predicates both estimators land within a few points of the
+  truth;
 * per-column estimators break on *correlated* predicate conjunctions
   (the ``window`` scenario: both predicate marginals multiplied under
   independence give ~0.32 against a true 0.14), which is exactly why the
@@ -26,7 +23,6 @@ Two findings this table documents (and asserts):
 from _harness import Table, once
 
 from repro.joins.reference import reference_join
-from repro.relational.histogram import ClosedFormSelectivityEstimator
 from repro.relational.predicates import JoinCondition
 from repro.relational.query import JoinQuery
 from repro.relational.sampling import SampledJoinEstimator
@@ -70,18 +66,13 @@ def estimate(kind: str, query: JoinQuery, catalog: StatisticsCatalog) -> float:
     names = {alias: rel.name for alias, rel in query.relations.items()}
     if kind == "midpoint":
         return SelectivityEstimator(catalog).condition_selectivity(condition, names)
-    if kind == "closed":
-        return ClosedFormSelectivityEstimator(catalog).condition_selectivity(
-            condition, names
-        )
     return SampledJoinEstimator(query, catalog).selectivity([condition])
 
 
 def run():
     table = Table(
         "Ablation — per-condition selectivity estimation error",
-        ["scenario", "true_sel", "midpoint", "closed", "sampled",
-         "err_mid", "err_closed", "err_sampled"],
+        ["scenario", "true_sel", "midpoint", "sampled", "err_mid", "err_sampled"],
     )
     per_scenario = {}
     for name, query in scenarios():
@@ -91,12 +82,12 @@ def run():
         truth = len(reference_join(query)) / (ROWS * ROWS)
         row = [name, f"{truth:.3g}"]
         errs = {}
-        for kind in ("midpoint", "closed", "sampled"):
+        for kind in ("midpoint", "sampled"):
             est = estimate(kind, query, catalog)
             errs[kind] = abs(est - truth)
             row.append(f"{est:.3g}")
         per_scenario[name] = errs
-        row.extend(f"{errs[k]:.3g}" for k in ("midpoint", "closed", "sampled"))
+        row.extend(f"{errs[k]:.3g}" for k in ("midpoint", "sampled"))
         table.add(*row)
     table.emit("ablation_estimator.txt")
     return per_scenario
@@ -109,12 +100,9 @@ def test_estimator_ablation(benchmark):
         errs = per_scenario[name]
         # Single predicates: every estimator lands within 5 points.
         assert max(errs.values()) < 0.05, (name, errs)
-        # Closed form matches midpoint integration (no discretisation gap
-        # large enough to matter on smooth data).
-        assert abs(errs["closed"] - errs["midpoint"]) < 0.01
-    # Correlated conjunction: independence-based estimators miss badly,
-    # the join-sample estimator does not — the planner's design choice.
+    # Correlated conjunction: the independence-based estimator misses
+    # badly, the join-sample estimator does not — the planner's design
+    # choice.
     window = per_scenario["window"]
     assert window["midpoint"] > 3 * window["sampled"] + 0.02
-    assert window["closed"] > 3 * window["sampled"] + 0.02
     assert window["sampled"] < 0.05

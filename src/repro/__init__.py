@@ -38,8 +38,6 @@ from repro.mapreduce import (
     SimulatedCluster,
 )
 from repro.relational import (
-    ClosedFormSelectivityEstimator,
-    Histogram,
     JoinCondition,
     JoinPredicate,
     JoinQuery,
@@ -53,11 +51,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Client",
-    "ClosedFormSelectivityEstimator",
     "ClusterConfig",
     "ExecutionOutcome",
     "ExecutionPlan",
-    "Histogram",
     "HivePlanner",
     "HypercubePartitioner",
     "JoinCondition",

@@ -60,7 +60,7 @@ def written_alias_order(query: JoinQuery, key_continuity: bool = False) -> List[
             (ref.alias, ref.attr)
             for c in conditions
             for p in c.predicates
-            if p.op.is_equality and p.left.offset == 0 and p.right.offset == 0
+            if p.is_key
             for ref in (p.left, p.right)
         }
 
@@ -89,11 +89,7 @@ def written_alias_order(query: JoinQuery, key_continuity: bool = False) -> List[
                 # Continuity only helps when the step is *pure* equality:
                 # pulling a theta-residual step forward widens every later
                 # intermediate, which costs more than the merge saves.
-                pure = all(
-                    p.op.is_equality and p.left.offset == 0 and p.right.offset == 0
-                    for c in crossing
-                    for p in c.predicates
-                )
+                pure = all(c.is_pure_equi for c in crossing)
                 if key_continuity and pure and continuity_pick is None:
                     shared = {
                         (r, attr)
@@ -117,15 +113,7 @@ def written_alias_order(query: JoinQuery, key_continuity: bool = False) -> List[
 
 def has_usable_equi_key(conditions: Sequence[JoinCondition]) -> bool:
     """True when some condition carries a zero-offset equality predicate."""
-    for condition in conditions:
-        for predicate in condition.predicates:
-            if (
-                predicate.op.is_equality
-                and predicate.left.offset == 0
-                and predicate.right.offset == 0
-            ):
-                return True
-    return False
+    return any(p.is_key for c in conditions for p in c.predicates)
 
 
 class CascadePlanner:

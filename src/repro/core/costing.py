@@ -12,23 +12,20 @@ the planner and executor can materialise exactly the job that was priced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.cost_model import JobProfile, MRJCostModel
 from repro.core.join_graph import JoinGraph
 from repro.core.join_path_graph import CandidateCost
 from repro.core.job_profiles import equi_profile, equichain_profile, hypercube_profile
 from repro.core.partitioner import HypercubePartitioner, get_partitioner
-from repro.core.reducer_selection import (
-    LAMBDA_DEFAULT,
-    candidate_reducer_counts,
-    choose_reducer_count,
-)
+from repro.core.reducer_selection import candidate_reducer_counts, choose_reducer_count
 from repro.core.plan import STRATEGY_EQUI, STRATEGY_EQUICHAIN, STRATEGY_HYPERCUBE
 from repro.errors import PlanningError
+from repro.relational.predicates import AttrRef
 from repro.relational.query import JoinQuery
 from repro.relational.sampling import SampledJoinEstimator
-from repro.relational.statistics import SelectivityEstimator, StatisticsCatalog
+from repro.relational.statistics import ColumnStats, StatisticsCatalog
 from repro.relational.stats_cache import PlanningCache
 
 
@@ -63,7 +60,6 @@ class CandidateJobCosting:
         catalog: StatisticsCatalog,
         cost_model: MRJCostModel,
         total_units: int,
-        lam: float = LAMBDA_DEFAULT,
         planning_cache: Optional[PlanningCache] = None,
     ) -> None:
         if total_units < 1:
@@ -73,16 +69,10 @@ class CandidateJobCosting:
         self.catalog = catalog
         self.cost_model = cost_model
         self.total_units = total_units
-        self.lam = lam
-        #: Histogram-based per-predicate estimator.
-        self.estimator = SelectivityEstimator(catalog)
         #: Joint (correlation-aware) cardinalities from sample joins — the
         #: paper's upload-time sampling statistics, shared across planners
         #: through the process-wide :class:`PlanningCache` by default.
         self.joint = SampledJoinEstimator(query, catalog, cache=planning_cache)
-        self.relation_names = {
-            alias: relation.name for alias, relation in query.relations.items()
-        }
         self._blueprints: Dict[FrozenSet[int], JobBlueprint] = {}
 
     # -- evaluator protocol ------------------------------------------------
@@ -193,7 +183,7 @@ class CandidateJobCosting:
         ]
         conditions = [self.query.condition(cid) for cid in path]
 
-        choice = choose_reducer_count(cards, self.total_units, self.lam)
+        choice = choose_reducer_count(cards, self.total_units)
         # Shared LRU instance: the sweep above already built this exact
         # partitioner, so the summary is precomputed.
         partitioner = get_partitioner(
@@ -239,42 +229,18 @@ class CandidateJobCosting:
         left = (left_rel.cardinality, 16 + left_rel.schema.row_width)
         right = (right_rel.cardinality, 16 + right_rel.schema.row_width)
 
-        # For a composite key the hottest group's share multiplies across
-        # the key components (the hot (bsc, d) pair is the hot bsc value
-        # on the hot day), so equality predicates contribute factors.
-        key_distinct = 1.0
-        hot_input = 1.0
-        hot_output = 1.0
-        has_key = False
-        for predicate in condition.predicates:
-            if not (
-                predicate.op.is_equality
-                and predicate.left.offset == 0
-                and predicate.right.offset == 0
-            ):
-                continue
-            has_key = True
-            oriented = predicate.oriented(left_alias)
-            l_stats = self.catalog.get(left_rel.name).column(oriented.left.attr)
-            r_stats = self.catalog.get(right_rel.name).column(oriented.right.attr)
-            key_distinct *= max(1.0, min(l_stats.distinct, r_stats.distinct))
-            hot_input *= max(l_stats.max_frequency, r_stats.max_frequency)
-            hot_output *= l_stats.max_frequency * r_stats.max_frequency
-        if not has_key:
-            hot_input = 0.0
-            hot_output = 0.0
-
+        # A pure-equality condition: every predicate is a key component.
+        key_distinct, hot_input, hot_output = self._key_statistics(
+            condition.predicates
+        )
         sel = self.joint.selectivity([condition])
         output_rows = left[0] * right[0] * sel
         output_width = left[1] + right[1]
         # Share of output pairs concentrated on the hottest key.
         hot_output_fraction = min(1.0, hot_output / max(sel, 1e-12))
 
-        best_profile: Optional[JobProfile] = None
-        best_time = float("inf")
-        best_k = 1
-        for k in candidate_reducer_counts(self.total_units):
-            profile = equi_profile(
+        est, num_reducers, profile = self._cheapest_reducer_count(
+            lambda k: equi_profile(
                 name=f"eq-{sorted(path)}",
                 left=left,
                 right=right,
@@ -285,21 +251,16 @@ class CandidateJobCosting:
                 hot_input_fraction=hot_input,
                 hot_output_fraction=hot_output_fraction,
             )
-            t = self.cost_model.estimate_seconds(
-                profile, map_units=self.total_units, reduce_units=self.total_units
-            )
-            if t < best_time:
-                best_time, best_profile, best_k = t, profile, k
-        assert best_profile is not None
+        )
         return JobBlueprint(
             labels=frozenset(path),
             path=path,
             dim_aliases=dim_aliases,
             strategy=STRATEGY_EQUI,
-            num_reducers=best_k,
+            num_reducers=num_reducers,
             partition_bits=0,
-            profile=best_profile,
-            est_time_s=best_time,
+            profile=profile,
+            est_time_s=est,
             output_rows=output_rows,
         )
 
@@ -325,10 +286,7 @@ class CandidateJobCosting:
         widths = [
             16 + self.query.relations[a].schema.row_width for a in dim_aliases
         ]
-        key_stats = [
-            self.catalog.get(self.query.relations[ref.alias].name).column(ref.attr)
-            for ref in key_refs.values()
-        ]
+        key_stats = [self._column_stats(ref) for ref in key_refs.values()]
         key_distinct = min(stats.distinct for stats in key_stats)
         hot_input = max(stats.max_frequency for stats in key_stats)
 
@@ -336,11 +294,8 @@ class CandidateJobCosting:
         output_rows = cumulative[-1]
         output_width = sum(widths)
 
-        best: Optional[JobProfile] = None
-        best_time = float("inf")
-        best_k = 1
-        for k in candidate_reducer_counts(self.total_units):
-            profile = equichain_profile(
+        est, num_reducers, profile = self._cheapest_reducer_count(
+            lambda k: equichain_profile(
                 name=f"ec-{sorted(path)}",
                 cardinalities=cards,
                 record_widths=widths,
@@ -352,21 +307,16 @@ class CandidateJobCosting:
                 hot_input_fraction=hot_input,
                 hot_output_fraction=hot_input,
             )
-            t = self.cost_model.estimate_seconds(
-                profile, map_units=self.total_units, reduce_units=self.total_units
-            )
-            if t < best_time:
-                best_time, best, best_k = t, profile, k
-        assert best is not None
+        )
         return JobBlueprint(
             labels=frozenset(path),
             path=path,
             dim_aliases=dim_aliases,
             strategy=STRATEGY_EQUICHAIN,
-            num_reducers=best_k,
+            num_reducers=num_reducers,
             partition_bits=0,
-            profile=best,
-            est_time_s=best_time,
+            profile=profile,
+            est_time_s=est,
             output_rows=output_rows,
         )
 
@@ -398,42 +348,14 @@ class CandidateJobCosting:
             p
             for c in conditions
             for p in c.predicates
-            if p.op.is_equality
-            and p.left.offset == 0
-            and p.right.offset == 0
-            and new_alias in (p.left.alias, p.right.alias)
+            if p.is_key and new_alias in p.aliases
         ]
         if key_predicates:
-            key_distinct = 1.0
-            hot_input = 1.0
-            hot_pair = 1.0
-            for predicate in key_predicates:
-                new_ref = (
-                    predicate.left
-                    if predicate.left.alias == new_alias
-                    else predicate.right
-                )
-                other_ref = (
-                    predicate.right if new_ref is predicate.left else predicate.left
-                )
-                new_stats = self.catalog.get(relation.name).column(new_ref.attr)
-                other_stats = self.catalog.get(
-                    self.query.relations[other_ref.alias].name
-                ).column(other_ref.attr)
-                key_distinct *= max(
-                    1.0, min(new_stats.distinct, other_stats.distinct)
-                )
-                # Composite keys: hot-group shares multiply per component.
-                hot_input *= max(
-                    new_stats.max_frequency, other_stats.max_frequency
-                )
-                hot_pair *= new_stats.max_frequency * other_stats.max_frequency
+            key_distinct, hot_input, hot_pair = self._key_statistics(key_predicates)
             pair_sel = output_rows / max(1.0, left[0] * right[0])
             hot_output_fraction = min(1.0, hot_pair / max(pair_sel, 1e-12))
-            best_time = float("inf")
-            best_k = 1
-            for k in candidate_reducer_counts(self.total_units):
-                profile = equi_profile(
+            seconds, num_reducers, _ = self._cheapest_reducer_count(
+                lambda k: equi_profile(
                     name=f"step-{new_alias}",
                     left=left,
                     right=right,
@@ -444,15 +366,11 @@ class CandidateJobCosting:
                     hot_input_fraction=hot_input,
                     hot_output_fraction=hot_output_fraction,
                 )
-                t = self.cost_model.estimate_seconds(
-                    profile, self.total_units, self.total_units
-                )
-                if t < best_time:
-                    best_time, best_k = t, k
-            return best_time, STRATEGY_EQUI, best_k
+            )
+            return seconds, STRATEGY_EQUI, num_reducers
 
         cards = [left[0], right[0]]
-        choice = choose_reducer_count(cards, self.total_units, self.lam)
+        choice = choose_reducer_count(cards, self.total_units)
         profile = hypercube_profile(
             name=f"step-{new_alias}",
             cardinalities=cards,
@@ -471,6 +389,42 @@ class CandidateJobCosting:
         return seconds, STRATEGY_ONEBUCKET, choice.num_reducers
 
     # -- helpers -------------------------------------------------------------
+
+    def _cheapest_reducer_count(
+        self, profile_for: Callable[[int], JobProfile]
+    ) -> Tuple[float, int, Optional[JobProfile]]:
+        """Sweep the candidate kR values, pricing ``profile_for(kR)`` with
+        the Equation 1-6 model; ``(seconds, kR, profile)`` of the first
+        strictly cheapest."""
+        best_time, best_k, best_profile = float("inf"), 1, None
+        for k in candidate_reducer_counts(self.total_units):
+            profile = profile_for(k)
+            t = self.cost_model.estimate_seconds(
+                profile, map_units=self.total_units, reduce_units=self.total_units
+            )
+            if t < best_time:
+                best_time, best_k, best_profile = t, k, profile
+        return best_time, best_k, best_profile
+
+    def _column_stats(self, ref: AttrRef) -> ColumnStats:
+        return self.catalog.get(self.query.relations[ref.alias].name).column(ref.attr)
+
+    def _key_statistics(self, key_predicates) -> Tuple[float, float, float]:
+        """``(key_distinct, hot_input, hot_pair)`` of an equality key.
+
+        For a composite key the hottest group's share multiplies across
+        the key components (the hot (bsc, d) pair is the hot bsc value on
+        the hot day), so every key predicate contributes one factor to
+        each; every factor is symmetric in the predicate's two sides.
+        """
+        key_distinct = hot_input = hot_pair = 1.0
+        for predicate in key_predicates:
+            left = self._column_stats(predicate.left)
+            right = self._column_stats(predicate.right)
+            key_distinct *= max(1.0, min(left.distinct, right.distinct))
+            hot_input *= max(left.max_frequency, right.max_frequency)
+            hot_pair *= left.max_frequency * right.max_frequency
+        return key_distinct, hot_input, hot_pair
 
     def _cumulative_rows(
         self, dim_aliases: Tuple[str, ...], conditions

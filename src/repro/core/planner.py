@@ -28,7 +28,6 @@ from repro.core.join_graph import JoinGraph
 from repro.core.join_path_graph import JoinPathGraph, build_join_path_graph
 from repro.core.plan import ExecutionPlan, InputRef, PlannedJob
 from repro.core.plan_selector import candidate_covers
-from repro.core.reducer_selection import LAMBDA_DEFAULT
 from repro.core.scheduler import MalleableJob, MalleableScheduler
 from repro.errors import PlanningError
 from repro.joins.records import composite_width
@@ -69,16 +68,10 @@ class ThetaJoinPlanner:
         self,
         config: ClusterConfig,
         catalog: Optional[StatisticsCatalog] = None,
-        lam: float = LAMBDA_DEFAULT,
-        max_hops: Optional[int] = None,
-        enable_pipelined: bool = True,
         planning_cache: Optional[PlanningCache] = None,
     ) -> None:
         self.config = config
         self.catalog = catalog or StatisticsCatalog()
-        self.lam = lam
-        self.max_hops = max_hops
-        self.enable_pipelined = enable_pipelined
         #: Cross-query statistics cache (samples, stats, join-sample
         #: counts); the process-wide default is shared by every planner
         #: instance, so repeated planning of identical data is ~free.
@@ -96,16 +89,14 @@ class ThetaJoinPlanner:
             self.catalog,
             self.cost_model,
             total_units=self.config.total_units,
-            lam=self.lam,
             planning_cache=self.planning_cache,
         )
-        gjp = build_join_path_graph(graph, costing, max_hops=self.max_hops)
+        gjp = build_join_path_graph(graph, costing)
 
         options: List[PlanOption] = []
         for cover in candidate_covers(gjp):
             options.append(self._independent_option(query, costing, cover))
-        if self.enable_pipelined:
-            options.extend(self._pipelined_options(query, costing, gjp))
+        options.extend(self._pipelined_options(query, costing, gjp))
         if not options:
             raise PlanningError(f"no sufficient plan found for {query.name!r}")
         best = min(options, key=lambda option: option.est_completion_s)

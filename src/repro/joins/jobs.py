@@ -41,7 +41,7 @@ from repro.joins.progressive import ProgressiveJoin, reduce_side
 from repro.joins.records import composite_width, input_cover
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapBatch, MapReduceJobSpec
-from repro.relational.predicates import JoinCondition
+from repro.relational.predicates import JoinCondition, key_classes
 from repro.relational.schema import Schema
 from repro.utils import stable_hash
 
@@ -256,12 +256,7 @@ def make_equi_join_job(
     otherwise use the broadcast or hypercube job.
     """
     covers = [input_cover(name, left_file), input_cover(name, right_file)]
-    key_predicates = [
-        p
-        for condition in conditions
-        for p in condition.predicates
-        if p.op.is_equality and p.left.offset == 0 and p.right.offset == 0
-    ]
+    key_predicates = [p for c in conditions for p in c.predicates if p.is_key]
     if not key_predicates:
         raise ExecutionError(
             f"job {name!r}: equi-join requires at least one equality predicate"
@@ -414,39 +409,8 @@ def find_single_key_class(
     Returns ``{alias: AttrRef}`` (one key reference per alias that has
     one) or ``None``.
     """
-    parent: Dict[Tuple[str, str], Tuple[str, str]] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    refs = []
-    for condition in conditions:
-        for predicate in condition.predicates:
-            if not predicate.op.is_equality:
-                continue
-            if predicate.left.offset != 0 or predicate.right.offset != 0:
-                continue
-            left = (predicate.left.alias, predicate.left.attr)
-            right = (predicate.right.alias, predicate.right.attr)
-            union(left, right)
-            refs.extend([predicate.left, predicate.right])
-    if not refs:
-        return None
-
-    classes: Dict[Tuple[str, str], List] = {}
-    for ref in refs:
-        classes.setdefault(find((ref.alias, ref.attr)), []).append(ref)
-    for members in classes.values():
+    predicates = [p for condition in conditions for p in condition.predicates]
+    for members in key_classes(predicates):
         member_aliases = {ref.alias for ref in members}
         if all(set(group) & member_aliases for group in alias_groups):
             by_alias = {}

@@ -127,10 +127,7 @@ def _probe_plan(crossing, column_of) -> Optional[tuple]:
     tightest window) make a sorted range probe.  Probes only *narrow* the
     candidates; the step's pair checks still run on every one.
     """
-    keys = [
-        p for p in crossing
-        if p.op.is_equality and p.left.offset == 0 and p.right.offset == 0
-    ]
+    keys = [p for p in crossing if p.is_key]
     if keys:
         return (
             "hash",

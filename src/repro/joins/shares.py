@@ -19,14 +19,14 @@ multi-way Theta-joins").
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ExecutionError, PlanningError
 from repro.joins.progressive import ProgressiveJoin, reduce_side
 from repro.joins.records import composite_width, input_cover
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapReduceJobSpec, TaskContext
-from repro.relational.predicates import JoinCondition
+from repro.relational.predicates import JoinCondition, key_classes
 from repro.relational.schema import Schema
 from repro.utils import stable_hash
 
@@ -39,42 +39,15 @@ def attribute_classes(
     Every class becomes one dimension of the share grid.  Raises if any
     predicate is not a zero-offset equality (shares cannot route theta).
     """
-    parent: Dict[Tuple[str, str], Tuple[str, str]] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for condition in conditions:
-        for predicate in condition.predicates:
-            if not (
-                predicate.op.is_equality
-                and predicate.left.offset == 0
-                and predicate.right.offset == 0
-            ):
-                raise PlanningError(
-                    "share-based join supports pure equality predicates only; "
-                    f"got {predicate}"
-                )
-            union(
-                (predicate.left.alias, predicate.left.attr),
-                (predicate.right.alias, predicate.right.attr),
+    predicates = [p for condition in conditions for p in condition.predicates]
+    for predicate in predicates:
+        if not predicate.is_key:
+            raise PlanningError(
+                "share-based join supports pure equality predicates only; "
+                f"got {predicate}"
             )
-
-    groups: Dict[Tuple[str, str], Dict[str, str]] = {}
-    for alias, attr in list(parent):
-        root = find((alias, attr))
-        groups.setdefault(root, {})[alias] = attr
-    return sorted(groups.values(), key=lambda g: sorted(g.items()))
+    groups = [{ref.alias: ref.attr for ref in refs} for refs in key_classes(predicates)]
+    return sorted(groups, key=lambda g: sorted(g.items()))
 
 
 def optimize_shares(

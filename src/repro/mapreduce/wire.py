@@ -108,6 +108,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import cloudpickle
 import numpy as np
 
+from repro.errors import ReproError
 from repro.storage import blob_digest
 
 #: Bump when the message shapes change; mismatching peers refuse to talk
@@ -522,8 +523,14 @@ class FrameServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
+        try:
+            self._listener.bind((host, port))
+            self._listener.listen(32)
+        except OSError as exc:  # a busy port or an unusable host
+            self._listener.close()
+            raise ReproError(
+                f"cannot listen on {host}:{port}: {exc.strerror or exc}"
+            ) from exc
         self.host, self.port = self._listener.getsockname()[:2]
         self._connections: List[socket.socket] = []
         self._conn_lock = threading.Lock()

@@ -1,12 +1,5 @@
 """Relational substrate: schemas, relations, theta predicates, queries, statistics."""
 
-from repro.relational.histogram import (
-    Bucket,
-    ClosedFormSelectivityEstimator,
-    Histogram,
-    equality_join_selectivity,
-    range_join_selectivity,
-)
 from repro.relational.predicates import (
     AttrRef,
     JoinCondition,
@@ -29,13 +22,8 @@ from repro.relational.statistics import (
 
 __all__ = [
     "AttrRef",
-    "Bucket",
-    "ClosedFormSelectivityEstimator",
     "ColumnStats",
     "Field",
-    "Histogram",
-    "equality_join_selectivity",
-    "range_join_selectivity",
     "JoinCondition",
     "JoinPredicate",
     "JoinQuery",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import QueryError
 
@@ -130,6 +130,11 @@ class JoinPredicate:
     def aliases(self) -> Tuple[str, str]:
         return (self.left.alias, self.right.alias)
 
+    @property
+    def is_key(self) -> bool:
+        """A zero-offset equality: both sides can be partitioned on it."""
+        return self.op.is_equality and self.left.offset == 0 and self.right.offset == 0
+
     def oriented(self, first_alias: str) -> "JoinPredicate":
         """Return an equivalent predicate whose left side is ``first_alias``."""
         if self.left.alias == first_alias:
@@ -158,6 +163,42 @@ class JoinPredicate:
                     _parse_ref(left_text), ThetaOp.from_symbol(symbol), _parse_ref(right_text)
                 )
         raise QueryError(f"no theta operator found in predicate {text!r}")
+
+
+def key_classes(predicates: Iterable[JoinPredicate]) -> List[List[AttrRef]]:
+    """Equality classes of the attribute references the key predicates join.
+
+    Union-find over ``(alias, attr)``: each zero-offset equality joins its
+    two sides' classes; other predicates are skipped.  A class lists the
+    first reference seen for each of its ``(alias, attr)`` pairs in
+    first-seen order, and the classes come in the order of their first
+    reference.
+    """
+    parent: Dict[Tuple[str, str], Tuple[str, str]] = {}
+    first: Dict[Tuple[str, str], AttrRef] = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for predicate in predicates:
+        if not predicate.is_key:
+            continue
+        sides = []
+        for ref in (predicate.left, predicate.right):
+            node = (ref.alias, ref.attr)
+            first.setdefault(node, ref)
+            parent.setdefault(node, node)
+            sides.append(find(node))
+        if sides[0] != sides[1]:
+            parent[sides[0]] = sides[1]
+
+    classes: Dict[Tuple[str, str], List[AttrRef]] = {}
+    for node, ref in first.items():
+        classes.setdefault(find(node), []).append(ref)
+    return list(classes.values())
 
 
 def _parse_ref(text: str) -> AttrRef:
@@ -217,10 +258,7 @@ class JoinCondition:
     @property
     def is_pure_equi(self) -> bool:
         """True when every predicate is an equality with no offsets."""
-        return all(
-            p.op.is_equality and p.left.offset == 0 and p.right.offset == 0
-            for p in self.predicates
-        )
+        return all(p.is_key for p in self.predicates)
 
     def other_alias(self, alias: str) -> str:
         if alias == self.left_alias:

@@ -158,3 +158,97 @@ class TestStepPricing:
             1_000_000, 64, "c", [chain_query.condition(2)], 100
         )
         assert heavy > cheap
+
+
+#: ``(strategy, num_reducers, est_time_s)`` of ``blueprint_for_path`` and
+#: ``(seconds, strategy, reduce_tasks)`` of ``pairwise_step_cost`` (the
+#: path's intermediate joined with its last alias) for every path of at
+#: most two edges of the mobile Q1 and Q3 instances at 20 GB.  Pinned
+#: exactly: every candidate the planner prices, not just the chosen plan,
+#: must come out of the kR sweep and the key statistics bit for bit.
+GOLDEN_MOBILE_20GB = {
+    1: {
+        (1,): (
+            ("equichain", 64, 476.45751921656046),
+            (1227.3046245219778, "equi", 64),
+        ),
+        (1, 2): (
+            ("equichain", 64, 788.2154001312058),
+            (411.87487263466056, "equi", 96),
+        ),
+        (2,): (
+            ("equi", 96, 180.80377602254788),
+            (180.80377602254788, "equi", 96),
+        ),
+    },
+    3: {
+        (1,): (
+            ("hypercube", 16, 2512.089911173295),
+            (9958.45153043989, "equi", 16),
+        ),
+        (1, 2): (
+            ("hypercube", 96, 5478.922851245884),
+            (93209.38562383859, "equi", 16),
+        ),
+        (1, 3): (
+            ("hypercube", 96, 12736.104958999098),
+            (19106.92876098941, "onebucket", 64),
+        ),
+        (1, 4): (
+            ("hypercube", 96, 4687.091635226585),
+            (1545.5714751170885, "equi", 96),
+        ),
+        (2,): (
+            ("hypercube", 16, 2512.089911173295),
+            (9958.45153043989, "equi", 16),
+        ),
+        (3,): (
+            ("hypercube", 16, 9090.715144676135),
+            (9090.715144676135, "onebucket", 16),
+        ),
+        (3, 2): (
+            ("hypercube", 96, 12822.15018596407),
+            (655523.21635613, "equi", 16),
+        ),
+        (3, 4): (
+            ("hypercube", 96, 6530.5229241546085),
+            (11510.07609372162, "equi", 96),
+        ),
+        (4,): (
+            ("equi", 96, 187.58620683152387),
+            (187.58620683152387, "equi", 96),
+        ),
+    },
+}
+
+
+class TestGoldenMobileCosts:
+    @pytest.mark.parametrize("query_id", sorted(GOLDEN_MOBILE_20GB))
+    def test_every_short_path_is_priced_exactly(self, query_id):
+        from repro.core.join_path_graph import enumerate_paths
+        from repro.joins.records import composite_width
+        from repro.workloads.mobile import mobile_benchmark_query
+
+        query = mobile_benchmark_query(query_id, 20)
+        golden = GOLDEN_MOBILE_20GB[query_id]
+        paths = {p for _, _, p in enumerate_paths(JoinGraph.from_query(query), 2)}
+        assert paths == set(golden)
+        schemas = {alias: r.schema for alias, r in query.relations.items()}
+        for path in sorted(paths):
+            costing = costing_for(query)
+            blueprint = costing.blueprint_for_path(path)
+            *left, new = blueprint.dim_aliases
+            left_rows = (
+                query.relations[left[0]].cardinality
+                if len(path) == 1
+                else costing.blueprint_for_path(path[:1]).output_rows
+            )
+            step = costing.pairwise_step_cost(
+                left_rows,
+                composite_width(schemas, sorted(left)),
+                new,
+                [query.condition(c) for c in path if query.condition(c).touches(new)],
+                blueprint.output_rows,
+            )
+            priced = (blueprint.strategy, blueprint.num_reducers, blueprint.est_time_s)
+            assert (priced, step) == golden[path], path

@@ -60,14 +60,6 @@ class TestPlanShape:
         assert plan.notes["options_tried"] >= 2
         assert "chosen_kind" in plan.notes
 
-    def test_pipelined_disabled_still_plans(self, triangle_query):
-        planner = ThetaJoinPlanner(ClusterConfig(), enable_pipelined=False)
-        plan = planner.plan(triangle_query)
-        assert plan.covered_condition_ids() == frozenset(
-            triangle_query.condition_ids
-        )
-        assert plan.notes["chosen_kind"].startswith("independent")
-
     def test_estimate_positive(self, three_way_query):
         plan = ThetaJoinPlanner(ClusterConfig()).plan(three_way_query)
         assert plan.est_makespan_s > 0

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from conformance import serial_reference_rows
+from repro.errors import ReproError
 from repro.mapreduce import wire
 from repro.mapreduce.worker import WorkerServer, spawn_daemon, stop_daemons
 from repro.serve.coordinator import QueryService, spawn_service
@@ -99,6 +100,25 @@ class TestBrokenStreams:
 
 
 class TestLifecycle:
+    def test_a_failed_bind_closes_the_listener(self, monkeypatch):
+        busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        busy.bind(("127.0.0.1", 0))
+        busy.listen(1)
+        made = []
+        real = socket.socket
+
+        def recording(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(wire.socket, "socket", recording)
+        try:
+            with pytest.raises(ReproError, match="cannot listen on 127.0.0.1:"):
+                WorkerServer(port=busy.getsockname()[1])
+        finally:
+            busy.close()
+        assert len(made) == 1 and made[0].fileno() == -1
+
     def test_stop_closes_listener_and_connections_and_is_idempotent(self, daemon):
         sock = dial(daemon)
         try:

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_query, cluster_config, main, make_parser
 
 
@@ -455,6 +460,36 @@ class TestServeStartup:
         assert err.startswith("repro: error: --port ")
         assert err.count("\n") == 1
         assert not started
+
+
+class TestDaemonBindFailure:
+    """A daemon that cannot listen — its port is taken, or its host is
+    no address — says so in one line and exits 2, like any other
+    operator error, instead of dying in a traceback."""
+
+    @pytest.fixture
+    def busy_port(self):
+        busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        busy.bind(("127.0.0.1", 0))
+        busy.listen(1)
+        yield busy.getsockname()[1]
+        busy.close()
+
+    @pytest.mark.parametrize("daemon", [["worker", "serve"], ["serve"]], ids=" ".join)
+    @pytest.mark.parametrize("where", ["busy-port", "bad-host"])
+    def test_cannot_listen_is_one_error_line(self, daemon, where, busy_port):
+        host, port = ("127.0.0.1", busy_port) if where == "busy-port" else ("999.1.1.1", 0)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *daemon,
+             "--host", host, "--port", str(port)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"repro: error: cannot listen on {host}:{port}: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr + done.stdout
 
 
 class TestWorkloadRelations:
