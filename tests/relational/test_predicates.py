@@ -8,6 +8,7 @@ from repro.relational.predicates import (
     JoinCondition,
     JoinPredicate,
     ThetaOp,
+    key_classes,
 )
 from repro.relational.schema import Schema
 
@@ -97,6 +98,62 @@ class TestJoinPredicate:
     def test_oriented_unknown_alias(self):
         with pytest.raises(QueryError):
             JoinPredicate.parse("a.x < b.y").oriented("z")
+
+
+class TestKeyPredicates:
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("a.x = b.y", True),
+            ("a.x + 1 = b.y", False),
+            ("a.x = b.y - 2", False),
+            ("a.x < b.y", False),
+            ("a.x != b.y", False),
+        ],
+    )
+    def test_is_key(self, text, expected):
+        assert JoinPredicate.parse(text).is_key is expected
+
+    def test_no_key_predicates_no_classes(self):
+        assert key_classes([]) == []
+        assert key_classes([JoinPredicate.parse("a.x < b.y")]) == []
+
+    def test_offset_equality_skipped(self):
+        predicates = [
+            JoinPredicate.parse("a.x + 1 = b.y"),
+            JoinPredicate.parse("b.z = c.z"),
+        ]
+        assert key_classes(predicates) == [[AttrRef("b", "z"), AttrRef("c", "z")]]
+
+    def test_classes_merge_transitively(self):
+        predicates = [
+            JoinPredicate.parse("a.x = b.y"),
+            JoinPredicate.parse("c.z = d.w"),
+            JoinPredicate.parse("b.y = c.z"),
+        ]
+        (members,) = key_classes(predicates)
+        assert [(ref.alias, ref.attr) for ref in members] == [
+            ("a", "x"), ("b", "y"), ("c", "z"), ("d", "w"),
+        ]
+
+    def test_disjoint_classes_in_first_seen_order(self):
+        predicates = [
+            JoinPredicate.parse("a.k = b.k"),
+            JoinPredicate.parse("a.d = b.d"),
+            JoinPredicate.parse("b.k = c.k"),
+        ]
+        classes = key_classes(predicates)
+        assert [[(r.alias, r.attr) for r in members] for members in classes] == [
+            [("a", "k"), ("b", "k"), ("c", "k")],
+            [("a", "d"), ("b", "d")],
+        ]
+
+    def test_repeated_reference_listed_once(self):
+        predicates = [
+            JoinPredicate.parse("a.x = b.y"),
+            JoinPredicate.parse("b.y = a.x"),
+        ]
+        assert key_classes(predicates) == [[AttrRef("a", "x"), AttrRef("b", "y")]]
 
 
 class TestJoinCondition:
