@@ -36,6 +36,11 @@
 #                   (gain / within-bound / unresolved / REGRESSION);
 #                   WORKLOAD=all runs all five per pair, which is what the
 #                   pipeline judges (benchmarks/perf_pair.py)
+#   make daemon-faults - minor page faults, user and system CPU ms per
+#                   warm distributed chain query (the dist2_chain query) for
+#                   the coordinator and each of two spawned worker daemons,
+#                   plus their VmHWM/VmRSS; reads /proc only
+#                   (benchmarks/daemon_faults.py)
 #   make ci       - the full local equivalent of the CI gate:
 #                   lint + verify + smoke + results-clean + serve-smoke
 #                   + serve-recovery + perf-smoke; results-clean is `git
@@ -62,7 +67,7 @@ PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 #: send a daemon (tests/test_docs.py holds the same list).
 VERB_FILES := src/repro/mapreduce/wire.py src/repro/mapreduce/worker.py src/repro/serve/coordinator.py
 
-.PHONY: verify smoke lint results-clean serve-smoke serve-recovery perf-smoke perf-pair ci loc census
+.PHONY: verify smoke lint results-clean serve-smoke serve-recovery perf-smoke perf-pair daemon-faults ci loc census
 
 verify:
 	$(PYTEST) -x -q
@@ -97,6 +102,9 @@ PAIRS ?= 10
 
 perf-pair:
 	python3 benchmarks/perf_pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+
+daemon-faults:
+	PYTHONPATH=$(PYTHONPATH) python3 benchmarks/daemon_faults.py
 
 ci: lint verify smoke results-clean serve-smoke serve-recovery perf-smoke
 

@@ -22,10 +22,19 @@ belongs to the server too, shared by all its connections.
 
 No verb stops the daemon or changes how it runs a task; it stops on
 SIGTERM or ctrl-C (:meth:`~repro.mapreduce.wire.FrameServer.run`).
+
+The daemon's heap is steady (:func:`steady_heap`, set by :func:`serve`
+before the server starts): the pages one task's output occupied are kept
+for the next task instead of going back to the kernel and being faulted
+in again — thousands of minor faults and several ms of system time per
+warm ``dist2_chain`` query before.  The cost is that an idle daemon's
+resident set stays at its high-water mark (about 52 MiB on that
+workload, against about 39 MiB when it returned the pages).
 """
 
 from __future__ import annotations
 
+import ctypes
 import pickle
 import threading
 from collections import OrderedDict
@@ -52,6 +61,19 @@ REGISTRY_MAX_ENTRIES = 64
 #: Entry cap of the daemon's in-memory decoded-payload cache (LRU above
 #: the disk blob tier).
 BLOB_MEM_ENTRIES = 64
+
+#: glibc heap policy of a ``repro worker serve`` process
+#: (:func:`steady_heap`): blocks up to 32 MiB, the 64-bit maximum, come
+#: from the heap rather than their own mmap, and free memory at the top
+#: of the heap goes back to the kernel only past 256 MiB.  Both are set
+#: because any ``mallopt`` call also switches off glibc's dynamic mmap
+#: threshold; either one alone still faults thousands of pages per task.
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 256 << 20
+
+#: ``mallopt`` parameter numbers from glibc's ``<malloc.h>``.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 class WorkerServer(wire.FrameServer):
@@ -228,6 +250,30 @@ def stop_daemons(procs) -> None:
             proc.wait()
 
 
+def steady_heap() -> bool:
+    """Make this process keep the heap pages its tasks free.
+
+    A task's output is freed once its reply is sent; with glibc's
+    defaults the large blocks go straight back to the kernel and the next
+    task faults them in again.  Sets :data:`MMAP_THRESHOLD_BYTES` and
+    :data:`TRIM_THRESHOLD_BYTES` through ``mallopt``.  Returns whether
+    both settings took; where there is no glibc it does nothing and
+    returns ``False``.  Only :func:`serve` calls it: an in-process
+    :class:`WorkerServer` leaves its host process's allocator alone.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    took = [
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES),
+    ]
+    return all(took)
+
+
 def serve(host: str, port: int) -> int:
-    """CLI entry: run one worker daemon until SIGTERM or ctrl-C."""
+    """CLI entry: run one worker daemon until SIGTERM or ctrl-C, with a
+    steady heap (:func:`steady_heap`)."""
+    steady_heap()
     return WorkerServer(host=host, port=port).run()

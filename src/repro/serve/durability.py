@@ -63,7 +63,7 @@ WORKLOADS = ("mobile", "tpch")
 #: its value must pass at submit (values arrive as strings or ints).  The
 #: fleet address list and the heartbeat/connect timings are deliberately
 #: absent: they are state of the one live distributed backend every
-#: session shares (the ``fleet`` endpoint changes the fleet for everyone).
+#: session shares, fixed when the service starts.
 ALLOWED_KNOBS = {
     EXEC_BACKEND_ENV: lambda text: text.strip().lower() in EXEC_BACKENDS,
     EXEC_WORKERS_ENV: lambda text: 0 <= int(text) <= (os.cpu_count() or 1),

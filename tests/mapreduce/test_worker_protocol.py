@@ -7,7 +7,9 @@ and shipped closures must rebuild over *unpicklable* compiled state,
 mirroring the fork registry's guarantee.
 """
 
+import pickle
 import socket
+import threading
 
 import pytest
 
@@ -26,6 +28,53 @@ def dial(server: WorkerServer) -> socket.socket:
     sock = wire.connect(server.address, timeout=2.0)
     sock.settimeout(5.0)
     return sock
+
+
+def message_of_payload_size(size: int) -> bytes:
+    """A message whose pickled frame payload is exactly ``size`` bytes."""
+    overhead = len(pickle.dumps(bytes(size), protocol=pickle.HIGHEST_PROTOCOL)) - size
+    for guess in range(size - overhead + 32, size - overhead - 32, -1):
+        message = bytes(range(256)) * (guess // 256) + b"x" * (guess % 256)
+        if len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)) == size:
+            return message
+    raise AssertionError(f"no bytes message pickles to {size} bytes")
+
+
+def framed(size: int) -> bytes:
+    """The full frame, header included, of a ``size``-byte payload."""
+    payload = pickle.dumps(message_of_payload_size(size), protocol=pickle.HIGHEST_PROTOCOL)
+    return len(payload).to_bytes(8, "big") + payload
+
+
+def send_then_close(sock: socket.socket, data: bytes) -> None:
+    try:
+        sock.sendall(data)
+    finally:
+        sock.close()
+
+
+class RecordingSocket:
+    """A socket stand-in for :func:`wire.send_frame` that records each
+    write as ``(method, bytes sent)``; with ``short_write`` its gather
+    write sends only that many bytes, as a full socket buffer may."""
+
+    def __init__(self, sock: socket.socket, short_write: int = 0) -> None:
+        self.sock = sock
+        self.short_write = short_write
+        self.calls = []
+
+    def sendall(self, data) -> None:
+        self.sock.sendall(data)
+        self.calls.append(("sendall", len(data)))
+
+    def sendmsg(self, buffers) -> int:
+        if self.short_write:
+            self.sock.sendall(b"".join(buffers)[: self.short_write])
+            sent = self.short_write
+        else:
+            sent = self.sock.sendmsg(buffers)
+        self.calls.append(("sendmsg", sent))
+        return sent
 
 
 class TestFraming:
@@ -48,6 +97,53 @@ class TestFraming:
                 wire.recv_frame(right)
         finally:
             right.close()
+
+    def test_eof_mid_payload_raises_wire_error(self):
+        left, right = socket.socketpair()
+        frame = framed(3 << 20)
+        sender = threading.Thread(target=send_then_close, args=(left, frame[: len(frame) // 2]))
+        sender.start()
+        try:
+            with pytest.raises(wire.WireError):
+                wire.recv_frame(right)
+        finally:
+            sender.join(timeout=10)
+            right.close()
+        assert not sender.is_alive()
+
+    @pytest.mark.parametrize("size", [65_535, 65_536, 3 << 20])
+    def test_frames_either_side_of_the_split_send_roundtrip(self, size):
+        message = message_of_payload_size(size)
+        left, right = socket.socketpair()
+        recorder = RecordingSocket(left)
+        sender = threading.Thread(target=wire.send_frame, args=(recorder, message))
+        sender.start()
+        try:
+            assert wire.recv_frame(right) == message
+        finally:
+            sender.join(timeout=10)
+            left.close()
+            right.close()
+        assert not sender.is_alive()
+        split = size >= wire.SPLIT_SEND_MIN_BYTES
+        assert [kind for kind, _ in recorder.calls][:1] == ["sendmsg" if split else "sendall"]
+        assert sum(sent for _, sent in recorder.calls) == len(framed(size))
+
+    @pytest.mark.parametrize("short_write", [3, 8 + 1000])
+    def test_a_partial_gather_write_is_completed(self, short_write):
+        message = message_of_payload_size(200_000)
+        left, right = socket.socketpair()
+        recorder = RecordingSocket(left, short_write=short_write)
+        sender = threading.Thread(target=wire.send_frame, args=(recorder, message))
+        sender.start()
+        try:
+            assert wire.recv_frame(right) == message
+        finally:
+            sender.join(timeout=10)
+            left.close()
+            right.close()
+        assert not sender.is_alive()
+        assert recorder.calls[0] == ("sendmsg", short_write)
 
     def test_oversized_header_rejected(self):
         left, right = socket.socketpair()
