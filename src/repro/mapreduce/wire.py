@@ -125,11 +125,6 @@ _HEADER = struct.Struct(">Q")
 #: multi-terabyte allocation.
 MAX_FRAME_BYTES = 1 << 31
 
-#: Payloads from this size on leave as the header, then the payload (one
-#: gather write), not as a concatenated copy of both; smaller frames keep
-#: the single write of one joined buffer.
-SPLIT_SEND_MIN_BYTES = 64 << 10
-
 
 class WireError(ConnectionError):
     """A peer vanished or sent something unframeable."""
@@ -193,15 +188,7 @@ def send_frame(sock: socket.socket, message: object) -> None:
             f"refusing to send a {len(payload)}-byte frame "
             f"(cap {MAX_FRAME_BYTES}); page the payload instead"
         )
-    header = _HEADER.pack(len(payload))
-    if len(payload) < SPLIT_SEND_MIN_BYTES:
-        sock.sendall(header + payload)
-        return
-    # A full socket buffer may take only part of the gather write.
-    sent = sock.sendmsg((header, payload))
-    if sent < len(header):
-        sock.sendall(header[sent:])
-    sock.sendall(memoryview(payload)[max(0, sent - len(header)):])
+    sock.sendall(_HEADER.pack(len(payload)) + payload)
 
 
 def page_bounds(

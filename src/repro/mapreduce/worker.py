@@ -65,11 +65,15 @@ BLOB_MEM_ENTRIES = 64
 #: glibc heap policy of a ``repro worker serve`` process
 #: (:func:`steady_heap`): blocks up to 32 MiB, the 64-bit maximum, come
 #: from the heap rather than their own mmap, and free memory at the top
-#: of the heap goes back to the kernel only past 256 MiB.  Both are set
+#: of the heap goes back to the kernel only past 64 MiB.  Both are set
 #: because any ``mallopt`` call also switches off glibc's dynamic mmap
 #: threshold; either one alone still faults thousands of pages per task.
+#: The trim threshold must exceed what one task frees: about 14 MiB on
+#: the ``dist2_chain`` query (16 MiB suffices there, 8 MiB does not) and
+#: about 37 MiB on the same chain query at 500 rows, where 32 MiB still
+#: faulted 6.6k pages per task and 64 MiB held them as 256 MiB did.
 MMAP_THRESHOLD_BYTES = 32 << 20
-TRIM_THRESHOLD_BYTES = 256 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
 
 #: ``mallopt`` parameter numbers from glibc's ``<malloc.h>``.
 _M_TRIM_THRESHOLD = -1
@@ -250,26 +254,22 @@ def stop_daemons(procs) -> None:
             proc.wait()
 
 
-def steady_heap() -> bool:
+def steady_heap() -> None:
     """Make this process keep the heap pages its tasks free.
 
     A task's output is freed once its reply is sent; with glibc's
     defaults the large blocks go straight back to the kernel and the next
     task faults them in again.  Sets :data:`MMAP_THRESHOLD_BYTES` and
-    :data:`TRIM_THRESHOLD_BYTES` through ``mallopt``.  Returns whether
-    both settings took; where there is no glibc it does nothing and
-    returns ``False``.  Only :func:`serve` calls it: an in-process
+    :data:`TRIM_THRESHOLD_BYTES` through ``mallopt``; where there is no
+    glibc it does nothing.  Only :func:`serve` calls it: an in-process
     :class:`WorkerServer` leaves its host process's allocator alone.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
-        return False
-    took = [
-        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
-        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES),
-    ]
-    return all(took)
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def serve(host: str, port: int) -> int:

@@ -4,48 +4,46 @@ A warm task's output is freed once its reply is sent; with glibc's
 default allocator policy those pages went back to the kernel and the
 next task faulted them in again, thousands of minor faults per query.
 :func:`repro.mapreduce.worker.steady_heap`, which only the daemon's
-``serve()`` calls, keeps them.
+``serve()`` calls, keeps them.  The /proc reader and the query loop are
+``benchmarks/daemon_faults.py``'s, which measures the same thing.
 """
 
 import ctypes
+import importlib.util
 import os
+import platform
 from pathlib import Path
 
 import pytest
 
-from repro.core.executor import PlanExecutor
-from repro.core.planner import ThetaJoinPlanner
 from repro.mapreduce import wire, worker
 from repro.mapreduce.backend import close_backends
-from repro.mapreduce.config import PAPER_CLUSTER_KP64, settings_scope
-from repro.mapreduce.runtime import SimulatedCluster
 from repro.workloads.synthetic import chain_query
 
+ROOT = Path(__file__).resolve().parents[2]
+
 #: Warm queries measured, and the minor faults one may cost the worker.
-#: The daemon of the parent design faulted about 2–4k pages per query.
+#: Without :func:`~repro.mapreduce.worker.steady_heap` the daemon faults
+#: about 2–4k pages per query.
 WARM_QUERIES = 20
 MAX_FAULTS_PER_QUERY = 250
 
 
-def minor_faults(pid: int) -> int:
-    stat = Path(f"/proc/{pid}/stat").read_text()
-    return int(stat.rsplit(")", 1)[1].split()[7])
-
-
-def has_glibc() -> bool:
-    try:
-        ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return False
-    return True
+def load_daemon_faults():
+    spec = importlib.util.spec_from_file_location(
+        "daemon_faults", ROOT / "benchmarks" / "daemon_faults.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def daemon():
     if not Path(f"/proc/{os.getpid()}/stat").exists():
         pytest.skip("no /proc/<pid>/stat on this platform")
-    if not has_glibc():
-        pytest.skip("no glibc mallopt on this platform")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("not a glibc platform")
     if not wire.closure_transport_available():
         pytest.skip("closure transport unavailable")
     proc, addr = worker.spawn_daemon()
@@ -58,23 +56,13 @@ def daemon():
 
 def test_warm_queries_reuse_the_worker_heap(daemon):
     proc, addr = daemon
+    daemon_faults = load_daemon_faults()
     query = chain_query(3, rows=350, selectivity=0.05)
-    knobs = {
-        "REPRO_EXEC_BACKEND": "distributed",
-        "REPRO_WORKERS_ADDRS": addr,
-        "REPRO_STRICT_FLEET": "1",
-    }
-
-    def run_query() -> int:
-        with settings_scope(knobs):
-            plan = ThetaJoinPlanner(PAPER_CLUSTER_KP64).plan(query)
-            outcome = PlanExecutor(SimulatedCluster(PAPER_CLUSTER_KP64)).execute(plan, query)
-        return len(outcome.result.rows)
-
-    rows = [run_query() for _ in range(3)]  # cold, then the heap grows to size
-    before = minor_faults(proc.pid)
-    rows += [run_query() for _ in range(WARM_QUERIES)]
-    faults = minor_faults(proc.pid) - before
+    # Cold, then two warm runs while the heap grows to size.
+    rows = [daemon_faults.run_query(query, [addr]) for _ in range(3)]
+    before = daemon_faults.proc_counters(proc.pid)["minflt"]
+    rows += [daemon_faults.run_query(query, [addr]) for _ in range(WARM_QUERIES)]
+    faults = daemon_faults.proc_counters(proc.pid)["minflt"] - before
     assert len(set(rows)) == 1 and rows[0] > 0
     assert faults / WARM_QUERIES <= MAX_FAULTS_PER_QUERY, (
         f"{faults} minor faults over {WARM_QUERIES} warm queries"
@@ -86,9 +74,9 @@ def test_steady_heap_without_glibc_does_nothing(monkeypatch):
         raise OSError("libc.so.6: cannot open shared object file")
 
     monkeypatch.setattr(ctypes, "CDLL", no_library)
-    assert worker.steady_heap() is False
+    worker.steady_heap()
 
 
 def test_steady_heap_without_mallopt_does_nothing(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-    assert worker.steady_heap() is False
+    worker.steady_heap()
